@@ -313,8 +313,10 @@ def cup_length_kernel(
 
     Elements are tried as multisets in the given order (repetition allowed);
     the search prunes any branch whose total degree would exceed the top
-    nonzero degree of the ring.  Every element must be homogeneous and lie in
-    the kernel of the collapse map.
+    nonzero degree of the ring, and stops as soon as a chain reaches
+    min(budget, top degree // least element degree), which no chain can
+    exceed.  Every element must be homogeneous and lie in the kernel of the
+    collapse map.
     """
     k, _ = _cup_length_search(P, collapse, elements, budget)
     return k
@@ -339,10 +341,14 @@ def _cup_length_search(
     if not elements:
         return 0, ()
     top = ring_top_degree(P, ceiling=budget * max(degrees))
+    # No chain is longer than the ceiling; the first chain to reach it is the
+    # one the full search would keep, as best only grows on a strict gain.
+    ceiling = min(budget, top // min(degrees))
     best = 0
     best_indices: tuple[int, ...] = ()
 
-    def dfs(start: int, acc: GradedElement, acc_degree: int, chosen: list[int]) -> None:
+    def dfs(start: int, acc: GradedElement, acc_degree: int, chosen: list[int]) -> bool:
+        """Extend the chain; True once best has reached the ceiling."""
         nonlocal best, best_indices
         for idx in range(start, len(elements)):
             ndeg = acc_degree + degrees[idx]
@@ -355,9 +361,12 @@ def _cup_length_search(
             if len(chosen) > best:
                 best = len(chosen)
                 best_indices = tuple(chosen)
-            if len(chosen) < budget:
-                dfs(idx, nxt, ndeg, chosen)
+                if best >= ceiling:
+                    return True
+            if len(chosen) < budget and dfs(idx, nxt, ndeg, chosen):
+                return True
             chosen.pop()
+        return False
 
     dfs(0, one(), 0, [])
     return best, best_indices

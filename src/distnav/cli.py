@@ -103,7 +103,8 @@ def _json_default(o):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, default=_json_default))
+    # NaN and infinity are not JSON: refuse them instead of printing bare tokens.
+    print(json.dumps(payload, indent=2, default=_json_default, allow_nan=False))
 
 
 def _resolve_ring(name: str):
@@ -126,9 +127,12 @@ def _resolve_ring(name: str):
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        vector = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise ArgumentProblem(f"bad vector {text!r}: {exc}") from None
+    if not np.isfinite(vector).all():
+        raise ArgumentProblem(f"bad vector {text!r}: components must be finite")
+    return vector
 
 
 def _parse_points(text: str) -> list[np.ndarray]:
@@ -625,7 +629,11 @@ def main(argv=None) -> int:
         out["citations"] = [
             {"tag": tag, "statement": REGISTRY[tag]} for tag in dict.fromkeys(tags)
         ]
-    _emit(out)
+    try:
+        _emit(out)
+    except ValueError as exc:
+        _emit({"schema_version": SCHEMA_VERSION, "error": f"result is not valid JSON: {exc}"})
+        return 2
     return code
 
 

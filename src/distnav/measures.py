@@ -20,6 +20,7 @@ The distance never exceeds 1, so bisection runs on [0, 1].
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,8 +70,25 @@ def _point_key(point: Any):
     return point
 
 
+def _is_finite_point(point: Any) -> bool:
+    """False when a numeric coordinate of the point is NaN or infinite.
+
+    Non-numeric points (labels, path objects) carry no coordinates to check.
+    """
+    if isinstance(point, np.ndarray):
+        return point.dtype.kind not in "fc" or all(map(cmath.isfinite, point.ravel().tolist()))
+    if isinstance(point, (float, complex, np.inexact)):
+        return cmath.isfinite(point)
+    if isinstance(point, (tuple, list)):
+        return all(map(_is_finite_point, point))
+    return True
+
+
 class FiniteMeasure:
-    """An immutable finitely supported probability measure."""
+    """An immutable finitely supported probability measure.
+
+    Float weights and numeric point coordinates must be finite.
+    """
 
     def __init__(
         self,
@@ -82,8 +100,12 @@ class FiniteMeasure:
         for point, weight in atoms:
             if isinstance(weight, float):
                 exact = False
+                if not math.isfinite(weight):
+                    raise ValueError(f"weight {weight} at {point!r} is not finite")
             elif not isinstance(weight, (int, Fraction)):
                 raise TypeError(f"weight {weight!r} is neither rational nor float")
+            if not _is_finite_point(point):
+                raise ValueError(f"point {point!r} has a non-finite coordinate")
             key = _point_key(point)
             if key in merged:
                 merged[key] = (merged[key][0], merged[key][1] + weight)

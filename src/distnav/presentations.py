@@ -53,6 +53,7 @@ from .gcring import (
     element,
     gen,
     poincare_series,
+    poly_mul,
     scale,
     subtract,
     zero,
@@ -74,19 +75,6 @@ __all__ = [
     "shipped_names",
     "poly_mul",
 ]
-
-
-def poly_mul(a: list[int], b: list[int], max_degree: int) -> list[int]:
-    """Product of integer coefficient lists, truncated above max_degree."""
-    out = [0] * (max_degree + 1)
-    for i, ca in enumerate(a):
-        if ca == 0 or i > max_degree:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > max_degree:
-                break
-            out[i + j] += ca * cb
-    return out
 
 
 # -- base presentations --------------------------------------------------------

@@ -91,6 +91,21 @@ def test_criterion_01_witness_certificates_on_the_full_grid():
     print(f"criterion 1 PASS: 16 certificates in {elapsed:.1f}s")
 
 
+def test_large_fiber_power_cells_certify():
+    # Too large for a dimension gate that enumerates the whole ring at once:
+    # these cells build only because the series factorizes over components.
+    for cell, bound in (((2, 3, 2, 4), 9), ((2, 4, 3, 3), 11)):
+        start = time.monotonic()
+        fp = fn_fiber_product.__wrapped__(*cell)
+        built = time.monotonic() - start
+        assert built < 1.0, f"{cell} took {built:.2f}s to build"
+        got = poincare_series(fp.ring, fp.witness_degree())
+        assert got == fiber_power_series(*cell, fp.witness_degree()), cell
+        cert = verify_witness_fn(fp)
+        assert cert.bound == bound == expected_fn_bound(*cell), (cell, cert.bound)
+        assert cert.coefficient != 0
+
+
 def test_criterion_02_fiber_power_dimensions_match_closed_form():
     for d, m, n, r in GRID_CELLS:
         fp = fn_fiber_product(d, m, n, r)

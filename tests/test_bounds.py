@@ -12,6 +12,7 @@ import pytest
 from distnav.bounds import (
     CertificateError,
     RingMap,
+    _cup_length_search,
     apply_ring_map,
     certificate_to_dict,
     cup_length_kernel,
@@ -23,7 +24,17 @@ from distnav.bounds import (
     validate_ring_map,
     verify_witness_fn,
 )
-from distnav.gcring import PresentationError, add, gen, is_zero, multiply, one, subtract, zero
+from distnav.gcring import (
+    PresentationError,
+    add,
+    element_degree,
+    gen,
+    is_zero,
+    multiply,
+    one,
+    subtract,
+    zero,
+)
 from distnav.presentations import (
     complex_projective,
     config_space,
@@ -215,3 +226,46 @@ def test_ring_top_degree():
     P = complex_projective(3)
     assert ring_top_degree(P, ceiling=10) == 6
     assert ring_top_degree(point(), ceiling=4) == 0
+
+
+def unpruned_cup_length_search(P, elements, budget=12):
+    """The search without its ceiling exit: every branch is explored."""
+    degrees = [element_degree(P, e) for e in elements]
+    top = ring_top_degree(P, ceiling=budget * max(degrees))
+    best, best_indices = 0, ()
+
+    def dfs(start, acc, acc_degree, chosen):
+        nonlocal best, best_indices
+        for idx in range(start, len(elements)):
+            ndeg = acc_degree + degrees[idx]
+            if ndeg > top:
+                continue
+            nxt = multiply(P, acc, elements[idx])
+            if is_zero(nxt):
+                continue
+            chosen.append(idx)
+            if len(chosen) > best:
+                best, best_indices = len(chosen), tuple(chosen)
+            if len(chosen) < budget:
+                dfs(idx, nxt, ndeg, chosen)
+            chosen.pop()
+
+    dfs(0, one(), 0, [])
+    return best, best_indices
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [(2, 2, 1, 2), (3, 2, 1, 2), (2, 2, 1, 3), (3, 2, 1, 3), (2, 2, 2, 2), (3, 2, 2, 2), (2, 3, 1, 3)],
+)
+def test_cup_length_early_exit_matches_unpruned_search(cell):
+    fp = fn_fiber_product(*cell)
+    elements = copy_differences(fp)
+    got = _cup_length_search(fp.ring, diagonal_fn(fp), elements, budget=12)
+    assert got == unpruned_cup_length_search(fp.ring, elements)
+
+
+def test_cup_length_reaches_degree_ceiling_on_odd_cell():
+    # The unpruned search runs for minutes here; the ceiling exit stops it.
+    fp = fn_fiber_product(3, 3, 2, 3)
+    assert cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp)) == 8

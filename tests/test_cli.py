@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import distnav.cli as cli
 from distnav.cli import main
 from distnav.gcring import presentation_to_dict
 from distnav.presentations import complex_projective, config_space
@@ -209,6 +210,40 @@ def test_nav_rpn_rejects_bad_input():
     assert code == 2  # dimension mismatch
     code, out = run("nav", "rpn", "--x", "1,zz", "--y", "0,1")
     assert code == 2  # unparseable number
+
+
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nav", "rpn", "--x", "1,0,0", "--y", "0,nan,0"),
+        ("nav", "rpn", "--x", "inf,0,0", "--y", "0,1,0"),
+        ("nav", "circle", "--points", "1,0;nan,1"),
+    ],
+)
+def test_non_finite_vector_exits_2_with_valid_json(argv):
+    # A NaN component would otherwise flow into the plan and print as bare NaN.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    assert code == 2
+    payload = strict_json(out.getvalue())
+    assert "finite" in payload["error"]
+
+
+def test_emit_refuses_non_finite_output(monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_value_hopf", lambda args: ({"value": float("nan")}, [], 0))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["value", "hopf", "--r", "2"])
+    assert code == 2
+    assert "error" in strict_json(out.getvalue())
 
 
 def test_nav_circle_payload():

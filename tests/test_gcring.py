@@ -5,12 +5,15 @@ The fixtures are tiny hand-built rings where every normal form can be
 checked by hand; the shipped geometric presentations get their own tests.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from distnav.gcring import (
+    _count_admissible,
+    _rule_components,
     Generator,
     GradedElement,
     PresentationError,
@@ -33,7 +36,13 @@ from distnav.gcring import (
     subtract,
     zero,
 )
-from distnav.presentations import config_space
+from distnav.presentations import (
+    catalog,
+    config_space,
+    cpn_sphere_bundle,
+    fn_fiber_product,
+    shipped_names,
+)
 
 
 def two_odd_ring():
@@ -201,6 +210,71 @@ def test_corrupted_sign_breaks_confluence():
     report = check_confluence(bad)
     assert not report.passed
     assert any("w_1_4" in failure[0] for failure in report.failures)
+
+
+# === factorized Poincare series against the full enumeration ===
+
+
+def enumerated_series(P, max_degree):
+    """The oracle: admissible words over the whole generator tuple at once."""
+    return _count_admissible(P, max_degree, P.generator_names())
+
+
+def top_degree(P):
+    return sum(g.degree for g in P.generators)
+
+
+@pytest.mark.parametrize("name", shipped_names())
+def test_factorized_series_matches_enumeration_on_shipped_rings(name):
+    P = catalog(name)
+    assert poincare_series(P, top_degree(P)) == enumerated_series(P, top_degree(P))
+
+
+@pytest.mark.parametrize("cell", list(itertools.product((2, 3), (2, 3), (1, 2), (2, 3))))
+def test_factorized_series_matches_enumeration_on_grid(cell):
+    fp = fn_fiber_product(*cell)
+    limit = fp.witness_degree() + 2
+    assert poincare_series(fp.ring, limit) == enumerated_series(fp.ring, limit)
+
+
+def test_factorized_series_matches_enumeration_on_towers():
+    for n in range(1, 7):
+        for r in range(2, 5):
+            P = cpn_sphere_bundle(n, r).ring
+            assert poincare_series(P, top_degree(P)) == enumerated_series(P, top_degree(P)), (n, r)
+
+
+def random_zero_rule_ring(rng):
+    count = rng.randint(1, 7)
+    gens = [Generator(f"g{i}", rng.randint(1, 3)) for i in range(count)]
+    pairs = [(a.name, b.name) for a, b in itertools.combinations_with_replacement(gens, 2)]
+    chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+    return RingPresentation(gens, [RewriteRule(lhs, zero()) for lhs in chosen])
+
+
+def test_factorized_series_matches_enumeration_on_random_rings():
+    rng = random.Random(17)
+    self_rules = 0
+    for _ in range(50):
+        P = random_zero_rule_ring(rng)
+        self_rules += sum(1 for a, b in P.rules if a == b)
+        assert poincare_series(P, 9) == enumerated_series(P, 9), presentation_to_dict(P)
+    assert self_rules > 0
+
+
+def test_rule_components_split_independent_generators():
+    P = RingPresentation(
+        [Generator("a", 2), Generator("b", 1), Generator("c", 2), Generator("d", 1)],
+        [RewriteRule(("a", "c"), zero()), RewriteRule(("b", "b"), zero())],
+    )
+    assert sorted(_rule_components(P)) == [["a", "c"], ["b"], ["d"]]
+    # pure powers of a or of c (no a*c), times (1 + t)^2 from b and d
+    assert poincare_series(P, 4) == enumerated_series(P, 4) == [1, 2, 3, 4, 4]
+
+
+def test_poincare_series_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        poincare_series(two_odd_ring(), -1)
 
 
 # === serialization ===

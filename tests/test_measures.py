@@ -6,6 +6,7 @@ in pure Python. The shipped engine only enumerates subsets of one support
 per inequality family; agreement here confirms that reduction.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -99,6 +100,25 @@ def test_bad_weights_rejected():
         FiniteMeasure([("a", 0.5), ("b", 0.5)], mode="rational")
     with pytest.raises(TypeError):
         FiniteMeasure([("a", "0.5")])
+
+
+def test_non_finite_weights_and_points_rejected():
+    # The sum check alone lets a NaN weight through: abs(nan - 1) > 1e-12 is False.
+    rng = random.Random(2025)
+    for _ in range(20):
+        count = rng.randint(1, 5)
+        bad_at = rng.randrange(count)
+        bad = rng.choice([math.nan, math.inf, -math.inf])
+        weights = [1.0 / count] * count
+        points = [np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)]) for _ in range(count)]
+        with pytest.raises(ValueError):
+            FiniteMeasure(list(zip(points, weights[:bad_at] + [bad] + weights[bad_at + 1 :])))
+        points[bad_at] = points[bad_at].copy()
+        points[bad_at][rng.randrange(2)] = bad
+        with pytest.raises(ValueError):
+            FiniteMeasure(list(zip(points, weights)))
+        with pytest.raises(ValueError):
+            measure_from_jsonable([{"point": list(points[bad_at]), "weight": "1"}])
 
 
 def test_float_sum_tolerance():

@@ -10,8 +10,10 @@ import itertools
 
 import pytest
 
+import distnav.presentations as presentations
 from distnav.gcring import (
     PresentationError,
+    RingPresentation,
     gen,
     is_zero,
     multiply,
@@ -156,6 +158,30 @@ def test_straightening_identity_in_fiber_product():
     lhs = multiply(P, gen("w1_1_3"), gen("w1_2_3"))
     rhs = multiply(P, gen("w_1_2"), subtract(gen("w1_2_3"), gen("w1_1_3")))
     assert lhs == rhs
+
+
+def drop_rule(monkeypatch, lhs):
+    """Make the builders in ``presentations`` lose the rule with this lhs."""
+
+    def build(generators, rules, name=""):
+        kept = [rule for rule in rules if rule.lhs != lhs]
+        assert len(kept) == len(rules) - 1
+        return RingPresentation(generators, kept, name=name)
+
+    monkeypatch.setattr(presentations, "RingPresentation", build)
+
+
+def test_fn_gate_rejects_a_missing_straightening_rule(monkeypatch):
+    drop_rule(monkeypatch, ("w1_1_3", "w1_2_3"))
+    with pytest.raises(PresentationError, match="product formula"):
+        fn_fiber_product.__wrapped__(2, 2, 1, 2)
+
+
+def test_tower_gate_rejects_a_missing_truncation_rule(monkeypatch):
+    base = complex_projective(2)
+    drop_rule(monkeypatch, ("u1", "u1"))
+    with pytest.raises(PresentationError, match="Leray-Hirsch"):
+        sphere_bundle_tower(base, gen("a1"), 3, 2)
 
 
 # === sphere-bundle towers ===
