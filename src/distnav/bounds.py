@@ -50,7 +50,15 @@ __all__ = [
     "sphere_bundle_lower_bound",
     "cup_length_kernel",
     "ring_top_degree",
+    "CUP_LENGTH_NODE_LIMIT",
 ]
+
+# Products the cup-length search may form before it gives up.  Cells whose
+# search finishes quickly stay well under it: (2,3,1,3) forms 534 products and
+# (3,3,2,3) 60.  Even-d cells such as (2,3,2,3) never reach the degree
+# ceiling: the full search at (2,3,2,3) had not finished after 40 s, and at
+# about 10 ms per product there the limit ends it in some 10 s.
+CUP_LENGTH_NODE_LIMIT = 1000
 
 
 class CertificateError(RuntimeError):
@@ -316,7 +324,8 @@ def cup_length_kernel(
     nonzero degree of the ring, and stops as soon as a chain reaches
     min(budget, top degree // least element degree), which no chain can
     exceed.  Every element must be homogeneous and lie in the kernel of the
-    collapse map.
+    collapse map.  Raises ValueError, naming the ring, when the search would
+    form more than CUP_LENGTH_NODE_LIMIT products.
     """
     k, _ = _cup_length_search(P, collapse, elements, budget)
     return k
@@ -346,14 +355,21 @@ def _cup_length_search(
     ceiling = min(budget, top // min(degrees))
     best = 0
     best_indices: tuple[int, ...] = ()
+    nodes = 0
 
     def dfs(start: int, acc: GradedElement, acc_degree: int, chosen: list[int]) -> bool:
         """Extend the chain; True once best has reached the ceiling."""
-        nonlocal best, best_indices
+        nonlocal best, best_indices, nodes
         for idx in range(start, len(elements)):
             ndeg = acc_degree + degrees[idx]
             if ndeg > top:
                 continue
+            nodes += 1
+            if nodes > CUP_LENGTH_NODE_LIMIT:
+                raise ValueError(
+                    f"cup-length search on {P.name} formed {CUP_LENGTH_NODE_LIMIT} "
+                    f"products without an answer (best so far {best})"
+                )
             nxt = multiply(P, acc, elements[idx])
             if is_zero(nxt):
                 continue

@@ -139,6 +139,17 @@ def _parse_points(text: str) -> list[np.ndarray]:
     return [_parse_vector(chunk) for chunk in text.split(";") if chunk]
 
 
+def _grid_count(text: str) -> int:
+    """argparse type of --grid: an integer of at least 2 (both endpoints)."""
+    try:
+        grid = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid {text!r} is not an integer") from None
+    if grid < 2:
+        raise argparse.ArgumentTypeError(f"grid must be at least 2, got {grid}")
+    return grid
+
+
 def _parse_word(text: str) -> tuple[str, ...]:
     return tuple(part for part in text.split(",") if part)
 
@@ -561,17 +572,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = nav.add_parser("rpn", parents=[common])
     p.add_argument("--x", required=True, help="comma-separated coordinates")
     p.add_argument("--y", required=True)
-    p.add_argument("--grid", type=int, default=9, help="trace sample count")
+    p.add_argument("--grid", type=_grid_count, default=9, help="trace sample count, at least 2")
     p.set_defaults(handler=_cmd_nav_rpn)
     p = nav.add_parser("circle", parents=[common])
     p.add_argument("--points", required=True, help="semicolon-separated 2d points")
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--grid", type=int, default=9)
+    p.add_argument("--grid", type=_grid_count, default=9)
     p.set_defaults(handler=_cmd_nav_circle)
     p = nav.add_parser("hopf", parents=[common])
     p.add_argument("--points", required=True, help="semicolon-separated quaternions w,x,y,z")
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--grid", type=int, default=9)
+    p.add_argument("--grid", type=_grid_count, default=9)
     p.set_defaults(handler=_cmd_nav_hopf)
     p = nav.add_parser("continuity", parents=[common])
     p.add_argument("--n", type=int, default=3, help="projective space dimension")
@@ -594,7 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = measure.add_parser("lp", parents=[common])
     p.add_argument("--mu", required=True, help="measure file: [{point, weight}]")
     p.add_argument("--nu", required=True)
-    p.add_argument("--precision", type=float, default=1e-6)
+    p.add_argument(
+        "--precision", type=float, default=1e-6, help="accepted; the distance is exact"
+    )
     p.set_defaults(handler=_cmd_measure_lp)
     p = measure.add_parser("product", parents=[common])
     p.add_argument("--mu", required=True)

@@ -42,9 +42,13 @@ __all__ = [
     "quat_mul",
     "quat_conj",
     "hopf_map",
+    "MAX_PLAN_ATOMS",
 ]
 
 COORDINATE_ZERO = 1e-12
+# Sequential circle and Hopf plans through r checkpoints have up to 2^(r-1)
+# paths; the cap allows r <= 13.
+MAX_PLAN_ATOMS = 4096
 
 
 # -- points ---------------------------------------------------------------------
@@ -206,7 +210,12 @@ def projective_metric(name: str = "projective-chord") -> MetricSpace:
 
 
 def path_metric(point_space: MetricSpace, grid: int = 64) -> MetricSpace:
-    """Sup distance between paths sampled on a uniform grid of times."""
+    """Sup distance between paths sampled on a uniform grid of times.
+
+    The grid holds both endpoints, so it needs at least two times.
+    """
+    if grid < 2:
+        raise ValueError(f"grid must have at least 2 times, got {grid}")
     times = [k / (grid - 1) for k in range(grid)]
 
     def dist(p, q) -> float:
@@ -300,6 +309,19 @@ def _unit2(p) -> np.ndarray:
     return arr / n
 
 
+def _check_checkpoint_count(r: int, points: Sequence) -> None:
+    """Reject r < 2, a plan over MAX_PLAN_ATOMS paths, or len(points) != r."""
+    if r < 2:
+        raise ValueError("need at least two checkpoints")
+    if r - 1 > math.log2(MAX_PLAN_ATOMS):
+        raise ValueError(
+            f"{r} checkpoints allow up to 2^{r - 1} paths, over the cap of "
+            f"{MAX_PLAN_ATOMS}; use at most {int(math.log2(MAX_PLAN_ATOMS)) + 1}"
+        )
+    if len(points) != r:
+        raise ValueError(f"expected {r} checkpoints, got {len(points)}")
+
+
 def circle_navigate(r: int, points: Sequence) -> PathPlan:
     """Sequential plan on the unit circle through r checkpoints.
 
@@ -307,12 +329,10 @@ def circle_navigate(r: int, points: Sequence) -> PathPlan:
     length L carries weight 1 - L/(2 pi), so the short arc is favoured, a
     half turn splits evenly, and coincident checkpoints stay put.  The
     composite measure multiplies segment weights over all choices, giving
-    at most 2^(r-1) supported paths.
+    at most 2^(r-1) supported paths; ValueError when that exceeds
+    MAX_PLAN_ATOMS (r > 13).
     """
-    if r < 2:
-        raise ValueError("need at least two checkpoints")
-    if len(points) != r:
-        raise ValueError(f"expected {r} checkpoints, got {len(points)}")
+    _check_checkpoint_count(r, points)
     pts = [_unit2(p) for p in points]
     segment_options: list[list[tuple[CircleArcPath, float]]] = []
     for a, b in zip(pts, pts[1:]):
@@ -383,12 +403,9 @@ def hopf_parametrized_navigate(r: int, points: Sequence) -> PathPlan:
     fiber is the coset e1 * C of the stabilizer circle C = {cos a + i sin a},
     so the plan is the circle plan through the factors e1^-1 e_i, left
     translated by e1.  Left translation is an isometry, hence weights and
-    support size carry over unchanged.
+    support size carry over unchanged, and so does the MAX_PLAN_ATOMS cap.
     """
-    if r < 2:
-        raise ValueError("need at least two checkpoints")
-    if len(points) != r:
-        raise ValueError(f"expected {r} checkpoints, got {len(points)}")
+    _check_checkpoint_count(r, points)
     quats = []
     for p in points:
         arr = np.asarray(p, dtype=float)

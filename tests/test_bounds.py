@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import distnav.bounds as bounds
 from distnav.bounds import (
     CertificateError,
     RingMap,
@@ -254,6 +255,10 @@ def unpruned_cup_length_search(P, elements, budget=12):
     return best, best_indices
 
 
+def fn_closed_form(d, m, n, r):
+    return r * n + m - 1 if d % 2 else r * n + m - 2
+
+
 @pytest.mark.parametrize(
     "cell",
     [(2, 2, 1, 2), (3, 2, 1, 2), (2, 2, 1, 3), (3, 2, 1, 3), (2, 2, 2, 2), (3, 2, 2, 2), (2, 3, 1, 3)],
@@ -263,9 +268,18 @@ def test_cup_length_early_exit_matches_unpruned_search(cell):
     elements = copy_differences(fp)
     got = _cup_length_search(fp.ring, diagonal_fn(fp), elements, budget=12)
     assert got == unpruned_cup_length_search(fp.ring, elements)
+    assert got[0] == fn_closed_form(*cell)  # within CUP_LENGTH_NODE_LIMIT
 
 
 def test_cup_length_reaches_degree_ceiling_on_odd_cell():
     # The unpruned search runs for minutes here; the ceiling exit stops it.
     fp = fn_fiber_product(3, 3, 2, 3)
     assert cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp)) == 8
+
+
+def test_cup_length_node_limit_names_the_ring(monkeypatch):
+    # (2,2,1,3) needs 104 products; a limit of 20 stops the search.
+    monkeypatch.setattr(bounds, "CUP_LENGTH_NODE_LIMIT", 20)
+    fp = fn_fiber_product(2, 2, 1, 3)
+    with pytest.raises(ValueError, match="fn:d=2,m=2,n=1,r=3"):
+        cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 
@@ -147,6 +148,15 @@ def test_bound_cup_length():
     assert out["kernel_elements"]
 
 
+def test_bound_cup_length_even_d_stops_at_node_limit():
+    # Even d never reaches the degree ceiling; this search had no bound and ran on.
+    start = time.perf_counter()
+    code, out = run("bound", "cup-length", "--d", "2", "--m", "3", "--n", "2", "--r", "3")
+    assert code == 2
+    assert "fn:d=2,m=3,n=2,r=3" in out["error"]
+    assert time.perf_counter() - start < 60
+
+
 # === value group ===
 
 
@@ -264,6 +274,31 @@ def test_nav_hopf_payload():
     assert "fiber" in out["error"]
 
 
+NAV_COMMANDS = [
+    ("rpn", "--x", "1,0,0", "--y", "0,1,0"),
+    ("circle", "--points", "1,0;0,1"),
+    ("hopf", "--points", "1,0,0,0;0,1,0,0"),
+]
+
+
+@pytest.mark.parametrize("command", NAV_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("grid", ["1", "0"])
+def test_nav_grid_below_two_exits_2(command, grid):
+    # --grid 1 raised ZeroDivisionError; --grid 0 printed empty traces with exit 0.
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["nav", *command, "--grid", grid])
+    assert code == 2
+    assert "grid must be at least 2" in err.getvalue()
+
+
+@pytest.mark.parametrize("command, point", [("circle", "1,0"), ("hopf", "1,0,0,0")])
+def test_nav_plan_over_atom_cap_exits_2(command, point):
+    code, out = run("nav", command, "--points", ";".join([point] * 14))
+    assert code == 2
+    assert "cap of 4096" in out["error"]
+
+
 def test_nav_equivariance_passes():
     code, out = run("nav", "equivariance", "--n", "2", "--pairs", "4", "--elements", "2")
     assert code == 0
@@ -300,6 +335,15 @@ def test_measure_lp_and_product(tmp_path):
     assert out["mode"] == "exact"
     assert out["support"] == 2
     assert sorted(a["weight"] for a in out["atoms"]) == ["1/2", "1/2"]
+
+
+@pytest.mark.parametrize("precision", ["nan", "inf", "0", "-1"])
+def test_measure_lp_rejects_bad_precision(tmp_path, precision):
+    # nan and inf exited 2 only because the old bisection's log2 raised.
+    point = write_measure(tmp_path / "point.json", [([0.0], 1)])
+    code, out = run("measure", "lp", "--mu", point, "--nu", point, "--precision", precision)
+    assert code == 2
+    assert "precision" in out["error"]
 
 
 def test_measure_errors(tmp_path):

@@ -1,9 +1,12 @@
-"""Finite measures and the Levy-Prokhorov bisection.
+"""Finite measures and the exact Levy-Prokhorov breakpoint search.
 
-The oracle below re-derives feasibility from the textbook definition, with
-both inequality families quantified over subsets of the union of supports,
-in pure Python. The shipped engine only enumerates subsets of one support
-per inequality family; agreement here confirms that reduction.
+Two oracles check the shipped search. ``lp_oracle`` re-derives feasibility
+from the textbook definition, with both inequality families quantified over
+subsets of the union of supports, in pure Python. ``lp_bisection`` is the
+bisection that ``lp_distance`` ran before: it tests both one-sided defects,
+each over subsets of its own support, and certifies an upper value within
+``precision``. The shipped search enumerates subsets of the smaller support
+only; agreement here confirms both reductions.
 """
 
 import math
@@ -16,6 +19,8 @@ import pytest
 from distnav.measures import (
     MAX_SUPPORT,
     FiniteMeasure,
+    _one_sided_defect,
+    _subset_matrix,
     euclidean_metric,
     lp_distance,
     measure_from_jsonable,
@@ -60,16 +65,57 @@ def lp_oracle(mu, nu, space, precision=1e-7):
     return hi
 
 
-def random_measure(rng, max_atoms=3, dim=2):
-    count = rng.randint(1, max_atoms)
+def weights_and_distances(mu, nu, space):
+    wm = np.array([float(w) for w in mu.weights()])
+    wn = np.array([float(w) for w in nu.weights()])
+    dist = np.array([[space.distance(p, q) for q in nu.points()] for p in mu.points()])
+    return wm, wn, dist
+
+
+def subset_defect(eps, w_a, w_b, dist_ab):
+    """max_A [a(A) - b(A^eps)] over all subsets A of supp(a)."""
+    n = len(w_a)
+    subsets = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1 > 0
+    covered = subsets @ (dist_ab <= eps).astype(np.float64) > 0.0
+    return float(np.max(subsets @ w_a - covered @ w_b))
+
+
+def lp_bisection(mu, nu, space, precision):
+    """The bisection lp_distance ran before its breakpoint search.
+
+    Each step tests both one-sided defects; the result is the feasible end
+    of the final bracket, at most ``precision`` above the distance.
+    """
+    wm, wn, dist = weights_and_distances(mu, nu, space)
+
+    def ok(eps):
+        return max(subset_defect(eps, wm, wn, dist), subset_defect(eps, wn, wm, dist.T)) <= eps
+
+    if ok(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    if not ok(hi):
+        return 1.0
+    iters = max(1, math.ceil(math.log2(1.0 / precision))) + 2
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= precision * 0.5:
+            break
+    return hi
+
+
+def random_atoms(rng, count, dim=2):
     raw = [rng.randint(1, 9) for _ in range(count)]
     total = sum(raw)
-    return FiniteMeasure(
-        [
-            (np.array([rng.uniform(-1, 1) for _ in range(dim)]), Fraction(w, total))
-            for w in raw
-        ]
-    )
+    return [(np.array([rng.uniform(-1, 1) for _ in range(dim)]), Fraction(w, total)) for w in raw]
+
+
+def random_measure(rng, max_atoms=3, dim=2):
+    return FiniteMeasure(random_atoms(rng, rng.randint(1, max_atoms), dim))
 
 
 # === construction ===
@@ -156,6 +202,20 @@ def test_equal_measures_give_exact_zero():
     assert lp_distance(mu, nu, SPACE) == 0.0
 
 
+@pytest.mark.parametrize("precision", [math.nan, math.inf, 0.0, -1.0])
+def test_precision_must_be_positive_and_finite(precision):
+    # nan and inf were refused only because the old bisection's log2 raised.
+    with pytest.raises(ValueError, match="precision"):
+        lp_distance(dirac([0.0]), dirac([0.5]), SPACE, precision=precision)
+
+
+def test_precision_does_not_change_the_exact_distance():
+    rng = random.Random(11)
+    mu, nu = random_measure(rng, max_atoms=6), random_measure(rng, max_atoms=6)
+    values = {lp_distance(mu, nu, SPACE, precision=p) for p in (0.5, 1e-6, 1e-300)}
+    assert len(values) == 1
+
+
 def test_support_cap_and_precision_guard():
     big = FiniteMeasure([(np.array([float(i)]), Fraction(1, 13)) for i in range(13)])
     small = dirac([0.0])
@@ -177,6 +237,49 @@ def test_bisection_matches_union_subset_oracle():
         fast = lp_distance(mu, nu, SPACE, precision=1e-7)
         slow = lp_oracle(mu, nu, SPACE, precision=1e-7)
         assert abs(fast - slow) <= 3e-7, (fast, slow)
+        # the oracle's upper value sits at most 1e-7 above the exact distance
+        assert slow - 1e-7 <= fast <= slow + 1e-12, (fast, slow)
+
+
+def test_exact_distance_within_bisection_bracket():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        mu = random_measure(rng, max_atoms=MAX_SUPPORT, dim=3)
+        nu = random_measure(rng, max_atoms=MAX_SUPPORT, dim=3)
+        for precision in (1e-9, 1e-12):
+            exact = lp_distance(mu, nu, SPACE, precision=precision)
+            hi = lp_bisection(mu, nu, SPACE, precision)
+            assert hi - precision <= exact <= hi, (exact, hi, precision)
+
+
+def test_one_sided_defects_agree_at_every_breakpoint():
+    # Strassen (1965): max_A [mu(A) - nu(A^eps)] = min over couplings of
+    # P(d(X, Y) > eps) is the same from either side, so one side suffices.
+    rng = random.Random(1965)
+    for _ in range(12):
+        mu = random_measure(rng, max_atoms=MAX_SUPPORT, dim=3)
+        nu = random_measure(rng, max_atoms=MAX_SUPPORT, dim=3)
+        wm, wn, dist = weights_and_distances(mu, nu, SPACE)
+        subs_m, subs_n = _subset_matrix(len(mu)), _subset_matrix(len(nu))
+        for eps in np.concatenate(([0.0], np.sort(dist, axis=None), [1.0])):
+            from_mu = _one_sided_defect(eps, subs_m @ wm, wn, dist, subs_m)
+            from_nu = _one_sided_defect(eps, subs_n @ wn, wm, dist.T, subs_n)
+            assert abs(from_mu - from_nu) <= 1e-12, (eps, from_mu, from_nu)
+            assert from_mu == subset_defect(eps, wm, wn, dist)
+
+
+@pytest.mark.parametrize("size", [8, MAX_SUPPORT])
+def test_reordered_self_pairs_are_near_zero(size):
+    # Equal measures whose atoms come in another order: subset sums round
+    # differently, so the exact-zero answer may be off by an ulp or two.
+    rng = random.Random(size)
+    for _ in range(4):
+        atoms = random_atoms(rng, size, dim=3)
+        shuffled = atoms[:]
+        rng.shuffle(shuffled)
+        mu, nu = FiniteMeasure(atoms), FiniteMeasure(shuffled)
+        assert lp_distance(mu, nu, SPACE) <= 1e-15
+        assert lp_distance(nu, mu, SPACE) <= 1e-15
 
 
 def test_metric_axioms():

@@ -7,9 +7,11 @@ import random
 import numpy as np
 import pytest
 
+import distnav.navplan as navplan
 from distnav.measures import euclidean_metric, lp_distance
 from distnav.navplan import (
     FIBER_TOLERANCE,
+    MAX_PLAN_ATOMS,
     ProjectivePoint,
     check_equivariance,
     check_lp_continuity,
@@ -162,6 +164,30 @@ def test_circle_support_bound_random():
         assert len(plan.measure) <= 2 ** (r - 1)
         assert abs(plan.measure.total_mass() - 1.0) <= 1e-12
         assert plan_checkpoint_deviation(plan, euclidean_metric()) <= 1e-9
+
+
+def test_circle_plan_at_atom_cap():
+    rng = random.Random(13)
+    r = int(math.log2(MAX_PLAN_ATOMS)) + 1
+    plan = circle_navigate(r, [random_unit(rng, 2) for _ in range(r)])
+    assert len(plan.measure) == MAX_PLAN_ATOMS
+    assert abs(plan.measure.total_mass() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "planner, point",
+    [(circle_navigate, [1.0, 0.0]), (hopf_parametrized_navigate, [1.0, 0.0, 0.0, 0.0])],
+)
+def test_plan_over_atom_cap_rejected_before_any_atom(monkeypatch, planner, point):
+    # 2^(r-1) atoms without a cap: 8192 at r = 14, out of memory long before r = 30.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an atom was built past the cap")
+
+    for name in ("CircleArcPath", "ConcatPath", "TransportedCirclePath", "FiniteMeasure"):
+        monkeypatch.setattr(navplan, name, refuse)
+    r = int(math.log2(MAX_PLAN_ATOMS)) + 2
+    with pytest.raises(ValueError, match="cap"):
+        planner(r, [point] * r)
 
 
 # === Hopf fiber planner ===
@@ -354,3 +380,10 @@ def test_plan_measures_compare_in_path_metric():
     b = rpn_navigate(x, z).measure
     assert lp_distance(a, a, space) == 0.0
     assert lp_distance(a, b, space) > 0.05
+
+
+@pytest.mark.parametrize("grid", [1, 0])
+def test_path_metric_needs_two_grid_times(grid):
+    # grid 1 divided by zero; grid 0 left no sample time to take the sup over.
+    with pytest.raises(ValueError, match="grid"):
+        path_metric(PROJ, grid=grid)
