@@ -75,23 +75,22 @@ class RingMap:
 
 
 def apply_ring_map(f: RingMap, a: GradedElement) -> GradedElement:
-    """Image of ``a``, in normal form in the target ring."""
-    total = GradedElement({})
+    """Image of ``a``, in normal form in the target ring.
+
+    Each term's image is a product of normal forms, so it is one itself;
+    their sum needs a single normal form at the end, which merges equal
+    words and drops cancelled ones.
+    """
+    total: dict[Word, Fraction] = {}
     for word, coeff in a.terms.items():
         term = GradedElement({(): Fraction(coeff)})
         for g in word:
             term = multiply(f.target, term, f.images[g])
             if is_zero(term):
                 break
-        total = normal_form(f.target, GradedElement(_merge(total.terms, term.terms)))
-    return total
-
-
-def _merge(a: Mapping[Word, Fraction], b: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
-    out = dict(a)
-    for w, c in b.items():
-        out[w] = out.get(w, Fraction(0)) + c
-    return out
+        for w, c in term.terms.items():
+            total[w] = total.get(w, Fraction(0)) + c
+    return normal_form(f.target, GradedElement(total))
 
 
 def validate_ring_map(f: RingMap) -> None:

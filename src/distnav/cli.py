@@ -28,7 +28,6 @@ from .bounds import (
     certificate_to_dict,
     cup_length_kernel,
     diagonal_fn,
-    euler_height,
     sphere_bundle_lower_bound,
     verify_witness_fn,
 )
@@ -59,10 +58,10 @@ from .measures import (
     measure_from_jsonable,
     measure_to_jsonable,
     product_measure,
+    to_jsonable,
 )
 from .navplan import (
     PathPlan,
-    ProjectivePoint,
     check_equivariance,
     check_lp_continuity,
     circle_navigate,
@@ -71,7 +70,7 @@ from .navplan import (
 )
 from .presentations import catalog, cpn_sphere_bundle, fn_fiber_product
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENV_PRESENTATIONS = "DISTNAV_PRESENTATIONS"
 
 
@@ -90,21 +89,9 @@ class ValidationFailure(RuntimeError):
 # -- shared helpers ---------------------------------------------------------------
 
 
-def _json_default(o):
-    if isinstance(o, Fraction):
-        return str(o)
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return [_json_default(v) for v in o]
-    return str(o)
-
-
 def _emit(payload: dict) -> None:
     # NaN and infinity are not JSON: refuse them instead of printing bare tokens.
-    print(json.dumps(payload, indent=2, default=_json_default, allow_nan=False))
+    print(json.dumps(payload, indent=2, default=to_jsonable, allow_nan=False))
 
 
 def _resolve_ring(name: str):
@@ -161,28 +148,21 @@ def _element_terms(a) -> list[dict]:
     ]
 
 
-def _checkpoint_jsonable(cp) -> list:
-    if isinstance(cp, ProjectivePoint):
-        return list(cp.vec)
-    return [float(v) for v in np.asarray(cp).ravel()]
-
-
 def _plan_payload(plan: PathPlan, grid: int = 9) -> dict:
-    times = [k / (grid - 1) for k in range(grid)]
-    atoms = []
-    for path, weight in plan.measure.atoms:
-        atoms.append(
-            {
-                "weight": float(weight),
-                "kind": type(path).__name__,
-                "data": dataclasses.asdict(path),
-                "trace": [[float(v) for v in np.asarray(path(t))] for t in times],
-            }
-        )
-    atoms.sort(key=lambda a: (-a["weight"], a["kind"]))
+    times = np.arange(grid) / (grid - 1)
+    atoms = [
+        {
+            "weight": float(weight),
+            "kind": type(path).__name__,
+            "data": dataclasses.asdict(path),
+            "trace": path.sample(times).tolist(),
+        }
+        for path, weight in plan.measure.atoms
+    ]
+    atoms.sort(key=lambda a: -a["weight"])
     return {
         "r": plan.r,
-        "checkpoints": [_checkpoint_jsonable(c) for c in plan.checkpoints],
+        "checkpoints": to_jsonable(plan.checkpoints),
         "support": len(plan.measure),
         "weight_sum": float(sum(w for _, w in plan.measure.atoms)),
         "atoms": atoms,
@@ -292,14 +272,11 @@ def _cmd_bound_sphere_bundle(args) -> tuple[dict, list[str], int]:
     if args.partition:
         partition = [int(v) for v in args.partition.split(",")]
     cert = sphere_bundle_lower_bound(tower, partition)
-    top = sum(g.degree for g in tower.ring.generators)
-    height = euler_height(
-        tower.ring, tower.section_euler, max_power=top // (tower.q - 1) + 1
-    )
     payload = {
         "command": "bound sphere-bundle",
         "parameters": {"n": args.n, "r": args.r, "q": 3},
-        "height": height,
+        # the certified bound is h + r - 1 for the height h of the section class
+        "height": cert.bound - tower.r + 1,
         "bound": cert.bound,
         "certificate": certificate_to_dict(cert),
     }

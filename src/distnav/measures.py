@@ -40,6 +40,7 @@ __all__ = [
     "product_measure",
     "measure_to_jsonable",
     "measure_from_jsonable",
+    "to_jsonable",
     "euclidean_metric",
     "MAX_SUPPORT",
 ]
@@ -56,11 +57,21 @@ class MetricSpace:
     name: str = ""
 
 
+def _chord(p, q):
+    """|p - q| over the last axis; arrays of points give arrays of distances."""
+    d = np.subtract(p, q, dtype=float)
+    if d.ndim == 0:
+        return abs(d)
+    return np.sqrt(np.add.reduce(d * d, -1))
+
+
 def euclidean_metric(name: str = "euclidean") -> MetricSpace:
-    return MetricSpace(
-        distance=lambda p, q: float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float))),
-        name=name,
-    )
+    """The chord metric; its distance broadcasts over leading axes.
+
+    >>> euclidean_metric().distance([[0.0, 0.0], [1.0, 1.0]], [3.0, 4.0]).tolist()
+    [5.0, 3.605551275463989]
+    """
+    return MetricSpace(distance=_chord, name=name)
 
 
 def _point_key(point: Any):
@@ -282,27 +293,27 @@ def lp_distance(
 # -- JSON interchange -----------------------------------------------------------
 
 
-def _weight_to_jsonable(w) -> Any:
-    if isinstance(w, Fraction):
-        return str(w)
-    return float(w)
+def to_jsonable(value: Any) -> Any:
+    """A JSON-ready copy of a point, weight or coordinate array.
 
-
-def _point_to_jsonable(p: Any) -> Any:
-    if isinstance(p, np.ndarray):
-        return [float(x) for x in p.ravel()]
-    if isinstance(p, (tuple, list)):
-        return [_point_to_jsonable(x) for x in p]
-    if isinstance(p, (int, float, np.integer, np.floating)):
-        return float(p)
-    return p
+    Exact rationals become "p/q" strings and other numbers floats; sequences
+    become lists, and anything numpy reads as an array (arrays, projective
+    points) a flat list of floats.  Other objects, labels included, become
+    their ``str``, so this also serves as the ``default`` of ``json.dumps``.
+    """
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        return float(value)
+    if isinstance(value, (tuple, list)):
+        return [to_jsonable(v) for v in value]
+    if hasattr(value, "__array__"):
+        return [float(v) for v in np.asarray(value, dtype=float).ravel()]
+    return str(value)
 
 
 def measure_to_jsonable(mu: FiniteMeasure) -> list[dict]:
-    return [
-        {"point": _point_to_jsonable(p), "weight": _weight_to_jsonable(w)}
-        for p, w in mu.atoms
-    ]
+    return [{"point": to_jsonable(p), "weight": to_jsonable(w)} for p, w in mu.atoms]
 
 
 def measure_from_jsonable(data: Sequence[dict]) -> FiniteMeasure:

@@ -8,6 +8,16 @@ checkpoint i at time (i-1)/(r-1).  Plans here are continuous and, for the
 projective planner, equivariant under rotations: both claims are checked
 empirically by the verifiers at the bottom of the module, which compare
 plans in the Levy-Prokhorov metric over a uniform time grid.
+
+All three planners build one kind of path, ``ArcPath``: a piecewise great
+arc, ``cos(angle_k s) u_k + sin(angle_k s) v_k`` on the k-th of n equal
+pieces of [0, 1].  A projective plan has one piece, a sequential circle
+plan one piece per consecutive checkpoint pair (u_k the k-th checkpoint,
+v_k its quarter turn), and a Hopf plan is a circle plan mapped into the
+3-sphere by left translation, a linear map, which sends arcs to arcs.
+``ArcPath.sample`` evaluates a path at a whole array of times at once, so
+the path metric and the checkpoint verifier evaluate each path once, in
+numpy, instead of once per time.
 """
 
 from __future__ import annotations
@@ -18,16 +28,12 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .measures import FiniteMeasure, MetricSpace, lp_distance
+from .measures import FiniteMeasure, MetricSpace, euclidean_metric, lp_distance, to_jsonable
 
 __all__ = [
     "ProjectivePoint",
-    "GreatArcPath",
-    "CircleArcPath",
-    "ConcatPath",
+    "ArcPath",
     "SuffixReparametrizedPath",
-    "LinearImagePath",
-    "TransportedCirclePath",
     "PathPlan",
     "projective_metric",
     "sphere_metric",
@@ -54,33 +60,45 @@ MAX_PLAN_ATOMS = 4096
 # -- points ---------------------------------------------------------------------
 
 
+def _unit(p, dim: int) -> np.ndarray:
+    """p scaled to unit length; ValueError, naming p, unless it is a finite
+    nonzero vector of length dim."""
+    arr = np.asarray(p, dtype=float)
+    if arr.shape != (dim,):
+        raise ValueError(f"checkpoint {arr.tolist()} is not a vector of length {dim}")
+    norm = float(np.linalg.norm(arr))
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"checkpoint {arr.tolist()} has norm {norm}, not a finite nonzero length")
+    return arr / norm
+
+
 @dataclass(frozen=True)
 class ProjectivePoint:
     """A line through the origin, stored by its canonical unit representative.
 
     The representative has norm 1 and its first coordinate of magnitude
-    above 1e-12 is positive, so equal lines compare equal as tuples.
+    above 1e-12 is positive, so equal lines compare equal as tuples.  numpy
+    reads the point as its representative.
     """
 
     vec: tuple[float, ...]
 
     @staticmethod
     def from_vector(v: Sequence[float]) -> "ProjectivePoint":
-        arr = np.asarray(v, dtype=float)
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
-            raise ValueError("zero vector represents no projective point")
-        arr = arr / norm
+        arr = _unit(v, np.size(v))
         for x in arr:
             if abs(x) > COORDINATE_ZERO:
                 if x < 0:
                     arr = -arr
                 break
-        return ProjectivePoint(tuple(float(x) for x in arr))
+        return ProjectivePoint(tuple(arr.tolist()))
 
     @property
     def array(self) -> np.ndarray:
         return np.array(self.vec)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.vec, dtype=dtype)
 
 
 def _as_projective(p) -> ProjectivePoint:
@@ -88,58 +106,59 @@ def _as_projective(p) -> ProjectivePoint:
         return p
     arr = np.asarray(p, dtype=float)
     norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"representative has norm {norm}, expected a unit vector")
+    if not abs(norm - 1.0) <= 1e-9:  # also false for NaN and inf
+        raise ValueError(f"representative {arr.tolist()} has norm {norm}, expected a unit vector")
     return ProjectivePoint.from_vector(arr)
 
 
 # -- paths ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GreatArcPath:
-    """t -> cos(t*angle) e1 + sin(t*angle) e2 with e1, e2 orthonormal.
+def _rows(a) -> tuple[tuple[float, ...], ...]:
+    return tuple(map(tuple, np.asarray(a, dtype=float).tolist()))
 
-    angle may be negative (the arc runs the other way around the great
-    circle) or zero (constant path at e1).
+
+@dataclass(frozen=True)
+class ArcPath:
+    """A piecewise great arc on n equal pieces of [0, 1].
+
+    At local time s in [0, 1] of piece k the path is at
+    cos(angles[k] s) u[k] + sin(angles[k] s) v[k], with u[k], v[k]
+    orthonormal.  An angle may be negative (the arc runs the other way
+    around its great circle) or zero (the piece stays at u[k]).  Times are
+    clamped to [0, 1].
     """
 
-    e1: tuple[float, ...]
-    e2: tuple[float, ...]
-    angle: float
+    u: tuple[tuple[float, ...], ...]
+    v: tuple[tuple[float, ...], ...]
+    angles: tuple[float, ...]
+
+    def sample(self, ts) -> np.ndarray:
+        """The points at the times ts, shape (len(ts), dim).
+
+        A quarter arc starts at u and ends at v:
+
+        >>> quarter = ArcPath(((1.0, 0.0, 0.0),), ((0.0, 1.0, 0.0),), (math.pi / 2,))
+        >>> points = quarter.sample([0.0, 1.0])
+        >>> points.shape
+        (2, 3)
+        >>> points.round(12).tolist()
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        """
+        n = len(self.angles)
+        scaled = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0) * n
+        k = np.minimum(scaled.astype(int), n - 1)
+        a = np.asarray(self.angles)[k] * (scaled - k)
+        u, v = np.asarray(self.u)[k], np.asarray(self.v)[k]
+        return np.cos(a)[:, None] * u + np.sin(a)[:, None] * v
 
     def __call__(self, t: float) -> np.ndarray:
-        a = self.angle * t
-        return math.cos(a) * np.array(self.e1) + math.sin(a) * np.array(self.e2)
+        return self.sample([t])[0]
 
-
-@dataclass(frozen=True)
-class CircleArcPath:
-    """Arc on the unit circle from angle ``start`` sweeping ``delta``."""
-
-    start: float
-    delta: float
-
-    def __call__(self, t: float) -> np.ndarray:
-        a = self.start + self.delta * t
-        return np.array([math.cos(a), math.sin(a)])
-
-
-@dataclass(frozen=True)
-class ConcatPath:
-    """Segments glued on a uniform subdivision of [0, 1]."""
-
-    segments: tuple[Any, ...]
-
-    def __call__(self, t: float) -> np.ndarray:
-        n = len(self.segments)
-        if t >= 1.0:
-            return self.segments[-1](1.0)
-        if t <= 0.0:
-            return self.segments[0](0.0)
-        scaled = t * n
-        k = min(int(scaled), n - 1)
-        return self.segments[k](scaled - k)
+    def mapped(self, matrix) -> "ArcPath":
+        """The image under a linear map M: M(cos u + sin v) = cos Mu + sin Mv."""
+        m = np.asarray(matrix, dtype=float)
+        return ArcPath(_rows(np.asarray(self.u) @ m.T), _rows(np.asarray(self.v) @ m.T), self.angles)
 
 
 @dataclass(frozen=True)
@@ -159,67 +178,45 @@ class SuffixReparametrizedPath:
         return self.base(s)
 
 
-@dataclass(frozen=True)
-class LinearImagePath:
-    """A path composed with a fixed linear map."""
-
-    matrix: tuple[tuple[float, ...], ...]
-    base: Any
-
-    def __call__(self, t: float) -> np.ndarray:
-        return np.array(self.matrix) @ self.base(t)
-
-
-@dataclass(frozen=True)
-class TransportedCirclePath:
-    """Left translate of a circle path into the 3-sphere.
-
-    The circle path z(t) lands in the stabilizer circle {cos a + i sin a};
-    the result is quat_mul(anchor, z(t)), which stays inside one Hopf
-    fiber when anchor does.
-    """
-
-    anchor: tuple[float, float, float, float]
-    circle_path: Any
-
-    def __call__(self, t: float) -> np.ndarray:
-        z = self.circle_path(t)
-        q = np.array([z[0], z[1], 0.0, 0.0])
-        return quat_mul(np.array(self.anchor), q)
-
-
 # -- metrics ---------------------------------------------------------------------
 
 
 def sphere_metric(name: str = "sphere-chord") -> MetricSpace:
-    return MetricSpace(
-        distance=lambda p, q: float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float))),
-        name=name,
-    )
+    """The chord metric of the ambient space, under another name."""
+    return euclidean_metric(name)
 
 
 def projective_metric(name: str = "projective-chord") -> MetricSpace:
-    """min(|a-b|, |a+b|) over unit representatives: metric on lines."""
+    """min(|a-b|, |a+b|) over unit representatives: metric on lines.
 
-    def dist(p, q) -> float:
-        a = p.array if isinstance(p, ProjectivePoint) else np.asarray(p, float)
-        b = q.array if isinstance(q, ProjectivePoint) else np.asarray(q, float)
-        return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
+    Like the chord metric it broadcasts over leading axes.
+    """
+    chord = euclidean_metric().distance
+
+    def dist(p, q):
+        return np.minimum(chord(p, q), chord(p, np.negative(q)))
 
     return MetricSpace(distance=dist, name=name)
+
+
+def _grid_times(count: int) -> np.ndarray:
+    """count times k / (count - 1) spaced evenly over [0, 1]."""
+    return np.arange(count) / max(count - 1, 1)
 
 
 def path_metric(point_space: MetricSpace, grid: int = 64) -> MetricSpace:
     """Sup distance between paths sampled on a uniform grid of times.
 
-    The grid holds both endpoints, so it needs at least two times.
+    Paths need ``sample``, and the point distance must broadcast over
+    leading axes, as the chord metrics do.  The grid holds both endpoints,
+    so it needs at least two times.
     """
     if grid < 2:
         raise ValueError(f"grid must have at least 2 times, got {grid}")
-    times = [k / (grid - 1) for k in range(grid)]
+    times = _grid_times(grid)
 
     def dist(p, q) -> float:
-        return max(point_space.distance(p(t), q(t)) for t in times)
+        return float(np.max(point_space.distance(p.sample(times), q.sample(times))))
 
     return MetricSpace(distance=dist, name=f"sup[{point_space.name}]")
 
@@ -241,13 +238,12 @@ class PathPlan:
 
 def plan_checkpoint_deviation(plan: PathPlan, point_space: MetricSpace) -> float:
     """Worst distance from path(t_i) to checkpoint i over the support."""
-    r = plan.r
-    worst = 0.0
-    for path, _ in plan.measure.atoms:
-        for i, cp in enumerate(plan.checkpoints):
-            t = i / (r - 1) if r > 1 else 0.0
-            worst = max(worst, point_space.distance(path(t), cp))
-    return worst
+    times = _grid_times(plan.r)
+    targets = np.asarray(plan.checkpoints, dtype=float)
+    return max(
+        (float(np.max(point_space.distance(path.sample(times), targets))) for path, _ in plan.measure.atoms),
+        default=0.0,
+    )
 
 
 # -- real projective planner ------------------------------------------------------
@@ -270,13 +266,11 @@ def rpn_navigate(x, y) -> PathPlan:
     (length pi - alpha), each weight proportional to pi minus the length
     of the arc it rides.  Antipodal inputs to the sphere picture do not
     occur: alpha = pi/2 is the diameter of the quotient and gets an even
-    split.  Identical lines give the constant plan.
+    split.  Identical lines give the constant plan.  Each path is a
+    one-piece ArcPath from the representative of x.
     """
     px, py = _as_projective(x), _as_projective(y)
     xv, yv = px.array, py.array
-    if px.vec == py.vec:
-        arc = GreatArcPath(px.vec, tuple(_orthonormal_completion(xv)), 0.0)
-        return PathPlan(FiniteMeasure([(arc, 1.0)], mode="float"), (px, px))
     dot = float(np.dot(xv, yv))
     if dot < 0:
         yv = -yv
@@ -284,29 +278,19 @@ def rpn_navigate(x, y) -> PathPlan:
     c = min(dot, 1.0)
     w = yv - c * xv
     wn = float(np.linalg.norm(w))
-    if wn == 0.0:
-        arc = GreatArcPath(px.vec, tuple(_orthonormal_completion(xv)), 0.0)
-        return PathPlan(FiniteMeasure([(arc, 1.0)], mode="float"), (px, py))
-    e2 = tuple(float(v) for v in w / wn)
+    if px.vec == py.vec or wn == 0.0:
+        constant = ArcPath((px.vec,), (tuple(_orthonormal_completion(xv).tolist()),), (0.0,))
+        return PathPlan(FiniteMeasure([(constant, 1.0)], mode="float"), (px, py))
+    e2 = (tuple((w / wn).tolist()),)
     alpha = math.acos(c)
-    short = GreatArcPath(px.vec, e2, alpha)
-    long_ = GreatArcPath(px.vec, e2, alpha - math.pi)
+    short = ArcPath((px.vec,), e2, (alpha,))
+    long_ = ArcPath((px.vec,), e2, (alpha - math.pi,))
     w_long = alpha / math.pi
     atoms = [(short, 1.0 - w_long), (long_, w_long)]
     return PathPlan(FiniteMeasure(atoms, mode="float"), (px, py))
 
 
 # -- circle planner ----------------------------------------------------------------
-
-
-def _unit2(p) -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError("circle points are unit vectors in the plane")
-    n = float(np.linalg.norm(arr))
-    if n == 0.0:
-        raise ValueError("zero vector is not a circle point")
-    return arr / n
 
 
 def _check_checkpoint_count(r: int, points: Sequence) -> None:
@@ -329,39 +313,38 @@ def circle_navigate(r: int, points: Sequence) -> PathPlan:
     length L carries weight 1 - L/(2 pi), so the short arc is favoured, a
     half turn splits evenly, and coincident checkpoints stay put.  The
     composite measure multiplies segment weights over all choices, giving
-    at most 2^(r-1) supported paths; ValueError when that exceeds
-    MAX_PLAN_ATOMS (r > 13).
+    at most 2^(r-1) supported paths, each an ArcPath with r - 1 pieces;
+    ValueError when that exceeds MAX_PLAN_ATOMS (r > 13).  Checkpoints are
+    scaled to unit length and must be finite nonzero vectors of the plane.
     """
     _check_checkpoint_count(r, points)
-    pts = [_unit2(p) for p in points]
-    segment_options: list[list[tuple[CircleArcPath, float]]] = []
+    pts = [_unit(p, 2) for p in points]
+    # Per pair, the (u, v, angle) pieces joining a to b, with their weights.
+    segment_options: list[list[tuple[tuple, float]]] = []
     for a, b in zip(pts, pts[1:]):
-        start = math.atan2(a[1], a[0])
+        u, v = tuple(a.tolist()), (-float(a[1]), float(a[0]))
         delta = math.atan2(
             a[0] * b[1] - a[1] * b[0],  # cross
             float(np.dot(a, b)),
         )
         theta = abs(delta)
         if theta == 0.0:
-            segment_options.append([(CircleArcPath(start, 0.0), 1.0)])
+            segment_options.append([((u, v, 0.0), 1.0)])
             continue
         other = delta - math.copysign(2 * math.pi, delta)
         w_long = theta / (2 * math.pi)
-        options = [
-            (CircleArcPath(start, delta), 1.0 - w_long),
-            (CircleArcPath(start, other), w_long),
-        ]
+        options = [((u, v, delta), 1.0 - w_long), ((u, v, other), w_long)]
         segment_options.append([(p, w) for p, w in options if w > 0.0])
     atoms: list[tuple[Any, float]] = []
     stack: list[tuple[int, tuple, float]] = [(0, (), 1.0)]
     while stack:
-        k, segs, weight = stack.pop()
+        k, pieces, weight = stack.pop()
         if k == len(segment_options):
-            atoms.append((ConcatPath(segs), weight))
+            atoms.append((ArcPath(*zip(*pieces)), weight))
             continue
-        for seg, w in segment_options[k]:
-            stack.append((k + 1, segs + (seg,), weight * w))
-    checkpoints = tuple(tuple(float(v) for v in p) for p in pts)
+        for piece, w in segment_options[k]:
+            stack.append((k + 1, pieces + (piece,), weight * w))
+    checkpoints = tuple(tuple(p.tolist()) for p in pts)
     return PathPlan(FiniteMeasure(atoms, mode="float"), checkpoints)
 
 
@@ -398,23 +381,17 @@ FIBER_TOLERANCE = 1e-9
 def hopf_parametrized_navigate(r: int, points: Sequence) -> PathPlan:
     """Sequential plan inside a single Hopf fiber of the 3-sphere.
 
-    The checkpoints must be unit quaternions over one base point (their
-    fiber projections must agree within 1e-9; otherwise ValueError).  The
-    fiber is the coset e1 * C of the stabilizer circle C = {cos a + i sin a},
-    so the plan is the circle plan through the factors e1^-1 e_i, left
-    translated by e1.  Left translation is an isometry, hence weights and
-    support size carry over unchanged, and so does the MAX_PLAN_ATOMS cap.
+    The checkpoints must be finite nonzero quaternions, scaled to unit
+    length, over one base point (their fiber projections must agree within
+    1e-9; otherwise ValueError).  The fiber is the coset e1 * C of the
+    stabilizer circle C = {cos a + i sin a}, so the plan is the circle plan
+    through the factors e1^-1 e_i, left translated by e1: each path is the
+    circle path mapped by the 4x2 matrix z -> e1 (z_0 + z_1 i).  Left
+    translation is an isometry, hence weights and support size carry over
+    unchanged, and so does the MAX_PLAN_ATOMS cap.
     """
     _check_checkpoint_count(r, points)
-    quats = []
-    for p in points:
-        arr = np.asarray(p, dtype=float)
-        if arr.shape != (4,):
-            raise ValueError("checkpoints must be unit quaternions [w, x, y, z]")
-        n = float(np.linalg.norm(arr))
-        if n == 0.0:
-            raise ValueError("zero quaternion")
-        quats.append(arr / n)
+    quats = [_unit(p, 4) for p in points]
     base = hopf_map(quats[0])
     spread = max(float(np.linalg.norm(hopf_map(q) - base)) for q in quats[1:])
     if spread > FIBER_TOLERANCE:
@@ -424,19 +401,12 @@ def hopf_parametrized_navigate(r: int, points: Sequence) -> PathPlan:
         )
     anchor = quats[0]
     inv = quat_conj(anchor)
-    circle_pts = []
-    for q in quats:
-        a = quat_mul(inv, q)
-        # exact fiber membership makes the j, k parts vanish; renormalize
-        # the float residue away
-        circle_pts.append(_unit2([a[0], a[1]]))
-    circle_plan = circle_navigate(r, circle_pts)
-    anchor_t = tuple(float(v) for v in anchor)
-    atoms = [
-        (TransportedCirclePath(anchor_t, seg), w)
-        for seg, w in circle_plan.measure.atoms
-    ]
-    checkpoints = tuple(tuple(float(v) for v in q) for q in quats)
+    # exact fiber membership makes the j, k parts of e1^-1 e_i vanish;
+    # circle_navigate renormalizes the float residue away
+    circle_plan = circle_navigate(r, [quat_mul(inv, q)[:2] for q in quats])
+    translate = np.column_stack([anchor, quat_mul(anchor, [0.0, 1.0, 0.0, 0.0])])
+    atoms = [(path.mapped(translate), w) for path, w in circle_plan.measure.atoms]
+    checkpoints = tuple(tuple(q.tolist()) for q in quats)
     return PathPlan(FiniteMeasure(atoms, mode="float"), checkpoints)
 
 
@@ -453,18 +423,6 @@ def reparametrize_suffix(path, j: int, r: int):
 
 
 # -- verifiers ----------------------------------------------------------------------
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value.ravel()]
-    if isinstance(value, ProjectivePoint):
-        return list(value.vec)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
-    return value
 
 
 def _check_rotation(g: np.ndarray, dim: int, tol: float = 1e-9) -> np.ndarray:
@@ -515,21 +473,17 @@ def check_equivariance(
     worst = 0.0
     failures: list[dict] = []
     for g in mats:
-        g_t = tuple(tuple(float(v) for v in row) for row in g)
         for x, y in pairs:
             samples += 1
             moved = plan_fn(g @ x, g @ y)
-            pushed_atoms = [
-                (LinearImagePath(g_t, p), w)
-                for p, w in plan_fn(x, y).measure.atoms
-            ]
+            pushed_atoms = [(p.mapped(g), w) for p, w in plan_fn(x, y).measure.atoms]
             pushed = FiniteMeasure(pushed_atoms, mode="float")
             d = lp_distance(moved.measure, pushed, space, precision=1e-12)
             worst = max(worst, d)
             if d > tol:
                 failures.append(
                     {
-                        "input": {"g": _jsonable(g), "x": _jsonable(x), "y": _jsonable(y)},
+                        "input": {"g": to_jsonable(g), "x": to_jsonable(x), "y": to_jsonable(y)},
                         "value": d,
                     }
                 )
@@ -585,7 +539,7 @@ def check_lp_continuity(
             if d > ratio_ceiling * input_delta + 2 * precision:
                 failures.append(
                     {
-                        "input": {"x": _jsonable(x2), "y": _jsonable(y2)},
+                        "input": {"x": to_jsonable(x2), "y": to_jsonable(y2)},
                         "value": d,
                     }
                 )

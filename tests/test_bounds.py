@@ -5,6 +5,7 @@ Witness monomials and coefficients below were frozen from exact runs of the
 product expansion; the acceptance suite re-verifies the full parameter grid.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,22 +27,27 @@ from distnav.bounds import (
     verify_witness_fn,
 )
 from distnav.gcring import (
+    GradedElement,
     PresentationError,
     add,
+    element,
     element_degree,
     gen,
     is_zero,
     multiply,
+    normal_form,
     one,
     subtract,
     zero,
 )
 from distnav.presentations import (
+    catalog,
     complex_projective,
     config_space,
     cpn_sphere_bundle,
     fn_fiber_product,
     point,
+    shipped_names,
     sphere_bundle_tower,
 )
 
@@ -65,6 +71,56 @@ def test_ring_map_is_multiplicative():
     left = apply_ring_map(f, multiply(fp.ring, a, b))
     right = multiply(f.target, apply_ring_map(f, a), apply_ring_map(f, b))
     assert left == right
+
+
+def apply_ring_map_per_term(f, a):
+    """The normal form after every term that apply_ring_map replaced (oracle)."""
+    total = GradedElement({})
+    for word, coeff in a.terms.items():
+        term = GradedElement({(): Fraction(coeff)})
+        for g in word:
+            term = multiply(f.target, term, f.images[g])
+            if is_zero(term):
+                break
+        total = normal_form(f.target, add(total, term))
+    return total
+
+
+def shipped_diagonals():
+    """The diagonal maps of the shipped fn rings and sphere-bundle towers."""
+    maps = []
+    for name in shipped_names():
+        kind, _, spec = name.partition(":")
+        kv = dict(part.split("=") for part in spec.split(",")) if spec else {}
+        if kind == "fn":
+            maps.append(diagonal_fn(fn_fiber_product(*(int(kv[k]) for k in "dmnr"))))
+        elif kind == "sb" and kv["base"].startswith("cp"):
+            maps.append(tower_diagonal(cpn_sphere_bundle(int(kv["base"][2:]), int(kv["r"]))))
+        elif kind == "sb":
+            base = catalog(kv["base"])
+            maps.append(tower_diagonal(sphere_bundle_tower(base, zero(), int(kv["q"]), int(kv["r"]))))
+    return maps
+
+
+def test_apply_ring_map_matches_per_term_normal_forms():
+    rng = random.Random(31)
+    maps = shipped_diagonals()
+    assert len(maps) == 7
+    for f in maps:
+        gens = list(f.source.generator_names())
+        for _ in range(40):
+            terms = [
+                (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                 tuple(rng.choice(gens) for _ in range(rng.randint(0, 3))))
+                for _ in range(rng.randint(1, 5))
+            ]
+            a = element(terms)
+            assert apply_ring_map(f, a) == apply_ring_map_per_term(f, a)
+        # terms whose images cancel: copies of one class collapse together
+        for g in gens:
+            for h in gens:
+                a = subtract(gen(g), gen(h))
+                assert apply_ring_map(f, a) == apply_ring_map_per_term(f, a)
 
 
 def test_validate_ring_map_catches_degree_mismatch():

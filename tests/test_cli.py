@@ -10,7 +10,8 @@ import pytest
 import distnav.cli as cli
 from distnav.cli import main
 from distnav.gcring import presentation_to_dict
-from distnav.presentations import complex_projective, config_space
+from distnav.bounds import euler_height
+from distnav.presentations import complex_projective, config_space, cpn_sphere_bundle
 
 
 def run(*argv):
@@ -32,7 +33,7 @@ def write_measure(path, atoms):
 def test_normal_form_square_vanishes():
     code, out = run("ring", "normal-form", "--ring", "conf:d=2,k=4", "--word", "w_1_2,w_1_2")
     assert code == 0
-    assert out["schema_version"] == 1
+    assert out["schema_version"] == 2
     assert out["zero"] is True
     assert out["normal_form"] == []
 
@@ -51,7 +52,7 @@ def test_normal_form_straightening():
 def test_normal_form_unknown_generator_exits_2():
     code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "nope")
     assert code == 2
-    assert "error" in out and out["schema_version"] == 1
+    assert "error" in out and out["schema_version"] == 2
 
 
 def test_poincare_cp2():
@@ -133,6 +134,22 @@ def test_bound_sphere_bundle():
     code, same = run("bound", "sphere-bundle", "--n", "2", "--r", "2", "--partition", "3")
     assert code == 0
     assert same["bound"] == 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_bound_sphere_bundle_height_is_the_euler_height(n, r):
+    # The height is read off the certificate (bound = h + r - 1), not recomputed.
+    tower = cpn_sphere_bundle(n, r)
+    top = sum(g.degree for g in tower.ring.generators)
+    height = euler_height(tower.ring, tower.section_euler, max_power=top // (tower.q - 1) + 1)
+    # r - 1 parts; with r = 2 the only composition is the default one
+    split = [height] if r == 2 else [height - height // 2, height // 2] + [0] * (r - 3)
+    for extra in ([], ["--partition", ",".join(map(str, split))]):
+        code, out = run("bound", "sphere-bundle", "--n", str(n), "--r", str(r), *extra)
+        assert code == 0
+        assert out["height"] == height
+        assert out["bound"] == height + r - 1
 
 
 def test_bound_sphere_bundle_bad_partition_exits_3():

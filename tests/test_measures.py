@@ -27,7 +27,9 @@ from distnav.measures import (
     measure_to_jsonable,
     product_measure,
     pushforward,
+    to_jsonable,
 )
+from distnav.navplan import ProjectivePoint
 
 SPACE = euclidean_metric()
 
@@ -372,6 +374,25 @@ def test_json_roundtrip_exact():
     assert back.mode == "exact"
     assert sorted(back.weights()) == [Fraction(1, 3), Fraction(2, 3)]
     assert lp_distance(mu, back, SPACE) == 0.0
+
+
+def test_euclidean_metric_broadcasts_and_takes_numbers():
+    points = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
+    batch = SPACE.distance(points, [0.0, 0.0])
+    assert batch.tolist() == [SPACE.distance(p, [0.0, 0.0]) for p in points]
+    assert batch.tolist() == [0.0, 5.0, math.sqrt(2.0)]
+    # numbers are points of the line, as measure files may give them
+    assert SPACE.distance(0.5, 3) == 2.5
+    mu, nu = FiniteMeasure([(0.5, 1)]), FiniteMeasure([(0.25, 1)])
+    assert lp_distance(mu, nu, SPACE) == 0.25
+
+
+def test_to_jsonable_covers_points_weights_and_payload_values():
+    assert to_jsonable(Fraction(2, 6)) == "1/3"
+    assert to_jsonable(np.int64(5)) == 5.0 and to_jsonable(True) == 1.0
+    assert to_jsonable((np.float32(0.5), [1, np.array([[2.0], [3.0]])])) == [0.5, [1.0, [2.0, 3.0]]]
+    assert to_jsonable(ProjectivePoint.from_vector([0.0, -2.0])) == [0.0, 1.0]
+    assert to_jsonable("a") == "a"
 
 
 def test_json_float_weights():

@@ -12,6 +12,7 @@ from distnav.measures import euclidean_metric, lp_distance
 from distnav.navplan import (
     FIBER_TOLERANCE,
     MAX_PLAN_ATOMS,
+    ArcPath,
     ProjectivePoint,
     check_equivariance,
     check_lp_continuity,
@@ -61,6 +62,30 @@ def test_projective_rejects_zero_and_non_unit():
         rpn_navigate([2.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def spoiled(rng, point, bad):
+    """A copy of point with one coordinate, chosen by rng, set to bad."""
+    out = np.array(point, dtype=float)
+    out[rng.randrange(len(out))] = bad
+    return out
+
+
+def test_projective_rejects_non_finite_representative():
+    # A NaN coordinate used to pass the unit-norm check (abs(nan - 1) > 1e-9
+    # is False) and fail only as "weight nan at GreatArcPath(...)".
+    rng = random.Random(41)
+    for bad in NON_FINITE:
+        x, y = random_unit(rng, 3), random_unit(rng, 3)
+        with pytest.raises(ValueError, match="representative .* has norm"):
+            rpn_navigate(spoiled(rng, x, bad), y)
+        with pytest.raises(ValueError, match="representative .* has norm"):
+            rpn_navigate(x, spoiled(rng, y, bad))
+        with pytest.raises(ValueError, match="not a finite nonzero length"):
+            ProjectivePoint.from_vector(spoiled(rng, x, bad))
+
+
 # === projective planner ===
 
 
@@ -71,7 +96,8 @@ def test_rpn_weights_at_one_third_turn():
     plan = rpn_navigate(x, y)
     weights = {}
     for path, w in plan.measure.atoms:
-        weights[round(abs(path.angle), 12)] = w
+        (angle,) = path.angles
+        weights[round(abs(angle), 12)] = w
     assert abs(weights[round(alpha, 12)] - 2 / 3) < 1e-12  # short arc
     assert abs(weights[round(math.pi - alpha, 12)] - 1 / 3) < 1e-12
     # the long-arc weight times pi recovers the angle between the lines
@@ -108,7 +134,7 @@ def test_rpn_flips_negative_dot():
     y = ProjectivePoint.from_vector([-math.cos(0.3), math.sin(0.3), 0.0])
     plan = rpn_navigate(x, y)
     short = max(plan.measure.atoms, key=lambda a: a[1])[0]
-    assert abs(abs(short.angle) - 0.3) < 1e-12
+    assert abs(abs(short.angles[0]) - 0.3) < 1e-12
 
 
 # === circle planner ===
@@ -156,6 +182,21 @@ def test_circle_argument_errors():
         circle_navigate(2, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
+def test_circle_rejects_non_finite_checkpoint():
+    # NaN and inf checkpoints used to fail only as "weights sum to 0.0"; a
+    # vector whose squared norm overflows scaled to the zero vector.
+    rng = random.Random(42)
+    for bad in NON_FINITE:
+        r = rng.randint(2, 4)
+        pts = [random_unit(rng, 2) for _ in range(r)]
+        k = rng.randrange(r)
+        pts[k] = spoiled(rng, pts[k], bad)
+        with pytest.raises(ValueError, match=r"checkpoint \[.*\] has norm .* not a finite nonzero"):
+            circle_navigate(r, pts)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="has norm inf"):
+        circle_navigate(2, [[1e200, 1e200], [0.0, 1.0]])
+
+
 def test_circle_support_bound_random():
     rng = random.Random(5)
     for r in (2, 3, 4):
@@ -183,7 +224,7 @@ def test_plan_over_atom_cap_rejected_before_any_atom(monkeypatch, planner, point
     def refuse(*args, **kwargs):
         raise AssertionError("an atom was built past the cap")
 
-    for name in ("CircleArcPath", "ConcatPath", "TransportedCirclePath", "FiniteMeasure"):
+    for name in ("ArcPath", "FiniteMeasure"):
         monkeypatch.setattr(navplan, name, refuse)
     r = int(math.log2(MAX_PLAN_ATOMS)) + 2
     with pytest.raises(ValueError, match="cap"):
@@ -248,6 +289,19 @@ def test_hopf_rejects_distinct_fibers():
         hopf_parametrized_navigate(2, [e1, np.array([1.0, 0.0, 0.0])])
     with pytest.raises(ValueError):
         hopf_parametrized_navigate(1, [e1])
+
+
+def test_hopf_rejects_non_finite_checkpoint():
+    # A NaN quaternion passed the fiber gate (nan > FIBER_TOLERANCE is False)
+    # and failed only as "weights sum to 0.0".
+    rng = random.Random(43)
+    for bad in NON_FINITE:
+        e1 = random_unit(rng, 4)
+        pts = [e1, fiber_partner(e1, rng.uniform(0, 2 * math.pi))]
+        k = rng.randrange(2)
+        pts[k] = spoiled(rng, pts[k], bad)
+        with pytest.raises(ValueError, match="not a finite nonzero length"):
+            hopf_parametrized_navigate(2, pts)
 
 
 def test_hopf_three_checkpoints():
@@ -387,3 +441,119 @@ def test_path_metric_needs_two_grid_times(grid):
     # grid 1 divided by zero; grid 0 left no sample time to take the sup over.
     with pytest.raises(ValueError, match="grid"):
         path_metric(PROJ, grid=grid)
+
+
+# === the path model ===
+
+TIMES = [k / 63 for k in range(64)]
+
+
+def sample_plans(rng):
+    """Plans from all three planners, with at least two atoms each."""
+    plans = []
+    for n in (1, 2, 3):
+        plans.append(rpn_navigate(random_unit(rng, n + 1), random_unit(rng, n + 1)))
+    for r in (2, 3, 4):
+        plans.append(circle_navigate(r, [random_unit(rng, 2) for _ in range(r)]))
+        e1 = random_unit(rng, 4)
+        pts = [e1] + [fiber_partner(e1, rng.uniform(0, 2 * math.pi)) for _ in range(r - 1)]
+        plans.append(hopf_parametrized_navigate(r, pts))
+    return plans
+
+
+def test_sample_matches_pointwise_calls():
+    rng = random.Random(21)
+    ts = np.array([0.0, 1.0] + [rng.uniform(0, 1) for _ in range(62)])
+    for plan in sample_plans(rng):
+        for path, _ in plan.measure.atoms:
+            batch = path.sample(ts)
+            assert batch.shape == (len(ts), len(path.u[0]))
+            for i, t in enumerate(ts):
+                np.testing.assert_array_equal(batch[i], path(t))
+
+
+def path_metric_per_time(point_space, grid):
+    """The scalar per-time loop the batched path metric replaced (oracle)."""
+    times = [k / (grid - 1) for k in range(grid)]
+    return lambda p, q: max(float(point_space.distance(p(t), q(t))) for t in times)
+
+
+@pytest.mark.parametrize("grid", [2, 9, 64])
+def test_path_metric_matches_per_time_oracle(grid):
+    rng = random.Random(22 + grid)
+    plans = sample_plans(rng)
+    for plan in plans:
+        point_space = PROJ if isinstance(plan.checkpoints[0], ProjectivePoint) else sphere_metric()
+        fast, slow = path_metric(point_space, grid).distance, path_metric_per_time(point_space, grid)
+        # every pair within a plan, and each path against a plan of the same kind
+        paths = [p for p, _ in plan.measure.atoms]
+        others = [p for other in plans for p, _ in other.measure.atoms
+                  if len(p.u[0]) == len(paths[0].u[0])]
+        for p in paths:
+            for q in paths + others[:6]:
+                assert abs(fast(p, q) - slow(p, q)) <= 1e-12
+
+
+def test_rpn_paths_match_closed_form():
+    rng = random.Random(23)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            x, y = random_unit(rng, n + 1), random_unit(rng, n + 1)
+            plan = rpn_navigate(x, y)
+            px, py = ProjectivePoint.from_vector(x).array, ProjectivePoint.from_vector(y).array
+            if np.dot(px, py) < 0:
+                py = -py
+            alpha = math.acos(min(float(np.dot(px, py)), 1.0))
+            e2 = py - math.cos(alpha) * px
+            e2 /= np.linalg.norm(e2)
+            for path, w in plan.measure.atoms:
+                angle = alpha if abs(w - (1 - alpha / math.pi)) < 1e-12 else alpha - math.pi
+                for t in TIMES:
+                    expected = math.cos(angle * t) * px + math.sin(angle * t) * e2
+                    np.testing.assert_allclose(path(t), expected, rtol=0, atol=1e-12)
+            g = random_rotation(rng, n + 1)
+            for path, _ in plan.measure.atoms:
+                pushed = path.mapped(g)
+                for t in TIMES:
+                    np.testing.assert_allclose(pushed(t), g @ path(t), rtol=0, atol=1e-12)
+
+
+def circle_closed_form(path, t, starts):
+    """cos/sin of start_k + angle_k s on the k-th piece, as the removed arcs were."""
+    n = len(path.angles)
+    k = min(int(t * n), n - 1)
+    a = starts[k] + path.angles[k] * (t * n - k)
+    return np.array([math.cos(a), math.sin(a)])
+
+
+def test_circle_and_hopf_paths_match_closed_form():
+    rng = random.Random(24)
+    for r in (2, 3, 4, 5):
+        pts = [random_unit(rng, 2) for _ in range(r)]
+        plan = circle_navigate(r, pts)
+        starts = [math.atan2(p[1], p[0]) for p in pts]
+        for path, _ in plan.measure.atoms:
+            for k, (a, b) in enumerate(zip(pts, pts[1:])):
+                delta = math.atan2(a[0] * b[1] - a[1] * b[0], float(np.dot(a, b)))
+                other = delta - math.copysign(2 * math.pi, delta)
+                assert path.angles[k] in (delta, other)
+            for t in TIMES:
+                np.testing.assert_allclose(path(t), circle_closed_form(path, t, starts), rtol=0, atol=1e-12)
+        anchor = random_unit(rng, 4)
+        quats = [quat_mul(anchor, [p[0], p[1], 0.0, 0.0]) for p in pts]
+        hopf = hopf_parametrized_navigate(r, quats)
+        circle = circle_navigate(r, [quat_mul(quat_conj(anchor), q)[:2] for q in quats])
+        assert len(hopf.measure) == len(circle.measure)
+        for (h, wh), (c, wc) in zip(hopf.measure.atoms, circle.measure.atoms):
+            assert abs(wh - wc) <= 1e-12
+            for t in TIMES:
+                z = c(t)
+                expected = quat_mul(anchor, np.array([z[0], z[1], 0.0, 0.0]))
+                np.testing.assert_allclose(h(t), expected, rtol=0, atol=1e-12)
+
+
+def test_arc_paths_merge_as_measure_points():
+    a = ArcPath(((1.0, 0.0),), ((0.0, 1.0),), (0.5,))
+    b = ArcPath(((1.0, 0.0),), ((0.0, 1.0),), (0.5,))
+    assert hash(a) == hash(b)
+    assert len(navplan.FiniteMeasure([(a, 0.5), (b, 0.5)], mode="float")) == 1
