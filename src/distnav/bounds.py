@@ -32,6 +32,7 @@ from .gcring import (
     normal_form,
     one,
     poincare_series,
+    product,
     subtract,
 )
 from .presentations import FiberProduct, SphereBundleTower, config_space, sphere_bundle_tower
@@ -83,13 +84,8 @@ def apply_ring_map(f: RingMap, a: GradedElement) -> GradedElement:
     """
     total: dict[Word, Fraction] = {}
     for word, coeff in a.terms.items():
-        term = GradedElement({(): Fraction(coeff)})
-        for g in word:
-            term = multiply(f.target, term, f.images[g])
-            if is_zero(term):
-                break
-        for w, c in term.terms.items():
-            total[w] = total.get(w, Fraction(0)) + c
+        for w, c in product(f.target, (f.images[g] for g in word)).terms.items():
+            total[w] = total.get(w, Fraction(0)) + coeff * c
     return normal_form(f.target, GradedElement(total))
 
 
@@ -184,30 +180,31 @@ def certificate_to_dict(cert: NonzeroCertificate) -> dict:
     }
 
 
+def _check_in_kernel(collapse: RingMap, elements: Sequence[GradedElement]) -> None:
+    """Raise CertificateError unless the collapse map kills every element."""
+    for idx, e in enumerate(elements):
+        if not is_zero(apply_ring_map(collapse, e)):
+            raise CertificateError(
+                f"{collapse.source.name}: element {idx} does not lie in the collapse kernel"
+            )
+
+
 def _kernel_product_certificate(
     ring: RingPresentation,
     collapse: RingMap,
     factors: Sequence[GradedElement],
     provenance: str,
 ) -> NonzeroCertificate:
-    for idx, f in enumerate(factors):
-        if not is_zero(apply_ring_map(collapse, f)):
-            raise CertificateError(
-                f"{ring.name}: factor {idx} does not lie in the collapse kernel"
-            )
-    product = one()
-    for f in factors:
-        product = multiply(ring, product, f)
-        if is_zero(product):
-            break
-    if is_zero(product):
+    _check_in_kernel(collapse, factors)
+    witness = product(ring, factors)
+    if is_zero(witness):
         raise CertificateError(f"{ring.name}: witness product vanished, no certificate")
-    word = min(product.terms)  # deterministic: first monomial in canonical order
+    word = min(witness.terms)  # deterministic: first monomial in canonical order
     return NonzeroCertificate(
         ring_name=ring.name,
         factors=tuple(factors),
         witness_monomial=word,
-        coefficient=product.terms[word],
+        coefficient=witness.terms[word],
         bound=len(factors),
         provenance=provenance,
     )
@@ -343,9 +340,8 @@ def _cup_length_search(
         d = element_degree(P, e)
         if d is None:
             raise CertificateError(f"kernel element {idx} is zero")
-        if not is_zero(apply_ring_map(collapse, e)):
-            raise CertificateError(f"element {idx} does not lie in the collapse kernel")
         degrees.append(d)
+    _check_in_kernel(collapse, elements)
     if not elements:
         return 0, ()
     top = ring_top_degree(P, ceiling=budget * max(degrees))

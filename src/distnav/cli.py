@@ -78,14 +78,6 @@ class ArgumentProblem(ValueError):
     """Bad request shape or values: mapped to exit code 2."""
 
 
-class ValidationFailure(RuntimeError):
-    """A check ran and failed: mapped to exit code 3."""
-
-    def __init__(self, message: str, payload: dict | None = None):
-        super().__init__(message)
-        self.payload = payload
-
-
 # -- shared helpers ---------------------------------------------------------------
 
 
@@ -210,7 +202,6 @@ def _cmd_ring_normal_form(args) -> tuple[dict, list[str], int]:
     coeff = Fraction(args.coeff)
     nf = normal_form(ring, element([(coeff, word)]))
     payload = {
-        "command": "ring normal-form",
         "ring": args.ring,
         "input": {"coefficient": str(coeff), "monomial": list(word)},
         "normal_form": _element_terms(nf),
@@ -225,7 +216,6 @@ def _cmd_ring_poincare(args) -> tuple[dict, list[str], int]:
         raise ArgumentProblem("max degree must be nonnegative")
     series = poincare_series(ring, args.max_degree)
     payload = {
-        "command": "ring poincare",
         "ring": args.ring,
         "max_degree": args.max_degree,
         "series": series,
@@ -237,7 +227,6 @@ def _cmd_ring_confluence(args) -> tuple[dict, list[str], int]:
     ring = _resolve_ring(args.ring)
     report = check_confluence(ring)
     payload = {
-        "command": "ring confluence",
         "ring": args.ring,
         "passed": report.passed,
         "triples_checked": report.triples_checked,
@@ -256,7 +245,6 @@ def _cmd_bound_fn(args) -> tuple[dict, list[str], int]:
     fp = fn_fiber_product(args.d, args.m, args.n, args.r)
     cert = verify_witness_fn(fp)
     payload = {
-        "command": "bound fn",
         "parameters": {"d": args.d, "m": args.m, "n": args.n, "r": args.r},
         "bound": cert.bound,
         "certificate": certificate_to_dict(cert),
@@ -273,7 +261,6 @@ def _cmd_bound_sphere_bundle(args) -> tuple[dict, list[str], int]:
         partition = [int(v) for v in args.partition.split(",")]
     cert = sphere_bundle_lower_bound(tower, partition)
     payload = {
-        "command": "bound sphere-bundle",
         "parameters": {"n": args.n, "r": args.r, "q": 3},
         # the certified bound is h + r - 1 for the height h of the section class
         "height": cert.bound - tower.r + 1,
@@ -297,7 +284,6 @@ def _cmd_bound_cup_length(args) -> tuple[dict, list[str], int]:
                     labels.append(f"{fp.w(l1, i, j)} - {fp.w(l2, i, j)}")
     length = cup_length_kernel(fp.ring, diagonal_fn(fp), elements, budget=args.budget)
     payload = {
-        "command": "bound cup-length",
         "parameters": {"d": args.d, "m": args.m, "n": args.n, "r": args.r},
         "budget": args.budget,
         "kernel_elements": labels,
@@ -309,33 +295,27 @@ def _cmd_bound_cup_length(args) -> tuple[dict, list[str], int]:
 # -- value subcommands ----------------------------------------------------------------
 
 
-def _record_payload(command: str, record) -> tuple[dict, list[str], int]:
-    payload = {"command": command, **record_to_jsonable(record)}
-    return payload, [entry.tag for entry in record.provenance], 0
+def _record_payload(record) -> tuple[dict, list[str], int]:
+    return record_to_jsonable(record), [entry.tag for entry in record.provenance], 0
 
 
 def _cmd_value_fn(args):
-    return _record_payload(
-        "value fn", value_fadell_neuwirth(args.d, args.m, args.n, args.r)
-    )
+    return _record_payload(value_fadell_neuwirth(args.d, args.m, args.n, args.r))
 
 
 def _cmd_value_so3(args):
-    return _record_payload("value so3", value_so3_bundle(args.r))
+    return _record_payload(value_so3_bundle(args.r))
 
 
 def _cmd_value_spheres(args):
     dims = [int(v) for v in args.dims.split(",")]
     p_list = [int(v) for v in args.flips.split(",")] if args.flips else None
-    return _record_payload(
-        "value spheres", value_product_spheres(dims, args.r, p_list)
-    )
+    return _record_payload(value_product_spheres(dims, args.r, p_list))
 
 
 def _cmd_value_associate(args):
     upper = value_associate_upper(args.dtc)
     payload = {
-        "command": "value associate",
         "equivariant_input": args.dtc,
         "upper": upper,
     }
@@ -345,7 +325,6 @@ def _cmd_value_associate(args):
 def _cmd_value_threshold(args):
     t = value_son_threshold(args.r)
     payload = {
-        "command": "value threshold",
         "r": args.r,
         "threshold": str(t),
         "threshold_float": float(t),
@@ -356,7 +335,7 @@ def _cmd_value_threshold(args):
 
 
 def _cmd_value_hopf(args):
-    return _record_payload("value hopf", value_hopf(args.r))
+    return _record_payload(value_hopf(args.r))
 
 
 # -- nav subcommands --------------------------------------------------------------------
@@ -368,24 +347,21 @@ def _cmd_nav_rpn(args) -> tuple[dict, list[str], int]:
     if x.shape != y.shape:
         raise ArgumentProblem("x and y must have the same dimension")
     plan = rpn_navigate(x, y)
-    payload = {"command": "nav rpn", **_plan_payload(plan, grid=args.grid)}
-    return payload, ["projective-equivariant-planner"], 0
+    return _plan_payload(plan, grid=args.grid), ["projective-equivariant-planner"], 0
 
 
 def _cmd_nav_circle(args) -> tuple[dict, list[str], int]:
     points = _parse_points(args.points)
     r = args.r if args.r is not None else len(points)
     plan = circle_navigate(r, points)
-    payload = {"command": "nav circle", **_plan_payload(plan, grid=args.grid)}
-    return payload, ["circle-fiber-value"], 0
+    return _plan_payload(plan, grid=args.grid), ["circle-fiber-value"], 0
 
 
 def _cmd_nav_hopf(args) -> tuple[dict, list[str], int]:
     points = _parse_points(args.points)
     r = args.r if args.r is not None else len(points)
     plan = hopf_parametrized_navigate(r, points)
-    payload = {"command": "nav hopf", **_plan_payload(plan, grid=args.grid)}
-    return payload, ["circle-fiber-value"], 0
+    return _plan_payload(plan, grid=args.grid), ["circle-fiber-value"], 0
 
 
 def _cmd_nav_continuity(args) -> tuple[dict, list[str], int]:
@@ -402,7 +378,6 @@ def _cmd_nav_continuity(args) -> tuple[dict, list[str], int]:
         seed=args.seed,
     )
     payload = {
-        "command": "nav continuity",
         "n": args.n,
         "scale": args.scale,
         **report,
@@ -420,7 +395,6 @@ def _cmd_nav_equivariance(args) -> tuple[dict, list[str], int]:
     elements = [_random_rotation(rng, args.n) for _ in range(args.elements)]
     report = check_equivariance(rpn_navigate, elements, pairs, tol=args.tol)
     payload = {
-        "command": "nav equivariance",
         "n": args.n,
         "tol": args.tol,
         **report,
@@ -436,7 +410,6 @@ def _cmd_measure_lp(args) -> tuple[dict, list[str], int]:
     nu = _load_measure(args.nu)
     d = lp_distance(mu, nu, euclidean_metric(), precision=args.precision)
     payload = {
-        "command": "measure lp",
         "distance": d,
         "precision": args.precision,
     }
@@ -448,7 +421,6 @@ def _cmd_measure_product(args) -> tuple[dict, list[str], int]:
     nu = _load_measure(args.nu)
     prod = product_measure(mu, nu)
     payload = {
-        "command": "measure product",
         "support": len(prod),
         "mode": prod.mode,
         "atoms": measure_to_jsonable(prod),
@@ -467,6 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cite", action="store_true", help="append provenance statements to the output"
     )
+
+    fn_cell = argparse.ArgumentParser(add_help=False, parents=[common])
+    for flag in ("--d", "--m", "--n", "--r"):
+        fn_cell.add_argument(flag, type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="distnav",
@@ -493,33 +469,21 @@ def build_parser() -> argparse.ArgumentParser:
     bound = top.add_parser("bound", help="certified lower bounds").add_subparsers(
         dest="sub", required=True
     )
-    p = bound.add_parser("fn", parents=[common])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = bound.add_parser("fn", parents=[fn_cell])
     p.set_defaults(handler=_cmd_bound_fn)
     p = bound.add_parser("sphere-bundle", parents=[common])
     p.add_argument("--n", type=int, required=True, help="complex projective base dimension")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--partition", default="", help="height split, e.g. 2,1")
     p.set_defaults(handler=_cmd_bound_sphere_bundle)
-    p = bound.add_parser("cup-length", parents=[common])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = bound.add_parser("cup-length", parents=[fn_cell])
     p.add_argument("--budget", type=int, default=12)
     p.set_defaults(handler=_cmd_bound_cup_length)
 
     value = top.add_parser("value", help="closed-form values with provenance").add_subparsers(
         dest="sub", required=True
     )
-    p = value.add_parser("fn", parents=[common])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = value.add_parser("fn", parents=[fn_cell])
     p.set_defaults(handler=_cmd_value_fn)
     p = value.add_parser("so3", parents=[common])
     p.add_argument("--r", type=int, required=True)
@@ -602,19 +566,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, tags, code = args.handler(args)
-    except ArgumentProblem as exc:
+    except (ValueError, KeyError, CertificateError) as exc:
+        # ArgumentProblem and other ValueErrors are bad requests (2); a failed
+        # presentation or certificate check is a validation failure (3).
         _emit({"schema_version": SCHEMA_VERSION, "error": str(exc)})
-        return 2
-    except CertificateError as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": str(exc)})
-        return 3
-    except PresentationError as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": str(exc)})
-        return 3
-    except (ValueError, KeyError) as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": str(exc)})
-        return 2
-    out = {"schema_version": SCHEMA_VERSION, **payload}
+        return 3 if isinstance(exc, (CertificateError, PresentationError)) else 2
+    out = {"schema_version": SCHEMA_VERSION, "command": f"{args.group} {args.sub}", **payload}
     if getattr(args, "cite", False):
         out["citations"] = [
             {"tag": tag, "statement": REGISTRY[tag]} for tag in dict.fromkeys(tags)

@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Generator",
@@ -59,9 +59,12 @@ __all__ = [
     "multiply",
     "normal_form",
     "power",
+    "product",
     "is_zero",
     "element_degree",
     "poincare_series",
+    "MAX_SERIES_DEGREE",
+    "check_series_degree",
     "poly_mul",
     "check_confluence",
     "ConfluenceReport",
@@ -71,6 +74,15 @@ __all__ = [
 ]
 
 Word = tuple[str, ...]
+
+# Highest degree a Poincare series may be asked for.  Series lists hold one
+# int per degree, and the fn dimension gate (one component per copy) takes
+# about cubic time in its degree: (2,2,1,500) gates at 500 in about 5 s,
+# (2,2,1,1000) at 1000 in about 47 s.  Test and benchmark cells gate below 60.
+MAX_SERIES_DEGREE = 512
+
+# Failed triples the confluence report lists before the probe stops.
+MAX_CONFLUENCE_FAILURES = 20
 
 
 class PresentationError(ValueError):
@@ -167,11 +179,9 @@ class RingPresentation:
         generators: Sequence[Generator],
         rules: Sequence[RewriteRule],
         name: str = "",
-        parity: str = "koszul",
     ) -> None:
         self.generators = tuple(generators)
         self.name = name
-        self.parity = parity
         self._index = {g.name: i for i, g in enumerate(self.generators)}
         if len(self._index) != len(self.generators):
             raise PresentationError(f"duplicate generator names in {name!r}")
@@ -302,18 +312,26 @@ def _first_redex(P: RingPresentation, word: Word) -> tuple[int, int, GradedEleme
     return None
 
 
-def _extraction_sign(P: RingPresentation, word: Word, p: int, q: int) -> int:
-    """Koszul sign for moving factors p < q to the front of the word."""
+def _rewrite_step(
+    P: RingPresentation, word: Word, p: int, q: int, rhs: GradedElement
+) -> Iterator[tuple[Word, Fraction]]:
+    """Rewrite the factors p < q of a canonical word by ``rhs``, yielding the
+    nonvanishing canonical words of the result with their coefficients.
+
+    This is the one rewrite step: normal_form takes it, and check_confluence
+    probes it.
+    """
+    # Koszul sign of moving factors p and q to the front of the word.
     sign = 1
-    if word[p] in P._odd:
-        odd_before = sum(1 for k in range(p) if word[k] in P._odd)
-        if odd_before % 2:
-            sign = -sign
-    if word[q] in P._odd:
-        odd_before = sum(1 for k in range(q) if k != p and word[k] in P._odd)
-        if odd_before % 2:
-            sign = -sign
-    return sign
+    if word[p] in P._odd and sum(1 for k in range(p) if word[k] in P._odd) % 2:
+        sign = -sign
+    if word[q] in P._odd and sum(1 for k in range(q) if k != p and word[k] in P._odd) % 2:
+        sign = -sign
+    rest = tuple(g for k, g in enumerate(word) if k != p and k != q)
+    for rhs_word, rhs_coeff in rhs.terms.items():
+        merged = P.canonical(rhs_word + rest)
+        if merged.sign != 0:
+            yield merged.factors, rhs_coeff * sign * merged.sign
 
 
 def normal_form(P: RingPresentation, a: GradedElement) -> GradedElement:
@@ -339,14 +357,8 @@ def normal_form(P: RingPresentation, a: GradedElement) -> GradedElement:
             else:
                 out[word] = new
             continue
-        p, q, rhs = redex
-        sign = _extraction_sign(P, word, p, q)
-        rest = tuple(g for k, g in enumerate(word) if k != p and k != q)
-        for rhs_word, rhs_coeff in rhs.terms.items():
-            merged = P.canonical(rhs_word + rest)
-            if merged.sign == 0:
-                continue
-            work.append((merged.factors, coeff * rhs_coeff * sign * merged.sign))
+        for stepped, c in _rewrite_step(P, word, *redex):
+            work.append((stepped, coeff * c))
     return GradedElement(out)
 
 
@@ -362,15 +374,32 @@ def multiply(P: RingPresentation, a: GradedElement, b: GradedElement) -> GradedE
     return normal_form(P, GradedElement(acc))
 
 
-def power(P: RingPresentation, a: GradedElement, k: int) -> GradedElement:
-    if k < 0:
-        raise ValueError("negative power in a graded ring")
+def product(P: RingPresentation, factors: Iterable[GradedElement]) -> GradedElement:
+    """Ordered product of the factors in normal form; 1 for no factors.
+
+    Stops at the first zero partial product and reads no further factor:
+
+    >>> P = RingPresentation((Generator("x", 1),), ())
+    >>> product(P, [])
+    GradedElement(terms={(): Fraction(1, 1)})
+    >>> factors = iter([gen("x"), gen("x"), gen("x")])
+    >>> product(P, factors)  # x is odd, so x*x = 0
+    GradedElement(terms={})
+    >>> next(factors)  # the third factor was never read
+    GradedElement(terms={('x',): Fraction(1, 1)})
+    """
     result = one()
-    for _ in range(k):
-        result = multiply(P, result, a)
+    for f in factors:
+        result = multiply(P, result, f)
         if is_zero(result):
             break
     return result
+
+
+def power(P: RingPresentation, a: GradedElement, k: int) -> GradedElement:
+    if k < 0:
+        raise ValueError("negative power in a graded ring")
+    return product(P, [a] * k)
 
 
 # -- admissible monomial enumeration ------------------------------------------
@@ -450,6 +479,14 @@ def poly_mul(a: list[int], b: list[int], max_degree: int) -> list[int]:
     return out
 
 
+def check_series_degree(max_degree: int) -> None:
+    """Raise ValueError unless 0 <= max_degree <= MAX_SERIES_DEGREE."""
+    if not 0 <= max_degree <= MAX_SERIES_DEGREE:
+        raise ValueError(
+            f"series degree {max_degree} is outside 0..{MAX_SERIES_DEGREE} (MAX_SERIES_DEGREE)"
+        )
+
+
 def poincare_series(P: RingPresentation, max_degree: int) -> list[int]:
     """Dimension of each graded piece up to max_degree.
 
@@ -469,8 +506,7 @@ def poincare_series(P: RingPresentation, max_degree: int) -> list[int]:
     >>> poincare_series(P, 3)  # components {x} and {y}: (1 + t)^2
     [1, 2, 1, 0]
     """
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+    check_series_degree(max_degree)
     dims = [1] + [0] * max_degree
     for names in _rule_components(P):
         dims = poly_mul(dims, _count_admissible(P, max_degree, names), max_degree)
@@ -487,13 +523,15 @@ class ConfluenceReport:
     failures: tuple[tuple[Word, str], ...]  # (triple, description)
 
 
-def check_confluence(P: RingPresentation, max_failures: int = 20) -> ConfluenceReport:
+def check_confluence(P: RingPresentation) -> ConfluenceReport:
     """Probe every degree-3 overlap: all one-step rewrites of every generator
     triple must share one normal form.
 
     For quadratic rules all genuinely overlapping critical pairs live in
     products of three generators, so this is the standard local-confluence
     probe; together with termination it covers the shipped rule families.
+    Each probe takes the rewrite step of :func:`normal_form` itself, which
+    the diamond lemma needs.  Stops after MAX_CONFLUENCE_FAILURES failures.
     """
     failures: list[tuple[Word, str]] = []
     names = P.generator_names()
@@ -503,32 +541,19 @@ def check_confluence(P: RingPresentation, max_failures: int = 20) -> ConfluenceR
         if m.sign == 0:
             continue
         word = m.factors
-        redexes = []
-        for p in range(3):
-            for q in range(p + 1, 3):
-                if (word[p], word[q]) in P.rules:
-                    redexes.append((p, q))
+        redexes = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if (word[p], word[q]) in P.rules]
         if len(redexes) < 2:
             continue
         checked += 1
         results: dict[tuple, tuple[int, int]] = {}
         for p, q in redexes:
-            rhs = P.rules[(word[p], word[q])]
-            sign = _extraction_sign(P, word, p, q)
-            rest = tuple(g for k, g in enumerate(word) if k != p and k != q)
-            stepped: dict[Word, Fraction] = {}
-            for rhs_word, rhs_coeff in rhs.terms.items():
-                merged = P.canonical(rhs_word + rest)
-                if merged.sign == 0:
-                    continue
-                key = merged.factors
-                stepped[key] = stepped.get(key, Fraction(0)) + rhs_coeff * sign * merged.sign
-            nf = normal_form(P, GradedElement(stepped))
+            stepped = _rewrite_step(P, word, p, q, P.rules[(word[p], word[q])])
+            nf = normal_form(P, element((c, w) for w, c in stepped))
             fingerprint = tuple(sorted(nf.terms.items()))
             results.setdefault(fingerprint, (p, q))
         if len(results) > 1:
             failures.append((word, f"{len(results)} distinct normal forms from {redexes}"))
-            if len(failures) >= max_failures:
+            if len(failures) >= MAX_CONFLUENCE_FAILURES:
                 break
     return ConfluenceReport(passed=not failures, triples_checked=checked, failures=tuple(failures))
 
@@ -536,18 +561,10 @@ def check_confluence(P: RingPresentation, max_failures: int = 20) -> ConfluenceR
 # -- serialization -------------------------------------------------------------
 
 
-def _coeff_to_str(c: Fraction) -> str:
-    return str(c)
-
-
-def _coeff_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def presentation_to_dict(P: RingPresentation) -> dict:
     return {
         "name": P.name,
-        "parity": P.parity,
+        "parity": "koszul",
         "generators": [
             {"id": g.name, "degree": g.degree, "rank": g.rank} for g in P.generators
         ],
@@ -555,8 +572,7 @@ def presentation_to_dict(P: RingPresentation) -> dict:
             {
                 "lhs": list(lhs),
                 "rhs": [
-                    {"coeff": _coeff_to_str(c), "monomial": list(w)}
-                    for w, c in sorted(rhs.terms.items())
+                    {"coeff": str(c), "monomial": list(w)} for w, c in sorted(rhs.terms.items())
                 ],
             }
             for lhs, rhs in sorted(P.rules.items())
@@ -565,6 +581,11 @@ def presentation_to_dict(P: RingPresentation) -> dict:
 
 
 def presentation_from_dict(data: Mapping) -> RingPresentation:
+    """Inverse of presentation_to_dict.  Only the Koszul sign rule exists, so
+    any other ``parity`` raises PresentationError."""
+    parity = data.get("parity", "koszul")
+    if parity != "koszul":
+        raise PresentationError(f"unsupported parity {parity!r}: only 'koszul' is implemented")
     gens = [
         Generator(g["id"], int(g["degree"]), int(g.get("rank", 0)))
         for g in data["generators"]
@@ -572,15 +593,11 @@ def presentation_from_dict(data: Mapping) -> RingPresentation:
     rules = [
         RewriteRule(
             (r["lhs"][0], r["lhs"][1]),
-            element(
-                [(_coeff_from_str(t["coeff"]), tuple(t["monomial"])) for t in r["rhs"]]
-            ),
+            element([(Fraction(t["coeff"]), tuple(t["monomial"])) for t in r["rhs"]]),
         )
         for r in data.get("rules", [])
     ]
-    return RingPresentation(
-        gens, rules, name=data.get("name", ""), parity=data.get("parity", "koszul")
-    )
+    return RingPresentation(gens, rules, name=data.get("name", ""))
 
 
 def load_presentation_json(path: str) -> RingPresentation:

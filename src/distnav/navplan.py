@@ -93,10 +93,6 @@ class ProjectivePoint:
                 break
         return ProjectivePoint(tuple(arr.tolist()))
 
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.vec)
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.vec, dtype=dtype)
 
@@ -270,7 +266,7 @@ def rpn_navigate(x, y) -> PathPlan:
     one-piece ArcPath from the representative of x.
     """
     px, py = _as_projective(x), _as_projective(y)
-    xv, yv = px.array, py.array
+    xv, yv = np.array(px), np.array(py)
     dot = float(np.dot(xv, yv))
     if dot < 0:
         yv = -yv
@@ -499,19 +495,16 @@ def check_lp_continuity(
     perturbation_scale: float = 1e-4,
     samples_per_pair: int = 8,
     seed: int = 0,
-    point_space: MetricSpace | None = None,
     grid: int = 64,
-    ratio_ceiling: float = RATIO_CEILING,
 ) -> dict:
     """Empirical continuity probe for a two-point planner.
 
     Perturbs each input pair on the sphere, then compares the plans in LP
     distance over the path sup metric.  A sample fails when the output
-    moves more than ratio_ceiling times the input displacement (plus the
+    moves more than RATIO_CEILING times the input displacement (plus the
     LP precision slack).  Returns {samples, max_discrepancy, failures}.
     """
-    if point_space is None:
-        point_space = projective_metric()
+    point_space = projective_metric()
     rng = np.random.default_rng(seed)
     space = path_metric(point_space, grid=grid)
     samples = 0
@@ -536,7 +529,7 @@ def check_lp_continuity(
             moved = plan_fn(x2, y2)
             d = lp_distance(base_plan.measure, moved.measure, space, precision=precision)
             worst = max(worst, d)
-            if d > ratio_ceiling * input_delta + 2 * precision:
+            if d > RATIO_CEILING * input_delta + 2 * precision:
                 failures.append(
                     {
                         "input": {"x": to_jsonable(x2), "y": to_jsonable(y2)},

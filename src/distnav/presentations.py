@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 from .gcring import (
     GradedElement,
@@ -50,6 +50,7 @@ from .gcring import (
     PresentationError,
     RewriteRule,
     RingPresentation,
+    check_series_degree,
     element,
     gen,
     poincare_series,
@@ -89,11 +90,8 @@ def sphere(k: int) -> RingPresentation:
     """One generator s of degree k with s^2 = 0."""
     if k < 1:
         raise PresentationError("sphere dimension must be >= 1")
-    rules = []
-    if k % 2 == 0:
-        # Odd-degree squares vanish implicitly; even degree needs the rule.
-        rules.append(RewriteRule(("s", "s"), zero()))
-    return RingPresentation((Generator("s", k),), rules, name=f"s{k}")
+    gens = (Generator("s", k),)
+    return RingPresentation(gens, _square_zero_rules(gens), name=f"s{k}")
 
 
 def complex_projective(n: int) -> RingPresentation:
@@ -120,15 +118,31 @@ def _w(i: int, j: int, superscript: int = 0) -> str:
     return f"w_{i}_{j}" if superscript == 0 else f"w{superscript}_{i}_{j}"
 
 
-def _straightening_rule(name: Callable[[int, int], str], i: int, j: int, k: int) -> RewriteRule:
-    """w(i,k) * w(j,k) -> w(i,j) * w(j,k) - w(i,j) * w(i,k) for i < j < k."""
-    rhs = element(
-        [
-            (1, (name(i, j), name(j, k))),
-            (-1, (name(i, j), name(i, k))),
-        ]
-    )
-    return RewriteRule((name(i, k), name(j, k)), rhs)
+def _straightening_rules(name: Callable[[int, int], str], ks: Iterable[int]) -> list[RewriteRule]:
+    """w(i,k) * w(j,k) -> w(i,j) * w(j,k) - w(i,j) * w(i,k) for i < j < k, k in ks."""
+    return [
+        RewriteRule(
+            (name(i, k), name(j, k)),
+            element([(1, (name(i, j), name(j, k))), (-1, (name(i, j), name(i, k)))]),
+        )
+        for k in ks
+        for j in range(2, k)
+        for i in range(1, j)
+    ]
+
+
+def _square_zero_rules(gens: Iterable[Generator]) -> list[RewriteRule]:
+    """g * g -> 0 for every even-degree generator; odd squares vanish implicitly."""
+    return [RewriteRule((g.name, g.name), zero()) for g in gens if g.degree % 2 == 0]
+
+
+def _binomial_product(step: int, coeffs: Iterable[int], max_degree: int) -> list[int]:
+    """Coefficients of prod_c (1 + c t^step) up to max_degree (step >= 1)."""
+    out = [1] + [0] * max_degree
+    for c in coeffs:
+        for deg in range(max_degree, step - 1, -1):
+            out[deg] += c * out[deg - step]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -139,27 +153,13 @@ def config_space(d: int, k: int) -> RingPresentation:
     deg = d - 1
     pairs = [(i, j) for j in range(2, k + 1) for i in range(1, j)]
     gens = tuple(Generator(_w(i, j), deg, rank=j) for i, j in pairs)
-    rules: list[RewriteRule] = []
-    if deg % 2 == 0:
-        for i, j in pairs:
-            rules.append(RewriteRule((_w(i, j), _w(i, j)), zero()))
-    for kk in range(3, k + 1):
-        for j in range(2, kk):
-            for i in range(1, j):
-                rules.append(_straightening_rule(_w, i, j, kk))
+    rules = _square_zero_rules(gens) + _straightening_rules(_w, range(3, k + 1))
     return RingPresentation(gens, rules, name=f"conf:d={d},k={k}")
 
 
 def config_poincare_formula(d: int, k: int, max_degree: int) -> list[int]:
     """Coefficients of prod_{i=1}^{k-1} (1 + i t^{d-1}) up to max_degree."""
-    out = [1] + [0] * max_degree
-    for i in range(1, k):
-        factor = [0] * (max_degree + 1)
-        factor[0] = 1
-        if d - 1 <= max_degree:
-            factor[d - 1] = i
-        out = poly_mul(out, factor, max_degree)
-    return out
+    return _binomial_product(d - 1, range(1, k), max_degree)
 
 
 # -- fiber products ---------------------------------------------------------------
@@ -187,11 +187,14 @@ class FiberProduct:
 
     def witness_length(self) -> int:
         """Number of positive-degree factors in the witness product."""
-        base = self.r * self.n + self.m
-        return base - 1 if self.d % 2 == 1 else base - 2
+        return _fn_witness_length(self.d, self.m, self.n, self.r)
 
     def witness_degree(self) -> int:
         return self.witness_length() * self.degree_step
+
+
+def _fn_witness_length(d: int, m: int, n: int, r: int) -> int:
+    return r * n + m - 1 if d % 2 == 1 else r * n + m - 2
 
 
 def fn_poincare_formula(d: int, m: int, n: int, r: int, max_degree: int) -> list[int]:
@@ -201,17 +204,7 @@ def fn_poincare_formula(d: int, m: int, n: int, r: int, max_degree: int) -> list
     fiber factors.  Cross-checked against brute-force enumeration at r = 1 in
     the tests.
     """
-    out = config_poincare_formula(d, m, max_degree)
-    fiber = [1] + [0] * max_degree
-    for i in range(n):
-        factor = [0] * (max_degree + 1)
-        factor[0] = 1
-        if d - 1 <= max_degree:
-            factor[d - 1] = m + i
-        fiber = poly_mul(fiber, factor, max_degree)
-    for _ in range(r):
-        out = poly_mul(out, fiber, max_degree)
-    return out
+    return _binomial_product(d - 1, [*range(1, m)] + [*range(m, m + n)] * r, max_degree)
 
 
 @lru_cache(maxsize=None)
@@ -219,45 +212,34 @@ def fn_fiber_product(d: int, m: int, n: int, r: int) -> FiberProduct:
     """Build and dimension-validate the fiber power presentation.
 
     Raises PresentationError if the admissible-monomial counts deviate from
-    the closed-form product formula anywhere up to the witness degree.
+    the closed-form product formula anywhere up to the witness degree, and
+    ValueError, before building anything, if that degree exceeds
+    MAX_SERIES_DEGREE.
     """
     if d < 2 or m < 2 or n < 1 or r < 2:
         raise PresentationError(
             f"need d >= 2, m >= 2, n >= 1, r >= 2; got d={d}, m={m}, n={n}, r={r}"
         )
+    check_series_degree(_fn_witness_length(d, m, n, r) * (d - 1))
     deg = d - 1
     k = m + n
 
     def name_for(l: int):
         return lambda i, j: _w(i, j) if j <= m else _w(i, j, l)
 
-    gens: list[Generator] = []
-    # Registration order: second index, then copy, then first index.  The
-    # rank (= second index) drives rewrite termination.
-    for j in range(2, k + 1):
-        if j <= m:
-            for i in range(1, j):
-                gens.append(Generator(_w(i, j), deg, rank=j))
-        else:
-            for l in range(1, r + 1):
-                for i in range(1, j):
-                    gens.append(Generator(_w(i, j, l), deg, rank=j))
+    # Registration order: second index, then copy (0 = base), then first
+    # index.  The rank (= second index) drives rewrite termination.
+    gens = [
+        Generator(_w(i, j, l), deg, rank=j)
+        for j in range(2, k + 1)
+        for l in ((0,) if j <= m else range(1, r + 1))
+        for i in range(1, j)
+    ]
 
-    rules: list[RewriteRule] = []
-    if deg % 2 == 0:
-        for g in gens:
-            rules.append(RewriteRule((g.name, g.name), zero()))
     # Shared straightening below the base cut, one copy per superscript above.
-    for kk in range(3, m + 1):
-        for j in range(2, kk):
-            for i in range(1, j):
-                rules.append(_straightening_rule(_w, i, j, kk))
-    for kk in range(max(3, m + 1), k + 1):
-        for l in range(1, r + 1):
-            nm = name_for(l)
-            for j in range(2, kk):
-                for i in range(1, j):
-                    rules.append(_straightening_rule(nm, i, j, kk))
+    rules = _square_zero_rules(gens) + _straightening_rules(_w, range(3, m + 1))
+    for l in range(1, r + 1):
+        rules += _straightening_rules(name_for(l), range(max(3, m + 1), k + 1))
 
     ring = RingPresentation(gens, rules, name=f"fn:d={d},m={m},n={n},r={r}")
     fp = FiberProduct(ring=ring, d=d, m=m, n=n, r=r)
@@ -311,13 +293,17 @@ def sphere_bundle_tower(
     The section Euler class e is 2u - e_eta when q is odd; for even q the
     class has odd degree and vanishes rationally, so e = e_eta as given
     (typically zero), which degenerates the u_i rules toward exterior ones.
-    Validates the Leray-Hirsch doubling of graded dimensions at every level.
+    Validates the Leray-Hirsch doubling of graded dimensions at every level;
+    raises ValueError, before adjoining anything, if that check would go past
+    MAX_SERIES_DEGREE.
     """
     if q < 2 or r < 1:
         # r = 1 is the degenerate single-level tower (just u); it serves as
         # the target of the tower diagonal map.
         raise PresentationError(f"need q >= 2 and r >= 1, got q={q}, r={r}")
     step = q - 1
+    top = sum(g.degree for g in base.generators) + step * r
+    check_series_degree(top)
     for word in euler_class.terms:
         if base.word_degree(word) != step:
             raise PresentationError(
@@ -331,16 +317,11 @@ def sphere_bundle_tower(
 
     rules = [RewriteRule(lhs, rhs) for lhs, rhs in base.rules.items()]
     if step % 2 == 0:
-        u_square = element([(c, w + ("u",)) for w, c in euler_class.terms.items()])
-        rules.append(RewriteRule(("u", "u"), u_square))
-        if q % 2 == 1:
-            section = subtract(scale(2, gen("u")), euler_class)
-        else:
-            section = euler_class
-        for i in range(1, r):
-            ui = f"u{i}"
-            ui_square = element([(c, w + (ui,)) for w, c in section.terms.items()])
-            rules.append(RewriteRule((ui, ui), ui_square))
+        # Even step means odd q: x^2 = e x with e = e_eta for u and e = 2u - e_eta
+        # for each u_i.
+        section = subtract(scale(2, gen("u")), euler_class)
+        for x, e in [("u", euler_class)] + [(f"u{i}", section) for i in range(1, r)]:
+            rules.append(RewriteRule((x, x), element([(c, w + (x,)) for w, c in e.terms.items()])))
     else:
         # Odd fiber degree: all the truncation classes square to zero
         # implicitly, and the section Euler class is rationally zero.
@@ -354,15 +335,7 @@ def sphere_bundle_tower(
     )
 
     # Leray-Hirsch gate: adjoining each sphere class doubles the dimensions.
-    top_base = sum(g.degree for g in base.generators)
-    top = top_base + step * r
-    base_dims = poincare_series(base, top)
-    expected = list(base_dims)
-    shift = [0] * (top + 1)
-    shift[0] = 1
-    shift[step] = 1
-    for _ in range(r):
-        expected = poly_mul(expected, shift, top)
+    expected = poly_mul(poincare_series(base, top), _binomial_product(step, [1] * r, top), top)
     got = poincare_series(ring, top)
     if got != expected:
         raise PresentationError(

@@ -9,7 +9,7 @@ import pytest
 
 import distnav.cli as cli
 from distnav.cli import main
-from distnav.gcring import presentation_to_dict
+from distnav.gcring import MAX_SERIES_DEGREE, presentation_to_dict
 from distnav.bounds import euler_height
 from distnav.presentations import complex_projective, config_space, cpn_sphere_bundle
 
@@ -100,6 +100,30 @@ def test_env_directory_resolution(tmp_path, monkeypatch):
     code, out = run("ring", "poincare", "--ring", "tiny", "--max-degree", "2")
     assert code == 0
     assert out["series"] == [1, 0, 1]
+
+
+def test_non_koszul_parity_file_exits_3(tmp_path):
+    data = presentation_to_dict(complex_projective(1))
+    data["parity"] = "commutative"
+    ring_file = tmp_path / "commutative.json"
+    ring_file.write_text(json.dumps(data))
+    code, out = run("ring", "poincare", "--ring", str(ring_file))
+    assert code == 3
+    assert "parity" in out["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ring", "poincare", "--ring", "cp3", "--max-degree", str(MAX_SERIES_DEGREE + 1)),
+        ("bound", "fn", "--d", "2", "--m", "2", "--n", "1", "--r", str(MAX_SERIES_DEGREE + 1)),
+    ],
+    ids=["ring-poincare", "bound-fn"],
+)
+def test_series_degree_over_cap_exits_2(argv):
+    code, out = run(*argv)
+    assert code == 2
+    assert "MAX_SERIES_DEGREE" in out["error"]
 
 
 def test_missing_presentation_file_exits_2(tmp_path):
@@ -376,6 +400,40 @@ def test_measure_errors(tmp_path):
 
 
 # === shared flags ===
+
+
+# One successful invocation of every subcommand; "MEASURE" stands for a
+# measure file.
+SUBCOMMANDS = [
+    ("ring", "normal-form", "--ring", "cp2", "--word", "a1,a1"),
+    ("ring", "poincare", "--ring", "cp2"),
+    ("ring", "confluence", "--ring", "cp2"),
+    ("bound", "fn", "--d", "3", "--m", "2", "--n", "1", "--r", "2"),
+    ("bound", "sphere-bundle", "--n", "1", "--r", "2"),
+    ("bound", "cup-length", "--d", "3", "--m", "2", "--n", "1", "--r", "2"),
+    ("value", "fn", "--d", "3", "--m", "2", "--n", "1", "--r", "2"),
+    ("value", "so3", "--r", "2"),
+    ("value", "spheres", "--dims", "2,4", "--r", "2"),
+    ("value", "associate", "--dtc", "3"),
+    ("value", "threshold", "--r", "3"),
+    ("value", "hopf", "--r", "2"),
+    ("nav", "rpn", "--x", "1,0,0", "--y", "0,1,0"),
+    ("nav", "circle", "--points", "1,0;0,1"),
+    ("nav", "hopf", "--points", "1,0,0,0;0,1,0,0"),
+    ("nav", "continuity", "--pairs", "1", "--samples", "1"),
+    ("nav", "equivariance", "--pairs", "1", "--elements", "1"),
+    ("measure", "lp", "--mu", "MEASURE", "--nu", "MEASURE"),
+    ("measure", "product", "--mu", "MEASURE", "--nu", "MEASURE"),
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: f"{argv[0]}-{argv[1]}")
+def test_payload_names_its_command(argv, tmp_path):
+    measure = write_measure(tmp_path / "mu.json", [([0.0, 0.0], "1/2"), ([1.0, 0.0], "1/2")])
+    code, out = run(*(measure if a == "MEASURE" else a for a in argv))
+    assert code == 0
+    assert out["command"] == f"{argv[0]} {argv[1]}"
+    assert list(out)[:2] == ["schema_version", "command"]
 
 
 def test_json_flag_is_noop():

@@ -14,6 +14,7 @@ import pytest
 from distnav.gcring import (
     _count_admissible,
     _rule_components,
+    MAX_SERIES_DEGREE,
     Generator,
     GradedElement,
     PresentationError,
@@ -275,6 +276,9 @@ def test_rule_components_split_independent_generators():
 def test_poincare_series_rejects_negative_degree():
     with pytest.raises(ValueError):
         poincare_series(two_odd_ring(), -1)
+    # the cap is checked before any list of MAX_SERIES_DEGREE ints is built
+    with pytest.raises(ValueError, match="MAX_SERIES_DEGREE"):
+        poincare_series(two_odd_ring(), MAX_SERIES_DEGREE + 1)
 
 
 # === serialization ===
@@ -297,6 +301,18 @@ def test_roundtrip_preserves_ranks_and_degrees():
     for g in P.generators:
         assert Q.degree(g.name) == g.degree
     assert power(Q, gen("t1"), 3) == zero()
+
+
+def test_non_koszul_parity_rejected():
+    # No other sign rule is implemented: a "commutative" file used to load
+    # and silently get Koszul signs.
+    data = presentation_to_dict(two_odd_ring())
+    assert data["parity"] == "koszul"
+    data["parity"] = "commutative"
+    with pytest.raises(PresentationError, match="parity"):
+        presentation_from_dict(data)
+    del data["parity"]
+    assert presentation_from_dict(data).generator_names() == ("x", "y")
 
 
 def test_zero_coefficients_dropped():

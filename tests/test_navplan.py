@@ -51,7 +51,7 @@ def random_rotation(rng, k):
 def test_projective_canonical_representative():
     p = ProjectivePoint.from_vector([-3.0, 4.0, 0.0])
     assert p.vec[0] > 0  # sign fixed by the first large coordinate
-    assert abs(np.linalg.norm(p.array) - 1.0) < 1e-15
+    assert abs(np.linalg.norm(np.array(p)) - 1.0) < 1e-15
     assert p == ProjectivePoint.from_vector([3.0, -4.0, 0.0])
 
 
@@ -500,7 +500,7 @@ def test_rpn_paths_match_closed_form():
         for _ in range(5):
             x, y = random_unit(rng, n + 1), random_unit(rng, n + 1)
             plan = rpn_navigate(x, y)
-            px, py = ProjectivePoint.from_vector(x).array, ProjectivePoint.from_vector(y).array
+            px, py = np.array(ProjectivePoint.from_vector(x)), np.array(ProjectivePoint.from_vector(y))
             if np.dot(px, py) < 0:
                 py = -py
             alpha = math.acos(min(float(np.dot(px, py)), 1.0))

@@ -12,6 +12,7 @@ import pytest
 
 import distnav.presentations as presentations
 from distnav.gcring import (
+    MAX_SERIES_DEGREE,
     PresentationError,
     RingPresentation,
     gen,
@@ -182,6 +183,27 @@ def test_tower_gate_rejects_a_missing_truncation_rule(monkeypatch):
     drop_rule(monkeypatch, ("u1", "u1"))
     with pytest.raises(PresentationError, match="Leray-Hirsch"):
         sphere_bundle_tower(base, gen("a1"), 3, 2)
+
+
+class GeneratorBuilt(Exception):
+    pass
+
+
+def test_builders_check_series_degree_before_any_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise GeneratorBuilt
+
+    monkeypatch.setattr(presentations, "Generator", refuse)
+    # (2, 2, 1, r) gates at degree r; a tower over a point with q = 2 at r.
+    builders = [
+        lambda r: fn_fiber_product.__wrapped__(2, 2, 1, r),
+        lambda r: sphere_bundle_tower(point(), zero(), 2, r),
+    ]
+    for build in builders:
+        with pytest.raises(GeneratorBuilt):
+            build(MAX_SERIES_DEGREE)
+        with pytest.raises(ValueError, match="MAX_SERIES_DEGREE"):
+            build(MAX_SERIES_DEGREE + 1)
 
 
 # === sphere-bundle towers ===
