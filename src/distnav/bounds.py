@@ -35,7 +35,13 @@ from .gcring import (
     product,
     subtract,
 )
-from .presentations import FiberProduct, SphereBundleTower, config_space, sphere_bundle_tower
+from .presentations import (
+    FiberProduct,
+    SphereBundleTower,
+    config_space,
+    fn_witness_length,
+    sphere_bundle_tower,
+)
 
 __all__ = [
     "RingMap",
@@ -52,14 +58,28 @@ __all__ = [
     "cup_length_kernel",
     "ring_top_degree",
     "CUP_LENGTH_NODE_LIMIT",
+    "MAX_WITNESS_WORK",
+    "witness_work",
+    "check_witness_work",
 ]
 
 # Products the cup-length search may form before it gives up.  Cells whose
 # search finishes quickly stay well under it: (2,3,1,3) forms 534 products and
 # (3,3,2,3) 60.  Even-d cells such as (2,3,2,3) never reach the degree
 # ceiling: the full search at (2,3,2,3) had not finished after 40 s, and at
-# about 10 ms per product there the limit ends it in some 10 s.
+# about 1.7 ms per product there (6.5 ms before the integer-coded kernel;
+# single runs on a shared 2-core host) the limit ends it in about 2 s.
 CUP_LENGTH_NODE_LIMIT = 1000
+
+
+# Work estimate (witness_work) above which the fn witness is refused, checked
+# before any factor is built.  Cells just under it, single runs on a shared
+# 2-core host: (2,2,1,291) 2.3 s, (2,4,1,112) 3.8 s, (2,6,1,41) 7.2 s and
+# 67 MB, (2,8,1,12) 13.8 s and 143 MB; odd-d cells near it take under 4 s.
+# Both parities grow like 4^m in the base strand count m, and even d also
+# like 2^n in n, so a cap on the factor count alone would not bound the
+# work: (2,10,1,2) has 10 factors and takes 13 s, (3,10,1,2) 43 s.
+MAX_WITNESS_WORK = 50_000_000
 
 
 class CertificateError(RuntimeError):
@@ -215,6 +235,44 @@ def _copy_difference(fp: FiberProduct, l1: int, l2: int, i: int, j: int) -> Grad
     return subtract(gen(fp.w(l1, i, j)), gen(fp.w(l2, i, j)))
 
 
+def _witness_terms(d: int, m: int, n: int, r: int) -> int:
+    """Term count of the normal form of the fn witness product, in closed
+    form: 4^(m-1) / 2 for odd d, n 2^(2m+n-4) r + 2^(m+n-2) for even d."""
+    if d % 2 == 1:
+        return 2 ** (2 * m - 3)
+    return n * 2 ** (2 * m + n - 4) * r + 2 ** (m + n - 2)
+
+
+def witness_work(d: int, m: int, n: int, r: int) -> int:
+    """Estimated cost of the fn witness product: terms x L x (L + m + n)
+    for L factors.
+
+    Each factor multiplies a partial product of at most ``terms`` terms, and
+    each term costs a merge over its L factors plus a rewrite chain that
+    moves one strand at a time.  ``terms`` is the larger of the final term
+    count (_witness_terms) and 6 * 5^(m-2), which bounds the peak partial
+    product measured in both parities: 6, 22, 88, 372, 1630, 7302, 33142
+    and 151562 terms for m = 2..9.  Parameters out of range give 0;
+    fn_fiber_product names them.
+    """
+    if d < 2 or m < 2 or n < 1 or r < 2:
+        return 0
+    length = fn_witness_length(d, m, n, r)
+    terms = max(_witness_terms(d, m, n, r), 6 * 5 ** (m - 2))
+    return terms * length * (length + m + n)
+
+
+def check_witness_work(d: int, m: int, n: int, r: int) -> None:
+    """Raise ValueError when witness_work exceeds MAX_WITNESS_WORK."""
+    work = witness_work(d, m, n, r)
+    if work > MAX_WITNESS_WORK:
+        raise ValueError(
+            f"fn witness at d={d}, m={m}, n={n}, r={r} has "
+            f"{fn_witness_length(d, m, n, r)} factors and a work estimate of {work}, "
+            f"over {MAX_WITNESS_WORK} (MAX_WITNESS_WORK)"
+        )
+
+
 def verify_witness_fn(fp: FiberProduct) -> NonzeroCertificate:
     """Build and verify the witness product for the fiber power.
 
@@ -222,9 +280,11 @@ def verify_witness_fn(fp: FiberProduct) -> NonzeroCertificate:
     square of one difference per fiber point, and one difference per
     remaining copy; for even d squares vanish, and consecutive-index
     differences replace them.  The factor count is r*n + m - 1 (d odd) or
-    r*n + m - 2 (d even).
+    r*n + m - 2 (d even).  Raises ValueError, before any factor is built,
+    when the cell is over MAX_WITNESS_WORK.
     """
     d, m, n, r = fp.d, fp.m, fp.n, fp.r
+    check_witness_work(d, m, n, r)
     factors: list[GradedElement] = []
     for i in range(2, m + 1):
         factors.append(_copy_difference(fp, 1, 2, i, m + 1))

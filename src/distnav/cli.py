@@ -94,8 +94,11 @@ def _resolve_ring(name: str):
         raise ArgumentProblem(f"presentation file {name!r} not found")
     try:
         return catalog(name)
-    except (KeyError, ValueError):
-        pass
+    except KeyError:
+        pass  # not a catalog name: try the presentation directory
+    except ValueError as exc:
+        # A known family with parameters it rejects keeps its own message.
+        raise ArgumentProblem(str(exc)) from None
     env = os.environ.get(ENV_PRESENTATIONS)
     if env:
         path = Path(env) / f"{name}.json"

@@ -16,6 +16,30 @@ through its descending-lexicographic linearization).  Confluence is not
 assumed; :func:`check_confluence` probes every degree-3 overlap and is run as
 a gate on presentations loaded from JSON.
 
+The rewrite kernel behind :func:`normal_form`, :func:`multiply` and
+:func:`product` runs on integer codes; the public values keep name tuples and
+``Fraction`` coefficients.
+
+* Words.  A word is a sorted tuple of generator indices (registration
+  order).  A rewrite step removes the two rewritten factors, which leaves the
+  rest sorted, and merges each right-hand factor into it; the Koszul sign is
+  the parity of the odd factors each moved factor passes, read off a bit set
+  of the word's odd generators.
+* Coefficients.  Rule coefficients are stored as ints when integral (every
+  shipped ring); an input element is scaled to integer coefficients over a
+  common denominator, and each input word is rewritten with coefficient 1
+  and scales the normal words it reaches.  So the arithmetic stays in ints on
+  integral rules and falls back to ``Fraction`` by itself on loaded rules
+  that are not.
+* Redex order.  :func:`normal_form` and :func:`multiply` rewrite the
+  leftmost redex.  :func:`product` multiplies a partial product, already a
+  normal form, by the next factor; a pair of factors from the partial
+  product is no redex, so only pairs touching a factor of the new word, or
+  one a rule brought in, are searched.  Rewriting in another order gives the
+  same normal form on a terminating confluent presentation (diamond lemma,
+  Bergman 1978): every shipped ring passes :func:`check_confluence`, and
+  loaded rings are gated on it.
+
 Example: one even generator ``a`` truncated above a^2, i.e. rules
 a*a -> a2, a*a2 -> 0, a2*a2 -> 0:
 
@@ -37,9 +61,11 @@ a*a -> a2, a*a2 -> 0, a2*a2 -> 0:
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -74,11 +100,13 @@ __all__ = [
 ]
 
 Word = tuple[str, ...]
+IWord = tuple[int, ...]  # a word as generator indices, the kernel's encoding
 
 # Highest degree a Poincare series may be asked for.  Series lists hold one
-# int per degree, and the fn dimension gate (one component per copy) takes
-# about cubic time in its degree: (2,2,1,500) gates at 500 in about 5 s,
-# (2,2,1,1000) at 1000 in about 47 s.  Test and benchmark cells gate below 60.
+# int per degree.  poly_mul visits nonzero coefficients only, so the fn
+# dimension gate (one two-term component per copy) builds (2,2,1,510) in
+# about 0.09 s (3.1 s with the dense loop) and (3,2,1,255) in 0.04 s;
+# single runs on a shared 2-core host.  Test and benchmark cells gate below 60.
 MAX_SERIES_DEGREE = 512
 
 # Failed triples the confluence report lists before the probe stops.
@@ -172,7 +200,16 @@ def element(terms: Iterable[tuple[int | Fraction, Word]]) -> GradedElement:
 
 
 class RingPresentation:
-    """A finitely presented graded-commutative ring with directed rules."""
+    """A finitely presented graded-commutative ring with directed rules.
+
+    Besides the name-level view (``generators``, ``rules``) it holds the
+    integer-coded tables the rewrite kernel runs on, built once here:
+    generator indices (registration order), an odd flag per index, the rule
+    table ``_rows[i][j]`` for the left side (i, j), i <= j, and per
+    generator its rule partners in either position.  A table entry lists
+    the right-hand terms as (index word, coefficient, bit set of its
+    generators, bit set of its odd generators).
+    """
 
     def __init__(
         self,
@@ -185,12 +222,16 @@ class RingPresentation:
         self._index = {g.name: i for i, g in enumerate(self.generators)}
         if len(self._index) != len(self.generators):
             raise PresentationError(f"duplicate generator names in {name!r}")
+        self._names = tuple(g.name for g in self.generators)
         self._degree = {g.name: g.degree for g in self.generators}
         self._rank = {g.name: g.rank for g in self.generators}
         self._odd = {g.name for g in self.generators if g.degree % 2 == 1}
+        self._oddf = tuple(g.degree % 2 for g in self.generators)
+        self._oddbit = tuple(odd << i for i, odd in enumerate(self._oddf))
         self.rules: dict[tuple[str, str], GradedElement] = {}
         for rule in rules:
             self._admit_rule(rule)
+        self._build_tables()
 
     # -- structural checks -------------------------------------------------
 
@@ -224,6 +265,21 @@ class RingPresentation:
         # linearizes the Dershowitz-Manna multiset order on these keys.
         return tuple(sorted((self._rank[g] for g in word), reverse=True))
 
+    def _build_tables(self) -> None:
+        # Right-hand words with a repeated odd factor vanish and are left
+        # out; coefficients are ints when integral (every shipped ring).
+        self._rows: list[dict[int, tuple]] = [{} for _ in self.generators]
+        self._partners: list[dict[int, tuple]] = [{} for _ in self.generators]
+        for (a, b), rhs in self.rules.items():
+            i, j = self._index[a], self._index[b]
+            entry = []
+            for word, coeff in rhs.terms.items():
+                iword, sign = _sort_word(self._oddf, [self._index[g] for g in word])
+                if sign:
+                    c = coeff.numerator if coeff.denominator == 1 else coeff
+                    entry.append((iword, c, _mask(iword), _odd_mask(self, iword)))
+            self._rows[i][j] = self._partners[i][j] = self._partners[j][i] = tuple(entry)
+
     # -- basic queries ------------------------------------------------------
 
     def degree(self, name: str) -> int:
@@ -245,22 +301,12 @@ class RingPresentation:
 
         Returns sign 0 when an odd-degree generator repeats.
         """
-        order = self._index
-        items = list(factors)
-        sign = 1
-        # Insertion sort; degree-1-odd swaps flip the sign.  Words are short
-        # (a handful of factors), so quadratic cost is irrelevant.
-        for i in range(1, len(items)):
-            j = i
-            while j > 0 and order[items[j - 1]] > order[items[j]]:
-                if items[j - 1] in self._odd and items[j] in self._odd:
-                    sign = -sign
-                items[j - 1], items[j] = items[j], items[j - 1]
-                j -= 1
-        for k in range(1, len(items)):
-            if items[k] == items[k - 1] and items[k] in self._odd:
-                return Monomial(tuple(items), 0)
-        return Monomial(tuple(items), sign)
+        iword, sign = _sort_word(self._oddf, [self._index[g] for g in factors])
+        return Monomial(self._word_names(iword), sign)
+
+    def _word_names(self, iword: IWord) -> Word:
+        names = self._names
+        return tuple(names[i] for i in iword)
 
 
 # -- element arithmetic ------------------------------------------------------
@@ -301,82 +347,248 @@ def element_degree(P: RingPresentation, a: GradedElement) -> int | None:
     return degrees.pop()
 
 
-def _first_redex(P: RingPresentation, word: Word) -> tuple[int, int, GradedElement] | None:
-    """Leftmost pair of positions whose generators form a rule left side."""
+# -- integer-coded rewrite kernel ----------------------------------------------
+
+# Dirty mask meaning "every factor may take part in a redex".
+_ALL_DIRTY = -1
+
+
+def _mask(iword: IWord) -> int:
+    """Bit set of the generator indices in a word."""
+    return sum(1 << g for g in set(iword))
+
+
+def _sort_word(oddf: Sequence[int], seq: Sequence[int]) -> tuple[IWord, int]:
+    """Sorted index word and the Koszul sign of sorting it: the parity of
+    the inversions among its odd factors (0 when an odd factor repeats).
+    Only raw input words and rule right sides come here, and they are short."""
+    word = tuple(sorted(seq))
+    odd = [g for g in seq if oddf[g]]
+    if len(set(odd)) < len(odd):
+        return word, 0
+    inversions = sum(1 for i, g in enumerate(odd) for h in odd[:i] if h > g)
+    return word, -1 if inversions % 2 else 1
+
+
+def _odd_mask(P: RingPresentation, iword: IWord) -> int:
+    """Bit set of the odd generators in a canonical word.  No odd factor
+    repeats there, so the odd factors below index x number
+    ``(odd_mask & ((1 << x) - 1)).bit_count()``."""
+    return sum(map(P._oddbit.__getitem__, iword))
+
+
+def _merge(oddf: Sequence[int], extra: IWord, base: IWord, base_odd: int) -> tuple[IWord, int]:
+    """Canonical form of the word ``extra + base`` and its Koszul sign, 0
+    when an odd factor of ``extra`` is already in ``base``.
+
+    Both words are canonical and ``base_odd`` is the odd mask of ``base``.
+    Sorting moves each odd factor x of ``extra`` past the odd factors of
+    ``base`` below x, one sign each.  ``sorted`` finds the two sorted runs
+    and merges them in linear time.
+    """
+    parity = 0
+    for x in extra:
+        if oddf[x]:
+            bit = 1 << x
+            if base_odd & bit:
+                return (), 0
+            parity += (base_odd & (bit - 1)).bit_count()
+    return tuple(sorted(base + extra)), -1 if parity % 2 else 1
+
+
+def _find_redex(
+    P: RingPresentation, word: IWord, dirty: int
+) -> tuple[int, int, tuple] | None:
+    """A pair of positions p < q of a canonical index word whose generators
+    form a rule left side, with the rule's table entry; None if there is none.
+
+    ``dirty`` is a bit set of generator indices: every pair of factors whose
+    generators are both outside it is known not to be a redex, so only pairs
+    touching a dirty factor are scanned.  With every factor dirty the scan
+    returns the leftmost redex, p first, then q.
+    """
     n = len(word)
-    for p in range(n):
-        for q in range(p + 1, n):
-            rhs = P.rules.get((word[p], word[q]))
-            if rhs is not None:
-                return p, q, rhs
+    if dirty == _ALL_DIRTY:
+        rows = P._rows
+        for p in range(n - 1):
+            row = rows[word[p]]
+            if row:
+                for q in range(p + 1, n):
+                    entry = row.get(word[q])
+                    if entry is not None:
+                        return p, q, entry
+        return None
+    # Each dirty generator in the word is looked up at its first position q;
+    # the word is sorted, so its rule partners are found by bisection.
+    partners = P._partners
+    while dirty:
+        low = dirty & -dirty
+        dirty ^= low
+        g = low.bit_length() - 1
+        q = bisect_left(word, g)
+        if q == n or word[q] != g:
+            continue
+        for h, entry in partners[g].items():
+            p = bisect_left(word, h)
+            if p == q:  # h == g: the rule needs a second factor g
+                p += 1
+            if p < n and word[p] == h:
+                return (p, q, entry) if p < q else (q, p, entry)
     return None
 
 
 def _rewrite_step(
-    P: RingPresentation, word: Word, p: int, q: int, rhs: GradedElement
-) -> Iterator[tuple[Word, Fraction]]:
-    """Rewrite the factors p < q of a canonical word by ``rhs``, yielding the
-    nonvanishing canonical words of the result with their coefficients.
+    P: RingPresentation, word: IWord, odd: int, p: int, q: int, entry: tuple
+) -> Iterator[tuple[IWord, int | Fraction, int, int]]:
+    """Rewrite the factors p < q of a canonical index word (odd mask ``odd``)
+    by the rule table ``entry``.  Yields each nonvanishing canonical word of
+    the result with its coefficient, the bit set of the right-hand factors it
+    gained, and its odd mask.
 
-    This is the one rewrite step: normal_form takes it, and check_confluence
-    probes it.
+    This is the one rewrite step: normal_form and product take it, and
+    check_confluence probes it.
     """
-    # Koszul sign of moving factors p and q to the front of the word.
-    sign = 1
-    if word[p] in P._odd and sum(1 for k in range(p) if word[k] in P._odd) % 2:
-        sign = -sign
-    if word[q] in P._odd and sum(1 for k in range(q) if k != p and word[k] in P._odd) % 2:
-        sign = -sign
-    rest = tuple(g for k, g in enumerate(word) if k != p and k != q)
-    for rhs_word, rhs_coeff in rhs.terms.items():
-        merged = P.canonical(rhs_word + rest)
-        if merged.sign != 0:
-            yield merged.factors, rhs_coeff * sign * merged.sign
+    oddf = P._oddf
+    a, b = word[p], word[q]
+    # Koszul sign of moving factors p and q to the front of the word: each
+    # passes the odd factors before it, those of lower index.
+    parity = 0
+    if oddf[a]:
+        parity += (odd & ((1 << a) - 1)).bit_count()
+        odd ^= 1 << a
+    if oddf[b]:
+        parity += (odd & ((1 << b) - 1)).bit_count()
+        odd ^= 1 << b
+    rest = word[:p] + word[p + 1 : q] + word[q + 1 :]
+    for rhs_word, rhs_coeff, mask, rhs_odd in entry:
+        merged, sign = _merge(oddf, rhs_word, rest, odd)
+        if sign:
+            flip = parity % 2 ^ (sign < 0)
+            yield merged, -rhs_coeff if flip else rhs_coeff, mask, odd | rhs_odd
+
+
+def _reduce_into(
+    out: dict[IWord, int | Fraction],
+    P: RingPresentation,
+    word: IWord,
+    coeff: int | Fraction,
+    dirty: int,
+    odd: int,
+) -> None:
+    """Add coeff times the normal form of the canonical index word (odd mask
+    ``odd``) to ``out``.
+
+    By linearity the word is rewritten with coefficient 1, and ``coeff``
+    scales each normal word it reaches; the rewriting itself multiplies only
+    rule coefficients, ints whenever the rules are integral.  ``dirty`` is
+    the bit set of :func:`_find_redex`: a rewritten word keeps its parent's
+    dirty set plus the generators the rule brought in, since every pair of
+    its other factors was a pair of the parent.
+    """
+    work = [(word, 1, dirty, odd)]
+    while work:
+        word, c, dirty, odd = work.pop()
+        redex = _find_redex(P, word, dirty)
+        if redex is None:
+            out[word] = out.get(word, 0) + coeff * c
+            continue
+        p, q, entry = redex
+        for stepped, rc, mask, stepped_odd in _rewrite_step(P, word, odd, p, q, entry):
+            work.append((stepped, c * rc, dirty | mask, stepped_odd))
+
+
+def _index_terms(
+    P: RingPresentation, a: GradedElement
+) -> tuple[list[tuple[IWord, int]], int]:
+    """a's terms as canonical index words with integer coefficients, and
+    their common denominator: a = sum(c * word) / den.
+
+    Raw words (unsorted, or with a repeated odd factor) are canonicalized.
+    """
+    den = 1
+    for coeff in a.terms.values():
+        if coeff.denominator != 1:
+            den = lcm(den, coeff.denominator)
+    index, oddf = P._index, P._oddf
+    terms = []
+    for word, coeff in a.terms.items():
+        iword, sign = _sort_word(oddf, [index[g] for g in word])
+        if sign:
+            c = coeff.numerator * (den // coeff.denominator)
+            terms.append((iword, c if sign > 0 else -c))
+    return terms, den
+
+
+def _to_element(
+    P: RingPresentation, acc: Mapping[IWord, int | Fraction], den: int
+) -> GradedElement:
+    """The element sum(c * word) / den over the nonzero c of ``acc``."""
+    terms = {P._word_names(w): Fraction(c, den) for w, c in acc.items() if c}
+    # The values are nonzero Fractions already, so GradedElement's own
+    # conversion is skipped.
+    result = object.__new__(GradedElement)
+    object.__setattr__(result, "terms", terms)
+    return result
 
 
 def normal_form(P: RingPresentation, a: GradedElement) -> GradedElement:
     """Rewrite until no rule applies.  Terminates by the rank-multiset order."""
-    out: dict[Word, Fraction] = {}
-    # Inputs may carry raw words (unsorted, or with a repeated odd factor):
-    # canonicalize before looking for redexes, as rule keys assume sorted pairs.
-    work: list[tuple[Word, Fraction]] = []
-    for word, coeff in a.terms.items():
-        m = P.canonical(word)
-        if m.sign == 0:
-            continue
-        work.append((m.factors, coeff * m.sign))
-    while work:
-        word, coeff = work.pop()
-        if coeff == 0:
-            continue
-        redex = _first_redex(P, word)
-        if redex is None:
-            new = out.get(word, Fraction(0)) + coeff
-            if new == 0:
-                out.pop(word, None)
-            else:
-                out[word] = new
-            continue
-        for stepped, c in _rewrite_step(P, word, *redex):
-            work.append((stepped, coeff * c))
-    return GradedElement(out)
+    terms, den = _index_terms(P, a)
+    out: dict[IWord, int | Fraction] = {}
+    for word, coeff in terms:
+        _reduce_into(out, P, word, coeff, _ALL_DIRTY, _odd_mask(P, word))
+    return _to_element(P, out, den)
+
+
+def _times(
+    P: RingPresentation,
+    left: Iterable[tuple[IWord, int | Fraction]],
+    right: Sequence[tuple[IWord, int | Fraction]],
+    left_normal: bool,
+) -> dict[IWord, int | Fraction]:
+    """Normal form of the product of two lists of canonical index terms.
+
+    When the left words are normal words, only pairs touching a factor of
+    the right word can be redexes, and only those are scanned.
+    """
+    oddf = P._oddf
+    right = [
+        (wb, cb, _odd_mask(P, wb), _mask(wb) if left_normal else _ALL_DIRTY)
+        for wb, cb in right
+    ]
+    merged: dict[IWord, list] = {}
+    for wa, ca in left:
+        odd_a = _odd_mask(P, wa)
+        for wb, cb, odd_b, dirty in right:
+            word, sign = _merge(oddf, wb, wa, odd_a)
+            if sign:
+                # wa wb = (-1)^(odd(wa) odd(wb)) wb wa, and _merge sorted wb wa.
+                if odd_a.bit_count() * odd_b.bit_count() % 2:
+                    sign = -sign
+                slot = merged.get(word)
+                if slot is None:
+                    merged[word] = [ca * cb * sign, dirty, odd_a | odd_b]
+                else:
+                    slot[0] += ca * cb * sign
+                    slot[1] |= dirty
+    out: dict[IWord, int | Fraction] = {}
+    for word, (coeff, dirty, odd) in merged.items():
+        if coeff:
+            _reduce_into(out, P, word, coeff, dirty, odd)
+    return out
 
 
 def multiply(P: RingPresentation, a: GradedElement, b: GradedElement) -> GradedElement:
     """Product in the presented ring, returned in normal form."""
-    acc: dict[Word, Fraction] = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            m = P.canonical(wa + wb)
-            if m.sign == 0:
-                continue
-            acc[m.factors] = acc.get(m.factors, Fraction(0)) + ca * cb * m.sign
-    return normal_form(P, GradedElement(acc))
+    (left, den_a), (right, den_b) = _index_terms(P, a), _index_terms(P, b)
+    return _to_element(P, _times(P, left, right, False), den_a * den_b)
 
 
 def product(P: RingPresentation, factors: Iterable[GradedElement]) -> GradedElement:
     """Ordered product of the factors in normal form; 1 for no factors.
 
+    Each partial product is a normal form, so multiplying it by the next
+    factor only scans pairs that touch that factor or a right-hand factor.
     Stops at the first zero partial product and reads no further factor:
 
     >>> P = RingPresentation((Generator("x", 1),), ())
@@ -388,12 +600,15 @@ def product(P: RingPresentation, factors: Iterable[GradedElement]) -> GradedElem
     >>> next(factors)  # the third factor was never read
     GradedElement(terms={('x',): Fraction(1, 1)})
     """
-    result = one()
+    result: dict[IWord, int | Fraction] = {(): 1}
+    den = 1
     for f in factors:
-        result = multiply(P, result, f)
-        if is_zero(result):
+        right, den_f = _index_terms(P, f)
+        result = {w: c for w, c in _times(P, result.items(), right, True).items() if c}
+        den *= den_f
+        if not result:
             break
-    return result
+    return _to_element(P, result, den)
 
 
 def power(P: RingPresentation, a: GradedElement, k: int) -> GradedElement:
@@ -467,15 +682,19 @@ def _rule_components(P: RingPresentation) -> list[list[str]]:
 
 
 def poly_mul(a: list[int], b: list[int], max_degree: int) -> list[int]:
-    """Product of integer coefficient lists, truncated above max_degree."""
+    """Product of integer coefficient lists, truncated above max_degree.
+
+    Only the nonzero coefficients of either factor are visited: the
+    component series of the fn gate have two nonzero coefficients each.
+    """
     out = [0] * (max_degree + 1)
-    for i, ca in enumerate(a):
-        if ca == 0 or i > max_degree:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > max_degree:
-                break
-            out[i + j] += ca * cb
+    b_terms = [(j, cb) for j, cb in enumerate(b[: max_degree + 1]) if cb]
+    for i, ca in enumerate(a[: max_degree + 1]):
+        if ca:
+            for j, cb in b_terms:
+                if i + j > max_degree:
+                    break
+                out[i + j] += ca * cb
     return out
 
 
@@ -534,25 +753,27 @@ def check_confluence(P: RingPresentation) -> ConfluenceReport:
     the diamond lemma needs.  Stops after MAX_CONFLUENCE_FAILURES failures.
     """
     failures: list[tuple[Word, str]] = []
-    names = P.generator_names()
     checked = 0
-    for triple in combinations_with_replacement(names, 3):
-        m = P.canonical(triple)
-        if m.sign == 0:
+    for triple in combinations_with_replacement(range(len(P.generators)), 3):
+        word, sign = _sort_word(P._oddf, triple)
+        if sign == 0:
             continue
-        word = m.factors
-        redexes = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if (word[p], word[q]) in P.rules]
+        redexes = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if word[q] in P._rows[word[p]]]
         if len(redexes) < 2:
             continue
         checked += 1
-        results: dict[tuple, tuple[int, int]] = {}
+        results: dict[frozenset, tuple[int, int]] = {}
         for p, q in redexes:
-            stepped = _rewrite_step(P, word, p, q, P.rules[(word[p], word[q])])
-            nf = normal_form(P, element((c, w) for w, c in stepped))
-            fingerprint = tuple(sorted(nf.terms.items()))
+            nf: dict[IWord, int | Fraction] = {}
+            entry = P._rows[word[p]][word[q]]
+            for stepped, c, _, odd in _rewrite_step(P, word, _odd_mask(P, word), p, q, entry):
+                _reduce_into(nf, P, stepped, c, _ALL_DIRTY, odd)
+            fingerprint = frozenset((w, c) for w, c in nf.items() if c)
             results.setdefault(fingerprint, (p, q))
         if len(results) > 1:
-            failures.append((word, f"{len(results)} distinct normal forms from {redexes}"))
+            failures.append(
+                (P._word_names(word), f"{len(results)} distinct normal forms from {redexes}")
+            )
             if len(failures) >= MAX_CONFLUENCE_FAILURES:
                 break
     return ConfluenceReport(passed=not failures, triples_checked=checked, failures=tuple(failures))

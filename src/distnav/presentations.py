@@ -69,6 +69,7 @@ __all__ = [
     "FiberProduct",
     "fn_fiber_product",
     "fn_poincare_formula",
+    "fn_witness_length",
     "SphereBundleTower",
     "sphere_bundle_tower",
     "cpn_sphere_bundle",
@@ -187,13 +188,14 @@ class FiberProduct:
 
     def witness_length(self) -> int:
         """Number of positive-degree factors in the witness product."""
-        return _fn_witness_length(self.d, self.m, self.n, self.r)
+        return fn_witness_length(self.d, self.m, self.n, self.r)
 
     def witness_degree(self) -> int:
         return self.witness_length() * self.degree_step
 
 
-def _fn_witness_length(d: int, m: int, n: int, r: int) -> int:
+def fn_witness_length(d: int, m: int, n: int, r: int) -> int:
+    """Factor count of the fn witness product (see bounds.verify_witness_fn)."""
     return r * n + m - 1 if d % 2 == 1 else r * n + m - 2
 
 
@@ -220,7 +222,7 @@ def fn_fiber_product(d: int, m: int, n: int, r: int) -> FiberProduct:
         raise PresentationError(
             f"need d >= 2, m >= 2, n >= 1, r >= 2; got d={d}, m={m}, n={n}, r={r}"
         )
-    check_series_degree(_fn_witness_length(d, m, n, r) * (d - 1))
+    check_series_degree(fn_witness_length(d, m, n, r) * (d - 1))
     deg = d - 1
     k = m + n
 
@@ -367,10 +369,21 @@ def _parse_kv(spec: str) -> dict[str, str]:
     return out
 
 
+def _int_param(kv: dict[str, str], key: str) -> int:
+    """An integer catalog parameter; a missing or non-integer one makes the
+    name unknown (KeyError)."""
+    try:
+        return int(kv[key])
+    except ValueError:
+        raise KeyError(f"catalog parameter {key}={kv[key]!r} is not an integer") from None
+
+
 def catalog(name: str) -> RingPresentation:
     """Resolve a catalog name to a presentation.
 
-    Raises KeyError for unknown names (the CLI maps that to exit code 2).
+    Raises KeyError for unknown names, malformed ones included, and
+    ValueError (PresentationError among them) when a known family rejects
+    its parameters; the CLI maps both to exit code 2.
     """
     if name == "point":
         return point()
@@ -381,18 +394,19 @@ def catalog(name: str) -> RingPresentation:
     kind, _, spec = name.partition(":")
     if kind == "conf":
         kv = _parse_kv(spec)
-        return config_space(int(kv["d"]), int(kv["k"]))
+        return config_space(_int_param(kv, "d"), _int_param(kv, "k"))
     if kind == "fn":
         kv = _parse_kv(spec)
-        return fn_fiber_product(int(kv["d"]), int(kv["m"]), int(kv["n"]), int(kv["r"])).ring
+        d, m, n, r = (_int_param(kv, key) for key in "dmnr")
+        return fn_fiber_product(d, m, n, r).ring
     if kind == "sb":
         kv = _parse_kv(spec)
         base = catalog(kv["base"])
-        q = int(kv["q"])
+        q, r = _int_param(kv, "q"), _int_param(kv, "r")
         if q == 3 and kv["base"].startswith("cp"):
-            return cpn_sphere_bundle(int(kv["base"][2:]), int(kv["r"])).ring
+            return cpn_sphere_bundle(int(kv["base"][2:]), r).ring
         euler = zero()
-        return sphere_bundle_tower(base, euler, q, int(kv["r"])).ring
+        return sphere_bundle_tower(base, euler, q, r).ring
     raise KeyError(f"unknown presentation name {name!r}")
 
 

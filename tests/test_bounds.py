@@ -12,11 +12,14 @@ import pytest
 
 import distnav.bounds as bounds
 from distnav.bounds import (
+    MAX_WITNESS_WORK,
     CertificateError,
     RingMap,
     _cup_length_search,
+    _witness_terms,
     apply_ring_map,
     certificate_to_dict,
+    check_witness_work,
     cup_length_kernel,
     diagonal_fn,
     euler_height,
@@ -25,6 +28,7 @@ from distnav.bounds import (
     tower_diagonal,
     validate_ring_map,
     verify_witness_fn,
+    witness_work,
 )
 from distnav.gcring import (
     GradedElement,
@@ -37,6 +41,7 @@ from distnav.gcring import (
     multiply,
     normal_form,
     one,
+    product,
     subtract,
     zero,
 )
@@ -339,3 +344,48 @@ def test_cup_length_node_limit_names_the_ring(monkeypatch):
     fp = fn_fiber_product(2, 2, 1, 3)
     with pytest.raises(ValueError, match="fn:d=2,m=2,n=1,r=3"):
         cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp))
+
+
+# === witness work bound ===
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [(d, m, n, r) for d in (2, 3) for m in (2, 3, 4) for n in (1, 2, 3) for r in (2, 3)]
+    + [(4, 3, 2, 3), (5, 3, 2, 2), (2, 5, 2, 2), (3, 6, 1, 2)],
+)
+def test_witness_terms_closed_form_and_peak(cell):
+    fp = fn_fiber_product(*cell)
+    factors = verify_witness_fn(fp).factors
+    peak = max(len(product(fp.ring, factors[:k]).terms) for k in range(1, len(factors) + 1))
+    assert len(product(fp.ring, factors).terms) == _witness_terms(*cell)
+    assert peak <= max(_witness_terms(*cell), 6 * 5 ** (cell[1] - 2))
+
+
+def test_witness_work_checked_one_above_the_limit():
+    # The check reads the parameters only: no ring is built here.
+    r = 2
+    while witness_work(2, 2, 1, r + 1) <= MAX_WITNESS_WORK:
+        r += 1
+    assert r == 291
+    check_witness_work(2, 2, 1, r)
+    with pytest.raises(ValueError, match="MAX_WITNESS_WORK") as info:
+        check_witness_work(2, 2, 1, r + 1)
+    assert "d=2, m=2, n=1, r=292 has 292 factors" in str(info.value)
+    # Few factors, many base strands: the old factor-count view missed these.
+    with pytest.raises(ValueError, match="MAX_WITNESS_WORK"):
+        check_witness_work(2, 10, 1, 2)
+    with pytest.raises(ValueError, match="MAX_WITNESS_WORK"):
+        check_witness_work(3, 10, 1, 2)
+    assert witness_work(1, 2, 1, 2) == witness_work(2, 2, 0, 2) == 0
+
+
+def test_verify_witness_fn_checks_work_before_any_factor(monkeypatch):
+    monkeypatch.setattr(bounds, "MAX_WITNESS_WORK", witness_work(2, 2, 1, 3) - 1)
+
+    def no_factors(*args):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setattr(bounds, "_copy_difference", no_factors)
+    with pytest.raises(ValueError, match="d=2, m=2, n=1, r=3"):
+        verify_witness_fn(fn_fiber_product(2, 2, 1, 3))

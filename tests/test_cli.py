@@ -126,6 +126,41 @@ def test_series_degree_over_cap_exits_2(argv):
     assert "MAX_SERIES_DEGREE" in out["error"]
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        (
+            "fn:d=1,m=2,n=1,r=2",
+            "need d >= 2, m >= 2, n >= 1, r >= 2; got d=1, m=2, n=1, r=2",
+        ),
+        ("fn:d=2,m=2,n=1,r=3000", "series degree 3000 is outside 0..512 (MAX_SERIES_DEGREE)"),
+        ("nosuch", "unknown presentation 'nosuch'"),
+        ("fn:d=x,m=2,n=1,r=2", "unknown presentation 'fn:d=x,m=2,n=1,r=2'"),
+        ("fn:d=2", "unknown presentation 'fn:d=2'"),
+    ],
+    ids=["rejected-parameters", "series-cap", "unknown", "non-integer", "missing-parameter"],
+)
+def test_resolve_ring_keeps_catalog_messages(name, message):
+    # Only a name the catalog does not know reads "unknown presentation";
+    # a known family that rejects its parameters says why, still with exit 2.
+    code, out = run("ring", "normal-form", "--ring", name, "--word", "w_1_2")
+    assert code == 2
+    assert out["error"] == message
+
+
+def test_bound_fn_over_witness_work_exits_2(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("a witness product was formed")
+
+    monkeypatch.setattr("distnav.bounds.product", no_product)
+    code, out = run("bound", "fn", "--d", "2", "--m", "2", "--n", "1", "--r", "292")
+    assert code == 2
+    assert "MAX_WITNESS_WORK" in out["error"]
+    code, out = run("bound", "fn", "--d", "2", "--m", "10", "--n", "1", "--r", "2")
+    assert code == 2
+    assert "has 10 factors" in out["error"]
+
+
 def test_missing_presentation_file_exits_2(tmp_path):
     code, out = run("ring", "poincare", "--ring", str(tmp_path / "gone.json"))
     assert code == 2

@@ -6,11 +6,13 @@ checked by hand; the shipped geometric presentations get their own tests.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from distnav.bounds import verify_witness_fn
 from distnav.gcring import (
     _count_admissible,
     _rule_components,
@@ -30,7 +32,9 @@ from distnav.gcring import (
     normal_form,
     one,
     poincare_series,
+    poly_mul,
     power,
+    product,
     presentation_from_dict,
     presentation_to_dict,
     scale,
@@ -183,6 +187,213 @@ def test_arithmetic_helpers():
     assert add(a, scale(-1, a)) == zero()
     assert scale(2, b) == element([(1, ("x",))])
     assert scale(0, a) == zero()
+
+
+# === the integer-coded kernel against the leftmost-redex engine ===
+#
+# The oracle is the name-level engine the kernel replaced: insertion-sort
+# canonicalization, the leftmost redex, Fraction coefficients throughout.
+
+
+def oracle_canonical(P, factors):
+    items, sign = list(factors), 1
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and P._index[items[j - 1]] > P._index[items[j]]:
+            if P.is_odd(items[j - 1]) and P.is_odd(items[j]):
+                sign = -sign
+            items[j - 1], items[j] = items[j], items[j - 1]
+            j -= 1
+    for k in range(1, len(items)):
+        if items[k] == items[k - 1] and P.is_odd(items[k]):
+            return tuple(items), 0
+    return tuple(items), sign
+
+
+def oracle_first_redex(P, word):
+    for p in range(len(word)):
+        for q in range(p + 1, len(word)):
+            rhs = P.rules.get((word[p], word[q]))
+            if rhs is not None:
+                return p, q, rhs
+    return None
+
+
+def oracle_rewrite_step(P, word, p, q, rhs):
+    sign = 1
+    if P.is_odd(word[p]) and sum(1 for k in range(p) if P.is_odd(word[k])) % 2:
+        sign = -sign
+    if P.is_odd(word[q]) and sum(1 for k in range(q) if k != p and P.is_odd(word[k])) % 2:
+        sign = -sign
+    rest = tuple(g for k, g in enumerate(word) if k != p and k != q)
+    for rhs_word, rhs_coeff in rhs.terms.items():
+        merged, merged_sign = oracle_canonical(P, rhs_word + rest)
+        if merged_sign:
+            yield merged, rhs_coeff * sign * merged_sign
+
+
+def oracle_normal_form(P, a):
+    out = {}
+    work = []
+    for word, coeff in a.terms.items():
+        canon, sign = oracle_canonical(P, word)
+        if sign:
+            work.append((canon, coeff * sign))
+    while work:
+        word, coeff = work.pop()
+        redex = oracle_first_redex(P, word)
+        if redex is None:
+            out[word] = out.get(word, Fraction(0)) + coeff
+            continue
+        for stepped, c in oracle_rewrite_step(P, word, *redex):
+            work.append((stepped, coeff * c))
+    return GradedElement(out)
+
+
+def oracle_multiply(P, a, b):
+    acc = {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            canon, sign = oracle_canonical(P, wa + wb)
+            if sign:
+                acc[canon] = acc.get(canon, Fraction(0)) + ca * cb * sign
+    return oracle_normal_form(P, GradedElement(acc))
+
+
+def oracle_product(P, factors):
+    result = one()
+    for f in factors:
+        result = oracle_multiply(P, result, f)
+    return result
+
+
+def random_raw_element(P, rng, max_terms=3, max_length=4):
+    """Raw words: unsorted, and now and then with a repeated odd factor."""
+    names = P.generator_names()
+    odd = [g for g in names if P.is_odd(g)]
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        word = [rng.choice(names) for _ in range(rng.randint(0, max_length))]
+        if odd and rng.random() < 0.15:
+            g = rng.choice(odd)
+            word[rng.randint(0, len(word)) : 0] = [g, g]
+        coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3, 4]))
+        terms.append((coeff, tuple(word)))
+    return element(terms)
+
+
+@pytest.mark.parametrize("name", [n for n in shipped_names() if n != "point"])
+def test_kernel_matches_leftmost_redex_oracle_on_shipped_rings(name):
+    P = catalog(name)
+    rng = random.Random(f"kernel-{name}")
+    repeated_odd = 0
+    for _ in range(40):
+        a, b = random_raw_element(P, rng), random_raw_element(P, rng, max_length=2)
+        repeated_odd += any(
+            P.is_odd(g) and w.count(g) > 1 for w in a.terms for g in w
+        )
+        assert normal_form(P, a) == oracle_normal_form(P, a), a
+        assert multiply(P, a, b) == oracle_multiply(P, a, b), (a, b)
+    if any(P.is_odd(g) for g in P.generator_names()):
+        assert repeated_odd > 0
+
+
+@pytest.mark.parametrize("name", [n for n in shipped_names() if n != "point"])
+def test_product_matches_oracle_on_shipped_rings(name):
+    # The partial products are normal forms, so product scans only the pairs
+    # that touch the new factor or a right-hand factor.
+    P = catalog(name)
+    rng = random.Random(f"product-{name}")
+    for _ in range(15):
+        factors = [random_raw_element(P, rng, max_terms=2, max_length=2) for _ in range(4)]
+        assert product(P, factors) == oracle_product(P, factors), factors
+
+
+def fractional_ring():
+    """conf:d=2,k=4 with every generator rescaled by a non-integer factor,
+    loaded from JSON: an isomorphic (so confluent) ring whose straightening
+    rules have non-integer coefficients.  a*b -> sum c w becomes
+    a'*b' -> sum c (s_a s_b / s_w) w' for a' = s_a a."""
+    data = presentation_to_dict(config_space(2, 4))
+    factor = dict(
+        zip(
+            (g["id"] for g in data["generators"]),
+            (Fraction(2), Fraction(1, 3), Fraction(3, 2), Fraction(5), Fraction(2, 5), Fraction(7, 3)),
+        )
+    )
+    for rule in data["rules"]:
+        lhs_scale = factor[rule["lhs"][0]] * factor[rule["lhs"][1]]
+        for term in rule["rhs"]:
+            rhs_scale = 1
+            for g in term["monomial"]:
+                rhs_scale *= factor[g]
+            term["coeff"] = str(Fraction(term["coeff"]) * lhs_scale / rhs_scale)
+    data["name"] = "fractional"
+    return presentation_from_dict(json.loads(json.dumps(data)))
+
+
+def test_kernel_falls_back_to_fractions_on_loaded_rules():
+    P = fractional_ring()
+    assert check_confluence(P).passed
+    # The rule table keeps the non-integer coefficients as Fractions.
+    assert any(
+        isinstance(c, Fraction) for row in P._rows for entry in row.values() for _, c, _, _ in entry
+    )
+    rng = random.Random(29)
+    for _ in range(200):
+        a, b = random_raw_element(P, rng), random_raw_element(P, rng, max_length=2)
+        assert normal_form(P, a) == oracle_normal_form(P, a), a
+        assert multiply(P, a, b) == oracle_multiply(P, a, b), (a, b)
+        factors = [random_raw_element(P, rng, max_terms=2, max_length=2) for _ in range(3)]
+        assert product(P, factors) == oracle_product(P, factors), factors
+    # w_1_4 w_2_4 -> (s14 s24 / (s12 s24)) w_1_2 w_2_4 - (s14 s24 / (s12 s14)) w_1_2 w_1_4,
+    # with s12 = 2, s14 = 5 and s24 = 2/5
+    assert normal_form(P, element([(1, ("w_1_4", "w_2_4"))])) == element(
+        [(Fraction(5, 2), ("w_1_2", "w_2_4")), (Fraction(-1, 5), ("w_1_2", "w_1_4"))]
+    )
+
+
+@pytest.mark.parametrize(
+    "cell, monomial",
+    [
+        (
+            (2, 2, 1, 8),
+            ("w1_1_3", "w2_2_3", "w3_1_3", "w4_1_3", "w5_1_3", "w6_1_3", "w7_1_3", "w8_1_3"),
+        ),
+        (
+            (2, 4, 1, 6),
+            ("w_1_2", "w_1_3", "w1_1_5", "w2_4_5", "w3_1_5", "w4_1_5", "w5_1_5", "w6_1_5"),
+        ),
+    ],
+)
+def test_even_witness_product_matches_oracle(cell, monomial):
+    fp = fn_fiber_product(*cell)
+    factors = verify_witness_fn(fp).factors
+    assert len(factors) == fp.witness_length()
+    fast, slow = product(fp.ring, factors), oracle_product(fp.ring, factors)
+    assert fast == slow
+    word = min(fast.terms)
+    assert (word, fast.terms[word]) == (min(slow.terms), slow.terms[min(slow.terms)])
+    assert (word, fast.terms[word]) == (monomial, -1)
+
+
+def dense_poly_mul(a, b, max_degree):
+    """The oracle: the loop over every coefficient, zeros included."""
+    out = [0] * (max_degree + 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            if i + j <= max_degree:
+                out[i + j] += ca * cb
+    return out
+
+
+def test_sparse_poly_mul_matches_dense_loop():
+    rng = random.Random(41)
+    for _ in range(300):
+        a = [rng.choice([0, 0, 0, 1, -2, 5]) for _ in range(rng.randint(0, 12))]
+        b = [rng.choice([0, 0, 0, 1, 3, -7]) for _ in range(rng.randint(0, 12))]
+        cap = rng.randint(0, 14)
+        assert poly_mul(a, b, cap) == dense_poly_mul(a, b, cap), (a, b, cap)
 
 
 # === confluence ===
