@@ -1,12 +1,14 @@
 """Lower-bound certificates from products of diagonal-kernel classes.
 
-The comparison map sends the r-fold fiber power (or sphere-bundle tower) onto
-one fiber power by collapsing the superscripted copies: every difference of
-two copies of the same class lies in its kernel.  A nonvanishing k-fold
-product of kernel classes certifies a lower bound of k for the sectional
-invariant of the associated path fibration; this module builds the two
-certificate families shipped with the package and a generic cup-length
-search over a supplied list of kernel elements.
+The comparison map collapses the r copies of a fiber power (or the r-1
+levels of a sphere-bundle tower) onto one copy: every difference of two
+copies of the same class lies in its kernel.  That one copy already sits
+inside the ring, so each collapse is an endomorphism of the ring it
+certifies: no second ring is built.  A nonvanishing k-fold product of kernel
+classes certifies a lower bound of k for the sectional invariant of the
+associated path fibration; this module builds the two certificate families
+shipped with the package and a generic cup-length search over a supplied
+list of kernel elements.
 
 Every certificate is verified inside the exact rewrite engine: kernel
 membership is checked by applying the ring map, and nonvanishing by
@@ -35,13 +37,7 @@ from .gcring import (
     product,
     subtract,
 )
-from .presentations import (
-    FiberProduct,
-    SphereBundleTower,
-    config_space,
-    fn_witness_length,
-    sphere_bundle_tower,
-)
+from .presentations import FiberProduct, SphereBundleTower, fn_witness_length
 
 __all__ = [
     "RingMap",
@@ -63,13 +59,14 @@ __all__ = [
     "check_witness_work",
 ]
 
-# Products the cup-length search may form before it gives up.  Cells whose
-# search finishes quickly stay well under it: (2,3,1,3) forms 534 products and
-# (3,3,2,3) 60.  Even-d cells such as (2,3,2,3) never reach the degree
-# ceiling: the full search at (2,3,2,3) had not finished after 40 s, and at
-# about 1.7 ms per product there (6.5 ms before the integer-coded kernel;
-# single runs on a shared 2-core host) the limit ends it in about 2 s.
-CUP_LENGTH_NODE_LIMIT = 1000
+# Products the cup-length search may form before it gives up, chosen from the
+# counts the even-d searches need to answer: 935 at (2,2,3,2), 1995 at
+# (2,2,1,4) (0.3 s), 2644 at (2,4,1,3) (3.1 s), then 6490 at (2,3,3,2) (26 s)
+# and 12884 at (2,5,1,3) (68 s).  Odd d stops at the degree ceiling at once.
+# A product costs more as the ring grows, so giving up takes 0.5 s at
+# (2,2,1,5), 7.1 s at (2,3,2,3) and 13.5 s at (2,5,1,3) (single runs on a
+# shared 2-core host).
+CUP_LENGTH_NODE_LIMIT = 3000
 
 
 # Work estimate (witness_work) above which the fn witness is refused, checked
@@ -88,15 +85,14 @@ class CertificateError(RuntimeError):
 
 @dataclass(frozen=True)
 class RingMap:
-    """A ring homomorphism given on generators; monomials map multiplicatively."""
+    """A ring endomorphism given on generators; monomials map multiplicatively."""
 
-    source: RingPresentation
-    target: RingPresentation
+    ring: RingPresentation
     images: Mapping[str, GradedElement]
 
 
 def apply_ring_map(f: RingMap, a: GradedElement) -> GradedElement:
-    """Image of ``a``, in normal form in the target ring.
+    """Image of ``a``, in normal form.
 
     Each term's image is a product of normal forms, so it is one itself;
     their sum needs a single normal form at the end, which merges equal
@@ -104,45 +100,45 @@ def apply_ring_map(f: RingMap, a: GradedElement) -> GradedElement:
     """
     total: dict[Word, Fraction] = {}
     for word, coeff in a.terms.items():
-        for w, c in product(f.target, (f.images[g] for g in word)).terms.items():
+        for w, c in product(f.ring, (f.images[g] for g in word)).terms.items():
             total[w] = total.get(w, Fraction(0)) + coeff * c
-    return normal_form(f.target, GradedElement(total))
+    return normal_form(f.ring, GradedElement(total))
 
 
 def validate_ring_map(f: RingMap) -> None:
-    """Check that f kills every defining relation of the source.
+    """Check that f kills every defining relation of the ring.
 
-    For each rule lhs -> rhs the images of both sides must agree in the
-    target; otherwise f is not a ring map and certificates built from it
-    would be meaningless.
+    For each rule lhs -> rhs the images of both sides must agree; otherwise
+    f is not a ring map and certificates built from it would be meaningless.
     """
-    for name in f.source.generator_names():
+    for name in f.ring.generator_names():
         if name not in f.images:
             raise PresentationError(f"ring map misses generator {name!r}")
-        img_deg = element_degree(f.target, f.images[name])
-        if img_deg is not None and img_deg != f.source.degree(name):
+        img_deg = element_degree(f.ring, f.images[name])
+        if img_deg is not None and img_deg != f.ring.degree(name):
             raise PresentationError(
                 f"ring map image of {name!r} has degree {img_deg}, "
-                f"expected {f.source.degree(name)}"
+                f"expected {f.ring.degree(name)}"
             )
-    for (a, b), rhs in f.source.rules.items():
-        lhs_img = multiply(f.target, f.images[a], f.images[b])
+    for (a, b), rhs in f.ring.rules.items():
+        lhs_img = multiply(f.ring, f.images[a], f.images[b])
         rhs_img = apply_ring_map(f, rhs)
         if lhs_img != rhs_img:
             raise PresentationError(f"ring map does not respect the rule on ({a}, {b})")
 
 
 def diagonal_fn(fp: FiberProduct) -> RingMap:
-    """Collapse map of the fiber power: every copy w{l}_i_j goes to w_i_j.
+    """Collapse map of the fiber power: every copy w{l}_i_j goes to w1_i_j.
 
-    The target is the configuration-space ring on m+n points.
+    Base and copy-1 classes obey exactly the rules of the configuration
+    space on m+n points, so they span a copy of that ring inside fp.ring,
+    and the kernel is the kernel of the collapse onto it.
     """
-    target = config_space(fp.d, fp.m + fp.n)
     images: dict[str, GradedElement] = {}
     for name in fp.ring.generator_names():
-        head, i, j = name.split("_")
-        images[name] = gen(f"w_{i}_{j}")
-    f = RingMap(fp.ring, target, images)
+        _, i, j = name.split("_")
+        images[name] = gen(fp.w(1, int(i), int(j)))
+    f = RingMap(fp.ring, images)
     validate_ring_map(f)
     return f
 
@@ -150,15 +146,14 @@ def diagonal_fn(fp: FiberProduct) -> RingMap:
 def tower_diagonal(tower: SphereBundleTower) -> RingMap:
     """Collapse map of the tower: u_i goes to the section Euler class.
 
-    The target is the single-level tower (base plus u); base classes and u
-    map identically.
+    Base classes and u map identically.  By Leray-Hirsch the tower is free
+    over its one-level subring (base plus u), so this collapse onto it has
+    the kernel of the collapse onto the single-level tower.
     """
-    target = sphere_bundle_tower(tower.base, tower.euler_class, tower.q, 1).ring
-    images: dict[str, GradedElement] = {name: gen(name) for name in tower.base.generator_names()}
-    images["u"] = gen("u")
+    images = {name: gen(name) for name in tower.ring.generator_names()}
     for name in tower.u_names:
         images[name] = tower.section_euler
-    f = RingMap(tower.ring, target, images)
+    f = RingMap(tower.ring, images)
     validate_ring_map(f)
     return f
 
@@ -205,16 +200,15 @@ def _check_in_kernel(collapse: RingMap, elements: Sequence[GradedElement]) -> No
     for idx, e in enumerate(elements):
         if not is_zero(apply_ring_map(collapse, e)):
             raise CertificateError(
-                f"{collapse.source.name}: element {idx} does not lie in the collapse kernel"
+                f"{collapse.ring.name}: element {idx} does not lie in the collapse kernel"
             )
 
 
 def _kernel_product_certificate(
-    ring: RingPresentation,
-    collapse: RingMap,
-    factors: Sequence[GradedElement],
-    provenance: str,
+    collapse: RingMap, factors: Sequence[GradedElement], provenance: str
 ) -> NonzeroCertificate:
+    """Certificate for the product of the factors, in the collapse's ring."""
+    ring = collapse.ring
     _check_in_kernel(collapse, factors)
     witness = product(ring, factors)
     if is_zero(witness):
@@ -304,7 +298,7 @@ def verify_witness_fn(fp: FiberProduct) -> NonzeroCertificate:
                 factors.append(_copy_difference(fp, l, 1, 1, j))
     assert len(factors) == fp.witness_length()
     return _kernel_product_certificate(
-        fp.ring, diagonal_fn(fp), factors, provenance="fiber-product-diagonal-kernel-witness"
+        diagonal_fn(fp), factors, provenance="fiber-product-diagonal-kernel-witness"
     )
 
 
@@ -360,7 +354,7 @@ def sphere_bundle_lower_bound(
         f = subtract(gen(f"u{i}"), tower.pullback_section_euler(i))
         factors.extend([f] * (b + 1))
     return _kernel_product_certificate(
-        tower.ring, tower_diagonal(tower), factors, provenance="sphere-bundle-tower-witness"
+        tower_diagonal(tower), factors, provenance="sphere-bundle-tower-witness"
     )
 
 

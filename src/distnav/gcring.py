@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Generator",
@@ -801,24 +801,62 @@ def presentation_to_dict(P: RingPresentation) -> dict:
     }
 
 
+def _require(ok: bool, message: str) -> None:
+    """Raise ValueError, a malformed request (CLI exit 2), unless ok."""
+    if not ok:
+        raise ValueError(message)
+
+
+def _json_list(value: Any, item: type, what: str) -> list:
+    kind = "objects" if item is dict else "generator names"
+    _require(
+        isinstance(value, list) and all(isinstance(v, item) for v in value),
+        f"{what} must be a list of {kind}",
+    )
+    return value
+
+
+def _json_coefficient(value: Any) -> Fraction:
+    """A JSON number or "p/q" string as a Fraction; bools and the rest raise."""
+    try:
+        if type(value) in (int, float, str):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"coefficient {value!r} is not a finite rational")
+
+
 def presentation_from_dict(data: Mapping) -> RingPresentation:
-    """Inverse of presentation_to_dict.  Only the Koszul sign rule exists, so
-    any other ``parity`` raises PresentationError."""
+    """Inverse of presentation_to_dict.
+
+    A document not in the shape it writes raises ValueError, and a missing
+    key KeyError.  Only the Koszul sign rule exists, so any other ``parity``
+    raises PresentationError.
+    """
+    _require(isinstance(data, Mapping), "a presentation must be a JSON object")
     parity = data.get("parity", "koszul")
     if parity != "koszul":
         raise PresentationError(f"unsupported parity {parity!r}: only 'koszul' is implemented")
-    gens = [
-        Generator(g["id"], int(g["degree"]), int(g.get("rank", 0)))
-        for g in data["generators"]
-    ]
-    rules = [
-        RewriteRule(
-            (r["lhs"][0], r["lhs"][1]),
-            element([(Fraction(t["coeff"]), tuple(t["monomial"])) for t in r["rhs"]]),
+    name = data.get("name", "")
+    _require(isinstance(name, str), f"presentation name must be a string, got {name!r}")
+    gens = []
+    for g in _json_list(data["generators"], dict, '"generators"'):
+        gid, degree, rank = g["id"], g["degree"], g.get("rank", 0)
+        _require(
+            isinstance(gid, str) and type(degree) is int and type(rank) is int,
+            f"generator {g} needs a string id and an integer degree and rank",
         )
-        for r in data.get("rules", [])
-    ]
-    return RingPresentation(gens, rules, name=data.get("name", ""))
+        gens.append(Generator(gid, degree, rank))
+    rules = []
+    for r in _json_list(data.get("rules", []), dict, '"rules"'):
+        lhs = tuple(_json_list(r["lhs"], str, "a rule lhs"))
+        _require(len(lhs) == 2, f"a rule lhs must name two generators, got {r['lhs']!r}")
+        terms = [
+            (_json_coefficient(t["coeff"]), tuple(_json_list(t["monomial"], str, "a monomial")))
+            for t in _json_list(r["rhs"], dict, f"the rhs of rule {r['lhs']!r}")
+        ]
+        rules.append(RewriteRule(lhs, element(terms)))
+    return RingPresentation(gens, rules, name=name)
 
 
 def load_presentation_json(path: str) -> RingPresentation:

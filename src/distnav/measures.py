@@ -4,7 +4,9 @@ Measures are formal convex combinations of points of an arbitrary metric
 space; points may be numbers, coordinate tuples, numpy arrays, or path
 objects.  Weights are either exact rationals (mode "exact") or floats (mode
 "float"); construction merges duplicate points and rejects nonprobability
-weights.
+weights, and bools, which Python counts as ints, as weights.  In JSON a
+measure is a list of {point, weight} records: a point is a number or a list
+of numbers, and a weight a number or a "p/q" string, which stays exact.
 
 The Levy-Prokhorov distance
 
@@ -36,7 +38,6 @@ __all__ = [
     "MetricSpace",
     "FiniteMeasure",
     "lp_distance",
-    "pushforward",
     "product_measure",
     "measure_to_jsonable",
     "measure_from_jsonable",
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 MAX_SUPPORT = 12
-MERGE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,13 @@ def _chord(p, q):
     return np.sqrt(np.add.reduce(d * d, -1))
 
 
-def euclidean_metric(name: str = "euclidean") -> MetricSpace:
+def euclidean_metric() -> MetricSpace:
     """The chord metric; its distance broadcasts over leading axes.
 
     >>> euclidean_metric().distance([[0.0, 0.0], [1.0, 1.0]], [3.0, 4.0]).tolist()
     [5.0, 3.605551275463989]
     """
-    return MetricSpace(distance=_chord, name=name)
+    return MetricSpace(distance=_chord, name="euclidean")
 
 
 def _point_key(point: Any):
@@ -117,7 +117,7 @@ class FiniteMeasure:
                 exact = False
                 if not math.isfinite(weight):
                     raise ValueError(f"weight {weight} at {point!r} is not finite")
-            elif not isinstance(weight, (int, Fraction)):
+            elif isinstance(weight, bool) or not isinstance(weight, (int, Fraction)):
                 raise TypeError(f"weight {weight!r} is neither rational nor float")
             if not _is_finite_point(point):
                 raise ValueError(f"point {point!r} has a non-finite coordinate")
@@ -165,32 +165,6 @@ class FiniteMeasure:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FiniteMeasure({len(self.atoms)} atoms, mode={self.mode})"
-
-
-def pushforward(
-    f: Callable[[Any], Any],
-    mu: FiniteMeasure,
-    space: MetricSpace | None = None,
-) -> FiniteMeasure:
-    """Image measure; colliding image points are merged.
-
-    With a metric, images within 1e-12 of an earlier image collapse onto it
-    (greedy, in atom order); without one, only literal duplicates merge.
-    """
-    if space is None:
-        return FiniteMeasure([(f(p), w) for p, w in mu.atoms], mode=mu.mode)
-    reps: list[Any] = []
-    merged: list[tuple[Any, Any]] = []
-    for p, w in mu.atoms:
-        q = f(p)
-        for k, rep in enumerate(reps):
-            if space.distance(rep, q) <= MERGE_TOLERANCE:
-                merged[k] = (rep, merged[k][1] + w)
-                break
-        else:
-            reps.append(q)
-            merged.append((q, w))
-    return FiniteMeasure(merged, mode=mu.mode)
 
 
 def product_measure(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
@@ -316,15 +290,38 @@ def measure_to_jsonable(mu: FiniteMeasure) -> list[dict]:
     return [{"point": to_jsonable(p), "weight": to_jsonable(w)} for p, w in mu.atoms]
 
 
+def _json_number(value: Any) -> float:
+    """A JSON number as a float; anything else, bool included, raises ValueError."""
+    try:
+        if type(value) in (int, float):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"a point is a number or a list of numbers, got {value!r}")
+
+
+def _json_weight(value: Any) -> int | float | Fraction:
+    """A JSON number as it is, or a "p/q" string as an exact Fraction."""
+    try:
+        if type(value) in (int, float):
+            return value
+        if type(value) is str:
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f'weight {value!r} is not a number or a "p/q" string with q != 0')
+
+
 def measure_from_jsonable(data: Sequence[dict]) -> FiniteMeasure:
-    """Parse [{point, weight}] records; "p/q" strings give exact weights."""
+    """Parse [{point, weight}] records.
+
+    A point is a number or a list of numbers; a weight is a number or a
+    "p/q" string, which gives an exact weight.  Anything else raises
+    ValueError.
+    """
     atoms: list[tuple[Any, Any]] = []
     for entry in data:
         point = entry["point"]
-        if isinstance(point, list):
-            point = tuple(float(x) for x in point)
-        weight = entry["weight"]
-        if isinstance(weight, str):
-            weight = Fraction(weight)
-        atoms.append((point, weight))
+        point = tuple(map(_json_number, point)) if isinstance(point, list) else _json_number(point)
+        atoms.append((point, _json_weight(entry["weight"])))
     return FiniteMeasure(atoms)

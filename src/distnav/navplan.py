@@ -18,6 +18,11 @@ v_k its quarter turn), and a Hopf plan is a circle plan mapped into the
 ``ArcPath.sample`` evaluates a path at a whole array of times at once, so
 the path metric and the checkpoint verifier evaluate each path once, in
 numpy, instead of once per time.
+
+Plans are compared in three metrics: the chord metric of the ambient space
+on sphere points (``sphere_metric``), its minimum over the two signs on
+lines (``projective_metric``), and the sup over a uniform time grid of
+either on paths (``path_metric``).
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .measures import FiniteMeasure, MetricSpace, euclidean_metric, lp_distance,
 __all__ = [
     "ProjectivePoint",
     "ArcPath",
-    "SuffixReparametrizedPath",
     "PathPlan",
     "projective_metric",
     "sphere_metric",
@@ -42,7 +46,6 @@ __all__ = [
     "rpn_navigate",
     "circle_navigate",
     "hopf_parametrized_navigate",
-    "reparametrize_suffix",
     "check_equivariance",
     "check_lp_continuity",
     "quat_mul",
@@ -157,32 +160,15 @@ class ArcPath:
         return ArcPath(_rows(np.asarray(self.u) @ m.T), _rows(np.asarray(self.v) @ m.T), self.angles)
 
 
-@dataclass(frozen=True)
-class SuffixReparametrizedPath:
-    """Stage j of the deformation freezing a plan's tail.
-
-    Precomposes with t -> (t(r-j) + j-1)/(r-1): stage 1 is the path itself,
-    stage r is constant at the endpoint.
-    """
-
-    base: Any
-    j: int
-    r: int
-
-    def __call__(self, t: float) -> np.ndarray:
-        s = (t * (self.r - self.j) + self.j - 1) / (self.r - 1)
-        return self.base(s)
-
-
 # -- metrics ---------------------------------------------------------------------
 
 
-def sphere_metric(name: str = "sphere-chord") -> MetricSpace:
+def sphere_metric() -> MetricSpace:
     """The chord metric of the ambient space, under another name."""
-    return euclidean_metric(name)
+    return MetricSpace(distance=euclidean_metric().distance, name="sphere-chord")
 
 
-def projective_metric(name: str = "projective-chord") -> MetricSpace:
+def projective_metric() -> MetricSpace:
     """min(|a-b|, |a+b|) over unit representatives: metric on lines.
 
     Like the chord metric it broadcasts over leading axes.
@@ -192,7 +178,7 @@ def projective_metric(name: str = "projective-chord") -> MetricSpace:
     def dist(p, q):
         return np.minimum(chord(p, q), chord(p, np.negative(q)))
 
-    return MetricSpace(distance=dist, name=name)
+    return MetricSpace(distance=dist, name="projective-chord")
 
 
 def _grid_times(count: int) -> np.ndarray:
@@ -404,18 +390,6 @@ def hopf_parametrized_navigate(r: int, points: Sequence) -> PathPlan:
     atoms = [(path.mapped(translate), w) for path, w in circle_plan.measure.atoms]
     checkpoints = tuple(tuple(q.tolist()) for q in quats)
     return PathPlan(FiniteMeasure(atoms, mode="float"), checkpoints)
-
-
-# -- deformation --------------------------------------------------------------------
-
-
-def reparametrize_suffix(path, j: int, r: int):
-    """Stage j in the tail-freezing homotopy of an r-checkpoint path."""
-    if r < 2:
-        raise ValueError("r must be at least 2")
-    if not 1 <= j <= r:
-        raise ValueError(f"stage {j} outside 1..{r}")
-    return SuffixReparametrizedPath(path, j, r)
 
 
 # -- verifiers ----------------------------------------------------------------------

@@ -182,16 +182,12 @@ class FiberProduct:
             return _w(i, j)
         return _w(i, j, l)
 
-    @property
-    def degree_step(self) -> int:
-        return self.d - 1
-
     def witness_length(self) -> int:
         """Number of positive-degree factors in the witness product."""
         return fn_witness_length(self.d, self.m, self.n, self.r)
 
     def witness_degree(self) -> int:
-        return self.witness_length() * self.degree_step
+        return self.witness_length() * (self.d - 1)
 
 
 def fn_witness_length(d: int, m: int, n: int, r: int) -> int:
@@ -264,8 +260,6 @@ class SphereBundleTower:
     """Iterated sphere-bundle tower ring with its distinguished elements."""
 
     ring: RingPresentation
-    base: RingPresentation
-    euler_class: GradedElement  # e_eta, degree q-1, in base generators
     section_euler: GradedElement  # e = e(xi..), degree q-1, in base + u
     q: int
     r: int
@@ -287,7 +281,6 @@ def sphere_bundle_tower(
     euler_class: GradedElement,
     q: int,
     r: int,
-    name: str = "",
 ) -> SphereBundleTower:
     """Adjoin u with u^2 = e_eta*u, then u1..u{r-1} with u_i^2 = e*u_i.
 
@@ -300,8 +293,7 @@ def sphere_bundle_tower(
     MAX_SERIES_DEGREE.
     """
     if q < 2 or r < 1:
-        # r = 1 is the degenerate single-level tower (just u); it serves as
-        # the target of the tower diagonal map.
+        # r = 1 is the degenerate single-level tower (just u).
         raise PresentationError(f"need q >= 2 and r >= 1, got q={q}, r={r}")
     step = q - 1
     top = sum(g.degree for g in base.generators) + step * r
@@ -329,12 +321,8 @@ def sphere_bundle_tower(
         # implicitly, and the section Euler class is rationally zero.
         section = zero()
 
-    ring = RingPresentation(
-        gens, rules, name=name or f"sb:base={base.name},q={q},r={r}"
-    )
-    tower = SphereBundleTower(
-        ring=ring, base=base, euler_class=euler_class, section_euler=section, q=q, r=r
-    )
+    ring = RingPresentation(gens, rules, name=f"sb:base={base.name},q={q},r={r}")
+    tower = SphereBundleTower(ring=ring, section_euler=section, q=q, r=r)
 
     # Leray-Hirsch gate: adjoining each sphere class doubles the dimensions.
     expected = poly_mul(poincare_series(base, top), _binomial_product(step, [1] * r, top), top)
@@ -353,7 +341,7 @@ def cpn_sphere_bundle(n: int, r: int) -> SphereBundleTower:
     construction: e_eta is the hyperplane class, fiber is a 2-sphere (q = 3).
     """
     base = complex_projective(n)
-    return sphere_bundle_tower(base, gen("a1"), q=3, r=r, name=f"sb:base=cp{n},q=3,r={r}")
+    return sphere_bundle_tower(base, gen("a1"), q=3, r=r)
 
 
 # -- named catalog ------------------------------------------------------------------

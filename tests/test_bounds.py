@@ -74,7 +74,7 @@ def test_ring_map_is_multiplicative():
     a = gen("w1_1_3")
     b = gen("w1_2_3")
     left = apply_ring_map(f, multiply(fp.ring, a, b))
-    right = multiply(f.target, apply_ring_map(f, a), apply_ring_map(f, b))
+    right = multiply(f.ring, apply_ring_map(f, a), apply_ring_map(f, b))
     assert left == right
 
 
@@ -84,10 +84,10 @@ def apply_ring_map_per_term(f, a):
     for word, coeff in a.terms.items():
         term = GradedElement({(): Fraction(coeff)})
         for g in word:
-            term = multiply(f.target, term, f.images[g])
+            term = multiply(f.ring, term, f.images[g])
             if is_zero(term):
                 break
-        total = normal_form(f.target, add(total, term))
+        total = normal_form(f.ring, add(total, term))
     return total
 
 
@@ -112,7 +112,7 @@ def test_apply_ring_map_matches_per_term_normal_forms():
     maps = shipped_diagonals()
     assert len(maps) == 7
     for f in maps:
-        gens = list(f.source.generator_names())
+        gens = list(f.ring.generator_names())
         for _ in range(40):
             terms = [
                 (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
@@ -129,19 +129,38 @@ def test_apply_ring_map_matches_per_term_normal_forms():
 
 
 def test_validate_ring_map_catches_degree_mismatch():
-    src = config_space(2, 3)
-    tgt = config_space(3, 3)
-    images = {name: gen(name) for name in src.generator_names()}
-    bad = RingMap(src, tgt, images)  # degree 1 classes sent to degree 2
+    ring = config_space(2, 3)
+    images = {name: gen(name) for name in ring.generator_names()}
+    images["w_1_2"] = multiply(ring, gen("w_1_2"), gen("w_2_3"))  # degree 1 sent to 2
     with pytest.raises(PresentationError):
-        validate_ring_map(bad)
+        validate_ring_map(RingMap(ring, images))
+
+
+def test_validate_ring_map_catches_a_broken_rule():
+    ring = config_space(2, 3)
+    images = {name: gen(name) for name in ring.generator_names()}
+    images["w_1_2"] = zero()  # kills the rhs of w_1_3 w_2_3 -> w_1_2 (w_2_3 - w_1_3)
+    with pytest.raises(PresentationError, match="does not respect"):
+        validate_ring_map(RingMap(ring, images))
 
 
 def test_validate_ring_map_requires_all_generators():
-    src = config_space(2, 3)
+    ring = config_space(2, 3)
     images = {"w_1_2": gen("w_1_2")}
     with pytest.raises(PresentationError):
-        validate_ring_map(RingMap(src, src, images))
+        validate_ring_map(RingMap(ring, images))
+
+
+def test_collapse_maps_stay_in_their_ring():
+    fp = fn_fiber_product(2, 3, 2, 3)
+    f = diagonal_fn(fp)
+    assert f.ring is fp.ring
+    assert f.images["w3_2_5"] == gen("w1_2_5")
+    assert f.images["w_1_3"] == gen("w_1_3")
+    tower = cpn_sphere_bundle(2, 3)
+    g = tower_diagonal(tower)
+    assert g.ring is tower.ring
+    assert g.images["u2"] == tower.section_euler and g.images["u"] == gen("u")
 
 
 # === fiber-product witnesses ===
@@ -336,6 +355,12 @@ def test_cup_length_reaches_degree_ceiling_on_odd_cell():
     # The unpruned search runs for minutes here; the ceiling exit stops it.
     fp = fn_fiber_product(3, 3, 2, 3)
     assert cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp)) == 8
+
+
+def test_cup_length_answers_within_the_node_limit():
+    # (2,2,1,4) needs 1995 products: over the old limit of 1000, it exited 2.
+    fp = fn_fiber_product(2, 2, 1, 4)
+    assert cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp)) == 4
 
 
 def test_cup_length_node_limit_names_the_ring(monkeypatch):

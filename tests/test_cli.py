@@ -166,6 +166,45 @@ def test_missing_presentation_file_exits_2(tmp_path):
     assert code == 2
 
 
+ONE_GENERATOR = [{"id": "x", "degree": 2}]
+
+# Malformed presentation files: before the loader checked the document's
+# shape, the string monomial and the bool degree were misread and the others
+# printed a traceback.
+MALFORMED_PRESENTATIONS = {
+    "list": ([{"generators": ONE_GENERATOR}], "must be a JSON object"),
+    "generators-object": ({"generators": {"x": 2}}, '"generators" must be a list of objects'),
+    "generators-ints": ({"generators": [1, 2]}, '"generators" must be a list of objects'),
+    "rules-string": ({"generators": ONE_GENERATOR, "rules": "xx"}, '"rules" must be a list of objects'),
+    "lhs-one-name": (
+        {"generators": ONE_GENERATOR, "rules": [{"lhs": ["x"], "rhs": []}]},
+        "must name two generators",
+    ),
+    "monomial-string": (
+        {
+            "generators": [{"id": "a", "degree": 1}, {"id": "b", "degree": 1}],
+            "rules": [{"lhs": ["a", "b"], "rhs": [{"coeff": "1", "monomial": "ab"}]}],
+        },
+        "a monomial must be a list of generator names",
+    ),
+    "degree-bool": ({"generators": [{"id": "x", "degree": True}]}, "an integer degree and rank"),
+    "coeff-zero-denominator": (
+        {"generators": ONE_GENERATOR, "rules": [{"lhs": ["x", "x"], "rhs": [{"coeff": "1/0", "monomial": []}]}]},
+        "not a finite rational",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PRESENTATIONS))
+def test_malformed_presentation_file_exits_2(case, tmp_path):
+    data, message = MALFORMED_PRESENTATIONS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    code, out = run("ring", "poincare", "--ring", str(path))
+    assert code == 2
+    assert message in out["error"]
+
+
 # === bound group ===
 
 
@@ -420,6 +459,36 @@ def test_measure_lp_rejects_bad_precision(tmp_path, precision):
     code, out = run("measure", "lp", "--mu", point, "--nu", point, "--precision", precision)
     assert code == 2
     assert "precision" in out["error"]
+
+
+# Malformed measure files: strings and objects as points died inside numpy,
+# "1/0" raised ZeroDivisionError, and a true weight was read as exact 1.
+MALFORMED_MEASURES = {
+    "point-string": ({"point": "ab", "weight": 1}, "a point is a number or a list of numbers"),
+    "point-object": ({"point": {"x": 1.0}, "weight": 1}, "a point is a number or a list of numbers"),
+    "coordinate-bool": ({"point": [True, 0.0], "weight": 1}, "a point is a number or a list of numbers"),
+    "weight-zero-denominator": ({"point": [0.0], "weight": "1/0"}, 'not a number or a "p/q" string'),
+    "weight-bool": ({"point": [0.0], "weight": True}, 'not a number or a "p/q" string'),
+    "weight-list": ({"point": [0.0], "weight": [1]}, 'not a number or a "p/q" string'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MEASURES))
+def test_malformed_measure_file_exits_2(case, tmp_path):
+    record, message = MALFORMED_MEASURES[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([record]))
+    good = write_measure(tmp_path / "good.json", [([0.0], 1)])
+    code, out = run("measure", "lp", "--mu", str(bad), "--nu", good)
+    assert code == 2
+    assert message in out["error"]
+
+
+def test_measure_file_numbers_as_points(tmp_path):
+    mu = write_measure(tmp_path / "mu.json", [(0.5, 1)])
+    nu = write_measure(tmp_path / "nu.json", [(0.5, "1/2"), (1, 0.5)])
+    code, out = run("measure", "lp", "--mu", mu, "--nu", nu)
+    assert code == 0 and out["distance"] == 0.5
 
 
 def test_measure_errors(tmp_path):

@@ -26,7 +26,6 @@ from distnav.measures import (
     measure_from_jsonable,
     measure_to_jsonable,
     product_measure,
-    pushforward,
     to_jsonable,
 )
 from distnav.navplan import ProjectivePoint
@@ -148,6 +147,8 @@ def test_bad_weights_rejected():
         FiniteMeasure([("a", 0.5), ("b", 0.5)], mode="rational")
     with pytest.raises(TypeError):
         FiniteMeasure([("a", "0.5")])
+    with pytest.raises(TypeError):  # bool is an int, but not a weight
+        FiniteMeasure([("a", True)])
 
 
 def test_non_finite_weights_and_points_rejected():
@@ -298,46 +299,6 @@ def test_metric_axioms():
         d_mr = lp_distance(mu, rho, SPACE)
         d_nr = lp_distance(nu, rho, SPACE)
         assert d_mr <= d_mn + d_nr + 3e-6
-
-
-# === pushforward ===
-
-
-def test_pushforward_identity():
-    mu = random_measure(random.Random(3), max_atoms=3)
-    out = pushforward(lambda p: p, mu, SPACE)
-    assert len(out) == len(mu)
-    assert out.mode == "exact"
-    assert out.total_mass() == 1
-
-
-def test_pushforward_constant_collapses():
-    mu = random_measure(random.Random(4), max_atoms=3)
-    out = pushforward(lambda p: np.zeros(2), mu, SPACE)
-    assert len(out) == 1
-    assert out.weights() == [Fraction(1)]
-
-
-def test_pushforward_merges_near_collisions():
-    mu = FiniteMeasure(
-        [
-            (np.array([0.0, 0.0]), Fraction(1, 2)),
-            (np.array([1e-13, 0.0]), Fraction(1, 4)),
-            (np.array([5.0, 0.0]), Fraction(1, 4)),
-        ]
-    )
-    out = pushforward(lambda p: p, mu, SPACE)
-    assert len(out) == 2
-    assert sorted(out.weights()) == [Fraction(1, 4), Fraction(3, 4)]
-    # without a metric only literal duplicates merge
-    assert len(pushforward(tuple, mu)) == 3
-
-
-def test_pushforward_float_mass():
-    mu = FiniteMeasure([(np.array([float(i), 0.0]), 0.2) for i in range(5)])
-    out = pushforward(lambda p: p * 2.0, mu, SPACE)
-    assert out.mode == "float"
-    assert abs(out.total_mass() - 1.0) <= 1e-12
 
 
 # === products ===

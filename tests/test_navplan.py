@@ -24,7 +24,6 @@ from distnav.navplan import (
     projective_metric,
     quat_conj,
     quat_mul,
-    reparametrize_suffix,
     rpn_navigate,
     sphere_metric,
 )
@@ -310,48 +309,6 @@ def test_hopf_three_checkpoints():
     plan = hopf_parametrized_navigate(3, pts)
     assert len(plan.measure) <= 4
     assert plan_checkpoint_deviation(plan, sphere_metric()) <= 1e-9
-
-
-# === deformation ===
-
-
-def test_suffix_stage_one_is_identity():
-    base = lambda t: np.array([t])
-    stage = reparametrize_suffix(base, 1, 3)
-    for t in (0.0, 0.3, 1.0):
-        assert stage(t)[0] == pytest.approx(t, abs=1e-15)
-
-
-def test_suffix_last_stage_is_constant():
-    base = lambda t: np.array([t])
-    stage = reparametrize_suffix(base, 3, 3)
-    for t in (0.0, 0.5, 1.0):
-        assert stage(t)[0] == 1.0
-
-
-def test_suffix_middle_stage():
-    base = lambda t: np.array([t])
-    stage = reparametrize_suffix(base, 2, 3)
-    for t in (0.0, 0.4, 1.0):
-        assert stage(t)[0] == pytest.approx((t + 1) / 2, abs=1e-15)
-
-
-def test_suffix_endpoint_pinned_every_stage():
-    base = lambda t: np.array([math.cos(t), math.sin(t)])
-    for r in (2, 3, 5):
-        for j in range(1, r + 1):
-            stage = reparametrize_suffix(base, j, r)
-            assert np.allclose(stage(1.0), base(1.0))
-
-
-def test_suffix_stage_range_errors():
-    base = lambda t: np.array([t])
-    with pytest.raises(ValueError):
-        reparametrize_suffix(base, 0, 3)
-    with pytest.raises(ValueError):
-        reparametrize_suffix(base, 4, 3)
-    with pytest.raises(ValueError):
-        reparametrize_suffix(base, 1, 1)
 
 
 # === verifiers ===
