@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -72,6 +73,8 @@ from .presentations import catalog, cpn_sphere_bundle, fn_fiber_product
 
 SCHEMA_VERSION = 2
 ENV_PRESENTATIONS = "DISTNAV_PRESENTATIONS"
+# Trace samples per path of nav rpn, circle and hopf.
+MAX_GRID = 1024
 
 
 class ArgumentProblem(ValueError):
@@ -121,15 +124,24 @@ def _parse_points(text: str) -> list[np.ndarray]:
     return [_parse_vector(chunk) for chunk in text.split(";") if chunk]
 
 
-def _grid_count(text: str) -> int:
-    """argparse type of --grid: an integer of at least 2 (both endpoints)."""
-    try:
-        grid = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"grid {text!r} is not an integer") from None
-    if grid < 2:
-        raise argparse.ArgumentTypeError(f"grid must be at least 2, got {grid}")
-    return grid
+def _flag(name: str, cast, low, high=math.inf):
+    """argparse type of a flag: cast(text), finite and in [low, high]."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} {text!r} is not of type {cast.__name__}") from None
+        if not low <= value <= high or value == math.inf:  # NaN fails the comparison
+            cap = f" and at most {high}" if high < math.inf else ""
+            raise argparse.ArgumentTypeError(f"{name} must be at least {low}{cap}, and finite; got {text}")
+        return value
+
+    return parse
+
+
+# --grid keeps both endpoints, so it takes at least 2 samples.
+_grid_count = _flag("grid", int, 2, MAX_GRID)
 
 
 def _parse_word(text: str) -> tuple[str, ...]:
@@ -188,6 +200,8 @@ def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(a)
     q = q @ np.diag(np.sign(np.diag(r)))
     if np.linalg.det(q) < 0:
+        if n == 1:  # one column: no swap, the only rotation is [[1]]
+            return -q
         q[:, [0, 1]] = q[:, [1, 0]]
     return q
 
@@ -353,55 +367,37 @@ def _cmd_nav_rpn(args) -> tuple[dict, list[str], int]:
     return _plan_payload(plan, grid=args.grid), ["projective-equivariant-planner"], 0
 
 
-def _cmd_nav_circle(args) -> tuple[dict, list[str], int]:
+def _cmd_nav_sequential(args) -> tuple[dict, list[str], int]:
+    """nav circle and nav hopf: ``args.planner`` through the checkpoints."""
     points = _parse_points(args.points)
     r = args.r if args.r is not None else len(points)
-    plan = circle_navigate(r, points)
+    plan = args.planner(r, points)
     return _plan_payload(plan, grid=args.grid), ["circle-fiber-value"], 0
 
 
-def _cmd_nav_hopf(args) -> tuple[dict, list[str], int]:
-    points = _parse_points(args.points)
-    r = args.r if args.r is not None else len(points)
-    plan = hopf_parametrized_navigate(r, points)
-    return _plan_payload(plan, grid=args.grid), ["circle-fiber-value"], 0
+def _random_pairs(rng: np.random.Generator, args) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [(_random_unit(rng, args.n + 1), _random_unit(rng, args.n + 1)) for _ in range(args.pairs)]
 
 
 def _cmd_nav_continuity(args) -> tuple[dict, list[str], int]:
     rng = np.random.default_rng(args.seed)
-    pairs = [
-        (_random_unit(rng, args.n + 1), _random_unit(rng, args.n + 1))
-        for _ in range(args.pairs)
-    ]
     report = check_lp_continuity(
         rpn_navigate,
-        pairs,
+        _random_pairs(rng, args),
         perturbation_scale=args.scale,
         samples_per_pair=args.samples,
         seed=args.seed,
     )
-    payload = {
-        "n": args.n,
-        "scale": args.scale,
-        **report,
-    }
     # report-only probe: flagged samples are data, not a failure
-    return payload, ["projective-equivariant-planner"], 0
+    return {"n": args.n, "scale": args.scale, **report}, ["projective-equivariant-planner"], 0
 
 
 def _cmd_nav_equivariance(args) -> tuple[dict, list[str], int]:
     rng = np.random.default_rng(args.seed)
-    pairs = [
-        (_random_unit(rng, args.n + 1), _random_unit(rng, args.n + 1))
-        for _ in range(args.pairs)
-    ]
+    pairs = _random_pairs(rng, args)
     elements = [_random_rotation(rng, args.n) for _ in range(args.elements)]
     report = check_equivariance(rpn_navigate, elements, pairs, tol=args.tol)
-    payload = {
-        "n": args.n,
-        "tol": args.tol,
-        **report,
-    }
+    payload = {"n": args.n, "tol": args.tol, **report}
     return payload, ["projective-equivariant-planner"], 0 if not report["failures"] else 3
 
 
@@ -516,30 +512,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = nav.add_parser("rpn", parents=[common])
     p.add_argument("--x", required=True, help="comma-separated coordinates")
     p.add_argument("--y", required=True)
-    p.add_argument("--grid", type=_grid_count, default=9, help="trace sample count, at least 2")
+    p.add_argument("--grid", type=_grid_count, default=9, help=f"trace sample count, 2 to {MAX_GRID}")
     p.set_defaults(handler=_cmd_nav_rpn)
-    p = nav.add_parser("circle", parents=[common])
-    p.add_argument("--points", required=True, help="semicolon-separated 2d points")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--grid", type=_grid_count, default=9)
-    p.set_defaults(handler=_cmd_nav_circle)
-    p = nav.add_parser("hopf", parents=[common])
-    p.add_argument("--points", required=True, help="semicolon-separated quaternions w,x,y,z")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--grid", type=_grid_count, default=9)
-    p.set_defaults(handler=_cmd_nav_hopf)
+    for name, planner, points in (
+        ("circle", circle_navigate, "2d points"),
+        ("hopf", hopf_parametrized_navigate, "quaternions w,x,y,z"),
+    ):
+        p = nav.add_parser(name, parents=[common])
+        p.add_argument("--points", required=True, help=f"semicolon-separated {points}")
+        p.add_argument("--r", type=int, default=None)
+        p.add_argument("--grid", type=_grid_count, default=9)
+        p.set_defaults(handler=_cmd_nav_sequential, planner=planner)
     p = nav.add_parser("continuity", parents=[common])
-    p.add_argument("--n", type=int, default=3, help="projective space dimension")
-    p.add_argument("--pairs", type=int, default=5)
-    p.add_argument("--samples", type=int, default=4, help="perturbations per pair")
-    p.add_argument("--scale", type=float, default=1e-4)
+    p.add_argument("--n", type=_flag("n", int, 1), default=3, help="projective space dimension")
+    p.add_argument("--pairs", type=_flag("pairs", int, 0), default=5)
+    p.add_argument("--samples", type=_flag("samples", int, 0), default=4, help="perturbations per pair")
+    p.add_argument("--scale", type=_flag("scale", float, 0.0), default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_nav_continuity)
     p = nav.add_parser("equivariance", parents=[common])
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--elements", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--n", type=_flag("n", int, 1), default=3)
+    p.add_argument("--pairs", type=_flag("pairs", int, 0), default=10)
+    p.add_argument("--elements", type=_flag("elements", int, 0), default=3)
+    p.add_argument("--tol", type=_flag("tol", float, 0.0), default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_nav_equivariance)
 

@@ -84,7 +84,6 @@ __all__ = [
     "subtract",
     "multiply",
     "normal_form",
-    "power",
     "product",
     "is_zero",
     "element_degree",
@@ -284,9 +283,6 @@ class RingPresentation:
 
     def degree(self, name: str) -> int:
         return self._degree[name]
-
-    def is_odd(self, name: str) -> bool:
-        return name in self._odd
 
     def word_degree(self, word: Word) -> int:
         return sum(self._degree[g] for g in word)
@@ -609,12 +605,6 @@ def product(P: RingPresentation, factors: Iterable[GradedElement]) -> GradedElem
         if not result:
             break
     return _to_element(P, result, den)
-
-
-def power(P: RingPresentation, a: GradedElement, k: int) -> GradedElement:
-    if k < 0:
-        raise ValueError("negative power in a graded ring")
-    return product(P, [a] * k)
 
 
 # -- admissible monomial enumeration ------------------------------------------

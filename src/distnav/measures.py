@@ -1,12 +1,16 @@
 """Finitely supported probability measures and the Levy-Prokhorov metric.
 
-Measures are formal convex combinations of points of an arbitrary metric
-space; points may be numbers, coordinate tuples, numpy arrays, or path
-objects.  Weights are either exact rationals (mode "exact") or floats (mode
-"float"); construction merges duplicate points and rejects nonprobability
-weights, and bools, which Python counts as ints, as weights.  In JSON a
-measure is a list of {point, weight} records: a point is a number or a list
-of numbers, and a weight a number or a "p/q" string, which stays exact.
+Measures are formal convex combinations of points: numbers, coordinate
+tuples, numpy arrays, or path objects.  Weights are either all exact
+rationals (mode "exact") or include floats (mode "float"); construction
+merges duplicate points and rejects nonprobability weights, and bools,
+which Python counts as ints, as weights.  In JSON a measure is a list of
+{point, weight} records: a point is a number or a list of numbers, and a
+weight a number or a "p/q" string, which stays exact.
+
+A metric space maps each point to a coordinate array and compares stacks
+of such arrays in one broadcasting ``distance`` call, so ``lp_distance``
+reads each atom's coordinates once and gets its n x m matrix from one call.
 
 The Levy-Prokhorov distance
 
@@ -51,10 +55,12 @@ MAX_SUPPORT = 12
 
 @dataclass(frozen=True)
 class MetricSpace:
-    """A metric given as a plain distance function plus a label."""
+    """``coordinates(point)`` is an array of some shape s; ``distance(P, Q)``
+    takes arrays of shapes (..., *s) and broadcasts over the leading axes.
+    """
 
-    distance: Callable[[Any, Any], float]
-    name: str = ""
+    distance: Callable[[Any, Any], Any]
+    coordinates: Callable[[Any], np.ndarray]
 
 
 def _chord(p, q):
@@ -65,13 +71,18 @@ def _chord(p, q):
     return np.sqrt(np.add.reduce(d * d, -1))
 
 
+def _vector(point) -> np.ndarray:
+    """A point as a float vector; a number is a point of the line."""
+    return np.atleast_1d(np.asarray(point, dtype=float))
+
+
 def euclidean_metric() -> MetricSpace:
     """The chord metric; its distance broadcasts over leading axes.
 
     >>> euclidean_metric().distance([[0.0, 0.0], [1.0, 1.0]], [3.0, 4.0]).tolist()
     [5.0, 3.605551275463989]
     """
-    return MetricSpace(distance=_chord, name="euclidean")
+    return MetricSpace(distance=_chord, coordinates=_vector)
 
 
 def _point_key(point: Any):
@@ -102,14 +113,11 @@ def _is_finite_point(point: Any) -> bool:
 class FiniteMeasure:
     """An immutable finitely supported probability measure.
 
-    Float weights and numeric point coordinates must be finite.
+    Float weights and numeric point coordinates must be finite.  The mode
+    is "exact" when every weight is an int or a Fraction, else "float".
     """
 
-    def __init__(
-        self,
-        atoms: Iterable[tuple[Any, Fraction | float | int]],
-        mode: str | None = None,
-    ) -> None:
+    def __init__(self, atoms: Iterable[tuple[Any, Fraction | float | int]]) -> None:
         merged: dict[Any, tuple[Any, Any]] = {}
         exact = True
         for point, weight in atoms:
@@ -126,30 +134,23 @@ class FiniteMeasure:
                 merged[key] = (merged[key][0], merged[key][1] + weight)
             else:
                 merged[key] = (point, weight)
-        if mode is None:
-            mode = "exact" if exact else "float"
-        if mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {mode!r}")
         kept: list[tuple[Any, Any]] = []
-        total = Fraction(0) if mode == "exact" else 0.0
+        total = Fraction(0) if exact else 0.0
         for point, weight in merged.values():
             if weight == 0:
                 continue
             if weight < 0:
                 raise ValueError(f"negative weight {weight} at {point!r}")
-            if mode == "exact":
-                weight = Fraction(weight)
-            else:
-                weight = float(weight)
+            weight = Fraction(weight) if exact else float(weight)
             kept.append((point, weight))
             total += weight
-        if mode == "exact":
+        if exact:
             if total != 1:
                 raise ValueError(f"weights sum to {total}, expected exactly 1")
         elif abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1 within 1e-12")
         self.atoms: tuple[tuple[Any, Any], ...] = tuple(kept)
-        self.mode = mode
+        self.mode = "exact" if exact else "float"
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -169,9 +170,7 @@ class FiniteMeasure:
 
 def product_measure(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
     """Independent coupling: atoms are pairs, weights multiply."""
-    mode = "exact" if (mu.mode == "exact" and nu.mode == "exact") else "float"
-    atoms = [((p, q), wp * wq) for p, wp in mu.atoms for q, wq in nu.atoms]
-    return FiniteMeasure(atoms, mode=mode)
+    return FiniteMeasure([((p, q), wp * wq) for p, wp in mu.atoms for q, wq in nu.atoms])
 
 
 # -- Levy-Prokhorov ------------------------------------------------------------
@@ -219,7 +218,8 @@ def lp_distance(
 
     ``precision`` must be positive and finite; the result does not depend
     on it.  Raises ValueError when either support exceeds MAX_SUPPORT
-    points: the subset enumeration is exact but exponential.
+    points (the subset enumeration is exact but exponential), or when two
+    points have coordinates of different shapes.
 
     Two Dirac measures lie min(|p - q|, 1) apart:
 
@@ -234,10 +234,15 @@ def lp_distance(
         )
     if not (precision > 0 and math.isfinite(precision)):
         raise ValueError(f"precision must be positive and finite, got {precision}")
-    pm, pn = mu.points(), nu.points()
+    coords = [space.coordinates(p) for p in mu.points() + nu.points()]
+    shape = coords[0].shape
+    for c in coords:
+        if c.shape != shape:
+            raise ValueError(f"points of coordinate shapes {shape} and {c.shape} cannot be compared")
+    pm, pn = np.array(coords[: len(mu)]), np.array(coords[len(mu) :])
     wm = np.array([float(w) for w in mu.weights()])
     wn = np.array([float(w) for w in nu.weights()])
-    dist = np.array([[float(space.distance(p, q)) for q in pn] for p in pm])
+    dist = np.asarray(space.distance(pm[:, None], pn[None, :]), dtype=float)
     # Either side's defect is the whole defect (Strassen), so enumerate the
     # smaller support.  On a tie take the max of both, so that swapping the
     # arguments returns the same float bit for bit.

@@ -15,14 +15,14 @@ pieces of [0, 1].  A projective plan has one piece, a sequential circle
 plan one piece per consecutive checkpoint pair (u_k the k-th checkpoint,
 v_k its quarter turn), and a Hopf plan is a circle plan mapped into the
 3-sphere by left translation, a linear map, which sends arcs to arcs.
-``ArcPath.sample`` evaluates a path at a whole array of times at once, so
-the path metric and the checkpoint verifier evaluate each path once, in
-numpy, instead of once per time.
 
-Plans are compared in three metrics: the chord metric of the ambient space
-on sphere points (``sphere_metric``), its minimum over the two signs on
-lines (``projective_metric``), and the sup over a uniform time grid of
-either on paths (``path_metric``).
+Plans are compared in three metrics: the chord metric on sphere points
+(``sphere_metric``, which is ``euclidean_metric``), its minimum over the
+two signs on lines (``projective_metric``), and the sup over a uniform time
+grid of either on paths (``path_metric``).  A path's coordinates are its
+samples on the grid (``ArcPath.sample``, one numpy call), and the path
+distance is the maximum of the point distance over the time axis, so
+``lp_distance`` samples each path once and compares all pairs in one call.
 """
 
 from __future__ import annotations
@@ -163,9 +163,13 @@ class ArcPath:
 # -- metrics ---------------------------------------------------------------------
 
 
-def sphere_metric() -> MetricSpace:
-    """The chord metric of the ambient space, under another name."""
-    return MetricSpace(distance=euclidean_metric().distance, name="sphere-chord")
+# The chord metric of the ambient space, on sphere points.
+sphere_metric = euclidean_metric
+_CHORD = euclidean_metric()
+
+
+def _line_chord(p, q):
+    return np.minimum(_CHORD.distance(p, q), _CHORD.distance(p, np.negative(q)))
 
 
 def projective_metric() -> MetricSpace:
@@ -173,12 +177,7 @@ def projective_metric() -> MetricSpace:
 
     Like the chord metric it broadcasts over leading axes.
     """
-    chord = euclidean_metric().distance
-
-    def dist(p, q):
-        return np.minimum(chord(p, q), chord(p, np.negative(q)))
-
-    return MetricSpace(distance=dist, name="projective-chord")
+    return MetricSpace(distance=_line_chord, coordinates=_CHORD.coordinates)
 
 
 def _grid_times(count: int) -> np.ndarray:
@@ -189,18 +188,18 @@ def _grid_times(count: int) -> np.ndarray:
 def path_metric(point_space: MetricSpace, grid: int = 64) -> MetricSpace:
     """Sup distance between paths sampled on a uniform grid of times.
 
-    Paths need ``sample``, and the point distance must broadcast over
-    leading axes, as the chord metrics do.  The grid holds both endpoints,
-    so it needs at least two times.
+    A path's coordinates are ``path.sample(times)``, shape (grid, dim), and
+    the distance of two stacks of samples is the maximum of the point
+    distance over the time axis.  The grid holds both endpoints, so it
+    needs at least two times.
     """
     if grid < 2:
         raise ValueError(f"grid must have at least 2 times, got {grid}")
     times = _grid_times(grid)
-
-    def dist(p, q) -> float:
-        return float(np.max(point_space.distance(p.sample(times), q.sample(times))))
-
-    return MetricSpace(distance=dist, name=f"sup[{point_space.name}]")
+    return MetricSpace(
+        distance=lambda p, q: np.max(point_space.distance(p, q), axis=-1),
+        coordinates=lambda path: path.sample(times),
+    )
 
 
 # -- plans -----------------------------------------------------------------------
@@ -219,13 +218,13 @@ class PathPlan:
 
 
 def plan_checkpoint_deviation(plan: PathPlan, point_space: MetricSpace) -> float:
-    """Worst distance from path(t_i) to checkpoint i over the support."""
+    """Worst distance from path(t_i) to checkpoint i over the support.
+
+    One ``distance`` call compares every path's samples with the checkpoints.
+    """
     times = _grid_times(plan.r)
-    targets = np.asarray(plan.checkpoints, dtype=float)
-    return max(
-        (float(np.max(point_space.distance(path.sample(times), targets))) for path, _ in plan.measure.atoms),
-        default=0.0,
-    )
+    samples = np.array([path.sample(times) for path in plan.measure.points()])
+    return float(np.max(point_space.distance(samples, np.asarray(plan.checkpoints, dtype=float))))
 
 
 # -- real projective planner ------------------------------------------------------
@@ -249,8 +248,11 @@ def rpn_navigate(x, y) -> PathPlan:
     of the arc it rides.  Antipodal inputs to the sphere picture do not
     occur: alpha = pi/2 is the diameter of the quotient and gets an even
     split.  Identical lines give the constant plan.  Each path is a
-    one-piece ArcPath from the representative of x.
+    one-piece ArcPath from the representative of x.  Vectors of length
+    below 2 raise ValueError: a constant path needs a second axis.
     """
+    if min(np.size(x), np.size(y)) < 2:
+        raise ValueError("rpn_navigate needs vectors of length at least 2 (lines in R^n, n >= 2)")
     px, py = _as_projective(x), _as_projective(y)
     xv, yv = np.array(px), np.array(py)
     dot = float(np.dot(xv, yv))
@@ -262,14 +264,14 @@ def rpn_navigate(x, y) -> PathPlan:
     wn = float(np.linalg.norm(w))
     if px.vec == py.vec or wn == 0.0:
         constant = ArcPath((px.vec,), (tuple(_orthonormal_completion(xv).tolist()),), (0.0,))
-        return PathPlan(FiniteMeasure([(constant, 1.0)], mode="float"), (px, py))
+        return PathPlan(FiniteMeasure([(constant, 1.0)]), (px, py))
     e2 = (tuple((w / wn).tolist()),)
     alpha = math.acos(c)
     short = ArcPath((px.vec,), e2, (alpha,))
     long_ = ArcPath((px.vec,), e2, (alpha - math.pi,))
     w_long = alpha / math.pi
     atoms = [(short, 1.0 - w_long), (long_, w_long)]
-    return PathPlan(FiniteMeasure(atoms, mode="float"), (px, py))
+    return PathPlan(FiniteMeasure(atoms), (px, py))
 
 
 # -- circle planner ----------------------------------------------------------------
@@ -327,7 +329,7 @@ def circle_navigate(r: int, points: Sequence) -> PathPlan:
         for piece, w in segment_options[k]:
             stack.append((k + 1, pieces + (piece,), weight * w))
     checkpoints = tuple(tuple(p.tolist()) for p in pts)
-    return PathPlan(FiniteMeasure(atoms, mode="float"), checkpoints)
+    return PathPlan(FiniteMeasure(atoms), checkpoints)
 
 
 # -- Hopf fibration planner ---------------------------------------------------------
@@ -389,7 +391,7 @@ def hopf_parametrized_navigate(r: int, points: Sequence) -> PathPlan:
     translate = np.column_stack([anchor, quat_mul(anchor, [0.0, 1.0, 0.0, 0.0])])
     atoms = [(path.mapped(translate), w) for path, w in circle_plan.measure.atoms]
     checkpoints = tuple(tuple(q.tolist()) for q in quats)
-    return PathPlan(FiniteMeasure(atoms, mode="float"), checkpoints)
+    return PathPlan(FiniteMeasure(atoms), checkpoints)
 
 
 # -- verifiers ----------------------------------------------------------------------
@@ -447,7 +449,7 @@ def check_equivariance(
             samples += 1
             moved = plan_fn(g @ x, g @ y)
             pushed_atoms = [(p.mapped(g), w) for p, w in plan_fn(x, y).measure.atoms]
-            pushed = FiniteMeasure(pushed_atoms, mode="float")
+            pushed = FiniteMeasure(pushed_atoms)
             d = lp_distance(moved.measure, pushed, space, precision=1e-12)
             worst = max(worst, d)
             if d > tol:

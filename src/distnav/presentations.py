@@ -35,7 +35,8 @@ ai * aj -> a{i+j} or 0).
 
 ``catalog(name)`` resolves the string names used by the CLI and the tests,
 e.g. "conf:d=2,k=4", "fn:d=2,m=2,n=1,r=2", "sb:base=cp2,q=3,r=2", "cp3",
-"s2", "point".
+"s2", "point".  Parameters out of range raise a plain ValueError; a failed
+gate raises PresentationError.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def point() -> RingPresentation:
 def sphere(k: int) -> RingPresentation:
     """One generator s of degree k with s^2 = 0."""
     if k < 1:
-        raise PresentationError("sphere dimension must be >= 1")
+        raise ValueError("sphere dimension must be >= 1")
     gens = (Generator("s", k),)
     return RingPresentation(gens, _square_zero_rules(gens), name=f"s{k}")
 
@@ -102,7 +103,7 @@ def complex_projective(n: int) -> RingPresentation:
     rules are a{i} * a{j} -> a{i+j} for i+j <= n and -> 0 beyond the cut.
     """
     if n < 1:
-        raise PresentationError("projective space dimension must be >= 1")
+        raise ValueError("projective space dimension must be >= 1")
     gens = tuple(Generator(f"a{k}", 2 * k) for k in range(1, n + 1))
     rules = []
     for i in range(1, n + 1):
@@ -150,7 +151,7 @@ def _binomial_product(step: int, coeffs: Iterable[int], max_degree: int) -> list
 def config_space(d: int, k: int) -> RingPresentation:
     """Presentation of the k-point configuration space of R^d."""
     if d < 2 or k < 1:
-        raise PresentationError(f"need d >= 2 and k >= 1, got d={d}, k={k}")
+        raise ValueError(f"need d >= 2 and k >= 1, got d={d}, k={k}")
     deg = d - 1
     pairs = [(i, j) for j in range(2, k + 1) for i in range(1, j)]
     gens = tuple(Generator(_w(i, j), deg, rank=j) for i, j in pairs)
@@ -211,11 +212,11 @@ def fn_fiber_product(d: int, m: int, n: int, r: int) -> FiberProduct:
 
     Raises PresentationError if the admissible-monomial counts deviate from
     the closed-form product formula anywhere up to the witness degree, and
-    ValueError, before building anything, if that degree exceeds
-    MAX_SERIES_DEGREE.
+    ValueError, before building anything, for parameters out of range or a
+    witness degree over MAX_SERIES_DEGREE.
     """
     if d < 2 or m < 2 or n < 1 or r < 2:
-        raise PresentationError(
+        raise ValueError(
             f"need d >= 2, m >= 2, n >= 1, r >= 2; got d={d}, m={m}, n={n}, r={r}"
         )
     check_series_degree(fn_witness_length(d, m, n, r) * (d - 1))
@@ -289,12 +290,12 @@ def sphere_bundle_tower(
     class has odd degree and vanishes rationally, so e = e_eta as given
     (typically zero), which degenerates the u_i rules toward exterior ones.
     Validates the Leray-Hirsch doubling of graded dimensions at every level;
-    raises ValueError, before adjoining anything, if that check would go past
-    MAX_SERIES_DEGREE.
+    raises ValueError, before adjoining anything, for q < 2, r < 1, or a
+    check that would go past MAX_SERIES_DEGREE.
     """
     if q < 2 or r < 1:
         # r = 1 is the degenerate single-level tower (just u).
-        raise PresentationError(f"need q >= 2 and r >= 1, got q={q}, r={r}")
+        raise ValueError(f"need q >= 2 and r >= 1, got q={q}, r={r}")
     step = q - 1
     top = sum(g.degree for g in base.generators) + step * r
     check_series_degree(top)

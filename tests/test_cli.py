@@ -1,10 +1,12 @@
 """End-to-end command-line checks: JSON payload shapes and exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
 import time
 
+import numpy as np
 import pytest
 
 import distnav.cli as cli
@@ -218,10 +220,25 @@ def test_bound_fn_with_citation():
     assert out["citations"][0]["statement"]
 
 
-def test_bound_fn_bad_parameters_exit_3():
+def test_bound_fn_bad_parameters_exit_2():
+    # A cell out of range is an argument error, as in value fn; it exited 3.
     code, out = run("bound", "fn", "--d", "1", "--m", "2", "--n", "1", "--r", "2")
-    assert code == 3
-    assert "error" in out
+    assert code == 2
+    assert "need d >= 2" in out["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cup-length", "--d", "1", "--m", "2", "--n", "1", "--r", "2"),
+        ("sphere-bundle", "--n", "1", "--r", "0"),
+    ],
+    ids=["cup-length", "sphere-bundle"],
+)
+def test_bound_bad_cells_exit_2(argv):
+    code, out = run("bound", *argv)
+    assert code == 2
+    assert "need" in out["error"]
 
 
 def test_bound_sphere_bundle():
@@ -407,6 +424,79 @@ def test_nav_grid_below_two_exits_2(command, grid):
     assert "grid must be at least 2" in err.getvalue()
 
 
+def test_nav_grid_cap():
+    # --grid 100000000 ran for over 20 s; the cap is checked before any sampling.
+    assert cli._grid_count(str(cli.MAX_GRID)) == cli.MAX_GRID
+    with pytest.raises(argparse.ArgumentTypeError, match=f"at most {cli.MAX_GRID}"):
+        cli._grid_count(str(cli.MAX_GRID + 1))
+
+
+def run_stderr(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("continuity", "--n", "0"), "--n"),
+        (("equivariance", "--n", "0"), "--n"),
+        (("continuity", "--pairs", "-1"), "--pairs"),
+        (("equivariance", "--pairs", "-3"), "--pairs"),
+        (("continuity", "--samples", "-2"), "--samples"),
+        (("equivariance", "--elements", "-1"), "--elements"),
+        (("continuity", "--scale", "-1"), "--scale"),
+        (("continuity", "--scale", "nan"), "--scale"),
+        (("equivariance", "--tol", "nan"), "--tol"),
+        (("equivariance", "--tol", "inf"), "--tol"),
+    ],
+)
+def test_nav_verifier_bad_flags_exit_2(argv, flag):
+    # --n 0 divided by zero (NaN results, exit 0 or 3); negative counts ran
+    # 0 samples; --scale -1 was accepted; --tol nan printed invalid JSON.
+    code, err = run_stderr("nav", *argv)
+    assert code == 2
+    assert f"argument {flag}:" in err
+
+
+def test_nav_rpn_rejects_vectors_of_length_one():
+    # The constant plan divided by zero: NaN traces and "not valid JSON".
+    code, out = run("nav", "rpn", "--x", "1", "--y", "1")
+    assert code == 2
+    assert "length at least 2" in out["error"]
+
+
+def test_nav_equivariance_on_the_projective_line():
+    # Seed 0 draws a 1x1 matrix of determinant -1, whose column swap raised
+    # IndexError; the only rotation of the line is [[1]].
+    code, out = run("nav", "equivariance", "--n", "1", "--pairs", "2", "--elements", "2")
+    assert code == 0
+    assert out["samples"] == 4
+    assert out["failures"] == []
+
+
+def old_random_rotation(rng, n):
+    """_random_rotation as it was, for n >= 2 (oracle)."""
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    q = q @ np.diag(np.sign(np.diag(r)))
+    if np.linalg.det(q) < 0:
+        q[:, [0, 1]] = q[:, [1, 0]]
+    return q
+
+
+def test_random_rotation_unchanged_for_n_at_least_2():
+    for n in (2, 3, 4, 5):
+        for seed in range(6):
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                np.testing.assert_array_equal(cli._random_rotation(new, n), old_random_rotation(old, n))
+    for seed in (4, 5):  # seeds whose 1x1 draw has determinant -1
+        line = cli._random_rotation(np.random.default_rng(seed), 1)
+        assert line.shape == (1, 1) and abs(line[0, 0] - 1.0) <= 1e-15
+
+
 @pytest.mark.parametrize("command, point", [("circle", "1,0"), ("hopf", "1,0,0,0")])
 def test_nav_plan_over_atom_cap_exits_2(command, point):
     code, out = run("nav", command, "--points", ";".join([point] * 14))
@@ -450,6 +540,23 @@ def test_measure_lp_and_product(tmp_path):
     assert out["mode"] == "exact"
     assert out["support"] == 2
     assert sorted(a["weight"] for a in out["atoms"]) == ["1/2", "1/2"]
+
+
+def test_measure_lp_three_dimensional_against_scalar_points_exits_2(tmp_path):
+    # Broadcasting compared (3,) with () and printed a distance, exit 0.
+    space = write_measure(tmp_path / "space.json", [([0.1, 0.2, 0.3], "1/2"), ([0.0, 0.5, -0.3], "1/2")])
+    line = write_measure(tmp_path / "line.json", [(0.5, "1/4"), (0.1, "3/4")])
+    code, out = run("measure", "lp", "--mu", space, "--nu", line)
+    assert code == 2
+    assert "(3,)" in out["error"] and "(1,)" in out["error"]
+
+
+def test_measure_lp_mixed_dimensions_in_one_file_exits_2(tmp_path):
+    # A file mixing 2-d and 1-d points printed 0.1 with exit 0.
+    mixed = write_measure(tmp_path / "mixed.json", [([0.0, 0.0], "1/2"), ([0.1], "1/2")])
+    code, out = run("measure", "lp", "--mu", mixed, "--nu", mixed)
+    assert code == 2
+    assert "(2,)" in out["error"] and "(1,)" in out["error"]
 
 
 @pytest.mark.parametrize("precision", ["nan", "inf", "0", "-1"])

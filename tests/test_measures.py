@@ -6,7 +6,9 @@ subsets of the union of supports, in pure Python. ``lp_bisection`` is the
 bisection that ``lp_distance`` ran before: it tests both one-sided defects,
 each over subsets of its own support, and certifies an upper value within
 ``precision``. The shipped search enumerates subsets of the smaller support
-only; agreement here confirms both reductions.
+only; agreement here confirms both reductions. ``oracle_matrix_space`` builds
+the distance matrix one pair at a time, and the one-call matrix of
+``lp_distance`` must give the same distance bit for bit.
 """
 
 import math
@@ -19,6 +21,7 @@ import pytest
 from distnav.measures import (
     MAX_SUPPORT,
     FiniteMeasure,
+    MetricSpace,
     _one_sided_defect,
     _subset_matrix,
     euclidean_metric,
@@ -28,7 +31,14 @@ from distnav.measures import (
     product_measure,
     to_jsonable,
 )
-from distnav.navplan import ProjectivePoint
+from distnav.navplan import (
+    ProjectivePoint,
+    circle_navigate,
+    path_metric,
+    projective_metric,
+    rpn_navigate,
+    sphere_metric,
+)
 
 SPACE = euclidean_metric()
 
@@ -66,11 +76,57 @@ def lp_oracle(mu, nu, space, precision=1e-7):
     return hi
 
 
+def pair_distance(space, p, q):
+    """One distance, by one ``distance`` call on one pair (oracle)."""
+    return float(space.distance(space.coordinates(p), space.coordinates(q)))
+
+
 def weights_and_distances(mu, nu, space):
     wm = np.array([float(w) for w in mu.weights()])
     wn = np.array([float(w) for w in nu.weights()])
-    dist = np.array([[space.distance(p, q) for q in nu.points()] for p in mu.points()])
+    dist = np.array([[pair_distance(space, p, q) for q in nu.points()] for p in mu.points()])
     return wm, wn, dist
+
+
+def oracle_matrix_space(mu, nu, space):
+    """The metric of ``space`` on these supports, looked up in a matrix built
+    one pair at a time: a point's coordinates are its index."""
+    points = mu.points() + nu.points()
+    matrix = np.array([[pair_distance(space, p, q) for q in points] for p in points])
+    index = {id(p): i for i, p in enumerate(points)}
+    return MetricSpace(distance=lambda i, j: matrix[i, j], coordinates=lambda p: np.array(index[id(p)]))
+
+
+def counting(space):
+    """``space`` with a count of its distance and coordinates calls."""
+    calls = {"distance": 0, "coordinates": 0}
+
+    def distance(p, q):
+        calls["distance"] += 1
+        return space.distance(p, q)
+
+    def coordinates(p):
+        calls["coordinates"] += 1
+        return space.coordinates(p)
+
+    return MetricSpace(distance=distance, coordinates=coordinates), calls
+
+
+def plan_pairs(rng):
+    """Pairs of plans from one planner, compared in the path metric."""
+    pairs = []
+    for n in (1, 2, 3):
+        x, y, z = (random_unit(rng, n + 1) for _ in range(3))
+        pairs.append((rpn_navigate(x, y).measure, rpn_navigate(x, z).measure, projective_metric()))
+    for r in (2, 3, 4):
+        a, b = ([random_unit(rng, 2) for _ in range(r)] for _ in range(2))
+        pairs.append((circle_navigate(r, a).measure, circle_navigate(r, b).measure, sphere_metric()))
+    return [(mu, nu, path_metric(point_space, grid=16)) for mu, nu, point_space in pairs]
+
+
+def random_unit(rng, dim):
+    v = np.array([rng.gauss(0, 1) for _ in range(dim)])
+    return v / np.linalg.norm(v)
 
 
 def subset_defect(eps, w_a, w_b, dist_ab):
@@ -143,8 +199,6 @@ def test_bad_weights_rejected():
         FiniteMeasure([("a", Fraction(3, 2)), ("b", Fraction(-1, 2))])
     with pytest.raises(ValueError):
         FiniteMeasure([("a", 0.5), ("b", 0.5 + 1e-9)])
-    with pytest.raises(ValueError):
-        FiniteMeasure([("a", 0.5), ("b", 0.5)], mode="rational")
     with pytest.raises(TypeError):
         FiniteMeasure([("a", "0.5")])
     with pytest.raises(TypeError):  # bool is an int, but not a weight
@@ -283,6 +337,38 @@ def test_reordered_self_pairs_are_near_zero(size):
         mu, nu = FiniteMeasure(atoms), FiniteMeasure(shuffled)
         assert lp_distance(mu, nu, SPACE) <= 1e-15
         assert lp_distance(nu, mu, SPACE) <= 1e-15
+
+
+def test_one_distance_call_per_comparison_and_one_coordinates_call_per_atom():
+    rng = random.Random(8)
+    cases = [(random_measure(rng, 12, dim=3), random_measure(rng, 12, dim=3), SPACE)]
+    cases += plan_pairs(rng)
+    for mu, nu, space in cases:
+        counted, calls = counting(space)
+        assert lp_distance(mu, nu, counted) == lp_distance(mu, nu, space)
+        assert calls == {"distance": 1, "coordinates": len(mu) + len(nu)}
+
+
+def test_matrix_distance_equals_the_per_pair_oracle_matrix():
+    # One broadcast distance call gives, bit for bit, the LP distance of the
+    # matrix built one pair at a time.
+    rng = random.Random(1212)
+    cases = [
+        (FiniteMeasure(random_atoms(rng, 12, dim=3)), FiniteMeasure(random_atoms(rng, size, dim=3)), SPACE)
+        for size in (1, 5, 12)
+    ]
+    cases += plan_pairs(rng)
+    for mu, nu, space in cases:
+        assert lp_distance(mu, nu, space) == lp_distance(mu, nu, oracle_matrix_space(mu, nu, space))
+
+
+def test_points_of_different_coordinate_shapes_are_rejected():
+    # numpy broadcasting used to compare them and return a number.
+    with pytest.raises(ValueError, match=r"\(3,\) and \(2,\)"):
+        lp_distance(dirac([0.0, 0.0, 1.0]), dirac([0.0, 1.0]), SPACE)
+    mixed = FiniteMeasure([((0.0, 0.0), Fraction(1, 2)), (0.5, Fraction(1, 2))])
+    with pytest.raises(ValueError, match=r"\(2,\) and \(1,\)"):
+        lp_distance(mixed, mixed, SPACE)
 
 
 def test_metric_axioms():

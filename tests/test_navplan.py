@@ -116,6 +116,13 @@ def test_rpn_equal_lines_give_constant_plan():
     assert PROJ.distance(path(0.0), path(1.0)) == 0.0
 
 
+@pytest.mark.parametrize("x, y", [([1.0], [1.0]), ([1.0], [-1.0]), ([], [])])
+def test_rpn_rejects_vectors_of_length_below_two(x, y):
+    # The constant plan's completion divided by zero and gave NaN paths.
+    with pytest.raises(ValueError, match="length at least 2"):
+        rpn_navigate(x, y)
+
+
 def test_rpn_interpolates_and_sums_to_one():
     rng = random.Random(11)
     for n in (2, 3, 4, 5):
@@ -441,14 +448,15 @@ def test_path_metric_matches_per_time_oracle(grid):
     plans = sample_plans(rng)
     for plan in plans:
         point_space = PROJ if isinstance(plan.checkpoints[0], ProjectivePoint) else sphere_metric()
-        fast, slow = path_metric(point_space, grid).distance, path_metric_per_time(point_space, grid)
+        space, slow = path_metric(point_space, grid), path_metric_per_time(point_space, grid)
         # every pair within a plan, and each path against a plan of the same kind
         paths = [p for p, _ in plan.measure.atoms]
         others = [p for other in plans for p, _ in other.measure.atoms
                   if len(p.u[0]) == len(paths[0].u[0])]
         for p in paths:
             for q in paths + others[:6]:
-                assert abs(fast(p, q) - slow(p, q)) <= 1e-12
+                fast = space.distance(space.coordinates(p), space.coordinates(q))
+                assert abs(fast - slow(p, q)) <= 1e-12
 
 
 def test_rpn_paths_match_closed_form():
@@ -513,4 +521,4 @@ def test_arc_paths_merge_as_measure_points():
     a = ArcPath(((1.0, 0.0),), ((0.0, 1.0),), (0.5,))
     b = ArcPath(((1.0, 0.0),), ((0.0, 1.0),), (0.5,))
     assert hash(a) == hash(b)
-    assert len(navplan.FiniteMeasure([(a, 0.5), (b, 0.5)], mode="float")) == 1
+    assert len(navplan.FiniteMeasure([(a, 0.5), (b, 0.5)])) == 1

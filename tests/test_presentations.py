@@ -19,7 +19,7 @@ from distnav.gcring import (
     is_zero,
     multiply,
     poincare_series,
-    power,
+    product,
     scale,
     subtract,
     zero,
@@ -94,8 +94,8 @@ def test_point_sphere_cpn():
 def test_cpn_truncation():
     P = complex_projective(2)
     a = gen("a1")
-    assert power(P, a, 2) == gen("a2")
-    assert is_zero(power(P, a, 3))
+    assert product(P, [a] * 2) == gen("a2")
+    assert is_zero(product(P, [a] * 3))
 
 
 def test_even_sphere_square_vanishes_by_rule():
@@ -144,12 +144,12 @@ def test_fn_witness_length_parity():
 
 
 def test_fn_rejects_bad_parameters():
-    with pytest.raises(PresentationError):
-        fn_fiber_product(1, 2, 1, 2)
-    with pytest.raises(PresentationError):
-        fn_fiber_product(2, 2, 0, 2)
-    with pytest.raises(PresentationError):
-        fn_fiber_product(2, 2, 1, 1)
+    # Parameters out of range are a bad request (ValueError), not a failed
+    # gate (PresentationError), so the CLI exits 2 on them.
+    for cell in [(1, 2, 1, 2), (2, 2, 0, 2), (2, 2, 1, 1)]:
+        with pytest.raises(ValueError, match="need d >= 2") as info:
+            fn_fiber_product(*cell)
+        assert not isinstance(info.value, PresentationError)
 
 
 def test_straightening_identity_in_fiber_product():
