@@ -60,12 +60,12 @@ __all__ = [
 ]
 
 # Products the cup-length search may form before it gives up, chosen from the
-# counts the even-d searches need to answer: 935 at (2,2,3,2), 1995 at
-# (2,2,1,4) (0.3 s), 2644 at (2,4,1,3) (3.1 s), then 6490 at (2,3,3,2) (26 s)
-# and 12884 at (2,5,1,3) (68 s).  Odd d stops at the degree ceiling at once.
-# A product costs more as the ring grows, so giving up takes 0.5 s at
-# (2,2,1,5), 7.1 s at (2,3,2,3) and 13.5 s at (2,5,1,3) (single runs on a
-# shared 2-core host).
+# counts the even-d searches need to answer: 487 at (2,2,3,2), 1324 at
+# (2,2,1,4) (0.08 s), 1621 at (2,4,1,3) (0.7 s), then 3519 at (2,3,3,2)
+# (6.4 s) and 8021 at (2,5,1,3) (16 s).  Odd d stops at the degree ceiling
+# at once.  A product costs more as the ring grows, so giving up takes
+# 0.26 s at (2,2,1,5), 3.6 s at (2,3,2,3) and 6.5 s at (2,5,1,3) (single
+# runs on a shared 2-core host).
 CUP_LENGTH_NODE_LIMIT = 3000
 
 
@@ -369,24 +369,16 @@ def cup_length_kernel(
 ) -> int:
     """Greatest k <= budget with a nonzero k-fold product of the elements.
 
-    Elements are tried as multisets in the given order (repetition allowed);
-    the search prunes any branch whose total degree would exceed the top
-    nonzero degree of the ring, and stops as soon as a chain reaches
-    min(budget, top degree // least element degree), which no chain can
-    exceed.  Every element must be homogeneous and lie in the kernel of the
-    collapse map.  Raises ValueError, naming the ring, when the search would
-    form more than CUP_LENGTH_NODE_LIMIT products.
+    Elements are tried as multisets in the given order; an even-degree
+    element may repeat, while an odd-degree one squares to zero (x x = -x x
+    over Q) and is never multiplied by itself.  The search prunes any branch
+    whose total degree would exceed the top nonzero degree of the ring, and
+    stops as soon as a chain reaches min(budget, top degree // least element
+    degree), which no chain can exceed.  Every element must be homogeneous
+    and lie in the kernel of the collapse map.  Raises ValueError, naming the
+    ring, when the search would form more than CUP_LENGTH_NODE_LIMIT
+    products.
     """
-    k, _ = _cup_length_search(P, collapse, elements, budget)
-    return k
-
-
-def _cup_length_search(
-    P: RingPresentation,
-    collapse: RingMap,
-    elements: Sequence[GradedElement],
-    budget: int,
-) -> tuple[int, tuple[int, ...]]:
     if budget < 1 or budget > 12:
         raise ValueError("budget must be between 1 and 12")
     degrees: list[int] = []
@@ -397,18 +389,17 @@ def _cup_length_search(
         degrees.append(d)
     _check_in_kernel(collapse, elements)
     if not elements:
-        return 0, ()
+        return 0
     top = ring_top_degree(P, ceiling=budget * max(degrees))
     # No chain is longer than the ceiling; the first chain to reach it is the
     # one the full search would keep, as best only grows on a strict gain.
     ceiling = min(budget, top // min(degrees))
     best = 0
-    best_indices: tuple[int, ...] = ()
     nodes = 0
 
-    def dfs(start: int, acc: GradedElement, acc_degree: int, chosen: list[int]) -> bool:
-        """Extend the chain; True once best has reached the ceiling."""
-        nonlocal best, best_indices, nodes
+    def dfs(start: int, acc: GradedElement, acc_degree: int, length: int) -> bool:
+        """Extend a chain of the given length; True once best reaches the ceiling."""
+        nonlocal best, nodes
         for idx in range(start, len(elements)):
             ndeg = acc_degree + degrees[idx]
             if ndeg > top:
@@ -422,16 +413,12 @@ def _cup_length_search(
             nxt = multiply(P, acc, elements[idx])
             if is_zero(nxt):
                 continue
-            chosen.append(idx)
-            if len(chosen) > best:
-                best = len(chosen)
-                best_indices = tuple(chosen)
-                if best >= ceiling:
-                    return True
-            if len(chosen) < budget and dfs(idx, nxt, ndeg, chosen):
+            best = max(best, length + 1)
+            if best >= ceiling:
                 return True
-            chosen.pop()
+            if length + 1 < budget and dfs(idx + degrees[idx] % 2, nxt, ndeg, length + 1):
+                return True
         return False
 
-    dfs(0, one(), 0, [])
-    return best, best_indices
+    dfs(0, one(), 0, 0)
+    return best

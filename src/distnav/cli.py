@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Every subcommand prints a single JSON document on standard output with a
-schema_version field.  Exit codes: 0 success, 2 argument error, 3
-validation or certificate failure.  --cite appends the provenance
-statements behind the numbers; --json is accepted everywhere and is a
-no-op because output is always JSON.
+schema_version field.  Exit codes: 0 success, 2 argument error or a request
+over a work cap, 3 validation or certificate failure.  --cite appends the
+provenance statements behind the numbers.
 
 Presentation names resolve against the built-in catalog first, then
 against ``$DISTNAV_PRESENTATIONS`` (a directory of ``<name>.json`` files);
@@ -71,14 +70,27 @@ from .navplan import (
 )
 from .presentations import catalog, cpn_sphere_bundle, fn_fiber_product
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 ENV_PRESENTATIONS = "DISTNAV_PRESENTATIONS"
 # Trace samples per path of nav rpn, circle and hopf.
 MAX_GRID = 1024
-
-
-class ArgumentProblem(ValueError):
-    """Bad request shape or values: mapped to exit code 2."""
+# Trace points (paths times --grid) one nav plan may print, checked before
+# any path is sampled: 4096 paths (13 checkpoints) up to grid 16, 64 paths
+# (7 checkpoints) at MAX_GRID.  At the cap a Hopf plan prints 18 MB in
+# 1.1 s or 7 MB in 0.3 s; 4096 paths at MAX_GRID would print 4096 x 1024
+# points.
+MAX_TRACE_POINTS = 2**16
+# --n of nav continuity and nav equivariance.  A random n x n rotation takes
+# 0.2 ms at n = 64, so MAX_VERIFIER_PROBES of them take 2 s, but 2 ms at 128
+# and 120 ms at 1024; --n 100000 would draw a 10^5 x 10^5 normal matrix
+# (80 GB).
+MAX_VERIFIER_DIM = 64
+# Plan comparisons one verifier run may make: pairs x samples or pairs x
+# elements, where a zero count counts as 1 (the other side is still drawn).
+# At the cap, with --n 64, equivariance ran in 4.0 s (100 x 100) and 6.5 s
+# (1 pair x 10000 rotations), continuity in 3.3 s (single runs on a shared
+# 2-core host).
+MAX_VERIFIER_PROBES = 10_000
 
 
 # -- shared helpers ---------------------------------------------------------------
@@ -94,29 +106,30 @@ def _resolve_ring(name: str):
         path = Path(name)
         if path.exists():
             return load_presentation_json(str(path))
-        raise ArgumentProblem(f"presentation file {name!r} not found")
+        raise ValueError(f"presentation file {name!r} not found")
     try:
         return catalog(name)
     except KeyError:
         pass  # not a catalog name: try the presentation directory
     except ValueError as exc:
-        # A known family with parameters it rejects keeps its own message.
-        raise ArgumentProblem(str(exc)) from None
+        # A known family with parameters it rejects keeps its own message; a
+        # plain ValueError exits 2 even where the family raised PresentationError.
+        raise ValueError(str(exc)) from None
     env = os.environ.get(ENV_PRESENTATIONS)
     if env:
         path = Path(env) / f"{name}.json"
         if path.exists():
             return load_presentation_json(str(path))
-    raise ArgumentProblem(f"unknown presentation {name!r}")
+    raise ValueError(f"unknown presentation {name!r}")
 
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
         vector = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
-        raise ArgumentProblem(f"bad vector {text!r}: {exc}") from None
+        raise ValueError(f"bad vector {text!r}: {exc}") from None
     if not np.isfinite(vector).all():
-        raise ArgumentProblem(f"bad vector {text!r}: components must be finite")
+        raise ValueError(f"bad vector {text!r}: components must be finite")
     return vector
 
 
@@ -142,6 +155,7 @@ def _flag(name: str, cast, low, high=math.inf):
 
 # --grid keeps both endpoints, so it takes at least 2 samples.
 _grid_count = _flag("grid", int, 2, MAX_GRID)
+_dimension = _flag("n", int, 1, MAX_VERIFIER_DIM)
 
 
 def _parse_word(text: str) -> tuple[str, ...]:
@@ -156,6 +170,11 @@ def _element_terms(a) -> list[dict]:
 
 
 def _plan_payload(plan: PathPlan, grid: int = 9) -> dict:
+    if len(plan.measure) * grid > MAX_TRACE_POINTS:
+        raise ValueError(
+            f"{len(plan.measure)} paths at --grid {grid} make {len(plan.measure) * grid} "
+            f"trace points, over the cap of {MAX_TRACE_POINTS} (MAX_TRACE_POINTS)"
+        )
     times = np.arange(grid) / (grid - 1)
     atoms = [
         {
@@ -181,13 +200,13 @@ def _load_measure(path: str) -> FiniteMeasure:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ArgumentProblem(f"cannot read measure file {path!r}: {exc}") from None
+        raise ValueError(f"cannot read measure file {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ArgumentProblem(f"measure file {path!r} is not JSON: {exc}") from None
+        raise ValueError(f"measure file {path!r} is not JSON: {exc}") from None
     try:
         return measure_from_jsonable(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ArgumentProblem(f"bad measure in {path!r}: {exc}") from None
+        raise ValueError(f"bad measure in {path!r}: {exc}") from None
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -215,7 +234,7 @@ def _cmd_ring_normal_form(args) -> tuple[dict, list[str], int]:
     known = set(ring.generator_names())
     for name in word:
         if name not in known:
-            raise ArgumentProblem(f"unknown generator {name!r} in {args.ring}")
+            raise ValueError(f"unknown generator {name!r} in {args.ring}")
     coeff = Fraction(args.coeff)
     nf = normal_form(ring, element([(coeff, word)]))
     payload = {
@@ -230,7 +249,7 @@ def _cmd_ring_normal_form(args) -> tuple[dict, list[str], int]:
 def _cmd_ring_poincare(args) -> tuple[dict, list[str], int]:
     ring = _resolve_ring(args.ring)
     if args.max_degree < 0:
-        raise ArgumentProblem("max degree must be nonnegative")
+        raise ValueError("max degree must be nonnegative")
     series = poincare_series(ring, args.max_degree)
     payload = {
         "ring": args.ring,
@@ -271,7 +290,7 @@ def _cmd_bound_fn(args) -> tuple[dict, list[str], int]:
 
 def _cmd_bound_sphere_bundle(args) -> tuple[dict, list[str], int]:
     if args.n < 1:
-        raise ArgumentProblem("n must be at least 1")
+        raise ValueError("n must be at least 1")
     tower = cpn_sphere_bundle(args.n, args.r)
     partition = None
     if args.partition:
@@ -362,7 +381,7 @@ def _cmd_nav_rpn(args) -> tuple[dict, list[str], int]:
     x = _parse_vector(args.x)
     y = _parse_vector(args.y)
     if x.shape != y.shape:
-        raise ArgumentProblem("x and y must have the same dimension")
+        raise ValueError("x and y must have the same dimension")
     plan = rpn_navigate(x, y)
     return _plan_payload(plan, grid=args.grid), ["projective-equivariant-planner"], 0
 
@@ -370,9 +389,18 @@ def _cmd_nav_rpn(args) -> tuple[dict, list[str], int]:
 def _cmd_nav_sequential(args) -> tuple[dict, list[str], int]:
     """nav circle and nav hopf: ``args.planner`` through the checkpoints."""
     points = _parse_points(args.points)
-    r = args.r if args.r is not None else len(points)
-    plan = args.planner(r, points)
+    plan = args.planner(len(points), points)
     return _plan_payload(plan, grid=args.grid), ["circle-fiber-value"], 0
+
+
+def _check_probes(pairs: int, per_pair: int, name: str) -> None:
+    """Refuse a verifier run of more than MAX_VERIFIER_PROBES comparisons."""
+    probes = max(pairs, 1) * max(per_pair, 1)
+    if probes > MAX_VERIFIER_PROBES:
+        raise ValueError(
+            f"--pairs {pairs} x --{name} {per_pair} is {probes} comparisons, over the cap "
+            f"of {MAX_VERIFIER_PROBES} (MAX_VERIFIER_PROBES)"
+        )
 
 
 def _random_pairs(rng: np.random.Generator, args) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -380,6 +408,7 @@ def _random_pairs(rng: np.random.Generator, args) -> list[tuple[np.ndarray, np.n
 
 
 def _cmd_nav_continuity(args) -> tuple[dict, list[str], int]:
+    _check_probes(args.pairs, args.samples, "samples")
     rng = np.random.default_rng(args.seed)
     report = check_lp_continuity(
         rpn_navigate,
@@ -393,6 +422,7 @@ def _cmd_nav_continuity(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_nav_equivariance(args) -> tuple[dict, list[str], int]:
+    _check_probes(args.pairs, args.elements, "elements")
     rng = np.random.default_rng(args.seed)
     pairs = _random_pairs(rng, args)
     elements = [_random_rotation(rng, args.n) for _ in range(args.elements)]
@@ -407,12 +437,7 @@ def _cmd_nav_equivariance(args) -> tuple[dict, list[str], int]:
 def _cmd_measure_lp(args) -> tuple[dict, list[str], int]:
     mu = _load_measure(args.mu)
     nu = _load_measure(args.nu)
-    d = lp_distance(mu, nu, euclidean_metric(), precision=args.precision)
-    payload = {
-        "distance": d,
-        "precision": args.precision,
-    }
-    return payload, [], 0
+    return {"distance": lp_distance(mu, nu, euclidean_metric())}, [], 0
 
 
 def _cmd_measure_product(args) -> tuple[dict, list[str], int]:
@@ -432,9 +457,6 @@ def _cmd_measure_product(args) -> tuple[dict, list[str], int]:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="output JSON (always on; accepted for symmetry)"
-    )
     common.add_argument(
         "--cite", action="store_true", help="append provenance statements to the output"
     )
@@ -520,18 +542,19 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = nav.add_parser(name, parents=[common])
         p.add_argument("--points", required=True, help=f"semicolon-separated {points}")
-        p.add_argument("--r", type=int, default=None)
         p.add_argument("--grid", type=_grid_count, default=9)
         p.set_defaults(handler=_cmd_nav_sequential, planner=planner)
     p = nav.add_parser("continuity", parents=[common])
-    p.add_argument("--n", type=_flag("n", int, 1), default=3, help="projective space dimension")
+    p.add_argument(
+        "--n", type=_dimension, default=3, help=f"projective space dimension, 1 to {MAX_VERIFIER_DIM}"
+    )
     p.add_argument("--pairs", type=_flag("pairs", int, 0), default=5)
     p.add_argument("--samples", type=_flag("samples", int, 0), default=4, help="perturbations per pair")
     p.add_argument("--scale", type=_flag("scale", float, 0.0), default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_nav_continuity)
     p = nav.add_parser("equivariance", parents=[common])
-    p.add_argument("--n", type=_flag("n", int, 1), default=3)
+    p.add_argument("--n", type=_dimension, default=3)
     p.add_argument("--pairs", type=_flag("pairs", int, 0), default=10)
     p.add_argument("--elements", type=_flag("elements", int, 0), default=3)
     p.add_argument("--tol", type=_flag("tol", float, 0.0), default=1e-9)
@@ -544,9 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = measure.add_parser("lp", parents=[common])
     p.add_argument("--mu", required=True, help="measure file: [{point, weight}]")
     p.add_argument("--nu", required=True)
-    p.add_argument(
-        "--precision", type=float, default=1e-6, help="accepted; the distance is exact"
-    )
     p.set_defaults(handler=_cmd_measure_lp)
     p = measure.add_parser("product", parents=[common])
     p.add_argument("--mu", required=True)
@@ -565,12 +585,12 @@ def main(argv=None) -> int:
     try:
         payload, tags, code = args.handler(args)
     except (ValueError, KeyError, CertificateError) as exc:
-        # ArgumentProblem and other ValueErrors are bad requests (2); a failed
-        # presentation or certificate check is a validation failure (3).
+        # A bad request is a ValueError or KeyError (2); a failed presentation
+        # or certificate check is a validation failure (3).
         _emit({"schema_version": SCHEMA_VERSION, "error": str(exc)})
         return 3 if isinstance(exc, (CertificateError, PresentationError)) else 2
     out = {"schema_version": SCHEMA_VERSION, "command": f"{args.group} {args.sub}", **payload}
-    if getattr(args, "cite", False):
+    if args.cite:
         out["citations"] = [
             {"tag": tag, "statement": REGISTRY[tag]} for tag in dict.fromkeys(tags)
         ]

@@ -70,7 +70,6 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Generator",
-    "Monomial",
     "GradedElement",
     "RewriteRule",
     "RingPresentation",
@@ -132,19 +131,6 @@ class Generator:
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise PresentationError(f"generator {self.name!r} has degree {self.degree} < 1")
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A canonical product of generators: sorted factors plus the sorting sign.
-
-    ``sign`` is +1 or -1 (Koszul sign of the sorting permutation restricted to
-    odd-degree factors), or 0 when an odd-degree factor repeats and the
-    product vanishes outright.
-    """
-
-    factors: Word
-    sign: int
 
 
 @dataclass(frozen=True)
@@ -251,7 +237,8 @@ class RingPresentation:
                     f"rule {rule.lhs}: rhs term {word} has degree "
                     f"{self.word_degree(word)}, lhs has {lhs_degree}"
                 )
-            if self.canonical(word).factors != word:
+            iword = [self._index[g] for g in word]
+            if iword != sorted(iword):
                 raise PresentationError(f"rule {rule.lhs}: rhs term {word} not canonical")
             if not self._termination_key(word) < lhs_key:
                 raise PresentationError(
@@ -289,16 +276,6 @@ class RingPresentation:
 
     def generator_names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.generators)
-
-    # -- canonicalization ---------------------------------------------------
-
-    def canonical(self, factors: Sequence[str]) -> Monomial:
-        """Sort factors into registration order, tracking the Koszul sign.
-
-        Returns sign 0 when an odd-degree generator repeats.
-        """
-        iword, sign = _sort_word(self._oddf, [self._index[g] for g in factors])
-        return Monomial(self._word_names(iword), sign)
 
     def _word_names(self, iword: IWord) -> Word:
         names = self._names

@@ -450,7 +450,7 @@ def check_equivariance(
             moved = plan_fn(g @ x, g @ y)
             pushed_atoms = [(p.mapped(g), w) for p, w in plan_fn(x, y).measure.atoms]
             pushed = FiniteMeasure(pushed_atoms)
-            d = lp_distance(moved.measure, pushed, space, precision=1e-12)
+            d = lp_distance(moved.measure, pushed, space)
             worst = max(worst, d)
             if d > tol:
                 failures.append(
@@ -477,8 +477,8 @@ def check_lp_continuity(
 
     Perturbs each input pair on the sphere, then compares the plans in LP
     distance over the path sup metric.  A sample fails when the output
-    moves more than RATIO_CEILING times the input displacement (plus the
-    LP precision slack).  Returns {samples, max_discrepancy, failures}.
+    moves more than RATIO_CEILING times the input displacement.  Returns
+    {samples, max_discrepancy, failures}.
     """
     point_space = projective_metric()
     rng = np.random.default_rng(seed)
@@ -486,7 +486,6 @@ def check_lp_continuity(
     samples = 0
     worst = 0.0
     failures: list[dict] = []
-    precision = 1e-9
     for x, y in base_pairs:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -503,9 +502,9 @@ def check_lp_continuity(
                 point_space.distance(x, x2), point_space.distance(y, y2)
             )
             moved = plan_fn(x2, y2)
-            d = lp_distance(base_plan.measure, moved.measure, space, precision=precision)
+            d = lp_distance(base_plan.measure, moved.measure, space)
             worst = max(worst, d)
-            if d > RATIO_CEILING * input_delta + 2 * precision:
+            if d > RATIO_CEILING * input_delta:
                 failures.append(
                     {
                         "input": {"x": to_jsonable(x2), "y": to_jsonable(y2)},

@@ -66,7 +66,6 @@ __all__ = [
     "sphere",
     "complex_projective",
     "config_space",
-    "config_poincare_formula",
     "FiberProduct",
     "fn_fiber_product",
     "fn_poincare_formula",
@@ -76,7 +75,6 @@ __all__ = [
     "cpn_sphere_bundle",
     "catalog",
     "shipped_names",
-    "poly_mul",
 ]
 
 
@@ -157,11 +155,6 @@ def config_space(d: int, k: int) -> RingPresentation:
     gens = tuple(Generator(_w(i, j), deg, rank=j) for i, j in pairs)
     rules = _square_zero_rules(gens) + _straightening_rules(_w, range(3, k + 1))
     return RingPresentation(gens, rules, name=f"conf:d={d},k={k}")
-
-
-def config_poincare_formula(d: int, k: int, max_degree: int) -> list[int]:
-    """Coefficients of prod_{i=1}^{k-1} (1 + i t^{d-1}) up to max_degree."""
-    return _binomial_product(d - 1, range(1, k), max_degree)
 
 
 # -- fiber products ---------------------------------------------------------------

@@ -15,7 +15,6 @@ from distnav.bounds import (
     MAX_WITNESS_WORK,
     CertificateError,
     RingMap,
-    _cup_length_search,
     _witness_terms,
     apply_ring_map,
     certificate_to_dict,
@@ -310,13 +309,14 @@ def test_ring_top_degree():
 
 
 def unpruned_cup_length_search(P, elements, budget=12):
-    """The search without its ceiling exit: every branch is explored."""
+    """The search without its ceiling exit or its odd-square skip: every
+    multiset is explored."""
     degrees = [element_degree(P, e) for e in elements]
     top = ring_top_degree(P, ceiling=budget * max(degrees))
-    best, best_indices = 0, ()
+    best = 0
 
-    def dfs(start, acc, acc_degree, chosen):
-        nonlocal best, best_indices
+    def dfs(start, acc, acc_degree, length):
+        nonlocal best
         for idx in range(start, len(elements)):
             ndeg = acc_degree + degrees[idx]
             if ndeg > top:
@@ -324,15 +324,12 @@ def unpruned_cup_length_search(P, elements, budget=12):
             nxt = multiply(P, acc, elements[idx])
             if is_zero(nxt):
                 continue
-            chosen.append(idx)
-            if len(chosen) > best:
-                best, best_indices = len(chosen), tuple(chosen)
-            if len(chosen) < budget:
-                dfs(idx, nxt, ndeg, chosen)
-            chosen.pop()
+            best = max(best, length + 1)
+            if length + 1 < budget:
+                dfs(idx, nxt, ndeg, length + 1)
 
-    dfs(0, one(), 0, [])
-    return best, best_indices
+    dfs(0, one(), 0, 0)
+    return best
 
 
 def fn_closed_form(d, m, n, r):
@@ -346,9 +343,34 @@ def fn_closed_form(d, m, n, r):
 def test_cup_length_early_exit_matches_unpruned_search(cell):
     fp = fn_fiber_product(*cell)
     elements = copy_differences(fp)
-    got = _cup_length_search(fp.ring, diagonal_fn(fp), elements, budget=12)
+    got = cup_length_kernel(fp.ring, diagonal_fn(fp), elements, budget=12)
     assert got == unpruned_cup_length_search(fp.ring, elements)
-    assert got[0] == fn_closed_form(*cell)  # within CUP_LENGTH_NODE_LIMIT
+    assert got == fn_closed_form(*cell)  # within CUP_LENGTH_NODE_LIMIT
+
+
+def test_cup_length_never_squares_an_odd_element(monkeypatch):
+    # x x = -x x over Q for odd x; the search formed that zero product on
+    # every branch (935 products at (2,2,3,2), 487 without them).
+    fp = fn_fiber_product(2, 2, 1, 3)
+    collapse = diagonal_fn(fp)
+    elements = copy_differences(fp)
+    assert all(element_degree(fp.ring, e) % 2 for e in elements)
+    chains = {}  # id of a product -> indices of the elements it multiplies
+    products = []  # keeps every product alive, so no id is reused
+    real_multiply = bounds.multiply
+
+    def tracking(P, acc, e):
+        idx = next(i for i, x in enumerate(elements) if x is e)
+        chain = chains.get(id(acc), ())
+        assert idx not in chain, f"odd element {idx} multiplied by itself"
+        out = real_multiply(P, acc, e)
+        chains[id(out)] = chain + (idx,)
+        products.append(out)
+        return out
+
+    monkeypatch.setattr(bounds, "multiply", tracking)
+    assert cup_length_kernel(fp.ring, collapse, elements) == fn_closed_form(2, 2, 1, 3)
+    assert products
 
 
 def test_cup_length_reaches_degree_ceiling_on_odd_cell():

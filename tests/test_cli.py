@@ -13,6 +13,7 @@ import distnav.cli as cli
 from distnav.cli import main
 from distnav.gcring import MAX_SERIES_DEGREE, presentation_to_dict
 from distnav.bounds import euler_height
+from distnav.navplan import ArcPath
 from distnav.presentations import complex_projective, config_space, cpn_sphere_bundle
 
 
@@ -35,7 +36,7 @@ def write_measure(path, atoms):
 def test_normal_form_square_vanishes():
     code, out = run("ring", "normal-form", "--ring", "conf:d=2,k=4", "--word", "w_1_2,w_1_2")
     assert code == 0
-    assert out["schema_version"] == 2
+    assert out["schema_version"] == 3
     assert out["zero"] is True
     assert out["normal_form"] == []
 
@@ -54,7 +55,7 @@ def test_normal_form_straightening():
 def test_normal_form_unknown_generator_exits_2():
     code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "nope")
     assert code == 2
-    assert "error" in out and out["schema_version"] == 2
+    assert "error" in out and out["schema_version"] == 3
 
 
 def test_poincare_cp2():
@@ -393,8 +394,9 @@ def test_nav_circle_payload():
     assert code == 0
     weights = sorted(a["weight"] for a in out["atoms"])
     assert weights == [0.25, 0.75]
-    code, _ = run("nav", "circle", "--points", "1,0;0,1", "--r", "3")
-    assert code == 2  # r disagrees with the checkpoint count
+    code, out = run("nav", "circle", "--points", "1,0")
+    assert code == 2
+    assert "at least two checkpoints" in out["error"]
 
 
 def test_nav_hopf_payload():
@@ -429,6 +431,54 @@ def test_nav_grid_cap():
     assert cli._grid_count(str(cli.MAX_GRID)) == cli.MAX_GRID
     with pytest.raises(argparse.ArgumentTypeError, match=f"at most {cli.MAX_GRID}"):
         cli._grid_count(str(cli.MAX_GRID + 1))
+
+
+def test_trace_cap_admits_the_largest_plan_and_the_finest_grid():
+    assert 4096 * 9 <= cli.MAX_TRACE_POINTS
+    assert 2 * cli.MAX_GRID <= cli.MAX_TRACE_POINTS
+
+
+@pytest.mark.parametrize(
+    "command, points", [("circle", ("1,0", "0,1")), ("hopf", ("1,0,0,0", "0,1,0,0"))], ids=["circle", "hopf"]
+)
+def test_trace_over_cap_exits_2_before_sampling(command, points, monkeypatch):
+    # A 13-checkpoint plan at --grid 1024 printed 4096 x 1024 trace points.
+    def no_samples(*args):
+        raise AssertionError("a path was sampled")
+
+    monkeypatch.setattr(ArcPath, "sample", no_samples)
+    code, out = run("nav", command, "--points", ";".join(points * 6 + points[:1]), "--grid", "1024")
+    assert code == 2
+    assert "MAX_TRACE_POINTS" in out["error"] and "4096 paths" in out["error"]
+
+
+def test_verifier_dimension_cap():
+    # --n 100000 drew a 10^5 x 10^5 normal matrix per rotation.
+    assert cli._dimension(str(cli.MAX_VERIFIER_DIM)) == cli.MAX_VERIFIER_DIM
+    with pytest.raises(argparse.ArgumentTypeError, match=f"at most {cli.MAX_VERIFIER_DIM}"):
+        cli._dimension(str(cli.MAX_VERIFIER_DIM + 1))
+
+
+@pytest.mark.parametrize("name", ["samples", "elements"])
+def test_verifier_probe_cap(name):
+    # Pairs were drawn up front and probed without bound.
+    cap = cli.MAX_VERIFIER_PROBES
+    cli._check_probes(cap, 1, name)
+    cli._check_probes(1, cap, name)
+    cli._check_probes(cap, 0, name)
+    for pairs, per_pair in ((cap + 1, 1), (1, cap + 1), (cap + 1, 0), (0, cap + 1), (101, 100)):
+        with pytest.raises(ValueError, match="MAX_VERIFIER_PROBES") as info:
+            cli._check_probes(pairs, per_pair, name)
+        assert f"--{name} {per_pair}" in str(info.value)
+
+
+@pytest.mark.parametrize("command, flag", [("continuity", "--samples"), ("equivariance", "--elements")])
+def test_verifier_over_probe_cap_exits_2(command, flag, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_VERIFIER_PROBES", 5)
+    monkeypatch.setattr(cli, "_random_pairs", lambda *args: pytest.fail("pairs were drawn"))
+    code, out = run("nav", command, "--pairs", "3", flag, "2")
+    assert code == 2
+    assert "MAX_VERIFIER_PROBES" in out["error"]
 
 
 def run_stderr(*argv):
@@ -531,9 +581,10 @@ def test_measure_lp_and_product(tmp_path):
 
     far = write_measure(tmp_path / "far.json", [([0.25, 0.0], 1)])
     near = write_measure(tmp_path / "near.json", [([0.0, 0.0], 1)])
-    code, out = run("measure", "lp", "--mu", far, "--nu", near, "--precision", "1e-9")
+    code, out = run("measure", "lp", "--mu", far, "--nu", near)
     assert code == 0
-    assert abs(out["distance"] - 0.25) <= 1e-8
+    assert list(out) == ["schema_version", "command", "distance"]
+    assert out["distance"] == 0.25
 
     code, out = run("measure", "product", "--mu", mu, "--nu", far)
     assert code == 0
@@ -559,13 +610,13 @@ def test_measure_lp_mixed_dimensions_in_one_file_exits_2(tmp_path):
     assert "(2,)" in out["error"] and "(1,)" in out["error"]
 
 
-@pytest.mark.parametrize("precision", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("precision", ["nan", "inf", "0", "-1", "1e-6"])
 def test_measure_lp_rejects_bad_precision(tmp_path, precision):
-    # nan and inf exited 2 only because the old bisection's log2 raised.
+    # --precision is gone, good values included: the distance is exact.
     point = write_measure(tmp_path / "point.json", [([0.0], 1)])
-    code, out = run("measure", "lp", "--mu", point, "--nu", point, "--precision", precision)
+    code, err = run_stderr("measure", "lp", "--mu", point, "--nu", point, "--precision", precision)
     assert code == 2
-    assert "precision" in out["error"]
+    assert "unrecognized arguments: --precision" in err
 
 
 # Malformed measure files: strings and objects as points died inside numpy,
@@ -647,10 +698,23 @@ def test_payload_names_its_command(argv, tmp_path):
     assert list(out)[:2] == ["schema_version", "command"]
 
 
-def test_json_flag_is_noop():
-    _, plain = run("value", "hopf", "--r", "2")
-    _, flagged = run("value", "hopf", "--r", "2", "--json")
-    assert plain == flagged
+# Flags that had no effect, removed in schema version 3: --json on every
+# subcommand, and --r of nav circle and nav hopf, which had to equal the
+# number of --points (measure lp --precision is tested above).
+REMOVED_FLAGS = [(argv, ("--json",)) for argv in SUBCOMMANDS] + [
+    (("nav", "circle", "--points", "1,0;0,1"), ("--r", "2")),
+    (("nav", "hopf", "--points", "1,0,0,0;0,1,0,0"), ("--r", "2")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", REMOVED_FLAGS, ids=[f"{argv[0]}-{argv[1]}{flag[0]}" for argv, flag in REMOVED_FLAGS]
+)
+def test_removed_flags_exit_2(argv, flag, tmp_path):
+    measure = write_measure(tmp_path / "mu.json", [([0.0, 0.0], "1/2"), ([1.0, 0.0], "1/2")])
+    code, err = run_stderr(*(measure if a == "MEASURE" else a for a in argv), *flag)
+    assert code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 def test_cite_absent_without_flag():

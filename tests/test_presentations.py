@@ -19,6 +19,7 @@ from distnav.gcring import (
     is_zero,
     multiply,
     poincare_series,
+    poly_mul,
     product,
     scale,
     subtract,
@@ -27,13 +28,11 @@ from distnav.gcring import (
 from distnav.presentations import (
     catalog,
     complex_projective,
-    config_poincare_formula,
     config_space,
     cpn_sphere_bundle,
     fn_fiber_product,
     fn_poincare_formula,
     point,
-    poly_mul,
     shipped_names,
     sphere,
     sphere_bundle_tower,
@@ -52,6 +51,16 @@ def count_admissible(slots, step, max_degree):
         if deg <= max_degree:
             dims[deg] += 1
     return dims
+
+
+def config_poincare_formula(d, k, max_degree):
+    """Closed-form oracle: coefficients of prod_{i=1}^{k-1} (1 + i t^{d-1})
+    up to max_degree."""
+    series = [1] + [0] * max_degree
+    for i in range(1, k):
+        for deg in range(max_degree, d - 2, -1):
+            series[deg] += i * series[deg - (d - 1)]
+    return series
 
 
 def slot_counts_config(k):
