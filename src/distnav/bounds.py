@@ -14,24 +14,34 @@ Every certificate is verified inside the exact rewrite engine: kernel
 membership is checked by applying the ring map, and nonvanishing by
 computing the normal form of the full product.  A vanishing product raises
 ``CertificateError``; nothing is approximated.
+
+A ring map runs on the rewrite kernel's integer coding.  It encodes each
+generator image once, in normal form, the first time the image is needed;
+the image of a word is the product of those codes, each partial product
+again a normal form, and a sum of normal words is normal, so neither
+applying nor validating a map takes a closing normal form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .gcring import (
     GradedElement,
+    IWord,
     PresentationError,
     RingPresentation,
     Word,
+    _index_terms,
+    _normal_terms,
+    _times,
+    _to_element,
     element_degree,
     gen,
     is_zero,
     multiply,
-    normal_form,
     one,
     poincare_series,
     product,
@@ -83,26 +93,82 @@ class CertificateError(RuntimeError):
     """A claimed certificate failed verification in the exact engine."""
 
 
+# An element in the kernel's coding: canonical index words with their
+# numerators, and the common denominator.
+_Code = tuple[list[tuple[IWord, int | Fraction]], int]
+
+
 @dataclass(frozen=True)
 class RingMap:
-    """A ring endomorphism given on generators; monomials map multiplicatively."""
+    """A ring endomorphism given on generators; monomials map multiplicatively.
+
+    ``_codes`` caches each generator image in normal form in the kernel's
+    coding, keyed by generator index, from its first use on.
+    """
 
     ring: RingPresentation
     images: Mapping[str, GradedElement]
+    _codes: dict[int, _Code] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _image_code(f: RingMap, g: int) -> _Code:
+    """The coded normal form of the image of generator index g, encoded once."""
+    code = f._codes.get(g)
+    if code is None:
+        terms, den = _normal_terms(f.ring, f.images[f.ring.generators[g].name])
+        code = f._codes[g] = ([(w, c) for w, c in terms.items() if c], den)
+    return code
+
+
+def _apply_coded(f: RingMap, terms: list[tuple[IWord, int]]) -> dict[IWord, int | Fraction]:
+    """f of the coded terms: a map from normal words to coefficients (some
+    may be 0).
+
+    Each word maps to the product of its factors' image codes, folded left
+    to right with every partial product a normal form; the fold stops at
+    the first zero partial product and reads no further image.
+    """
+    P = f.ring
+    total: dict[IWord, int | Fraction] = {}
+    for word, coeff in terms:
+        if word:
+            first, den = _image_code(f, word[0])
+            image = {w: coeff * c for w, c in first}
+        else:
+            image, den = {(): coeff}, 1
+        for g in word[1:]:
+            if not image:
+                break
+            right, den_g = _image_code(f, g)
+            image = {w: c for w, c in _times(P, image.items(), right, True).items() if c}
+            den *= den_g
+        for w, c in image.items():
+            total[w] = total.get(w, 0) + (c if den == 1 else Fraction(c, den))
+    return total
 
 
 def apply_ring_map(f: RingMap, a: GradedElement) -> GradedElement:
     """Image of ``a``, in normal form.
 
-    Each term's image is a product of normal forms, so it is one itself;
-    their sum needs a single normal form at the end, which merges equal
-    words and drops cancelled ones.
+    Each term's image is a product of normal forms taken in the kernel's
+    coding, so it is a combination of normal words; a sum of normal words
+    is normal, so the sum needs no closing normal form, only the merge of
+    equal words and the drop of cancelled ones.
+
+    >>> from distnav.presentations import fn_fiber_product
+    >>> f = diagonal_fn(fn_fiber_product(2, 2, 1, 2))
+    >>> apply_ring_map(f, subtract(gen("w1_1_3"), gen("w2_1_3")))  # a kernel class
+    GradedElement(terms={})
+    >>> apply_ring_map(f, gen("w_1_2"))  # a base class is fixed
+    GradedElement(terms={('w_1_2',): Fraction(1, 1)})
     """
-    total: dict[Word, Fraction] = {}
-    for word, coeff in a.terms.items():
-        for w, c in product(f.ring, (f.images[g] for g in word)).terms.items():
-            total[w] = total.get(w, Fraction(0)) + coeff * c
-    return normal_form(f.ring, GradedElement(total))
+    terms, den = _index_terms(f.ring, a)
+    return _to_element(f.ring, _apply_coded(f, terms), den)
+
+
+def _scaled(code: Mapping[IWord, int | Fraction], factor: int) -> dict[IWord, int | Fraction]:
+    """The nonzero coefficients of a coded element, each times ``factor``."""
+    return {w: c * factor for w, c in code.items() if c}
 
 
 def validate_ring_map(f: RingMap) -> None:
@@ -110,6 +176,11 @@ def validate_ring_map(f: RingMap) -> None:
 
     For each rule lhs -> rhs the images of both sides must agree; otherwise
     f is not a ring map and certificates built from it would be meaningless.
+    Both sides stay in the kernel's coding as combinations of normal words,
+    so neither takes a closing normal form: the left is the product of the
+    two image codes, the right the coded image of the rule's right side,
+    and each side's numerators are scaled by the other side's denominator
+    before they are compared.
     """
     for name in f.ring.generator_names():
         if name not in f.images:
@@ -120,9 +191,12 @@ def validate_ring_map(f: RingMap) -> None:
                 f"ring map image of {name!r} has degree {img_deg}, "
                 f"expected {f.ring.degree(name)}"
             )
-    for (a, b), rhs in f.ring.rules.items():
-        lhs_img = multiply(f.ring, f.images[a], f.images[b])
-        rhs_img = apply_ring_map(f, rhs)
+    P, index = f.ring, f.ring._index
+    for (a, b), rhs in P.rules.items():
+        (left_a, den_a), (left_b, den_b) = _image_code(f, index[a]), _image_code(f, index[b])
+        terms, den_rhs = _index_terms(P, rhs)
+        lhs_img = _scaled(_times(P, left_a, left_b, True), den_rhs)
+        rhs_img = _scaled(_apply_coded(f, terms), den_a * den_b)
         if lhs_img != rhs_img:
             raise PresentationError(f"ring map does not respect the rule on ({a}, {b})")
 

@@ -85,12 +85,19 @@ MAX_TRACE_POINTS = 2**16
 # and 120 ms at 1024; --n 100000 would draw a 10^5 x 10^5 normal matrix
 # (80 GB).
 MAX_VERIFIER_DIM = 64
+# Vector length of nav rpn: a line in R^(n+1) for n up to MAX_VERIFIER_DIM,
+# the projective dimension the verifiers take.
+MAX_RPN_LENGTH = MAX_VERIFIER_DIM + 1
 # Plan comparisons one verifier run may make: pairs x samples or pairs x
 # elements, where a zero count counts as 1 (the other side is still drawn).
 # At the cap, with --n 64, equivariance ran in 4.0 s (100 x 100) and 6.5 s
 # (1 pair x 10000 rotations), continuity in 3.3 s (single runs on a shared
 # 2-core host).
 MAX_VERIFIER_PROBES = 10_000
+# Atoms measure product may build, len(mu) x len(nu), checked before any is
+# built: 256 x 256 atoms took 2.4 s and printed 12 MB, 300 x 300 took 3.1 s
+# and printed 17 MB (in process, single runs on a shared 2-core host).
+MAX_PRODUCT_ATOMS = 2**16
 
 
 # -- shared helpers ---------------------------------------------------------------
@@ -380,6 +387,12 @@ def _cmd_value_hopf(args):
 def _cmd_nav_rpn(args) -> tuple[dict, list[str], int]:
     x = _parse_vector(args.x)
     y = _parse_vector(args.y)
+    for flag, vector in (("--x", x), ("--y", y)):
+        if len(vector) > MAX_RPN_LENGTH:
+            raise ValueError(
+                f"{flag} has {len(vector)} components, over the cap of "
+                f"{MAX_RPN_LENGTH} (MAX_RPN_LENGTH)"
+            )
     if x.shape != y.shape:
         raise ValueError("x and y must have the same dimension")
     plan = rpn_navigate(x, y)
@@ -443,6 +456,11 @@ def _cmd_measure_lp(args) -> tuple[dict, list[str], int]:
 def _cmd_measure_product(args) -> tuple[dict, list[str], int]:
     mu = _load_measure(args.mu)
     nu = _load_measure(args.nu)
+    if len(mu) * len(nu) > MAX_PRODUCT_ATOMS:
+        raise ValueError(
+            f"the product of {len(mu)} and {len(nu)} atoms has {len(mu) * len(nu)}, "
+            f"over the cap of {MAX_PRODUCT_ATOMS} (MAX_PRODUCT_ATOMS)"
+        )
     prod = product_measure(mu, nu)
     payload = {
         "support": len(prod),

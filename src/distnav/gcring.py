@@ -504,13 +504,19 @@ def _to_element(
     return result
 
 
-def normal_form(P: RingPresentation, a: GradedElement) -> GradedElement:
-    """Rewrite until no rule applies.  Terminates by the rank-multiset order."""
+def _normal_terms(P: RingPresentation, a: GradedElement) -> tuple[dict[IWord, int | Fraction], int]:
+    """a's normal form in the kernel's coding: normal index words with
+    numerators over a common denominator (a numerator may be 0)."""
     terms, den = _index_terms(P, a)
     out: dict[IWord, int | Fraction] = {}
     for word, coeff in terms:
         _reduce_into(out, P, word, coeff, _ALL_DIRTY, _odd_mask(P, word))
-    return _to_element(P, out, den)
+    return out, den
+
+
+def normal_form(P: RingPresentation, a: GradedElement) -> GradedElement:
+    """Rewrite until no rule applies.  Terminates by the rank-multiset order."""
+    return _to_element(P, *_normal_terms(P, a))
 
 
 def _times(

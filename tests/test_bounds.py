@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import distnav.bounds as bounds
+import distnav.gcring as gcring
 from distnav.bounds import (
     MAX_WITNESS_WORK,
     CertificateError,
@@ -30,8 +31,11 @@ from distnav.bounds import (
     witness_work,
 )
 from distnav.gcring import (
+    Generator,
     GradedElement,
     PresentationError,
+    RewriteRule,
+    RingPresentation,
     add,
     element,
     element_degree,
@@ -41,6 +45,7 @@ from distnav.gcring import (
     normal_form,
     one,
     product,
+    scale,
     subtract,
     zero,
 )
@@ -125,6 +130,116 @@ def test_apply_ring_map_matches_per_term_normal_forms():
             for h in gens:
                 a = subtract(gen(g), gen(h))
                 assert apply_ring_map(f, a) == apply_ring_map_per_term(f, a)
+
+
+def validate_ring_map_by_names(f):
+    """validate_ring_map on name tuples, both sides of a rule as GradedElements (oracle)."""
+    for name in f.ring.generator_names():
+        if name not in f.images:
+            raise PresentationError(f"ring map misses generator {name!r}")
+        img_deg = element_degree(f.ring, f.images[name])
+        if img_deg is not None and img_deg != f.ring.degree(name):
+            raise PresentationError(
+                f"ring map image of {name!r} has degree {img_deg}, "
+                f"expected {f.ring.degree(name)}"
+            )
+    for (a, b), rhs in f.ring.rules.items():
+        lhs_img = multiply(f.ring, f.images[a], f.images[b])
+        rhs_img = apply_ring_map_per_term(f, rhs)
+        if lhs_img != rhs_img:
+            raise PresentationError(f"ring map does not respect the rule on ({a}, {b})")
+
+
+def validation_outcome(validate, ring, images):
+    """The message validate raises on a fresh map, or None when it passes."""
+    try:
+        validate(RingMap(ring, images))
+    except PresentationError as exc:
+        return str(exc)
+    return None
+
+
+def truncated_ring():
+    """a of degree 2 with a*a -> a2 and every longer product zero."""
+    return RingPresentation(
+        (Generator("a", 2), Generator("a2", 4)),
+        (
+            RewriteRule(("a", "a"), gen("a2")),
+            RewriteRule(("a", "a2"), zero()),
+            RewriteRule(("a2", "a2"), zero()),
+        ),
+        name="truncated",
+    )
+
+
+FN_CELLS = [(d, m, n, r) for d in (2, 3, 4) for m in (2, 3, 4) for n in (1, 2, 3) for r in (2, 3, 4)]
+
+
+def test_validators_pass_on_shipped_and_fn_diagonals():
+    maps = shipped_diagonals() + [diagonal_fn(fn_fiber_product(*cell)) for cell in FN_CELLS]
+    assert len(maps) == 7 + 81
+    for f in maps:
+        validate_ring_map(RingMap(f.ring, f.images))
+        validate_ring_map_by_names(f)
+
+
+def test_validators_agree_on_seeded_mutants():
+    # Each mutant sends one generator to another generator of the same degree.
+    rng = random.Random(17)
+    raised = 0
+    for f in shipped_diagonals():
+        names = f.ring.generator_names()
+        for _ in range(8):
+            g = rng.choice(names)
+            others = [h for h in names if f.ring.degree(h) == f.ring.degree(g) and gen(h) != f.images[g]]
+            if not others:
+                continue
+            images = {**f.images, g: gen(rng.choice(others))}
+            message = validation_outcome(validate_ring_map_by_names, f.ring, images)
+            assert validation_outcome(validate_ring_map, f.ring, images) == message
+            if message is not None:
+                assert message.startswith("ring map does not respect the rule on (")
+                raised += 1
+    assert raised >= 25
+
+
+def test_validators_agree_on_fractional_images():
+    # Images over different denominators: the rule comparison cross-multiplies.
+    ring = truncated_ring()
+    for a_scale in (Fraction(1, 2), Fraction(-2, 3), Fraction(3)):
+        for a2_scale in (a_scale**2, a_scale, 2 * a_scale**2, Fraction(1, 5)):
+            images = {"a": scale(a_scale, gen("a")), "a2": scale(a2_scale, gen("a2"))}
+            message = validation_outcome(validate_ring_map_by_names, ring, images)
+            assert (message is None) == (a2_scale == a_scale**2)
+            assert validation_outcome(validate_ring_map, ring, images) == message
+            f = RingMap(ring, images)
+            for a in (gen("a"), gen("a2"), element([(Fraction(3, 7), ("a", "a")), (1, ("a2",))])):
+                assert apply_ring_map(f, a) == apply_ring_map_per_term(f, a)
+
+
+def test_ring_map_encodes_each_image_once(monkeypatch):
+    fp = fn_fiber_product(2, 3, 2, 3)
+    f = RingMap(fp.ring, diagonal_fn(fp).images)
+    calls = []
+    index_terms = gcring._index_terms
+    monkeypatch.setattr(gcring, "_index_terms", lambda P, a: calls.append(a) or index_terms(P, a))
+    a = element([(1, ("w1_1_4", "w2_2_4")), (-2, ("w_1_2", "w3_1_5")), (Fraction(1, 3), ("w2_2_4",))])
+    first = apply_ring_map(f, a)
+    assert len(calls) == 4  # one image per distinct generator of a
+    for _ in range(5):
+        assert apply_ring_map(f, a) == first
+    assert len(calls) == 4
+    assert first == apply_ring_map_per_term(f, a) and not is_zero(first)
+
+
+def test_ring_map_stops_at_a_zero_partial_product(monkeypatch):
+    calls = []
+    index_terms = gcring._index_terms
+    monkeypatch.setattr(gcring, "_index_terms", lambda P, a: calls.append(a) or index_terms(P, a))
+    ring = truncated_ring()
+    f = RingMap(ring, {"a": zero(), "a2": gen("a2")})
+    assert is_zero(apply_ring_map(f, element([(1, ("a", "a2", "a2"))])))
+    assert calls == [zero()]  # the image of a2 was never read
 
 
 def test_validate_ring_map_catches_degree_mismatch():

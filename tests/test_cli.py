@@ -518,6 +518,21 @@ def test_nav_rpn_rejects_vectors_of_length_one():
     assert "length at least 2" in out["error"]
 
 
+def test_nav_rpn_over_length_cap_exits_2(monkeypatch):
+    # Vectors of 10^5 components at --grid 1024 would sample 1.6 GB of points.
+    cap = cli.MAX_RPN_LENGTH
+    assert cap == cli.MAX_VERIFIER_DIM + 1
+    at_cap = "1" + ",0" * (cap - 1)
+    code, out = run("nav", "rpn", "--x", at_cap, "--y", "0,1" + ",0" * (cap - 2))
+    assert code == 0 and len(out["atoms"][0]["trace"][0]) == cap
+    monkeypatch.setattr(cli, "rpn_navigate", lambda *args: pytest.fail("a plan was built"))
+    over = "1" + ",0" * cap
+    for x, y, flag in ((over, at_cap, "--x"), (at_cap, over, "--y")):
+        code, out = run("nav", "rpn", "--x", x, "--y", y)
+        assert code == 2
+        assert f"{flag} has {cap + 1} components" in out["error"] and "MAX_RPN_LENGTH" in out["error"]
+
+
 def test_nav_equivariance_on_the_projective_line():
     # Seed 0 draws a 1x1 matrix of determinant -1, whose column swap raised
     # IndexError; the only rotation of the line is [[1]].
@@ -729,3 +744,17 @@ def test_argparse_failures_exit_2():
     assert code == 2
     code, _ = run()
     assert code == 2
+
+
+def test_measure_product_over_atom_cap_exits_2(tmp_path, monkeypatch):
+    # Two 300-atom files built 90000 atoms and printed 15 MB.
+    mu = write_measure(tmp_path / "mu.json", [([float(i)], "1/2") for i in range(2)])
+    nu = write_measure(tmp_path / "nu.json", [([float(i)], "1/3") for i in range(3)])
+    monkeypatch.setattr(cli, "MAX_PRODUCT_ATOMS", 6)
+    code, out = run("measure", "product", "--mu", mu, "--nu", nu)
+    assert code == 0 and out["support"] == 6
+    monkeypatch.setattr(cli, "MAX_PRODUCT_ATOMS", 5)
+    monkeypatch.setattr(cli, "product_measure", lambda *args: pytest.fail("a product was built"))
+    code, out = run("measure", "product", "--mu", mu, "--nu", nu)
+    assert code == 2
+    assert "2 and 3 atoms has 6" in out["error"] and "MAX_PRODUCT_ATOMS" in out["error"]
