@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .gcring import (
+    Code,
     GradedElement,
     IWord,
     PresentationError,
@@ -93,11 +94,6 @@ class CertificateError(RuntimeError):
     """A claimed certificate failed verification in the exact engine."""
 
 
-# An element in the kernel's coding: canonical index words with their
-# numerators, and the common denominator.
-_Code = tuple[list[tuple[IWord, int | Fraction]], int]
-
-
 @dataclass(frozen=True)
 class RingMap:
     """A ring endomorphism given on generators; monomials map multiplicatively.
@@ -108,10 +104,10 @@ class RingMap:
 
     ring: RingPresentation
     images: Mapping[str, GradedElement]
-    _codes: dict[int, _Code] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _codes: dict[int, Code] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _image_code(f: RingMap, g: int) -> _Code:
+def _image_code(f: RingMap, g: int) -> Code:
     """The coded normal form of the image of generator index g, encoded once."""
     code = f._codes.get(g)
     if code is None:
@@ -178,9 +174,18 @@ def validate_ring_map(f: RingMap) -> None:
     f is not a ring map and certificates built from it would be meaningless.
     Both sides stay in the kernel's coding as combinations of normal words,
     so neither takes a closing normal form: the left is the product of the
-    two image codes, the right the coded image of the rule's right side,
-    and each side's numerators are scaled by the other side's denominator
-    before they are compared.
+    two image codes, the right the sum of the images of the right-hand words
+    of the presentation's rule table, and the right is scaled by the left's
+    denominator before they are compared.
+
+    A collapse map sends many generators to one image, so the images of
+    words are memoized.  Generators whose image codes are equal share a
+    class id, and the coded image of a word, a left side included, is
+    computed once per tuple of class ids, by multiplying the image of its
+    prefix by the last factor's code.  The image of a word depends only on
+    the images of its factors, so a memoized image is the image itself:
+    every rule is still compared, in ``P.rules`` order, and the first rule
+    whose sides differ is the one reported.
     """
     for name in f.ring.generator_names():
         if name not in f.images:
@@ -192,12 +197,42 @@ def validate_ring_map(f: RingMap) -> None:
                 f"expected {f.ring.degree(name)}"
             )
     P, index = f.ring, f.ring._index
-    for (a, b), rhs in P.rules.items():
-        (left_a, den_a), (left_b, den_b) = _image_code(f, index[a]), _image_code(f, index[b])
-        terms, den_rhs = _index_terms(P, rhs)
-        lhs_img = _scaled(_times(P, left_a, left_b, True), den_rhs)
-        rhs_img = _scaled(_apply_coded(f, terms), den_a * den_b)
-        if lhs_img != rhs_img:
+    class_ids: dict[int, int] = {}  # generator index -> class id
+    class_codes: dict[tuple, int] = {}  # image code -> class id
+    codes: list[Code] = []  # class id -> image code
+
+    def class_of(g: int) -> int:
+        cid = class_ids.get(g)
+        if cid is None:
+            terms, den = _image_code(f, g)
+            cid = class_codes.setdefault((tuple(terms), den), len(codes))
+            if cid == len(codes):
+                codes.append((terms, den))
+            class_ids[g] = cid
+        return cid
+
+    # class-id word -> its coded image: normal words with nonzero numerators,
+    # and the denominator
+    images: dict[tuple[int, ...], tuple[dict[IWord, int | Fraction], int]] = {(): ({(): 1}, 1)}
+
+    def word_image(key: tuple[int, ...]) -> tuple[dict[IWord, int | Fraction], int]:
+        image = images.get(key)
+        if image is None:
+            prefix, den = word_image(key[:-1])
+            right, den_g = codes[key[-1]]
+            terms = _times(P, prefix.items(), right, True) if prefix else {}
+            image = images[key] = ({w: c for w, c in terms.items() if c}, den * den_g)
+        return image
+
+    for a, b in P.rules:
+        i, j = index[a], index[b]
+        lhs_img, den_lhs = word_image((class_of(i), class_of(j)))
+        rhs_img: dict[IWord, int | Fraction] = {}
+        for word, coeff, _, _ in P._rows[i][j]:
+            image, den = word_image(tuple(map(class_of, word)))
+            for w, c in image.items():
+                rhs_img[w] = rhs_img.get(w, 0) + (coeff * c if den == 1 else Fraction(coeff * c, den))
+        if lhs_img != _scaled(rhs_img, den_lhs):
             raise PresentationError(f"ring map does not respect the rule on ({a}, {b})")
 
 

@@ -31,6 +31,13 @@ The rewrite kernel behind :func:`normal_form`, :func:`multiply` and
   and scales the normal words it reaches.  So the arithmetic stays in ints on
   integral rules and falls back to ``Fraction`` by itself on loaded rules
   that are not.
+* Encode once.  An element is encoded at most once per ring: its code is
+  cached on it, for the ring it was made for (identity, not equality).  A
+  kernel result keeps the code it was decoded from whenever that is exactly
+  the encoding (int numerators over denominator 1, as on every shipped ring
+  with integral inputs), so the outputs of :func:`multiply`, :func:`product`
+  and :func:`normal_form` come back in coded.  Elements are never mutated,
+  so a code never goes stale.
 * Redex order.  :func:`normal_form` and :func:`multiply` rewrite the
   leftmost redex.  :func:`product` multiplies a partial product, already a
   normal form, by the next factor; a pair of factors from the partial
@@ -99,6 +106,9 @@ __all__ = [
 
 Word = tuple[str, ...]
 IWord = tuple[int, ...]  # a word as generator indices, the kernel's encoding
+# An element in the kernel's coding: canonical index words with their
+# numerators, and the common denominator.
+Code = tuple[list[tuple[IWord, int | Fraction]], int]
 
 # Highest degree a Poincare series may be asked for.  Series lists hold one
 # int per degree.  poly_mul visits nonzero coefficients only, so the fn
@@ -138,11 +148,16 @@ class GradedElement:
     """A finite Q-linear combination of canonical monomials.
 
     ``terms`` maps canonical factor tuples to nonzero rational coefficients.
-    Instances are treated as immutable values; all arithmetic returns fresh
-    objects.
+    Instances are immutable values; all arithmetic returns fresh objects.
+    An element caches its code in the rewrite kernel's coding, with the ring
+    it was made for, in ``_code``, which is neither compared nor shown, so
+    ``terms`` must never be mutated.
     """
 
     terms: Mapping[Word, Fraction] = field(default_factory=dict)
+    _code: tuple[RingPresentation, list[tuple[IWord, int | Fraction]], int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -477,7 +492,12 @@ def _index_terms(
     their common denominator: a = sum(c * word) / den.
 
     Raw words (unsorted, or with a repeated odd factor) are canonicalized.
+    The code is cached on ``a`` for this very ring (identity, not equality)
+    and shared: callers must not mutate it.
     """
+    cached = a._code
+    if cached is not None and cached[0] is P:
+        return cached[1], cached[2]
     den = 1
     for coeff in a.terms.values():
         if coeff.denominator != 1:
@@ -489,18 +509,29 @@ def _index_terms(
         if sign:
             c = coeff.numerator * (den // coeff.denominator)
             terms.append((iword, c if sign > 0 else -c))
+    object.__setattr__(a, "_code", (P, terms, den))
     return terms, den
 
 
 def _to_element(
     P: RingPresentation, acc: Mapping[IWord, int | Fraction], den: int
 ) -> GradedElement:
-    """The element sum(c * word) / den over the nonzero c of ``acc``."""
-    terms = {P._word_names(w): Fraction(c, den) for w, c in acc.items() if c}
+    """The element sum(c * word) / den over the nonzero c of ``acc``.
+
+    The words of ``acc`` are canonical.  With int numerators over den = 1
+    (every shipped ring on integral inputs) the nonzero terms of ``acc``, in
+    order, are exactly what :func:`_index_terms` would compute, so the
+    result keeps them as its code; otherwise it is encoded when first used.
+    """
+    code = [(w, c) for w, c in acc.items() if c]
+    coded = den == 1 and all(type(c) is int for _, c in code)
+    terms = {P._word_names(w): Fraction(c, den) for w, c in code}
     # The values are nonzero Fractions already, so GradedElement's own
     # conversion is skipped.
     result = object.__new__(GradedElement)
     object.__setattr__(result, "terms", terms)
+    if coded:
+        object.__setattr__(result, "_code", (P, code, 1))
     return result
 
 

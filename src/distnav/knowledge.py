@@ -31,6 +31,7 @@ __all__ = [
     "value_product_spheres",
     "value_associate_upper",
     "value_son_threshold",
+    "MAX_THRESHOLD_R",
     "value_hopf",
     "record_to_jsonable",
 ]
@@ -263,11 +264,23 @@ def value_associate_upper(dtc_g_r: int) -> int:
     return (dtc_g_r + 1) ** 2 - 1
 
 
+# Largest r of value_son_threshold: the largest r whose threshold, about
+# 2^(2r-2)/(r-1), is a finite double.  Checked before the power is formed,
+# which at r = 10^9 alone is an int of 2 * 10^9 bits (250 MB).
+MAX_THRESHOLD_R = 517
+
+
 def value_son_threshold(r: int) -> Fraction:
     """Projective dimension beyond which the distributional value drops
-    strictly below the classical one, as an exact rational."""
+    strictly below the classical one, as an exact rational.  Raises
+    ValueError for r outside 2..MAX_THRESHOLD_R."""
     if r < 2:
         raise ValueError("r must be at least 2")
+    if r > MAX_THRESHOLD_R:
+        raise ValueError(
+            f"r {r} is over the cap of {MAX_THRESHOLD_R} (MAX_THRESHOLD_R): "
+            "the threshold would not fit a float"
+        )
     return Fraction(2 ** (2 * r - 2) - 1, r - 1)
 
 

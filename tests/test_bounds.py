@@ -203,6 +203,58 @@ def test_validators_agree_on_seeded_mutants():
     assert raised >= 25
 
 
+def test_validators_agree_when_a_repeated_image_pair_breaks():
+    # The coded validator computes the image of a rule's left side once per
+    # pair of generator images.  Each mutant perturbs one right-hand term of
+    # a rule whose pair of images repeats an earlier rule's pair, so that
+    # rule, and no earlier one, breaks.
+    rng = random.Random(41)
+    raised = maps = tried = 0
+    for f in shipped_diagonals():
+        P = f.ring
+        rules = list(P.rules.items())
+        pairs = [(normal_form(P, f.images[a]), normal_form(P, f.images[b])) for a, b in P.rules]
+        repeats = [k for k, (_, rhs) in enumerate(rules) if rhs.terms and pairs[k] in pairs[:k]]
+        maps += bool(repeats)
+        for k in rng.sample(repeats, min(10, len(repeats))):
+            (a, b), rhs = rules[k]
+            word = rng.choice(sorted(rhs.terms))
+            factor = rng.choice([0, -1, 2, Fraction(3, 2)])
+            broken = element([(c * factor if w == word else c, w) for w, c in rhs.terms.items()])
+            ring = RingPresentation(
+                P.generators,
+                [RewriteRule(lhs, broken if i == k else r) for i, (lhs, r) in enumerate(rules)],
+                name=P.name,
+            )
+            message = validation_outcome(validate_ring_map_by_names, ring, f.images)
+            assert validation_outcome(validate_ring_map, ring, f.images) == message
+            tried += 1
+            if message is not None:
+                assert message == f"ring map does not respect the rule on ({a}, {b})"
+                raised += 1
+    assert maps == 5 and raised == tried >= 20
+
+
+def test_validators_agree_on_images_sharing_a_leading_term():
+    # Each mutant adds a generator to one image, which then shares its leading
+    # term, not its code, with the images of the generator's other copies.
+    rng = random.Random(43)
+    raised = tried = 0
+    for f in shipped_diagonals():
+        names = f.ring.generator_names()
+        for _ in range(6):
+            g = rng.choice(names)
+            others = [h for h in names if h != g and f.ring.degree(h) == f.ring.degree(g)]
+            if not others:
+                continue
+            images = {**f.images, g: add(f.images[g], gen(rng.choice(others)))}
+            message = validation_outcome(validate_ring_map_by_names, f.ring, images)
+            assert validation_outcome(validate_ring_map, f.ring, images) == message
+            tried += 1
+            raised += message is not None
+    assert tried >= 30 and raised >= 15
+
+
 def test_validators_agree_on_fractional_images():
     # Images over different denominators: the rule comparison cross-multiplies.
     ring = truncated_ring()

@@ -4,12 +4,15 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import distnav.cli as cli
+import distnav.knowledge as knowledge
 from distnav.cli import main
 from distnav.gcring import MAX_SERIES_DEGREE, presentation_to_dict
 from distnav.bounds import euler_height
@@ -331,6 +334,40 @@ def test_value_scalars():
     assert (out["numerator"], out["denominator"]) == (15, 2)
     code, out = run("value", "hopf", "--r", "5")
     assert (code, out["exact"]) == (0, 4)
+
+
+class PowerFormed(Exception):
+    """Raised by a stand-in for Fraction in knowledge: the cap let r through."""
+
+
+def power_formed(*args):
+    raise PowerFormed(args)
+
+
+def test_threshold_cap_is_the_largest_finite_float(monkeypatch):
+    cap = knowledge.MAX_THRESHOLD_R
+    assert cap == 517
+    code, out = run("value", "threshold", "--r", str(cap))
+    assert code == 0
+    assert Fraction(out["threshold"]) == Fraction(2 ** (2 * cap - 2) - 1, cap - 1)
+    assert math.isfinite(out["threshold_float"])
+    with pytest.raises(OverflowError):
+        float(Fraction(2 ** (2 * cap) - 1, cap))  # the threshold at cap + 1
+    # The check alone admits the cap: the threshold is built.
+    monkeypatch.setattr(knowledge, "Fraction", power_formed)
+    with pytest.raises(PowerFormed):
+        knowledge.value_son_threshold(cap)
+
+
+@pytest.mark.parametrize("r", ["518", "7150", str(10**9)])
+def test_threshold_over_cap_exits_2_before_the_power(monkeypatch, r):
+    monkeypatch.setattr(knowledge, "Fraction", power_formed)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["value", "threshold", "--r", r])
+    assert code == 2
+    assert json.loads(out.getvalue())["error"].startswith(f"r {r} is over the cap of 517 (MAX_THRESHOLD_R)")
+    assert err.getvalue() == ""
 
 
 # === nav group ===

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import distnav.gcring as gcring
 from distnav.bounds import verify_witness_fn
 from distnav.gcring import (
     _count_admissible,
@@ -372,6 +373,115 @@ def test_even_witness_product_matches_oracle(cell, monomial):
     word = min(fast.terms)
     assert (word, fast.terms[word]) == (min(slow.terms), slow.terms[min(slow.terms)])
     assert (word, fast.terms[word]) == (monomial, -1)
+
+
+# The cached code.  An element keeps its code in the kernel's coding, for
+# the ring it was made for; kernel outputs come back coded.
+
+RINGS = [n for n in shipped_names() if n != "point"]
+
+
+def integral(a):
+    """a with every coefficient replaced by its numerator."""
+    return element([(c.numerator, w) for w, c in a.terms.items()])
+
+
+def fresh_code(P, a):
+    """_index_terms of a with its cached code cleared, then restored."""
+    cached = a._code
+    object.__setattr__(a, "_code", None)
+    try:
+        return gcring._index_terms(P, a)
+    finally:
+        object.__setattr__(a, "_code", cached)
+
+
+def typed(terms):
+    return [(w, type(c), c) for w, c in terms]
+
+
+@pytest.mark.parametrize("name", RINGS + ["fractional"])
+def test_cached_code_equals_a_fresh_encoding(name):
+    P = fractional_ring() if name == "fractional" else catalog(name)
+    rng = random.Random(f"code-{name}")
+    checked = 0
+    for _ in range(20):
+        a = random_raw_element(P, rng)
+        b = integral(random_raw_element(P, rng, max_length=2))
+        outputs = [
+            normal_form(P, a),
+            normal_form(P, b),
+            multiply(P, a, b),
+            multiply(P, b, b),
+            product(P, [b, a, b]),
+        ]
+        # On integral rules, integral outputs come back coded before anything
+        # encodes them.
+        if name != "fractional":
+            for e in (outputs[1], outputs[3]):
+                assert e._code is not None and e._code[0] is P
+        for e in [a, b] + outputs:
+            multiply(P, e, one())  # encodes e unless it is coded already
+            cached = e._code
+            assert cached[0] is P
+            terms, den = fresh_code(P, e)
+            assert (typed(cached[1]), cached[2]) == (typed(terms), den), e
+            checked += 1
+    assert checked == 20 * 7
+
+
+def test_an_element_gets_each_rings_own_code():
+    # Two rings with one name and one generator set, registered in opposite
+    # orders: x y is the index word (0, 1) in both, with opposite signs.
+    P = RingPresentation([Generator("x", 1), Generator("y", 1)], [], name="pair")
+    Q = RingPresentation([Generator("y", 1), Generator("x", 1)], [], name="pair")
+    a = element([(1, ("x", "y"))])
+    for ring, sign in ((P, 1), (Q, -1), (P, 1), (Q, -1)):
+        assert gcring._index_terms(ring, a) == ([((0, 1), sign)], 1)
+        assert a._code[0] is ring
+        assert multiply(ring, a, one()) == oracle_multiply(ring, a, one())
+        assert normal_form(ring, a) == oracle_normal_form(ring, a)
+    xy = multiply(P, gen("x"), gen("y"))
+    assert xy._code == (P, [((0, 1), 1)], 1)
+    assert multiply(Q, xy, one()) == element([(-1, ("y", "x"))])
+    assert xy._code == (Q, [((0, 1), -1)], 1)
+
+
+@pytest.mark.parametrize("name", RINGS + ["fractional"])
+def test_chains_of_kernel_outputs_match_the_oracle(name):
+    # Each output goes back in as an input: coded when integral, encoded
+    # afresh otherwise (fractional inputs, or the loaded ring whose rules
+    # have non-integer coefficients).
+    P = fractional_ring() if name == "fractional" else catalog(name)
+    rng = random.Random(f"chain-{name}")
+    for trial in range(6):
+        factors = [random_raw_element(P, rng, max_terms=2, max_length=2) for _ in range(4)]
+        if trial % 2:
+            factors = [integral(f) for f in factors]
+        fast = slow = factors[0]
+        for f in factors[1:]:
+            fast, slow = multiply(P, fast, f), oracle_multiply(P, slow, f)
+            assert fast == slow
+            assert normal_form(P, fast) == slow
+            assert multiply(P, f, fast) == oracle_multiply(P, f, slow)
+        assert product(P, [fast, factors[0], fast]) == oracle_product(P, [slow, factors[0], slow])
+
+
+def test_multiply_does_not_encode_a_kernel_output(monkeypatch):
+    P = catalog("conf:d=2,k=4")
+    a = element([(1, ("w_1_2",)), (-2, ("w_2_3",))])
+    b = element([(3, ("w_1_4",)), (1, ("w_3_4",))])
+    ab, c = multiply(P, a, b), normal_form(P, element([(1, ("w_2_4",)), (1, ("w_1_3",))]))
+    assert len(ab.terms) > 1 and c._code is not None
+    calls = []
+    sort_word = gcring._sort_word
+    monkeypatch.setattr(gcring, "_sort_word", lambda oddf, seq: calls.append(seq) or sort_word(oddf, seq))
+    abc = multiply(P, ab, c)
+    assert calls == []
+    assert abc == oracle_multiply(P, oracle_multiply(P, a, b), c) and not is_zero(abc)
+    object.__setattr__(ab, "_code", None)
+    assert multiply(P, ab, c) == abc
+    assert len(calls) == len(ab.terms)  # the count sees each encoded word
 
 
 def dense_poly_mul(a, b, max_degree):
