@@ -13,32 +13,23 @@ list of kernel elements.
 Every certificate is verified inside the exact rewrite engine: kernel
 membership is checked by applying the ring map, and nonvanishing by
 computing the normal form of the full product.  A vanishing product raises
-``CertificateError``; nothing is approximated.
-
-A ring map runs on the rewrite kernel's integer coding.  It encodes each
-generator image once, in normal form, the first time the image is needed;
-the image of a word is the product of those codes, each partial product
-again a normal form, and a sum of normal words is normal, so neither
-applying nor validating a map takes a closing normal form.
+``CertificateError``; nothing is approximated.  The ring maps themselves
+(``RingMap``, ``apply_ring_map``, ``validate_ring_map``) live in
+:mod:`distnav.gcring`, which owns the kernel's integer coding they run on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .gcring import (
-    Code,
     GradedElement,
-    IWord,
-    PresentationError,
+    RingMap,
     RingPresentation,
     Word,
-    _index_terms,
-    _normal_terms,
-    _times,
-    _to_element,
+    apply_ring_map,
     element_degree,
     gen,
     is_zero,
@@ -47,14 +38,12 @@ from .gcring import (
     poincare_series,
     product,
     subtract,
+    validate_ring_map,
 )
 from .presentations import FiberProduct, SphereBundleTower, fn_witness_length
 
 __all__ = [
-    "RingMap",
     "CertificateError",
-    "apply_ring_map",
-    "validate_ring_map",
     "diagonal_fn",
     "tower_diagonal",
     "NonzeroCertificate",
@@ -92,148 +81,6 @@ MAX_WITNESS_WORK = 50_000_000
 
 class CertificateError(RuntimeError):
     """A claimed certificate failed verification in the exact engine."""
-
-
-@dataclass(frozen=True)
-class RingMap:
-    """A ring endomorphism given on generators; monomials map multiplicatively.
-
-    ``_codes`` caches each generator image in normal form in the kernel's
-    coding, keyed by generator index, from its first use on.
-    """
-
-    ring: RingPresentation
-    images: Mapping[str, GradedElement]
-    _codes: dict[int, Code] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-def _image_code(f: RingMap, g: int) -> Code:
-    """The coded normal form of the image of generator index g, encoded once."""
-    code = f._codes.get(g)
-    if code is None:
-        terms, den = _normal_terms(f.ring, f.images[f.ring.generators[g].name])
-        code = f._codes[g] = ([(w, c) for w, c in terms.items() if c], den)
-    return code
-
-
-def _apply_coded(f: RingMap, terms: list[tuple[IWord, int]]) -> dict[IWord, int | Fraction]:
-    """f of the coded terms: a map from normal words to coefficients (some
-    may be 0).
-
-    Each word maps to the product of its factors' image codes, folded left
-    to right with every partial product a normal form; the fold stops at
-    the first zero partial product and reads no further image.
-    """
-    P = f.ring
-    total: dict[IWord, int | Fraction] = {}
-    for word, coeff in terms:
-        if word:
-            first, den = _image_code(f, word[0])
-            image = {w: coeff * c for w, c in first}
-        else:
-            image, den = {(): coeff}, 1
-        for g in word[1:]:
-            if not image:
-                break
-            right, den_g = _image_code(f, g)
-            image = {w: c for w, c in _times(P, image.items(), right, True).items() if c}
-            den *= den_g
-        for w, c in image.items():
-            total[w] = total.get(w, 0) + (c if den == 1 else Fraction(c, den))
-    return total
-
-
-def apply_ring_map(f: RingMap, a: GradedElement) -> GradedElement:
-    """Image of ``a``, in normal form.
-
-    Each term's image is a product of normal forms taken in the kernel's
-    coding, so it is a combination of normal words; a sum of normal words
-    is normal, so the sum needs no closing normal form, only the merge of
-    equal words and the drop of cancelled ones.
-
-    >>> from distnav.presentations import fn_fiber_product
-    >>> f = diagonal_fn(fn_fiber_product(2, 2, 1, 2))
-    >>> apply_ring_map(f, subtract(gen("w1_1_3"), gen("w2_1_3")))  # a kernel class
-    GradedElement(terms={})
-    >>> apply_ring_map(f, gen("w_1_2"))  # a base class is fixed
-    GradedElement(terms={('w_1_2',): Fraction(1, 1)})
-    """
-    terms, den = _index_terms(f.ring, a)
-    return _to_element(f.ring, _apply_coded(f, terms), den)
-
-
-def _scaled(code: Mapping[IWord, int | Fraction], factor: int) -> dict[IWord, int | Fraction]:
-    """The nonzero coefficients of a coded element, each times ``factor``."""
-    return {w: c * factor for w, c in code.items() if c}
-
-
-def validate_ring_map(f: RingMap) -> None:
-    """Check that f kills every defining relation of the ring.
-
-    For each rule lhs -> rhs the images of both sides must agree; otherwise
-    f is not a ring map and certificates built from it would be meaningless.
-    Both sides stay in the kernel's coding as combinations of normal words,
-    so neither takes a closing normal form: the left is the product of the
-    two image codes, the right the sum of the images of the right-hand words
-    of the presentation's rule table, and the right is scaled by the left's
-    denominator before they are compared.
-
-    A collapse map sends many generators to one image, so the images of
-    words are memoized.  Generators whose image codes are equal share a
-    class id, and the coded image of a word, a left side included, is
-    computed once per tuple of class ids, by multiplying the image of its
-    prefix by the last factor's code.  The image of a word depends only on
-    the images of its factors, so a memoized image is the image itself:
-    every rule is still compared, in ``P.rules`` order, and the first rule
-    whose sides differ is the one reported.
-    """
-    for name in f.ring.generator_names():
-        if name not in f.images:
-            raise PresentationError(f"ring map misses generator {name!r}")
-        img_deg = element_degree(f.ring, f.images[name])
-        if img_deg is not None and img_deg != f.ring.degree(name):
-            raise PresentationError(
-                f"ring map image of {name!r} has degree {img_deg}, "
-                f"expected {f.ring.degree(name)}"
-            )
-    P, index = f.ring, f.ring._index
-    class_ids: dict[int, int] = {}  # generator index -> class id
-    class_codes: dict[tuple, int] = {}  # image code -> class id
-    codes: list[Code] = []  # class id -> image code
-
-    def class_of(g: int) -> int:
-        cid = class_ids.get(g)
-        if cid is None:
-            terms, den = _image_code(f, g)
-            cid = class_codes.setdefault((tuple(terms), den), len(codes))
-            if cid == len(codes):
-                codes.append((terms, den))
-            class_ids[g] = cid
-        return cid
-
-    # class-id word -> its coded image: normal words with nonzero numerators,
-    # and the denominator
-    images: dict[tuple[int, ...], tuple[dict[IWord, int | Fraction], int]] = {(): ({(): 1}, 1)}
-
-    def word_image(key: tuple[int, ...]) -> tuple[dict[IWord, int | Fraction], int]:
-        image = images.get(key)
-        if image is None:
-            prefix, den = word_image(key[:-1])
-            right, den_g = codes[key[-1]]
-            terms = _times(P, prefix.items(), right, True) if prefix else {}
-            image = images[key] = ({w: c for w, c in terms.items() if c}, den * den_g)
-        return image
-
-    for a, b in P.rules:
-        i, j = index[a], index[b]
-        lhs_img, den_lhs = word_image((class_of(i), class_of(j)))
-        rhs_img: dict[IWord, int | Fraction] = {}
-        for word, coeff, _, _ in P._rows[i][j]:
-            image, den = word_image(tuple(map(class_of, word)))
-            for w, c in image.items():
-                rhs_img[w] = rhs_img.get(w, 0) + (coeff * c if den == 1 else Fraction(coeff * c, den))
-        if lhs_img != _scaled(rhs_img, den_lhs):
-            raise PresentationError(f"ring map does not respect the rule on ({a}, {b})")
 
 
 def diagonal_fn(fp: FiberProduct) -> RingMap:

@@ -34,6 +34,7 @@ from .bounds import (
 from .gcring import (
     PresentationError,
     check_confluence,
+    check_literal_exponent,
     element,
     gen,
     load_presentation_json,
@@ -242,7 +243,10 @@ def _cmd_ring_normal_form(args) -> tuple[dict, list[str], int]:
     for name in word:
         if name not in known:
             raise ValueError(f"unknown generator {name!r} in {args.ring}")
-    coeff = Fraction(args.coeff)
+    try:
+        coeff = Fraction(check_literal_exponent(args.coeff))
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {args.coeff!r} has a zero denominator") from None
     nf = normal_form(ring, element([(coeff, word)]))
     payload = {
         "ring": args.ring,

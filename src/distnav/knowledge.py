@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bounds import NonzeroCertificate, verify_witness_fn
+from .bounds import NonzeroCertificate, certificate_to_dict, verify_witness_fn
 from .presentations import fn_fiber_product
 
 __all__ = [
@@ -300,8 +300,6 @@ def value_hopf(r: int) -> ComplexityRecord:
 
 
 def record_to_jsonable(record: ComplexityRecord) -> dict:
-    from .bounds import certificate_to_dict
-
     prov = []
     for entry in record.provenance:
         item: dict = {"tag": entry.tag, "kind": entry.kind}

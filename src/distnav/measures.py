@@ -38,6 +38,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from .gcring import check_literal_exponent
+
 __all__ = [
     "MetricSpace",
     "FiniteMeasure",
@@ -307,6 +309,8 @@ def _json_number(value: Any) -> float:
 
 def _json_weight(value: Any) -> int | float | Fraction:
     """A JSON number as it is, or a "p/q" string as an exact Fraction."""
+    if type(value) is str:
+        check_literal_exponent(value)
     try:
         if type(value) in (int, float):
             return value

@@ -277,10 +277,12 @@ def test_ring_map_encodes_each_image_once(monkeypatch):
     monkeypatch.setattr(gcring, "_index_terms", lambda P, a: calls.append(a) or index_terms(P, a))
     a = element([(1, ("w1_1_4", "w2_2_4")), (-2, ("w_1_2", "w3_1_5")), (Fraction(1, 3), ("w2_2_4",))])
     first = apply_ring_map(f, a)
-    assert len(calls) == 4  # one image per distinct generator of a
+    assert calls[0] is a  # the argument's own encoding comes first
+    images = [e for e in calls if e is not a]
+    assert len(images) == 4  # one image per distinct generator of a
     for _ in range(5):
         assert apply_ring_map(f, a) == first
-    assert len(calls) == 4
+    assert [e for e in calls if e is not a] == images
     assert first == apply_ring_map_per_term(f, a) and not is_zero(first)
 
 
@@ -290,8 +292,56 @@ def test_ring_map_stops_at_a_zero_partial_product(monkeypatch):
     monkeypatch.setattr(gcring, "_index_terms", lambda P, a: calls.append(a) or index_terms(P, a))
     ring = truncated_ring()
     f = RingMap(ring, {"a": zero(), "a2": gen("a2")})
-    assert is_zero(apply_ring_map(f, element([(1, ("a", "a2", "a2"))])))
-    assert calls == [zero()]  # the image of a2 was never read
+    a = element([(1, ("a", "a2", "a2"))])
+    assert is_zero(apply_ring_map(f, a))
+    assert calls[0] is a  # the argument's own encoding comes first
+    assert calls[1:] == [zero()]  # the image of a2 was never read
+
+
+def test_ring_map_results_do_not_depend_on_call_order():
+    # apply_ring_map and validate_ring_map fill one memo on the map; whichever
+    # runs first, and however often, each answer is the oracle's.
+    rng = random.Random(47)
+    ring = truncated_ring()
+    fractional = [
+        (ring, {"a": scale(Fraction(1, 2), gen("a")), "a2": scale(s, gen("a2"))})
+        for s in (Fraction(1, 4), Fraction(1, 5))  # 1/5 breaks the rule a*a -> a2
+    ]
+    cases = [(f.ring, f.images) for f in shipped_diagonals()] + fractional
+    messages = []
+
+    def outcome(f):
+        try:
+            validate_ring_map(f)
+        except PresentationError as exc:
+            return str(exc)
+        return None
+
+    for ring, images in cases:
+        gens = ring.generator_names()
+        args = [
+            element([
+                (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                 tuple(rng.choice(gens) for _ in range(rng.randint(0, 3))))
+                for _ in range(rng.randint(1, 4))
+            ])
+            for _ in range(6)
+        ]
+        oracle = RingMap(ring, images)
+        images_of = [apply_ring_map_per_term(oracle, a) for a in args]
+        message = validation_outcome(validate_ring_map_by_names, ring, images)
+        messages.append(message)
+
+        f = RingMap(ring, images)  # apply before validate
+        assert [apply_ring_map(f, a) for a in args] == images_of
+        assert outcome(f) == message
+        f = RingMap(ring, images)  # validate before apply
+        assert outcome(f) == message
+        assert [apply_ring_map(f, a) for a in args] == images_of
+        f = RingMap(ring, images)  # repeated applies, in reverse order the second time
+        assert [apply_ring_map(f, a) for a in args] == images_of
+        assert [apply_ring_map(f, a) for a in reversed(args)] == images_of[::-1]
+    assert messages.count(None) == len(cases) - 1 and messages[-1] is not None
 
 
 def test_validate_ring_map_catches_degree_mismatch():

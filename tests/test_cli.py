@@ -14,7 +14,7 @@ import pytest
 import distnav.cli as cli
 import distnav.knowledge as knowledge
 from distnav.cli import main
-from distnav.gcring import MAX_SERIES_DEGREE, presentation_to_dict
+from distnav.gcring import MAX_LITERAL_EXPONENT, MAX_SERIES_DEGREE, presentation_to_dict
 from distnav.bounds import euler_height
 from distnav.navplan import ArcPath
 from distnav.presentations import complex_projective, config_space, cpn_sphere_bundle
@@ -59,6 +59,40 @@ def test_normal_form_unknown_generator_exits_2():
     code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "nope")
     assert code == 2
     assert "error" in out and out["schema_version"] == 3
+
+
+def test_normal_form_zero_denominator_exits_2():
+    # Fraction("1/0") raises ZeroDivisionError, which escaped as a traceback.
+    code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "a1", "--coeff", "1/0")
+    assert code == 2
+    assert out["error"] == "coefficient '1/0' has a zero denominator"
+
+
+class LiteralParsed(Exception):
+    """Raised by a stand-in for Fraction in cli: the exponent cap let a literal through."""
+
+
+def literal_parsed(*args):
+    raise LiteralParsed(args)
+
+
+def test_coeff_at_the_exponent_cap_is_parsed():
+    cap = MAX_LITERAL_EXPONENT
+    code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "a1", "--coeff", f"1e-{cap}")
+    assert code == 0
+    assert Fraction(out["input"]["coefficient"]) == Fraction(1, 10**cap)
+
+
+OVER_CAP = MAX_LITERAL_EXPONENT + 1
+
+
+@pytest.mark.parametrize("text", [f"1e{OVER_CAP}", f"-2.5E-{OVER_CAP}", "3e1_001", "1e" + "9" * 4000])
+def test_coeff_over_the_exponent_cap_exits_2_before_parsing(monkeypatch, text):
+    monkeypatch.setattr(cli, "Fraction", literal_parsed)
+    code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "a1", f"--coeff={text}")
+    assert code == 2
+    cap = MAX_LITERAL_EXPONENT
+    assert out["error"].endswith(f"outside -{cap}..{cap} (MAX_LITERAL_EXPONENT)")
 
 
 def test_poincare_cp2():
@@ -197,6 +231,10 @@ MALFORMED_PRESENTATIONS = {
     "coeff-zero-denominator": (
         {"generators": ONE_GENERATOR, "rules": [{"lhs": ["x", "x"], "rhs": [{"coeff": "1/0", "monomial": []}]}]},
         "not a finite rational",
+    ),
+    "coeff-over-exponent-cap": (
+        {"generators": ONE_GENERATOR, "rules": [{"lhs": ["x", "x"], "rhs": [{"coeff": "1e1001", "monomial": []}]}]},
+        "(MAX_LITERAL_EXPONENT)",
     ),
 }
 

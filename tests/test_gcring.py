@@ -5,10 +5,12 @@ The fixtures are tiny hand-built rings where every normal form can be
 checked by hand; the shipped geometric presentations get their own tests.
 """
 
+import ast
 import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -638,3 +640,36 @@ def test_zero_coefficients_dropped():
     assert ("x",) not in e.terms
     assert bool(e)
     assert not bool(zero())
+
+
+def test_no_module_outside_gcring_knows_the_kernel_coding():
+    # The integer coding is gcring's alone: no other module imports an
+    # underscored name from it or reads its coded tables and caches.
+    offences = []
+    for path in sorted(Path(gcring.__file__).parent.glob("*.py")):
+        if path.name == "gcring.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("gcring"):
+                offences += [f"{where} imports {a.name}" for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute):
+                of_gcring = isinstance(node.value, ast.Name) and node.value.id == "gcring"
+                if node.attr in ("_rows", "_index", "_code") or (of_gcring and node.attr.startswith("_")):
+                    offences.append(f"{where} reads .{node.attr}")
+    assert offences == []
+
+
+def test_literal_exponent_cap(monkeypatch):
+    cap = gcring.MAX_LITERAL_EXPONENT
+    for text in (f"1e{cap}", f"-2.5E-{cap}", f"3e+{cap} ", "3/2", "1e", "x"):
+        assert gcring.check_literal_exponent(text) == text  # the rest is Fraction's to judge
+    assert gcring._json_coefficient(f"1e-{cap}") == Fraction(1, 10**cap)
+
+    def parsed(*args):
+        raise AssertionError(f"Fraction{args} was called: the exponent cap let a literal through")
+
+    monkeypatch.setattr(gcring, "Fraction", parsed)
+    for text in (f"1e{cap + 1}", f"-2.5E-{cap + 1}", f"3e+{cap + 1} ", "1e1_001", "1e" + "9" * 4000):
+        with pytest.raises(ValueError, match=r"\(MAX_LITERAL_EXPONENT\)$"):
+            gcring._json_coefficient(text)

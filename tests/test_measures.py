@@ -18,6 +18,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import distnav.measures as measures
+from distnav.gcring import MAX_LITERAL_EXPONENT
 from distnav.measures import (
     MAX_SUPPORT,
     FiniteMeasure,
@@ -222,6 +224,20 @@ def test_non_finite_weights_and_points_rejected():
             FiniteMeasure(list(zip(points, weights)))
         with pytest.raises(ValueError):
             measure_from_jsonable([{"point": list(points[bad_at]), "weight": "1"}])
+
+
+def test_weight_over_the_exponent_cap_rejected_before_parsing(monkeypatch):
+    cap = MAX_LITERAL_EXPONENT
+    at_cap = [{"point": 0.0, "weight": f"1e-{cap}"}, {"point": 1.0, "weight": f"{10**cap - 1}e-{cap}"}]
+    assert measure_from_jsonable(at_cap).weights() == [Fraction(1, 10**cap), Fraction(10**cap - 1, 10**cap)]
+
+    def parsed(*args):
+        raise AssertionError(f"Fraction{args} was called: the exponent cap let a weight through")
+
+    monkeypatch.setattr(measures, "Fraction", parsed)
+    for text in (f"1e-{cap + 1}", f"5E{cap + 1}"):
+        with pytest.raises(ValueError, match=r"\(MAX_LITERAL_EXPONENT\)"):
+            measure_from_jsonable([{"point": 0.0, "weight": text}])
 
 
 def test_float_sum_tolerance():
