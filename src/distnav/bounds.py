@@ -30,6 +30,7 @@ from .gcring import (
     RingPresentation,
     Word,
     apply_ring_map,
+    check_series_degree,
     element_degree,
     gen,
     is_zero,
@@ -213,8 +214,13 @@ def witness_work(d: int, m: int, n: int, r: int) -> int:
 
 
 def check_witness_work(d: int, m: int, n: int, r: int) -> None:
-    """Raise ValueError when witness_work exceeds MAX_WITNESS_WORK."""
+    """Raise ValueError when the witness degree is over MAX_SERIES_DEGREE or
+    witness_work exceeds MAX_WITNESS_WORK, in that order, as building the
+    cell and then its witness would.  Parameters out of range pass;
+    fn_fiber_product names them."""
     work = witness_work(d, m, n, r)
+    if work:
+        check_series_degree(fn_witness_length(d, m, n, r) * (d - 1))
     if work > MAX_WITNESS_WORK:
         raise ValueError(
             f"fn witness at d={d}, m={m}, n={n}, r={r} has "

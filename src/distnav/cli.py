@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ import numpy as np
 from .bounds import (
     CertificateError,
     certificate_to_dict,
+    check_witness_work,
     cup_length_kernel,
     diagonal_fn,
     sphere_bundle_lower_bound,
@@ -34,11 +34,11 @@ from .bounds import (
 from .gcring import (
     PresentationError,
     check_confluence,
-    check_literal_exponent,
     element,
     gen,
     load_presentation_json,
     normal_form,
+    parse_rational,
     poincare_series,
     subtract,
 )
@@ -244,7 +244,7 @@ def _cmd_ring_normal_form(args) -> tuple[dict, list[str], int]:
         if name not in known:
             raise ValueError(f"unknown generator {name!r} in {args.ring}")
     try:
-        coeff = Fraction(check_literal_exponent(args.coeff))
+        coeff = parse_rational(args.coeff)
     except ZeroDivisionError:
         raise ValueError(f"coefficient {args.coeff!r} has a zero denominator") from None
     nf = normal_form(ring, element([(coeff, word)]))
@@ -289,6 +289,9 @@ def _cmd_ring_confluence(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_bound_fn(args) -> tuple[dict, list[str], int]:
+    # The witness bound is closed-form: a cell over it exits 2 before its
+    # ring is built.
+    check_witness_work(args.d, args.m, args.n, args.r)
     fp = fn_fiber_product(args.d, args.m, args.n, args.r)
     cert = verify_witness_fn(fp)
     payload = {

@@ -6,50 +6,42 @@ left, a linear combination of monomials of the same degree on the right.
 Multiplication follows the Koszul sign convention: swapping two odd-degree
 factors flips the sign, and the square of an odd-degree generator vanishes
 (implicitly: coefficients are rational, so 2x^2 = 0 forces x^2 = 0).
+Termination is guaranteed by construction: every generator carries an integer
+``rank`` and every rule must strictly decrease the multiset of ranks
+(Dershowitz-Manna order, checked through its descending-lexicographic
+linearization).  Public values are tuples of generator names sorted in
+registration order, with ``Fraction`` coefficients; all the rest runs on
+integer codes, and the coding stays in this module.
 
-Monomials are stored as tuples of generator names sorted in the presentation's
-registration order; normalizing a factor sequence yields the sorting sign.
-Normal forms are computed by exhaustive rewriting.  Termination is guaranteed
-by construction: every generator carries an integer ``rank`` and every rule
-must strictly decrease the multiset of ranks (Dershowitz-Manna order, checked
-through its descending-lexicographic linearization).  Confluence is not
-assumed; :func:`check_confluence` probes every degree-3 overlap and is run as
-a gate on presentations loaded from JSON.
-
-The rewrite kernel behind :func:`normal_form`, :func:`multiply` and
-:func:`product` runs on integer codes; the public values keep name tuples and
-``Fraction`` coefficients.
-
-* Words.  A word is a sorted tuple of generator indices (registration
-  order).  A rewrite step removes the two rewritten factors, which leaves the
-  rest sorted, and merges each right-hand factor into it; the Koszul sign is
-  the parity of the odd factors each moved factor passes, read off a bit set
-  of the word's odd generators.
-* Coefficients.  Rule coefficients are stored as ints when integral (every
-  shipped ring); an input element is scaled to integer coefficients over a
-  common denominator, and each input word is rewritten with coefficient 1
-  and scales the normal words it reaches.  So the arithmetic stays in ints on
-  integral rules and falls back to ``Fraction`` by itself on loaded rules
-  that are not.
-* Encode once.  An element is encoded at most once per ring: its code is
-  cached on it, for the ring it was made for (identity, not equality).  A
-  kernel result keeps the code it was decoded from whenever that is exactly
-  the encoding (int numerators over denominator 1, as on every shipped ring
-  with integral inputs), so the outputs of :func:`multiply`, :func:`product`
-  and :func:`normal_form` come back in coded.  Elements are never mutated,
-  so a code never goes stale.
+* Rule table.  Each rule is coded in the pass that admits it: per left side
+  (i, j) its right-hand index words and coefficients (ints when integral, as
+  on every shipped ring), and per generator its rule partners.  The kernel
+  and both gates read this table only.
+* Words.  A word is a sorted tuple of generator indices.  A rewrite step
+  removes the two rewritten factors and merges each right-hand factor into
+  the sorted rest; the Koszul sign is the parity of the odd factors each
+  moved factor passes, read off a bit set of the word's odd generators.
+* Codes.  An input element is scaled to integer coefficients over a common
+  denominator, so integral rules keep the arithmetic in ints.  An element
+  caches its code for the ring it was made for (identity, not equality), a
+  kernel result the code it was decoded from when that is exactly the
+  encoding; elements are never mutated.
 * Redex order.  :func:`normal_form` and :func:`multiply` rewrite the
   leftmost redex.  :func:`product` multiplies a partial product, already a
-  normal form, by the next factor; a pair of factors from the partial
-  product is no redex, so only pairs touching a factor of the new word, or
-  one a rule brought in, are searched.  Rewriting in another order gives the
+  normal form, by the next factor, so it searches only pairs touching a
+  factor of the new word or one a rule brought in.  Every order gives the
   same normal form on a terminating confluent presentation (diamond lemma,
-  Bergman 1978): every shipped ring passes :func:`check_confluence`, and
-  loaded rings are gated on it.
-* Ring maps.  A :class:`RingMap` runs on the same coding, so the coding
-  stays in this module.  Generators with equal images share a class, and
-  :func:`apply_ring_map` and :func:`validate_ring_map` share one memo of
-  word images per tuple of classes, each a product of normal forms.
+  Bergman 1978).
+* Gates.  :func:`poincare_series` counts admissible words, the normal forms
+  of a confluent presentation, per component of the rule-partner graph by a
+  recursion on bit sets.  :func:`check_confluence` probes the triples of a
+  generator and two of its rule partners; every shipped ring passes it, and
+  loaded rings are gated on it.  The name-level enumerations of both gates
+  stay in the tests as oracles.
+* Ring maps.  A :class:`RingMap` runs on the same coding.  Generators with
+  equal images share a class, and :func:`apply_ring_map` and
+  :func:`validate_ring_map` share one memo of word images per tuple of
+  classes, each a product of normal forms.
 
 Example: one even generator ``a`` truncated above a^2, i.e. rules
 a*a -> a2, a*a2 -> 0, a2*a2 -> 0:
@@ -75,8 +67,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import lcm
+from math import isfinite, lcm
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -103,10 +94,12 @@ __all__ = [
     "poincare_series",
     "MAX_SERIES_DEGREE",
     "MAX_LITERAL_EXPONENT",
-    "check_literal_exponent",
+    "MAX_LITERAL_LENGTH",
+    "parse_rational",
     "check_series_degree",
     "poly_mul",
     "check_confluence",
+    "MAX_CONFLUENCE_CANDIDATES",
     "ConfluenceReport",
     "presentation_to_dict",
     "presentation_from_dict",
@@ -126,12 +119,22 @@ MAX_SERIES_DEGREE = 512
 # Failed triples the confluence report lists before the probe stops.
 MAX_CONFLUENCE_FAILURES = 20
 
-# Largest size of the decimal exponent of a rational literal ("2.5e-3").
-# Fraction builds the power of ten itself: 1e1000 parses in 40 us, 1e100000
-# in 5 ms, 1e1000000 in 0.36 s and 1e4000000 in 2.8 s (shared 2-core host),
-# and the exponent may run to 4300 digits.  check_literal_exponent reads the
-# exponent off the text before Fraction sees it.
+# Candidate triples the confluence probe may visit, counted before any is
+# built: the sum over generators of p (p + 1) / 2 for p rule partners.  One
+# took 45 to 47 us on conf:d=2,k=25 (42550, 1.9 s) and conf:d=2,k=40 (293930,
+# 13.9 s; single runs, shared 2-core host), so the cap is about 3 s of work.
+MAX_CONFLUENCE_CANDIDATES = 2**16
+
+# Largest size of the decimal exponent of a rational literal ("2.5e-3"),
+# read off the text: Fraction builds the power of ten itself, 1e1000 in
+# 40 us, 1e1000000 in 0.36 s and 1e4000000 in 2.8 s (shared 2-core host).
 MAX_LITERAL_EXPONENT = 1000
+
+# Longest text of a rational literal.  Within the exponent cap a literal of
+# L characters has at most L + 1001 digits above and below the line, so it
+# prints within Python's 4300-digit int-to-str limit, which 4000 nines then
+# e1000, within the exponent cap, would not.
+MAX_LITERAL_LENGTH = 3000
 
 
 class PresentationError(ValueError):
@@ -216,12 +219,11 @@ class RingPresentation:
     """A finitely presented graded-commutative ring with directed rules.
 
     Besides the name-level view (``generators``, ``rules``) it holds the
-    integer-coded tables the rewrite kernel runs on, built once here:
-    generator indices (registration order), an odd flag per index, the rule
-    table ``_rows[i][j]`` for the left side (i, j), i <= j, and per
-    generator its rule partners in either position.  A table entry lists
-    the right-hand terms as (index word, coefficient, bit set of its
-    generators, bit set of its odd generators).
+    coded rule table, filled as each rule is admitted: ``_rows[i][j]`` for
+    the left side (i, j), i <= j, and ``_partners[g][h]`` for g's rule
+    partners h in either position.  An entry lists the right-hand terms as
+    (index word, coefficient, bit set of its generators, bit set of its odd
+    generators); a term with a repeated odd factor vanishes and is left out.
     """
 
     def __init__(
@@ -238,61 +240,54 @@ class RingPresentation:
         self._names = tuple(g.name for g in self.generators)
         self._degree = {g.name: g.degree for g in self.generators}
         self._rank = {g.name: g.rank for g in self.generators}
-        self._odd = {g.name for g in self.generators if g.degree % 2 == 1}
         self._oddf = tuple(g.degree % 2 for g in self.generators)
         self._oddbit = tuple(odd << i for i, odd in enumerate(self._oddf))
         self.rules: dict[tuple[str, str], GradedElement] = {}
+        self._rows: list[dict[int, tuple]] = [{} for _ in self.generators]
+        self._partners: list[dict[int, tuple]] = [{} for _ in self.generators]
         for rule in rules:
             self._admit_rule(rule)
-        self._build_tables()
 
     # -- structural checks -------------------------------------------------
 
     def _admit_rule(self, rule: RewriteRule) -> None:
+        """Check one rule and enter it, coded, in the rule table."""
         a, b = rule.lhs
         for g in (a, b):
             if g not in self._index:
                 raise PresentationError(f"rule {rule.lhs} uses unknown generator {g!r}")
-        if self._index[a] > self._index[b]:
+        i, j = self._index[a], self._index[b]
+        if i > j:
             raise PresentationError(f"rule lhs {rule.lhs} not in canonical order")
         if rule.lhs in self.rules:
             raise PresentationError(f"duplicate rule for pair {rule.lhs}")
         lhs_degree = self._degree[a] + self._degree[b]
         lhs_key = self._termination_key((a, b))
-        for word, _ in rule.rhs.terms.items():
+        entry = []
+        for word, coeff in rule.rhs.terms.items():
             if self.word_degree(word) != lhs_degree:
                 raise PresentationError(
                     f"rule {rule.lhs}: rhs term {word} has degree "
                     f"{self.word_degree(word)}, lhs has {lhs_degree}"
                 )
-            iword = [self._index[g] for g in word]
-            if iword != sorted(iword):
+            iword = tuple(self._index[g] for g in word)
+            if list(iword) != sorted(iword):
                 raise PresentationError(f"rule {rule.lhs}: rhs term {word} not canonical")
             if not self._termination_key(word) < lhs_key:
                 raise PresentationError(
                     f"rule {rule.lhs}: rhs term {word} does not decrease the termination order"
                 )
+            odd = [g for g in iword if self._oddf[g]]
+            if len(set(odd)) == len(odd):
+                c = coeff.numerator if coeff.denominator == 1 else coeff
+                entry.append((iword, c, _mask(iword), _odd_mask(self, iword)))
         self.rules[rule.lhs] = rule.rhs
+        self._rows[i][j] = self._partners[i][j] = self._partners[j][i] = tuple(entry)
 
     def _termination_key(self, word: Word) -> tuple[int, ...]:
         # Descending rank multiset; Python's tuple order (prefixes smaller)
         # linearizes the Dershowitz-Manna multiset order on these keys.
         return tuple(sorted((self._rank[g] for g in word), reverse=True))
-
-    def _build_tables(self) -> None:
-        # Right-hand words with a repeated odd factor vanish and are left
-        # out; coefficients are ints when integral (every shipped ring).
-        self._rows: list[dict[int, tuple]] = [{} for _ in self.generators]
-        self._partners: list[dict[int, tuple]] = [{} for _ in self.generators]
-        for (a, b), rhs in self.rules.items():
-            i, j = self._index[a], self._index[b]
-            entry = []
-            for word, coeff in rhs.terms.items():
-                iword, sign = _sort_word(self._oddf, [self._index[g] for g in word])
-                if sign:
-                    c = coeff.numerator if coeff.denominator == 1 else coeff
-                    entry.append((iword, c, _mask(iword), _odd_mask(self, iword)))
-            self._rows[i][j] = self._partners[i][j] = self._partners[j][i] = tuple(entry)
 
     # -- basic queries ------------------------------------------------------
 
@@ -306,8 +301,7 @@ class RingPresentation:
         return tuple(g.name for g in self.generators)
 
     def _word_names(self, iword: IWord) -> Word:
-        names = self._names
-        return tuple(names[i] for i in iword)
+        return tuple(map(self._names.__getitem__, iword))
 
 
 # -- element arithmetic ------------------------------------------------------
@@ -362,7 +356,7 @@ def _mask(iword: IWord) -> int:
 def _sort_word(oddf: Sequence[int], seq: Sequence[int]) -> tuple[IWord, int]:
     """Sorted index word and the Koszul sign of sorting it: the parity of
     the inversions among its odd factors (0 when an odd factor repeats).
-    Only raw input words and rule right sides come here, and they are short."""
+    Only raw input words come here."""
     word = tuple(sorted(seq))
     odd = [g for g in seq if oddf[g]]
     if len(set(odd)) < len(odd):
@@ -747,68 +741,51 @@ def validate_ring_map(f: RingMap) -> None:
             raise PresentationError(f"ring map does not respect the rule on ({a}, {b})")
 
 
-# -- admissible monomial enumeration ------------------------------------------
+# -- admissible monomial counting ----------------------------------------------
 
 
-def _admissible_words(
-    P: RingPresentation, max_degree: int, names: Sequence[str]
-) -> Iterator[Word]:
-    """Canonical monomials in ``names`` of degree <= max_degree avoiding every rule lhs.
-
-    ``names`` must list generators in registration order (a component, or all
-    of ``P.generator_names()``).  Words are built with nondecreasing position
-    in that list, so any candidate pair is already in canonical order for the
-    rule lookup.
-    """
-
-    def extend(word: list[str], degree: int, start: int) -> Iterator[Word]:
-        yield tuple(word)
-        for i in range(start, len(names)):
-            g = names[i]
-            d = degree + P.degree(g)
-            if d > max_degree:
-                continue
-            if word and word[-1] == g and g in P._odd:
-                continue
-            if any((prev, g) in P.rules for prev in set(word)):
-                continue
-            word.append(g)
-            yield from extend(word, d, i)
-            word.pop()
-
-    return extend([], 0, 0)
+def _exclusions(P: RingPresentation) -> list[int]:
+    """Per generator index, the bit set of the generators it may not share
+    a word with: its rule partners, and itself when it is odd."""
+    return [sum(1 << h for h in row) | odd for row, odd in zip(P._partners, P._oddbit)]
 
 
-def _count_admissible(P: RingPresentation, max_degree: int, names: Sequence[str]) -> list[int]:
-    """Admissible monomials in ``names``, counted by degree up to max_degree."""
+def _rule_components(exclusions: Sequence[int]) -> list[list[int]]:
+    """Generator indices joined whenever one excludes the other, by a flood
+    fill over these bit sets; each component sorted."""
+    components = []
+    unseen = (1 << len(exclusions)) - 1
+    while unseen:
+        component = frontier = unseen & -unseen
+        members = []
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            members.append(low.bit_length() - 1)
+            grown = exclusions[members[-1]] & ~component
+            component |= grown
+            frontier |= grown
+        unseen &= ~component
+        components.append(sorted(members))
+    return components
+
+
+def _count_admissible(slots: Sequence[tuple[int, int, int]], max_degree: int) -> list[int]:
+    """Admissible words over ``slots``, (degree, exclusions, own bit) per
+    generator, counted by degree up to max_degree.  Words grow with
+    nondecreasing slot, carried as the bit set of their generators: g may
+    join unless it excludes one of them, itself included."""
     dims = [0] * (max_degree + 1)
-    for word in _admissible_words(P, max_degree, names):
-        dims[P.word_degree(word)] += 1
+
+    def extend(start: int, degree: int, used: int) -> None:
+        dims[degree] += 1
+        for pos in range(start, len(slots)):
+            step, excluded, bit = slots[pos]
+            if degree + step <= max_degree and not excluded & used:
+                extend(pos, degree + step, used | bit)
+
+    extend(0, 0, 0)
     return dims
-
-
-def _rule_components(P: RingPresentation) -> list[list[str]]:
-    """Generators joined whenever (a, b) with a != b is a rule left side.
-
-    Union-find over the rule left sides; each component lists its
-    generators in registration order.
-    """
-    parent = {g: g for g in P.generator_names()}
-
-    def find(g: str) -> str:
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
-    for a, b in P.rules:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    components: dict[str, list[str]] = {}
-    for g in P.generator_names():
-        components.setdefault(find(g), []).append(g)
-    return list(components.values())
 
 
 def poly_mul(a: list[int], b: list[int], max_degree: int) -> list[int]:
@@ -839,26 +816,23 @@ def check_series_degree(max_degree: int) -> None:
 def poincare_series(P: RingPresentation, max_degree: int) -> list[int]:
     """Dimension of each graded piece up to max_degree.
 
-    Counts canonical monomials containing no rule left side; for a confluent
-    terminating presentation these are exactly the normal forms (diamond
-    lemma, Bergman 1978).  Admissibility is pairwise: a word is admissible
-    iff no odd generator repeats and no pair of its factors (a repeated
-    factor included) is a rule left side.  Join a and b whenever (a, b) is a
-    left side with a != b; then no left side straddles two components, so
-    the admissible words are exactly the products of one admissible word
-    per component, and the series is the truncated product of the
-    component series.  Each component is counted by direct enumeration;
-    enumerating over all generators at once gives the same series and is
-    kept as the test oracle.
+    Counts canonical monomials containing no rule left side, the normal
+    forms of a confluent terminating presentation (diamond lemma, Bergman
+    1978).  Admissibility is pairwise: no generator shares a word with one
+    it excludes (:func:`_exclusions`), so the series is the truncated product
+    of the series of the components of the exclusion graph.  The name-level
+    enumeration over all generators stays in the tests as the oracle.
 
     >>> P = RingPresentation((Generator("x", 1), Generator("y", 1)), ())
     >>> poincare_series(P, 3)  # components {x} and {y}: (1 + t)^2
     [1, 2, 1, 0]
     """
     check_series_degree(max_degree)
+    exclusions = _exclusions(P)
     dims = [1] + [0] * max_degree
-    for names in _rule_components(P):
-        dims = poly_mul(dims, _count_admissible(P, max_degree, names), max_degree)
+    for members in _rule_components(exclusions):
+        slots = [(P.generators[g].degree, exclusions[g], 1 << g) for g in members]
+        dims = poly_mul(dims, _count_admissible(slots, max_degree), max_degree)
     return dims
 
 
@@ -873,33 +847,45 @@ class ConfluenceReport:
 
 
 def check_confluence(P: RingPresentation) -> ConfluenceReport:
-    """Probe every degree-3 overlap: all one-step rewrites of every generator
+    """Probe every degree-3 overlap: all one-step rewrites of a generator
     triple must share one normal form.
 
     For quadratic rules all genuinely overlapping critical pairs live in
     products of three generators, so this is the standard local-confluence
     probe; together with termination it covers the shipped rule families.
-    Each probe takes the rewrite step of :func:`normal_form` itself, which
-    the diamond lemma needs.  Stops after MAX_CONFLUENCE_FAILURES failures.
+    Two redexes of a triple share a factor s, and the other two are rule
+    partners of s, so only the triples sorted((s, a, b)) for partners a <= b
+    of s are visited, in the order of the full enumeration of triples (the
+    test oracle); over MAX_CONFLUENCE_CANDIDATES such (s, a, b) raise
+    ValueError before any is built.  Each probe takes the rewrite step of
+    :func:`normal_form` itself, which the diamond lemma needs.  Stops after
+    MAX_CONFLUENCE_FAILURES failures.
     """
+    size = sum(len(row) * (len(row) + 1) // 2 for row in P._partners)
+    if size > MAX_CONFLUENCE_CANDIDATES:
+        raise ValueError(
+            f"confluence probe of {P.name!r} has {size} candidate triples, over the cap "
+            f"of {MAX_CONFLUENCE_CANDIDATES} (MAX_CONFLUENCE_CANDIDATES)"
+        )
+    triples = set()
+    for s, row in enumerate(P._partners):
+        partners = sorted(row)
+        for x, a in enumerate(partners):
+            triples.update(tuple(sorted((s, a, b))) for b in partners[x:])
+    oddf, rows = P._oddf, P._rows
     failures: list[tuple[Word, str]] = []
     checked = 0
-    for triple in combinations_with_replacement(range(len(P.generators)), 3):
-        word, sign = _sort_word(P._oddf, triple)
-        if sign == 0:
-            continue
-        redexes = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if word[q] in P._rows[word[p]]]
-        if len(redexes) < 2:
-            continue
+    for word in sorted(triples):
+        if any(word[p] == word[p + 1] and oddf[word[p]] for p in (0, 1)):
+            continue  # a repeated odd factor: the word vanishes
+        redexes = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if word[q] in rows[word[p]]]
         checked += 1
-        results: dict[frozenset, tuple[int, int]] = {}
+        results = set()
         for p, q in redexes:
             nf: dict[IWord, int | Fraction] = {}
-            entry = P._rows[word[p]][word[q]]
-            for stepped, c, _, odd in _rewrite_step(P, word, _odd_mask(P, word), p, q, entry):
+            for stepped, c, _, odd in _rewrite_step(P, word, _odd_mask(P, word), p, q, rows[word[p]][word[q]]):
                 _reduce_into(nf, P, stepped, c, _ALL_DIRTY, odd)
-            fingerprint = frozenset((w, c) for w, c in nf.items() if c)
-            results.setdefault(fingerprint, (p, q))
+            results.add(frozenset((w, c) for w, c in nf.items() if c))
         if len(results) > 1:
             failures.append(
                 (P._word_names(word), f"{len(results)} distinct normal forms from {redexes}")
@@ -946,32 +932,44 @@ def _json_list(value: Any, item: type, what: str) -> list:
     return value
 
 
-def check_literal_exponent(text: str) -> str:
-    """``text``, or ValueError when its decimal exponent is over
-    MAX_LITERAL_EXPONENT in size; other literals are Fraction's to judge."""
+def parse_rational(text: str, invalid: str | None = None) -> Fraction:
+    """The rational literal ``text`` ("3/2", "-2.5e-3") as a Fraction, for
+    every boundary that takes one.  Raises ValueError naming the cap, before
+    Fraction reads the text, when its decimal exponent is over
+    MAX_LITERAL_EXPONENT in size or the text over MAX_LITERAL_LENGTH long; a
+    text Fraction cannot read raises ValueError(invalid), the boundary's own
+    message, or without one Fraction's own ValueError or ZeroDivisionError."""
     _, e, exponent = text.lower().rpartition("e")
     try:
         power = int(exponent) if e else 0
-    except ValueError:  # not an exponent Fraction would read
-        power = 0
+    except ValueError:  # not an exponent Fraction would read, or too long
+        power = 0  # for int(): then the length cap below takes it
     if abs(power) > MAX_LITERAL_EXPONENT:
         raise ValueError(
             f"rational literal {text!r} has exponent {power}, outside "
             f"-{MAX_LITERAL_EXPONENT}..{MAX_LITERAL_EXPONENT} (MAX_LITERAL_EXPONENT)"
         )
-    return text
+    if len(text) > MAX_LITERAL_LENGTH:
+        raise ValueError(
+            f"rational literal of {len(text)} characters is over the cap of "
+            f"{MAX_LITERAL_LENGTH} (MAX_LITERAL_LENGTH)"
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        if invalid is None:
+            raise
+        raise ValueError(invalid) from None
 
 
 def _json_coefficient(value: Any) -> Fraction:
     """A JSON number or "p/q" string as a Fraction; bools and the rest raise."""
+    invalid = f"coefficient {value!r} is not a finite rational"
     if type(value) is str:
-        check_literal_exponent(value)
-    try:
-        if type(value) in (int, float, str):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        pass
-    raise ValueError(f"coefficient {value!r} is not a finite rational")
+        return parse_rational(value, invalid)
+    if type(value) is int or (type(value) is float and isfinite(value)):
+        return Fraction(value)
+    raise ValueError(invalid)
 
 
 def presentation_from_dict(data: Mapping) -> RingPresentation:

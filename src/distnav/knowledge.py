@@ -189,7 +189,9 @@ def value_so3_bundle(r: int) -> ComplexityRecord:
     """Bounds for any principal bundle with 3-space rotation structure group."""
     if r < 2:
         raise ValueError("r must be at least 2")
-    upper = min(2 ** (r - 1) - 1, 2 * r + 1)
+    # min(2^(r-1) - 1, 2r + 1), without forming the power: from r = 5 on
+    # the linear term is the smaller.
+    upper = 2 * r + 1 if r >= 5 else 2 ** (r - 1) - 1
     lower = r - 1
     exact = lower if lower == upper else None
     return ComplexityRecord(

@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .gcring import check_literal_exponent
+from .gcring import parse_rational
 
 __all__ = [
     "MetricSpace",
@@ -309,16 +309,12 @@ def _json_number(value: Any) -> float:
 
 def _json_weight(value: Any) -> int | float | Fraction:
     """A JSON number as it is, or a "p/q" string as an exact Fraction."""
+    invalid = f'weight {value!r} is not a number or a "p/q" string with q != 0'
+    if type(value) in (int, float):
+        return value
     if type(value) is str:
-        check_literal_exponent(value)
-    try:
-        if type(value) in (int, float):
-            return value
-        if type(value) is str:
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ValueError(f'weight {value!r} is not a number or a "p/q" string with q != 0')
+        return parse_rational(value, invalid)
+    raise ValueError(invalid)
 
 
 def measure_from_jsonable(data: Sequence[dict]) -> FiniteMeasure:

@@ -35,14 +35,16 @@ ai * aj -> a{i+j} or 0).
 
 ``catalog(name)`` resolves the string names used by the CLI and the tests,
 e.g. "conf:d=2,k=4", "fn:d=2,m=2,n=1,r=2", "sb:base=cp2,q=3,r=2", "cp3",
-"s2", "point".  Parameters out of range raise a plain ValueError; a failed
-gate raises PresentationError.
+"s2", "point".  Parameters out of range, or a ring of more than
+MAX_RING_RULES rules (counted in closed form before anything is built),
+raise a plain ValueError; a failed gate raises PresentationError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Callable, Iterable
 
 from .gcring import (
@@ -75,7 +77,23 @@ __all__ = [
     "cpn_sphere_bundle",
     "catalog",
     "shipped_names",
+    "MAX_RING_RULES",
 ]
+
+# Rules a builder may make, counted in closed form from its parameters
+# before any generator is built.  Building a ring, rule admission and
+# dimension gate included, took 22 to 62 us per rule just under the cap
+# (cp255, conf:d=2,k=59, fn:d=2,m=2,n=44,r=2: 0.7 to 1.9 s; single runs on
+# a shared 2-core host); conf:d=2,k=120, with 280840 rules, took 23 s.
+MAX_RING_RULES = 2**15
+
+
+def _check_rule_count(name: str, count: int) -> None:
+    """Raise ValueError when a builder would make over MAX_RING_RULES rules."""
+    if count > MAX_RING_RULES:
+        raise ValueError(
+            f"{name} has {count} rules, over the cap of {MAX_RING_RULES} (MAX_RING_RULES)"
+        )
 
 
 # -- base presentations --------------------------------------------------------
@@ -102,6 +120,7 @@ def complex_projective(n: int) -> RingPresentation:
     """
     if n < 1:
         raise ValueError("projective space dimension must be >= 1")
+    _check_rule_count(f"cp{n}", n * (n + 1) // 2)
     gens = tuple(Generator(f"a{k}", 2 * k) for k in range(1, n + 1))
     rules = []
     for i in range(1, n + 1):
@@ -151,6 +170,7 @@ def config_space(d: int, k: int) -> RingPresentation:
     if d < 2 or k < 1:
         raise ValueError(f"need d >= 2 and k >= 1, got d={d}, k={k}")
     deg = d - 1
+    _check_rule_count(f"conf:d={d},k={k}", comb(k, 3) + (comb(k, 2) if deg % 2 == 0 else 0))
     pairs = [(i, j) for j in range(2, k + 1) for i in range(1, j)]
     gens = tuple(Generator(_w(i, j), deg, rank=j) for i, j in pairs)
     rules = _square_zero_rules(gens) + _straightening_rules(_w, range(3, k + 1))
@@ -215,6 +235,9 @@ def fn_fiber_product(d: int, m: int, n: int, r: int) -> FiberProduct:
     check_series_degree(fn_witness_length(d, m, n, r) * (d - 1))
     deg = d - 1
     k = m + n
+    squares = comb(m, 2) + r * (comb(k, 2) - comb(m, 2)) if deg % 2 == 0 else 0
+    straightening = comb(m, 3) + r * (comb(k, 3) - comb(m, 3))
+    _check_rule_count(f"fn:d={d},m={m},n={n},r={r}", straightening + squares)
 
     def name_for(l: int):
         return lambda i, j: _w(i, j) if j <= m else _w(i, j, l)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import distnav.cli as cli
+import distnav.gcring as gcring
 import distnav.knowledge as knowledge
 from distnav.cli import main
 from distnav.gcring import MAX_LITERAL_EXPONENT, MAX_SERIES_DEGREE, presentation_to_dict
@@ -69,11 +70,13 @@ def test_normal_form_zero_denominator_exits_2():
 
 
 class LiteralParsed(Exception):
-    """Raised by a stand-in for Fraction in cli: the exponent cap let a literal through."""
+    """Raised by a stand-in for Fraction in the literal parser: the exponent cap let a literal through."""
 
 
 def literal_parsed(*args):
-    raise LiteralParsed(args)
+    if args and isinstance(args[0], str):
+        raise LiteralParsed(args)
+    return Fraction(*args)  # numbers, as ring building makes them
 
 
 def test_coeff_at_the_exponent_cap_is_parsed():
@@ -88,7 +91,7 @@ OVER_CAP = MAX_LITERAL_EXPONENT + 1
 
 @pytest.mark.parametrize("text", [f"1e{OVER_CAP}", f"-2.5E-{OVER_CAP}", "3e1_001", "1e" + "9" * 4000])
 def test_coeff_over_the_exponent_cap_exits_2_before_parsing(monkeypatch, text):
-    monkeypatch.setattr(cli, "Fraction", literal_parsed)
+    monkeypatch.setattr(gcring, "Fraction", literal_parsed)
     code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "a1", f"--coeff={text}")
     assert code == 2
     cap = MAX_LITERAL_EXPONENT
@@ -199,6 +202,90 @@ def test_bound_fn_over_witness_work_exits_2(monkeypatch):
     code, out = run("bound", "fn", "--d", "2", "--m", "10", "--n", "1", "--r", "2")
     assert code == 2
     assert "has 10 factors" in out["error"]
+
+
+def test_bound_fn_checks_witness_work_before_building_the_ring(monkeypatch):
+    def no_ring(*args):
+        raise AssertionError("the fiber power was built")
+
+    monkeypatch.setattr(cli, "fn_fiber_product", no_ring)
+    code, out = run("bound", "fn", "--d", "2", "--m", "10", "--n", "1", "--r", "2")
+    assert code == 2
+    assert out["error"].endswith("(MAX_WITNESS_WORK)")
+    # the witness degree is still checked first, as building the cell would
+    code, out = run("bound", "fn", "--d", "2", "--m", "2", "--n", "1", "--r", str(MAX_SERIES_DEGREE + 1))
+    assert code == 2
+    assert out["error"].endswith("(MAX_SERIES_DEGREE)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ring", "poincare", "--ring", "cp1500"),
+        ("ring", "poincare", "--ring", "conf:d=2,k=120"),
+        ("ring", "poincare", "--ring", "fn:d=2,m=120,n=1,r=2"),
+        ("bound", "sphere-bundle", "--n", "1500", "--r", "2"),
+    ],
+    ids=["cp", "conf", "fn", "sphere-bundle"],
+)
+def test_ring_over_rule_cap_exits_2_at_once(argv):
+    # Each of these built its ring for over 20 s before answering or failing.
+    start = time.perf_counter()
+    code, out = run(*argv)
+    assert code == 2
+    assert out["error"].endswith("rules, over the cap of 32768 (MAX_RING_RULES)")
+    assert time.perf_counter() - start < 5
+
+
+def test_confluence_over_candidate_cap_exits_2():
+    # conf:d=2,k=40 has 293930 candidate triples, about 14 s of probing.
+    code, out = run("ring", "confluence", "--ring", "conf:d=2,k=40")
+    assert code == 2
+    assert out["error"] == (
+        "confluence probe of 'conf:d=2,k=40' has 293930 candidate triples, "
+        "over the cap of 65536 (MAX_CONFLUENCE_CANDIDATES)"
+    )
+
+
+def test_loaded_star_presentation_exits_2_at_the_candidate_cap(tmp_path):
+    # One hub with a rule against each of 400 other generators: the load
+    # gate would build 80600 candidate triples.
+    spokes = [f"g{i}" for i in range(1, 401)]
+    data = {
+        "name": "star",
+        "generators": [{"id": g, "degree": 2} for g in ["g0", *spokes]],
+        "rules": [{"lhs": ["g0", g], "rhs": []} for g in spokes],
+    }
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(data))
+    code, out = run("ring", "poincare", "--ring", str(path))
+    assert code == 2
+    assert out["error"].endswith("(MAX_CONFLUENCE_CANDIDATES)")
+
+
+def test_wide_presentation_without_rules_loads_and_probes_at_once(tmp_path):
+    # 1500 generators and no rules: the full enumeration of triples took
+    # over 120 s at load; no triple has two redexes.
+    data = {"name": "wide", "generators": [{"id": f"g{i}", "degree": 1 + i % 2} for i in range(1500)]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out = run("ring", "confluence", "--ring", str(path))
+    assert (code, out["passed"], out["triples_checked"], out["failures"]) == (0, True, 0, [])
+    code, out = run("ring", "poincare", "--ring", str(path), "--max-degree", "3")
+    assert code == 0
+    # 750 odd generators of degree 1 and 750 even ones of degree 2
+    assert out["series"] == [1, 750, 750 * 749 // 2 + 750, 750 * 749 * 748 // 6 + 750 * 750]
+    assert time.perf_counter() - start < 10
+
+
+def test_value_so3_with_huge_r_answers_at_once():
+    # min(2^(r-1) - 1, 2r + 1) used to form the power first.
+    start = time.perf_counter()
+    code, out = run("value", "so3", "--r", "10000000000")
+    assert code == 0
+    assert (out["lower"], out["upper"]) == (9999999999, 20000000001)
+    assert time.perf_counter() - start < 5
 
 
 def test_missing_presentation_file_exits_2(tmp_path):

@@ -17,8 +17,6 @@ import pytest
 import distnav.gcring as gcring
 from distnav.bounds import verify_witness_fn
 from distnav.gcring import (
-    _count_admissible,
-    _rule_components,
     MAX_SERIES_DEGREE,
     Generator,
     GradedElement,
@@ -533,12 +531,161 @@ def test_corrupted_sign_breaks_confluence():
     assert any("w_1_4" in failure[0] for failure in report.failures)
 
 
+# The oracle is the probe the partner-driven one replaced: every sorted
+# generator triple, in lexicographic order, on the same rewrite step.
+
+
+def enumerated_confluence(P):
+    failures = []
+    checked = 0
+    for triple in itertools.combinations_with_replacement(range(len(P.generators)), 3):
+        word, sign = gcring._sort_word(P._oddf, triple)
+        if sign == 0:
+            continue
+        redexes = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if word[q] in P._rows[word[p]]]
+        if len(redexes) < 2:
+            continue
+        checked += 1
+        results = {}
+        for p, q in redexes:
+            nf = {}
+            entry = P._rows[word[p]][word[q]]
+            for stepped, c, _, odd in gcring._rewrite_step(P, word, gcring._odd_mask(P, word), p, q, entry):
+                gcring._reduce_into(nf, P, stepped, c, gcring._ALL_DIRTY, odd)
+            results.setdefault(frozenset((w, c) for w, c in nf.items() if c), (p, q))
+        if len(results) > 1:
+            failures.append((P._word_names(word), f"{len(results)} distinct normal forms from {redexes}"))
+            if len(failures) >= gcring.MAX_CONFLUENCE_FAILURES:
+                break
+    return gcring.ConfluenceReport(passed=not failures, triples_checked=checked, failures=tuple(failures))
+
+
+def random_rewrite_ring(rng):
+    """Random quadratic rules whose right sides are random canonical words of
+    the left side's degree, below it in the termination order; many of these
+    rings are not confluent."""
+    gens = [Generator(f"g{i}", rng.randint(1, 2), rank=rng.randint(0, 3)) for i in range(rng.randint(2, 7))]
+    free = RingPresentation(gens, [])
+    names = free.generator_names()
+    words = [(g,) for g in names] + list(itertools.combinations_with_replacement(names, 2))
+    rules = []
+    for lhs in itertools.combinations_with_replacement(names, 2):
+        if rng.random() < 0.4:
+            continue
+        below = [
+            w
+            for w in words
+            if free.word_degree(w) == free.word_degree(lhs)
+            and free._termination_key(w) < free._termination_key(lhs)
+        ]
+        chosen = rng.sample(below, min(len(below), rng.randint(0, 2)))
+        rules.append(RewriteRule(lhs, element([(rng.choice([-2, -1, 1, 3]), w) for w in chosen])))
+    return RingPresentation(gens, rules)
+
+
+@pytest.mark.parametrize("name", shipped_names())
+def test_confluence_matches_enumeration_on_shipped_rings(name):
+    P = catalog(name)
+    assert check_confluence(P) == enumerated_confluence(P)
+
+
+@pytest.mark.parametrize("cell", list(itertools.product((2, 3), (2, 3), (1, 2), (2, 3))))
+def test_confluence_matches_enumeration_on_grid(cell):
+    P = fn_fiber_product(*cell).ring
+    assert check_confluence(P) == enumerated_confluence(P)
+
+
+def test_confluence_matches_enumeration_on_towers():
+    for n in range(1, 7):
+        for r in range(2, 5):
+            P = cpn_sphere_bundle(n, r).ring
+            assert check_confluence(P) == enumerated_confluence(P), (n, r)
+
+
+def test_confluence_matches_enumeration_on_random_rings():
+    rng = random.Random(23)
+    failed = 0
+    for _ in range(300):
+        P = random_rewrite_ring(rng)
+        report = check_confluence(P)
+        assert report == enumerated_confluence(P), presentation_to_dict(P)
+        failed += not report.passed
+    assert 30 < failed < 270  # both outcomes are well represented
+
+
+def test_confluence_failures_in_enumeration_order():
+    # The corrupted straightening ring fails on several triples; the report
+    # lists them, and stops, exactly as the full enumeration does.
+    data = presentation_to_dict(config_space(2, 5))
+    for rule in data["rules"]:
+        for term in rule["rhs"]:
+            term["coeff"] = str(-Fraction(term["coeff"]))
+    bad = presentation_from_dict(data)
+    report = check_confluence(bad)
+    assert len(report.failures) > 1
+    assert report == enumerated_confluence(bad)
+
+
+def test_confluence_probe_skips_ruleless_generators(monkeypatch):
+    # With no rules there is no overlap: no triple is even built.
+    P = RingPresentation([Generator(f"g{i}", 1 + i % 2) for i in range(300)], [])
+    calls = []
+    real = gcring._sort_word
+    monkeypatch.setattr(gcring, "_sort_word", lambda *args: calls.append(args) or real(*args))
+    assert check_confluence(P) == gcring.ConfluenceReport(passed=True, triples_checked=0, failures=())
+    assert calls == []
+
+
+def test_confluence_candidates_are_capped_before_any_is_built(monkeypatch):
+    # A star: one hub with a zero rule against every other generator has
+    # p (p + 1) / 2 candidates at the hub alone.
+    count = 400
+    gens = [Generator(f"g{i}", 2) for i in range(count)]
+    P = RingPresentation(gens, [RewriteRule(("g0", g.name), zero()) for g in gens[1:]])
+    size = (count - 1) * count // 2 + (count - 1)
+    assert size > gcring.MAX_CONFLUENCE_CANDIDATES
+
+    def built(*args):
+        raise AssertionError("a candidate triple was built over the cap")
+
+    monkeypatch.setattr(gcring, "sorted", built, raising=False)
+    with pytest.raises(ValueError, match=rf"has {size} candidate .*\(MAX_CONFLUENCE_CANDIDATES\)$"):
+        check_confluence(P)
+
+
 # === factorized Poincare series against the full enumeration ===
 
 
+def admissible_words(P, max_degree, names):
+    """Canonical monomials in ``names`` (registration order) of degree <=
+    max_degree avoiding every rule lhs, built with nondecreasing position,
+    so any candidate pair is already in canonical order for the rule lookup."""
+
+    def extend(word, degree, start):
+        yield tuple(word)
+        for i in range(start, len(names)):
+            g = names[i]
+            d = degree + P.degree(g)
+            if d > max_degree:
+                continue
+            if word and word[-1] == g and P.degree(g) % 2:
+                continue
+            if any((prev, g) in P.rules for prev in set(word)):
+                continue
+            word.append(g)
+            yield from extend(word, d, i)
+            word.pop()
+
+    return extend([], 0, 0)
+
+
 def enumerated_series(P, max_degree):
-    """The oracle: admissible words over the whole generator tuple at once."""
-    return _count_admissible(P, max_degree, P.generator_names())
+    """The oracle: admissible words over the whole generator tuple at once,
+    enumerated on names."""
+    dims = [0] * (max_degree + 1)
+    for word in admissible_words(P, max_degree, P.generator_names()):
+        dims[P.word_degree(word)] += 1
+    return dims
 
 
 def top_degree(P):
@@ -581,6 +728,9 @@ def test_factorized_series_matches_enumeration_on_random_rings():
         self_rules += sum(1 for a, b in P.rules if a == b)
         assert poincare_series(P, 9) == enumerated_series(P, 9), presentation_to_dict(P)
     assert self_rules > 0
+    for _ in range(100):
+        P = random_rewrite_ring(rng)
+        assert poincare_series(P, 9) == enumerated_series(P, 9), presentation_to_dict(P)
 
 
 def test_rule_components_split_independent_generators():
@@ -588,7 +738,7 @@ def test_rule_components_split_independent_generators():
         [Generator("a", 2), Generator("b", 1), Generator("c", 2), Generator("d", 1)],
         [RewriteRule(("a", "c"), zero()), RewriteRule(("b", "b"), zero())],
     )
-    assert sorted(_rule_components(P)) == [["a", "c"], ["b"], ["d"]]
+    assert gcring._rule_components(gcring._exclusions(P)) == [[0, 2], [1], [3]]
     # pure powers of a or of c (no a*c), times (1 + t)^2 from b and d
     assert poincare_series(P, 4) == enumerated_series(P, 4) == [1, 2, 3, 4, 4]
 
@@ -662,8 +812,13 @@ def test_no_module_outside_gcring_knows_the_kernel_coding():
 
 def test_literal_exponent_cap(monkeypatch):
     cap = gcring.MAX_LITERAL_EXPONENT
-    for text in (f"1e{cap}", f"-2.5E-{cap}", f"3e+{cap} ", "3/2", "1e", "x"):
-        assert gcring.check_literal_exponent(text) == text  # the rest is Fraction's to judge
+    assert gcring.parse_rational(f"1e{cap}") == 10**cap
+    assert gcring.parse_rational(f"-2.5E-{cap}") == Fraction(-25, 10 ** (cap + 1))
+    assert gcring.parse_rational(f"3e+{cap} ") == 3 * 10**cap
+    assert gcring.parse_rational("3/2") == Fraction(3, 2)
+    for text in ("1e", "x", "1/0"):  # the rest is Fraction's to judge
+        with pytest.raises(ValueError, match="^bad literal$"):
+            gcring.parse_rational(text, "bad literal")
     assert gcring._json_coefficient(f"1e-{cap}") == Fraction(1, 10**cap)
 
     def parsed(*args):
@@ -673,3 +828,26 @@ def test_literal_exponent_cap(monkeypatch):
     for text in (f"1e{cap + 1}", f"-2.5E-{cap + 1}", f"3e+{cap + 1} ", "1e1_001", "1e" + "9" * 4000):
         with pytest.raises(ValueError, match=r"\(MAX_LITERAL_EXPONENT\)$"):
             gcring._json_coefficient(text)
+
+
+def test_literal_length_cap(monkeypatch):
+    # The longest accepted literals print: their numerators and denominators
+    # stay within Python's 4300-digit int-to-str limit.
+    cap, exponent = gcring.MAX_LITERAL_LENGTH, gcring.MAX_LITERAL_EXPONENT
+    widest = [
+        "9" * (cap - len(f"e{exponent}")) + f"e{exponent}",
+        "." + "9" * (cap - len(f".e-{exponent}")) + f"e-{exponent}",
+        "9" * ((cap - 1) // 2) + "/" + "7" * ((cap - 1) // 2),
+    ]
+    for text in widest:
+        assert len(text) <= cap
+        value = gcring.parse_rational(text)
+        assert str(value)  # no int-to-str limit error
+
+    def parsed(*args):
+        raise AssertionError(f"Fraction{args} was called: the length cap let a literal through")
+
+    monkeypatch.setattr(gcring, "Fraction", parsed)
+    for text in ("9" * 4000 + "e1000", "1" * (cap + 1), "1/" + "3" * cap):
+        with pytest.raises(ValueError, match=rf"of {len(text)} characters .*\(MAX_LITERAL_LENGTH\)$"):
+            gcring.parse_rational(text)

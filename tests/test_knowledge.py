@@ -74,6 +74,11 @@ def test_so3_exact_only_at_two():
         assert value_so3_bundle(r).exact is None
 
 
+def test_so3_upper_is_the_smaller_of_both_bounds():
+    for r in range(2, 80):
+        assert value_so3_bundle(r).upper == min(2 ** (r - 1) - 1, 2 * r + 1), r
+
+
 def test_so3_beats_classical_everywhere():
     for r in range(2, 11):
         rec = value_so3_bundle(r)

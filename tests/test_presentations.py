@@ -215,6 +215,50 @@ def test_builders_check_series_degree_before_any_generator(monkeypatch):
             build(MAX_SERIES_DEGREE + 1)
 
 
+def test_rule_count_formula_matches_the_built_rings(monkeypatch):
+    # The closed-form counts the cap is checked on are the builders' own.
+    counts = {}
+    monkeypatch.setattr(presentations, "_check_rule_count", counts.__setitem__)
+    built = {}
+    for d in (2, 3, 4):
+        for size in range(2, 6):
+            for P in (
+                complex_projective(size),
+                config_space.__wrapped__(d, size),
+                fn_fiber_product.__wrapped__(d, size, 1, 2).ring,
+                fn_fiber_product.__wrapped__(d, size, 2, 3).ring,
+            ):
+                built[P.name] = len(P.rules)
+    assert counts == built
+
+
+def test_builders_check_rule_count_before_any_generator(monkeypatch):
+    # Just above MAX_RING_RULES: cp256 has 32896 rules, conf:d=2,k=60 and
+    # conf:d=3,k=59 34220, fn:d=3,m=2,n=45,r=2 34591, fn:d=2,m=2,n=46,r=2 34592.
+    def refuse(*args, **kwargs):
+        raise GeneratorBuilt
+
+    monkeypatch.setattr(presentations, "Generator", refuse)
+    monkeypatch.setattr(presentations, "RingPresentation", refuse)
+    cells = [
+        ("cp256", lambda: complex_projective(256)),
+        ("conf:d=2,k=60", lambda: config_space.__wrapped__(2, 60)),
+        ("conf:d=3,k=59", lambda: config_space.__wrapped__(3, 59)),
+        ("fn:d=3,m=2,n=45,r=2", lambda: fn_fiber_product.__wrapped__(3, 2, 45, 2)),
+        ("fn:d=2,m=2,n=46,r=2", lambda: fn_fiber_product.__wrapped__(2, 2, 46, 2)),
+        ("cp256", lambda: cpn_sphere_bundle.__wrapped__(256, 2)),  # its base
+    ]
+    for name, build in cells:
+        with pytest.raises(ValueError, match=r"rules, over the cap of 32768 \(MAX_RING_RULES\)$") as caught:
+            build()
+        assert str(caught.value).startswith(f"{name} has ")
+    assert presentations.MAX_RING_RULES == 2**15
+    # one step below, the builders go on to build generators
+    for build in (lambda: complex_projective(255), lambda: config_space.__wrapped__(2, 59)):
+        with pytest.raises(GeneratorBuilt):
+            build()
+
+
 # === sphere-bundle towers ===
 
 
