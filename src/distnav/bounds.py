@@ -7,19 +7,24 @@ inside the ring, so each collapse is an endomorphism of the ring it
 certifies: no second ring is built.  A nonvanishing k-fold product of kernel
 classes certifies a lower bound of k for the sectional invariant of the
 associated path fibration; this module builds the two certificate families
-shipped with the package and a generic cup-length search over a supplied
-list of kernel elements.
+shipped with the package and the cup length of a supplied list of kernel
+elements.
 
 Every certificate is verified inside the exact rewrite engine: kernel
 membership is checked by applying the ring map, and nonvanishing by
 computing the normal form of the full product.  A vanishing product raises
-``CertificateError``; nothing is approximated.  The ring maps themselves
+``CertificateError``; nothing is approximated.  The cup length is an exact
+lower bound, certified by a nonzero product of kernel elements; only its
+optimality can be probabilistic, when a product of generic combinations
+vanishes below the degree ceiling, and the chance that it is wrong is given
+exactly.  The ring maps themselves
 (``RingMap``, ``apply_ring_map``, ``validate_ring_map``) live in
 :mod:`distnav.gcring`, which owns the kernel's integer coding they run on.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -31,6 +36,7 @@ from .gcring import (
     Word,
     apply_ring_map,
     check_series_degree,
+    element,
     element_degree,
     gen,
     is_zero,
@@ -54,20 +60,26 @@ __all__ = [
     "sphere_bundle_lower_bound",
     "cup_length_kernel",
     "ring_top_degree",
-    "CUP_LENGTH_NODE_LIMIT",
+    "CupLength",
+    "MAX_CHAIN_PAIRS",
+    "CUP_LENGTH_SEED",
     "MAX_WITNESS_WORK",
     "witness_work",
     "check_witness_work",
 ]
 
-# Products the cup-length search may form before it gives up, chosen from the
-# counts the even-d searches need to answer: 487 at (2,2,3,2), 1324 at
-# (2,2,1,4) (0.08 s), 1621 at (2,4,1,3) (0.7 s), then 3519 at (2,3,3,2)
-# (6.4 s) and 8021 at (2,5,1,3) (16 s).  Odd d stops at the degree ceiling
-# at once.  A product costs more as the ring grows, so giving up takes
-# 0.26 s at (2,2,1,5), 3.6 s at (2,3,2,3) and 6.5 s at (2,5,1,3) (single
-# runs on a shared 2-core host).
-CUP_LENGTH_NODE_LIMIT = 3000
+# Pairs of terms (accumulator terms times factor terms) a cup-length chain
+# may multiply in one product; checked before every product.  The largest
+# products of cells that answer: 296478 pairs at (2,3,2,3) (6 s in all),
+# 226160 at (2,2,2,4) (4 s), 63720 at (2,5,1,3) (2.5 s) and 488160 at
+# (2,6,1,3) (21-26 s).  A pair costs about 5-8 us at m <= 3 but 16 us at
+# m >= 5, so cells over the cap give up after 2.5 s at (2,3,2,4), 5.3 s at
+# (2,2,2,5) and 23 s at (2,7,1,3) (single runs on a shared 2-core host).
+MAX_CHAIN_PAIRS = 2**20
+
+# Seed of the generic combinations of cup_length_kernel: every call draws
+# the same coefficients, so they need not be printed to be reproduced.
+CUP_LENGTH_SEED = 20_251_018
 
 
 # Work estimate (witness_work) above which the fn witness is refused, checked
@@ -320,7 +332,45 @@ def sphere_bundle_lower_bound(
     )
 
 
-# -- generic cup-length search ------------------------------------------------------
+# -- cup length of the kernel -------------------------------------------------------
+
+
+class CupLength(int):
+    """A cup length that is its int value, and says how it was shown maximal.
+
+    ``optimality`` is ``"ceiling"`` when a nonzero product reached the
+    ceiling min(budget, top degree // least element degree), which no product
+    can pass, and ``"probabilistic"`` otherwise; ``error_bound`` is then the
+    exact chance, at most, that a longer nonzero product exists (None for
+    ``"ceiling"``).
+
+    >>> k = CupLength(3, "probabilistic", Fraction(1, 2**59))
+    >>> k == 3, k + 1, k.optimality
+    (True, 4, 'probabilistic')
+    """
+
+    optimality: str
+    error_bound: Fraction | None
+
+    def __new__(cls, length: int, optimality: str, error_bound: Fraction | None = None):
+        self = super().__new__(cls, length)
+        self.optimality = optimality
+        self.error_bound = error_bound
+        return self
+
+
+def _chain_product(
+    P: RingPresentation, acc: GradedElement, x: GradedElement, best: int
+) -> GradedElement:
+    """acc * x, refused with ValueError, before it is formed, when it would
+    multiply more than MAX_CHAIN_PAIRS pairs of terms."""
+    pairs = len(acc.terms) * len(x.terms)
+    if pairs > MAX_CHAIN_PAIRS:
+        raise ValueError(
+            f"cup-length chain on {P.name} would multiply {pairs} pairs of terms, "
+            f"over the cap of {MAX_CHAIN_PAIRS} (MAX_CHAIN_PAIRS); best so far {best}"
+        )
+    return multiply(P, acc, x)
 
 
 def cup_length_kernel(
@@ -328,18 +378,32 @@ def cup_length_kernel(
     collapse: RingMap,
     elements: Sequence[GradedElement],
     budget: int = 12,
-) -> int:
+) -> CupLength:
     """Greatest k <= budget with a nonzero k-fold product of the elements.
 
-    Elements are tried as multisets in the given order; an even-degree
-    element may repeat, while an odd-degree one squares to zero (x x = -x x
-    over Q) and is never multiplied by itself.  The search prunes any branch
-    whose total degree would exceed the top nonzero degree of the ring, and
-    stops as soon as a chain reaches min(budget, top degree // least element
-    degree), which no chain can exceed.  Every element must be homogeneous
-    and lie in the kernel of the collapse map.  Raises ValueError, naming the
-    ring, when the search would form more than CUP_LENGTH_NODE_LIMIT
-    products.
+    No nonzero product is longer than the ceiling min(budget, top degree //
+    least element degree).  A greedy chain comes first: it takes the
+    elements in the given order, skips any that would pass the top nonzero
+    degree of the ring or give a zero product, and never multiplies an
+    odd-degree element by itself (x x = -x x over Q).  If it reaches the
+    ceiling, that is the answer, with optimality ``"ceiling"``.
+
+    Otherwise one chain of generic combinations x_j = sum_i a_ij e_i, with
+    the a_ij drawn from 1..2^61 by ``random.Random(CUP_LENGTH_SEED)``, is
+    multiplied until its product vanishes or reaches the ceiling.  The
+    product is multilinear, and each monomial in the a_ij of x_1 ... x_k
+    carries one product of k elements, so x_1 ... x_k is nonzero as a
+    polynomial exactly when some k-fold product of the elements is.  Each
+    x_j is checked to lie in the kernel, so a nonzero product is an exact
+    certificate; a first zero at step k+1 misses a nonzero polynomial of
+    degree k+1 with probability at most (k+1)/2^61 (Schwartz 1980, Zippel
+    1979), the ``error_bound`` of the ``"probabilistic"`` answer.  The
+    answer is the longer of the two chains.
+
+    Every element must be homogeneous and lie in the kernel of the collapse
+    map.  Raises ValueError, naming the ring and the best length so far,
+    before a product of either chain would multiply more than
+    MAX_CHAIN_PAIRS pairs of terms.
     """
     if budget < 1 or budget > 12:
         raise ValueError("budget must be between 1 and 12")
@@ -351,36 +415,33 @@ def cup_length_kernel(
         degrees.append(d)
     _check_in_kernel(collapse, elements)
     if not elements:
-        return 0
+        return CupLength(0, "ceiling")
     top = ring_top_degree(P, ceiling=budget * max(degrees))
-    # No chain is longer than the ceiling; the first chain to reach it is the
-    # one the full search would keep, as best only grows on a strict gain.
     ceiling = min(budget, top // min(degrees))
-    best = 0
-    nodes = 0
 
-    def dfs(start: int, acc: GradedElement, acc_degree: int, length: int) -> bool:
-        """Extend a chain of the given length; True once best reaches the ceiling."""
-        nonlocal best, nodes
+    greedy, acc, acc_degree, start = 0, one(), 0, 0
+    while greedy < ceiling:
         for idx in range(start, len(elements)):
-            ndeg = acc_degree + degrees[idx]
-            if ndeg > top:
+            if acc_degree + degrees[idx] > top:
                 continue
-            nodes += 1
-            if nodes > CUP_LENGTH_NODE_LIMIT:
-                raise ValueError(
-                    f"cup-length search on {P.name} formed {CUP_LENGTH_NODE_LIMIT} "
-                    f"products without an answer (best so far {best})"
-                )
-            nxt = multiply(P, acc, elements[idx])
-            if is_zero(nxt):
-                continue
-            best = max(best, length + 1)
-            if best >= ceiling:
-                return True
-            if length + 1 < budget and dfs(idx + degrees[idx] % 2, nxt, ndeg, length + 1):
-                return True
-        return False
+            nxt = _chain_product(P, acc, elements[idx], greedy)
+            if not is_zero(nxt):
+                greedy, acc, start = greedy + 1, nxt, idx + degrees[idx] % 2
+                acc_degree += degrees[idx]
+                break
+        else:
+            break
+    if greedy == ceiling:
+        return CupLength(greedy, "ceiling")
 
-    dfs(0, one(), 0, 0)
-    return best
+    rng = random.Random(CUP_LENGTH_SEED)
+    generic, acc = 0, one()
+    while generic < ceiling:
+        coeffs = [rng.getrandbits(61) + 1 for _ in elements]  # uniform on 1..2^61
+        x = element((a * c, w) for a, e in zip(coeffs, elements) for w, c in e.terms.items())
+        _check_in_kernel(collapse, [x])
+        acc = _chain_product(P, acc, x, max(greedy, generic))
+        if is_zero(acc):
+            return CupLength(max(greedy, generic), "probabilistic", Fraction(generic + 1, 2**61))
+        generic += 1
+    return CupLength(generic, "ceiling")

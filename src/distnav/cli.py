@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +72,7 @@ from .navplan import (
 )
 from .presentations import catalog, cpn_sphere_bundle, fn_fiber_product
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 ENV_PRESENTATIONS = "DISTNAV_PRESENTATIONS"
 # Trace samples per path of nav rpn, circle and hopf.
 MAX_GRID = 1024
@@ -99,6 +100,11 @@ MAX_VERIFIER_PROBES = 10_000
 # built: 256 x 256 atoms took 2.4 s and printed 12 MB, 300 x 300 took 3.1 s
 # and printed 17 MB (in process, single runs on a shared 2-core host).
 MAX_PRODUCT_ATOMS = 2**16
+# Decimal digits a printed product weight may have above or below the line:
+# Python's default limit on int-to-str conversion.  Each factor's literal is
+# within gcring.MAX_LITERAL_LENGTH, but a product has about the digits of
+# both, so two 2202-character weights gave 4401-digit denominators.
+MAX_WEIGHT_DIGITS = 4300
 
 
 # -- shared helpers ---------------------------------------------------------------
@@ -337,7 +343,9 @@ def _cmd_bound_cup_length(args) -> tuple[dict, list[str], int]:
         "parameters": {"d": args.d, "m": args.m, "n": args.n, "r": args.r},
         "budget": args.budget,
         "kernel_elements": labels,
-        "cup_length": length,
+        "cup_length": int(length),
+        "optimality": length.optimality,
+        "error_bound": None if length.error_bound is None else str(length.error_bound),
     }
     return payload, ["diagonal-kernel-cup-length-lower"], 0
 
@@ -469,6 +477,13 @@ def _cmd_measure_product(args) -> tuple[dict, list[str], int]:
             f"over the cap of {MAX_PRODUCT_ATOMS} (MAX_PRODUCT_ATOMS)"
         )
     prod = product_measure(mu, nu)
+    limit = 10**MAX_WEIGHT_DIGITS
+    for _, weight in prod.atoms:
+        if isinstance(weight, Fraction) and max(abs(weight.numerator), weight.denominator) >= limit:
+            raise ValueError(
+                f"a product weight has over {MAX_WEIGHT_DIGITS} digits above or below "
+                f"the line (MAX_WEIGHT_DIGITS)"
+            )
     payload = {
         "support": len(prod),
         "mode": prod.mode,

@@ -101,7 +101,10 @@ REGISTRY: dict[str, str] = {
     ),
     "diagonal-kernel-cup-length-lower": (
         "The rational cup-length of the kernel of the fiberwise diagonal "
-        "lower-bounds the sequential fiberwise distributional complexity."
+        "lower-bounds the sequential fiberwise distributional complexity. "
+        "A reported length is certified by a nonzero product of kernel "
+        "classes, so it is an exact lower bound even when its optimality is "
+        "only probabilistic."
     ),
     "projective-equivariant-planner": (
         "Two-rotation distributional planner on real projective space: "

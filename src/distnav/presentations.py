@@ -356,7 +356,12 @@ def sphere_bundle_tower(
 def cpn_sphere_bundle(n: int, r: int) -> SphereBundleTower:
     """Tower over complex projective n-space for the line-bundle-plus-trivial
     construction: e_eta is the hyperplane class, fiber is a 2-sphere (q = 3).
+    For n, r >= 1 the tower's top degree n(n+1) + 2r is checked against
+    MAX_SERIES_DEGREE before the base is built; other n or r keep the
+    messages of the builders.
     """
+    if n >= 1 and r >= 1:
+        check_series_degree(n * (n + 1) + 2 * r)
     base = complex_projective(n)
     return sphere_bundle_tower(base, gen("a1"), q=3, r=r)
 

@@ -525,11 +525,15 @@ def test_ring_top_degree():
     assert ring_top_degree(point(), ceiling=4) == 0
 
 
-def unpruned_cup_length_search(P, elements, budget=12):
-    """The search without its ceiling exit or its odd-square skip: every
-    multiset is explored."""
+def multiset_cup_length_search(P, elements, budget=12, pruned=False):
+    """The depth-first search over multisets of the elements that
+    cup_length_kernel replaced.  Unpruned, every multiset is explored;
+    pruned, as the library searched, an odd element is never squared and
+    the search stops once a chain reaches min(budget, top degree // least
+    element degree)."""
     degrees = [element_degree(P, e) for e in elements]
     top = ring_top_degree(P, ceiling=budget * max(degrees))
+    ceiling = min(budget, top // min(degrees)) if pruned else budget + 1
     best = 0
 
     def dfs(start, acc, acc_degree, length):
@@ -542,8 +546,12 @@ def unpruned_cup_length_search(P, elements, budget=12):
             if is_zero(nxt):
                 continue
             best = max(best, length + 1)
-            if length + 1 < budget:
-                dfs(idx, nxt, ndeg, length + 1)
+            if best >= ceiling:
+                return True
+            odd_step = degrees[idx] % 2 if pruned else 0
+            if length + 1 < budget and dfs(idx + odd_step, nxt, ndeg, length + 1):
+                return True
+        return False
 
     dfs(0, one(), 0, 0)
     return best
@@ -553,21 +561,66 @@ def fn_closed_form(d, m, n, r):
     return r * n + m - 1 if d % 2 else r * n + m - 2
 
 
-@pytest.mark.parametrize(
-    "cell",
-    [(2, 2, 1, 2), (3, 2, 1, 2), (2, 2, 1, 3), (3, 2, 1, 3), (2, 2, 2, 2), (3, 2, 2, 2), (2, 3, 1, 3)],
-)
+# The cup-length cells of the rewrite benchmark.
+BENCH_CUP_CELLS = [
+    (2, 2, 1, 2), (3, 2, 1, 2), (2, 2, 1, 3), (3, 2, 1, 3), (2, 2, 2, 2), (3, 2, 2, 2), (2, 3, 1, 3)
+]
+
+
+@pytest.mark.parametrize("cell", BENCH_CUP_CELLS)
 def test_cup_length_early_exit_matches_unpruned_search(cell):
     fp = fn_fiber_product(*cell)
     elements = copy_differences(fp)
     got = cup_length_kernel(fp.ring, diagonal_fn(fp), elements, budget=12)
-    assert got == unpruned_cup_length_search(fp.ring, elements)
-    assert got == fn_closed_form(*cell)  # within CUP_LENGTH_NODE_LIMIT
+    assert got == multiset_cup_length_search(fp.ring, elements)
+    assert got == fn_closed_form(*cell)
+
+
+@pytest.mark.parametrize("cell", BENCH_CUP_CELLS + [(2, 2, 1, 4), (2, 4, 1, 3), (2, 2, 3, 2)])
+def test_cup_length_matches_pruned_search(cell):
+    # The three extra cells are even-d cells the multiset search answered
+    # within its old limit of 3000 products.
+    fp = fn_fiber_product(*cell)
+    elements = copy_differences(fp)
+    got = cup_length_kernel(fp.ring, diagonal_fn(fp), elements)
+    assert got == multiset_cup_length_search(fp.ring, elements, pruned=True) == fn_closed_form(*cell)
+    if cell[0] % 2:  # odd d reaches the degree ceiling
+        assert (got.optimality, got.error_bound) == ("ceiling", None)
+    else:
+        assert (got.optimality, got.error_bound) == ("probabilistic", Fraction(got + 1, 2**61))
+
+
+def test_cup_length_is_the_same_on_every_call():
+    fp = fn_fiber_product(2, 2, 2, 2)
+    collapse, elements = diagonal_fn(fp), copy_differences(fp)
+    first, second = (cup_length_kernel(fp.ring, collapse, elements) for _ in range(2))
+    assert first == second == 4 and type(first) is bounds.CupLength and repr(first) == "4"
+    assert (first.optimality, first.error_bound) == (second.optimality, second.error_bound)
+
+
+@pytest.mark.parametrize("cell", [(2, 2, 2, 2), (2, 3, 1, 3), (2, 2, 1, 5)])
+def test_generic_product_is_nonzero_at_the_returned_length(cell):
+    # The coefficients are drawn in order, element by element, one chain
+    # step at a time, as getrandbits(61) + 1 from random.Random(CUP_LENGTH_SEED).
+    fp = fn_fiber_product(*cell)
+    elements = copy_differences(fp)
+    k = cup_length_kernel(fp.ring, diagonal_fn(fp), elements)
+    rng = random.Random(bounds.CUP_LENGTH_SEED)
+    combinations = []
+    for _ in range(k + 1):
+        coeffs = [rng.getrandbits(61) + 1 for _ in elements]
+        combo = zero()
+        for a, e in zip(coeffs, elements):
+            combo = add(combo, scale(a, e))
+        combinations.append(combo)
+    assert not is_zero(product(fp.ring, combinations[:k]))
+    assert is_zero(product(fp.ring, combinations))
 
 
 def test_cup_length_never_squares_an_odd_element(monkeypatch):
-    # x x = -x x over Q for odd x; the search formed that zero product on
-    # every branch (935 products at (2,2,3,2), 487 without them).
+    # x x = -x x over Q for odd x, so that product is always zero.
+    # (2,2,1,3) has odd elements only; the greedy chain multiplies the
+    # elements themselves, the generic chain their combinations.
     fp = fn_fiber_product(2, 2, 1, 3)
     collapse = diagonal_fn(fp)
     elements = copy_differences(fp)
@@ -577,7 +630,9 @@ def test_cup_length_never_squares_an_odd_element(monkeypatch):
     real_multiply = bounds.multiply
 
     def tracking(P, acc, e):
-        idx = next(i for i, x in enumerate(elements) if x is e)
+        idx = next((i for i, x in enumerate(elements) if x is e), None)
+        if idx is None:  # a generic combination: the greedy chain is over
+            return real_multiply(P, acc, e)
         chain = chains.get(id(acc), ())
         assert idx not in chain, f"odd element {idx} multiplied by itself"
         out = real_multiply(P, acc, e)
@@ -593,21 +648,29 @@ def test_cup_length_never_squares_an_odd_element(monkeypatch):
 def test_cup_length_reaches_degree_ceiling_on_odd_cell():
     # The unpruned search runs for minutes here; the ceiling exit stops it.
     fp = fn_fiber_product(3, 3, 2, 3)
-    assert cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp)) == 8
+    got = cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp))
+    assert got == 8 and got.optimality == "ceiling"
 
 
-def test_cup_length_answers_within_the_node_limit():
-    # (2,2,1,4) needs 1995 products: over the old limit of 1000, it exited 2.
-    fp = fn_fiber_product(2, 2, 1, 4)
-    assert cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp)) == 4
-
-
-def test_cup_length_node_limit_names_the_ring(monkeypatch):
-    # (2,2,1,3) needs 104 products; a limit of 20 stops the search.
-    monkeypatch.setattr(bounds, "CUP_LENGTH_NODE_LIMIT", 20)
+def test_cup_length_pairs_cap_names_the_ring(monkeypatch):
+    # The generic chain of (2,2,1,3) multiplies 6, 36, 108 and 108 pairs of
+    # terms; a cap of 40 stops it before its third product, after the
+    # greedy chain (at most 16 pairs a product) found a length of 3.
+    monkeypatch.setattr(bounds, "MAX_CHAIN_PAIRS", 40)
     fp = fn_fiber_product(2, 2, 1, 3)
-    with pytest.raises(ValueError, match="fn:d=2,m=2,n=1,r=3"):
+    message = r"fn:d=2,m=2,n=1,r=3 would multiply 108 pairs .*best so far 3$"
+    with pytest.raises(ValueError, match=message):
         cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp))
+
+
+def test_cup_length_pairs_cap_stops_before_the_product(monkeypatch):
+    monkeypatch.setattr(bounds, "MAX_CHAIN_PAIRS", 1)
+    calls = []
+    monkeypatch.setattr(bounds, "multiply", lambda *args: calls.append(args))
+    fp = fn_fiber_product(2, 2, 1, 3)
+    with pytest.raises(ValueError, match=r"MAX_CHAIN_PAIRS\); best so far 0$"):
+        cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp))
+    assert calls == []
 
 
 # === witness work bound ===

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import distnav.bounds as bounds
 import distnav.cli as cli
 import distnav.gcring as gcring
 import distnav.knowledge as knowledge
@@ -40,7 +41,7 @@ def write_measure(path, atoms):
 def test_normal_form_square_vanishes():
     code, out = run("ring", "normal-form", "--ring", "conf:d=2,k=4", "--word", "w_1_2,w_1_2")
     assert code == 0
-    assert out["schema_version"] == 3
+    assert out["schema_version"] == 4
     assert out["zero"] is True
     assert out["normal_form"] == []
 
@@ -59,7 +60,7 @@ def test_normal_form_straightening():
 def test_normal_form_unknown_generator_exits_2():
     code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "nope")
     assert code == 2
-    assert "error" in out and out["schema_version"] == 3
+    assert "error" in out and out["schema_version"] == 4
 
 
 def test_normal_form_zero_denominator_exits_2():
@@ -218,22 +219,26 @@ def test_bound_fn_checks_witness_work_before_building_the_ring(monkeypatch):
     assert out["error"].endswith("(MAX_SERIES_DEGREE)")
 
 
+RULE_CAP = "rules, over the cap of 32768 (MAX_RING_RULES)"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ("ring", "poincare", "--ring", "cp1500"),
-        ("ring", "poincare", "--ring", "conf:d=2,k=120"),
-        ("ring", "poincare", "--ring", "fn:d=2,m=120,n=1,r=2"),
-        ("bound", "sphere-bundle", "--n", "1500", "--r", "2"),
+        (("ring", "poincare", "--ring", "cp1500"), RULE_CAP),
+        (("ring", "poincare", "--ring", "conf:d=2,k=120"), RULE_CAP),
+        (("ring", "poincare", "--ring", "fn:d=2,m=120,n=1,r=2"), RULE_CAP),
+        # The tower's degree 1500 * 1501 + 4 is checked before its base cp1500.
+        (("bound", "sphere-bundle", "--n", "1500", "--r", "2"), "outside 0..512 (MAX_SERIES_DEGREE)"),
     ],
     ids=["cp", "conf", "fn", "sphere-bundle"],
 )
-def test_ring_over_rule_cap_exits_2_at_once(argv):
+def test_ring_over_rule_cap_exits_2_at_once(argv, error):
     # Each of these built its ring for over 20 s before answering or failing.
     start = time.perf_counter()
     code, out = run(*argv)
     assert code == 2
-    assert out["error"].endswith("rules, over the cap of 32768 (MAX_RING_RULES)")
+    assert out["error"].endswith(error)
     assert time.perf_counter() - start < 5
 
 
@@ -407,15 +412,32 @@ def test_bound_cup_length():
     assert code == 0
     assert out["cup_length"] == 2
     assert out["kernel_elements"]
+    assert out["optimality"] == "probabilistic"
+    assert out["error_bound"] == "3/2305843009213693952"  # (2 + 1) / 2^61
 
 
-def test_bound_cup_length_even_d_stops_at_node_limit():
-    # Even d never reaches the degree ceiling; this search had no bound and ran on.
+def test_bound_cup_length_odd_d_reaches_the_ceiling():
+    code, out = run("bound", "cup-length", "--d", "3", "--m", "2", "--n", "1", "--r", "2")
+    assert code == 0
+    assert (out["cup_length"], out["optimality"], out["error_bound"]) == (3, "ceiling", None)
+
+
+def test_bound_cup_length_even_d_answers():
+    # Even d never reaches the degree ceiling: the multiset search ran on
+    # without a bound here, then exited 2 at its product limit.
     start = time.perf_counter()
     code, out = run("bound", "cup-length", "--d", "2", "--m", "3", "--n", "2", "--r", "3")
-    assert code == 2
-    assert "fn:d=2,m=3,n=2,r=3" in out["error"]
+    assert code == 0
+    assert (out["cup_length"], out["optimality"]) == (7, "probabilistic")
     assert time.perf_counter() - start < 60
+
+
+def test_bound_cup_length_over_the_pairs_cap_exits_2(monkeypatch):
+    monkeypatch.setattr(bounds, "MAX_CHAIN_PAIRS", 40)
+    code, out = run("bound", "cup-length", "--d", "2", "--m", "2", "--n", "1", "--r", "3")
+    assert code == 2
+    assert out["error"].startswith("cup-length chain on fn:d=2,m=2,n=1,r=3 would multiply")
+    assert out["error"].endswith("(MAX_CHAIN_PAIRS); best so far 3")
 
 
 # === value group ===
@@ -920,3 +942,20 @@ def test_measure_product_over_atom_cap_exits_2(tmp_path, monkeypatch):
     code, out = run("measure", "product", "--mu", mu, "--nu", nu)
     assert code == 2
     assert "2 and 3 atoms has 6" in out["error"] and "MAX_PRODUCT_ATOMS" in out["error"]
+
+
+def test_measure_product_over_weight_digits_exits_2(tmp_path):
+    # Each weight is 2202 characters, within MAX_LITERAL_LENGTH; the product
+    # of 10^-2200 with itself has a 4401-digit denominator, which Python
+    # refused to print.
+    small, large = "0." + "0" * 2199 + "1", "0." + "9" * 2200
+    mu = write_measure(tmp_path / "mu.json", [([0.0], small), ([1.0], large)])  # sums to 1
+    code, out = run("measure", "product", "--mu", mu, "--nu", mu)
+    assert code == 2
+    assert out["error"] == (
+        "a product weight has over 4300 digits above or below the line (MAX_WEIGHT_DIGITS)"
+    )
+    # One factor of that size prints: 2201 digits below the line.
+    nu = write_measure(tmp_path / "nu.json", [([0.0], 1)])
+    code, out = run("measure", "product", "--mu", mu, "--nu", nu)
+    assert code == 0 and out["support"] == 2

@@ -246,7 +246,6 @@ def test_builders_check_rule_count_before_any_generator(monkeypatch):
         ("conf:d=3,k=59", lambda: config_space.__wrapped__(3, 59)),
         ("fn:d=3,m=2,n=45,r=2", lambda: fn_fiber_product.__wrapped__(3, 2, 45, 2)),
         ("fn:d=2,m=2,n=46,r=2", lambda: fn_fiber_product.__wrapped__(2, 2, 46, 2)),
-        ("cp256", lambda: cpn_sphere_bundle.__wrapped__(256, 2)),  # its base
     ]
     for name, build in cells:
         with pytest.raises(ValueError, match=r"rules, over the cap of 32768 \(MAX_RING_RULES\)$") as caught:
@@ -257,6 +256,21 @@ def test_builders_check_rule_count_before_any_generator(monkeypatch):
     for build in (lambda: complex_projective(255), lambda: config_space.__wrapped__(2, 59)):
         with pytest.raises(GeneratorBuilt):
             build()
+
+
+def test_cpn_sphere_bundle_checks_series_degree_before_its_base(monkeypatch):
+    # The tower over cp23 at r = 2 has top degree 23 * 24 + 4 = 556; cp255
+    # built 32640 rules in 0.6 s before that degree was checked.
+    def refuse(n):
+        raise GeneratorBuilt
+
+    monkeypatch.setattr(presentations, "complex_projective", refuse)
+    for n, r in [(23, 2), (255, 2), (256, 2), (2, 300)]:
+        message = rf"^series degree {n * (n + 1) + 2 * r} is outside 0\.\.512 \(MAX_SERIES_DEGREE\)$"
+        with pytest.raises(ValueError, match=message):
+            cpn_sphere_bundle.__wrapped__(n, r)
+    with pytest.raises(GeneratorBuilt):  # degree 22 * 23 + 4 = 510 is within the cap
+        cpn_sphere_bundle.__wrapped__(22, 2)
 
 
 # === sphere-bundle towers ===
