@@ -2,8 +2,9 @@
 
 Every subcommand prints a single JSON document on standard output with a
 schema_version field.  Exit codes: 0 success, 2 argument error or a request
-over a work cap, 3 validation or certificate failure.  --cite appends the
-provenance statements behind the numbers.
+over a work cap, 3 validation or certificate failure, 141 when the reader
+closes standard output early.  --cite appends the provenance statements
+behind the numbers.
 
 Presentation names resolve against the built-in catalog first, then
 against ``$DISTNAV_PRESENTATIONS`` (a directory of ``<name>.json`` files);
@@ -73,6 +74,10 @@ from .navplan import (
 from .presentations import catalog, cpn_sphere_bundle, fn_fiber_product
 
 SCHEMA_VERSION = 4
+# Exit code when the reader closes stdout before the JSON is written (as in
+# ``| head``): 128 + SIGPIPE, the status a shell reports for a writer that
+# the signal ended.
+EXIT_CLOSED_STDOUT = 141
 ENV_PRESENTATIONS = "DISTNAV_PRESENTATIONS"
 # Trace samples per path of nav rpn, circle and hopf.
 MAX_GRID = 1024
@@ -110,9 +115,26 @@ MAX_WEIGHT_DIGITS = 4300
 # -- shared helpers ---------------------------------------------------------------
 
 
-def _emit(payload: dict) -> None:
+def _dumps(payload: dict) -> str:
     # NaN and infinity are not JSON: refuse them instead of printing bare tokens.
-    print(json.dumps(payload, indent=2, default=to_jsonable, allow_nan=False))
+    return json.dumps(payload, indent=2, default=to_jsonable, allow_nan=False)
+
+
+def _emit(text: str) -> bool:
+    """Print text and flush it; False when the reader closed stdout first.
+
+    Then stdout is pointed at os.devnull, so the flush at exit writes what
+    is left of the buffer nowhere instead of raising again.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
 
 
 def _resolve_ring(name: str):
@@ -627,19 +649,20 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, CertificateError) as exc:
         # A bad request is a ValueError or KeyError (2); a failed presentation
         # or certificate check is a validation failure (3).
-        _emit({"schema_version": SCHEMA_VERSION, "error": str(exc)})
-        return 3 if isinstance(exc, (CertificateError, PresentationError)) else 2
-    out = {"schema_version": SCHEMA_VERSION, "command": f"{args.group} {args.sub}", **payload}
-    if args.cite:
-        out["citations"] = [
-            {"tag": tag, "statement": REGISTRY[tag]} for tag in dict.fromkeys(tags)
-        ]
+        out = {"schema_version": SCHEMA_VERSION, "error": str(exc)}
+        code = 3 if isinstance(exc, (CertificateError, PresentationError)) else 2
+    else:
+        out = {"schema_version": SCHEMA_VERSION, "command": f"{args.group} {args.sub}", **payload}
+        if args.cite:
+            out["citations"] = [
+                {"tag": tag, "statement": REGISTRY[tag]} for tag in dict.fromkeys(tags)
+            ]
     try:
-        _emit(out)
+        text = _dumps(out)
     except ValueError as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": f"result is not valid JSON: {exc}"})
-        return 2
-    return code
+        text = _dumps({"schema_version": SCHEMA_VERSION, "error": f"result is not valid JSON: {exc}"})
+        code = 2
+    return code if _emit(text) else EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

@@ -23,12 +23,16 @@ grid of either on paths (``path_metric``).  A path's coordinates are its
 samples on the grid (``ArcPath.sample``, one numpy call), and the path
 distance is the maximum of the point distance over the time axis, so
 ``lp_distance`` samples each path once and compares all pairs in one call.
+A path builds the numpy arrays of its angles and frames once, read-only,
+on first use, and sampling and mapping read them; nothing converts per
+call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -125,15 +129,37 @@ class ArcPath:
     cos(angles[k] s) u[k] + sin(angles[k] s) v[k], with u[k], v[k]
     orthonormal.  An angle may be negative (the arc runs the other way
     around its great circle) or zero (the piece stays at u[k]).  Times are
-    clamped to [0, 1].
+    clamped to [0, 1], infinities included; a NaN time raises ValueError.
+
+    The fields are tuples, so equal paths compare and hash equal.  On
+    first use the path builds read-only float arrays of angles, u and v
+    once, outside the fields, and ``sample`` and ``mapped`` compute from
+    them.
     """
 
     u: tuple[tuple[float, ...], ...]
     v: tuple[tuple[float, ...], ...]
     angles: tuple[float, ...]
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """angles, u and v as read-only float arrays, built on first use.
+
+        Not a field: the cache stays out of repr, equality, hashing and
+        ``dataclasses.asdict``.  Paths that are never sampled or mapped
+        never pay for it.
+        """
+        arrays = (
+            np.array(self.angles, dtype=float),
+            np.array(self.u, dtype=float),
+            np.array(self.v, dtype=float),
+        )
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
     def sample(self, ts) -> np.ndarray:
-        """The points at the times ts, shape (len(ts), dim).
+        """The points at the times ts, shape (len(ts), dim), in a new array.
 
         A quarter arc starts at u and ends at v:
 
@@ -144,20 +170,28 @@ class ArcPath:
         >>> points.round(12).tolist()
         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         """
-        n = len(self.angles)
-        scaled = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0) * n
+        angles, u, v = self._arrays
+        n = len(angles)
+        # In this argument order a time of -0.0 stays -0.0, as under np.clip,
+        # so samples match it bit for bit.  NaN passes both bounds, so one
+        # check on the clamped times finds it.
+        clamped = np.minimum(np.maximum(0.0, np.asarray(ts, dtype=float)), 1.0)
+        nan = np.isnan(clamped)
+        if nan.any():
+            raise ValueError(f"sample time {int(np.argmax(nan))} is nan, not a time in [0, 1]")
+        scaled = clamped * n
         k = np.minimum(scaled.astype(int), n - 1)
-        a = np.asarray(self.angles)[k] * (scaled - k)
-        u, v = np.asarray(self.u)[k], np.asarray(self.v)[k]
-        return np.cos(a)[:, None] * u + np.sin(a)[:, None] * v
+        a = (angles.take(k) * (scaled - k))[:, None]
+        return np.cos(a) * u.take(k, axis=0) + np.sin(a) * v.take(k, axis=0)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sample([t])[0]
 
     def mapped(self, matrix) -> "ArcPath":
         """The image under a linear map M: M(cos u + sin v) = cos Mu + sin Mv."""
-        m = np.asarray(matrix, dtype=float)
-        return ArcPath(_rows(np.asarray(self.u) @ m.T), _rows(np.asarray(self.v) @ m.T), self.angles)
+        m = np.asarray(matrix, dtype=float).T
+        _, u, v = self._arrays
+        return ArcPath(_rows(u @ m), _rows(v @ m), self.angles)
 
 
 # -- metrics ---------------------------------------------------------------------
@@ -336,9 +370,9 @@ def circle_navigate(r: int, points: Sequence) -> PathPlan:
 
 
 def quat_mul(a, b) -> np.ndarray:
-    """Hamilton product of quaternions [w, x, y, z]."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    """Hamilton product of quaternions [w, x, y, z], on Python floats."""
+    aw, ax, ay, az = np.asarray(a, dtype=float).tolist()
+    bw, bx, by, bz = np.asarray(b, dtype=float).tolist()
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -354,9 +388,12 @@ def quat_conj(a) -> np.ndarray:
 
 
 def hopf_map(q) -> np.ndarray:
-    """q i q^-1 for unit q: the fiber projection onto the 2-sphere."""
-    out = quat_mul(quat_mul(q, np.array([0.0, 1.0, 0.0, 0.0])), quat_conj(q))
-    return out[1:]
+    """q i q^-1 for unit q: the fiber projection onto the 2-sphere.
+
+    The closed form of the two Hamilton products, within an ulp of them.
+    """
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
+    return np.array([w * w + x * x - y * y - z * z, 2.0 * (x * y + w * z), 2.0 * (x * z - w * y)])
 
 
 FIBER_TOLERANCE = 1e-9

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -590,6 +591,70 @@ def test_nav_hopf_payload():
     code, out = run("nav", "hopf", "--points", "1,0,0,0;0,0,1,0")
     assert code == 2
     assert "fiber" in out["error"]
+
+
+RPN_V = [-0.3282917418630383, 0.2462188063972787, 0.9119215051751064]
+CIRCLE_FRAMES = {"u": [[1.0, 0.0], [0.0, 1.0]], "v": [[-0.0, 1.0], [-1.0, 0.0]]}
+HOPF_FRAMES = {"u": [[0.5, 0.5, 0.5, 0.5]], "v": [[-0.5, 0.5, 0.5, -0.5]]}
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (
+            ("rpn", "--x", "0.6,0.8,0", "--y", "0,0.6,0.8"),
+            [{"u": [[0.6, 0.8, 0.0]], "v": [RPN_V], "angles": [a]}
+             for a in (1.0701416143903084, -2.0714510391994847)],
+        ),
+        (
+            ("circle", "--points", "1,0;0,1;-1,1"),
+            [{**CIRCLE_FRAMES, "angles": list(a)} for a in (
+                (1.5707963267948966, 0.7853981633974483),
+                (-4.71238898038469, 0.7853981633974483),
+                (1.5707963267948966, -5.497787143782138),
+                (-4.71238898038469, -5.497787143782138),
+            )],
+        ),
+        (
+            ("hopf", "--points", "0.5,0.5,0.5,0.5;-0.5,0.5,0.5,-0.5"),
+            [{**HOPF_FRAMES, "angles": [a]} for a in (1.5707963267948966, -4.71238898038469)],
+        ),
+    ],
+    ids=["rpn", "circle", "hopf"],
+)
+def test_nav_path_atoms_print_only_the_path_fields(argv, data):
+    # A path's cached arrays are no dataclass field: data holds u, v and
+    # angles alone, with the values the planners gave before the cache.
+    code, out = run("nav", *argv)
+    assert code == 0
+    assert [a["data"] for a in out["atoms"]] == data
+    assert all(list(a["data"]) == ["u", "v", "angles"] for a in out["atoms"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nav", "circle", "--points", "1,0;0,1;-1,0;0,-1;1,1;-1,1;1,-1;-1,-1;2,1;1,2"),
+        ("value", "hopf", "--r", "2"),
+    ],
+    ids=["large", "small"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # A reader that stops early (| head) closed the pipe under print, which
+    # raised BrokenPipeError out of main as a traceback.  Here stdout is a
+    # pipe whose read end is closed, so every write to it raises that error.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout, err = open(write_end, "w"), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        stdout.write("more")
+        stdout.flush()  # now goes to os.devnull
+    finally:
+        stdout.close()
+    assert code == cli.EXIT_CLOSED_STDOUT == 141
+    assert err.getvalue() == ""
 
 
 NAV_COMMANDS = [

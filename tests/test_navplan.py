@@ -1,6 +1,7 @@
 """Distributional navigation plans: projective space, circle, Hopf fiber,
 the tail-freezing deformation, and the two empirical verifiers."""
 
+import dataclasses
 import math
 import random
 
@@ -253,6 +254,45 @@ def test_quaternion_identities():
     assert np.allclose(quat_conj(quat_mul(i, j)), -k)
 
 
+def quat_mul_numpy_scalars(a, b):
+    """The Hamilton product on numpy scalars, as it was computed (oracle)."""
+    aw, ax, ay, az = np.asarray(a, dtype=float)
+    bw, bx, by, bz = np.asarray(b, dtype=float)
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def hopf_map_two_products(q):
+    """q i q^-1 by two Hamilton products, the replaced hopf_map (oracle)."""
+    return quat_mul_numpy_scalars(quat_mul_numpy_scalars(q, [0.0, 1.0, 0.0, 0.0]), quat_conj(q))[1:]
+
+
+def test_quat_mul_matches_numpy_scalar_oracle_on_lists_and_arrays():
+    rng = random.Random(31)
+    for _ in range(200):
+        a, b = random_unit(rng, 4), np.array([rng.gauss(0, 3) for _ in range(4)])
+        expected = quat_mul_numpy_scalars(a, b)
+        for x, y in ((a, b), (a.tolist(), b.tolist()), (a, b.tolist()), (tuple(a), b)):
+            got = quat_mul(x, y)
+            assert isinstance(got, np.ndarray) and got.dtype == float
+            np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(quat_mul([0, 1, 0, 0], [0, 0, 1, 0]), [0.0, 0.0, 0.0, 1.0])
+
+
+def test_hopf_map_closed_form_matches_two_products():
+    rng = random.Random(32)
+    for _ in range(2000):
+        q = random_unit(rng, 4)
+        assert np.max(np.abs(hopf_map(q) - hopf_map_two_products(q))) <= 1e-15
+        np.testing.assert_array_equal(hopf_map(q.tolist()), hopf_map(q))
+
+
 def test_hopf_map_lands_on_unit_sphere():
     rng = random.Random(2)
     for _ in range(20):
@@ -481,6 +521,82 @@ def test_rpn_paths_match_closed_form():
                 pushed = path.mapped(g)
                 for t in TIMES:
                     np.testing.assert_allclose(pushed(t), g @ path(t), rtol=0, atol=1e-12)
+
+
+def sample_per_call(path, ts):
+    """ArcPath.sample as it was: convert the tuples on every call (oracle)."""
+    n = len(path.angles)
+    scaled = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0) * n
+    k = np.minimum(scaled.astype(int), n - 1)
+    a = np.asarray(path.angles)[k] * (scaled - k)
+    u, v = np.asarray(path.u)[k], np.asarray(path.v)[k]
+    return np.cos(a)[:, None] * u + np.sin(a)[:, None] * v
+
+
+def mapped_per_call(path, matrix):
+    """ArcPath.mapped as it was, on tuples converted per call (oracle)."""
+    m = np.asarray(matrix, dtype=float)
+    u, v = np.asarray(path.u) @ m.T, np.asarray(path.v) @ m.T
+    return ArcPath(navplan._rows(u), navplan._rows(v), path.angles)
+
+
+def oracle_plans(rng):
+    """Seeded rpn, circle (r <= 5) and Hopf plans."""
+    plans = sample_plans(rng)
+    for r in (2, 5):
+        plans.append(circle_navigate(r, [random_unit(rng, 2) for _ in range(r)]))
+        e1 = random_unit(rng, 4)
+        pts = [e1] + [fiber_partner(e1, rng.uniform(0, 2 * math.pi)) for _ in range(r - 1)]
+        plans.append(hopf_parametrized_navigate(r, pts))
+    return plans
+
+
+def assert_bit_identical(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()  # the sign of a zero too
+
+
+def test_cached_arrays_sample_and_map_bit_identically():
+    rng = random.Random(25)
+    ts = np.array(
+        [0.0, -0.0, 1.0, 0.25, 0.5, 0.75, -0.5, 1.5, -math.inf, math.inf]
+        + [rng.uniform(0, 1) for _ in range(54)]
+    )
+    # A -0.0 coordinate keeps its sign only where the time -0.0 does.
+    signed_zero = ArcPath(((-0.0, 1.0), (1.0, -0.0)), ((1.0, 0.0), (0.0, -1.0)), (0.5, -0.5))
+    paths = [path for plan in oracle_plans(rng) for path, _ in plan.measure.atoms]
+    for path in paths + [signed_zero]:
+        assert_bit_identical(path.sample(ts), sample_per_call(path, ts))
+        for t in ts[:12]:
+            assert_bit_identical(path(t), sample_per_call(path, [t])[0])
+        dim = len(path.u[0])
+        g = random_rotation(rng, dim)
+        pushed, expected = path.mapped(g), mapped_per_call(path, g)
+        assert pushed == expected
+        assert_bit_identical(pushed.sample(ts), sample_per_call(expected, ts))
+
+
+def test_cached_arrays_are_read_only_and_samples_fresh():
+    path = circle_navigate(3, [[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]]).measure.atoms[0][0]
+    for cached in path._arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 5.0
+    first = path.sample([0.0, 0.5, 1.0])
+    first[:] = 7.0  # a sample is a new, writable array
+    assert_bit_identical(path.sample([0.0, 0.5, 1.0]), sample_per_call(path, [0.0, 0.5, 1.0]))
+    assert "_arrays" not in repr(path)
+    assert list(dataclasses.asdict(path)) == ["u", "v", "angles"]
+
+
+def test_nan_time_raises_value_error():
+    # A NaN time cast to the int minimum, warned, and indexed out of bounds.
+    path = ArcPath(((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (-1.0, 0.0)), (0.5, 0.5))
+    for ts, index in (([math.nan], 0), ([0.25, math.nan, 0.75], 1)):
+        with pytest.raises(ValueError, match=f"sample time {index} is nan"):
+            path.sample(ts)
+    with pytest.raises(ValueError, match="is nan"):
+        path(math.nan)
+    np.testing.assert_array_equal(path.sample([-math.inf, math.inf]), path.sample([0.0, 1.0]))
 
 
 def circle_closed_form(path, t, starts):
