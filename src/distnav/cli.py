@@ -73,20 +73,17 @@ from .navplan import (
 )
 from .presentations import catalog, cpn_sphere_bundle, fn_fiber_product
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 # Exit code when the reader closes stdout before the JSON is written (as in
 # ``| head``): 128 + SIGPIPE, the status a shell reports for a writer that
 # the signal ended.
 EXIT_CLOSED_STDOUT = 141
 ENV_PRESENTATIONS = "DISTNAV_PRESENTATIONS"
-# Trace samples per path of nav rpn, circle and hopf.
+# Trace samples per path of nav rpn, circle and hopf.  A plan has at most
+# navplan.MAX_CHECKPOINTS paths, so at most 64 x 1024 trace points: a
+# 64-path Hopf plan prints 10.8 MB in 0.7 to 1.0 s (in process, three runs
+# on a shared 2-core host).
 MAX_GRID = 1024
-# Trace points (paths times --grid) one nav plan may print, checked before
-# any path is sampled: 4096 paths (13 checkpoints) up to grid 16, 64 paths
-# (7 checkpoints) at MAX_GRID.  At the cap a Hopf plan prints 18 MB in
-# 1.1 s or 7 MB in 0.3 s; 4096 paths at MAX_GRID would print 4096 x 1024
-# points.
-MAX_TRACE_POINTS = 2**16
 # --n of nav continuity and nav equivariance.  A random n x n rotation takes
 # 0.2 ms at n = 64, so MAX_VERIFIER_PROBES of them take 2 s, but 2 ms at 128
 # and 120 ms at 1024; --n 100000 would draw a 10^5 x 10^5 normal matrix
@@ -206,11 +203,6 @@ def _element_terms(a) -> list[dict]:
 
 
 def _plan_payload(plan: PathPlan, grid: int = 9) -> dict:
-    if len(plan.measure) * grid > MAX_TRACE_POINTS:
-        raise ValueError(
-            f"{len(plan.measure)} paths at --grid {grid} make {len(plan.measure) * grid} "
-            f"trace points, over the cap of {MAX_TRACE_POINTS} (MAX_TRACE_POINTS)"
-        )
     times = np.arange(grid) / (grid - 1)
     atoms = [
         {
@@ -333,6 +325,8 @@ def _cmd_bound_fn(args) -> tuple[dict, list[str], int]:
 def _cmd_bound_sphere_bundle(args) -> tuple[dict, list[str], int]:
     if args.n < 1:
         raise ValueError("n must be at least 1")
+    if args.r < 2:
+        raise ValueError(f"need r >= 2 factors in the tower, got r={args.r}")
     tower = cpn_sphere_bundle(args.n, args.r)
     partition = None
     if args.partition:
@@ -612,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--pairs", type=_flag("pairs", int, 0), default=5)
     p.add_argument("--samples", type=_flag("samples", int, 0), default=4, help="perturbations per pair")
-    p.add_argument("--scale", type=_flag("scale", float, 0.0), default=1e-4)
+    p.add_argument("--scale", type=_flag("scale", float, 0.0, 1.0), default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_nav_continuity)
     p = nav.add_parser("equivariance", parents=[common])

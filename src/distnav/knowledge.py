@@ -97,7 +97,8 @@ REGISTRY: dict[str, str] = {
     "circle-fiber-value": (
         "The sequential distributional complexity of the circle, hence of "
         "every odd-sphere-to-complex-projective Hopf projection, equals r-1; "
-        "the shipped planners witness the r=2 case."
+        "the shipped circle and Hopf planners witness it for every r up to "
+        "their cap of 64 checkpoints, each plan at most r paths."
     ),
     "diagonal-kernel-cup-length-lower": (
         "The rational cup-length of the kernel of the fiberwise diagonal "

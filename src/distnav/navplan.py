@@ -15,6 +15,9 @@ pieces of [0, 1].  A projective plan has one piece, a sequential circle
 plan one piece per consecutive checkpoint pair (u_k the k-th checkpoint,
 v_k its quarter turn), and a Hopf plan is a circle plan mapped into the
 3-sphere by left translation, a linear map, which sends arcs to arcs.
+A circle plan couples its pairs by one quantile, so it has at most r
+paths and shows r - 1, the sequential distributional complexity of the
+circle and of every circle-fibered Hopf projection.
 
 Plans are compared in three metrics: the chord metric on sphere points
 (``sphere_metric``, which is ``euclidean_metric``), its minimum over the
@@ -55,13 +58,13 @@ __all__ = [
     "quat_mul",
     "quat_conj",
     "hopf_map",
-    "MAX_PLAN_ATOMS",
+    "MAX_CHECKPOINTS",
 ]
 
 COORDINATE_ZERO = 1e-12
-# Sequential circle and Hopf plans through r checkpoints have up to 2^(r-1)
-# paths; the cap allows r <= 13.
-MAX_PLAN_ATOMS = 4096
+# Checkpoints of a circle or Hopf plan, which has at most one path per
+# checkpoint, each of r - 1 pieces.
+MAX_CHECKPOINTS = 64
 
 
 # -- points ---------------------------------------------------------------------
@@ -312,14 +315,11 @@ def rpn_navigate(x, y) -> PathPlan:
 
 
 def _check_checkpoint_count(r: int, points: Sequence) -> None:
-    """Reject r < 2, a plan over MAX_PLAN_ATOMS paths, or len(points) != r."""
+    """Reject r < 2, r over MAX_CHECKPOINTS, or len(points) != r."""
     if r < 2:
         raise ValueError("need at least two checkpoints")
-    if r - 1 > math.log2(MAX_PLAN_ATOMS):
-        raise ValueError(
-            f"{r} checkpoints allow up to 2^{r - 1} paths, over the cap of "
-            f"{MAX_PLAN_ATOMS}; use at most {int(math.log2(MAX_PLAN_ATOMS)) + 1}"
-        )
+    if r > MAX_CHECKPOINTS:
+        raise ValueError(f"{r} checkpoints are over the cap of {MAX_CHECKPOINTS} (MAX_CHECKPOINTS)")
     if len(points) != r:
         raise ValueError(f"expected {r} checkpoints, got {len(points)}")
 
@@ -327,41 +327,39 @@ def _check_checkpoint_count(r: int, points: Sequence) -> None:
 def circle_navigate(r: int, points: Sequence) -> PathPlan:
     """Sequential plan on the unit circle through r checkpoints.
 
-    Each consecutive pair contributes the two arcs joining it; an arc of
-    length L carries weight 1 - L/(2 pi), so the short arc is favoured, a
-    half turn splits evenly, and coincident checkpoints stay put.  The
-    composite measure multiplies segment weights over all choices, giving
-    at most 2^(r-1) supported paths, each an ArcPath with r - 1 pieces;
-    ValueError when that exceeds MAX_PLAN_ATOMS (r > 13).  Checkpoints are
-    scaled to unit length and must be finite nonzero vectors of the plane.
+    Pair k joins its checkpoints by a counter-clockwise arc of angle t_k in
+    [0, 2 pi) or the clockwise arc t_k - 2 pi; the clockwise arc weighs
+    s_k = t_k / (2 pi), so the shorter arc is favoured, a half turn splits
+    evenly, and coincident checkpoints stay put.  The pairs are coupled by
+    one quantile q in [0, 1): a path takes the clockwise arc on every pair
+    with q < s_k.  The sorted breakpoints {0, s_1, ..., s_(r-1), 1} cut
+    [0, 1) into at most r intervals, each one path weighted by its length:
+    every pair keeps its two-arc measure, and at a wrap of t_k both arcs are
+    the same near-zero piece, so the plan moves continuously with the
+    checkpoints.  Each path is an ArcPath with r - 1 pieces.  ValueError
+    over MAX_CHECKPOINTS checkpoints; checkpoints are scaled to unit length
+    and must be finite nonzero vectors of the plane.
+
+    >>> plan = circle_navigate(3, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    >>> sorted(w for _, w in plan.measure.atoms)
+    [0.25, 0.75]
     """
     _check_checkpoint_count(r, points)
     pts = [_unit(p, 2) for p in points]
-    # Per pair, the (u, v, angle) pieces joining a to b, with their weights.
-    segment_options: list[list[tuple[tuple, float]]] = []
+    u, v, arcs = [], [], []  # arcs: per pair, (t, t - 2 pi, s) as in the docstring
     for a, b in zip(pts, pts[1:]):
-        u, v = tuple(a.tolist()), (-float(a[1]), float(a[0]))
-        delta = math.atan2(
-            a[0] * b[1] - a[1] * b[0],  # cross
-            float(np.dot(a, b)),
-        )
-        theta = abs(delta)
-        if theta == 0.0:
-            segment_options.append([((u, v, 0.0), 1.0)])
-            continue
-        other = delta - math.copysign(2 * math.pi, delta)
-        w_long = theta / (2 * math.pi)
-        options = [((u, v, delta), 1.0 - w_long), ((u, v, other), w_long)]
-        segment_options.append([(p, w) for p, w in options if w > 0.0])
-    atoms: list[tuple[Any, float]] = []
-    stack: list[tuple[int, tuple, float]] = [(0, (), 1.0)]
-    while stack:
-        k, pieces, weight = stack.pop()
-        if k == len(segment_options):
-            atoms.append((ArcPath(*zip(*pieces)), weight))
-            continue
-        for piece, w in segment_options[k]:
-            stack.append((k + 1, pieces + (piece,), weight * w))
+        u.append(tuple(a.tolist()))
+        v.append((-float(a[1]), float(a[0])))
+        delta = math.atan2(a[0] * b[1] - a[1] * b[0], float(np.dot(a, b)))  # cross, dot
+        if delta < 0:
+            arcs.append((delta + 2 * math.pi, delta, 1.0 + delta / (2 * math.pi)))
+        else:  # abs turns an angle of -0.0 into 0.0
+            arcs.append((abs(delta), delta - 2 * math.pi, delta / (2 * math.pi)))
+    breaks = sorted({0.0, 1.0, *(s for _, _, s in arcs)})
+    atoms = [
+        (ArcPath(tuple(u), tuple(v), tuple(cw if lo < s else ccw for ccw, cw, s in arcs)), hi - lo)
+        for lo, hi in zip(breaks, breaks[1:])
+    ]
     checkpoints = tuple(tuple(p.tolist()) for p in pts)
     return PathPlan(FiniteMeasure(atoms), checkpoints)
 
@@ -409,7 +407,7 @@ def hopf_parametrized_navigate(r: int, points: Sequence) -> PathPlan:
     through the factors e1^-1 e_i, left translated by e1: each path is the
     circle path mapped by the 4x2 matrix z -> e1 (z_0 + z_1 i).  Left
     translation is an isometry, hence weights and support size carry over
-    unchanged, and so does the MAX_PLAN_ATOMS cap.
+    unchanged: at most r paths, and at most MAX_CHECKPOINTS checkpoints.
     """
     _check_checkpoint_count(r, points)
     quats = [_unit(p, 4) for p in points]
@@ -469,24 +467,25 @@ def check_equivariance(
     """Compare plan(gx, gy) with g pushed through plan(x, y) in LP distance.
 
     Group elements act on the last-axis-fixing copy of the rotation group;
-    reflections are rejected.  Returns {samples, max_discrepancy, failures}
-    with one failure record per pair exceeding tol.
+    reflections are rejected.  Each base plan plan(x, y) is built once.
+    Returns {samples, max_discrepancy, failures} with one failure record per
+    element and pair exceeding tol, elements in the outer order.
     """
     pairs = [(np.asarray(x, float), np.asarray(y, float)) for x, y in sample_pairs]
     if not pairs:
         return {"samples": 0, "max_discrepancy": 0.0, "failures": []}
     dim = len(pairs[0][0])
     mats = [_check_rotation(g, dim) for g in group_elements]
+    bases = [plan_fn(x, y).measure.atoms for x, y in pairs]
     space = path_metric(projective_metric(), grid=grid)
     samples = 0
     worst = 0.0
     failures: list[dict] = []
     for g in mats:
-        for x, y in pairs:
+        for (x, y), base in zip(pairs, bases):
             samples += 1
             moved = plan_fn(g @ x, g @ y)
-            pushed_atoms = [(p.mapped(g), w) for p, w in plan_fn(x, y).measure.atoms]
-            pushed = FiniteMeasure(pushed_atoms)
+            pushed = FiniteMeasure([(p.mapped(g), w) for p, w in base])
             d = lp_distance(moved.measure, pushed, space)
             worst = max(worst, d)
             if d > tol:
@@ -503,49 +502,44 @@ RATIO_CEILING = 10.0
 
 
 def check_lp_continuity(
-    plan_fn: Callable[[Any, Any], PathPlan],
-    base_pairs: Iterable[tuple],
+    plan_fn: Callable[..., PathPlan],
+    base_inputs: Iterable[tuple],
     perturbation_scale: float = 1e-4,
     samples_per_pair: int = 8,
     seed: int = 0,
     grid: int = 64,
 ) -> dict:
-    """Empirical continuity probe for a two-point planner.
+    """Empirical continuity probe for a planner on a tuple of sphere points.
 
-    Perturbs each input pair on the sphere, then compares the plans in LP
-    distance over the path sup metric.  A sample fails when the output
-    moves more than RATIO_CEILING times the input displacement.  Returns
-    {samples, max_discrepancy, failures}.
+    Each base input (x, y, ...) gives the plan ``plan_fn(x, y, ...)``;
+    ``samples_per_pair`` times, every point is perturbed in order and
+    renormalized, and the plans are compared in LP distance over the path
+    sup metric.  Points are compared in the projective metric when the base
+    plan's checkpoints are ProjectivePoints, in the chord metric otherwise.
+    A sample fails when the output moves more than RATIO_CEILING times the
+    largest input displacement.  Returns {samples, max_discrepancy,
+    failures}.
     """
-    point_space = projective_metric()
     rng = np.random.default_rng(seed)
-    space = path_metric(point_space, grid=grid)
     samples = 0
     worst = 0.0
     failures: list[dict] = []
-    for x, y in base_pairs:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        base_plan = plan_fn(x, y)
+    for inputs in base_inputs:
+        inputs = [np.asarray(p, dtype=float) for p in inputs]
+        base_plan = plan_fn(*inputs)
+        lines = isinstance(base_plan.checkpoints[0], ProjectivePoint)
+        point_space = projective_metric() if lines else sphere_metric()
+        space = path_metric(point_space, grid=grid)
         for _ in range(samples_per_pair):
             samples += 1
-            dx = rng.normal(size=x.shape) * perturbation_scale
-            dy = rng.normal(size=y.shape) * perturbation_scale
-            x2 = x + dx
-            x2 = x2 / float(np.linalg.norm(x2))
-            y2 = y + dy
-            y2 = y2 / float(np.linalg.norm(y2))
-            input_delta = max(
-                point_space.distance(x, x2), point_space.distance(y, y2)
-            )
-            moved = plan_fn(x2, y2)
+            moved_inputs = []
+            for p in inputs:
+                p2 = p + rng.normal(size=p.shape) * perturbation_scale
+                moved_inputs.append(p2 / float(np.linalg.norm(p2)))
+            input_delta = max(point_space.distance(p, p2) for p, p2 in zip(inputs, moved_inputs))
+            moved = plan_fn(*moved_inputs)
             d = lp_distance(base_plan.measure, moved.measure, space)
             worst = max(worst, d)
             if d > RATIO_CEILING * input_delta:
-                failures.append(
-                    {
-                        "input": {"x": to_jsonable(x2), "y": to_jsonable(y2)},
-                        "value": d,
-                    }
-                )
+                failures.append({"input": {"points": to_jsonable(moved_inputs)}, "value": d})
     return {"samples": samples, "max_discrepancy": worst, "failures": failures}

@@ -19,6 +19,8 @@ from distnav.knowledge import value_fadell_neuwirth, value_so3_bundle
 from distnav.measures import FiniteMeasure, euclidean_metric, lp_distance
 from distnav.navplan import (
     check_equivariance,
+    check_lp_continuity,
+    circle_navigate,
     hopf_map,
     hopf_parametrized_navigate,
     plan_checkpoint_deviation,
@@ -247,3 +249,42 @@ def test_criterion_09_closed_forms_agree_with_certificates():
         assert min(2 ** (r - 1) - 1, 2 * r + 1) == rec.upper
         assert rec.upper < 3 * (r - 1), r
     print("criterion 9 PASS: grid values match certificates; distributional < classical")
+
+
+def circle_tuple(rng, r, kind):
+    """r circle points: random, or each 1e-6 in angle off the last one
+    ("coincident") or off its antipode ("antipodal")."""
+    angles = [rng.uniform(0, 2 * math.pi)]
+    for _ in range(r - 1):
+        step = {"random": rng.uniform(0, 2 * math.pi), "coincident": 0.0, "antipodal": math.pi}[kind]
+        angles.append(angles[-1] + step + rng.uniform(-1e-6, 1e-6))
+    return [np.array([math.cos(a), math.sin(a)]) for a in angles]
+
+
+def test_criterion_10_circle_and_hopf_plans_at_the_cited_value():
+    # r - 1 for the circle and every circle-fibered Hopf projection: at most
+    # r paths, each through its checkpoints, and continuous in the inputs, for
+    # r up to 12, the largest support lp_distance compares.
+    rng = random.Random(110)
+    kinds = ("random", "random", "coincident", "antipodal")
+
+    def circle(*zs):
+        return circle_navigate(len(zs), zs)
+
+    for r in range(2, 13):
+        tuples = [circle_tuple(rng, r, kinds[i % 4]) for i in range(20)]
+        anchor = random_unit(rng, 4)
+
+        def hopf(*zs):  # the Hopf plan through the lifts anchor * (z_0 + z_1 i)
+            return hopf_parametrized_navigate(len(zs), [quat_mul(anchor, [z[0], z[1], 0.0, 0.0]) for z in zs])
+
+        for planner in (circle, hopf):
+            for pts in tuples:
+                plan = planner(*pts)
+                assert len(plan.measure) <= r
+                assert abs(plan.measure.total_mass() - 1.0) <= 1e-12
+                assert plan_checkpoint_deviation(plan, sphere_metric()) <= 1e-9
+            report = check_lp_continuity(planner, tuples, 1e-5, 1, r)
+            assert report["samples"] == len(tuples)
+            assert report["failures"] == [], (r, report["failures"])
+    print("criterion 10 PASS: circle and Hopf plans, r = 2..12, at most r paths, continuous")

@@ -16,10 +16,10 @@ import distnav.bounds as bounds
 import distnav.cli as cli
 import distnav.gcring as gcring
 import distnav.knowledge as knowledge
+import distnav.navplan as navplan
 from distnav.cli import main
 from distnav.gcring import MAX_LITERAL_EXPONENT, MAX_SERIES_DEGREE, presentation_to_dict
 from distnav.bounds import euler_height
-from distnav.navplan import ArcPath
 from distnav.presentations import complex_projective, config_space, cpn_sphere_bundle
 
 
@@ -42,7 +42,7 @@ def write_measure(path, atoms):
 def test_normal_form_square_vanishes():
     code, out = run("ring", "normal-form", "--ring", "conf:d=2,k=4", "--word", "w_1_2,w_1_2")
     assert code == 0
-    assert out["schema_version"] == 4
+    assert out["schema_version"] == 5
     assert out["zero"] is True
     assert out["normal_form"] == []
 
@@ -61,7 +61,7 @@ def test_normal_form_straightening():
 def test_normal_form_unknown_generator_exits_2():
     code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "nope")
     assert code == 2
-    assert "error" in out and out["schema_version"] == 4
+    assert "error" in out and out["schema_version"] == 5
 
 
 def test_normal_form_zero_denominator_exits_2():
@@ -367,8 +367,10 @@ def test_bound_fn_bad_parameters_exit_2():
     [
         ("cup-length", "--d", "1", "--m", "2", "--n", "1", "--r", "2"),
         ("sphere-bundle", "--n", "1", "--r", "0"),
+        # One factor built the whole tower and then failed as a certificate (3).
+        ("sphere-bundle", "--n", "2", "--r", "1"),
     ],
-    ids=["cup-length", "sphere-bundle"],
+    ids=["cup-length", "sphere-bundle", "sphere-bundle-one-factor"],
 )
 def test_bound_bad_cells_exit_2(argv):
     code, out = run("bound", *argv)
@@ -608,11 +610,11 @@ HOPF_FRAMES = {"u": [[0.5, 0.5, 0.5, 0.5]], "v": [[-0.5, 0.5, 0.5, -0.5]]}
         ),
         (
             ("circle", "--points", "1,0;0,1;-1,1"),
+            # One quantile couples the pairs: three paths, by weight 3/4, 1/8, 1/8.
             [{**CIRCLE_FRAMES, "angles": list(a)} for a in (
                 (1.5707963267948966, 0.7853981633974483),
-                (-4.71238898038469, 0.7853981633974483),
-                (1.5707963267948966, -5.497787143782138),
                 (-4.71238898038469, -5.497787143782138),
+                (-4.71238898038469, 0.7853981633974483),
             )],
         ),
         (
@@ -634,7 +636,7 @@ def test_nav_path_atoms_print_only_the_path_fields(argv, data):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("nav", "circle", "--points", "1,0;0,1;-1,0;0,-1;1,1;-1,1;1,-1;-1,-1;2,1;1,2"),
+        ("nav", "circle", "--points", "1,0;0,1;-1,0;0,-1;1,1;-1,1;1,-1;-1,-1;2,1;1,2;3,1;1,3", "--grid", "1024"),
         ("value", "hopf", "--r", "2"),
     ],
     ids=["large", "small"],
@@ -683,22 +685,34 @@ def test_nav_grid_cap():
 
 
 def test_trace_cap_admits_the_largest_plan_and_the_finest_grid():
-    assert 4096 * 9 <= cli.MAX_TRACE_POINTS
-    assert 2 * cli.MAX_GRID <= cli.MAX_TRACE_POINTS
+    # A plan has at most one path per checkpoint, so the checkpoint cap bounds
+    # the trace points one nav command prints.
+    assert navplan.MAX_CHECKPOINTS * cli.MAX_GRID <= 2**16
 
 
 @pytest.mark.parametrize(
     "command, points", [("circle", ("1,0", "0,1")), ("hopf", ("1,0,0,0", "0,1,0,0"))], ids=["circle", "hopf"]
 )
 def test_trace_over_cap_exits_2_before_sampling(command, points, monkeypatch):
-    # A 13-checkpoint plan at --grid 1024 printed 4096 x 1024 trace points.
-    def no_samples(*args):
-        raise AssertionError("a path was sampled")
+    # 65 checkpoints at --grid 1024 are refused before any path is built.
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a path was built")
 
-    monkeypatch.setattr(ArcPath, "sample", no_samples)
-    code, out = run("nav", command, "--points", ";".join(points * 6 + points[:1]), "--grid", "1024")
+    monkeypatch.setattr(navplan, "ArcPath", no_paths)
+    code, out = run("nav", command, "--points", ";".join(points * 32 + points[:1]), "--grid", "1024")
     assert code == 2
-    assert "MAX_TRACE_POINTS" in out["error"] and "4096 paths" in out["error"]
+    assert "65 checkpoints" in out["error"] and "MAX_CHECKPOINTS" in out["error"]
+
+
+def test_plan_at_checkpoint_cap_answers_at_finest_grid():
+    e1 = np.array([0.5, 0.5, 0.5, 0.5])
+    angles = np.linspace(0.0, 2 * math.pi, navplan.MAX_CHECKPOINTS, endpoint=False)
+    quats = [navplan.quat_mul(e1, [math.cos(a), math.sin(a), 0.0, 0.0]) for a in angles]
+    points = ";".join(",".join(repr(float(c)) for c in q) for q in quats)
+    code, out = run("nav", "hopf", "--points", points, "--grid", str(cli.MAX_GRID))
+    assert code == 0
+    assert 1 <= out["support"] <= navplan.MAX_CHECKPOINTS
+    assert all(len(atom["trace"]) == cli.MAX_GRID for atom in out["atoms"])
 
 
 def test_verifier_dimension_cap():
@@ -750,6 +764,8 @@ def run_stderr(*argv):
         (("continuity", "--scale", "nan"), "--scale"),
         (("equivariance", "--tol", "nan"), "--tol"),
         (("equivariance", "--tol", "inf"), "--tol"),
+        # Overflowed in numpy and exited 2 as "representative ... has norm 0.0".
+        (("continuity", "--scale", "1e308"), "--scale"),
     ],
 )
 def test_nav_verifier_bad_flags_exit_2(argv, flag):
@@ -813,9 +829,26 @@ def test_random_rotation_unchanged_for_n_at_least_2():
 
 @pytest.mark.parametrize("command, point", [("circle", "1,0"), ("hopf", "1,0,0,0")])
 def test_nav_plan_over_atom_cap_exits_2(command, point):
-    code, out = run("nav", command, "--points", ";".join([point] * 14))
+    code, out = run("nav", command, "--points", ";".join([point] * 65))
     assert code == 2
-    assert "cap of 4096" in out["error"]
+    assert "cap of 64" in out["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("circle", "--points=-1,0;0,1"),
+        ("hopf", "--points=-1,0,0,0;0,-1,0,0"),
+        ("rpn", "--x=-1,0", "--y=0,-1"),
+    ],
+    ids=["circle", "hopf", "rpn"],
+)
+def test_nav_negative_first_coordinate_in_equals_form(argv):
+    # argparse reads "--points -1,0;0,1" as a flag and stops with "expected
+    # one argument"; the "=" form passes the value.
+    code, out = run("nav", *argv)
+    assert code == 0
+    assert out["checkpoints"][0][0] in (-1.0, 1.0)
 
 
 def test_nav_equivariance_passes():

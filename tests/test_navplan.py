@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import distnav.navplan as navplan
-from distnav.measures import euclidean_metric, lp_distance
+from distnav.measures import FiniteMeasure, euclidean_metric, lp_distance
 from distnav.navplan import (
     FIBER_TOLERANCE,
-    MAX_PLAN_ATOMS,
+    MAX_CHECKPOINTS,
+    RATIO_CEILING,
     ArcPath,
+    PathPlan,
     ProjectivePoint,
     check_equivariance,
     check_lp_continuity,
@@ -159,10 +161,12 @@ def test_circle_quarter_turn():
 
 
 def test_circle_three_checkpoints():
+    # Both pairs are quarter turns, s = 1/4: the quantile takes both clockwise
+    # arcs below 1/4 and both counter-clockwise arcs above, two paths where
+    # the independent product had four (1/16, 3/16, 3/16, 9/16).
     plan = circle_navigate(3, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     weights = sorted(w for _, w in plan.measure.atoms)
-    assert len(weights) == 4  # at most 2^(r-1)
-    assert weights == [0.0625, 0.1875, 0.1875, 0.5625]
+    assert weights == [0.25, 0.75]
     assert plan_checkpoint_deviation(plan, euclidean_metric()) <= 1e-9
 
 
@@ -209,17 +213,18 @@ def test_circle_support_bound_random():
     for r in (2, 3, 4):
         pts = [random_unit(rng, 2) for _ in range(r)]
         plan = circle_navigate(r, pts)
-        assert len(plan.measure) <= 2 ** (r - 1)
+        assert len(plan.measure) <= r
         assert abs(plan.measure.total_mass() - 1.0) <= 1e-12
         assert plan_checkpoint_deviation(plan, euclidean_metric()) <= 1e-9
 
 
 def test_circle_plan_at_atom_cap():
     rng = random.Random(13)
-    r = int(math.log2(MAX_PLAN_ATOMS)) + 1
+    r = MAX_CHECKPOINTS
     plan = circle_navigate(r, [random_unit(rng, 2) for _ in range(r)])
-    assert len(plan.measure) == MAX_PLAN_ATOMS
+    assert len(plan.measure) <= r
     assert abs(plan.measure.total_mass() - 1.0) <= 1e-12
+    assert plan_checkpoint_deviation(plan, euclidean_metric()) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -227,14 +232,14 @@ def test_circle_plan_at_atom_cap():
     [(circle_navigate, [1.0, 0.0]), (hopf_parametrized_navigate, [1.0, 0.0, 0.0, 0.0])],
 )
 def test_plan_over_atom_cap_rejected_before_any_atom(monkeypatch, planner, point):
-    # 2^(r-1) atoms without a cap: 8192 at r = 14, out of memory long before r = 30.
+    # The checkpoint count is checked before any path is built.
     def refuse(*args, **kwargs):
         raise AssertionError("an atom was built past the cap")
 
     for name in ("ArcPath", "FiniteMeasure"):
         monkeypatch.setattr(navplan, name, refuse)
-    r = int(math.log2(MAX_PLAN_ATOMS)) + 2
-    with pytest.raises(ValueError, match="cap"):
+    r = MAX_CHECKPOINTS + 1
+    with pytest.raises(ValueError, match="cap of 64"):
         planner(r, [point] * r)
 
 
@@ -354,7 +359,7 @@ def test_hopf_three_checkpoints():
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     pts = [e1, fiber_partner(e1, math.pi / 2), fiber_partner(e1, math.pi)]
     plan = hopf_parametrized_navigate(3, pts)
-    assert len(plan.measure) <= 4
+    assert len(plan.measure) <= 3
     assert plan_checkpoint_deviation(plan, sphere_metric()) <= 1e-9
 
 
@@ -445,6 +450,153 @@ def test_path_metric_needs_two_grid_times(grid):
     # grid 1 divided by zero; grid 0 left no sample time to take the sup over.
     with pytest.raises(ValueError, match="grid"):
         path_metric(PROJ, grid=grid)
+
+
+def test_equivariance_builds_each_base_plan_once():
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return rpn_navigate(x, y)
+
+    def broken(x, y):  # fails on some samples, so the failure order shows
+        return rpn_navigate(np.eye(len(x))[0], y)
+
+    rng = random.Random(14)
+    mats = [random_rotation(rng, 2) for _ in range(3)]
+    pairs = sample_pairs(rng, 3, 20)
+    report = check_equivariance(counting, mats, pairs)
+    assert len(calls) == 20 + 3 * 20  # one base plan per pair, one moved plan per sample
+    assert report["samples"] == 60 and report["failures"] == []
+    # One run over all elements reports what one run per element reports, in order.
+    whole = check_equivariance(broken, mats, pairs)
+    parts = [check_equivariance(broken, [g], pairs) for g in mats]
+    assert whole["failures"] == [f for part in parts for f in part["failures"]]
+    assert whole["max_discrepancy"] == max(part["max_discrepancy"] for part in parts)
+    assert whole["samples"] == 60 and whole["failures"]
+
+
+def two_point_continuity(plan_fn, base_pairs, perturbation_scale, samples_per_pair, seed, grid=64):
+    """check_lp_continuity as it was, for two-point planners only (oracle)."""
+    point_space = projective_metric()
+    rng = np.random.default_rng(seed)
+    space = path_metric(point_space, grid=grid)
+    values, flagged = [], []
+    for x, y in base_pairs:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        base_plan = plan_fn(x, y)
+        for _ in range(samples_per_pair):
+            dx = rng.normal(size=x.shape) * perturbation_scale
+            dy = rng.normal(size=y.shape) * perturbation_scale
+            x2 = x + dx
+            x2 = x2 / float(np.linalg.norm(x2))
+            y2 = y + dy
+            y2 = y2 / float(np.linalg.norm(y2))
+            input_delta = max(point_space.distance(x, x2), point_space.distance(y, y2))
+            d = lp_distance(base_plan.measure, plan_fn(x2, y2).measure, space)
+            values.append(d)
+            if d > RATIO_CEILING * input_delta:
+                flagged.append(([x2.tolist(), y2.tolist()], d))
+    return values, flagged
+
+
+def test_continuity_on_pairs_matches_two_point_oracle():
+    # The generic probe perturbs the points in order, so on pairs it draws
+    # the same numbers and flags the same samples as the two-point probe.
+    def broken(x, y):  # jumps with the sign of a coordinate: not continuous
+        return rpn_navigate(x, y if x[0] > 0 else np.eye(len(y))[0])
+
+    rng = random.Random(15)
+    pairs = sample_pairs(rng, 3, 6) + [(np.array([1e-6, 1.0, 0.0]), np.array([0.0, 0.6, 0.8]))]
+    for planner in (rpn_navigate, broken):
+        for scale in (1e-4, 1e-5):
+            report = check_lp_continuity(planner, pairs, scale, 3, 9)
+            values, flagged = two_point_continuity(planner, pairs, scale, 3, 9)
+            assert report["samples"] == len(values)
+            assert report["max_discrepancy"] == max(values)
+            assert [(f["input"]["points"], f["value"]) for f in report["failures"]] == flagged
+    assert check_lp_continuity(broken, pairs[-1:], 1e-4, 8, 9)["failures"]
+
+
+# === the quantile coupling of circle and Hopf plans ===
+
+
+def circle_navigate_product(r, points):
+    """The independent product of the pair measures, the replaced planner (oracle)."""
+    pts = [navplan._unit(p, 2) for p in points]
+    segment_options = []
+    for a, b in zip(pts, pts[1:]):
+        u, v = tuple(a.tolist()), (-float(a[1]), float(a[0]))
+        delta = math.atan2(a[0] * b[1] - a[1] * b[0], float(np.dot(a, b)))
+        theta = abs(delta)
+        if theta == 0.0:
+            segment_options.append([((u, v, 0.0), 1.0)])
+            continue
+        other = delta - math.copysign(2 * math.pi, delta)
+        w_long = theta / (2 * math.pi)
+        options = [((u, v, delta), 1.0 - w_long), ((u, v, other), w_long)]
+        segment_options.append([(p, w) for p, w in options if w > 0.0])
+    atoms = []
+    stack = [(0, (), 1.0)]
+    while stack:
+        k, pieces, weight = stack.pop()
+        if k == len(segment_options):
+            atoms.append((ArcPath(*zip(*pieces)), weight))
+            continue
+        for piece, w in segment_options[k]:
+            stack.append((k + 1, pieces + (piece,), weight * w))
+    return PathPlan(FiniteMeasure(atoms), tuple(tuple(p.tolist()) for p in pts))
+
+
+def checkpoint_tuple(rng, r, kind):
+    """r circle points: random, or each near the last ("coincident") or
+    near its antipode ("antipodal"), 1e-6 off in angle."""
+    pts = [random_unit(rng, 2)]
+    for _ in range(r - 1):
+        if kind == "random":
+            pts.append(random_unit(rng, 2))
+            continue
+        a = math.atan2(pts[-1][1], pts[-1][0]) + rng.uniform(-1e-6, 1e-6)
+        a += math.pi if kind == "antipodal" else 0.0
+        pts.append(np.array([math.cos(a), math.sin(a)]))
+    return pts
+
+
+KINDS = ("random", "random", "coincident", "antipodal")
+
+
+def pair_marginal(plan, k):
+    """The weights of the angles of piece k over the plan's paths."""
+    marginal = {}
+    for path, w in plan.measure.atoms:
+        marginal[path.angles[k]] = marginal.get(path.angles[k], 0.0) + w
+    return marginal
+
+
+def test_circle_pair_marginals_match_product_oracle():
+    rng = random.Random(51)
+    for r in range(2, 13):
+        for kind in KINDS:
+            pts = checkpoint_tuple(rng, r, kind)
+            plan, oracle = circle_navigate(r, pts), circle_navigate_product(r, pts)
+            assert len(plan.measure) <= r
+            for k in range(r - 1):
+                got, expected = pair_marginal(plan, k), pair_marginal(oracle, k)
+                assert set(got) <= set(expected)  # the same arcs, bit for bit
+                for angle, w in expected.items():
+                    assert abs(got.get(angle, 0.0) - w) <= 1e-12
+
+
+def test_two_checkpoint_circle_plan_is_the_product_oracle():
+    rng = random.Random(52)
+    tuples = [checkpoint_tuple(rng, 2, KINDS[i % 4]) for i in range(40)]
+    tuples += [[[1.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0]] * 2]
+    for pts in tuples:
+        got = dict(circle_navigate(2, pts).measure.atoms)
+        expected = dict(circle_navigate_product(2, pts).measure.atoms)
+        assert set(got) == set(expected)  # paths, angles included, bit for bit
+        for path, w in expected.items():
+            assert abs(got[path] - w) <= 1e-15
 
 
 # === the path model ===
