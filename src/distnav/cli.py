@@ -64,6 +64,7 @@ from .measures import (
     to_jsonable,
 )
 from .navplan import (
+    MAX_CHECKPOINTS,
     PathPlan,
     check_equivariance,
     check_lp_continuity,
@@ -167,7 +168,12 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _parse_points(text: str) -> list[np.ndarray]:
-    return [_parse_vector(chunk) for chunk in text.split(";") if chunk]
+    """The ";"-separated vectors of --points, counted against the plan cap
+    before any of them is parsed."""
+    chunks = [chunk for chunk in text.split(";") if chunk]
+    if len(chunks) > MAX_CHECKPOINTS:
+        raise ValueError(f"{len(chunks)} checkpoints are over the cap of {MAX_CHECKPOINTS} (MAX_CHECKPOINTS)")
+    return [_parse_vector(chunk) for chunk in chunks]
 
 
 def _flag(name: str, cast, low, high=math.inf):

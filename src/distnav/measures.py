@@ -16,16 +16,24 @@ The Levy-Prokhorov distance
 
     inf { eps > 0 : mu(A) <= nu(A^eps) + eps  and  nu(A) <= mu(A^eps) + eps }
 
-is computed exactly, given the float pairwise distances.  The one-sided
-defect max_A [mu(A) - nu(A^eps)] may let A range over subsets of supp(mu)
-alone (enlarging A by points of zero mu-mass only weakens the constraint),
-and by Strassen's theorem (1965), or max-flow/min-cut, it equals
-min over couplings of P(d(X, Y) > eps), the same from either side.  So one
-family of inequalities suffices, over subsets of the smaller support: at
-most 2^12 subsets.  The defect is a non-increasing step function of eps
-that changes only at pairwise distances, and the distance never exceeds 1,
-so a binary search over those breakpoints in [0, 1] finds the least
-feasible eps with no bisection tolerance.
+is computed exactly, given the float pairwise distances.  Each measure
+holds its weights as integer numerators over their least common
+denominator (exact for Fraction and float weights alike, built on first
+use), and ``lp_distance`` scales both measures to one denominator, so
+subset sums and defects are exact integers and only the distances are
+floats.  The one-sided defect max_A [mu(A) - nu(A^eps)] may let A range
+over subsets of supp(mu) alone (enlarging A by points of zero mu-mass only
+weakens the constraint), and by Strassen's theorem (1965), or
+max-flow/min-cut, it equals min over couplings of P(d(X, Y) > eps), the
+same from either side when the two total masses are equal.  So one family
+of inequalities suffices, over subsets of the smaller support (at most
+2^12 subsets), or of mu's support when the sizes tie.  Only float weights
+whose totals differ by rounding search both sides on a tie and take the
+larger defect, so the distance stays symmetric bit for bit.  The defect is
+a non-increasing step function of eps that changes only at pairwise
+distances, and the distance never exceeds 1, so a binary search over
+those breakpoints in [0, 1] finds the least feasible eps with no bisection
+tolerance.
 """
 
 from __future__ import annotations
@@ -153,6 +161,7 @@ class FiniteMeasure:
             raise ValueError(f"weights sum to {total}, expected 1 within 1e-12")
         self.atoms: tuple[tuple[Any, Any], ...] = tuple(kept)
         self.mode = "exact" if exact else "float"
+        self._masses: tuple[list[int], int, int] | None = None
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -166,6 +175,21 @@ class FiniteMeasure:
     def total_mass(self):
         return sum(self.weights())
 
+    def _integer_masses(self) -> tuple[list[int], int, int]:
+        """The weights as integer numerators over their least common
+        denominator, with that denominator and the numerators' sum.
+
+        Exact for Fraction and float weights alike.  Built on first LP use
+        and kept: building it at construction slowed a 256 x 256 product
+        by about 15%.
+        """
+        if self._masses is None:
+            ratios = [w.as_integer_ratio() for _, w in self.atoms]
+            den = math.lcm(*[q for _, q in ratios])
+            nums = [p * (den // q) for p, q in ratios]
+            self._masses = nums, den, sum(nums)
+        return self._masses
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"FiniteMeasure({len(self.atoms)} atoms, mode={self.mode})"
 
@@ -177,24 +201,29 @@ def product_measure(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
 
 # -- Levy-Prokhorov ------------------------------------------------------------
 
-_subset_cache: dict[int, np.ndarray] = {}
+_subset_cache: dict[tuple[int, type], np.ndarray] = {}
 
 
-def _subset_matrix(n: int) -> np.ndarray:
-    """All 2^n indicator rows over n support points, as float64 zeros and ones.
+def _subset_matrix(n: int, dtype: type = np.float64) -> np.ndarray:
+    """All 2^n indicator rows over n support points, as zeros and ones.
 
-    Row m holds the bits of m.  The table is built by doubling, in place,
-    with no temporaries of its size: those fragmented the heap each time a
-    fresh import rebuilt the table, and left the process about 1 MB larger.
+    Row m holds the bits of m.  The float64 table is built by doubling, in
+    place, with no temporaries of its size: those fragmented the heap each
+    time a fresh import rebuilt the table, and left the process about 1 MB
+    larger.  The int64 table, for integer masses, is a copy of it.
     """
-    if n not in _subset_cache:
-        table = np.zeros((1 << n, n))
-        for i in range(n):
-            upper = table[1 << i : 2 << i]
-            upper[:] = table[: 1 << i]
-            upper[:, i] = 1.0
-        _subset_cache[n] = table
-    return _subset_cache[n]
+    key = (n, dtype)
+    if key not in _subset_cache:
+        if dtype is np.float64:
+            table = np.zeros((1 << n, n))
+            for i in range(n):
+                upper = table[1 << i : 2 << i]
+                upper[:] = table[: 1 << i]
+                upper[:, i] = 1.0
+        else:
+            table = _subset_matrix(n).astype(dtype)
+        _subset_cache[key] = table
+    return _subset_cache[key]
 
 
 def _one_sided_defect(
@@ -203,11 +232,15 @@ def _one_sided_defect(
     w_b: np.ndarray,
     dist_ab: np.ndarray,
     subsets: np.ndarray,
-) -> float:
-    """max_A [a(A) - b(A^eps)] over subsets A of supp(a), given mass_a = subsets @ w_a."""
+) -> int:
+    """max_A [a(A) - b(A^eps)] over subsets A of supp(a), given mass_a = subsets @ w_a.
+
+    Masses are integers, held exactly in ``w_b``'s dtype, so the defect is
+    an exact integer too.
+    """
     covered = subsets @ (dist_ab <= eps)
-    np.minimum(covered, 1.0, out=covered)
-    return float(np.max(mass_a - covered @ w_b))
+    np.minimum(covered, 1, out=covered)
+    return int((mass_a - covered @ w_b).max())
 
 
 def lp_distance(
@@ -218,10 +251,14 @@ def lp_distance(
 ) -> float:
     """Levy-Prokhorov distance, exact given the float pairwise distances.
 
-    ``precision`` must be positive and finite; the result does not depend
-    on it.  Raises ValueError when either support exceeds MAX_SUPPORT
-    points (the subset enumeration is exact but exponential), or when two
-    points have coordinates of different shapes.
+    The weights enter as exact integer masses over a common denominator,
+    so only the distances are floats: ``lp_distance(mu, nu) ==
+    lp_distance(nu, mu)`` bit for bit, and equal measures lie exactly 0.0
+    apart whatever the order of their atoms.  ``precision`` must be
+    positive and finite; the result does not depend on it.  Raises
+    ValueError when either support exceeds MAX_SUPPORT points (the subset
+    enumeration is exact but exponential), or when two points have
+    coordinates of different shapes.
 
     Two Dirac measures lie min(|p - q|, 1) apart:
 
@@ -242,32 +279,44 @@ def lp_distance(
         if c.shape != shape:
             raise ValueError(f"points of coordinate shapes {shape} and {c.shape} cannot be compared")
     pm, pn = np.array(coords[: len(mu)]), np.array(coords[len(mu) :])
-    wm = np.array([float(w) for w in mu.weights()])
-    wn = np.array([float(w) for w in nu.weights()])
     dist = np.asarray(space.distance(pm[:, None], pn[None, :]), dtype=float)
-    # Either side's defect is the whole defect (Strassen), so enumerate the
-    # smaller support.  On a tie take the max of both, so that swapping the
-    # arguments returns the same float bit for bit.
+    (num_m, den_m, total_m), (num_n, den_n, total_n) = mu._integer_masses(), nu._integer_masses()
+    den = math.lcm(den_m, den_n)
+    scale_m, scale_n = den // den_m, den // den_n
+    total_m, total_n = total_m * scale_m, total_n * scale_n
+    # float64, and BLAS, while every subset sum is an exact float; else an
+    # integer dtype end to end (a float table would promote the products),
+    # Python ints beyond int64.
+    total = max(total_m, total_n)
+    dtype = np.float64 if total < 1 << 53 else np.int64 if total < 1 << 63 else object
+    table = np.float64 if dtype is np.float64 else np.int64
+    wm = np.array([a * scale_m for a in num_m], dtype=dtype)
+    wn = np.array([b * scale_n for b in num_n], dtype=dtype)
+    # The smaller support, or mu's on a tie; both on a tie only when float
+    # weights leave the totals apart (see the module docstring).
     sides = []
-    if len(pm) <= len(pn):
-        subsets = _subset_matrix(len(pm))
+    if len(mu) <= len(nu):
+        subsets = _subset_matrix(len(mu), table)
         sides.append((subsets @ wm, wn, dist, subsets))
-    if len(pn) <= len(pm):
-        subsets = _subset_matrix(len(pn))
+    if len(nu) < len(mu) or (len(nu) == len(mu) and total_m != total_n):
+        subsets = _subset_matrix(len(nu), table)
         sides.append((subsets @ wn, wm, np.ascontiguousarray(dist.T), subsets))
     inner = np.sort(dist, axis=None)
     breaks = np.concatenate(([0.0], inner[(inner > 0.0) & (inner < 1.0)], [1.0]))
-    # First breakpoint D_k with defect(D_k) <= D_k; the last one, 1, always
-    # qualifies.  On [D_(k-1), D_k) the defect stays at defect(D_(k-1)).
+    # First breakpoint D_k with defect(D_k) <= D_k, that is defect * q <=
+    # p * den for D_k = p/q; the last one, 1, always qualifies.  On
+    # [D_(k-1), D_k) the defect stays at defect(D_(k-1)), and int / int is
+    # correctly rounded.
     lo, hi, below = 0, len(breaks) - 1, 1.0
     while lo < hi:
         mid = (lo + hi) // 2
         eps = float(breaks[mid])
+        p, q = eps.as_integer_ratio()
         defect = max(_one_sided_defect(eps, *side) for side in sides)
-        if defect <= eps:
+        if defect * q <= p * den:
             hi = mid
         else:
-            lo, below = mid + 1, defect
+            lo, below = mid + 1, defect / den
     return 0.0 if lo == 0 else min(float(breaks[lo]), below)
 
 

@@ -704,6 +704,18 @@ def test_trace_over_cap_exits_2_before_sampling(command, points, monkeypatch):
     assert "65 checkpoints" in out["error"] and "MAX_CHECKPOINTS" in out["error"]
 
 
+@pytest.mark.parametrize("command", ["circle", "hopf"])
+def test_points_over_cap_exit_2_before_any_vector_is_parsed(command, monkeypatch):
+    # 30000 points took 0.11 s to exit 2: every vector was parsed before the
+    # count was checked.
+    parsed = []
+    monkeypatch.setattr(cli, "_parse_vector", lambda text: parsed.append(text))
+    code, out = run("nav", command, "--points", ";".join(["1,0"] * 30000))
+    assert code == 2
+    assert "30000 checkpoints" in out["error"] and "MAX_CHECKPOINTS" in out["error"]
+    assert parsed == []
+
+
 def test_plan_at_checkpoint_cap_answers_at_finest_grid():
     e1 = np.array([0.5, 0.5, 0.5, 0.5])
     angles = np.linspace(0.0, 2 * math.pi, navplan.MAX_CHECKPOINTS, endpoint=False)

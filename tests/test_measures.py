@@ -1,14 +1,20 @@
 """Finite measures and the exact Levy-Prokhorov breakpoint search.
 
-Two oracles check the shipped search. ``lp_oracle`` re-derives feasibility
+Four oracles check the shipped search. ``lp_oracle`` re-derives feasibility
 from the textbook definition, with both inequality families quantified over
 subsets of the union of supports, in pure Python. ``lp_bisection`` is the
 bisection that ``lp_distance`` ran before: it tests both one-sided defects,
 each over subsets of its own support, and certifies an upper value within
-``precision``. The shipped search enumerates subsets of the smaller support
-only; agreement here confirms both reductions. ``oracle_matrix_space`` builds
-the distance matrix one pair at a time, and the one-call matrix of
-``lp_distance`` must give the same distance bit for bit.
+``precision``. ``lp_float_oracle`` is the breakpoint search as it ran on
+float64 weights, searching both sides when the support sizes tie; the
+shipped search, on exact integer masses, must stay within 1e-12 of it.
+``lp_fraction_oracle`` runs the shipped side rule on ``Fraction`` masses in
+pure Python, and the shipped search must equal it bit for bit, whatever
+dtype holds the masses. The shipped search enumerates subsets of the
+smaller support only; agreement here confirms both reductions.
+``oracle_matrix_space`` builds the distance matrix one pair at a time, and
+the one-call matrix of ``lp_distance`` must give the same distance bit for
+bit.
 """
 
 import math
@@ -167,6 +173,70 @@ def lp_bisection(mu, nu, space, precision):
     return hi
 
 
+def lp_float_oracle(mu, nu, space):
+    """The breakpoint search lp_distance ran on float64 weights.
+
+    On a tie of support sizes it searches both sides and takes the larger
+    defect, since rounding lets the two one-sided defects differ by an ulp.
+    """
+    wm, wn, dist = weights_and_distances(mu, nu, space)
+    sides = []
+    if len(wm) <= len(wn):
+        sides.append((wm, wn, dist))
+    if len(wn) <= len(wm):
+        sides.append((wn, wm, dist.T))
+    inner = np.sort(dist, axis=None)
+    breaks = np.concatenate(([0.0], inner[(inner > 0.0) & (inner < 1.0)], [1.0]))
+    lo, hi, below = 0, len(breaks) - 1, 1.0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        eps = float(breaks[mid])
+        defect = max(subset_defect(eps, *side) for side in sides)
+        if defect <= eps:
+            hi = mid
+        else:
+            lo, below = mid + 1, defect
+    return 0.0 if lo == 0 else min(float(breaks[lo]), below)
+
+
+def fraction_defect(eps, w_a, w_b, dist_ab):
+    """max_A [a(A) - b(A^eps)] over subsets A of supp(a), in exact rationals."""
+    best = Fraction(0)
+    for bits in range(1 << len(w_a)):
+        inside = [i for i in range(len(w_a)) if bits >> i & 1]
+        fat = [j for j in range(len(w_b)) if any(dist_ab[i][j] <= eps for i in inside)]
+        best = max(best, sum(w_a[i] for i in inside) - sum(w_b[j] for j in fat))
+    return best
+
+
+def lp_fraction_oracle(mu, nu, space):
+    """lp_distance on Fraction masses, by a linear scan of the breakpoints.
+
+    It searches the smaller support, and on a tie both sides when the exact
+    totals differ; the first breakpoint D_k with defect(D_k) <= D_k gives
+    min(D_k, defect(D_(k-1))), the defect rounded once to a float.  The
+    last breakpoint, 1, counts as feasible, since the distance is at most 1.
+    """
+    wm = [Fraction(w) for w in mu.weights()]
+    wn = [Fraction(w) for w in nu.weights()]
+    pm = np.array([space.coordinates(p) for p in mu.points()])
+    pn = np.array([space.coordinates(q) for q in nu.points()])
+    dist = np.asarray(space.distance(pm[:, None], pn[None, :]), dtype=float).tolist()
+    sides = []
+    if len(wm) <= len(wn):
+        sides.append((wm, wn, dist))
+    if len(wn) < len(wm) or (len(wn) == len(wm) and sum(wm) != sum(wn)):
+        sides.append((wn, wm, [list(col) for col in zip(*dist)]))
+    breaks = sorted({0.0, 1.0, *(d for row in dist for d in row if 0.0 < d < 1.0)})
+    below = None
+    for eps in breaks[:-1]:
+        defect = max(fraction_defect(eps, *side) for side in sides)
+        if defect <= Fraction(eps):
+            return 0.0 if below is None else min(eps, float(below))
+        below = defect
+    return min(1.0, float(below))
+
+
 def random_atoms(rng, count, dim=2):
     raw = [rng.randint(1, 9) for _ in range(count)]
     total = sum(raw)
@@ -175,6 +245,45 @@ def random_atoms(rng, count, dim=2):
 
 def random_measure(rng, max_atoms=3, dim=2):
     return FiniteMeasure(random_atoms(rng, rng.randint(1, max_atoms), dim))
+
+
+def random_float_measure(rng, count, dim=3, tiny=False):
+    """Float weights, whose denominators are 2^53 or more.  With ``tiny`` and
+    two atoms or more, the last weighs 2^-100, which takes the common
+    denominator past 2^63."""
+    heavy = count - 1 if tiny and count > 1 else count
+    raw = [rng.uniform(0.1, 1.0) for _ in range(heavy)]
+    weights = [w / sum(raw) for w in raw] + [2.0**-100] * (count - heavy)
+    return FiniteMeasure([(np.array([rng.uniform(-1, 1) for _ in range(dim)]), w) for w in weights])
+
+
+def mixed_pairs(rng, sizes):
+    """Exact and float-weight pairs of the given support sizes in R^3, with
+    the Euclidean metric."""
+    pairs = []
+    for a, b in sizes:
+        exact_a, exact_b = (FiniteMeasure(random_atoms(rng, size, dim=3)) for size in (a, b))
+        pairs.append((exact_a, exact_b, SPACE))
+        pairs.append((random_float_measure(rng, a), random_float_measure(rng, b), SPACE))
+        pairs.append((random_float_measure(rng, a, tiny=True), exact_b, SPACE))
+    return pairs
+
+
+def random_sizes(rng, count, largest):
+    return [(rng.randint(1, largest), rng.randint(1, largest)) for _ in range(count)]
+
+
+def defect_calls(monkeypatch):
+    """Record each _one_sided_defect call of lp_distance as (eps, w_b dtype)."""
+    calls = []
+    shipped = measures._one_sided_defect
+
+    def recorded(eps, mass_a, w_b, dist_ab, subsets):
+        calls.append((eps, w_b.dtype))
+        return shipped(eps, mass_a, w_b, dist_ab, subsets)
+
+    monkeypatch.setattr(measures, "_one_sided_defect", recorded)
+    return calls
 
 
 # === construction ===
@@ -327,32 +436,93 @@ def test_exact_distance_within_bisection_bracket():
 
 def test_one_sided_defects_agree_at_every_breakpoint():
     # Strassen (1965): max_A [mu(A) - nu(A^eps)] = min over couplings of
-    # P(d(X, Y) > eps) is the same from either side, so one side suffices.
+    # P(d(X, Y) > eps) is the same from either side when the total masses
+    # are equal, so one side suffices.  On integer masses the two agree
+    # exactly.
     rng = random.Random(1965)
     for _ in range(12):
         mu = random_measure(rng, max_atoms=MAX_SUPPORT, dim=3)
         nu = random_measure(rng, max_atoms=MAX_SUPPORT, dim=3)
-        wm, wn, dist = weights_and_distances(mu, nu, SPACE)
+        dist = weights_and_distances(mu, nu, SPACE)[2]
+        den = math.lcm(*(Fraction(w).denominator for w in mu.weights() + nu.weights()))
+        wm = np.array([float(Fraction(w) * den) for w in mu.weights()])
+        wn = np.array([float(Fraction(w) * den) for w in nu.weights()])
         subs_m, subs_n = _subset_matrix(len(mu)), _subset_matrix(len(nu))
         for eps in np.concatenate(([0.0], np.sort(dist, axis=None), [1.0])):
             from_mu = _one_sided_defect(eps, subs_m @ wm, wn, dist, subs_m)
             from_nu = _one_sided_defect(eps, subs_n @ wn, wm, dist.T, subs_n)
-            assert abs(from_mu - from_nu) <= 1e-12, (eps, from_mu, from_nu)
+            assert isinstance(from_mu, int) and from_mu == from_nu, (eps, from_mu, from_nu)
             assert from_mu == subset_defect(eps, wm, wn, dist)
 
 
 @pytest.mark.parametrize("size", [8, MAX_SUPPORT])
 def test_reordered_self_pairs_are_near_zero(size):
-    # Equal measures whose atoms come in another order: subset sums round
-    # differently, so the exact-zero answer may be off by an ulp or two.
+    # Equal measures whose atoms come in another order: their integer
+    # masses give equal subset sums in any order, so the distance is
+    # exactly zero (float weights rounded these sums by an ulp or two).
     rng = random.Random(size)
     for _ in range(4):
         atoms = random_atoms(rng, size, dim=3)
         shuffled = atoms[:]
         rng.shuffle(shuffled)
         mu, nu = FiniteMeasure(atoms), FiniteMeasure(shuffled)
-        assert lp_distance(mu, nu, SPACE) <= 1e-15
-        assert lp_distance(nu, mu, SPACE) <= 1e-15
+        assert lp_distance(mu, nu, SPACE) == 0.0
+        assert lp_distance(nu, mu, SPACE) == 0.0
+
+
+def test_agrees_with_the_float_oracle_on_one_to_twelve_atoms():
+    # The old float64 search rounds its defects by an ulp or so; exact
+    # masses may move the distance in its last bits, never further.
+    rng = random.Random(20261019)
+    pairs = mixed_pairs(rng, random_sizes(rng, 50, MAX_SUPPORT))
+    pairs += mixed_pairs(rng, [(size, size) for size in range(1, MAX_SUPPORT + 1)])
+    pairs += plan_pairs(rng)
+    for mu, nu, space in pairs:
+        got, old = lp_distance(mu, nu, space), lp_float_oracle(mu, nu, space)
+        assert abs(got - old) <= 1e-12, (len(mu), len(nu), mu.mode, nu.mode, got, old)
+
+
+def test_equals_the_fraction_oracle_bit_for_bit_in_every_dtype(monkeypatch):
+    # Masses go to float64 while every subset sum is below 2^53, to int64
+    # below 2^63 (float weights, denominators 2^53 and more) and to Python
+    # ints beyond (a weight of 2^-100).  Each must give the exact defect.
+    calls = defect_calls(monkeypatch)
+    rng = random.Random(53)
+    pairs = mixed_pairs(rng, random_sizes(rng, 12, 5)) + plan_pairs(rng)
+    for mu, nu, space in pairs:
+        assert lp_distance(mu, nu, space) == lp_fraction_oracle(mu, nu, space), (len(mu), len(nu))
+    assert {dtype for _, dtype in calls} == {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
+
+
+def test_distance_is_symmetric_bit_for_bit():
+    rng = random.Random(1214)
+    pairs = mixed_pairs(rng, random_sizes(rng, 20, MAX_SUPPORT))
+    pairs += mixed_pairs(rng, [(size, size) for size in (1, 6, MAX_SUPPORT)])
+    pairs += plan_pairs(rng)
+    for mu, nu, space in pairs:
+        assert lp_distance(mu, nu, space) == lp_distance(nu, mu, space)
+
+
+def test_equal_totals_search_one_side(monkeypatch):
+    # Equal support sizes and equal exact totals: one defect evaluation per
+    # step of the breakpoint search.  Float weights whose totals differ by
+    # rounding still search both sides, so each step evaluates twice.
+    calls = defect_calls(monkeypatch)
+    rng = random.Random(12)
+    for size in (1, 5, MAX_SUPPORT):
+        mu, nu = FiniteMeasure(random_atoms(rng, size, dim=3)), FiniteMeasure(random_atoms(rng, size, dim=3))
+        calls.clear()
+        lp_distance(mu, nu, SPACE)
+        steps = [eps for eps, _ in calls]
+        assert len(steps) == len(set(steps)) >= 1
+    points = [np.array([rng.uniform(-1, 1) for _ in range(3)]) for _ in range(6)]
+    mu = FiniteMeasure(list(zip(points[:3], [0.1, 0.2, 0.7])))
+    nu = FiniteMeasure(list(zip(points[3:], [0.5, 0.25, 0.25])))
+    assert sum(map(Fraction, mu.weights())) != sum(map(Fraction, nu.weights()))
+    calls.clear()
+    lp_distance(mu, nu, SPACE)
+    steps = [eps for eps, _ in calls]
+    assert len(steps) == 2 * len(set(steps)) >= 2
 
 
 def test_one_distance_call_per_comparison_and_one_coordinates_call_per_atom():
