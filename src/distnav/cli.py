@@ -42,6 +42,7 @@ from .gcring import (
     normal_form,
     parse_rational,
     poincare_series,
+    read_json_file,
     subtract,
 )
 from .knowledge import (
@@ -230,13 +231,7 @@ def _plan_payload(plan: PathPlan, grid: int = 9) -> dict:
 
 
 def _load_measure(path: str) -> FiniteMeasure:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read measure file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"measure file {path!r} is not JSON: {exc}") from None
+    data = read_json_file(path, "measure")
     try:
         return measure_from_jsonable(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -285,8 +280,6 @@ def _cmd_ring_normal_form(args) -> tuple[dict, list[str], int]:
 
 def _cmd_ring_poincare(args) -> tuple[dict, list[str], int]:
     ring = _resolve_ring(args.ring)
-    if args.max_degree < 0:
-        raise ValueError("max degree must be nonnegative")
     series = poincare_series(ring, args.max_degree)
     payload = {
         "ring": args.ring,
@@ -329,8 +322,6 @@ def _cmd_bound_fn(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_bound_sphere_bundle(args) -> tuple[dict, list[str], int]:
-    if args.n < 1:
-        raise ValueError("n must be at least 1")
     if args.r < 2:
         raise ValueError(f"need r >= 2 factors in the tower, got r={args.r}")
     tower = cpn_sphere_bundle(args.n, args.r)

@@ -103,6 +103,7 @@ __all__ = [
     "ConfluenceReport",
     "presentation_to_dict",
     "presentation_from_dict",
+    "read_json_file",
     "load_presentation_json",
 ]
 
@@ -1005,10 +1006,26 @@ def presentation_from_dict(data: Mapping) -> RingPresentation:
     return RingPresentation(gens, rules, name=name)
 
 
+def read_json_file(path: str, kind: str) -> Any:
+    """The JSON document in the ``kind`` file at ``path``.
+
+    A file that cannot be opened (missing, a directory), is not UTF-8, is
+    not JSON, or nests too deeply for the parser raises ValueError naming it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {kind} file {path!r}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{kind} file {path!r} is not JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{kind} file {path!r} nests too deeply to parse") from None
+
+
 def load_presentation_json(path: str) -> RingPresentation:
     """Load a presentation from JSON and gate it on the confluence check."""
-    with open(path) as fh:
-        P = presentation_from_dict(json.load(fh))
+    P = presentation_from_dict(read_json_file(path, "presentation"))
     report = check_confluence(P)
     if not report.passed:
         raise PresentationError(

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bounds import NonzeroCertificate, certificate_to_dict, verify_witness_fn
-from .presentations import fn_fiber_product
+from .bounds import CertificateError, NonzeroCertificate, certificate_to_dict, verify_witness_fn
+from .presentations import fn_fiber_product, fn_witness_length
 
 __all__ = [
     "KIND_CERTIFICATE",
@@ -165,7 +165,7 @@ def value_fadell_neuwirth(d: int, m: int, n: int, r: int) -> ComplexityRecord:
     """
     if d < 2 or m < 2 or r < 2 or n < 1:
         raise ValueError(f"parameters out of range: d={d}, m={m}, n={n}, r={r}")
-    exact = r * n + m - 1 if d % 2 == 1 else r * n + m - 2
+    exact = fn_witness_length(d, m, n, r)
     provenance = [
         ProvenanceEntry("configuration-fibration-value", KIND_CITED),
         ProvenanceEntry("configuration-fibration-upper-citation", KIND_CITED),
@@ -173,7 +173,7 @@ def value_fadell_neuwirth(d: int, m: int, n: int, r: int) -> ComplexityRecord:
     if within_desk_scale(d, m, n, r):
         cert = verify_witness_fn(fn_fiber_product(d, m, n, r))
         if cert.bound != exact:
-            raise RuntimeError(
+            raise CertificateError(
                 f"certificate bound {cert.bound} contradicts closed form {exact}"
             )
         provenance.insert(

@@ -24,16 +24,15 @@ subset sums and defects are exact integers and only the distances are
 floats.  The one-sided defect max_A [mu(A) - nu(A^eps)] may let A range
 over subsets of supp(mu) alone (enlarging A by points of zero mu-mass only
 weakens the constraint), and by Strassen's theorem (1965), or
-max-flow/min-cut, it equals min over couplings of P(d(X, Y) > eps), the
-same from either side when the two total masses are equal.  So one family
-of inequalities suffices, over subsets of the smaller support (at most
-2^12 subsets), or of mu's support when the sizes tie.  Only float weights
-whose totals differ by rounding search both sides on a tie and take the
-larger defect, so the distance stays symmetric bit for bit.  The defect is
-a non-increasing step function of eps that changes only at pairwise
-distances, and the distance never exceeds 1, so a binary search over
-those breakpoints in [0, 1] finds the least feasible eps with no bisection
-tolerance.
+max-flow/min-cut, it equals mu's total minus the maximum flow from mu to nu
+along pairs at most eps apart, so the nu-side defect is the mu-side one
+plus nu's total minus mu's, exactly, at every eps.  One search over subsets
+of the smaller support (at most 2^12), or of mu's on a size tie, serves
+every pair, adding the other side's surplus mass when it is positive (float
+totals may miss 1 in the last bits).  The defect is a non-increasing step
+function of eps that changes only at pairwise distances, and the distance
+never exceeds 1, so a binary search over those breakpoints in [0, 1] finds
+the least feasible eps with no bisection tolerance.
 """
 
 from __future__ import annotations
@@ -254,11 +253,12 @@ def lp_distance(
     The weights enter as exact integer masses over a common denominator,
     so only the distances are floats: ``lp_distance(mu, nu) ==
     lp_distance(nu, mu)`` bit for bit, and equal measures lie exactly 0.0
-    apart whatever the order of their atoms.  ``precision`` must be
-    positive and finite; the result does not depend on it.  Raises
-    ValueError when either support exceeds MAX_SUPPORT points (the subset
-    enumeration is exact but exponential), or when two points have
-    coordinates of different shapes.
+    apart whatever the order of their atoms.  Every pair takes one subset
+    search, over the smaller support, for both inequality families.
+    ``precision`` must be positive and finite; the result does not depend
+    on it.  Raises ValueError when either support exceeds MAX_SUPPORT
+    points (the subset enumeration is exact but exponential), or when two
+    points have coordinates of different shapes.
 
     Two Dirac measures lie min(|p - q|, 1) apart:
 
@@ -292,15 +292,12 @@ def lp_distance(
     table = np.float64 if dtype is np.float64 else np.int64
     wm = np.array([a * scale_m for a in num_m], dtype=dtype)
     wn = np.array([b * scale_n for b in num_n], dtype=dtype)
-    # The smaller support, or mu's on a tie; both on a tie only when float
-    # weights leave the totals apart (see the module docstring).
-    sides = []
-    if len(mu) <= len(nu):
-        subsets = _subset_matrix(len(mu), table)
-        sides.append((subsets @ wm, wn, dist, subsets))
-    if len(nu) < len(mu) or (len(nu) == len(mu) and total_m != total_n):
-        subsets = _subset_matrix(len(nu), table)
-        sides.append((subsets @ wn, wm, np.ascontiguousarray(dist.T), subsets))
+    # The smaller support, or mu's on a tie; the larger defect is this side's
+    # plus the other side's surplus mass (see the module docstring).
+    if len(nu) < len(mu):
+        wm, wn, dist, total_m, total_n = wn, wm, dist.T, total_n, total_m
+    subsets = _subset_matrix(len(wm), table)
+    mass, surplus = subsets @ wm, max(0, total_n - total_m)
     inner = np.sort(dist, axis=None)
     breaks = np.concatenate(([0.0], inner[(inner > 0.0) & (inner < 1.0)], [1.0]))
     # First breakpoint D_k with defect(D_k) <= D_k, that is defect * q <=
@@ -312,7 +309,7 @@ def lp_distance(
         mid = (lo + hi) // 2
         eps = float(breaks[mid])
         p, q = eps.as_integer_ratio()
-        defect = max(_one_sided_defect(eps, *side) for side in sides)
+        defect = _one_sided_defect(eps, mass, wn, dist, subsets) + surplus
         if defect * q <= p * den:
             hi = mid
         else:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -29,6 +30,14 @@ def run(*argv):
         code = main(list(argv))
     text = out.getvalue()
     return code, (json.loads(text) if text.strip() else None)
+
+
+def run_all(*argv):
+    """Exit code, parsed stdout and raw stderr of one invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, json.loads(out.getvalue()), err.getvalue()
 
 
 def write_measure(path, atoms):
@@ -162,8 +171,9 @@ def test_non_koszul_parity_file_exits_3(tmp_path):
     [
         ("ring", "poincare", "--ring", "cp3", "--max-degree", str(MAX_SERIES_DEGREE + 1)),
         ("bound", "fn", "--d", "2", "--m", "2", "--n", "1", "--r", str(MAX_SERIES_DEGREE + 1)),
+        ("ring", "poincare", "--ring", "cp3", "--max-degree", "-1"),
     ],
-    ids=["ring-poincare", "bound-fn"],
+    ids=["ring-poincare", "bound-fn", "ring-poincare-negative"],
 )
 def test_series_degree_over_cap_exits_2(argv):
     code, out = run(*argv)
@@ -363,19 +373,20 @@ def test_bound_fn_bad_parameters_exit_2():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("cup-length", "--d", "1", "--m", "2", "--n", "1", "--r", "2"),
-        ("sphere-bundle", "--n", "1", "--r", "0"),
+        (("cup-length", "--d", "1", "--m", "2", "--n", "1", "--r", "2"), "need"),
+        (("sphere-bundle", "--n", "1", "--r", "0"), "need"),
         # One factor built the whole tower and then failed as a certificate (3).
-        ("sphere-bundle", "--n", "2", "--r", "1"),
+        (("sphere-bundle", "--n", "2", "--r", "1"), "need"),
+        (("sphere-bundle", "--n", "0", "--r", "2"), "projective space dimension must be >= 1"),
     ],
-    ids=["cup-length", "sphere-bundle", "sphere-bundle-one-factor"],
+    ids=["cup-length", "sphere-bundle", "sphere-bundle-one-factor", "sphere-bundle-no-base"],
 )
-def test_bound_bad_cells_exit_2(argv):
+def test_bound_bad_cells_exit_2(argv, message):
     code, out = run("bound", *argv)
     assert code == 2
-    assert "need" in out["error"]
+    assert message in out["error"]
 
 
 def test_bound_sphere_bundle():
@@ -451,6 +462,16 @@ def test_value_fn_payload():
     assert code == 0
     assert out["exact"] == 7
     assert out["provenance"][0]["kind"] == "certificate"
+
+
+def test_value_fn_certificate_contradiction_exits_3(monkeypatch):
+    # A certificate that disagrees with the closed form raised a bare
+    # RuntimeError, which escaped main as a traceback.
+    verify = knowledge.verify_witness_fn
+    monkeypatch.setattr(knowledge, "verify_witness_fn", lambda fp: dataclasses.replace(verify(fp), bound=99))
+    code, out, err = run_all("value", "fn", "--d", "2", "--m", "2", "--n", "1", "--r", "2")
+    assert (code, err) == (3, "")
+    assert out["error"] == "certificate bound 99 contradicts closed form 2"
 
 
 def test_value_so3_cite_lists_both_sources():
@@ -956,6 +977,35 @@ def test_measure_file_numbers_as_points(tmp_path):
     nu = write_measure(tmp_path / "nu.json", [(0.5, "1/2"), (1, 0.5)])
     code, out = run("measure", "lp", "--mu", mu, "--nu", nu)
     assert code == 0 and out["distance"] == 0.5
+
+
+# JSON files that cannot be read: a directory and a 5000-deep nest ended in
+# tracebacks with exit 1, and undecodable bytes exited 2 without naming the
+# file.  "--ring-env" finds the file through $DISTNAV_PRESENTATIONS.
+UNREADABLE_FILES = {
+    "directory": (lambda path: path.mkdir(), "Is a directory"),
+    "deep": (lambda path: path.write_text("[" * 5000 + "]" * 5000), "nests too deeply to parse"),
+    "undecodable": (lambda path: path.write_bytes(b"\xff\xfe["), "codec can't decode"),
+}
+
+
+@pytest.mark.parametrize("flag", ["--ring", "--ring-env", "--mu", "--nu"])
+@pytest.mark.parametrize("failure", sorted(UNREADABLE_FILES))
+def test_unreadable_json_file_exits_2(failure, flag, tmp_path, monkeypatch):
+    make, message = UNREADABLE_FILES[failure]
+    path = tmp_path / "x.json"
+    make(path)
+    good = write_measure(tmp_path / "good.json", [([0.0], 1)])
+    argv = {
+        "--ring": ("ring", "confluence", "--ring", str(path)),
+        "--ring-env": ("ring", "confluence", "--ring", "x"),
+        "--mu": ("measure", "lp", "--mu", str(path), "--nu", good),
+        "--nu": ("measure", "lp", "--mu", good, "--nu", str(path)),
+    }[flag]
+    monkeypatch.setenv("DISTNAV_PRESENTATIONS", str(tmp_path))
+    code, out, err = run_all(*argv)
+    assert (code, err) == (2, "")
+    assert repr(str(path)) in out["error"] and message in out["error"]
 
 
 def test_measure_errors(tmp_path):

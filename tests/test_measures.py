@@ -8,10 +8,11 @@ each over subsets of its own support, and certifies an upper value within
 ``precision``. ``lp_float_oracle`` is the breakpoint search as it ran on
 float64 weights, searching both sides when the support sizes tie; the
 shipped search, on exact integer masses, must stay within 1e-12 of it.
-``lp_fraction_oracle`` runs the shipped side rule on ``Fraction`` masses in
-pure Python, and the shipped search must equal it bit for bit, whatever
-dtype holds the masses. The shipped search enumerates subsets of the
-smaller support only; agreement here confirms both reductions.
+``lp_fraction_oracle`` is the two-sided definition on ``Fraction`` masses in
+pure Python, each side over subsets of its own support, and the shipped
+search must equal it bit for bit, whatever dtype holds the masses. The
+shipped search enumerates subsets of the smaller support only and adds the
+other side's surplus mass; agreement here confirms both reductions.
 ``oracle_matrix_space`` builds the distance matrix one pair at a time, and
 the one-call matrix of ``lp_distance`` must give the same distance bit for
 bit.
@@ -210,10 +211,11 @@ def fraction_defect(eps, w_a, w_b, dist_ab):
 
 
 def lp_fraction_oracle(mu, nu, space):
-    """lp_distance on Fraction masses, by a linear scan of the breakpoints.
+    """The two-sided LP distance on Fraction masses, by a linear scan of the
+    breakpoints.
 
-    It searches the smaller support, and on a tie both sides when the exact
-    totals differ; the first breakpoint D_k with defect(D_k) <= D_k gives
+    Both one-sided defects, each over subsets of its own support: the first
+    breakpoint D_k whose larger defect is <= D_k gives
     min(D_k, defect(D_(k-1))), the defect rounded once to a float.  The
     last breakpoint, 1, counts as feasible, since the distance is at most 1.
     """
@@ -222,11 +224,7 @@ def lp_fraction_oracle(mu, nu, space):
     pm = np.array([space.coordinates(p) for p in mu.points()])
     pn = np.array([space.coordinates(q) for q in nu.points()])
     dist = np.asarray(space.distance(pm[:, None], pn[None, :]), dtype=float).tolist()
-    sides = []
-    if len(wm) <= len(wn):
-        sides.append((wm, wn, dist))
-    if len(wn) < len(wm) or (len(wn) == len(wm) and sum(wm) != sum(wn)):
-        sides.append((wn, wm, [list(col) for col in zip(*dist)]))
+    sides = [(wm, wn, dist), (wn, wm, [list(col) for col in zip(*dist)])]
     breaks = sorted({0.0, 1.0, *(d for row in dist for d in row if 0.0 < d < 1.0)})
     below = None
     for eps in breaks[:-1]:
@@ -435,24 +433,28 @@ def test_exact_distance_within_bisection_bracket():
 
 
 def test_one_sided_defects_agree_at_every_breakpoint():
-    # Strassen (1965): max_A [mu(A) - nu(A^eps)] = min over couplings of
-    # P(d(X, Y) > eps) is the same from either side when the total masses
-    # are equal, so one side suffices.  On integer masses the two agree
-    # exactly.
+    # Strassen (1965), or max-flow/min-cut: max_A [mu(A) - nu(A^eps)] is mu's
+    # total minus the maximum flow along pairs at most eps apart, so the
+    # nu-side defect is the mu-side one plus nu's total minus mu's, exactly,
+    # at every eps.  Exact, float and 2^-100 weights, on integer masses.
     rng = random.Random(1965)
-    for _ in range(12):
-        mu = random_measure(rng, max_atoms=MAX_SUPPORT, dim=3)
-        nu = random_measure(rng, max_atoms=MAX_SUPPORT, dim=3)
+    sizes = random_sizes(rng, 6, 9) + [(1, 1), (7, 7), (MAX_SUPPORT, 3), (MAX_SUPPORT, MAX_SUPPORT)]
+    for mu, nu, _ in mixed_pairs(rng, sizes):
         dist = weights_and_distances(mu, nu, SPACE)[2]
-        den = math.lcm(*(Fraction(w).denominator for w in mu.weights() + nu.weights()))
-        wm = np.array([float(Fraction(w) * den) for w in mu.weights()])
-        wn = np.array([float(Fraction(w) * den) for w in nu.weights()])
-        subs_m, subs_n = _subset_matrix(len(mu)), _subset_matrix(len(nu))
+        weights = [Fraction(w) for w in mu.weights() + nu.weights()]
+        den = math.lcm(*(w.denominator for w in weights))
+        masses = [w.numerator * (den // w.denominator) for w in weights]
+        dtype = np.int64 if den < 1 << 63 else object
+        wm, wn = np.array(masses[: len(mu)], dtype=dtype), np.array(masses[len(mu) :], dtype=dtype)
+        surplus = sum(masses[len(mu) :]) - sum(masses[: len(mu)])
+        subs_m, subs_n = _subset_matrix(len(mu), np.int64), _subset_matrix(len(nu), np.int64)
+        mass_m, mass_n = subs_m @ wm, subs_n @ wn
         for eps in np.concatenate(([0.0], np.sort(dist, axis=None), [1.0])):
-            from_mu = _one_sided_defect(eps, subs_m @ wm, wn, dist, subs_m)
-            from_nu = _one_sided_defect(eps, subs_n @ wn, wm, dist.T, subs_n)
-            assert isinstance(from_mu, int) and from_mu == from_nu, (eps, from_mu, from_nu)
-            assert from_mu == subset_defect(eps, wm, wn, dist)
+            from_mu = _one_sided_defect(eps, mass_m, wn, dist, subs_m)
+            from_nu = _one_sided_defect(eps, mass_n, wm, dist.T, subs_n)
+            assert isinstance(from_mu, int) and from_nu == from_mu + surplus, (eps, from_mu, from_nu)
+            if den < 1 << 53:
+                assert from_mu == subset_defect(eps, wm.astype(float), wn.astype(float), dist)
 
 
 @pytest.mark.parametrize("size", [8, MAX_SUPPORT])
@@ -488,7 +490,7 @@ def test_equals_the_fraction_oracle_bit_for_bit_in_every_dtype(monkeypatch):
     # ints beyond (a weight of 2^-100).  Each must give the exact defect.
     calls = defect_calls(monkeypatch)
     rng = random.Random(53)
-    pairs = mixed_pairs(rng, random_sizes(rng, 12, 5)) + plan_pairs(rng)
+    pairs = mixed_pairs(rng, random_sizes(rng, 12, 5) + [(MAX_SUPPORT, 1), (2, 9)]) + plan_pairs(rng)
     for mu, nu, space in pairs:
         assert lp_distance(mu, nu, space) == lp_fraction_oracle(mu, nu, space), (len(mu), len(nu))
     assert {dtype for _, dtype in calls} == {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
@@ -504,25 +506,20 @@ def test_distance_is_symmetric_bit_for_bit():
 
 
 def test_equal_totals_search_one_side(monkeypatch):
-    # Equal support sizes and equal exact totals: one defect evaluation per
-    # step of the breakpoint search.  Float weights whose totals differ by
-    # rounding still search both sides, so each step evaluates twice.
+    # One defect evaluation per step of the breakpoint search for every
+    # pair: equal and unequal sizes, with equal exact totals and with float
+    # totals apart (tied sizes of those searched both sides, two per step).
     calls = defect_calls(monkeypatch)
     rng = random.Random(12)
-    for size in (1, 5, MAX_SUPPORT):
-        mu, nu = FiniteMeasure(random_atoms(rng, size, dim=3)), FiniteMeasure(random_atoms(rng, size, dim=3))
+    pairs = mixed_pairs(rng, random_sizes(rng, 8, MAX_SUPPORT) + [(1, 1), (5, 5), (MAX_SUPPORT, MAX_SUPPORT)])
+    pairs += plan_pairs(rng)
+    for mu, nu, space in pairs:
         calls.clear()
-        lp_distance(mu, nu, SPACE)
+        lp_distance(mu, nu, space)
         steps = [eps for eps, _ in calls]
-        assert len(steps) == len(set(steps)) >= 1
-    points = [np.array([rng.uniform(-1, 1) for _ in range(3)]) for _ in range(6)]
-    mu = FiniteMeasure(list(zip(points[:3], [0.1, 0.2, 0.7])))
-    nu = FiniteMeasure(list(zip(points[3:], [0.5, 0.25, 0.25])))
-    assert sum(map(Fraction, mu.weights())) != sum(map(Fraction, nu.weights()))
-    calls.clear()
-    lp_distance(mu, nu, SPACE)
-    steps = [eps for eps, _ in calls]
-    assert len(steps) == 2 * len(set(steps)) >= 2
+        assert len(steps) == len(set(steps)) >= 1, (len(mu), len(nu), mu.mode, nu.mode)
+    totals = [(len(mu) == len(nu), *(sum(map(Fraction, m.weights())) for m in (mu, nu))) for mu, nu, _ in pairs]
+    assert {tied for tied, total_mu, total_nu in totals if total_mu != total_nu} == {True, False}
 
 
 def test_one_distance_call_per_comparison_and_one_coordinates_call_per_atom():
