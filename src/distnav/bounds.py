@@ -55,6 +55,7 @@ __all__ = [
     "tower_diagonal",
     "NonzeroCertificate",
     "certificate_to_dict",
+    "copy_differences",
     "verify_witness_fn",
     "euler_height",
     "sphere_bundle_lower_bound",
@@ -134,17 +135,20 @@ def tower_diagonal(tower: SphereBundleTower) -> RingMap:
 class NonzeroCertificate:
     """A verified nonvanishing product of kernel classes.
 
-    ``bound`` equals the number of positive-degree factors (with
-    multiplicity); ``witness_monomial`` is the first monomial of the product
-    in the canonical order, with its exact coefficient.
+    ``witness_monomial`` is the first monomial of the product in the
+    canonical order, with its exact coefficient.
     """
 
     ring_name: str
     factors: tuple[GradedElement, ...]
     witness_monomial: Word
     coefficient: Fraction
-    bound: int
     provenance: str
+
+    @property
+    def bound(self) -> int:
+        """The certified bound: the number of positive-degree factors."""
+        return len(self.factors)
 
 
 def certificate_to_dict(cert: NonzeroCertificate) -> dict:
@@ -188,7 +192,6 @@ def _kernel_product_certificate(
         factors=tuple(factors),
         witness_monomial=word,
         coefficient=witness.terms[word],
-        bound=len(factors),
         provenance=provenance,
     )
 
@@ -196,6 +199,18 @@ def _kernel_product_certificate(
 def _copy_difference(fp: FiberProduct, l1: int, l2: int, i: int, j: int) -> GradedElement:
     """w{l1}_i_j - w{l2}_i_j, a kernel class of the collapse map."""
     return subtract(gen(fp.w(l1, i, j)), gen(fp.w(l2, i, j)))
+
+
+def copy_differences(fp: FiberProduct) -> dict[str, GradedElement]:
+    """The kernel classes w{l1}_i_j - w{l2}_i_j, l1 < l2, of the fiber
+    classes (j > m), by label, in the order of j, i, l1 and l2."""
+    return {
+        f"{fp.w(l1, i, j)} - {fp.w(l2, i, j)}": _copy_difference(fp, l1, l2, i, j)
+        for j in range(fp.m + 1, fp.m + fp.n + 1)
+        for i in range(1, j)
+        for l1 in range(1, fp.r + 1)
+        for l2 in range(l1 + 1, fp.r + 1)
+    }
 
 
 def _witness_terms(d: int, m: int, n: int, r: int) -> int:
@@ -270,7 +285,7 @@ def verify_witness_fn(fp: FiberProduct) -> NonzeroCertificate:
         for l in range(2, r + 1):
             for j in range(m + 1, m + n + 1):
                 factors.append(_copy_difference(fp, l, 1, 1, j))
-    assert len(factors) == fp.witness_length()
+    assert len(factors) == fn_witness_length(d, m, n, r)
     return _kernel_product_certificate(
         diagonal_fn(fp), factors, provenance="fiber-product-diagonal-kernel-witness"
     )
@@ -338,25 +353,27 @@ def sphere_bundle_lower_bound(
 class CupLength(int):
     """A cup length that is its int value, and says how it was shown maximal.
 
-    ``optimality`` is ``"ceiling"`` when a nonzero product reached the
-    ceiling min(budget, top degree // least element degree), which no product
-    can pass, and ``"probabilistic"`` otherwise; ``error_bound`` is then the
-    exact chance, at most, that a longer nonzero product exists (None for
-    ``"ceiling"``).
+    ``error_bound`` is None when a nonzero product reached the ceiling
+    min(budget, top degree // least element degree), which no product can
+    pass, and otherwise the exact chance, at most, that a longer nonzero
+    product exists.  ``optimality`` says which: ``"ceiling"`` or
+    ``"probabilistic"``.
 
-    >>> k = CupLength(3, "probabilistic", Fraction(1, 2**59))
+    >>> k = CupLength(3, Fraction(1, 2**59))
     >>> k == 3, k + 1, k.optimality
     (True, 4, 'probabilistic')
     """
 
-    optimality: str
     error_bound: Fraction | None
 
-    def __new__(cls, length: int, optimality: str, error_bound: Fraction | None = None):
+    def __new__(cls, length: int, error_bound: Fraction | None = None):
         self = super().__new__(cls, length)
-        self.optimality = optimality
         self.error_bound = error_bound
         return self
+
+    @property
+    def optimality(self) -> str:
+        return "ceiling" if self.error_bound is None else "probabilistic"
 
 
 def _chain_product(
@@ -415,7 +432,7 @@ def cup_length_kernel(
         degrees.append(d)
     _check_in_kernel(collapse, elements)
     if not elements:
-        return CupLength(0, "ceiling")
+        return CupLength(0)
     top = ring_top_degree(P, ceiling=budget * max(degrees))
     ceiling = min(budget, top // min(degrees))
 
@@ -432,7 +449,7 @@ def cup_length_kernel(
         else:
             break
     if greedy == ceiling:
-        return CupLength(greedy, "ceiling")
+        return CupLength(greedy)
 
     rng = random.Random(CUP_LENGTH_SEED)
     generic, acc = 0, one()
@@ -442,6 +459,6 @@ def cup_length_kernel(
         _check_in_kernel(collapse, [x])
         acc = _chain_product(P, acc, x, max(greedy, generic))
         if is_zero(acc):
-            return CupLength(max(greedy, generic), "probabilistic", Fraction(generic + 1, 2**61))
+            return CupLength(max(greedy, generic), Fraction(generic + 1, 2**61))
         generic += 1
-    return CupLength(generic, "ceiling")
+    return CupLength(generic)

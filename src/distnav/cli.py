@@ -28,6 +28,7 @@ from .bounds import (
     CertificateError,
     certificate_to_dict,
     check_witness_work,
+    copy_differences,
     cup_length_kernel,
     diagonal_fn,
     sphere_bundle_lower_bound,
@@ -37,13 +38,11 @@ from .gcring import (
     PresentationError,
     check_confluence,
     element,
-    gen,
     load_presentation_json,
     normal_form,
     parse_rational,
     poincare_series,
     read_json_file,
-    subtract,
 )
 from .knowledge import (
     REGISTRY,
@@ -204,9 +203,7 @@ def _parse_word(text: str) -> tuple[str, ...]:
 
 def _element_terms(a) -> list[dict]:
     terms = sorted(a.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return [
-        {"coefficient": str(c), "monomial": list(word)} for word, c in terms
-    ]
+    return [{"coefficient": str(c), "monomial": list(word)} for word, c in terms]
 
 
 def _plan_payload(plan: PathPlan, grid: int = 9) -> dict:
@@ -279,14 +276,8 @@ def _cmd_ring_normal_form(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_ring_poincare(args) -> tuple[dict, list[str], int]:
-    ring = _resolve_ring(args.ring)
-    series = poincare_series(ring, args.max_degree)
-    payload = {
-        "ring": args.ring,
-        "max_degree": args.max_degree,
-        "series": series,
-    }
-    return payload, [], 0
+    series = poincare_series(_resolve_ring(args.ring), args.max_degree)
+    return {"ring": args.ring, "max_degree": args.max_degree, "series": series}, [], 0
 
 
 def _cmd_ring_confluence(args) -> tuple[dict, list[str], int]:
@@ -325,12 +316,10 @@ def _cmd_bound_sphere_bundle(args) -> tuple[dict, list[str], int]:
     if args.r < 2:
         raise ValueError(f"need r >= 2 factors in the tower, got r={args.r}")
     tower = cpn_sphere_bundle(args.n, args.r)
-    partition = None
-    if args.partition:
-        partition = [int(v) for v in args.partition.split(",")]
+    partition = [int(v) for v in args.partition.split(",")] if args.partition else None
     cert = sphere_bundle_lower_bound(tower, partition)
     payload = {
-        "parameters": {"n": args.n, "r": args.r, "q": 3},
+        "parameters": {"n": args.n, "r": args.r, "q": tower.q},
         # the certified bound is h + r - 1 for the height h of the section class
         "height": cert.bound - tower.r + 1,
         "bound": cert.bound,
@@ -341,21 +330,12 @@ def _cmd_bound_sphere_bundle(args) -> tuple[dict, list[str], int]:
 
 def _cmd_bound_cup_length(args) -> tuple[dict, list[str], int]:
     fp = fn_fiber_product(args.d, args.m, args.n, args.r)
-    elements = []
-    labels = []
-    for j in range(fp.m + 1, fp.m + fp.n + 1):
-        for i in range(1, j):
-            for l1 in range(1, fp.r + 1):
-                for l2 in range(l1 + 1, fp.r + 1):
-                    elements.append(
-                        subtract(gen(fp.w(l1, i, j)), gen(fp.w(l2, i, j)))
-                    )
-                    labels.append(f"{fp.w(l1, i, j)} - {fp.w(l2, i, j)}")
-    length = cup_length_kernel(fp.ring, diagonal_fn(fp), elements, budget=args.budget)
+    differences = copy_differences(fp)
+    length = cup_length_kernel(fp.ring, diagonal_fn(fp), list(differences.values()), budget=args.budget)
     payload = {
         "parameters": {"d": args.d, "m": args.m, "n": args.n, "r": args.r},
         "budget": args.budget,
-        "kernel_elements": labels,
+        "kernel_elements": list(differences),
         "cup_length": int(length),
         "optimality": length.optimality,
         "error_bound": None if length.error_bound is None else str(length.error_bound),
@@ -385,11 +365,7 @@ def _cmd_value_spheres(args):
 
 
 def _cmd_value_associate(args):
-    upper = value_associate_upper(args.dtc)
-    payload = {
-        "equivariant_input": args.dtc,
-        "upper": upper,
-    }
+    payload = {"equivariant_input": args.dtc, "upper": value_associate_upper(args.dtc)}
     return payload, ["associate-bundle-square-upper"], 0
 
 
@@ -517,6 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     fn_cell = argparse.ArgumentParser(add_help=False, parents=[common])
     for flag in ("--d", "--m", "--n", "--r"):
         fn_cell.add_argument(flag, type=int, required=True)
+    stages = argparse.ArgumentParser(add_help=False, parents=[common])
+    stages.add_argument("--r", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="distnav",
@@ -559,9 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = value.add_parser("fn", parents=[fn_cell])
     p.set_defaults(handler=_cmd_value_fn)
-    p = value.add_parser("so3", parents=[common])
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(handler=_cmd_value_so3)
+    value.add_parser("so3", parents=[stages]).set_defaults(handler=_cmd_value_so3)
     p = value.add_parser("spheres", parents=[common])
     p.add_argument("--dims", required=True, help="sphere dimensions, e.g. 2,4")
     p.add_argument("--r", type=int, required=True)
@@ -574,12 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = value.add_parser("associate", parents=[common])
     p.add_argument("--dtc", type=int, required=True, help="equivariant value of the fiber")
     p.set_defaults(handler=_cmd_value_associate)
-    p = value.add_parser("threshold", parents=[common])
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(handler=_cmd_value_threshold)
-    p = value.add_parser("hopf", parents=[common])
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(handler=_cmd_value_hopf)
+    value.add_parser("threshold", parents=[stages]).set_defaults(handler=_cmd_value_threshold)
+    value.add_parser("hopf", parents=[stages]).set_defaults(handler=_cmd_value_hopf)
 
     nav = top.add_parser("nav", help="navigation planners and verifiers").add_subparsers(
         dest="sub", required=True

@@ -13,10 +13,10 @@ linearization).  Public values are tuples of generator names sorted in
 registration order, with ``Fraction`` coefficients; all the rest runs on
 integer codes, and the coding stays in this module.
 
-* Rule table.  Each rule is coded in the pass that admits it: per left side
-  (i, j) its right-hand index words and coefficients (ints when integral, as
-  on every shipped ring), and per generator its rule partners.  The kernel
-  and both gates read this table only.
+* Rule table.  Each rule is coded in the pass that admits it, under both
+  generators of its left side: per generator its rule partners, each with
+  the rule's right-hand index words and coefficients (ints when integral,
+  as on every shipped ring).  The kernel and all checks read this table.
 * Words.  A word is a sorted tuple of generator indices.  A rewrite step
   removes the two rewritten factors and merges each right-hand factor into
   the sorted rest; the Koszul sign is the parity of the odd factors each
@@ -97,6 +97,8 @@ __all__ = [
     "MAX_LITERAL_LENGTH",
     "parse_rational",
     "check_series_degree",
+    "MAX_RING_RULES",
+    "check_rule_count",
     "poly_mul",
     "check_confluence",
     "MAX_CONFLUENCE_CANDIDATES",
@@ -104,6 +106,7 @@ __all__ = [
     "presentation_to_dict",
     "presentation_from_dict",
     "read_json_file",
+    "MAX_JSON_BYTES",
     "load_presentation_json",
 ]
 
@@ -116,6 +119,19 @@ IWord = tuple[int, ...]  # a word as generator indices, the kernel's encoding
 # about 0.09 s (3.1 s with the dense loop) and (3,2,1,255) in 0.04 s;
 # single runs on a shared 2-core host.  Test and benchmark cells gate below 60.
 MAX_SERIES_DEGREE = 512
+
+# Rules a ring may have, counted before any generator is built: in closed
+# form by the catalog builders, in the document for a loaded one.  Building
+# a ring, rule admission and dimension gate included, took 22 to 62 us per
+# rule just under the cap (cp255, conf:d=2,k=59, fn:d=2,m=2,n=44,r=2: 0.7
+# to 1.9 s; conf:d=2,k=120, 280840 rules, 23 s; shared 2-core host).
+MAX_RING_RULES = 2**15
+
+# Bytes read_json_file reads of a file before it refuses it.  The largest
+# file a supported request reads is a presentation just under
+# MAX_RING_RULES: conf:d=2,k=59 (32509 rules) is 4.8 MB as compact JSON and
+# 11.4 MB indented by two spaces.
+MAX_JSON_BYTES = 2**25
 
 # Failed triples the confluence report lists before the probe stops.
 MAX_CONFLUENCE_FAILURES = 20
@@ -220,11 +236,11 @@ class RingPresentation:
     """A finitely presented graded-commutative ring with directed rules.
 
     Besides the name-level view (``generators``, ``rules``) it holds the
-    coded rule table, filled as each rule is admitted: ``_rows[i][j]`` for
-    the left side (i, j), i <= j, and ``_partners[g][h]`` for g's rule
-    partners h in either position.  An entry lists the right-hand terms as
-    (index word, coefficient, bit set of its generators, bit set of its odd
-    generators); a term with a repeated odd factor vanishes and is left out.
+    coded rule table, filled as each rule is admitted: the rule on the left
+    side (i, j), i <= j, is the one entry ``_partners[i][j]`` and
+    ``_partners[j][i]``.  An entry lists the right-hand terms as (index word,
+    coefficient, bit set of its generators, bit set of its odd generators);
+    a term with a repeated odd factor vanishes and is left out.
     """
 
     def __init__(
@@ -244,7 +260,6 @@ class RingPresentation:
         self._oddf = tuple(g.degree % 2 for g in self.generators)
         self._oddbit = tuple(odd << i for i, odd in enumerate(self._oddf))
         self.rules: dict[tuple[str, str], GradedElement] = {}
-        self._rows: list[dict[int, tuple]] = [{} for _ in self.generators]
         self._partners: list[dict[int, tuple]] = [{} for _ in self.generators]
         for rule in rules:
             self._admit_rule(rule)
@@ -283,7 +298,7 @@ class RingPresentation:
                 c = coeff.numerator if coeff.denominator == 1 else coeff
                 entry.append((iword, c, _mask(iword), _odd_mask(self, iword)))
         self.rules[rule.lhs] = rule.rhs
-        self._rows[i][j] = self._partners[i][j] = self._partners[j][i] = tuple(entry)
+        self._partners[i][j] = self._partners[j][i] = tuple(entry)
 
     def _termination_key(self, word: Word) -> tuple[int, ...]:
         # Descending rank multiset; Python's tuple order (prefixes smaller)
@@ -404,10 +419,10 @@ def _find_redex(
     returns the leftmost redex, p first, then q.
     """
     n = len(word)
+    partners = P._partners
     if dirty == _ALL_DIRTY:
-        rows = P._rows
         for p in range(n - 1):
-            row = rows[word[p]]
+            row = partners[word[p]]
             if row:
                 for q in range(p + 1, n):
                     entry = row.get(word[q])
@@ -416,7 +431,6 @@ def _find_redex(
         return None
     # Each dirty generator in the word is looked up at its first position q;
     # the word is sorted, so its rule partners are found by bisection.
-    partners = P._partners
     while dirty:
         low = dirty & -dirty
         dirty ^= low
@@ -737,7 +751,7 @@ def validate_ring_map(f: RingMap) -> None:
     for a, b in P.rules:
         i, j = P._index[a], P._index[b]
         lhs, den = _word_image(f, (i, j))
-        rhs = _image_sum(f, ((w, c) for w, c, _, _ in P._rows[i][j]))
+        rhs = _image_sum(f, ((w, c) for w, c, _, _ in P._partners[i][j]))
         if lhs != {w: c * den for w, c in rhs.items() if c}:
             raise PresentationError(f"ring map does not respect the rule on ({a}, {b})")
 
@@ -814,6 +828,12 @@ def check_series_degree(max_degree: int) -> None:
         )
 
 
+def check_rule_count(name: str, count: int) -> None:
+    """Raise ValueError when the ring ``name`` would have over MAX_RING_RULES rules."""
+    if count > MAX_RING_RULES:
+        raise ValueError(f"{name} has {count} rules, over the cap of {MAX_RING_RULES} (MAX_RING_RULES)")
+
+
 def poincare_series(P: RingPresentation, max_degree: int) -> list[int]:
     """Dimension of each graded piece up to max_degree.
 
@@ -842,9 +862,12 @@ def poincare_series(P: RingPresentation, max_degree: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ConfluenceReport:
-    passed: bool
     triples_checked: int
     failures: tuple[tuple[Word, str], ...]  # (triple, description)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def check_confluence(P: RingPresentation) -> ConfluenceReport:
@@ -873,18 +896,18 @@ def check_confluence(P: RingPresentation) -> ConfluenceReport:
         partners = sorted(row)
         for x, a in enumerate(partners):
             triples.update(tuple(sorted((s, a, b))) for b in partners[x:])
-    oddf, rows = P._oddf, P._rows
+    oddf, table = P._oddf, P._partners
     failures: list[tuple[Word, str]] = []
     checked = 0
     for word in sorted(triples):
         if any(word[p] == word[p + 1] and oddf[word[p]] for p in (0, 1)):
             continue  # a repeated odd factor: the word vanishes
-        redexes = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if word[q] in rows[word[p]]]
+        redexes = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if word[q] in table[word[p]]]
         checked += 1
         results = set()
         for p, q in redexes:
             nf: dict[IWord, int | Fraction] = {}
-            for stepped, c, _, odd in _rewrite_step(P, word, _odd_mask(P, word), p, q, rows[word[p]][word[q]]):
+            for stepped, c, _, odd in _rewrite_step(P, word, _odd_mask(P, word), p, q, table[word[p]][word[q]]):
                 _reduce_into(nf, P, stepped, c, _ALL_DIRTY, odd)
             results.add(frozenset((w, c) for w, c in nf.items() if c))
         if len(results) > 1:
@@ -893,7 +916,7 @@ def check_confluence(P: RingPresentation) -> ConfluenceReport:
             )
             if len(failures) >= MAX_CONFLUENCE_FAILURES:
                 break
-    return ConfluenceReport(passed=not failures, triples_checked=checked, failures=tuple(failures))
+    return ConfluenceReport(triples_checked=checked, failures=tuple(failures))
 
 
 # -- serialization -------------------------------------------------------------
@@ -978,7 +1001,8 @@ def presentation_from_dict(data: Mapping) -> RingPresentation:
 
     A document not in the shape it writes raises ValueError, and a missing
     key KeyError.  Only the Koszul sign rule exists, so any other ``parity``
-    raises PresentationError.
+    raises PresentationError.  Over MAX_RING_RULES rules raise ValueError
+    before anything is built.
     """
     _require(isinstance(data, Mapping), "a presentation must be a JSON object")
     parity = data.get("parity", "koszul")
@@ -986,6 +1010,8 @@ def presentation_from_dict(data: Mapping) -> RingPresentation:
         raise PresentationError(f"unsupported parity {parity!r}: only 'koszul' is implemented")
     name = data.get("name", "")
     _require(isinstance(name, str), f"presentation name must be a string, got {name!r}")
+    rule_data = _json_list(data.get("rules", []), dict, '"rules"')
+    check_rule_count(f"presentation {name!r}", len(rule_data))
     gens = []
     for g in _json_list(data["generators"], dict, '"generators"'):
         gid, degree, rank = g["id"], g["degree"], g.get("rank", 0)
@@ -995,7 +1021,7 @@ def presentation_from_dict(data: Mapping) -> RingPresentation:
         )
         gens.append(Generator(gid, degree, rank))
     rules = []
-    for r in _json_list(data.get("rules", []), dict, '"rules"'):
+    for r in rule_data:
         lhs = tuple(_json_list(r["lhs"], str, "a rule lhs"))
         _require(len(lhs) == 2, f"a rule lhs must name two generators, got {r['lhs']!r}")
         terms = [
@@ -1009,12 +1035,17 @@ def presentation_from_dict(data: Mapping) -> RingPresentation:
 def read_json_file(path: str, kind: str) -> Any:
     """The JSON document in the ``kind`` file at ``path``.
 
-    A file that cannot be opened (missing, a directory), is not UTF-8, is
-    not JSON, or nests too deeply for the parser raises ValueError naming it.
+    A file that cannot be opened (missing, a directory), is over
+    MAX_JSON_BYTES long, is not UTF-8, is not JSON, or nests too deeply for
+    the parser raises ValueError naming it.  At most MAX_JSON_BYTES + 1
+    bytes are read.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read(MAX_JSON_BYTES + 1)
+        if len(raw) > MAX_JSON_BYTES:
+            raise ValueError(f"{kind} file {path!r} is over the cap of {MAX_JSON_BYTES} bytes (MAX_JSON_BYTES)")
+        return json.loads(raw.decode("utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {kind} file {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:

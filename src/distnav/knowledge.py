@@ -6,9 +6,11 @@ module, for parameters small enough to run interactively) or quoted as
 cited constants.  The registry below maps every provenance tag to the
 statement it stands for; the CLI prints these under --cite.
 
-The two kinds are kept strictly apart: a "certificate" entry always links
-the certificate object it was verified from, while a "cited-constant"
-entry never recomputes anything.
+An entry's kind follows from what it carries: an entry that links the
+certificate object it was verified from is a "certificate" entry, and one
+without is a "cited-constant" entry, which never recomputes anything.  A
+record's exact value likewise follows from its bounds: it is the lower
+bound when the two agree, and None otherwise.
 """
 
 from __future__ import annotations
@@ -118,16 +120,15 @@ REGISTRY: dict[str, str] = {
 @dataclass(frozen=True)
 class ProvenanceEntry:
     tag: str
-    kind: str
     certificate: NonzeroCertificate | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_CERTIFICATE, KIND_CITED):
-            raise ValueError(f"unknown provenance kind {self.kind!r}")
         if self.tag not in REGISTRY:
             raise ValueError(f"unregistered provenance tag {self.tag!r}")
-        if self.kind == KIND_CERTIFICATE and self.certificate is None:
-            raise ValueError("certificate provenance must link a certificate")
+
+    @property
+    def kind(self) -> str:
+        return KIND_CITED if self.certificate is None else KIND_CERTIFICATE
 
 
 @dataclass(frozen=True)
@@ -136,20 +137,18 @@ class ComplexityRecord:
     parameters: dict
     lower: int | None
     upper: int | None
-    exact: int | None
     provenance: tuple[ProvenanceEntry, ...]
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.provenance:
             raise ValueError("record carries no provenance")
-        lo, hi, ex = self.lower, self.upper, self.exact
-        if ex is not None and lo is not None and lo > ex:
-            raise ValueError(f"lower {lo} exceeds exact {ex}")
-        if ex is not None and hi is not None and ex > hi:
-            raise ValueError(f"exact {ex} exceeds upper {hi}")
-        if lo is not None and hi is not None and lo > hi:
-            raise ValueError(f"lower {lo} exceeds upper {hi}")
+        if self.lower is not None and self.upper is not None and self.lower > self.upper:
+            raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
+
+    @property
+    def exact(self) -> int | None:
+        return self.lower if self.lower == self.upper else None
 
 
 def within_desk_scale(d: int, m: int, n: int, r: int) -> bool:
@@ -167,8 +166,8 @@ def value_fadell_neuwirth(d: int, m: int, n: int, r: int) -> ComplexityRecord:
         raise ValueError(f"parameters out of range: d={d}, m={m}, n={n}, r={r}")
     exact = fn_witness_length(d, m, n, r)
     provenance = [
-        ProvenanceEntry("configuration-fibration-value", KIND_CITED),
-        ProvenanceEntry("configuration-fibration-upper-citation", KIND_CITED),
+        ProvenanceEntry("configuration-fibration-value"),
+        ProvenanceEntry("configuration-fibration-upper-citation"),
     ]
     if within_desk_scale(d, m, n, r):
         cert = verify_witness_fn(fn_fiber_product(d, m, n, r))
@@ -176,15 +175,12 @@ def value_fadell_neuwirth(d: int, m: int, n: int, r: int) -> ComplexityRecord:
             raise CertificateError(
                 f"certificate bound {cert.bound} contradicts closed form {exact}"
             )
-        provenance.insert(
-            0, ProvenanceEntry(cert.provenance, KIND_CERTIFICATE, cert)
-        )
+        provenance.insert(0, ProvenanceEntry(cert.provenance, cert))
     return ComplexityRecord(
         family="fadell-neuwirth",
         parameters={"d": d, "m": m, "n": n, "r": r},
         lower=exact,
         upper=exact,
-        exact=exact,
         provenance=tuple(provenance),
     )
 
@@ -196,17 +192,14 @@ def value_so3_bundle(r: int) -> ComplexityRecord:
     # min(2^(r-1) - 1, 2r + 1), without forming the power: from r = 5 on
     # the linear term is the smaller.
     upper = 2 * r + 1 if r >= 5 else 2 ** (r - 1) - 1
-    lower = r - 1
-    exact = lower if lower == upper else None
     return ComplexityRecord(
         family="so3-bundle",
         parameters={"r": r},
-        lower=lower,
+        lower=r - 1,
         upper=upper,
-        exact=exact,
         provenance=(
-            ProvenanceEntry("rotation-bundle-value", KIND_CITED),
-            ProvenanceEntry("nontrivial-fiber-lower", KIND_CITED),
+            ProvenanceEntry("rotation-bundle-value"),
+            ProvenanceEntry("nontrivial-fiber-lower"),
         ),
         extras={"classical_sequential_value": 3 * (r - 1)},
     )
@@ -235,10 +228,7 @@ def value_product_spheres(
             parameters={"dims": dims, "r": r, "action": "antipodal"},
             lower=base,
             upper=base,
-            exact=base,
-            provenance=(
-                ProvenanceEntry("sphere-product-antipodal-value", KIND_CITED),
-            ),
+            provenance=(ProvenanceEntry("sphere-product-antipodal-value"),),
             extras={"even_factor_count": ell},
         )
     flips = [int(p) for p in p_list]
@@ -247,17 +237,12 @@ def value_product_spheres(
     for n, p in zip(dims, flips):
         if not 2 <= p <= n + 1:
             raise ValueError(f"flip count {p} invalid for a {n}-sphere")
-    upper = r * m
-    exact = upper if ell == m else None
     return ComplexityRecord(
         family="sphere-product-associate",
         parameters={"dims": dims, "r": r, "action": "general", "flips": flips},
         lower=base,
-        upper=upper,
-        exact=exact,
-        provenance=(
-            ProvenanceEntry("sphere-product-involution-bounds", KIND_CITED),
-        ),
+        upper=r * m,
+        provenance=(ProvenanceEntry("sphere-product-involution-bounds"),),
         extras={"even_factor_count": ell},
     )
 
@@ -299,8 +284,7 @@ def value_hopf(r: int) -> ComplexityRecord:
         parameters={"r": r},
         lower=r - 1,
         upper=r - 1,
-        exact=r - 1,
-        provenance=(ProvenanceEntry("circle-fiber-value", KIND_CITED),),
+        provenance=(ProvenanceEntry("circle-fiber-value"),),
         extras={"planner_demo": "nav hopf"},
     )
 

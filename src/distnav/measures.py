@@ -73,11 +73,13 @@ class MetricSpace:
 
 
 def _chord(p, q):
-    """|p - q| over the last axis; arrays of points give arrays of distances."""
-    d = np.subtract(p, q, dtype=float)
-    if d.ndim == 0:
-        return abs(d)
-    return np.sqrt(np.add.reduce(d * d, -1))
+    """|p - q| over the last axis; arrays of points give arrays of distances.
+    A distance past the largest float is inf, correctly rounded, with no warning."""
+    with np.errstate(over="ignore"):
+        d = np.subtract(p, q, dtype=float)
+        if d.ndim == 0:
+            return abs(d)
+        return np.sqrt(np.add.reduce(d * d, -1))
 
 
 def _vector(point) -> np.ndarray:

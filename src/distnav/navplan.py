@@ -70,16 +70,30 @@ MAX_CHECKPOINTS = 64
 # -- points ---------------------------------------------------------------------
 
 
+def _scaled_norm(arr: np.ndarray) -> tuple[float, float]:
+    """(s, n) with |arr / s| = n.  s = 1, with np.linalg.norm's bits, while the
+    largest magnitude b in arr lies in (1e-150, 1e150), so the squared length
+    is a normal float; for other finite nonzero arr, s = b."""
+    flat = arr.ravel()
+    big = max(map(abs, flat.tolist()), default=0.0)
+    if 1e-150 < big < 1e150:
+        return 1.0, math.sqrt(flat.dot(flat))
+    if 0.0 < big < math.inf:
+        return big, float(np.linalg.norm(flat / big))
+    with np.errstate(over="ignore"):  # NaN or inf: the norm says which
+        return 1.0, float(np.linalg.norm(flat))
+
+
 def _unit(p, dim: int) -> np.ndarray:
     """p scaled to unit length; ValueError, naming p, unless it is a finite
     nonzero vector of length dim."""
     arr = np.asarray(p, dtype=float)
     if arr.shape != (dim,):
         raise ValueError(f"checkpoint {arr.tolist()} is not a vector of length {dim}")
-    norm = float(np.linalg.norm(arr))
+    scale, norm = _scaled_norm(arr)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"checkpoint {arr.tolist()} has norm {norm}, not a finite nonzero length")
-    return arr / norm
+    return arr / norm if scale == 1.0 else arr / scale / norm
 
 
 @dataclass(frozen=True)
@@ -111,9 +125,9 @@ def _as_projective(p) -> ProjectivePoint:
     if isinstance(p, ProjectivePoint):
         return p
     arr = np.asarray(p, dtype=float)
-    norm = float(np.linalg.norm(arr))
-    if not abs(norm - 1.0) <= 1e-9:  # also false for NaN and inf
-        raise ValueError(f"representative {arr.tolist()} has norm {norm}, expected a unit vector")
+    scale, norm = _scaled_norm(arr)
+    if not abs(scale * norm - 1.0) <= 1e-9:  # also false for NaN and inf
+        raise ValueError(f"representative {arr.tolist()} has norm {scale * norm}, expected a unit vector")
     return ProjectivePoint.from_vector(arr)
 
 

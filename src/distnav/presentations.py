@@ -48,11 +48,13 @@ from math import comb
 from typing import Callable, Iterable
 
 from .gcring import (
+    MAX_RING_RULES,
     GradedElement,
     Generator,
     PresentationError,
     RewriteRule,
     RingPresentation,
+    check_rule_count,
     check_series_degree,
     element,
     gen,
@@ -80,22 +82,6 @@ __all__ = [
     "MAX_RING_RULES",
 ]
 
-# Rules a builder may make, counted in closed form from its parameters
-# before any generator is built.  Building a ring, rule admission and
-# dimension gate included, took 22 to 62 us per rule just under the cap
-# (cp255, conf:d=2,k=59, fn:d=2,m=2,n=44,r=2: 0.7 to 1.9 s; single runs on
-# a shared 2-core host); conf:d=2,k=120, with 280840 rules, took 23 s.
-MAX_RING_RULES = 2**15
-
-
-def _check_rule_count(name: str, count: int) -> None:
-    """Raise ValueError when a builder would make over MAX_RING_RULES rules."""
-    if count > MAX_RING_RULES:
-        raise ValueError(
-            f"{name} has {count} rules, over the cap of {MAX_RING_RULES} (MAX_RING_RULES)"
-        )
-
-
 # -- base presentations --------------------------------------------------------
 
 
@@ -120,7 +106,7 @@ def complex_projective(n: int) -> RingPresentation:
     """
     if n < 1:
         raise ValueError("projective space dimension must be >= 1")
-    _check_rule_count(f"cp{n}", n * (n + 1) // 2)
+    check_rule_count(f"cp{n}", n * (n + 1) // 2)
     gens = tuple(Generator(f"a{k}", 2 * k) for k in range(1, n + 1))
     rules = []
     for i in range(1, n + 1):
@@ -170,7 +156,7 @@ def config_space(d: int, k: int) -> RingPresentation:
     if d < 2 or k < 1:
         raise ValueError(f"need d >= 2 and k >= 1, got d={d}, k={k}")
     deg = d - 1
-    _check_rule_count(f"conf:d={d},k={k}", comb(k, 3) + (comb(k, 2) if deg % 2 == 0 else 0))
+    check_rule_count(f"conf:d={d},k={k}", comb(k, 3) + (comb(k, 2) if deg % 2 == 0 else 0))
     pairs = [(i, j) for j in range(2, k + 1) for i in range(1, j)]
     gens = tuple(Generator(_w(i, j), deg, rank=j) for i, j in pairs)
     rules = _square_zero_rules(gens) + _straightening_rules(_w, range(3, k + 1))
@@ -195,13 +181,6 @@ class FiberProduct:
         if j <= self.m:
             return _w(i, j)
         return _w(i, j, l)
-
-    def witness_length(self) -> int:
-        """Number of positive-degree factors in the witness product."""
-        return fn_witness_length(self.d, self.m, self.n, self.r)
-
-    def witness_degree(self) -> int:
-        return self.witness_length() * (self.d - 1)
 
 
 def fn_witness_length(d: int, m: int, n: int, r: int) -> int:
@@ -232,12 +211,13 @@ def fn_fiber_product(d: int, m: int, n: int, r: int) -> FiberProduct:
         raise ValueError(
             f"need d >= 2, m >= 2, n >= 1, r >= 2; got d={d}, m={m}, n={n}, r={r}"
         )
-    check_series_degree(fn_witness_length(d, m, n, r) * (d - 1))
     deg = d - 1
+    limit = fn_witness_length(d, m, n, r) * deg
+    check_series_degree(limit)
     k = m + n
     squares = comb(m, 2) + r * (comb(k, 2) - comb(m, 2)) if deg % 2 == 0 else 0
     straightening = comb(m, 3) + r * (comb(k, 3) - comb(m, 3))
-    _check_rule_count(f"fn:d={d},m={m},n={n},r={r}", straightening + squares)
+    check_rule_count(f"fn:d={d},m={m},n={n},r={r}", straightening + squares)
 
     def name_for(l: int):
         return lambda i, j: _w(i, j) if j <= m else _w(i, j, l)
@@ -257,8 +237,6 @@ def fn_fiber_product(d: int, m: int, n: int, r: int) -> FiberProduct:
         rules += _straightening_rules(name_for(l), range(max(3, m + 1), k + 1))
 
     ring = RingPresentation(gens, rules, name=f"fn:d={d},m={m},n={n},r={r}")
-    fp = FiberProduct(ring=ring, d=d, m=m, n=n, r=r)
-    limit = fp.witness_degree()
     got = poincare_series(ring, limit)
     expected = fn_poincare_formula(d, m, n, r, limit)
     if got != expected:
@@ -266,7 +244,7 @@ def fn_fiber_product(d: int, m: int, n: int, r: int) -> FiberProduct:
             f"{ring.name}: graded dimensions {got} disagree with the product "
             f"formula {expected}; the relation set is wrong, refusing to continue"
         )
-    return fp
+    return FiberProduct(ring=ring, d=d, m=m, n=n, r=r)
 
 
 # -- sphere bundle towers -----------------------------------------------------------

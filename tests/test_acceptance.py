@@ -101,8 +101,9 @@ def test_large_fiber_power_cells_certify():
         fp = fn_fiber_product.__wrapped__(*cell)
         built = time.monotonic() - start
         assert built < 1.0, f"{cell} took {built:.2f}s to build"
-        got = poincare_series(fp.ring, fp.witness_degree())
-        assert got == fiber_power_series(*cell, fp.witness_degree()), cell
+        witness_degree = expected_fn_bound(*cell) * (cell[0] - 1)
+        got = poincare_series(fp.ring, witness_degree)
+        assert got == fiber_power_series(*cell, witness_degree), cell
         cert = verify_witness_fn(fp)
         assert cert.bound == bound == expected_fn_bound(*cell), (cell, cert.bound)
         assert cert.coefficient != 0
@@ -111,7 +112,7 @@ def test_large_fiber_power_cells_certify():
 def test_criterion_02_fiber_power_dimensions_match_closed_form():
     for d, m, n, r in GRID_CELLS:
         fp = fn_fiber_product(d, m, n, r)
-        witness_degree = fp.witness_length() * (d - 1)
+        witness_degree = expected_fn_bound(d, m, n, r) * (d - 1)
         got = poincare_series(fp.ring, witness_degree)
         want = fiber_power_series(d, m, n, r, witness_degree)
         assert got == want, (d, m, n, r)

@@ -468,10 +468,14 @@ def test_value_fn_certificate_contradiction_exits_3(monkeypatch):
     # A certificate that disagrees with the closed form raised a bare
     # RuntimeError, which escaped main as a traceback.
     verify = knowledge.verify_witness_fn
-    monkeypatch.setattr(knowledge, "verify_witness_fn", lambda fp: dataclasses.replace(verify(fp), bound=99))
+    def short(fp):  # the certificate of one factor fewer
+        cert = verify(fp)
+        return dataclasses.replace(cert, factors=cert.factors[:-1])
+
+    monkeypatch.setattr(knowledge, "verify_witness_fn", short)
     code, out, err = run_all("value", "fn", "--d", "2", "--m", "2", "--n", "1", "--r", "2")
     assert (code, err) == (3, "")
-    assert out["error"] == "certificate bound 99 contradicts closed form 2"
+    assert out["error"] == "certificate bound 1 contradicts closed form 2"
 
 
 def test_value_so3_cite_lists_both_sources():
@@ -1006,6 +1010,40 @@ def test_unreadable_json_file_exits_2(failure, flag, tmp_path, monkeypatch):
     code, out, err = run_all(*argv)
     assert (code, err) == (2, "")
     assert repr(str(path)) in out["error"] and message in out["error"]
+
+
+def test_endless_json_file_exits_2(tmp_path, monkeypatch):
+    # The whole file was read: /dev/zero grew until memory ran out.  Now at
+    # most MAX_JSON_BYTES + 1 bytes are read.
+    monkeypatch.setattr(gcring, "MAX_JSON_BYTES", 1024)
+    good = write_measure(tmp_path / "good.json", [([0.0], 1)])
+    code, out, err = run_all("measure", "lp", "--mu", "/dev/zero", "--nu", good)
+    assert (code, err) == (2, "")
+    assert out["error"] == "measure file '/dev/zero' is over the cap of 1024 bytes (MAX_JSON_BYTES)"
+
+
+def test_loaded_presentation_over_the_rule_cap_exits_2(tmp_path, monkeypatch):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(presentation_to_dict(config_space(2, 5))))
+    monkeypatch.setattr(gcring, "MAX_RING_RULES", 9)
+    code, out, err = run_all("ring", "confluence", "--ring", str(path))
+    assert (code, err) == (2, "")
+    assert out["error"] == "presentation 'conf:d=2,k=5' has 10 rules, over the cap of 9 (MAX_RING_RULES)"
+
+
+def test_large_finite_coordinates_give_no_numpy_warning(tmp_path):
+    # Each printed an overflow RuntimeWarning on stderr; nav circle then
+    # refused its finite checkpoint as "has norm inf".
+    far = write_measure(tmp_path / "far.json", [([1e308, 1e308], 1)])
+    near = write_measure(tmp_path / "near.json", [([-1e308, -1e308], 1)])
+    code, out, err = run_all("measure", "lp", "--mu", far, "--nu", near)
+    assert (code, err, out["distance"]) == (0, "", 1.0)
+    for points in ("1e200,0;0,1", "1e-320,0;0,1"):
+        code, out, err = run_all("nav", "circle", "--points", points)
+        assert (code, err, out["checkpoints"]) == (0, "", [[1.0, 0.0], [0.0, 1.0]]), points
+    code, out, err = run_all("nav", "rpn", "--x", "1e200,1e200,0", "--y", "0,1,0")
+    assert (code, err) == (2, "")
+    assert out["error"].endswith("expected a unit vector")
 
 
 def test_measure_errors(tmp_path):

@@ -46,6 +46,7 @@ from distnav.presentations import (
     config_space,
     cpn_sphere_bundle,
     fn_fiber_product,
+    fn_witness_length,
     shipped_names,
 )
 
@@ -335,7 +336,7 @@ def test_kernel_falls_back_to_fractions_on_loaded_rules():
     assert check_confluence(P).passed
     # The rule table keeps the non-integer coefficients as Fractions.
     assert any(
-        isinstance(c, Fraction) for row in P._rows for entry in row.values() for _, c, _, _ in entry
+        isinstance(c, Fraction) for row in P._partners for entry in row.values() for _, c, _, _ in entry
     )
     rng = random.Random(29)
     for _ in range(200):
@@ -367,7 +368,7 @@ def test_kernel_falls_back_to_fractions_on_loaded_rules():
 def test_even_witness_product_matches_oracle(cell, monomial):
     fp = fn_fiber_product(*cell)
     factors = verify_witness_fn(fp).factors
-    assert len(factors) == fp.witness_length()
+    assert len(factors) == fn_witness_length(*cell)
     fast, slow = product(fp.ring, factors), oracle_product(fp.ring, factors)
     assert fast == slow
     word = min(fast.terms)
@@ -542,14 +543,14 @@ def enumerated_confluence(P):
         word, sign = gcring._sort_word(P._oddf, triple)
         if sign == 0:
             continue
-        redexes = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if word[q] in P._rows[word[p]]]
+        redexes = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if word[q] in P._partners[word[p]]]
         if len(redexes) < 2:
             continue
         checked += 1
         results = {}
         for p, q in redexes:
             nf = {}
-            entry = P._rows[word[p]][word[q]]
+            entry = P._partners[word[p]][word[q]]
             for stepped, c, _, odd in gcring._rewrite_step(P, word, gcring._odd_mask(P, word), p, q, entry):
                 gcring._reduce_into(nf, P, stepped, c, gcring._ALL_DIRTY, odd)
             results.setdefault(frozenset((w, c) for w, c in nf.items() if c), (p, q))
@@ -557,7 +558,7 @@ def enumerated_confluence(P):
             failures.append((P._word_names(word), f"{len(results)} distinct normal forms from {redexes}"))
             if len(failures) >= gcring.MAX_CONFLUENCE_FAILURES:
                 break
-    return gcring.ConfluenceReport(passed=not failures, triples_checked=checked, failures=tuple(failures))
+    return gcring.ConfluenceReport(triples_checked=checked, failures=tuple(failures))
 
 
 def random_rewrite_ring(rng):
@@ -632,7 +633,7 @@ def test_confluence_probe_skips_ruleless_generators(monkeypatch):
     calls = []
     real = gcring._sort_word
     monkeypatch.setattr(gcring, "_sort_word", lambda *args: calls.append(args) or real(*args))
-    assert check_confluence(P) == gcring.ConfluenceReport(passed=True, triples_checked=0, failures=())
+    assert check_confluence(P) == gcring.ConfluenceReport(triples_checked=0, failures=())
     assert calls == []
 
 
@@ -651,6 +652,35 @@ def test_confluence_candidates_are_capped_before_any_is_built(monkeypatch):
     monkeypatch.setattr(gcring, "sorted", built, raising=False)
     with pytest.raises(ValueError, match=rf"has {size} candidate .*\(MAX_CONFLUENCE_CANDIDATES\)$"):
         check_confluence(P)
+
+
+def test_loaded_rule_count_is_capped_before_any_rule_is_built(monkeypatch):
+    # Only the catalog builders counted rules: a loaded document of any
+    # length was built in full before a later cap could refuse it.
+    data = presentation_to_dict(config_space(2, 5))
+    count = len(data["rules"])
+    monkeypatch.setattr(gcring, "MAX_RING_RULES", count)
+    assert len(presentation_from_dict(data).rules) == count
+
+    def built(*args, **kwargs):
+        raise AssertionError("a generator or rule was built over the cap")
+
+    monkeypatch.setattr(gcring, "MAX_RING_RULES", count - 1)
+    for name in ("Generator", "RewriteRule", "RingPresentation"):
+        monkeypatch.setattr(gcring, name, built)
+    cap = rf"presentation 'conf:d=2,k=5' has {count} rules, over the cap of {count - 1} \(MAX_RING_RULES\)$"
+    with pytest.raises(ValueError, match=cap):
+        presentation_from_dict(data)
+
+
+def test_json_file_one_byte_over_the_cap_is_refused(tmp_path, monkeypatch):
+    monkeypatch.setattr(gcring, "MAX_JSON_BYTES", 16)
+    path = tmp_path / "doc.json"
+    path.write_text("[" + " " * 14 + "]")
+    assert gcring.read_json_file(str(path), "measure") == []
+    path.write_text("[" + " " * 15 + "]")
+    with pytest.raises(ValueError, match=r"^measure file '.*doc\.json' is over the cap of 16 bytes \(MAX_JSON_BYTES\)$"):
+        gcring.read_json_file(str(path), "measure")
 
 
 # === factorized Poincare series against the full enumeration ===
@@ -701,7 +731,7 @@ def test_factorized_series_matches_enumeration_on_shipped_rings(name):
 @pytest.mark.parametrize("cell", list(itertools.product((2, 3), (2, 3), (1, 2), (2, 3))))
 def test_factorized_series_matches_enumeration_on_grid(cell):
     fp = fn_fiber_product(*cell)
-    limit = fp.witness_degree() + 2
+    limit = fn_witness_length(*cell) * (cell[0] - 1) + 2
     assert poincare_series(fp.ring, limit) == enumerated_series(fp.ring, limit)
 
 
@@ -805,7 +835,7 @@ def test_no_module_outside_gcring_knows_the_kernel_coding():
                 offences += [f"{where} imports {a.name}" for a in node.names if a.name.startswith("_")]
             elif isinstance(node, ast.Attribute):
                 of_gcring = isinstance(node.value, ast.Name) and node.value.id == "gcring"
-                if node.attr in ("_rows", "_index", "_code") or (of_gcring and node.attr.startswith("_")):
+                if node.attr in ("_partners", "_index", "_code") or (of_gcring and node.attr.startswith("_")):
                     offences.append(f"{where} reads .{node.attr}")
     assert offences == []
 

@@ -154,24 +154,25 @@ def test_registry_covers_certificate_tags():
 
 def test_provenance_entry_validation():
     with pytest.raises(ValueError):
-        ProvenanceEntry("no-such-tag", KIND_CITED)
-    with pytest.raises(ValueError):
-        ProvenanceEntry("circle-fiber-value", "rumor")
-    with pytest.raises(ValueError):
-        # certificate kind with nothing attached
-        ProvenanceEntry("fiber-product-diagonal-kernel-witness", KIND_CERTIFICATE)
+        ProvenanceEntry("no-such-tag")
+    # The kind follows from the link: no entry claims a certificate it lacks.
+    assert ProvenanceEntry("circle-fiber-value").kind == KIND_CITED
+    cert = value_fadell_neuwirth(2, 2, 1, 2).provenance[0].certificate
+    assert ProvenanceEntry(cert.provenance, cert).kind == KIND_CERTIFICATE
 
 
 def test_record_ordering_validation():
-    prov = (ProvenanceEntry("circle-fiber-value", KIND_CITED),)
+    prov = (ProvenanceEntry("circle-fiber-value"),)
     with pytest.raises(ValueError):
-        ComplexityRecord("x", {}, lower=3, upper=2, exact=None, provenance=prov)
+        ComplexityRecord("x", {}, lower=3, upper=2, provenance=prov)
     with pytest.raises(ValueError):
-        ComplexityRecord("x", {}, lower=3, upper=None, exact=2, provenance=prov)
-    with pytest.raises(ValueError):
-        ComplexityRecord("x", {}, lower=1, upper=2, exact=3, provenance=prov)
-    with pytest.raises(ValueError):
-        ComplexityRecord("x", {}, lower=1, upper=2, exact=None, provenance=())
+        ComplexityRecord("x", {}, lower=1, upper=2, provenance=())
+    # The exact value follows from the bounds, so it never leaves them.
+    exact = [
+        ComplexityRecord("x", {}, lower=lo, upper=hi, provenance=prov).exact
+        for lo, hi in ((2, 2), (1, 2), (2, None), (None, 2), (None, None))
+    ]
+    assert exact == [2, None, None, None, None]
 
 
 def test_record_jsonable_shape():

@@ -617,6 +617,14 @@ def test_euclidean_metric_broadcasts_and_takes_numbers():
     assert lp_distance(mu, nu, SPACE) == 0.25
 
 
+def test_euclidean_metric_overflows_to_inf_without_a_warning():
+    # inf is the correctly rounded distance; it printed a RuntimeWarning.
+    assert SPACE.distance([1e308, 1e308], [-1e308, -1e308]) == math.inf
+    assert SPACE.distance(1e308, -1e308) == math.inf
+    mu, nu = FiniteMeasure([([1e308, 1e308], 1)]), FiniteMeasure([([-1e308, -1e308], 1)])
+    assert lp_distance(mu, nu, SPACE) == 1.0
+
+
 def test_to_jsonable_covers_points_weights_and_payload_values():
     assert to_jsonable(Fraction(2, 6)) == "1/3"
     assert to_jsonable(np.int64(5)) == 5.0 and to_jsonable(True) == 1.0

@@ -204,8 +204,25 @@ def test_circle_rejects_non_finite_checkpoint():
         pts[k] = spoiled(rng, pts[k], bad)
         with pytest.raises(ValueError, match=r"checkpoint \[.*\] has norm .* not a finite nonzero"):
             circle_navigate(r, pts)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="has norm inf"):
-        circle_navigate(2, [[1e200, 1e200], [0.0, 1.0]])
+    # A finite vector is scaled to unit length even when its squared norm
+    # overflows.
+    plan = circle_navigate(2, [[1e200, 1e200], [0.0, 1.0]])
+    assert plan.checkpoints == circle_navigate(2, [[1.0, 1.0], [0.0, 1.0]]).checkpoints
+
+
+def test_checkpoints_scale_to_unit_length_at_every_finite_magnitude():
+    # A squared norm that overflows or underflows used to give norm inf or 0.
+    rng = random.Random(17)
+    for _ in range(300):
+        v = np.array([rng.uniform(-1, 1) for _ in range(rng.randint(2, 4))]) * 10.0 ** rng.randint(-140, 140)
+        assert navplan._unit(v, len(v)).tolist() == (v / np.linalg.norm(v)).tolist()  # same bits
+    for v in ([1e200, -1e200], [1.7e308, 1.7e308], [1e-170, 1e-170], [5e-324, 0.0], [0.0, -1e-320]):
+        u = navplan._unit(v, 2)
+        assert abs(math.hypot(*u) - 1.0) <= 1e-15, v
+        assert np.sign(u).tolist() == np.sign(v).tolist(), v
+    for v in ([0.0, 0.0], [math.inf, 1.0], [math.nan, 1e308]):
+        with pytest.raises(ValueError, match="not a finite nonzero length"):
+            navplan._unit(v, 2)
 
 
 def test_circle_support_bound_random():

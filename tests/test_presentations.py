@@ -32,6 +32,7 @@ from distnav.presentations import (
     cpn_sphere_bundle,
     fn_fiber_product,
     fn_poincare_formula,
+    fn_witness_length,
     point,
     shipped_names,
     sphere,
@@ -133,7 +134,7 @@ def test_fn_small_cell_generators_and_dims():
 )
 def test_fn_matches_formula_and_enumeration(d, m, n, r):
     fp = fn_fiber_product(d, m, n, r)
-    top = fp.witness_degree()
+    top = fn_witness_length(d, m, n, r) * (d - 1)
     series = poincare_series(fp.ring, top)
     assert series == fn_poincare_formula(d, m, n, r, top)
     assert series == count_admissible(slot_counts_fn(m, n, r), d - 1, top)
@@ -148,8 +149,8 @@ def test_fn_shared_base_classes():
 
 
 def test_fn_witness_length_parity():
-    assert fn_fiber_product(3, 2, 1, 2).witness_length() == 3  # rn+m-1
-    assert fn_fiber_product(2, 2, 1, 2).witness_length() == 2  # rn+m-2
+    assert fn_witness_length(3, 2, 1, 2) == 3  # rn+m-1
+    assert fn_witness_length(2, 2, 1, 2) == 2  # rn+m-2
 
 
 def test_fn_rejects_bad_parameters():
@@ -218,7 +219,7 @@ def test_builders_check_series_degree_before_any_generator(monkeypatch):
 def test_rule_count_formula_matches_the_built_rings(monkeypatch):
     # The closed-form counts the cap is checked on are the builders' own.
     counts = {}
-    monkeypatch.setattr(presentations, "_check_rule_count", counts.__setitem__)
+    monkeypatch.setattr(presentations, "check_rule_count", counts.__setitem__)
     built = {}
     for d in (2, 3, 4):
         for size in range(2, 6):
