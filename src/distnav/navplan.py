@@ -26,9 +26,11 @@ grid of either on paths (``path_metric``).  A path's coordinates are its
 samples on the grid (``ArcPath.sample``, one numpy call), and the path
 distance is the maximum of the point distance over the time axis, so
 ``lp_distance`` samples each path once and compares all pairs in one call.
-A path builds the numpy arrays of its angles and frames once, read-only,
-on first use, and sampling and mapping read them; nothing converts per
-call.
+A single time is evaluated in scalar arithmetic (``path(t)``, the same
+bits as ``path.sample([t])[0]`` without its index arrays).  A path builds
+the numpy arrays of its angles and frames once, read-only, on first use,
+and sampling, scalar evaluation and mapping read them; nothing converts
+per call.
 """
 
 from __future__ import annotations
@@ -109,16 +111,17 @@ class ProjectivePoint:
 
     @staticmethod
     def from_vector(v: Sequence[float]) -> "ProjectivePoint":
-        arr = _unit(v, np.size(v))
-        for x in arr:
-            if abs(x) > COORDINATE_ZERO:
-                if x < 0:
-                    arr = -arr
-                break
-        return ProjectivePoint(tuple(arr.tolist()))
+        return _canonical_line(_unit(v, np.size(v)))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.vec, dtype=dtype)
+
+
+def _canonical_line(unit: np.ndarray) -> ProjectivePoint:
+    """The line through a unit vector, signed as the representative must be."""
+    coords = unit.tolist()
+    lead = next((x for x in coords if abs(x) > COORDINATE_ZERO), 0.0)
+    return ProjectivePoint(tuple(-x for x in coords) if lead < 0 else tuple(coords))
 
 
 def _as_projective(p) -> ProjectivePoint:
@@ -128,7 +131,10 @@ def _as_projective(p) -> ProjectivePoint:
     scale, norm = _scaled_norm(arr)
     if not abs(scale * norm - 1.0) <= 1e-9:  # also false for NaN and inf
         raise ValueError(f"representative {arr.tolist()} has norm {scale * norm}, expected a unit vector")
-    return ProjectivePoint.from_vector(arr)
+    if arr.ndim != 1:
+        raise ValueError(f"checkpoint {arr.tolist()} is not a vector of length {arr.size}")
+    # A norm this close to 1 has scale 1 (see _scaled_norm): one division.
+    return _canonical_line(arr / norm)
 
 
 # -- paths ----------------------------------------------------------------------
@@ -150,8 +156,8 @@ class ArcPath:
 
     The fields are tuples, so equal paths compare and hash equal.  On
     first use the path builds read-only float arrays of angles, u and v
-    once, outside the fields, and ``sample`` and ``mapped`` compute from
-    them.
+    once, outside the fields, and ``sample``, ``path(t)`` and ``mapped``
+    compute from them.
     """
 
     u: tuple[tuple[float, ...], ...]
@@ -163,8 +169,8 @@ class ArcPath:
         """angles, u and v as read-only float arrays, built on first use.
 
         Not a field: the cache stays out of repr, equality, hashing and
-        ``dataclasses.asdict``.  Paths that are never sampled or mapped
-        never pay for it.
+        ``dataclasses.asdict``.  Paths that are never evaluated, sampled or
+        mapped never pay for it.
         """
         arrays = (
             np.array(self.angles, dtype=float),
@@ -202,7 +208,29 @@ class ArcPath:
         return np.cos(a) * u.take(k, axis=0) + np.sin(a) * v.take(k, axis=0)
 
     def __call__(self, t: float) -> np.ndarray:
-        return self.sample([t])[0]
+        """The point at the time t, in a new array: ``sample([t])[0]`` bit
+        for bit, computed in scalar arithmetic without the batched lookup.
+
+        >>> quarter = ArcPath(((1.0, 0.0),), ((0.0, 1.0),), (math.pi / 2,))
+        >>> quarter(0.5).round(12).tolist()
+        [0.707106781187, 0.707106781187]
+        >>> quarter(2.0).tolist() == quarter.sample([1.0])[0].tolist()
+        True
+        """
+        angles, u, v = self._arrays
+        n = len(angles)
+        # max(t, 0.0), not max(0.0, t): Python's max keeps its first argument
+        # on a tie, so a time of -0.0 stays -0.0, as in sample.  NaN passes
+        # both bounds.
+        s = min(max(float(t), 0.0), 1.0)
+        if math.isnan(s):
+            raise ValueError("path time is nan, not a time in [0, 1]")
+        scaled = s * n
+        k = min(int(scaled), n - 1)
+        # np.cos and np.sin on an np.float64, as in sample, so the bits do
+        # not depend on the C library's cos and sin.
+        a = angles[k] * (scaled - k)
+        return np.cos(a) * u[k] + np.sin(a) * v[k]
 
     def mapped(self, matrix) -> "ArcPath":
         """The image under a linear map M: M(cos u + sin v) = cos Mu + sin Mv."""
@@ -220,7 +248,14 @@ _CHORD = euclidean_metric()
 
 
 def _line_chord(p, q):
-    return np.minimum(_CHORD.distance(p, q), _CHORD.distance(p, np.negative(q)))
+    """min(|p - q|, |p + q|) over the last axis: the chord arithmetic of
+    ``measures.euclidean_metric``, bit for bit, with overflow to inf silent,
+    under one ``np.errstate`` for both chords."""
+    with np.errstate(over="ignore"):
+        d, e = np.subtract(p, q, dtype=float), np.add(p, q, dtype=float)
+        if d.ndim == 0:
+            return np.minimum(abs(d), abs(e))
+        return np.minimum(np.sqrt(np.add.reduce(d * d, -1)), np.sqrt(np.add.reduce(e * e, -1)))
 
 
 def projective_metric() -> MetricSpace:

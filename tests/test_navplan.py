@@ -4,6 +4,7 @@ the tail-freezing deformation, and the two empirical verifiers."""
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,56 @@ def test_projective_rejects_non_finite_representative():
             rpn_navigate(x, spoiled(rng, y, bad))
         with pytest.raises(ValueError, match="not a finite nonzero length"):
             ProjectivePoint.from_vector(spoiled(rng, x, bad))
+
+
+def as_projective_two_step(p):
+    """The route _as_projective took before it shared one norm: check the
+    norm, then normalize again in from_vector and find the sign by a loop
+    over numpy scalars (oracle)."""
+    arr = np.asarray(p, dtype=float)
+    scale, norm = navplan._scaled_norm(arr)
+    if not abs(scale * norm - 1.0) <= 1e-9:
+        raise ValueError(f"representative {arr.tolist()} has norm {scale * norm}, expected a unit vector")
+    unit = navplan._unit(arr, np.size(arr))
+    for x in unit:
+        if abs(x) > navplan.COORDINATE_ZERO:
+            if x < 0:
+                unit = -unit
+            break
+    return ProjectivePoint(tuple(unit.tolist()))
+
+
+def outcome(fn, p):
+    """The representative's bytes, or the error message."""
+    try:
+        return np.array(fn(p).vec).tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+def test_as_projective_matches_two_step_oracle():
+    rng = random.Random(43)
+    inputs = []
+    for _ in range(400):
+        v = random_unit(rng, rng.randint(2, 6))
+        k = rng.randrange(len(v))
+        kind = rng.randrange(5)
+        if kind == 1:  # off unit length by up to about the tolerance
+            v = v * (1.0 + rng.uniform(-2e-9, 2e-9))
+        elif kind == 2:  # leading coordinates at or below COORDINATE_ZERO, signed
+            v[:k] = [rng.choice((-1.0, 1.0)) * rng.choice((0.0, 1e-13, 1e-12)) for _ in range(k)]
+        elif kind == 3:
+            v[k] = rng.choice((-0.0, 0.0, math.nan, math.inf, -math.inf))
+        elif kind == 4:
+            v = v * rng.choice((1e200, 1e150, 1e-150, 1e-320, 2.0, 0.5, 0.0))
+        inputs.append(v)
+    inputs += [[1e200, 0.0], [0.0, -1e-320], [-0.0, -1.0], [[0.6], [0.8]], [[0.6, 0.8]], 1.0, -1.0]
+    inputs += [[-1e-12, 1.0], [1e-12, -0.0, -1.0], [-1.0000000000000002e-12, 1.0]]  # at the threshold
+    for p in inputs:
+        expected = outcome(as_projective_two_step, p)
+        assert outcome(navplan._as_projective, p) == expected, p
+        if isinstance(expected, bytes):
+            assert outcome(ProjectivePoint.from_vector, p) == expected, p
 
 
 # === projective planner ===
@@ -449,6 +500,31 @@ def test_continuity_reports_samples_and_scale():
     assert report["max_discrepancy"] <= 1e-3
 
 
+def test_line_chord_matches_two_chords_without_warnings():
+    # Both chords of the projective metric share one np.errstate; the
+    # distances keep the bits of the minimum of two chord-metric calls.
+    rng = np.random.default_rng(44)
+    chord = euclidean_metric().distance
+    cases = [
+        (rng.normal(size=(4, 9, 3)), rng.normal(size=(9, 3))),
+        (rng.normal(size=(2, 1, 4)), rng.normal(size=(3, 4))),
+        (rng.normal(size=5), rng.normal(size=5).tolist()),
+        (0.25, -0.5),
+        (-0.0, 0.0),
+        ([1.0, -0.0], [-1.0, 0.0]),
+        (rng.uniform(-1.7, 1.7, size=(6, 3)) * 1e308, rng.uniform(-1.7, 1.7, size=3) * 1e308),
+        ([1e308, -1e308], [-1e308, 1e308]),
+        ([1e308, 1e308], [1e308, -1e308]),
+        (1e308, -1e308),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, q in cases:
+            got = np.asarray(PROJ.distance(p, q))
+            assert_bit_identical(got, np.asarray(np.minimum(chord(p, q), chord(p, np.negative(q)))))
+    assert PROJ.distance([1e308, 1e308], [1e308, -1e308]) == math.inf
+
+
 def test_plan_measures_compare_in_path_metric():
     # two plans between the same pair are LP-close to themselves and far
     # from a plan between a genuinely different pair
@@ -766,6 +842,38 @@ def test_nan_time_raises_value_error():
     with pytest.raises(ValueError, match="is nan"):
         path(math.nan)
     np.testing.assert_array_equal(path.sample([-math.inf, math.inf]), path.sample([0.0, 1.0]))
+
+
+def test_scalar_call_matches_one_time_sample_byte_for_byte():
+    rng = random.Random(26)
+    plans = [rpn_navigate(random_unit(rng, n + 1), random_unit(rng, n + 1)) for n in (1, 2, 3)]
+    for r in (2, 5, MAX_CHECKPOINTS):
+        plans.append(circle_navigate(r, [random_unit(rng, 2) for _ in range(r)]))
+        e1 = random_unit(rng, 4)
+        pts = [e1] + [fiber_partner(e1, rng.uniform(0, 2 * math.pi)) for _ in range(r - 1)]
+        plans.append(hopf_parametrized_navigate(r, pts))
+    assert max(len(path.angles) for plan in plans for path, _ in plan.measure.atoms) == MAX_CHECKPOINTS - 1
+    signed_zero = ArcPath(((-0.0, 1.0), (1.0, -0.0)), ((1.0, 0.0), (0.0, -1.0)), (0.5, -0.5))
+    special = [0.0, -0.0, math.inf, -math.inf, 1.0, 1.0 - 2.0**-53, 5e-324]
+    for path in [path for plan in plans for path, _ in plan.measure.atoms] + [signed_zero]:
+        n = len(path.angles)
+        times = special + [k / n for k in range(n + 1)] + [rng.uniform(-0.5, 1.5) for _ in range(8)]
+        given = [f(t) for t in times for f in (float, np.float64, np.float32, np.array)] + [-1, 0, 1, 2]
+        for t in given:
+            assert_bit_identical(path(t), path.sample([t])[0])
+        with pytest.raises(ValueError, match="is nan"):
+            path(math.nan)
+        with pytest.raises(ValueError, match="is nan"):
+            path(np.float32(math.nan))
+    # A new, writable array: writing to it leaves the path as it was.
+    path = plans[-1].measure.atoms[0][0]
+    before = [a.copy() for a in path._arrays]
+    point = path(0.3)
+    assert point.flags.writeable and not np.shares_memory(point, path._arrays[1])
+    point[:] = 7.0
+    for cached, kept in zip(path._arrays, before):
+        assert_bit_identical(cached, kept)
+    assert_bit_identical(path(0.3), path.sample([0.3])[0])
 
 
 def circle_closed_form(path, t, starts):
