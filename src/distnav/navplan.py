@@ -248,14 +248,7 @@ _CHORD = euclidean_metric()
 
 
 def _line_chord(p, q):
-    """min(|p - q|, |p + q|) over the last axis: the chord arithmetic of
-    ``measures.euclidean_metric``, bit for bit, with overflow to inf silent,
-    under one ``np.errstate`` for both chords."""
-    with np.errstate(over="ignore"):
-        d, e = np.subtract(p, q, dtype=float), np.add(p, q, dtype=float)
-        if d.ndim == 0:
-            return np.minimum(abs(d), abs(e))
-        return np.minimum(np.sqrt(np.add.reduce(d * d, -1)), np.sqrt(np.add.reduce(e * e, -1)))
+    return np.minimum(_CHORD.distance(p, q), _CHORD.distance(p, np.negative(q)))
 
 
 def projective_metric() -> MetricSpace:
