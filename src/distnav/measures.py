@@ -26,13 +26,16 @@ over subsets of supp(mu) alone (enlarging A by points of zero mu-mass only
 weakens the constraint), and by Strassen's theorem (1965), or
 max-flow/min-cut, it equals mu's total minus the maximum flow from mu to nu
 along pairs at most eps apart, so the nu-side defect is the mu-side one
-plus nu's total minus mu's, exactly, at every eps.  One search over subsets
-of the smaller support (at most 2^12), or of mu's on a size tie, serves
-every pair, adding the other side's surplus mass when it is positive (float
-totals may miss 1 in the last bits).  The defect is a non-increasing step
-function of eps that changes only at pairwise distances, and the distance
-never exceeds 1, so a binary search over those breakpoints in [0, 1] finds
-the least feasible eps with no bisection tolerance.
+plus nu's total minus mu's, exactly, at every eps.  One search on the
+smaller support, or on mu's on a size tie, serves every pair, adding the
+other side's surplus mass when it is positive (float totals may miss 1 in
+the last bits).  Below FLOW_ATOMS atoms that search enumerates the
+support's subsets, at most 2^10 of them; from FLOW_ATOMS to MAX_SUPPORT
+atoms it computes the maximum flow instead, in Python ints, which gives the
+same integer defect.  The defect is a non-increasing step function of eps
+that changes only at pairwise distances, and the distance never exceeds 1,
+so a binary search over those breakpoints in [0, 1] finds the least
+feasible eps with no bisection tolerance.
 """
 
 from __future__ import annotations
@@ -59,7 +62,9 @@ __all__ = [
     "MAX_SUPPORT",
 ]
 
-MAX_SUPPORT = 12
+MAX_SUPPORT = 64
+# The smallest support searched by max flow rather than the subset table.
+FLOW_ATOMS = 11
 
 
 @dataclass(frozen=True)
@@ -244,6 +249,101 @@ def _one_sided_defect(
     return int((mass_a - covered @ w_b).max())
 
 
+def _max_flow(
+    eps: float,
+    w_a: list[int],
+    w_b: list[int],
+    dist_ab: np.ndarray,
+    order: list[list[int]],
+) -> tuple[int, list[int], list[dict[int, int]]]:
+    """max_A [a(A) - b(A^eps)] over subsets A of supp(a), as a's total minus
+    a maximum flow from a to b along pairs at most eps apart.
+
+    ``order`` lists each row's columns by increasing distance, so a row's
+    neighbours within eps are a prefix of it.  A greedy start fills each
+    row's nearest columns; then shortest augmenting paths, found by a
+    breadth-first search from every row with mass left.  Masses are Python
+    ints, so the flow is exact.  Returns the defect, the rows A reachable in
+    the final residual graph and the flow, ``flow[j][i]`` from row i into
+    column j: the flow leaves the defect unsent and a(A) - b(A^eps) equals
+    it, so each certifies the other.
+    """
+    counts = (dist_ab <= eps).sum(1).tolist()
+    near = [row[:k] for row, k in zip(order, counts)]
+    left, room = list(w_a), list(w_b)
+    flow: list[dict[int, int]] = [{} for _ in room]
+    for i, cols in enumerate(near):
+        x = left[i]
+        for j in cols:
+            if not x:
+                break
+            y = room[j]
+            if y:
+                sent = x if x < y else y
+                flow[j][i] = sent
+                room[j] = y - sent
+                x -= sent
+        left[i] = x
+    while True:
+        # came[j]: the row a column was reached from; back[i]: the column a
+        # row was reached from along a flow edge, None at the sources.
+        back: dict[int, int | None] = {i: None for i, x in enumerate(left) if x}
+        came: dict[int, int] = {}
+        frontier, end = list(back), None
+        while frontier and end is None:
+            reached = []
+            for i in frontier:
+                for j in near[i]:
+                    if j in came:
+                        continue
+                    came[j] = i
+                    if room[j]:
+                        end = j
+                        break
+                    for k in flow[j]:
+                        if k not in back:
+                            back[k] = j
+                            reached.append(k)
+                if end is not None:
+                    break
+            frontier = reached
+        if end is None:
+            return sum(left), list(back), flow
+        # Walk the path back from `end` to its source row twice: once for
+        # the mass it can carry, once to carry it.
+        sent, i = room[end], came[end]
+        while (j := back[i]) is not None:
+            sent = min(sent, flow[j][i])
+            i = came[j]
+        sent = min(sent, left[i])
+        left[i] -= sent
+        room[end] -= sent
+        j, i = end, came[end]
+        while True:
+            flow[j][i] = flow[j].get(i, 0) + sent
+            j = back[i]
+            if j is None:
+                break
+            if flow[j][i] == sent:
+                del flow[j][i]
+            else:
+                flow[j][i] -= sent
+            i = came[j]
+
+
+def _defect(eps: float, a, w_b, dist_ab: np.ndarray, table) -> int:
+    """The one-sided defect max_A [a(A) - b(A^eps)], exactly.
+
+    Below FLOW_ATOMS rows by the subset table: ``a`` holds the subset sums
+    and ``table`` the subsets (``_one_sided_defect``).  From FLOW_ATOMS rows
+    on by max flow: ``a`` and ``w_b`` are lists of masses and ``table`` each
+    row's column order (``_max_flow``).
+    """
+    if len(dist_ab) < FLOW_ATOMS:
+        return _one_sided_defect(eps, a, w_b, dist_ab, table)
+    return _max_flow(eps, a, w_b, dist_ab, table)[0]
+
+
 def lp_distance(
     mu: FiniteMeasure,
     nu: FiniteMeasure,
@@ -255,11 +355,11 @@ def lp_distance(
     The weights enter as exact integer masses over a common denominator,
     so only the distances are floats: ``lp_distance(mu, nu) ==
     lp_distance(nu, mu)`` bit for bit, and equal measures lie exactly 0.0
-    apart whatever the order of their atoms.  Every pair takes one subset
-    search, over the smaller support, for both inequality families.
-    ``precision`` must be positive and finite; the result does not depend
-    on it.  Raises ValueError when either support exceeds MAX_SUPPORT
-    points (the subset enumeration is exact but exponential), or when two
+    apart whatever the order of their atoms.  Every pair takes one search
+    on the smaller support, for both inequality families: over its subsets
+    below FLOW_ATOMS atoms, by max flow from there on.  ``precision`` must
+    be positive and finite; the result does not depend on it.  Raises
+    ValueError when either support exceeds MAX_SUPPORT points, or when two
     points have coordinates of different shapes.
 
     Two Dirac measures lie min(|p - q|, 1) apart:
@@ -270,8 +370,7 @@ def lp_distance(
     """
     if len(mu) > MAX_SUPPORT or len(nu) > MAX_SUPPORT:
         raise ValueError(
-            f"supports of sizes {len(mu)}, {len(nu)} exceed the brute-force "
-            f"cap of {MAX_SUPPORT}"
+            f"a support of {max(len(mu), len(nu))} atoms is over the cap of {MAX_SUPPORT} (MAX_SUPPORT)"
         )
     if not (precision > 0 and math.isfinite(precision)):
         raise ValueError(f"precision must be positive and finite, got {precision}")
@@ -286,20 +385,22 @@ def lp_distance(
     den = math.lcm(den_m, den_n)
     scale_m, scale_n = den // den_m, den // den_n
     total_m, total_n = total_m * scale_m, total_n * scale_n
-    # float64, and BLAS, while every subset sum is an exact float; else an
-    # integer dtype end to end (a float table would promote the products),
-    # Python ints beyond int64.
-    total = max(total_m, total_n)
-    dtype = np.float64 if total < 1 << 53 else np.int64 if total < 1 << 63 else object
-    table = np.float64 if dtype is np.float64 else np.int64
-    wm = np.array([a * scale_m for a in num_m], dtype=dtype)
-    wn = np.array([b * scale_n for b in num_n], dtype=dtype)
+    a, b = [m * scale_m for m in num_m], [m * scale_n for m in num_n]
     # The smaller support, or mu's on a tie; the larger defect is this side's
     # plus the other side's surplus mass (see the module docstring).
     if len(nu) < len(mu):
-        wm, wn, dist, total_m, total_n = wn, wm, dist.T, total_n, total_m
-    subsets = _subset_matrix(len(wm), table)
-    mass, surplus = subsets @ wm, max(0, total_n - total_m)
+        a, b, dist, total_m, total_n = b, a, dist.T, total_n, total_m
+    surplus = max(0, total_n - total_m)
+    if len(a) < FLOW_ATOMS:
+        # float64, and BLAS, while every subset sum is an exact float; else
+        # an integer dtype end to end (a float table would promote the
+        # products), Python ints beyond int64.
+        total = max(total_m, total_n)
+        dtype = np.float64 if total < 1 << 53 else np.int64 if total < 1 << 63 else object
+        table = _subset_matrix(len(a), np.float64 if dtype is np.float64 else np.int64)
+        a, b = table @ np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+    else:
+        table = np.argsort(dist, axis=1).tolist()
     inner = np.sort(dist, axis=None)
     breaks = np.concatenate(([0.0], inner[(inner > 0.0) & (inner < 1.0)], [1.0]))
     # First breakpoint D_k with defect(D_k) <= D_k, that is defect * q <=
@@ -311,7 +412,7 @@ def lp_distance(
         mid = (lo + hi) // 2
         eps = float(breaks[mid])
         p, q = eps.as_integer_ratio()
-        defect = _one_sided_defect(eps, mass, wn, dist, subsets) + surplus
+        defect = _defect(eps, a, b, dist, table) + surplus
         if defect * q <= p * den:
             hi = mid
         else:

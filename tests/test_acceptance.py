@@ -18,6 +18,7 @@ from distnav.gcring import check_confluence, element, gen, multiply, normal_form
 from distnav.knowledge import value_fadell_neuwirth, value_so3_bundle
 from distnav.measures import FiniteMeasure, euclidean_metric, lp_distance
 from distnav.navplan import (
+    MAX_CHECKPOINTS,
     check_equivariance,
     check_lp_continuity,
     circle_navigate,
@@ -264,16 +265,17 @@ def circle_tuple(rng, r, kind):
 
 def test_criterion_10_circle_and_hopf_plans_at_the_cited_value():
     # r - 1 for the circle and every circle-fibered Hopf projection: at most
-    # r paths, each through its checkpoints, and continuous in the inputs, for
-    # r up to 12, the largest support lp_distance compares.
+    # r paths, each through its checkpoints, and continuous in the inputs:
+    # 20 tuples at each r up to 12, and a tuple of each kind at r = 16, 32
+    # and 64, where lp_distance compares plans by max flow.
     rng = random.Random(110)
     kinds = ("random", "random", "coincident", "antipodal")
 
     def circle(*zs):
         return circle_navigate(len(zs), zs)
 
-    for r in range(2, 13):
-        tuples = [circle_tuple(rng, r, kinds[i % 4]) for i in range(20)]
+    for r, count in [(r, 20) for r in range(2, 13)] + [(16, 4), (32, 4), (MAX_CHECKPOINTS, 4)]:
+        tuples = [circle_tuple(rng, r, kinds[i % 4]) for i in range(count)]
         anchor = random_unit(rng, 4)
 
         def hopf(*zs):  # the Hopf plan through the lifts anchor * (z_0 + z_1 i)
@@ -288,4 +290,4 @@ def test_criterion_10_circle_and_hopf_plans_at_the_cited_value():
             report = check_lp_continuity(planner, tuples, 1e-5, 1, r)
             assert report["samples"] == len(tuples)
             assert report["failures"] == [], (r, report["failures"])
-    print("criterion 10 PASS: circle and Hopf plans, r = 2..12, at most r paths, continuous")
+    print("criterion 10 PASS: circle and Hopf plans, r = 2..12, 16, 32, 64, at most r paths, continuous")

@@ -944,6 +944,23 @@ def test_measure_lp_mixed_dimensions_in_one_file_exits_2(tmp_path):
     assert "(2,)" in out["error"] and "(1,)" in out["error"]
 
 
+def test_measure_lp_up_to_64_atoms(tmp_path):
+    # 13 to 64 atoms exited 2 at the subset table's cap of 12; the max flow
+    # answers there, symmetric bit for bit, and 65 atoms exit 2.
+    rng = np.random.default_rng(64)
+
+    def atoms(count):
+        return [(rng.uniform(-1, 1, 3).tolist(), f"1/{count}") for _ in range(count)]
+
+    wide, narrow, over = (write_measure(tmp_path / f"{n}.json", atoms(n)) for n in (64, 40, 65))
+    code, out = run("measure", "lp", "--mu", wide, "--nu", narrow)
+    assert code == 0 and 0.0 < out["distance"] < 1.0
+    assert run("measure", "lp", "--mu", narrow, "--nu", wide) == (code, out)
+    code, out = run("measure", "lp", "--mu", narrow, "--nu", over)
+    assert code == 2
+    assert out["error"].endswith("a support of 65 atoms is over the cap of 64 (MAX_SUPPORT)")
+
+
 @pytest.mark.parametrize("precision", ["nan", "inf", "0", "-1", "1e-6"])
 def test_measure_lp_rejects_bad_precision(tmp_path, precision):
     # --precision is gone, good values included: the distance is exact.

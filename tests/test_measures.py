@@ -15,7 +15,9 @@ shipped search enumerates subsets of the smaller support only and adds the
 other side's surplus mass; agreement here confirms both reductions.
 ``oracle_matrix_space`` builds the distance matrix one pair at a time, and
 the one-call matrix of ``lp_distance`` must give the same distance bit for
-bit.
+bit. From FLOW_ATOMS atoms on the shipped search takes the defect from a
+max flow; the subset table checks it up to ORACLE_ATOMS, and past those the
+flow and its residual cut certify each other.
 """
 
 import math
@@ -28,9 +30,11 @@ import pytest
 import distnav.measures as measures
 from distnav.gcring import MAX_LITERAL_EXPONENT
 from distnav.measures import (
+    FLOW_ATOMS,
     MAX_SUPPORT,
     FiniteMeasure,
     MetricSpace,
+    _max_flow,
     _one_sided_defect,
     _subset_matrix,
     euclidean_metric,
@@ -50,6 +54,8 @@ from distnav.navplan import (
 )
 
 SPACE = euclidean_metric()
+# The largest support any subset oracle here enumerates: 2^12 subsets.
+ORACLE_ATOMS = 12
 
 
 def dirac(point):
@@ -272,15 +278,16 @@ def random_sizes(rng, count, largest):
 
 
 def defect_calls(monkeypatch):
-    """Record each _one_sided_defect call of lp_distance as (eps, w_b dtype)."""
+    """Record each defect evaluation of lp_distance as (eps, dtype of the
+    masses), the dtype None where the max flow takes Python int lists."""
     calls = []
-    shipped = measures._one_sided_defect
+    shipped = measures._defect
 
-    def recorded(eps, mass_a, w_b, dist_ab, subsets):
-        calls.append((eps, w_b.dtype))
-        return shipped(eps, mass_a, w_b, dist_ab, subsets)
+    def recorded(eps, a, w_b, dist_ab, table):
+        calls.append((eps, getattr(w_b, "dtype", None)))
+        return shipped(eps, a, w_b, dist_ab, table)
 
-    monkeypatch.setattr(measures, "_one_sided_defect", recorded)
+    monkeypatch.setattr(measures, "_defect", recorded)
     return calls
 
 
@@ -397,11 +404,13 @@ def test_precision_does_not_change_the_exact_distance():
 
 
 def test_support_cap_and_precision_guard():
-    big = FiniteMeasure([(np.array([float(i)]), Fraction(1, 13)) for i in range(13)])
+    big = FiniteMeasure([(np.array([float(i)]), Fraction(1, 65)) for i in range(65)])
     small = dirac([0.0])
     assert len(big) == MAX_SUPPORT + 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"65 atoms is over the cap of 64 \(MAX_SUPPORT\)"):
         lp_distance(big, small, SPACE)
+    with pytest.raises(ValueError, match=r"\(MAX_SUPPORT\)"):
+        lp_distance(small, big, SPACE)
     with pytest.raises(ValueError):
         lp_distance(small, small, SPACE, precision=0.0)
 
@@ -424,40 +433,83 @@ def test_bisection_matches_union_subset_oracle():
 def test_exact_distance_within_bisection_bracket():
     rng = random.Random(20261018)
     for _ in range(40):
-        mu = random_measure(rng, max_atoms=MAX_SUPPORT, dim=3)
-        nu = random_measure(rng, max_atoms=MAX_SUPPORT, dim=3)
+        mu = random_measure(rng, max_atoms=ORACLE_ATOMS, dim=3)
+        nu = random_measure(rng, max_atoms=ORACLE_ATOMS, dim=3)
         for precision in (1e-9, 1e-12):
             exact = lp_distance(mu, nu, SPACE, precision=precision)
             hi = lp_bisection(mu, nu, SPACE, precision)
             assert hi - precision <= exact <= hi, (exact, hi, precision)
 
 
+def integer_masses(mu, nu):
+    """Both measures' weights as integer masses over one common denominator."""
+    weights = [Fraction(w) for w in mu.weights() + nu.weights()]
+    den = math.lcm(*(w.denominator for w in weights))
+    masses = [w.numerator * (den // w.denominator) for w in weights]
+    return masses[: len(mu)], masses[len(mu) :], den
+
+
 def test_one_sided_defects_agree_at_every_breakpoint():
     # Strassen (1965), or max-flow/min-cut: max_A [mu(A) - nu(A^eps)] is mu's
     # total minus the maximum flow along pairs at most eps apart, so the
     # nu-side defect is the mu-side one plus nu's total minus mu's, exactly,
-    # at every eps.  Exact, float and 2^-100 weights, on integer masses.
+    # at every eps.  The max flow gives the subset table's defect on both
+    # sides of FLOW_ATOMS.  Exact, float and 2^-100 weights, on integer masses.
     rng = random.Random(1965)
-    sizes = random_sizes(rng, 6, 9) + [(1, 1), (7, 7), (MAX_SUPPORT, 3), (MAX_SUPPORT, MAX_SUPPORT)]
+    sizes = random_sizes(rng, 10, ORACLE_ATOMS) + [(1, 1), (7, 7), (ORACLE_ATOMS, 3), (3, ORACLE_ATOMS)]
+    sizes += [(10, 12), (11, 11), (12, 11), (12, 12)]
+    assert min(map(min, sizes)) < FLOW_ATOMS <= max(map(min, sizes))
     for mu, nu, _ in mixed_pairs(rng, sizes):
         dist = weights_and_distances(mu, nu, SPACE)[2]
-        weights = [Fraction(w) for w in mu.weights() + nu.weights()]
-        den = math.lcm(*(w.denominator for w in weights))
-        masses = [w.numerator * (den // w.denominator) for w in weights]
+        masses_m, masses_n, den = integer_masses(mu, nu)
         dtype = np.int64 if den < 1 << 63 else object
-        wm, wn = np.array(masses[: len(mu)], dtype=dtype), np.array(masses[len(mu) :], dtype=dtype)
-        surplus = sum(masses[len(mu) :]) - sum(masses[: len(mu)])
+        wm, wn = np.array(masses_m, dtype=dtype), np.array(masses_n, dtype=dtype)
+        surplus = sum(masses_n) - sum(masses_m)
         subs_m, subs_n = _subset_matrix(len(mu), np.int64), _subset_matrix(len(nu), np.int64)
         mass_m, mass_n = subs_m @ wm, subs_n @ wn
+        order_m, order_n = np.argsort(dist, axis=1).tolist(), np.argsort(dist.T, axis=1).tolist()
         for eps in np.concatenate(([0.0], np.sort(dist, axis=None), [1.0])):
             from_mu = _one_sided_defect(eps, mass_m, wn, dist, subs_m)
             from_nu = _one_sided_defect(eps, mass_n, wm, dist.T, subs_n)
             assert isinstance(from_mu, int) and from_nu == from_mu + surplus, (eps, from_mu, from_nu)
+            assert _max_flow(eps, masses_m, masses_n, dist, order_m)[0] == from_mu, (len(mu), len(nu), eps)
+            assert _max_flow(eps, masses_n, masses_m, dist.T, order_n)[0] == from_nu, (len(mu), len(nu), eps)
             if den < 1 << 53:
                 assert from_mu == subset_defect(eps, wm.astype(float), wn.astype(float), dist)
 
 
-@pytest.mark.parametrize("size", [8, MAX_SUPPORT])
+def test_max_flow_and_residual_cut_certify_the_defect_past_the_table():
+    # Past ORACLE_ATOMS no subset oracle runs.  A feasible flow that leaves
+    # d of a unsent bounds the defect by d from above; the rows A reachable
+    # in its residual graph give a(A) - b(A^eps), a lower bound.  Both equal
+    # the returned defect, so it is the maximum over all 2^n subsets.
+    rng = random.Random(6413)
+    sizes = [(rng.randint(13, MAX_SUPPORT), rng.randint(13, MAX_SUPPORT)) for _ in range(6)]
+    sizes += [(13, MAX_SUPPORT), (MAX_SUPPORT, 13), (MAX_SUPPORT, MAX_SUPPORT)]
+    for mu, nu, _ in mixed_pairs(rng, sizes):
+        dist = weights_and_distances(mu, nu, SPACE)[2]
+        masses_m, masses_n, _ = integer_masses(mu, nu)
+        sides = [(masses_m, masses_n, dist), (masses_n, masses_m, dist.T)]
+        for eps in np.concatenate(([0.0], np.quantile(dist, np.linspace(0.0, 1.0, 9), method="lower"), [1.0])):
+            defects = []
+            for w_a, w_b, dist_ab in sides:
+                defect, reachable, flow = _max_flow(eps, w_a, w_b, dist_ab, np.argsort(dist_ab, axis=1).tolist())
+                near = dist_ab <= eps
+                sent = [0] * len(w_a)
+                for j, into in enumerate(flow):
+                    assert sum(into.values()) <= w_b[j]
+                    for i, amount in into.items():
+                        assert amount > 0 and near[i, j], (i, j, amount)
+                        sent[i] += amount
+                assert all(s <= w for s, w in zip(sent, w_a))
+                assert sum(w_a) - sum(sent) == defect
+                fat = near[reachable].any(axis=0)
+                assert sum(w_a[i] for i in reachable) - sum(w for w, f in zip(w_b, fat) if f) == defect
+                defects.append(defect)
+            assert defects[1] - defects[0] == sum(masses_n) - sum(masses_m), (len(mu), len(nu), eps)
+
+
+@pytest.mark.parametrize("size", [8, ORACLE_ATOMS, MAX_SUPPORT])
 def test_reordered_self_pairs_are_near_zero(size):
     # Equal measures whose atoms come in another order: their integer
     # masses give equal subset sums in any order, so the distance is
@@ -476,8 +528,8 @@ def test_agrees_with_the_float_oracle_on_one_to_twelve_atoms():
     # The old float64 search rounds its defects by an ulp or so; exact
     # masses may move the distance in its last bits, never further.
     rng = random.Random(20261019)
-    pairs = mixed_pairs(rng, random_sizes(rng, 50, MAX_SUPPORT))
-    pairs += mixed_pairs(rng, [(size, size) for size in range(1, MAX_SUPPORT + 1)])
+    pairs = mixed_pairs(rng, random_sizes(rng, 50, ORACLE_ATOMS))
+    pairs += mixed_pairs(rng, [(size, size) for size in range(1, ORACLE_ATOMS + 1)])
     pairs += plan_pairs(rng)
     for mu, nu, space in pairs:
         got, old = lp_distance(mu, nu, space), lp_float_oracle(mu, nu, space)
@@ -490,7 +542,7 @@ def test_equals_the_fraction_oracle_bit_for_bit_in_every_dtype(monkeypatch):
     # ints beyond (a weight of 2^-100).  Each must give the exact defect.
     calls = defect_calls(monkeypatch)
     rng = random.Random(53)
-    pairs = mixed_pairs(rng, random_sizes(rng, 12, 5) + [(MAX_SUPPORT, 1), (2, 9)]) + plan_pairs(rng)
+    pairs = mixed_pairs(rng, random_sizes(rng, 12, 5) + [(ORACLE_ATOMS, 1), (2, 9)]) + plan_pairs(rng)
     for mu, nu, space in pairs:
         assert lp_distance(mu, nu, space) == lp_fraction_oracle(mu, nu, space), (len(mu), len(nu))
     assert {dtype for _, dtype in calls} == {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
@@ -499,7 +551,7 @@ def test_equals_the_fraction_oracle_bit_for_bit_in_every_dtype(monkeypatch):
 def test_distance_is_symmetric_bit_for_bit():
     rng = random.Random(1214)
     pairs = mixed_pairs(rng, random_sizes(rng, 20, MAX_SUPPORT))
-    pairs += mixed_pairs(rng, [(size, size) for size in (1, 6, MAX_SUPPORT)])
+    pairs += mixed_pairs(rng, [(size, size) for size in (1, 6, ORACLE_ATOMS, MAX_SUPPORT)])
     pairs += plan_pairs(rng)
     for mu, nu, space in pairs:
         assert lp_distance(mu, nu, space) == lp_distance(nu, mu, space)
