@@ -20,22 +20,20 @@ is computed exactly, given the float pairwise distances.  Each measure
 holds its weights as integer numerators over their least common
 denominator (exact for Fraction and float weights alike, built on first
 use), and ``lp_distance`` scales both measures to one denominator, so
-subset sums and defects are exact integers and only the distances are
-floats.  The one-sided defect max_A [mu(A) - nu(A^eps)] may let A range
-over subsets of supp(mu) alone (enlarging A by points of zero mu-mass only
+masses and defects are exact integers and only the distances are floats.
+The one-sided defect max_A [mu(A) - nu(A^eps)] may let A range over
+subsets of supp(mu) alone (enlarging A by points of zero mu-mass only
 weakens the constraint), and by Strassen's theorem (1965), or
 max-flow/min-cut, it equals mu's total minus the maximum flow from mu to nu
 along pairs at most eps apart, so the nu-side defect is the mu-side one
-plus nu's total minus mu's, exactly, at every eps.  One search on the
-smaller support, or on mu's on a size tie, serves every pair, adding the
-other side's surplus mass when it is positive (float totals may miss 1 in
-the last bits).  Below FLOW_ATOMS atoms that search enumerates the
-support's subsets, at most 2^10 of them; from FLOW_ATOMS to MAX_SUPPORT
-atoms it computes the maximum flow instead, in Python ints, which gives the
-same integer defect.  The defect is a non-increasing step function of eps
-that changes only at pairwise distances, and the distance never exceeds 1,
-so a binary search over those breakpoints in [0, 1] finds the least
-feasible eps with no bisection tolerance.
+plus nu's total minus mu's, exactly, at every eps.  One max flow from the
+smaller support, or from mu's on a size tie, computed in Python ints,
+serves every pair at every size up to MAX_SUPPORT, adding the other side's
+surplus mass when it is positive (float totals may miss 1 in the last
+bits).  The defect is a non-increasing step function of eps that changes
+only at pairwise distances, and the distance never exceeds 1, so a binary
+search over those breakpoints in [0, 1] finds the least feasible eps with
+no bisection tolerance.
 """
 
 from __future__ import annotations
@@ -63,8 +61,6 @@ __all__ = [
 ]
 
 MAX_SUPPORT = 64
-# The smallest support searched by max flow rather than the subset table.
-FLOW_ATOMS = 11
 
 
 @dataclass(frozen=True)
@@ -207,48 +203,6 @@ def product_measure(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
 
 # -- Levy-Prokhorov ------------------------------------------------------------
 
-_subset_cache: dict[tuple[int, type], np.ndarray] = {}
-
-
-def _subset_matrix(n: int, dtype: type = np.float64) -> np.ndarray:
-    """All 2^n indicator rows over n support points, as zeros and ones.
-
-    Row m holds the bits of m.  The float64 table is built by doubling, in
-    place, with no temporaries of its size: those fragmented the heap each
-    time a fresh import rebuilt the table, and left the process about 1 MB
-    larger.  The int64 table, for integer masses, is a copy of it.
-    """
-    key = (n, dtype)
-    if key not in _subset_cache:
-        if dtype is np.float64:
-            table = np.zeros((1 << n, n))
-            for i in range(n):
-                upper = table[1 << i : 2 << i]
-                upper[:] = table[: 1 << i]
-                upper[:, i] = 1.0
-        else:
-            table = _subset_matrix(n).astype(dtype)
-        _subset_cache[key] = table
-    return _subset_cache[key]
-
-
-def _one_sided_defect(
-    eps: float,
-    mass_a: np.ndarray,
-    w_b: np.ndarray,
-    dist_ab: np.ndarray,
-    subsets: np.ndarray,
-) -> int:
-    """max_A [a(A) - b(A^eps)] over subsets A of supp(a), given mass_a = subsets @ w_a.
-
-    Masses are integers, held exactly in ``w_b``'s dtype, so the defect is
-    an exact integer too.
-    """
-    covered = subsets @ (dist_ab <= eps)
-    np.minimum(covered, 1, out=covered)
-    return int((mass_a - covered @ w_b).max())
-
-
 def _max_flow(
     eps: float,
     w_a: list[int],
@@ -331,19 +285,6 @@ def _max_flow(
             i = came[j]
 
 
-def _defect(eps: float, a, w_b, dist_ab: np.ndarray, table) -> int:
-    """The one-sided defect max_A [a(A) - b(A^eps)], exactly.
-
-    Below FLOW_ATOMS rows by the subset table: ``a`` holds the subset sums
-    and ``table`` the subsets (``_one_sided_defect``).  From FLOW_ATOMS rows
-    on by max flow: ``a`` and ``w_b`` are lists of masses and ``table`` each
-    row's column order (``_max_flow``).
-    """
-    if len(dist_ab) < FLOW_ATOMS:
-        return _one_sided_defect(eps, a, w_b, dist_ab, table)
-    return _max_flow(eps, a, w_b, dist_ab, table)[0]
-
-
 def lp_distance(
     mu: FiniteMeasure,
     nu: FiniteMeasure,
@@ -356,11 +297,11 @@ def lp_distance(
     so only the distances are floats: ``lp_distance(mu, nu) ==
     lp_distance(nu, mu)`` bit for bit, and equal measures lie exactly 0.0
     apart whatever the order of their atoms.  Every pair takes one search
-    on the smaller support, for both inequality families: over its subsets
-    below FLOW_ATOMS atoms, by max flow from there on.  ``precision`` must
-    be positive and finite; the result does not depend on it.  Raises
-    ValueError when either support exceeds MAX_SUPPORT points, or when two
-    points have coordinates of different shapes.
+    on the smaller support, for both inequality families, with each defect
+    from a max flow.  ``precision`` must be positive and finite; the result
+    does not depend on it.  Raises ValueError when either support exceeds
+    MAX_SUPPORT points, or when two points have coordinates of different
+    shapes.
 
     Two Dirac measures lie min(|p - q|, 1) apart:
 
@@ -391,16 +332,7 @@ def lp_distance(
     if len(nu) < len(mu):
         a, b, dist, total_m, total_n = b, a, dist.T, total_n, total_m
     surplus = max(0, total_n - total_m)
-    if len(a) < FLOW_ATOMS:
-        # float64, and BLAS, while every subset sum is an exact float; else
-        # an integer dtype end to end (a float table would promote the
-        # products), Python ints beyond int64.
-        total = max(total_m, total_n)
-        dtype = np.float64 if total < 1 << 53 else np.int64 if total < 1 << 63 else object
-        table = _subset_matrix(len(a), np.float64 if dtype is np.float64 else np.int64)
-        a, b = table @ np.array(a, dtype=dtype), np.array(b, dtype=dtype)
-    else:
-        table = np.argsort(dist, axis=1).tolist()
+    order = np.argsort(dist, axis=1).tolist()
     inner = np.sort(dist, axis=None)
     breaks = np.concatenate(([0.0], inner[(inner > 0.0) & (inner < 1.0)], [1.0]))
     # First breakpoint D_k with defect(D_k) <= D_k, that is defect * q <=
@@ -412,7 +344,7 @@ def lp_distance(
         mid = (lo + hi) // 2
         eps = float(breaks[mid])
         p, q = eps.as_integer_ratio()
-        defect = _defect(eps, a, b, dist, table) + surplus
+        defect = _max_flow(eps, a, b, dist, order)[0] + surplus
         if defect * q <= p * den:
             hi = mid
         else:

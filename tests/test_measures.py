@@ -10,14 +10,15 @@ float64 weights, searching both sides when the support sizes tie; the
 shipped search, on exact integer masses, must stay within 1e-12 of it.
 ``lp_fraction_oracle`` is the two-sided definition on ``Fraction`` masses in
 pure Python, each side over subsets of its own support, and the shipped
-search must equal it bit for bit, whatever dtype holds the masses. The
-shipped search enumerates subsets of the smaller support only and adds the
-other side's surplus mass; agreement here confirms both reductions.
-``oracle_matrix_space`` builds the distance matrix one pair at a time, and
-the one-call matrix of ``lp_distance`` must give the same distance bit for
-bit. From FLOW_ATOMS atoms on the shipped search takes the defect from a
-max flow; the subset table checks it up to ORACLE_ATOMS, and past those the
-flow and its residual cut certify each other.
+search must equal it bit for bit, at common denominators below 2^53, up to
+2^63 and beyond. The shipped search runs one max flow from the smaller
+support only and adds the other side's surplus mass; agreement here
+confirms both reductions. ``oracle_matrix_space`` builds the distance matrix
+one pair at a time, and the one-call matrix of ``lp_distance`` must give
+the same distance bit for bit. ``subset_table_defect``, the subset table
+the search once used below 11 atoms, checks the max flow's defect on both
+sides at every breakpoint up to ORACLE_ATOMS; past those the flow and its
+residual cut certify each other.
 """
 
 import math
@@ -30,13 +31,10 @@ import pytest
 import distnav.measures as measures
 from distnav.gcring import MAX_LITERAL_EXPONENT
 from distnav.measures import (
-    FLOW_ATOMS,
     MAX_SUPPORT,
     FiniteMeasure,
     MetricSpace,
     _max_flow,
-    _one_sided_defect,
-    _subset_matrix,
     euclidean_metric,
     lp_distance,
     measure_from_jsonable,
@@ -278,16 +276,15 @@ def random_sizes(rng, count, largest):
 
 
 def defect_calls(monkeypatch):
-    """Record each defect evaluation of lp_distance as (eps, dtype of the
-    masses), the dtype None where the max flow takes Python int lists."""
+    """Record the eps of each max flow that lp_distance runs."""
     calls = []
-    shipped = measures._defect
+    shipped = measures._max_flow
 
-    def recorded(eps, a, w_b, dist_ab, table):
-        calls.append((eps, getattr(w_b, "dtype", None)))
-        return shipped(eps, a, w_b, dist_ab, table)
+    def recorded(eps, w_a, w_b, dist_ab, order):
+        calls.append(eps)
+        return shipped(eps, w_a, w_b, dist_ab, order)
 
-    monkeypatch.setattr(measures, "_defect", recorded)
+    monkeypatch.setattr(measures, "_max_flow", recorded)
     return calls
 
 
@@ -449,33 +446,58 @@ def integer_masses(mu, nu):
     return masses[: len(mu)], masses[len(mu) :], den
 
 
+def subset_table_defect(w_a, w_b, dist_ab):
+    """The subset table that lp_distance once used below 11 atoms, as a
+    function of eps: max_A [a(A) - b(A^eps)] over all 2^n subsets A of
+    supp(a).
+
+    Masses are Python ints in object arrays, so the defect is exact at any
+    common denominator, 2^-100 weights included.  ``mass_b[c]`` is b's mass
+    on the columns whose bits are set in c, and A^eps is coded by those bits.
+    """
+
+    def bits(k):
+        return (np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1
+
+    n, m = dist_ab.shape
+    subsets = bits(n)
+    mass_a = subsets @ np.array(w_a, dtype=object)
+    mass_b = bits(m) @ np.array(w_b, dtype=object)
+    powers = 1 << np.arange(m)
+
+    def defect(eps):
+        covered = subsets @ (dist_ab <= eps) > 0
+        return int((mass_a - mass_b[covered @ powers]).max())
+
+    return defect
+
+
 def test_one_sided_defects_agree_at_every_breakpoint():
     # Strassen (1965), or max-flow/min-cut: max_A [mu(A) - nu(A^eps)] is mu's
     # total minus the maximum flow along pairs at most eps apart, so the
     # nu-side defect is the mu-side one plus nu's total minus mu's, exactly,
     # at every eps.  The max flow gives the subset table's defect on both
-    # sides of FLOW_ATOMS.  Exact, float and 2^-100 weights, on integer masses.
+    # sides, at every smaller-side size up to ORACLE_ATOMS.  Exact, float and
+    # 2^-100 weights, on integer masses.
     rng = random.Random(1965)
     sizes = random_sizes(rng, 10, ORACLE_ATOMS) + [(1, 1), (7, 7), (ORACLE_ATOMS, 3), (3, ORACLE_ATOMS)]
-    sizes += [(10, 12), (11, 11), (12, 11), (12, 12)]
-    assert min(map(min, sizes)) < FLOW_ATOMS <= max(map(min, sizes))
+    sizes += [(10, 12), (11, 11), (12, 11), (12, 12), (8, 10), (9, 9)]
+    assert {min(size) for size in sizes} == set(range(1, ORACLE_ATOMS + 1))
     for mu, nu, _ in mixed_pairs(rng, sizes):
         dist = weights_and_distances(mu, nu, SPACE)[2]
         masses_m, masses_n, den = integer_masses(mu, nu)
-        dtype = np.int64 if den < 1 << 63 else object
-        wm, wn = np.array(masses_m, dtype=dtype), np.array(masses_n, dtype=dtype)
         surplus = sum(masses_n) - sum(masses_m)
-        subs_m, subs_n = _subset_matrix(len(mu), np.int64), _subset_matrix(len(nu), np.int64)
-        mass_m, mass_n = subs_m @ wm, subs_n @ wn
+        table_m = subset_table_defect(masses_m, masses_n, dist)
+        table_n = subset_table_defect(masses_n, masses_m, dist.T)
         order_m, order_n = np.argsort(dist, axis=1).tolist(), np.argsort(dist.T, axis=1).tolist()
         for eps in np.concatenate(([0.0], np.sort(dist, axis=None), [1.0])):
-            from_mu = _one_sided_defect(eps, mass_m, wn, dist, subs_m)
-            from_nu = _one_sided_defect(eps, mass_n, wm, dist.T, subs_n)
-            assert isinstance(from_mu, int) and from_nu == from_mu + surplus, (eps, from_mu, from_nu)
+            from_mu, from_nu = table_m(eps), table_n(eps)
+            assert from_nu == from_mu + surplus, (eps, from_mu, from_nu)
             assert _max_flow(eps, masses_m, masses_n, dist, order_m)[0] == from_mu, (len(mu), len(nu), eps)
             assert _max_flow(eps, masses_n, masses_m, dist.T, order_n)[0] == from_nu, (len(mu), len(nu), eps)
             if den < 1 << 53:
-                assert from_mu == subset_defect(eps, wm.astype(float), wn.astype(float), dist)
+                wm, wn = np.array(masses_m, dtype=float), np.array(masses_n, dtype=float)
+                assert from_mu == subset_defect(eps, wm, wn, dist)
 
 
 def test_max_flow_and_residual_cut_certify_the_defect_past_the_table():
@@ -536,16 +558,17 @@ def test_agrees_with_the_float_oracle_on_one_to_twelve_atoms():
         assert abs(got - old) <= 1e-12, (len(mu), len(nu), mu.mode, nu.mode, got, old)
 
 
-def test_equals_the_fraction_oracle_bit_for_bit_in_every_dtype(monkeypatch):
-    # Masses go to float64 while every subset sum is below 2^53, to int64
-    # below 2^63 (float weights, denominators 2^53 and more) and to Python
-    # ints beyond (a weight of 2^-100).  Each must give the exact defect.
-    calls = defect_calls(monkeypatch)
+def test_equals_the_fraction_oracle_bit_for_bit_at_every_denominator():
+    # Common denominators below 2^53 (exact weights), from 2^53 to 2^63
+    # (float weights) and beyond (a weight of 2^-100): the masses exceed
+    # float64's exact integers and then int64, and each must still give the
+    # exact defect.
     rng = random.Random(53)
     pairs = mixed_pairs(rng, random_sizes(rng, 12, 5) + [(ORACLE_ATOMS, 1), (2, 9)]) + plan_pairs(rng)
     for mu, nu, space in pairs:
         assert lp_distance(mu, nu, space) == lp_fraction_oracle(mu, nu, space), (len(mu), len(nu))
-    assert {dtype for _, dtype in calls} == {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
+    dens = [integer_masses(mu, nu)[2] for mu, nu, _ in pairs]
+    assert {0 if den < 1 << 53 else 1 if den < 1 << 63 else 2 for den in dens} == {0, 1, 2}
 
 
 def test_distance_is_symmetric_bit_for_bit():
@@ -568,8 +591,7 @@ def test_equal_totals_search_one_side(monkeypatch):
     for mu, nu, space in pairs:
         calls.clear()
         lp_distance(mu, nu, space)
-        steps = [eps for eps, _ in calls]
-        assert len(steps) == len(set(steps)) >= 1, (len(mu), len(nu), mu.mode, nu.mode)
+        assert len(calls) == len(set(calls)) >= 1, (len(mu), len(nu), mu.mode, nu.mode)
     totals = [(len(mu) == len(nu), *(sum(map(Fraction, m.weights())) for m in (mu, nu))) for mu, nu, _ in pairs]
     assert {tied for tied, total_mu, total_nu in totals if total_mu != total_nu} == {True, False}
 
