@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .gcring import (
+    MAX_SERIES_DEGREE,
     GradedElement,
     RingMap,
     RingPresentation,
@@ -38,6 +39,7 @@ from .gcring import (
     check_series_degree,
     element,
     element_degree,
+    element_to_json,
     gen,
     is_zero,
     multiply,
@@ -67,6 +69,8 @@ __all__ = [
     "MAX_WITNESS_WORK",
     "witness_work",
     "check_witness_work",
+    "LIVE_WITNESS_WORK",
+    "witness_is_live",
 ]
 
 # Pairs of terms (accumulator terms times factor terms) a cup-length chain
@@ -154,13 +158,7 @@ class NonzeroCertificate:
 def certificate_to_dict(cert: NonzeroCertificate) -> dict:
     return {
         "ring": cert.ring_name,
-        "factors": [
-            sorted(
-                ({"coeff": str(c), "monomial": list(w)} for w, c in f.terms.items()),
-                key=lambda t: t["monomial"],
-            )
-            for f in cert.factors
-        ],
+        "factors": [element_to_json(f) for f in cert.factors],
         "witness_monomial": list(cert.witness_monomial),
         "coefficient": str(cert.coefficient),
         "bound": cert.bound,
@@ -230,30 +228,41 @@ def witness_work(d: int, m: int, n: int, r: int) -> int:
     moves one strand at a time.  ``terms`` is the larger of the final term
     count (_witness_terms) and 6 * 5^(m-2), which bounds the peak partial
     product measured in both parities: 6, 22, 88, 372, 1630, 7302, 33142
-    and 151562 terms for m = 2..9.  Parameters out of range give 0;
-    fn_fiber_product names them.
+    and 151562 terms for m = 2..9.  Raises ValueError for a cell out of
+    range (presentations.fn_witness_length).
     """
-    if d < 2 or m < 2 or n < 1 or r < 2:
-        return 0
     length = fn_witness_length(d, m, n, r)
     terms = max(_witness_terms(d, m, n, r), 6 * 5 ** (m - 2))
     return terms * length * (length + m + n)
 
 
 def check_witness_work(d: int, m: int, n: int, r: int) -> None:
-    """Raise ValueError when the witness degree is over MAX_SERIES_DEGREE or
-    witness_work exceeds MAX_WITNESS_WORK, in that order, as building the
-    cell and then its witness would.  Parameters out of range pass;
-    fn_fiber_product names them."""
+    """Raise ValueError when the cell is out of range, its witness degree is
+    over MAX_SERIES_DEGREE or witness_work exceeds MAX_WITNESS_WORK, in that
+    order, as building the cell and then its witness would.  The degree
+    bounds m, n and r, so the estimate of a huge cell is never formed."""
+    check_series_degree(fn_witness_length(d, m, n, r) * (d - 1))
     work = witness_work(d, m, n, r)
-    if work:
-        check_series_degree(fn_witness_length(d, m, n, r) * (d - 1))
     if work > MAX_WITNESS_WORK:
         raise ValueError(
             f"fn witness at d={d}, m={m}, n={n}, r={r} has "
             f"{fn_witness_length(d, m, n, r)} factors and a work estimate of {work}, "
             f"over {MAX_WITNESS_WORK} (MAX_WITNESS_WORK)"
         )
+
+
+# Work up to which value fn certifies live: the costliest cell of the old box
+# d, m in {2, 3}, n in {1, 2}, r in {2, 3}.  The 3493 cells under it within
+# MAX_SERIES_DEGREE certify in at most 46 ms each (best of 5, shared 2-core host).
+LIVE_WITNESS_WORK = witness_work(2, 3, 2, 3)
+
+
+def witness_is_live(d: int, m: int, n: int, r: int) -> bool:
+    """Whether value fn certifies the cell live: its witness degree is within
+    MAX_SERIES_DEGREE, read first so that a huge cell forms no estimate, and
+    its witness_work within LIVE_WITNESS_WORK.  ValueError out of range."""
+    degree = fn_witness_length(d, m, n, r) * (d - 1)
+    return degree <= MAX_SERIES_DEGREE and witness_work(d, m, n, r) <= LIVE_WITNESS_WORK
 
 
 def verify_witness_fn(fp: FiberProduct) -> NonzeroCertificate:
@@ -305,12 +314,7 @@ def euler_height(P: RingPresentation, e: GradedElement, max_power: int) -> int:
 
 def ring_top_degree(P: RingPresentation, ceiling: int) -> int:
     """Largest degree <= ceiling with a nonzero graded piece."""
-    dims = poincare_series(P, ceiling)
-    top = 0
-    for deg, dim in enumerate(dims):
-        if dim:
-            top = deg
-    return top
+    return max(deg for deg, dim in enumerate(poincare_series(P, ceiling)) if dim)
 
 
 def sphere_bundle_lower_bound(

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Every subcommand prints a single JSON document on standard output with a
-schema_version field.  Exit codes: 0 success, 2 argument error or a request
-over a work cap, 3 validation or certificate failure, 141 when the reader
-closes standard output early.  --cite appends the provenance statements
-behind the numbers.
+Every subcommand, --help aside, prints a single JSON document on standard
+output with a schema_version field, parser errors included.  Exit codes: 0
+success, 2 argument error or a request over a work cap, 3 validation or
+certificate failure, 141 when the reader closes standard output early.
+--cite appends the provenance statements behind the numbers.
 
 Presentation names resolve against the built-in catalog first, then
 against ``$DISTNAV_PRESENTATIONS`` (a directory of ``<name>.json`` files);
@@ -484,6 +484,13 @@ def _cmd_measure_product(args) -> tuple[dict, list[str], int]:
 # -- parser ------------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors as ValueError, which main prints as JSON (exit 2)."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -496,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     stages = argparse.ArgumentParser(add_help=False, parents=[common])
     stages.add_argument("--r", type=int, required=True)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="distnav",
         description="Certified complexity bounds and distributional navigation planners.",
     )
@@ -602,13 +609,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles --help and bad flags
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         payload, tags, code = args.handler(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (ValueError, KeyError, CertificateError) as exc:
         # A bad request is a ValueError or KeyError (2); a failed presentation
         # or certificate check is a validation failure (3).

@@ -49,9 +49,9 @@ a*a -> a2, a*a2 -> 0, a2*a2 -> 0:
     >>> P = RingPresentation(
     ...     generators=(Generator("a", 2), Generator("a2", 4)),
     ...     rules=(
-    ...         RewriteRule(("a", "a"), element([(1, ("a2",))])),
-    ...         RewriteRule(("a", "a2"), zero()),
-    ...         RewriteRule(("a2", "a2"), zero()),
+    ...         (("a", "a"), element([(1, ("a2",))])),
+    ...         (("a", "a2"), zero()),
+    ...         (("a2", "a2"), zero()),
     ...     ),
     ...     name="truncated-example",
     ... )
@@ -73,7 +73,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 __all__ = [
     "Generator",
     "GradedElement",
-    "RewriteRule",
+    "Rule",
     "RingPresentation",
     "PresentationError",
     "element",
@@ -93,6 +93,7 @@ __all__ = [
     "element_degree",
     "poincare_series",
     "MAX_SERIES_DEGREE",
+    "MAX_SERIES_WORDS",
     "MAX_LITERAL_EXPONENT",
     "MAX_LITERAL_LENGTH",
     "parse_rational",
@@ -103,6 +104,7 @@ __all__ = [
     "check_confluence",
     "MAX_CONFLUENCE_CANDIDATES",
     "ConfluenceReport",
+    "element_to_json",
     "presentation_to_dict",
     "presentation_from_dict",
     "read_json_file",
@@ -119,6 +121,11 @@ IWord = tuple[int, ...]  # a word as generator indices, the kernel's encoding
 # about 0.09 s (3.1 s with the dense loop) and (3,2,1,255) in 0.04 s;
 # single runs on a shared 2-core host.  Test and benchmark cells gate below 60.
 MAX_SERIES_DEGREE = 512
+
+# Words one Poincare series may enumerate, over all components: about 1 s at
+# 1 us a word.  A loaded chain of 24 degree-2 generators (g_i * g_(i+1) -> 0)
+# counted 43508106 to degree 24 in 40.8 s; shipped rings and gates count < 2000.
+MAX_SERIES_WORDS = 2**20
 
 # Rules a ring may have, counted before any generator is built: in closed
 # form by the catalog builders, in the document for a loaded one.  Building
@@ -203,17 +210,7 @@ class GradedElement:
         return bool(self.terms)
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    """Directed rule: the product lhs[0]*lhs[1] rewrites to ``rhs``.
-
-    The left side is stored in canonical (registration) order; the right side
-    must be degree-homogeneous of the same degree and strictly smaller in the
-    termination order.  Both are validated by RingPresentation.
-    """
-
-    lhs: tuple[str, str]
-    rhs: GradedElement
+Rule = tuple[tuple[str, str], GradedElement]  # (lhs, rhs), checked by RingPresentation
 
 
 def zero() -> GradedElement:
@@ -235,18 +232,19 @@ def element(terms: Iterable[tuple[int | Fraction, Word]]) -> GradedElement:
 class RingPresentation:
     """A finitely presented graded-commutative ring with directed rules.
 
-    Besides the name-level view (``generators``, ``rules``) it holds the
-    coded rule table, filled as each rule is admitted: the rule on the left
-    side (i, j), i <= j, is the one entry ``_partners[i][j]`` and
-    ``_partners[j][i]``.  An entry lists the right-hand terms as (index word,
-    coefficient, bit set of its generators, bit set of its odd generators);
-    a term with a repeated odd factor vanishes and is left out.
+    Rules come as (lhs, rhs) pairs, a left side at most once.  Besides the
+    name-level view (``generators``, ``rules`` from each lhs to its rhs) it
+    holds the coded rule table, filled as each rule is admitted: the rule on
+    the left side (i, j), i <= j, is the one entry ``_partners[i][j]`` and
+    ``_partners[j][i]``.  An entry lists the right-hand terms as (index
+    word, coefficient, bit set of its generators, bit set of its odd
+    generators); a term with a repeated odd factor vanishes and is left out.
     """
 
     def __init__(
         self,
         generators: Sequence[Generator],
-        rules: Sequence[RewriteRule],
+        rules: Iterable[Rule],
         name: str = "",
     ) -> None:
         self.generators = tuple(generators)
@@ -261,43 +259,43 @@ class RingPresentation:
         self._oddbit = tuple(odd << i for i, odd in enumerate(self._oddf))
         self.rules: dict[tuple[str, str], GradedElement] = {}
         self._partners: list[dict[int, tuple]] = [{} for _ in self.generators]
-        for rule in rules:
-            self._admit_rule(rule)
+        for lhs, rhs in rules:
+            self._admit_rule(lhs, rhs)
 
     # -- structural checks -------------------------------------------------
 
-    def _admit_rule(self, rule: RewriteRule) -> None:
+    def _admit_rule(self, lhs: tuple[str, str], rhs: GradedElement) -> None:
         """Check one rule and enter it, coded, in the rule table."""
-        a, b = rule.lhs
+        a, b = lhs
         for g in (a, b):
             if g not in self._index:
-                raise PresentationError(f"rule {rule.lhs} uses unknown generator {g!r}")
+                raise PresentationError(f"rule {lhs} uses unknown generator {g!r}")
         i, j = self._index[a], self._index[b]
         if i > j:
-            raise PresentationError(f"rule lhs {rule.lhs} not in canonical order")
-        if rule.lhs in self.rules:
-            raise PresentationError(f"duplicate rule for pair {rule.lhs}")
+            raise PresentationError(f"rule lhs {lhs} not in canonical order")
+        if lhs in self.rules:
+            raise PresentationError(f"duplicate rule for pair {lhs}")
         lhs_degree = self._degree[a] + self._degree[b]
-        lhs_key = self._termination_key((a, b))
+        lhs_key = self._termination_key(lhs)
         entry = []
-        for word, coeff in rule.rhs.terms.items():
+        for word, coeff in rhs.terms.items():
             if self.word_degree(word) != lhs_degree:
                 raise PresentationError(
-                    f"rule {rule.lhs}: rhs term {word} has degree "
+                    f"rule {lhs}: rhs term {word} has degree "
                     f"{self.word_degree(word)}, lhs has {lhs_degree}"
                 )
             iword = tuple(self._index[g] for g in word)
             if list(iword) != sorted(iword):
-                raise PresentationError(f"rule {rule.lhs}: rhs term {word} not canonical")
+                raise PresentationError(f"rule {lhs}: rhs term {word} not canonical")
             if not self._termination_key(word) < lhs_key:
                 raise PresentationError(
-                    f"rule {rule.lhs}: rhs term {word} does not decrease the termination order"
+                    f"rule {lhs}: rhs term {word} does not decrease the termination order"
                 )
             odd = [g for g in iword if self._oddf[g]]
             if len(set(odd)) == len(odd):
                 c = coeff.numerator if coeff.denominator == 1 else coeff
                 entry.append((iword, c, _mask(iword), _odd_mask(self, iword)))
-        self.rules[rule.lhs] = rule.rhs
+        self.rules[lhs] = rhs
         self._partners[i][j] = self._partners[j][i] = tuple(entry)
 
     def _termination_key(self, word: Word) -> tuple[int, ...]:
@@ -785,14 +783,21 @@ def _rule_components(exclusions: Sequence[int]) -> list[list[int]]:
     return components
 
 
-def _count_admissible(slots: Sequence[tuple[int, int, int]], max_degree: int) -> list[int]:
+def _count_admissible(slots: Sequence[tuple[int, int, int]], max_degree: int, budget: int) -> list[int]:
     """Admissible words over ``slots``, (degree, exclusions, own bit) per
     generator, counted by degree up to max_degree.  Words grow with
     nondecreasing slot, carried as the bit set of their generators: g may
-    join unless it excludes one of them, itself included."""
+    join unless it excludes one of them, itself included.  Raises ValueError
+    on enumerating word ``budget + 1``."""
     dims = [0] * (max_degree + 1)
+    words = 0
 
     def extend(start: int, degree: int, used: int) -> None:
+        nonlocal words
+        words += 1
+        if words > budget:
+            cap = f"{MAX_SERIES_WORDS} admissible words (MAX_SERIES_WORDS)"
+            raise ValueError(f"Poincare series to degree {max_degree} counts over {cap}")
         dims[degree] += 1
         for pos in range(start, len(slots)):
             step, excluded, bit = slots[pos]
@@ -843,6 +848,7 @@ def poincare_series(P: RingPresentation, max_degree: int) -> list[int]:
     it excludes (:func:`_exclusions`), so the series is the truncated product
     of the series of the components of the exclusion graph.  The name-level
     enumeration over all generators stays in the tests as the oracle.
+    Raises ValueError past MAX_SERIES_WORDS words over all components.
 
     >>> P = RingPresentation((Generator("x", 1), Generator("y", 1)), ())
     >>> poincare_series(P, 3)  # components {x} and {y}: (1 + t)^2
@@ -850,10 +856,12 @@ def poincare_series(P: RingPresentation, max_degree: int) -> list[int]:
     """
     check_series_degree(max_degree)
     exclusions = _exclusions(P)
-    dims = [1] + [0] * max_degree
+    dims, budget = [1] + [0] * max_degree, MAX_SERIES_WORDS
     for members in _rule_components(exclusions):
         slots = [(P.generators[g].degree, exclusions[g], 1 << g) for g in members]
-        dims = poly_mul(dims, _count_admissible(slots, max_degree), max_degree)
+        series = _count_admissible(slots, max_degree, budget)
+        budget -= sum(series)
+        dims = poly_mul(dims, series, max_degree)
     return dims
 
 
@@ -922,6 +930,12 @@ def check_confluence(P: RingPresentation) -> ConfluenceReport:
 # -- serialization -------------------------------------------------------------
 
 
+def element_to_json(a: GradedElement) -> list[dict]:
+    """a's terms as {"coeff", "monomial"} objects sorted by monomial, as
+    presentation files write rule right sides and certificates their factors."""
+    return [{"coeff": str(c), "monomial": list(w)} for w, c in sorted(a.terms.items())]
+
+
 def presentation_to_dict(P: RingPresentation) -> dict:
     return {
         "name": P.name,
@@ -929,15 +943,7 @@ def presentation_to_dict(P: RingPresentation) -> dict:
         "generators": [
             {"id": g.name, "degree": g.degree, "rank": g.rank} for g in P.generators
         ],
-        "rules": [
-            {
-                "lhs": list(lhs),
-                "rhs": [
-                    {"coeff": str(c), "monomial": list(w)} for w, c in sorted(rhs.terms.items())
-                ],
-            }
-            for lhs, rhs in sorted(P.rules.items())
-        ],
+        "rules": [{"lhs": list(lhs), "rhs": element_to_json(rhs)} for lhs, rhs in sorted(P.rules.items())],
     }
 
 
@@ -1028,7 +1034,7 @@ def presentation_from_dict(data: Mapping) -> RingPresentation:
             (_json_coefficient(t["coeff"]), tuple(_json_list(t["monomial"], str, "a monomial")))
             for t in _json_list(r["rhs"], dict, f"the rhs of rule {r['lhs']!r}")
         ]
-        rules.append(RewriteRule(lhs, element(terms)))
+        rules.append((lhs, element(terms)))
     return RingPresentation(gens, rules, name=name)
 
 

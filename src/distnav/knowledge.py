@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bounds import CertificateError, NonzeroCertificate, certificate_to_dict, verify_witness_fn
+from .bounds import (
+    CertificateError, NonzeroCertificate, certificate_to_dict, verify_witness_fn, witness_is_live
+)
 from .presentations import fn_fiber_product, fn_witness_length
 
 __all__ = [
@@ -27,7 +29,6 @@ __all__ = [
     "REGISTRY",
     "ProvenanceEntry",
     "ComplexityRecord",
-    "within_desk_scale",
     "value_fadell_neuwirth",
     "value_so3_bundle",
     "value_product_spheres",
@@ -151,30 +152,22 @@ class ComplexityRecord:
         return self.lower if self.lower == self.upper else None
 
 
-def within_desk_scale(d: int, m: int, n: int, r: int) -> bool:
-    """Parameter box where witness certificates run in interactive time."""
-    return d in (2, 3) and m in (2, 3) and n in (1, 2) and r in (2, 3)
-
-
 def value_fadell_neuwirth(d: int, m: int, n: int, r: int) -> ComplexityRecord:
     """Exact value for the forgetful configuration fibration.
 
-    Within desk scale the lower bound is re-certified live by a diagonal-
-    kernel witness product; otherwise both bounds are cited constants.
+    Where bounds.witness_is_live holds, the lower bound is re-certified live
+    by a diagonal-kernel witness product; otherwise both bounds are cited
+    constants.  Raises ValueError for a cell out of range.
     """
-    if d < 2 or m < 2 or r < 2 or n < 1:
-        raise ValueError(f"parameters out of range: d={d}, m={m}, n={n}, r={r}")
     exact = fn_witness_length(d, m, n, r)
     provenance = [
         ProvenanceEntry("configuration-fibration-value"),
         ProvenanceEntry("configuration-fibration-upper-citation"),
     ]
-    if within_desk_scale(d, m, n, r):
+    if witness_is_live(d, m, n, r):
         cert = verify_witness_fn(fn_fiber_product(d, m, n, r))
         if cert.bound != exact:
-            raise CertificateError(
-                f"certificate bound {cert.bound} contradicts closed form {exact}"
-            )
+            raise CertificateError(f"certificate bound {cert.bound} contradicts closed form {exact}")
         provenance.insert(0, ProvenanceEntry(cert.provenance, cert))
     return ComplexityRecord(
         family="fadell-neuwirth",

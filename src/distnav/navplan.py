@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .measures import FiniteMeasure, MetricSpace, euclidean_metric, lp_distance, to_jsonable
+from .measures import MAX_SUPPORT, FiniteMeasure, MetricSpace, euclidean_metric, lp_distance, to_jsonable
 
 __all__ = [
     "ProjectivePoint",
@@ -65,8 +65,8 @@ __all__ = [
 
 COORDINATE_ZERO = 1e-12
 # Checkpoints of a circle or Hopf plan, which has at most one path per
-# checkpoint, each of r - 1 pieces.
-MAX_CHECKPOINTS = 64
+# checkpoint, each of r - 1 pieces: a plan must fit lp_distance.
+MAX_CHECKPOINTS = MAX_SUPPORT
 
 
 # -- points ---------------------------------------------------------------------
@@ -108,10 +108,6 @@ class ProjectivePoint:
     """
 
     vec: tuple[float, ...]
-
-    @staticmethod
-    def from_vector(v: Sequence[float]) -> "ProjectivePoint":
-        return _canonical_line(_unit(v, np.size(v)))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.vec, dtype=dtype)

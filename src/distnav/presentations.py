@@ -52,8 +52,8 @@ from .gcring import (
     GradedElement,
     Generator,
     PresentationError,
-    RewriteRule,
     RingPresentation,
+    Rule,
     check_rule_count,
     check_series_degree,
     element,
@@ -112,7 +112,7 @@ def complex_projective(n: int) -> RingPresentation:
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             rhs = element([(1, (f"a{i + j}",))]) if i + j <= n else zero()
-            rules.append(RewriteRule((f"a{i}", f"a{j}"), rhs))
+            rules.append(((f"a{i}", f"a{j}"), rhs))
     return RingPresentation(gens, rules, name=f"cp{n}")
 
 
@@ -123,10 +123,10 @@ def _w(i: int, j: int, superscript: int = 0) -> str:
     return f"w_{i}_{j}" if superscript == 0 else f"w{superscript}_{i}_{j}"
 
 
-def _straightening_rules(name: Callable[[int, int], str], ks: Iterable[int]) -> list[RewriteRule]:
+def _straightening_rules(name: Callable[[int, int], str], ks: Iterable[int]) -> list[Rule]:
     """w(i,k) * w(j,k) -> w(i,j) * w(j,k) - w(i,j) * w(i,k) for i < j < k, k in ks."""
     return [
-        RewriteRule(
+        (
             (name(i, k), name(j, k)),
             element([(1, (name(i, j), name(j, k))), (-1, (name(i, j), name(i, k)))]),
         )
@@ -136,9 +136,9 @@ def _straightening_rules(name: Callable[[int, int], str], ks: Iterable[int]) -> 
     ]
 
 
-def _square_zero_rules(gens: Iterable[Generator]) -> list[RewriteRule]:
+def _square_zero_rules(gens: Iterable[Generator]) -> list[Rule]:
     """g * g -> 0 for every even-degree generator; odd squares vanish implicitly."""
-    return [RewriteRule((g.name, g.name), zero()) for g in gens if g.degree % 2 == 0]
+    return [((g.name, g.name), zero()) for g in gens if g.degree % 2 == 0]
 
 
 def _binomial_product(step: int, coeffs: Iterable[int], max_degree: int) -> list[int]:
@@ -178,13 +178,15 @@ class FiberProduct:
 
     def w(self, l: int, i: int, j: int) -> str:
         """Class name for index pair (i, j) in copy l; base classes for j <= m."""
-        if j <= self.m:
-            return _w(i, j)
-        return _w(i, j, l)
+        return _w(i, j, 0 if j <= self.m else l)
 
 
 def fn_witness_length(d: int, m: int, n: int, r: int) -> int:
-    """Factor count of the fn witness product (see bounds.verify_witness_fn)."""
+    """Factor count of the fn witness product (see bounds.verify_witness_fn).
+    Every fn entry point reads it first, so it owns the cell range: ValueError
+    unless d >= 2 dimensions, m >= 2 obstacles, n >= 1 robots, r >= 2 stages."""
+    if d < 2 or m < 2 or n < 1 or r < 2:
+        raise ValueError(f"need d >= 2, m >= 2, n >= 1, r >= 2; got d={d}, m={m}, n={n}, r={r}")
     return r * n + m - 1 if d % 2 == 1 else r * n + m - 2
 
 
@@ -207,10 +209,6 @@ def fn_fiber_product(d: int, m: int, n: int, r: int) -> FiberProduct:
     ValueError, before building anything, for parameters out of range or a
     witness degree over MAX_SERIES_DEGREE.
     """
-    if d < 2 or m < 2 or n < 1 or r < 2:
-        raise ValueError(
-            f"need d >= 2, m >= 2, n >= 1, r >= 2; got d={d}, m={m}, n={n}, r={r}"
-        )
     deg = d - 1
     limit = fn_witness_length(d, m, n, r) * deg
     check_series_degree(limit)
@@ -218,9 +216,6 @@ def fn_fiber_product(d: int, m: int, n: int, r: int) -> FiberProduct:
     squares = comb(m, 2) + r * (comb(k, 2) - comb(m, 2)) if deg % 2 == 0 else 0
     straightening = comb(m, 3) + r * (comb(k, 3) - comb(m, 3))
     check_rule_count(f"fn:d={d},m={m},n={n},r={r}", straightening + squares)
-
-    def name_for(l: int):
-        return lambda i, j: _w(i, j) if j <= m else _w(i, j, l)
 
     # Registration order: second index, then copy (0 = base), then first
     # index.  The rank (= second index) drives rewrite termination.
@@ -234,7 +229,7 @@ def fn_fiber_product(d: int, m: int, n: int, r: int) -> FiberProduct:
     # Shared straightening below the base cut, one copy per superscript above.
     rules = _square_zero_rules(gens) + _straightening_rules(_w, range(3, m + 1))
     for l in range(1, r + 1):
-        rules += _straightening_rules(name_for(l), range(max(3, m + 1), k + 1))
+        rules += _straightening_rules(lambda i, j: _w(i, j, 0 if j <= m else l), range(max(3, m + 1), k + 1))
 
     ring = RingPresentation(gens, rules, name=f"fn:d={d},m={m},n={n},r={r}")
     got = poincare_series(ring, limit)
@@ -304,13 +299,13 @@ def sphere_bundle_tower(
     for i in range(1, r):
         gens.append(Generator(f"u{i}", step, rank=base_rank + 1 + i))
 
-    rules = [RewriteRule(lhs, rhs) for lhs, rhs in base.rules.items()]
+    rules = list(base.rules.items())
     if step % 2 == 0:
         # Even step means odd q: x^2 = e x with e = e_eta for u and e = 2u - e_eta
         # for each u_i.
         section = subtract(scale(2, gen("u")), euler_class)
         for x, e in [("u", euler_class)] + [(f"u{i}", section) for i in range(1, r)]:
-            rules.append(RewriteRule((x, x), element([(c, w + (x,)) for w, c in e.terms.items()])))
+            rules.append(((x, x), element([(c, w + (x,)) for w, c in e.terms.items()])))
     else:
         # Odd fiber degree: all the truncation classes square to zero
         # implicitly, and the section Euler class is rationally zero.
@@ -393,8 +388,7 @@ def catalog(name: str) -> RingPresentation:
         q, r = _int_param(kv, "q"), _int_param(kv, "r")
         if q == 3 and kv["base"].startswith("cp"):
             return cpn_sphere_bundle(int(kv["base"][2:]), r).ring
-        euler = zero()
-        return sphere_bundle_tower(base, euler, q, r).ring
+        return sphere_bundle_tower(base, zero(), q, r).ring
     raise KeyError(f"unknown presentation name {name!r}")
 
 

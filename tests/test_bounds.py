@@ -5,6 +5,7 @@ Witness monomials and coefficients below were frozen from exact runs of the
 product expansion; the acceptance suite re-verifies the full parameter grid.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -28,13 +29,13 @@ from distnav.bounds import (
     tower_diagonal,
     validate_ring_map,
     verify_witness_fn,
+    witness_is_live,
     witness_work,
 )
 from distnav.gcring import (
     Generator,
     GradedElement,
     PresentationError,
-    RewriteRule,
     RingPresentation,
     add,
     element,
@@ -164,9 +165,9 @@ def truncated_ring():
     return RingPresentation(
         (Generator("a", 2), Generator("a2", 4)),
         (
-            RewriteRule(("a", "a"), gen("a2")),
-            RewriteRule(("a", "a2"), zero()),
-            RewriteRule(("a2", "a2"), zero()),
+            (("a", "a"), gen("a2")),
+            (("a", "a2"), zero()),
+            (("a2", "a2"), zero()),
         ),
         name="truncated",
     )
@@ -223,7 +224,7 @@ def test_validators_agree_when_a_repeated_image_pair_breaks():
             broken = element([(c * factor if w == word else c, w) for w, c in rhs.terms.items()])
             ring = RingPresentation(
                 P.generators,
-                [RewriteRule(lhs, broken if i == k else r) for i, (lhs, r) in enumerate(rules)],
+                [(lhs, broken if i == k else r) for i, (lhs, r) in enumerate(rules)],
                 name=P.name,
             )
             message = validation_outcome(validate_ring_map_by_names, ring, f.images)
@@ -421,6 +422,27 @@ def test_certificate_serialization():
     assert data["bound"] == 2
     assert data["witness_monomial"] == ["w1_1_3", "w2_2_3"]
     assert data["provenance"] == "fiber-product-diagonal-kernel-witness"
+
+
+def old_factor_terms(f):
+    """certificate_to_dict's own factor encoder before it shared
+    gcring.element_to_json with presentation_to_dict (oracle)."""
+    return sorted(
+        ({"coeff": str(c), "monomial": list(w)} for w, c in f.terms.items()),
+        key=lambda t: t["monomial"],
+    )
+
+
+def test_certificate_factors_keep_their_encoding():
+    certs = [verify_witness_fn(fn_fiber_product(*cell)) for cell in FN_CELLS[:27]]
+    certs += [sphere_bundle_lower_bound(cpn_sphere_bundle(n, r)) for n in (1, 2, 3) for r in (2, 3)]
+    for cert in certs:
+        factors = certificate_to_dict(cert)["factors"]
+        assert factors == [old_factor_terms(f) for f in cert.factors]
+        assert json.dumps(factors) == json.dumps([old_factor_terms(f) for f in cert.factors])
+    # Factors with several terms and non-unit coefficients are covered.
+    assert any(len(f.terms) > 2 for cert in certs for f in cert.factors)
+    assert any(abs(c) != 1 for cert in certs for f in cert.factors for c in f.terms.values())
 
 
 # === Euler heights ===
@@ -704,7 +726,21 @@ def test_witness_work_checked_one_above_the_limit():
         check_witness_work(2, 10, 1, 2)
     with pytest.raises(ValueError, match="MAX_WITNESS_WORK"):
         check_witness_work(3, 10, 1, 2)
-    assert witness_work(1, 2, 1, 2) == witness_work(2, 2, 0, 2) == 0
+    # Out of range is presentations.fn_witness_length's error, in every check.
+    for check in (witness_work, check_witness_work, witness_is_live):
+        for bad in ((1, 2, 1, 2), (2, 2, 0, 2), (-5, 2, 1, 2)):
+            with pytest.raises(ValueError, match=r"^need d >= 2, m >= 2, n >= 1, r >= 2; got "):
+                check(*bad)
+
+
+def test_huge_cells_are_refused_before_the_work_estimate(monkeypatch):
+    # witness_work(2, 10**9, 1, 2) forms 5^(10^9 - 2), a power of 2.3 Gbit;
+    # the witness degree, read first, bounds m, n and r.
+    monkeypatch.setattr(bounds, "witness_work", lambda *args: pytest.fail("the estimate was formed"))
+    for cell in ((2, 10**9, 1, 2), (2, 2, 10**9, 2), (3, 2, 1, 10**9), (10**9, 2, 1, 2)):
+        with pytest.raises(ValueError, match=r"\(MAX_SERIES_DEGREE\)$"):
+            check_witness_work(*cell)
+        assert not witness_is_live(*cell)
 
 
 def test_verify_witness_fn_checks_work_before_any_factor(monkeypatch):

@@ -166,6 +166,21 @@ def test_non_koszul_parity_file_exits_3(tmp_path):
     assert "parity" in out["error"]
 
 
+def test_loaded_chain_over_the_word_cap_exits_2(tmp_path, monkeypatch):
+    # 24 degree-2 generators with g_i * g_(i+1) -> 0 counted 43508106 words
+    # to degree 24 in 40.8 s; here 12 of them, under a cap of 1000 words.
+    gens = [{"id": f"g{i}", "degree": 2} for i in range(12)]
+    rules = [{"lhs": [f"g{i}", f"g{i + 1}"], "rhs": []} for i in range(11)]
+    ring_file = tmp_path / "chain.json"
+    ring_file.write_text(json.dumps({"name": "chain", "generators": gens, "rules": rules}))
+    monkeypatch.setattr(gcring, "MAX_SERIES_WORDS", 1000)
+    code, out, err = run_all("ring", "poincare", "--ring", str(ring_file), "--max-degree", "4")
+    assert (code, err, out["series"]) == (0, "", [1, 0, 12, 0, 67])
+    code, out, err = run_all("ring", "poincare", "--ring", str(ring_file), "--max-degree", "24")
+    assert (code, err) == (2, "")
+    assert out["error"] == "Poincare series to degree 24 counts over 1000 admissible words (MAX_SERIES_WORDS)"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -695,11 +710,9 @@ NAV_COMMANDS = [
 @pytest.mark.parametrize("grid", ["1", "0"])
 def test_nav_grid_below_two_exits_2(command, grid):
     # --grid 1 raised ZeroDivisionError; --grid 0 printed empty traces with exit 0.
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["nav", *command, "--grid", grid])
-    assert code == 2
-    assert "grid must be at least 2" in err.getvalue()
+    code, out, err = run_all("nav", *command, "--grid", grid)
+    assert (code, err) == (2, "")
+    assert "grid must be at least 2" in out["error"]
 
 
 def test_nav_grid_cap():
@@ -781,13 +794,6 @@ def test_verifier_over_probe_cap_exits_2(command, flag, monkeypatch):
     assert "MAX_VERIFIER_PROBES" in out["error"]
 
 
-def run_stderr(*argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, err.getvalue()
-
-
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -808,9 +814,10 @@ def run_stderr(*argv):
 def test_nav_verifier_bad_flags_exit_2(argv, flag):
     # --n 0 divided by zero (NaN results, exit 0 or 3); negative counts ran
     # 0 samples; --scale -1 was accepted; --tol nan printed invalid JSON.
-    code, err = run_stderr("nav", *argv)
-    assert code == 2
-    assert f"argument {flag}:" in err
+    # Parser errors print a JSON error, and nothing on stderr.
+    code, out, err = run_all("nav", *argv)
+    assert (code, err) == (2, "")
+    assert out["error"].startswith(f"distnav nav {argv[0]}: argument {flag}:")
 
 
 def test_nav_rpn_rejects_vectors_of_length_one():
@@ -882,10 +889,14 @@ def test_nav_plan_over_atom_cap_exits_2(command, point):
 )
 def test_nav_negative_first_coordinate_in_equals_form(argv):
     # argparse reads "--points -1,0;0,1" as a flag and stops with "expected
-    # one argument"; the "=" form passes the value.
+    # one argument", now as a JSON error; the "=" form passes the value.
     code, out = run("nav", *argv)
     assert code == 0
     assert out["checkpoints"][0][0] in (-1.0, 1.0)
+    spaced = [part for arg in argv for part in arg.split("=")]
+    code, out, err = run_all("nav", *spaced)
+    assert (code, err) == (2, "")
+    assert out["error"].endswith("expected one argument")
 
 
 def test_nav_equivariance_passes():
@@ -965,9 +976,9 @@ def test_measure_lp_up_to_64_atoms(tmp_path):
 def test_measure_lp_rejects_bad_precision(tmp_path, precision):
     # --precision is gone, good values included: the distance is exact.
     point = write_measure(tmp_path / "point.json", [([0.0], 1)])
-    code, err = run_stderr("measure", "lp", "--mu", point, "--nu", point, "--precision", precision)
-    assert code == 2
-    assert "unrecognized arguments: --precision" in err
+    code, out, err = run_all("measure", "lp", "--mu", point, "--nu", point, "--precision", precision)
+    assert (code, err) == (2, "")
+    assert "unrecognized arguments: --precision" in out["error"]
 
 
 # Malformed measure files: strings and objects as points died inside numpy,
@@ -1126,9 +1137,9 @@ REMOVED_FLAGS = [(argv, ("--json",)) for argv in SUBCOMMANDS] + [
 )
 def test_removed_flags_exit_2(argv, flag, tmp_path):
     measure = write_measure(tmp_path / "mu.json", [([0.0, 0.0], "1/2"), ([1.0, 0.0], "1/2")])
-    code, err = run_stderr(*(measure if a == "MEASURE" else a for a in argv), *flag)
-    assert code == 2
-    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    code, out, err = run_all(*(measure if a == "MEASURE" else a for a in argv), *flag)
+    assert (code, err) == (2, "")
+    assert out == {"schema_version": 5, "error": f"distnav: unrecognized arguments: {' '.join(flag)}"}
 
 
 def test_cite_absent_without_flag():
@@ -1137,12 +1148,25 @@ def test_cite_absent_without_flag():
 
 
 def test_argparse_failures_exit_2():
-    code, _ = run("no-such-group")
-    assert code == 2
-    code, _ = run("ring", "poincare")  # missing --ring
-    assert code == 2
-    code, _ = run()
-    assert code == 2
+    # Each printed usage on stderr and nothing on stdout.
+    for argv, error in (
+        (("no-such-group",), "distnav: argument group: invalid choice: 'no-such-group'"),
+        (("ring", "poincare"), "distnav ring poincare: the following arguments are required: --ring"),
+        ((), "distnav: the following arguments are required: group"),
+        (("nav", "rpn", "--x", "1,0", "--y", "0,1", "--grid", "1"), "distnav nav rpn: argument --grid: grid"),
+    ):
+        code, out, err = run_all(*argv)
+        assert (code, err) == (2, ""), argv
+        assert list(out) == ["schema_version", "error"] and out["error"].startswith(error), argv
+
+
+def test_help_still_prints_usage():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as info:
+        cli.build_parser().parse_args(["value", "--help"])
+    assert info.value.code == 0 and out.getvalue().startswith("usage: distnav value")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["value", "--help"]) == 0
 
 
 def test_measure_product_over_atom_cap_exits_2(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ checked by hand; the shipped geometric presentations get their own tests.
 """
 
 import ast
+import hashlib
 import itertools
 import json
 import random
@@ -21,7 +22,6 @@ from distnav.gcring import (
     Generator,
     GradedElement,
     PresentationError,
-    RewriteRule,
     RingPresentation,
     add,
     check_confluence,
@@ -63,9 +63,9 @@ def truncated_poly_ring():
     t1 = Generator("t1", 2, rank=1)
     t2 = Generator("t2", 4, rank=0)
     rules = [
-        RewriteRule(("t1", "t1"), element([(1, ("t2",))])),
-        RewriteRule(("t1", "t2"), zero()),
-        RewriteRule(("t2", "t2"), zero()),
+        (("t1", "t1"), element([(1, ("t2",))])),
+        (("t1", "t2"), zero()),
+        (("t2", "t2"), zero()),
     ]
     return RingPresentation([t1, t2], rules, name="trunc")
 
@@ -111,14 +111,14 @@ def test_rule_must_be_canonically_ordered():
     t2 = Generator("t2", 4, rank=0)
     with pytest.raises(PresentationError):
         RingPresentation(
-            [t1, t2], [RewriteRule(("t2", "t1"), zero())]
+            [t1, t2], [(("t2", "t1"), zero())]
         )
 
 
 def test_rule_must_preserve_degree():
     t1 = Generator("t1", 2, rank=1)
     t2 = Generator("t2", 4, rank=0)
-    bad = RewriteRule(("t1", "t1"), element([(1, ("t1",))]))  # degree 4 vs 2
+    bad = (("t1", "t1"), element([(1, ("t1",))]))  # degree 4 vs 2
     with pytest.raises(PresentationError):
         RingPresentation([t1, t2], [bad])
 
@@ -126,7 +126,7 @@ def test_rule_must_preserve_degree():
 def test_rule_must_decrease_termination_order():
     # rhs reuses the lhs pair itself: no strict decrease
     t1 = Generator("t1", 2, rank=1)
-    bad = RewriteRule(("t1", "t1"), element([(1, ("t1", "t1"))]))
+    bad = (("t1", "t1"), element([(1, ("t1", "t1"))]))
     with pytest.raises(PresentationError):
         RingPresentation([t1], [bad])
 
@@ -134,14 +134,14 @@ def test_rule_must_decrease_termination_order():
 def test_duplicate_rule_rejected():
     t1 = Generator("t1", 2, rank=1)
     t2 = Generator("t2", 4, rank=0)
-    r = RewriteRule(("t1", "t1"), element([(1, ("t2",))]))
+    r = (("t1", "t1"), element([(1, ("t2",))]))
     with pytest.raises(PresentationError):
         RingPresentation([t1, t2], [r, r])
 
 
 def test_unknown_generator_in_rule_rejected():
     with pytest.raises(PresentationError):
-        RingPresentation([Generator("a", 2)], [RewriteRule(("a", "zz"), zero())])
+        RingPresentation([Generator("a", 2)], [(("a", "zz"), zero())])
 
 
 # === normal forms ===
@@ -580,7 +580,7 @@ def random_rewrite_ring(rng):
             and free._termination_key(w) < free._termination_key(lhs)
         ]
         chosen = rng.sample(below, min(len(below), rng.randint(0, 2)))
-        rules.append(RewriteRule(lhs, element([(rng.choice([-2, -1, 1, 3]), w) for w in chosen])))
+        rules.append((lhs, element([(rng.choice([-2, -1, 1, 3]), w) for w in chosen])))
     return RingPresentation(gens, rules)
 
 
@@ -642,7 +642,7 @@ def test_confluence_candidates_are_capped_before_any_is_built(monkeypatch):
     # p (p + 1) / 2 candidates at the hub alone.
     count = 400
     gens = [Generator(f"g{i}", 2) for i in range(count)]
-    P = RingPresentation(gens, [RewriteRule(("g0", g.name), zero()) for g in gens[1:]])
+    P = RingPresentation(gens, [(("g0", g.name), zero()) for g in gens[1:]])
     size = (count - 1) * count // 2 + (count - 1)
     assert size > gcring.MAX_CONFLUENCE_CANDIDATES
 
@@ -666,7 +666,7 @@ def test_loaded_rule_count_is_capped_before_any_rule_is_built(monkeypatch):
         raise AssertionError("a generator or rule was built over the cap")
 
     monkeypatch.setattr(gcring, "MAX_RING_RULES", count - 1)
-    for name in ("Generator", "RewriteRule", "RingPresentation"):
+    for name in ("Generator", "element", "RingPresentation"):
         monkeypatch.setattr(gcring, name, built)
     cap = rf"presentation 'conf:d=2,k=5' has {count} rules, over the cap of {count - 1} \(MAX_RING_RULES\)$"
     with pytest.raises(ValueError, match=cap):
@@ -747,7 +747,7 @@ def random_zero_rule_ring(rng):
     gens = [Generator(f"g{i}", rng.randint(1, 3)) for i in range(count)]
     pairs = [(a.name, b.name) for a, b in itertools.combinations_with_replacement(gens, 2)]
     chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
-    return RingPresentation(gens, [RewriteRule(lhs, zero()) for lhs in chosen])
+    return RingPresentation(gens, [(lhs, zero()) for lhs in chosen])
 
 
 def test_factorized_series_matches_enumeration_on_random_rings():
@@ -766,7 +766,7 @@ def test_factorized_series_matches_enumeration_on_random_rings():
 def test_rule_components_split_independent_generators():
     P = RingPresentation(
         [Generator("a", 2), Generator("b", 1), Generator("c", 2), Generator("d", 1)],
-        [RewriteRule(("a", "c"), zero()), RewriteRule(("b", "b"), zero())],
+        [(("a", "c"), zero()), (("b", "b"), zero())],
     )
     assert gcring._rule_components(gcring._exclusions(P)) == [[0, 2], [1], [3]]
     # pure powers of a or of c (no a*c), times (1 + t)^2 from b and d
@@ -781,7 +781,94 @@ def test_poincare_series_rejects_negative_degree():
         poincare_series(two_odd_ring(), MAX_SERIES_DEGREE + 1)
 
 
+def chain_presentation(degrees):
+    """Generators g0, g1, ... of the given degrees with g_i * g_(i+1) -> 0:
+    one component of the exclusion graph, so its series enumerates every
+    admissible word of the ring."""
+    gens = [Generator(f"g{i}", degree) for i, degree in enumerate(degrees)]
+    return RingPresentation(gens, [((a.name, b.name), zero()) for a, b in zip(gens, gens[1:])], name="chain")
+
+
+def test_series_refuses_past_the_word_cap(monkeypatch):
+    # A loaded chain of 24 degree-2 generators counted 43508106 words to
+    # degree 24 in 40.8 s; the count now stops after MAX_SERIES_WORDS.
+    rng = random.Random(29)
+    for _ in range(30):
+        P = chain_presentation([rng.randint(1, 3) for _ in range(rng.randint(2, 8))])
+        top = rng.randint(2, 12)
+        series = enumerated_series(P, top)
+        words = sum(series)
+        monkeypatch.setattr(gcring, "MAX_SERIES_WORDS", words)
+        assert poincare_series(P, top) == series
+        monkeypatch.setattr(gcring, "MAX_SERIES_WORDS", words - 1)
+        cap = rf"^Poincare series to degree {top} counts over {words - 1} admissible words \(MAX_SERIES_WORDS\)$"
+        with pytest.raises(ValueError, match=cap):
+            poincare_series(P, top)
+
+
+def test_series_word_cap_counts_over_all_components(monkeypatch):
+    # Two copies of a chain: each alone fits the cap, both together do not.
+    gens = [Generator(f"{c}{i}", 2) for c in "ab" for i in range(4)]
+    chain = [((f"{c}{i}", f"{c}{i + 1}"), zero()) for c in "ab" for i in range(3)]
+    P = RingPresentation(gens, chain)
+    half = sum(enumerated_series(chain_presentation([2] * 4), 8))
+    assert len(gcring._rule_components(gcring._exclusions(P))) == 2
+    monkeypatch.setattr(gcring, "MAX_SERIES_WORDS", 2 * half)
+    assert poincare_series(P, 8) == enumerated_series(P, 8)
+    monkeypatch.setattr(gcring, "MAX_SERIES_WORDS", 2 * half - 1)
+    with pytest.raises(ValueError, match="MAX_SERIES_WORDS"):
+        poincare_series(P, 8)
+
+
+def test_shipped_rings_and_gates_count_far_below_the_word_cap(monkeypatch):
+    # The largest counts are a few thousand words (conf:d=2,k=59 to degree
+    # 58 counts 1769, the fn:d=2,m=2,n=1,r=510 gate 1532), so every ring and
+    # gate here passes at 1/256 of the cap.
+    monkeypatch.setattr(gcring, "MAX_SERIES_WORDS", gcring.MAX_SERIES_WORDS // 256)
+    for name in shipped_names() + ("cp255", "conf:d=2,k=40"):
+        P = catalog(name)
+        poincare_series(P, min(top_degree(P), MAX_SERIES_DEGREE))
+    for cell in [*itertools.product((2, 3, 4), (2, 3, 4), (1, 2, 3), (2, 3, 4)), (2, 2, 1, 510), (3, 2, 1, 255)]:
+        fn_fiber_product.__wrapped__(*cell)
+    for n, r in itertools.product(range(1, 23), range(2, 5)):
+        if n * (n + 1) + 2 * r <= MAX_SERIES_DEGREE:
+            cpn_sphere_bundle.__wrapped__(n, r)
+
+
 # === serialization ===
+
+
+# sha256 of json.dumps(presentation_to_dict(catalog(name)), indent=2), as
+# written before rules became plain (lhs, rhs) pairs and before the rule
+# right sides shared certificate factors' term encoder.
+PRESENTATION_DIGESTS = {
+    "point": "b00aa7807f213cbe8f8cbb796e6ceaf8b55d843351f40d09dd4a7a6253af0fca",
+    "s2": "63f2e91264d227bb5f140d101e520c5da568f3875f93e439ace1c3d93892e58b",
+    "s3": "fd5243e6163616d129bee582b098253600688ac0be2eefac54dce78eb60dac33",
+    "cp1": "9c52af4a1ba188d3ecd271b7f1be13425a9cfce1398ce3dae05cd87e932e5043",
+    "cp2": "f581aae8feea56d9885046df73165424d404e6d303d69dd30337154cb694d6dd",
+    "cp3": "5e4a24d6b97d6083c1710349d00647c9323998dba8f7ddfdc357f0834653e087",
+    "cp4": "5b96e62b0e1f763711e8be8caecf22d369112a710450084613e433b9db62c4fb",
+    "conf:d=2,k=3": "a1504dcff2ae4a8b6a2ec1197a9a51ee7981ead47b8a2d55a4365d1dc0b184fc",
+    "conf:d=2,k=4": "cc9ba1f9451da7adc002aad367d4e3a668bb2b404cac5fba650b21d5deed7ed6",
+    "conf:d=2,k=5": "ad23357f4410ff1d58da206cd745f54fc245848c789a61d294df2de894540b30",
+    "conf:d=3,k=3": "238a9af380d8dc4b30b83cc498c257ee9bac60ff197fb1d0e73fae614860dfec",
+    "conf:d=3,k=4": "31d9e12e782aafeb192fd7aa330fae133807f17009d67e09a03dcff601772d39",
+    "fn:d=2,m=2,n=1,r=2": "565fa461199507f97cb789533aaf7b6754df7e6f4395bff3b62822a8575d13eb",
+    "fn:d=3,m=2,n=1,r=2": "ba2253efd19903eda1f4eca801ff50a1015c08521f64277428136ceb08f906ba",
+    "fn:d=2,m=3,n=2,r=3": "2207fe09304c356b27493cdec9f2bf26398631a13ee695c9a9824e74ede235d9",
+    "fn:d=3,m=3,n=2,r=2": "9880733c67a7939f7872a991181e95dd98325b32cda0b33fe7784787ceb4d34a",
+    "sb:base=cp2,q=3,r=2": "154d5ac45534e4ebdc29b31f113f289831da88a08524799cf0bec13b670e2ca9",
+    "sb:base=cp3,q=3,r=3": "0aa5baea6d5158e296888c2f5d51954fdc4b1cff2cb9ddd1a2f0d2e8e9652365",
+    "sb:base=point,q=2,r=2": "6c0cca9a9c14644eff23698f403295e5092cbfef9e4e4f19b516b342929a9e6c",
+}
+
+
+def test_shipped_presentations_serialize_byte_for_byte():
+    assert tuple(PRESENTATION_DIGESTS) == shipped_names()
+    for name, digest in PRESENTATION_DIGESTS.items():
+        text = json.dumps(presentation_to_dict(catalog(name)), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_presentation_roundtrip():

@@ -1,9 +1,13 @@
 """Closed-form complexity values and their provenance records."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+import distnav.knowledge as knowledge
+from distnav.bounds import LIVE_WITNESS_WORK, witness_work
+from distnav.gcring import MAX_SERIES_DEGREE
 from distnav.knowledge import (
     KIND_CERTIFICATE,
     KIND_CITED,
@@ -17,8 +21,8 @@ from distnav.knowledge import (
     value_product_spheres,
     value_so3_bundle,
     value_son_threshold,
-    within_desk_scale,
 )
+from distnav.presentations import fn_witness_length
 
 
 # === configuration fibration ===
@@ -41,17 +45,47 @@ def test_fn_desk_scale_recertifies():
     assert rec.provenance[0].certificate.bound == rec.exact
 
 
-def test_fn_out_of_scale_is_cited_only():
-    assert not within_desk_scale(4, 2, 1, 2)
-    rec = value_fadell_neuwirth(4, 2, 1, 2)  # even d: exact r n + m - 2 = 2
-    assert rec.exact == 2
-    assert all(p.kind == KIND_CITED for p in rec.provenance)
-    assert all(p.certificate is None for p in rec.provenance)
+def certificates(rec):
+    return [p.certificate for p in rec.provenance if p.kind == KIND_CERTIFICATE]
+
+
+def test_every_cell_of_the_first_box_stays_live():
+    # The box d, m in {2, 3}, n in {1, 2}, r in {2, 3} was the live range
+    # before the threshold, and its costliest cell sets it.
+    box = list(itertools.product((2, 3), (2, 3), (1, 2), (2, 3)))
+    assert LIVE_WITNESS_WORK == max(witness_work(*cell) for cell in box) == witness_work(2, 3, 2, 3) == 8736
+    for cell in box:
+        rec = value_fadell_neuwirth(*cell)
+        assert [c.bound for c in certificates(rec)] == [rec.exact], cell
+
+
+@pytest.mark.parametrize("cell, exact", [((4, 2, 1, 2), 2), ((4, 3, 2, 3), 7)])
+def test_fn_cells_under_the_threshold_gain_a_certificate(cell, exact):
+    # Cited only while the box decided; both certify in milliseconds.
+    assert witness_work(*cell) <= LIVE_WITNESS_WORK
+    rec = value_fadell_neuwirth(*cell)
+    assert rec.exact == exact
+    assert [c.bound for c in certificates(rec)] == [exact]
+    assert rec.provenance[0].tag == "fiber-product-diagonal-kernel-witness"
+
+
+def test_fn_out_of_scale_is_cited_only(monkeypatch):
+    # (2,3,3,2) is over LIVE_WITNESS_WORK; (513,2,1,2) has a small work
+    # estimate, but its witness degree 1536 is over MAX_SERIES_DEGREE, so
+    # it is cited rather than refused.
+    assert witness_work(2, 3, 3, 2) > LIVE_WITNESS_WORK
+    assert fn_witness_length(513, 2, 1, 2) * 512 > MAX_SERIES_DEGREE
+    monkeypatch.setattr(knowledge, "fn_fiber_product", lambda *args: pytest.fail("a ring was built"))
+    for cell, exact in (((2, 3, 3, 2), 7), ((513, 2, 1, 2), 3)):
+        rec = value_fadell_neuwirth(*cell)
+        assert rec.exact == exact
+        assert all(p.kind == KIND_CITED for p in rec.provenance)
+        assert all(p.certificate is None for p in rec.provenance)
 
 
 def test_fn_parameter_validation():
     for bad in [(1, 2, 1, 2), (2, 1, 1, 2), (2, 2, 0, 2), (2, 2, 1, 1)]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need d >= 2, m >= 2, n >= 1, r >= 2; got "):
             value_fadell_neuwirth(*bad)
 
 

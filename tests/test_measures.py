@@ -43,12 +43,13 @@ from distnav.measures import (
     to_jsonable,
 )
 from distnav.navplan import (
-    ProjectivePoint,
     circle_navigate,
     path_metric,
     projective_metric,
     rpn_navigate,
     sphere_metric,
+    _canonical_line,
+    _unit,
 )
 
 SPACE = euclidean_metric()
@@ -703,7 +704,7 @@ def test_to_jsonable_covers_points_weights_and_payload_values():
     assert to_jsonable(Fraction(2, 6)) == "1/3"
     assert to_jsonable(np.int64(5)) == 5.0 and to_jsonable(True) == 1.0
     assert to_jsonable((np.float32(0.5), [1, np.array([[2.0], [3.0]])])) == [0.5, [1.0, [2.0, 3.0]]]
-    assert to_jsonable(ProjectivePoint.from_vector([0.0, -2.0])) == [0.0, 1.0]
+    assert to_jsonable(_canonical_line(_unit([0.0, -2.0], 2))) == [0.0, 1.0]
     assert to_jsonable("a") == "a"
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import distnav.navplan as navplan
-from distnav.measures import FiniteMeasure, euclidean_metric, lp_distance
+from distnav.measures import MAX_SUPPORT, FiniteMeasure, euclidean_metric, lp_distance
 from distnav.navplan import (
     FIBER_TOLERANCE,
     MAX_CHECKPOINTS,
@@ -30,6 +30,8 @@ from distnav.navplan import (
     quat_mul,
     rpn_navigate,
     sphere_metric,
+    _canonical_line,
+    _unit,
 )
 
 PROJ = projective_metric()
@@ -52,15 +54,15 @@ def random_rotation(rng, k):
 
 
 def test_projective_canonical_representative():
-    p = ProjectivePoint.from_vector([-3.0, 4.0, 0.0])
+    p = _canonical_line(_unit([-3.0, 4.0, 0.0], 3))
     assert p.vec[0] > 0  # sign fixed by the first large coordinate
     assert abs(np.linalg.norm(np.array(p)) - 1.0) < 1e-15
-    assert p == ProjectivePoint.from_vector([3.0, -4.0, 0.0])
+    assert p == _canonical_line(_unit([3.0, -4.0, 0.0], 3))
 
 
 def test_projective_rejects_zero_and_non_unit():
     with pytest.raises(ValueError):
-        ProjectivePoint.from_vector([0.0, 0.0])
+        _canonical_line(_unit([0.0, 0.0], 2))
     with pytest.raises(ValueError):
         rpn_navigate([2.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
@@ -86,13 +88,13 @@ def test_projective_rejects_non_finite_representative():
         with pytest.raises(ValueError, match="representative .* has norm"):
             rpn_navigate(x, spoiled(rng, y, bad))
         with pytest.raises(ValueError, match="not a finite nonzero length"):
-            ProjectivePoint.from_vector(spoiled(rng, x, bad))
+            _canonical_line(_unit(spoiled(rng, x, bad), 3))
 
 
 def as_projective_two_step(p):
     """The route _as_projective took before it shared one norm: check the
-    norm, then normalize again in from_vector and find the sign by a loop
-    over numpy scalars (oracle)."""
+    norm, then normalize again, as the deleted from_vector did, and find the
+    sign by a loop over numpy scalars (oracle)."""
     arr = np.asarray(p, dtype=float)
     scale, norm = navplan._scaled_norm(arr)
     if not abs(scale * norm - 1.0) <= 1e-9:
@@ -136,7 +138,7 @@ def test_as_projective_matches_two_step_oracle():
         expected = outcome(as_projective_two_step, p)
         assert outcome(navplan._as_projective, p) == expected, p
         if isinstance(expected, bytes):
-            assert outcome(ProjectivePoint.from_vector, p) == expected, p
+            assert outcome(lambda v: _canonical_line(_unit(v, len(v))), p) == expected, p
 
 
 # === projective planner ===
@@ -191,7 +193,7 @@ def test_rpn_interpolates_and_sums_to_one():
 def test_rpn_flips_negative_dot():
     # representatives on opposite hemispheres still give the acute angle
     x = np.array([1.0, 0.0, 0.0])
-    y = ProjectivePoint.from_vector([-math.cos(0.3), math.sin(0.3), 0.0])
+    y = _canonical_line(_unit([-math.cos(0.3), math.sin(0.3), 0.0], 3))
     plan = rpn_navigate(x, y)
     short = max(plan.measure.atoms, key=lambda a: a[1])[0]
     assert abs(abs(short.angles[0]) - 0.3) < 1e-12
@@ -287,10 +289,13 @@ def test_circle_support_bound_random():
 
 
 def test_circle_plan_at_atom_cap():
+    # A plan has at most one path per checkpoint, so the cap is lp_distance's.
+    assert MAX_CHECKPOINTS == MAX_SUPPORT == 64
     rng = random.Random(13)
     r = MAX_CHECKPOINTS
     plan = circle_navigate(r, [random_unit(rng, 2) for _ in range(r)])
     assert len(plan.measure) <= r
+    assert lp_distance(plan.measure, plan.measure, path_metric(euclidean_metric())) == 0.0
     assert abs(plan.measure.total_mass() - 1.0) <= 1e-12
     assert plan_checkpoint_deviation(plan, euclidean_metric()) <= 1e-9
 
@@ -743,7 +748,7 @@ def test_rpn_paths_match_closed_form():
         for _ in range(5):
             x, y = random_unit(rng, n + 1), random_unit(rng, n + 1)
             plan = rpn_navigate(x, y)
-            px, py = np.array(ProjectivePoint.from_vector(x)), np.array(ProjectivePoint.from_vector(y))
+            px, py = np.array(_canonical_line(_unit(x, len(x)))), np.array(_canonical_line(_unit(y, len(y))))
             if np.dot(px, py) < 0:
                 py = -py
             alpha = math.acos(min(float(np.dot(px, py)), 1.0))

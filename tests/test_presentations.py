@@ -175,7 +175,7 @@ def drop_rule(monkeypatch, lhs):
     """Make the builders in ``presentations`` lose the rule with this lhs."""
 
     def build(generators, rules, name=""):
-        kept = [rule for rule in rules if rule.lhs != lhs]
+        kept = [rule for rule in rules if rule[0] != lhs]
         assert len(kept) == len(rules) - 1
         return RingPresentation(generators, kept, name=name)
 
