@@ -12,7 +12,9 @@ elements.
 
 Every certificate is verified inside the exact rewrite engine: kernel
 membership is checked by applying the ring map, and nonvanishing by
-computing the normal form of the full product.  A vanishing product raises
+computing the normal form of the full product.  Every product here, the
+witnesses, the powers of :func:`euler_height` and both cup-length chains,
+runs on a coded ``gcring.Chain``.  A vanishing product raises
 ``CertificateError``; nothing is approximated.  The cup length is an exact
 lower bound, certified by a nonzero product of kernel elements; only its
 optimality can be probabilistic, when a product of generic combinations
@@ -31,6 +33,7 @@ from typing import Sequence
 
 from .gcring import (
     MAX_SERIES_DEGREE,
+    Chain,
     GradedElement,
     RingMap,
     RingPresentation,
@@ -42,8 +45,6 @@ from .gcring import (
     element_to_json,
     gen,
     is_zero,
-    multiply,
-    one,
     poincare_series,
     product,
     subtract,
@@ -302,14 +303,11 @@ def verify_witness_fn(fp: FiberProduct) -> NonzeroCertificate:
 
 def euler_height(P: RingPresentation, e: GradedElement, max_power: int) -> int:
     """Largest k <= max_power with e^k nonzero in normal form (0 for e = 0)."""
-    height = 0
-    acc = one()
-    for k in range(1, max_power + 1):
-        acc = multiply(P, acc, e)
-        if is_zero(acc):
+    chain = Chain(P)
+    for _ in range(max_power):
+        if not chain.times(e):
             break
-        height = k
-    return height
+    return chain.length
 
 
 def ring_top_degree(P: RingPresentation, ceiling: int) -> int:
@@ -380,18 +378,16 @@ class CupLength(int):
         return "ceiling" if self.error_bound is None else "probabilistic"
 
 
-def _chain_product(
-    P: RingPresentation, acc: GradedElement, x: GradedElement, best: int
-) -> GradedElement:
-    """acc * x, refused with ValueError, before it is formed, when it would
-    multiply more than MAX_CHAIN_PAIRS pairs of terms."""
-    pairs = len(acc.terms) * len(x.terms)
+def _chain_product(chain: Chain, x: GradedElement, best: int) -> bool:
+    """chain.times(x), refused with ValueError, before the product is formed,
+    when it would multiply more than MAX_CHAIN_PAIRS pairs of terms."""
+    pairs = chain.size * len(x.terms)
     if pairs > MAX_CHAIN_PAIRS:
         raise ValueError(
-            f"cup-length chain on {P.name} would multiply {pairs} pairs of terms, "
+            f"cup-length chain on {chain.ring.name} would multiply {pairs} pairs of terms, "
             f"over the cap of {MAX_CHAIN_PAIRS} (MAX_CHAIN_PAIRS); best so far {best}"
         )
-    return multiply(P, acc, x)
+    return chain.times(x)
 
 
 def cup_length_kernel(
@@ -422,10 +418,12 @@ def cup_length_kernel(
     answer is the longer of the two chains.
 
     Every element must be homogeneous and lie in the kernel of the collapse
-    map.  Raises ValueError, naming the ring and the best length so far,
-    before a product of either chain would multiply more than
-    MAX_CHAIN_PAIRS pairs of terms.
+    map, whose ring must be P itself.  Raises ValueError, naming the ring and
+    the best length so far, before a product of either chain would multiply
+    more than MAX_CHAIN_PAIRS pairs of terms.
     """
+    if P is not collapse.ring:
+        raise ValueError(f"cup length asked in {P.name} with a collapse map of {collapse.ring.name}")
     if budget < 1 or budget > 12:
         raise ValueError("budget must be between 1 and 12")
     degrees: list[int] = []
@@ -440,29 +438,24 @@ def cup_length_kernel(
     top = ring_top_degree(P, ceiling=budget * max(degrees))
     ceiling = min(budget, top // min(degrees))
 
-    greedy, acc, acc_degree, start = 0, one(), 0, 0
-    while greedy < ceiling:
+    greedy, degree, start = Chain(P), 0, 0
+    while greedy.length < ceiling:
         for idx in range(start, len(elements)):
-            if acc_degree + degrees[idx] > top:
-                continue
-            nxt = _chain_product(P, acc, elements[idx], greedy)
-            if not is_zero(nxt):
-                greedy, acc, start = greedy + 1, nxt, idx + degrees[idx] % 2
-                acc_degree += degrees[idx]
+            if degree + degrees[idx] <= top and _chain_product(greedy, elements[idx], greedy.length):
+                degree, start = degree + degrees[idx], idx + degrees[idx] % 2
                 break
         else:
             break
-    if greedy == ceiling:
-        return CupLength(greedy)
+    if greedy.length == ceiling:
+        return CupLength(ceiling)
 
     rng = random.Random(CUP_LENGTH_SEED)
-    generic, acc = 0, one()
-    while generic < ceiling:
+    generic = Chain(P)
+    while generic.length < ceiling:
         coeffs = [rng.getrandbits(61) + 1 for _ in elements]  # uniform on 1..2^61
         x = element((a * c, w) for a, e in zip(coeffs, elements) for w, c in e.terms.items())
         _check_in_kernel(collapse, [x])
-        acc = _chain_product(P, acc, x, max(greedy, generic))
-        if is_zero(acc):
-            return CupLength(max(greedy, generic), Fraction(generic + 1, 2**61))
-        generic += 1
-    return CupLength(generic)
+        best = max(greedy.length, generic.length)
+        if not _chain_product(generic, x, best):
+            return CupLength(best, Fraction(generic.length + 1, 2**61))
+    return CupLength(ceiling)

@@ -397,8 +397,6 @@ def _cmd_nav_rpn(args) -> tuple[dict, list[str], int]:
                 f"{flag} has {len(vector)} components, over the cap of "
                 f"{MAX_RPN_LENGTH} (MAX_RPN_LENGTH)"
             )
-    if x.shape != y.shape:
-        raise ValueError("x and y must have the same dimension")
     plan = rpn_navigate(x, y)
     return _plan_payload(plan, grid=args.grid), ["projective-equivariant-planner"], 0
 

@@ -27,11 +27,12 @@ integer codes, and the coding stays in this module.
   kernel result the code it was decoded from when that is exactly the
   encoding; elements are never mutated.
 * Redex order.  :func:`normal_form` and :func:`multiply` rewrite the
-  leftmost redex.  :func:`product` multiplies a partial product, already a
-  normal form, by the next factor, so it searches only pairs touching a
-  factor of the new word or one a rule brought in.  Every order gives the
-  same normal form on a terminating confluent presentation (diamond lemma,
-  Bergman 1978).
+  leftmost redex.  A :class:`Chain` keeps a running product coded, a normal
+  form, so multiplying it by the next factor searches only pairs touching a
+  factor of the new word or one a rule brought in; only its value decodes.
+  :func:`product` and every chain of :mod:`distnav.bounds` run on it.  Every
+  order gives the same normal form on a terminating confluent presentation
+  (diamond lemma, Bergman 1978).
 * Gates.  :func:`poincare_series` counts admissible words, the normal forms
   of a confluent presentation, per component of the rule-partner graph by a
   recursion on bit sets.  :func:`check_confluence` probes the triples of a
@@ -86,6 +87,7 @@ __all__ = [
     "multiply",
     "normal_form",
     "product",
+    "Chain",
     "RingMap",
     "apply_ring_map",
     "validate_ring_map",
@@ -94,6 +96,7 @@ __all__ = [
     "poincare_series",
     "MAX_SERIES_DEGREE",
     "MAX_SERIES_WORDS",
+    "MAX_SERIES_PRODUCTS",
     "MAX_LITERAL_EXPONENT",
     "MAX_LITERAL_LENGTH",
     "parse_rational",
@@ -126,6 +129,15 @@ MAX_SERIES_DEGREE = 512
 # 1 us a word.  A loaded chain of 24 degree-2 generators (g_i * g_(i+1) -> 0)
 # counted 43508106 to degree 24 in 40.8 s; shipped rings and gates count < 2000.
 MAX_SERIES_WORDS = 2**20
+
+# Coefficient products one Poincare series may form in poly_mul, counted as
+# the nonzero coefficients of each pair of factors before their product.
+# Loaded rule-free degree-2 generators to degree 512 (257 nonzero each) took
+# 20.8 s for 4000 of them, under the word cap; 31, just under this cap, take
+# 0.11 s (shared 2-core host).  The fn gates at the degree cap form the most:
+# 261632 at (2,2,1,510) and 65792 at (3,2,1,255); every other shipped ring or
+# gate forms at most 1560.
+MAX_SERIES_PRODUCTS = 2**21
 
 # Rules a ring may have, counted before any generator is built: in closed
 # form by the catalog builders, in the document for a loaded one.  Building
@@ -576,7 +588,7 @@ def _times(
     right: Iterable[tuple[IWord, int | Fraction]],
     left_normal: bool,
 ) -> dict[IWord, int | Fraction]:
-    """Normal form of the product of two lists of canonical index terms.
+    """Normal form, nonzero terms only, of the product of two coded term lists.
 
     When the left words are normal words, only pairs touching a factor of
     the right word can be redexes, and only those are scanned.
@@ -605,7 +617,7 @@ def _times(
     for word, (coeff, dirty, odd) in merged.items():
         if coeff:
             _reduce_into(out, P, word, coeff, dirty, odd)
-    return out
+    return {w: c for w, c in out.items() if c}
 
 
 def multiply(P: RingPresentation, a: GradedElement, b: GradedElement) -> GradedElement:
@@ -614,12 +626,35 @@ def multiply(P: RingPresentation, a: GradedElement, b: GradedElement) -> GradedE
     return _to_element(P, _times(P, left, right, False), den_a * den_b)
 
 
-def product(P: RingPresentation, factors: Iterable[GradedElement]) -> GradedElement:
-    """Ordered product of the factors in normal form; 1 for no factors.
+class Chain:
+    """A running product in P, held as a normal form in the kernel's coding.
 
-    Each partial product is a normal form, so multiplying it by the next
-    factor only scans pairs that touch that factor or a right-hand factor.
-    Stops at the first zero partial product and reads no further factor:
+    ``times(x)`` multiplies it by x: a nonzero product is kept (True), a zero
+    one leaves the chain as it was (False).  ``length`` counts the factors
+    kept, ``size`` the terms of the product; only :meth:`value` decodes.
+    """
+
+    def __init__(self, P: RingPresentation) -> None:
+        self.ring, self.length, self._terms, self._den = P, 0, {(): 1}, 1
+
+    @property
+    def size(self) -> int:
+        return len(self._terms)
+
+    def times(self, x: GradedElement) -> bool:
+        right, den = _index_terms(self.ring, x)
+        terms = _times(self.ring, self._terms.items(), right, True)
+        if terms:
+            self._terms, self._den, self.length = terms, self._den * den, self.length + 1
+        return bool(terms)
+
+    def value(self) -> GradedElement:
+        return _to_element(self.ring, self._terms, self._den)
+
+
+def product(P: RingPresentation, factors: Iterable[GradedElement]) -> GradedElement:
+    """Ordered product of the factors in normal form, a fold over one
+    :class:`Chain`; 1 for none.  Stops at the first zero partial product:
 
     >>> P = RingPresentation((Generator("x", 1),), ())
     >>> product(P, [])
@@ -630,15 +665,8 @@ def product(P: RingPresentation, factors: Iterable[GradedElement]) -> GradedElem
     >>> next(factors)  # the third factor was never read
     GradedElement(terms={('x',): Fraction(1, 1)})
     """
-    result: dict[IWord, int | Fraction] = {(): 1}
-    den = 1
-    for f in factors:
-        right, den_f = _index_terms(P, f)
-        result = {w: c for w, c in _times(P, result.items(), right, True).items() if c}
-        den *= den_f
-        if not result:
-            break
-    return _to_element(P, result, den)
+    chain = Chain(P)
+    return chain.value() if all(map(chain.times, factors)) else zero()
 
 
 # -- ring maps -------------------------------------------------------------------
@@ -692,8 +720,7 @@ def _word_image(f: RingMap, word: IWord) -> tuple[dict[IWord, int | Fraction], i
         found = words.get(key)
         if found is None:
             right, den_g = words[key[-1:]]
-            terms = _times(f.ring, image.items(), right.items(), True)
-            found = words[key] = ({w: c for w, c in terms.items() if c}, den * den_g)
+            found = words[key] = (_times(f.ring, image.items(), right.items(), True), den * den_g)
         image, den = found
     return image, den
 
@@ -848,7 +875,8 @@ def poincare_series(P: RingPresentation, max_degree: int) -> list[int]:
     it excludes (:func:`_exclusions`), so the series is the truncated product
     of the series of the components of the exclusion graph.  The name-level
     enumeration over all generators stays in the tests as the oracle.
-    Raises ValueError past MAX_SERIES_WORDS words over all components.
+    Raises ValueError past MAX_SERIES_WORDS words over all components, or
+    past MAX_SERIES_PRODUCTS coefficient products, counted before each one.
 
     >>> P = RingPresentation((Generator("x", 1), Generator("y", 1)), ())
     >>> poincare_series(P, 3)  # components {x} and {y}: (1 + t)^2
@@ -856,11 +884,15 @@ def poincare_series(P: RingPresentation, max_degree: int) -> list[int]:
     """
     check_series_degree(max_degree)
     exclusions = _exclusions(P)
-    dims, budget = [1] + [0] * max_degree, MAX_SERIES_WORDS
+    dims, budget, products = [1] + [0] * max_degree, MAX_SERIES_WORDS, 0
     for members in _rule_components(exclusions):
         slots = [(P.generators[g].degree, exclusions[g], 1 << g) for g in members]
         series = _count_admissible(slots, max_degree, budget)
         budget -= sum(series)
+        products += (len(dims) - dims.count(0)) * (len(series) - series.count(0))
+        if products > MAX_SERIES_PRODUCTS:
+            cap = f"{MAX_SERIES_PRODUCTS} coefficient products (MAX_SERIES_PRODUCTS)"
+            raise ValueError(f"Poincare series to degree {max_degree} forms over {cap}")
         dims = poly_mul(dims, series, max_degree)
     return dims
 

@@ -323,9 +323,12 @@ def rpn_navigate(x, y) -> PathPlan:
     of the arc it rides.  Antipodal inputs to the sphere picture do not
     occur: alpha = pi/2 is the diameter of the quotient and gets an even
     split.  Identical lines give the constant plan.  Each path is a
-    one-piece ArcPath from the representative of x.  Vectors of length
-    below 2 raise ValueError: a constant path needs a second axis.
+    one-piece ArcPath from the representative of x.  Vectors of different
+    shapes raise ValueError, and so do vectors of length below 2: a
+    constant path needs a second axis.
     """
+    if np.shape(x) != np.shape(y):
+        raise ValueError("x and y must have the same dimension")
     if min(np.size(x), np.size(y)) < 2:
         raise ValueError("rpn_navigate needs vectors of length at least 2 (lines in R^n, n >= 2)")
     px, py = _as_projective(x), _as_projective(y)

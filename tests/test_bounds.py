@@ -647,24 +647,25 @@ def test_cup_length_never_squares_an_odd_element(monkeypatch):
     collapse = diagonal_fn(fp)
     elements = copy_differences(fp)
     assert all(element_degree(fp.ring, e) % 2 for e in elements)
-    chains = {}  # id of a product -> indices of the elements it multiplies
-    products = []  # keeps every product alive, so no id is reused
-    real_multiply = bounds.multiply
+    kept = {}  # id of a chain -> indices of the elements it multiplied in
+    steps = []  # keeps every chain alive, so no id is reused
+    real_times = gcring.Chain.times
 
-    def tracking(P, acc, e):
+    def tracking(chain, e):
         idx = next((i for i, x in enumerate(elements) if x is e), None)
         if idx is None:  # a generic combination: the greedy chain is over
-            return real_multiply(P, acc, e)
-        chain = chains.get(id(acc), ())
-        assert idx not in chain, f"odd element {idx} multiplied by itself"
-        out = real_multiply(P, acc, e)
-        chains[id(out)] = chain + (idx,)
-        products.append(out)
-        return out
+            return real_times(chain, e)
+        factors = kept.get(id(chain), ())
+        assert idx not in factors, f"odd element {idx} multiplied by itself"
+        nonzero = real_times(chain, e)
+        if nonzero:
+            kept[id(chain)] = factors + (idx,)
+        steps.append(chain)
+        return nonzero
 
-    monkeypatch.setattr(bounds, "multiply", tracking)
+    monkeypatch.setattr(gcring.Chain, "times", tracking)
     assert cup_length_kernel(fp.ring, collapse, elements) == fn_closed_form(2, 2, 1, 3)
-    assert products
+    assert steps
 
 
 def test_cup_length_reaches_degree_ceiling_on_odd_cell():
@@ -688,11 +689,146 @@ def test_cup_length_pairs_cap_names_the_ring(monkeypatch):
 def test_cup_length_pairs_cap_stops_before_the_product(monkeypatch):
     monkeypatch.setattr(bounds, "MAX_CHAIN_PAIRS", 1)
     calls = []
-    monkeypatch.setattr(bounds, "multiply", lambda *args: calls.append(args))
+    monkeypatch.setattr(gcring.Chain, "times", lambda *args: calls.append(args))
     fp = fn_fiber_product(2, 2, 1, 3)
     with pytest.raises(ValueError, match=r"MAX_CHAIN_PAIRS\); best so far 0$"):
         cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp))
     assert calls == []
+
+
+def test_cup_length_refuses_a_collapse_of_another_ring(monkeypatch):
+    # The products ran in one ring and the kernel check in the other, and
+    # this pair answered 3.
+    calls = []
+    monkeypatch.setattr(gcring.Chain, "times", lambda *args: calls.append(args))
+    fp, other = fn_fiber_product(3, 2, 1, 2), fn_fiber_product(2, 2, 1, 2)
+    message = r"^cup length asked in fn:d=3,m=2,n=1,r=2 with a collapse map of fn:d=2,m=2,n=1,r=2$"
+    with pytest.raises(ValueError, match=message):
+        cup_length_kernel(fp.ring, diagonal_fn(other), copy_differences(fp))
+    assert calls == []
+
+
+# === coded chains against the decoded ones they replaced ===
+
+
+def decoded_euler_height(P, e, max_power):
+    """euler_height as it ran before its chain stayed coded: every power
+    decoded by multiply."""
+    height, acc = 0, one()
+    for k in range(1, max_power + 1):
+        acc = multiply(P, acc, e)
+        if is_zero(acc):
+            break
+        height = k
+    return height
+
+
+def decoded_cup_length(P, elements, budget=12):
+    """The greedy and generic chains of cup_length_kernel as they ran before
+    they stayed coded, every partial product decoded by multiply: (length,
+    error_bound), or the same ValueError at MAX_CHAIN_PAIRS."""
+    degrees = [element_degree(P, e) for e in elements]
+    top = ring_top_degree(P, ceiling=budget * max(degrees))
+    ceiling = min(budget, top // min(degrees))
+
+    def step(acc, x, best):
+        pairs = len(acc.terms) * len(x.terms)
+        if pairs > bounds.MAX_CHAIN_PAIRS:
+            raise ValueError(
+                f"cup-length chain on {P.name} would multiply {pairs} pairs of terms, "
+                f"over the cap of {bounds.MAX_CHAIN_PAIRS} (MAX_CHAIN_PAIRS); best so far {best}"
+            )
+        return multiply(P, acc, x)
+
+    greedy, acc, acc_degree, start = 0, one(), 0, 0
+    while greedy < ceiling:
+        for idx in range(start, len(elements)):
+            if acc_degree + degrees[idx] > top:
+                continue
+            nxt = step(acc, elements[idx], greedy)
+            if not is_zero(nxt):
+                greedy, acc, start = greedy + 1, nxt, idx + degrees[idx] % 2
+                acc_degree += degrees[idx]
+                break
+        else:
+            break
+    if greedy == ceiling:
+        return greedy, None
+    rng = random.Random(bounds.CUP_LENGTH_SEED)
+    generic, acc = 0, one()
+    while generic < ceiling:
+        coeffs = [rng.getrandbits(61) + 1 for _ in elements]
+        x = element((a * c, w) for a, e in zip(coeffs, elements) for w, c in e.terms.items())
+        acc = step(acc, x, max(greedy, generic))
+        if is_zero(acc):
+            return max(greedy, generic), Fraction(generic + 1, 2**61)
+        generic += 1
+    return generic, None
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_euler_height_matches_the_decoded_powers_on_cpn(n):
+    P = complex_projective(n)
+    for e in (gen("a1"), scale(Fraction(-3, 2), gen("a1")), zero()):
+        assert euler_height(P, e, n + 2) == decoded_euler_height(P, e, n + 2)
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 7) for r in (2, 3, 4)])
+def test_euler_height_matches_the_decoded_powers_on_towers(n, r):
+    tower = cpn_sphere_bundle(n, r)
+    top = sum(g.degree for g in tower.ring.generators)
+    max_power = top // (tower.q - 1) + 1
+    for e in (tower.section_euler, subtract(gen("u1"), tower.pullback_section_euler(1))):
+        assert euler_height(tower.ring, e, max_power) == decoded_euler_height(tower.ring, e, max_power)
+
+
+@pytest.mark.parametrize("cell", BENCH_CUP_CELLS + [(2, 4, 1, 3), (2, 2, 3, 2)])
+def test_cup_length_matches_the_decoded_chains(cell):
+    fp = fn_fiber_product(*cell)
+    elements = copy_differences(fp)
+    got = cup_length_kernel(fp.ring, diagonal_fn(fp), elements)
+    length, error_bound = decoded_cup_length(fp.ring, elements)
+    assert (got, got.error_bound) == (length, error_bound)
+    assert got.optimality == ("ceiling" if error_bound is None else "probabilistic")
+
+
+@pytest.mark.parametrize("cell, largest", [((2, 2, 1, 3), 108), ((3, 2, 1, 3), 4), ((2, 2, 2, 2), 720)])
+def test_cup_length_pairs_cap_messages_match_the_decoded_chains(monkeypatch, cell, largest):
+    # Every cap up to the largest product of both chains: each stops at the
+    # same product, with the same message, or answers the same.
+    fp = fn_fiber_product(*cell)
+    collapse, elements = diagonal_fn(fp), copy_differences(fp)
+    seen = set()
+    for cap in range(1, largest + 1):
+        monkeypatch.setattr(bounds, "MAX_CHAIN_PAIRS", cap)
+        outcomes = []
+        for run in (lambda: cup_length_kernel(fp.ring, collapse, elements), lambda: decoded_cup_length(fp.ring, elements)):
+            try:
+                got = run()
+            except ValueError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append(tuple(got) if isinstance(got, tuple) else (int(got), got.error_bound))
+        assert outcomes[0] == outcomes[1], cap
+        seen.add(type(outcomes[0]))
+    assert seen == {str, tuple}
+
+
+def test_chains_decode_only_their_value(monkeypatch):
+    fp = fn_fiber_product(2, 2, 1, 3)
+    factors = verify_witness_fn(fp).factors
+    decoded = []
+    real_to_element = gcring._to_element
+
+    def counting(*args):
+        decoded.append(args)
+        return real_to_element(*args)
+
+    monkeypatch.setattr(gcring, "_to_element", counting)
+    assert euler_height(complex_projective(6), gen("a1"), 8) == 6
+    assert decoded == []
+    assert not is_zero(product(fp.ring, factors))
+    assert len(decoded) == 1
 
 
 # === witness work bound ===

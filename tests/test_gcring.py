@@ -820,19 +820,48 @@ def test_series_word_cap_counts_over_all_components(monkeypatch):
         poincare_series(P, 8)
 
 
+def test_series_refuses_past_the_product_cap(monkeypatch):
+    # Rule-free degree-2 generators: one component each, of 257 nonzero
+    # coefficients to degree 512.  The k-th component's product forms
+    # (nonzero coefficients so far) x 257, counted before it is formed, and
+    # none of it goes to MAX_SERIES_WORDS.
+    P = RingPresentation([Generator(f"g{i}", 2) for i in range(4)], ())
+    calls, real_poly_mul = [], gcring.poly_mul
+    monkeypatch.setattr(gcring, "poly_mul", lambda *args: calls.append(args) or real_poly_mul(*args))
+    products = 1 * 257 + 3 * 257 * 257
+    monkeypatch.setattr(gcring, "MAX_SERIES_WORDS", 4 * 257)
+    monkeypatch.setattr(gcring, "MAX_SERIES_PRODUCTS", products)
+    poincare_series(P, 512)
+    assert len(calls) == 4
+    calls.clear()
+    monkeypatch.setattr(gcring, "MAX_SERIES_PRODUCTS", products - 1)
+    cap = rf"^Poincare series to degree 512 forms over {products - 1} coefficient products \(MAX_SERIES_PRODUCTS\)$"
+    with pytest.raises(ValueError, match=cap):
+        poincare_series(P, 512)
+    assert len(calls) == 3
+
+
 def test_shipped_rings_and_gates_count_far_below_the_word_cap(monkeypatch):
     # The largest counts are a few thousand words (conf:d=2,k=59 to degree
     # 58 counts 1769, the fn:d=2,m=2,n=1,r=510 gate 1532), so every ring and
-    # gate here passes at 1/256 of the cap.
+    # gate here passes at 1/256 of the cap.  The products cap holds the same
+    # headroom over every ring and gate (conf:d=2,k=40 forms the most, 1560)
+    # but the two fn gates at the degree cap, which pass at 1/4 of it
+    # (261632 products at (2,2,1,510), 65792 at (3,2,1,255)).
     monkeypatch.setattr(gcring, "MAX_SERIES_WORDS", gcring.MAX_SERIES_WORDS // 256)
+    products = gcring.MAX_SERIES_PRODUCTS
+    monkeypatch.setattr(gcring, "MAX_SERIES_PRODUCTS", products // 256)
     for name in shipped_names() + ("cp255", "conf:d=2,k=40"):
         P = catalog(name)
         poincare_series(P, min(top_degree(P), MAX_SERIES_DEGREE))
-    for cell in [*itertools.product((2, 3, 4), (2, 3, 4), (1, 2, 3), (2, 3, 4)), (2, 2, 1, 510), (3, 2, 1, 255)]:
+    for cell in itertools.product((2, 3, 4), (2, 3, 4), (1, 2, 3), (2, 3, 4)):
         fn_fiber_product.__wrapped__(*cell)
     for n, r in itertools.product(range(1, 23), range(2, 5)):
         if n * (n + 1) + 2 * r <= MAX_SERIES_DEGREE:
             cpn_sphere_bundle.__wrapped__(n, r)
+    monkeypatch.setattr(gcring, "MAX_SERIES_PRODUCTS", products // 4)
+    for cell in (2, 2, 1, 510), (3, 2, 1, 255):
+        fn_fiber_product.__wrapped__(*cell)
 
 
 # === serialization ===

@@ -179,6 +179,14 @@ def test_rpn_rejects_vectors_of_length_below_two(x, y):
         rpn_navigate(x, y)
 
 
+@pytest.mark.parametrize("x, y", [([1.0, 0.0], [0.0, 1.0, 0.0]), ([1.0], [0.0, 1.0])])
+def test_rpn_rejects_vectors_of_different_dimensions(x, y):
+    # The check ran only in the CLI; the library call failed inside numpy,
+    # and a length-1 x met the length check first.
+    with pytest.raises(ValueError, match="^x and y must have the same dimension$"):
+        rpn_navigate(x, y)
+
+
 def test_rpn_interpolates_and_sums_to_one():
     rng = random.Random(11)
     for n in (2, 3, 4, 5):
