@@ -58,9 +58,15 @@ __all__ = [
     "to_jsonable",
     "euclidean_metric",
     "MAX_SUPPORT",
+    "MAX_PRODUCT_ATOMS",
 ]
 
 MAX_SUPPORT = 64
+# Atoms product_measure may build, len(mu) x len(nu), checked before any is
+# built: in `measure product`, 256 x 256 atoms took 2.4 s and printed 12 MB,
+# 300 x 300 took 3.1 s and printed 17 MB (in process, single runs on a
+# shared 2-core host).
+MAX_PRODUCT_ATOMS = 2**16
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,13 @@ class FiniteMeasure:
 
 
 def product_measure(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
-    """Independent coupling: atoms are pairs, weights multiply."""
+    """Independent coupling: atoms are pairs, weights multiply.  ValueError,
+    before any atom is built, when it would have over MAX_PRODUCT_ATOMS."""
+    if len(mu) * len(nu) > MAX_PRODUCT_ATOMS:
+        raise ValueError(
+            f"the product of {len(mu)} and {len(nu)} atoms has {len(mu) * len(nu)}, "
+            f"over the cap of {MAX_PRODUCT_ATOMS} (MAX_PRODUCT_ATOMS)"
+        )
     return FiniteMeasure([((p, q), wp * wq) for p, wp in mu.atoms for q, wq in nu.atoms])
 
 

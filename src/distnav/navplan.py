@@ -31,6 +31,9 @@ bits as ``path.sample([t])[0]`` without its index arrays).  A path builds
 the numpy arrays of its angles and frames once, read-only, on first use,
 and sampling, scalar evaluation and mapping read them; nothing converts
 per call.
+
+Planners scale finite nonzero vectors to unit length (rpn_navigate also
+takes ProjectivePoints); rotations act on R^n as (n-1) x (n-1) blocks.
 """
 
 from __future__ import annotations
@@ -118,19 +121,6 @@ def _canonical_line(unit: np.ndarray) -> ProjectivePoint:
     coords = unit.tolist()
     lead = next((x for x in coords if abs(x) > COORDINATE_ZERO), 0.0)
     return ProjectivePoint(tuple(-x for x in coords) if lead < 0 else tuple(coords))
-
-
-def _as_projective(p) -> ProjectivePoint:
-    if isinstance(p, ProjectivePoint):
-        return p
-    arr = np.asarray(p, dtype=float)
-    scale, norm = _scaled_norm(arr)
-    if not abs(scale * norm - 1.0) <= 1e-9:  # also false for NaN and inf
-        raise ValueError(f"representative {arr.tolist()} has norm {scale * norm}, expected a unit vector")
-    if arr.ndim != 1:
-        raise ValueError(f"checkpoint {arr.tolist()} is not a vector of length {arr.size}")
-    # A norm this close to 1 has scale 1 (see _scaled_norm): one division.
-    return _canonical_line(arr / norm)
 
 
 # -- paths ----------------------------------------------------------------------
@@ -323,15 +313,17 @@ def rpn_navigate(x, y) -> PathPlan:
     of the arc it rides.  Antipodal inputs to the sphere picture do not
     occur: alpha = pi/2 is the diameter of the quotient and gets an even
     split.  Identical lines give the constant plan.  Each path is a
-    one-piece ArcPath from the representative of x.  Vectors of different
-    shapes raise ValueError, and so do vectors of length below 2: a
-    constant path needs a second axis.
+    one-piece ArcPath from the representative of x.  A ProjectivePoint is
+    taken as it is; a vector is scaled to unit length, as circle and Hopf
+    checkpoints are, so x and c x give one line for any real c != 0.
+    ValueError unless x and y have one shape, of length at least 2 (a
+    constant path needs a second axis), and are finite and nonzero.
     """
     if np.shape(x) != np.shape(y):
         raise ValueError("x and y must have the same dimension")
     if min(np.size(x), np.size(y)) < 2:
         raise ValueError("rpn_navigate needs vectors of length at least 2 (lines in R^n, n >= 2)")
-    px, py = _as_projective(x), _as_projective(y)
+    px, py = (p if isinstance(p, ProjectivePoint) else _canonical_line(_unit(p, np.size(p))) for p in (x, y))
     xv, yv = np.array(px), np.array(py)
     dot = float(np.dot(xv, yv))
     if dot < 0:
@@ -473,29 +465,33 @@ def hopf_parametrized_navigate(r: int, points: Sequence) -> PathPlan:
 # -- verifiers ----------------------------------------------------------------------
 
 
-def _check_rotation(g: np.ndarray, dim: int, tol: float = 1e-9) -> np.ndarray:
-    """Validate and embed a rotation acting on the first ``dim - 1`` axes.
-
-    Accepts a (dim x dim) matrix fixing the last coordinate axis or a
-    ((dim-1) x (dim-1)) block, which is embedded.  Reflections (negative
-    determinant) and non-orthogonal matrices raise ValueError.
-    """
+def _check_rotation(g, dim: int) -> np.ndarray:
+    """g, a (dim-1) x (dim-1) rotation, embedded in dim x dim to fix the
+    last axis; ValueError for other shapes, for g not orthogonal within
+    1e-9 and for reflections."""
     g = np.asarray(g, dtype=float)
-    if g.shape == (dim - 1, dim - 1):
-        full = np.eye(dim)
-        full[: dim - 1, : dim - 1] = g
-        g = full
-    if g.shape != (dim, dim):
-        raise ValueError(f"rotation must be {dim - 1}x{dim - 1} or {dim}x{dim}")
-    if float(np.max(np.abs(g.T @ g - np.eye(dim)))) > tol:
+    if g.shape != (dim - 1, dim - 1):
+        raise ValueError(f"rotation must be {dim - 1}x{dim - 1}")
+    if float(np.max(np.abs(g.T @ g - np.eye(dim - 1)))) > 1e-9:
         raise ValueError("matrix is not orthogonal")
     if float(np.linalg.det(g)) < 0:
         raise ValueError("reflections are not part of the acting group")
-    last = np.zeros(dim)
-    last[-1] = 1.0
-    if float(np.linalg.norm(g @ last - last)) > tol:
-        raise ValueError("rotation must fix the last coordinate axis")
-    return g
+    full = np.eye(dim)
+    full[: dim - 1, : dim - 1] = g
+    return full
+
+
+def _lp_report(trials: Iterable[tuple[float, float, dict]]) -> dict:
+    """{samples, max_discrepancy, failures} over trials (value, bound,
+    inputs), in order: a trial fails when its value exceeds its bound, and
+    its failure record holds the inputs as JSON."""
+    samples, worst, failures = 0, 0.0, []
+    for d, bound, inputs in trials:
+        samples += 1
+        worst = max(worst, d)
+        if d > bound:
+            failures.append({"input": {k: to_jsonable(v) for k, v in inputs.items()}, "value": d})
+    return {"samples": samples, "max_discrepancy": worst, "failures": failures}
 
 
 def check_equivariance(
@@ -507,36 +503,27 @@ def check_equivariance(
 ) -> dict:
     """Compare plan(gx, gy) with g pushed through plan(x, y) in LP distance.
 
-    Group elements act on the last-axis-fixing copy of the rotation group;
-    reflections are rejected.  Each base plan plan(x, y) is built once.
-    Returns {samples, max_discrepancy, failures} with one failure record per
-    element and pair exceeding tol, elements in the outer order.
+    Each element g is an (n-1) x (n-1) rotation of points in R^n, acting
+    on the first n - 1 axes (``_check_rotation``).  Each base plan
+    plan(x, y) is built once.  Returns {samples, max_discrepancy, failures}
+    with one failure record, g embedded in n x n, per element and pair
+    exceeding tol, elements in the outer order.
     """
     pairs = [(np.asarray(x, float), np.asarray(y, float)) for x, y in sample_pairs]
     if not pairs:
-        return {"samples": 0, "max_discrepancy": 0.0, "failures": []}
+        return _lp_report(())
     dim = len(pairs[0][0])
     mats = [_check_rotation(g, dim) for g in group_elements]
     bases = [plan_fn(x, y).measure.atoms for x, y in pairs]
     space = path_metric(projective_metric(), grid=grid)
-    samples = 0
-    worst = 0.0
-    failures: list[dict] = []
-    for g in mats:
-        for (x, y), base in zip(pairs, bases):
-            samples += 1
-            moved = plan_fn(g @ x, g @ y)
-            pushed = FiniteMeasure([(p.mapped(g), w) for p, w in base])
-            d = lp_distance(moved.measure, pushed, space)
-            worst = max(worst, d)
-            if d > tol:
-                failures.append(
-                    {
-                        "input": {"g": to_jsonable(g), "x": to_jsonable(x), "y": to_jsonable(y)},
-                        "value": d,
-                    }
-                )
-    return {"samples": samples, "max_discrepancy": worst, "failures": failures}
+
+    def trials():
+        for g in mats:
+            for (x, y), base in zip(pairs, bases):
+                pushed = FiniteMeasure([(p.mapped(g), w) for p, w in base])
+                yield lp_distance(plan_fn(g @ x, g @ y).measure, pushed, space), tol, {"g": g, "x": x, "y": y}
+
+    return _lp_report(trials())
 
 
 RATIO_CEILING = 10.0
@@ -554,33 +541,26 @@ def check_lp_continuity(
 
     Each base input (x, y, ...) gives the plan ``plan_fn(x, y, ...)``;
     ``samples_per_pair`` times, every point is perturbed in order and
-    renormalized, and the plans are compared in LP distance over the path
-    sup metric.  Points are compared in the projective metric when the base
-    plan's checkpoints are ProjectivePoints, in the chord metric otherwise.
-    A sample fails when the output moves more than RATIO_CEILING times the
-    largest input displacement.  Returns {samples, max_discrepancy,
-    failures}.
+    scaled back to unit length, and the plans are compared in LP distance
+    over the path sup metric.  Points are compared in the projective metric
+    when the base plan's checkpoints are ProjectivePoints, in the chord
+    metric otherwise.  A sample fails when the output moves more than
+    RATIO_CEILING times the largest input displacement.  Returns {samples,
+    max_discrepancy, failures}.
     """
     rng = np.random.default_rng(seed)
-    samples = 0
-    worst = 0.0
-    failures: list[dict] = []
-    for inputs in base_inputs:
-        inputs = [np.asarray(p, dtype=float) for p in inputs]
-        base_plan = plan_fn(*inputs)
-        lines = isinstance(base_plan.checkpoints[0], ProjectivePoint)
-        point_space = projective_metric() if lines else sphere_metric()
-        space = path_metric(point_space, grid=grid)
-        for _ in range(samples_per_pair):
-            samples += 1
-            moved_inputs = []
-            for p in inputs:
-                p2 = p + rng.normal(size=p.shape) * perturbation_scale
-                moved_inputs.append(p2 / float(np.linalg.norm(p2)))
-            input_delta = max(point_space.distance(p, p2) for p, p2 in zip(inputs, moved_inputs))
-            moved = plan_fn(*moved_inputs)
-            d = lp_distance(base_plan.measure, moved.measure, space)
-            worst = max(worst, d)
-            if d > RATIO_CEILING * input_delta:
-                failures.append({"input": {"points": to_jsonable(moved_inputs)}, "value": d})
-    return {"samples": samples, "max_discrepancy": worst, "failures": failures}
+
+    def trials():
+        for inputs in base_inputs:
+            inputs = [np.asarray(p, dtype=float) for p in inputs]
+            base_plan = plan_fn(*inputs)
+            lines = isinstance(base_plan.checkpoints[0], ProjectivePoint)
+            point_space = projective_metric() if lines else sphere_metric()
+            space = path_metric(point_space, grid=grid)
+            for _ in range(samples_per_pair):
+                moved = [_unit(p + rng.normal(size=p.shape) * perturbation_scale, p.size) for p in inputs]
+                input_delta = max(point_space.distance(p, q) for p, q in zip(inputs, moved))
+                d = lp_distance(base_plan.measure, plan_fn(*moved).measure, space)
+                yield d, RATIO_CEILING * input_delta, {"points": moved}
+
+    return _lp_report(trials())

@@ -666,7 +666,30 @@ def test_product_measure_mixed_mode():
     assert abs(prod.total_mass() - 1.0) <= 1e-12
 
 
-# === JSON interchange ===
+class UnreadAtoms(tuple):
+    """Atoms whose count may be read but which fail the test when iterated."""
+
+    def __iter__(self):
+        pytest.fail("an atom was read")
+
+
+def test_product_measure_refuses_over_atom_cap_before_any_atom(monkeypatch):
+    # 257 x 256 atoms is one row over 2^16; the check reads only the counts.
+    def uniform(size):
+        return FiniteMeasure([(float(k), Fraction(1, size)) for k in range(size)])
+
+    def unread(measure):
+        measure.atoms = UnreadAtoms(measure.atoms)
+        return measure
+
+    message = r"^the product of 257 and 256 atoms has 65792, over the cap of 65536 \(MAX_PRODUCT_ATOMS\)$"
+    with pytest.raises(ValueError, match=message):
+        product_measure(unread(uniform(257)), unread(uniform(256)))
+    monkeypatch.setattr(measures, "MAX_PRODUCT_ATOMS", 5)
+    with pytest.raises(ValueError, match=r"^the product of 2 and 3 atoms has 6, over the cap of 5"):
+        product_measure(unread(uniform(2)), unread(uniform(3)))
+    monkeypatch.setattr(measures, "MAX_PRODUCT_ATOMS", 6)
+    assert len(product_measure(uniform(2), uniform(3))) == 6
 
 
 def test_json_roundtrip_exact():

@@ -2,6 +2,7 @@
 the tail-freezing deformation, and the two empirical verifiers."""
 
 import dataclasses
+import json
 import math
 import random
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import distnav.navplan as navplan
-from distnav.measures import MAX_SUPPORT, FiniteMeasure, euclidean_metric, lp_distance
+from distnav.measures import MAX_SUPPORT, FiniteMeasure, euclidean_metric, lp_distance, to_jsonable
 from distnav.navplan import (
     FIBER_TOLERANCE,
     MAX_CHECKPOINTS,
@@ -60,11 +61,14 @@ def test_projective_canonical_representative():
     assert p == _canonical_line(_unit([3.0, -4.0, 0.0], 3))
 
 
-def test_projective_rejects_zero_and_non_unit():
+def test_projective_rejects_zero_and_scales_non_unit():
     with pytest.raises(ValueError):
         _canonical_line(_unit([0.0, 0.0], 2))
-    with pytest.raises(ValueError):
-        rpn_navigate([2.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match=r"^checkpoint \[0.0, 0.0, 0.0\] has norm 0.0, not a finite nonzero length$"):
+        rpn_navigate([0.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    # A non-unit vector was refused; it now gives the line it spans.
+    scaled, unit = rpn_navigate([2.0, 0.0, 0.0], [0.0, 1.0, 0.0]), rpn_navigate([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    assert (scaled.measure.atoms, scaled.checkpoints) == (unit.measure.atoms, unit.checkpoints)
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -83,16 +87,30 @@ def test_projective_rejects_non_finite_representative():
     rng = random.Random(41)
     for bad in NON_FINITE:
         x, y = random_unit(rng, 3), random_unit(rng, 3)
-        with pytest.raises(ValueError, match="representative .* has norm"):
+        with pytest.raises(ValueError, match="checkpoint .* has norm .*, not a finite nonzero length"):
             rpn_navigate(spoiled(rng, x, bad), y)
-        with pytest.raises(ValueError, match="representative .* has norm"):
+        with pytest.raises(ValueError, match="checkpoint .* has norm .*, not a finite nonzero length"):
             rpn_navigate(x, spoiled(rng, y, bad))
         with pytest.raises(ValueError, match="not a finite nonzero length"):
             _canonical_line(_unit(spoiled(rng, x, bad), 3))
 
 
+def as_projective(p):
+    """The deleted reader of rpn_navigate's lines, which took ProjectivePoints
+    as they are and other vectors only within 1e-9 of unit length (oracle)."""
+    if isinstance(p, ProjectivePoint):
+        return p
+    arr = np.asarray(p, dtype=float)
+    scale, norm = navplan._scaled_norm(arr)
+    if not abs(scale * norm - 1.0) <= 1e-9:  # also false for NaN and inf
+        raise ValueError(f"representative {arr.tolist()} has norm {scale * norm}, expected a unit vector")
+    if arr.ndim != 1:
+        raise ValueError(f"checkpoint {arr.tolist()} is not a vector of length {arr.size}")
+    return _canonical_line(arr / norm)
+
+
 def as_projective_two_step(p):
-    """The route _as_projective took before it shared one norm: check the
+    """The route as_projective took before it shared one norm: check the
     norm, then normalize again, as the deleted from_vector did, and find the
     sign by a loop over numpy scalars (oracle)."""
     arr = np.asarray(p, dtype=float)
@@ -134,11 +152,35 @@ def test_as_projective_matches_two_step_oracle():
         inputs.append(v)
     inputs += [[1e200, 0.0], [0.0, -1e-320], [-0.0, -1.0], [[0.6], [0.8]], [[0.6, 0.8]], 1.0, -1.0]
     inputs += [[-1e-12, 1.0], [1e-12, -0.0, -1.0], [-1.0000000000000002e-12, 1.0]]  # at the threshold
+    # rpn_navigate now reads a line as _canonical_line(_unit(v, np.size(v))):
+    # on every vector the oracles take it gives their bits.
     for p in inputs:
         expected = outcome(as_projective_two_step, p)
-        assert outcome(navplan._as_projective, p) == expected, p
+        assert outcome(as_projective, p) == expected, p
         if isinstance(expected, bytes):
-            assert outcome(lambda v: _canonical_line(_unit(v, len(v))), p) == expected, p
+            assert outcome(lambda v: _canonical_line(_unit(v, np.size(v))), p) == expected, p
+            assert outcome(lambda v: rpn_navigate(v, v).checkpoints[0], p) == expected, p
+    line = _canonical_line(_unit([0.6, -0.8], 2))
+    assert rpn_navigate(line, line).checkpoints == (line, line)  # as it is, not scaled again
+
+
+def test_rpn_scaled_inputs_give_the_lines_and_weights_of_unit_ones():
+    # Scaling by -1 or a power of two is exact, so the plan is the same bit
+    # for bit; any other scale moves the unit representatives by rounding.
+    rng = random.Random(44)
+    exact = [(-1.0, 1.0), (2.0, -0.5), (-8.0, -1024.0)]
+    rounded = [(3.0, -0.1), (-1e200, 7.5), (1e-200, -1e-5)]
+    for _ in range(50):
+        dim = rng.randint(2, 6)
+        x, y = random_unit(rng, dim), random_unit(rng, dim)
+        unit_plan = rpn_navigate(x, y)
+        for c, d in exact:
+            plan = rpn_navigate(c * x, d * y)
+            assert (plan.measure.atoms, plan.checkpoints) == (unit_plan.measure.atoms, unit_plan.checkpoints), (c, d)
+        for c, d in rounded:
+            plan = rpn_navigate(c * x, d * y)
+            assert np.allclose(plan.checkpoints, unit_plan.checkpoints, rtol=0, atol=1e-15)
+            assert np.allclose(plan.measure.weights(), unit_plan.measure.weights(), rtol=0, atol=1e-12)
 
 
 # === projective planner ===
@@ -475,9 +517,8 @@ def test_equivariance_rejects_bad_group_elements():
         check_equivariance(rpn_navigate, [np.diag([1.0, -1.0])], pairs)
     with pytest.raises(ValueError):  # not orthogonal
         check_equivariance(rpn_navigate, [np.diag([2.0, 1.0])], pairs)
-    with pytest.raises(ValueError):  # moves the last axis
-        g = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-        check_equivariance(rpn_navigate, [g], pairs)
+    with pytest.raises(ValueError, match="^rotation must be 2x2$"):  # a full 3x3 matrix, no longer taken
+        check_equivariance(rpn_navigate, [np.eye(3)], pairs)
     with pytest.raises(ValueError):  # wrong shape
         check_equivariance(rpn_navigate, [np.eye(5)], pairs)
 
@@ -615,6 +656,93 @@ def test_continuity_on_pairs_matches_two_point_oracle():
             assert report["max_discrepancy"] == max(values)
             assert [(f["input"]["points"], f["value"]) for f in report["failures"]] == flagged
     assert check_lp_continuity(broken, pairs[-1:], 1e-4, 8, 9)["failures"]
+
+
+def equivariance_loop(plan_fn, group_elements, sample_pairs, tol=1e-9, grid=64):
+    """check_equivariance with its own report loop, as it was before the
+    verifiers shared one (oracle)."""
+    pairs = [(np.asarray(x, float), np.asarray(y, float)) for x, y in sample_pairs]
+    if not pairs:
+        return {"samples": 0, "max_discrepancy": 0.0, "failures": []}
+    dim = len(pairs[0][0])
+    mats = [navplan._check_rotation(g, dim) for g in group_elements]
+    bases = [plan_fn(x, y).measure.atoms for x, y in pairs]
+    space = path_metric(projective_metric(), grid=grid)
+    samples = 0
+    worst = 0.0
+    failures = []
+    for g in mats:
+        for (x, y), base in zip(pairs, bases):
+            samples += 1
+            moved = plan_fn(g @ x, g @ y)
+            pushed = FiniteMeasure([(p.mapped(g), w) for p, w in base])
+            d = lp_distance(moved.measure, pushed, space)
+            worst = max(worst, d)
+            if d > tol:
+                failures.append(
+                    {
+                        "input": {"g": to_jsonable(g), "x": to_jsonable(x), "y": to_jsonable(y)},
+                        "value": d,
+                    }
+                )
+    return {"samples": samples, "max_discrepancy": worst, "failures": failures}
+
+
+def continuity_loop(plan_fn, base_inputs, perturbation_scale=1e-4, samples_per_pair=8, seed=0, grid=64):
+    """check_lp_continuity with its own report loop and numpy's norm, as it
+    was before the verifiers shared one loop (oracle)."""
+    rng = np.random.default_rng(seed)
+    samples = 0
+    worst = 0.0
+    failures = []
+    for inputs in base_inputs:
+        inputs = [np.asarray(p, dtype=float) for p in inputs]
+        base_plan = plan_fn(*inputs)
+        lines = isinstance(base_plan.checkpoints[0], ProjectivePoint)
+        point_space = projective_metric() if lines else sphere_metric()
+        space = path_metric(point_space, grid=grid)
+        for _ in range(samples_per_pair):
+            samples += 1
+            moved_inputs = []
+            for p in inputs:
+                p2 = p + rng.normal(size=p.shape) * perturbation_scale
+                moved_inputs.append(p2 / float(np.linalg.norm(p2)))
+            input_delta = max(point_space.distance(p, p2) for p, p2 in zip(inputs, moved_inputs))
+            moved = plan_fn(*moved_inputs)
+            d = lp_distance(base_plan.measure, moved.measure, space)
+            worst = max(worst, d)
+            if d > RATIO_CEILING * input_delta:
+                failures.append({"input": {"points": to_jsonable(moved_inputs)}, "value": d})
+    return {"samples": samples, "max_discrepancy": worst, "failures": failures}
+
+
+def test_verifiers_share_one_report_loop_with_the_same_bytes():
+    # Both verifiers now feed _lp_report; their JSON reports keep every byte
+    # of the loops they had, failing planners and empty input included.
+    def ignores_x(x, y):
+        return rpn_navigate(np.eye(len(x))[0], y)
+
+    def jumps(x, y):
+        return rpn_navigate(x, y if x[0] > 0 else np.eye(len(y))[0])
+
+    def circle(*points):
+        return circle_navigate(len(points), points)
+
+    rng = random.Random(16)
+    for n in (1, 2, 3):
+        pairs = sample_pairs(rng, n + 1, 4) + [(np.r_[1e-6, 1.0, np.zeros(n - 1)], random_unit(rng, n + 1))]
+        mats = [random_rotation(rng, n) for _ in range(2)]
+        for planner in (rpn_navigate, ignores_x):
+            args = (planner, mats, pairs, 1e-9, 16)
+            assert json.dumps(check_equivariance(*args)) == json.dumps(equivariance_loop(*args))
+        for planner in (rpn_navigate, jumps):
+            args = (planner, pairs, 1e-3, 2, n, 16)
+            assert json.dumps(check_lp_continuity(*args)) == json.dumps(continuity_loop(*args))
+    tuples = [[random_unit(rng, 2) for _ in range(3)] for _ in range(4)]
+    args = (circle, tuples, 1e-2, 2, 5, 16)
+    assert json.dumps(check_lp_continuity(*args)) == json.dumps(continuity_loop(*args))
+    assert check_equivariance(rpn_navigate, [np.eye(5)], []) == equivariance_loop(rpn_navigate, [np.eye(5)], [])
+    assert check_lp_continuity(rpn_navigate, []) == continuity_loop(rpn_navigate, [])
 
 
 # === the quantile coupling of circle and Hopf plans ===
