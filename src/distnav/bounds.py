@@ -356,10 +356,11 @@ class CupLength(int):
     """A cup length that is its int value, and says how it was shown maximal.
 
     ``error_bound`` is None when a nonzero product reached the ceiling
-    min(budget, top degree // least element degree), which no product can
-    pass, and otherwise the exact chance, at most, that a longer nonzero
-    product exists.  ``optimality`` says which: ``"ceiling"`` or
-    ``"probabilistic"``.
+    min(budget, top degree // least element degree), past which the search
+    does not look, and otherwise the exact chance, at most, that a longer
+    nonzero product exists.  ``optimality`` says which: ``"ceiling"`` or
+    ``"probabilistic"``.  No product passes the degree term, but where the
+    budget is the smaller term a longer product may exist.
 
     >>> k = CupLength(3, Fraction(1, 2**59))
     >>> k == 3, k + 1, k.optimality
@@ -398,12 +399,13 @@ def cup_length_kernel(
 ) -> CupLength:
     """Greatest k <= budget with a nonzero k-fold product of the elements.
 
-    No nonzero product is longer than the ceiling min(budget, top degree //
-    least element degree).  A greedy chain comes first: it takes the
-    elements in the given order, skips any that would pass the top nonzero
-    degree of the ring or give a zero product, and never multiplies an
-    odd-degree element by itself (x x = -x x over Q).  If it reaches the
-    ceiling, that is the answer, with optimality ``"ceiling"``.
+    The search stops at the ceiling min(budget, top degree // least element
+    degree); no nonzero product is longer than the second term.  A greedy
+    chain comes first: it takes the elements in the given order, skips any
+    that would pass the top nonzero degree of the ring or give a zero
+    product, and never multiplies an odd-degree element by itself
+    (x x = -x x over Q).  If it reaches the ceiling, that is the answer,
+    with optimality ``"ceiling"``.
 
     Otherwise one chain of generic combinations x_j = sum_i a_ij e_i, with
     the a_ij drawn from 1..2^61 by ``random.Random(CUP_LENGTH_SEED)``, is

@@ -66,6 +66,8 @@ from .measures import (
 from .navplan import (
     MAX_CHECKPOINTS,
     PathPlan,
+    _grid_times,
+    _unit,
     check_equivariance,
     check_lp_continuity,
     circle_navigate,
@@ -132,11 +134,10 @@ def _emit(text: str) -> bool:
 
 
 def _resolve_ring(name: str):
+    """A literal ``.json`` path, loaded as it is, else a catalog name, else
+    ``<name>.json`` in ``$DISTNAV_PRESENTATIONS`` if that file exists."""
     if name.endswith(".json"):
-        path = Path(name)
-        if path.exists():
-            return load_presentation_json(str(path))
-        raise ValueError(f"presentation file {name!r} not found")
+        return load_presentation_json(name)
     try:
         return catalog(name)
     except KeyError:
@@ -154,13 +155,11 @@ def _resolve_ring(name: str):
 
 
 def _parse_vector(text: str) -> np.ndarray:
+    """The comma-separated floats of text; the planners refuse non-finite ones."""
     try:
-        vector = np.array([float(v) for v in text.split(",")])
+        return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise ValueError(f"bad vector {text!r}: {exc}") from None
-    if not np.isfinite(vector).all():
-        raise ValueError(f"bad vector {text!r}: components must be finite")
-    return vector
 
 
 def _parse_points(text: str) -> list[np.ndarray]:
@@ -203,7 +202,7 @@ def _element_terms(a) -> list[dict]:
 
 
 def _plan_payload(plan: PathPlan, grid: int = 9) -> dict:
-    times = np.arange(grid) / (grid - 1)
+    times = _grid_times(grid)
     atoms = [
         {
             "weight": float(weight),
@@ -229,11 +228,6 @@ def _load_measure(path: str) -> FiniteMeasure:
         return measure_from_jsonable(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad measure in {path!r}: {exc}") from None
-
-
-def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim)
-    return v / float(np.linalg.norm(v))
 
 
 def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -415,7 +409,8 @@ def _check_probes(pairs: int, per_pair: int, name: str) -> None:
 
 
 def _random_pairs(rng: np.random.Generator, args) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(_random_unit(rng, args.n + 1), _random_unit(rng, args.n + 1)) for _ in range(args.pairs)]
+    dim = args.n + 1
+    return [(_unit(rng.normal(size=dim), dim), _unit(rng.normal(size=dim), dim)) for _ in range(args.pairs)]
 
 
 def _cmd_nav_continuity(args) -> tuple[dict, list[str], int]:

@@ -32,8 +32,11 @@ the numpy arrays of its angles and frames once, read-only, on first use,
 and sampling, scalar evaluation and mapping read them; nothing converts
 per call.
 
-Planners scale finite nonzero vectors to unit length (rpn_navigate also
-takes ProjectivePoints); rotations act on R^n as (n-1) x (n-1) blocks.
+One function, ``_unit``, scales a vector to unit length or refuses it
+unless finite and nonzero: every planner's points, the continuity probe's
+perturbed points and the CLI's random pairs go through it (rpn_navigate
+also takes ProjectivePoints as they are).  Rotations act on R^n as
+(n-1) x (n-1) blocks.
 """
 
 from __future__ import annotations
@@ -75,30 +78,25 @@ MAX_CHECKPOINTS = MAX_SUPPORT
 # -- points ---------------------------------------------------------------------
 
 
-def _scaled_norm(arr: np.ndarray) -> tuple[float, float]:
-    """(s, n) with |arr / s| = n.  s = 1, with np.linalg.norm's bits, while the
-    largest magnitude b in arr lies in (1e-150, 1e150), so the squared length
-    is a normal float; for other finite nonzero arr, s = b."""
-    flat = arr.ravel()
-    big = max(map(abs, flat.tolist()), default=0.0)
-    if 1e-150 < big < 1e150:
-        return 1.0, math.sqrt(flat.dot(flat))
-    if 0.0 < big < math.inf:
-        return big, float(np.linalg.norm(flat / big))
-    with np.errstate(over="ignore"):  # NaN or inf: the norm says which
-        return 1.0, float(np.linalg.norm(flat))
-
-
 def _unit(p, dim: int) -> np.ndarray:
     """p scaled to unit length; ValueError, naming p, unless it is a finite
-    nonzero vector of length dim."""
+    nonzero vector of length dim.
+
+    p is first divided by the least power of two above its largest
+    magnitude, exactly but for coordinates under 2^-1022 times that, so its
+    squared length neither overflows nor underflows.
+    """
     arr = np.asarray(p, dtype=float)
+    coords = arr.tolist()
     if arr.shape != (dim,):
-        raise ValueError(f"checkpoint {arr.tolist()} is not a vector of length {dim}")
-    scale, norm = _scaled_norm(arr)
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"checkpoint {arr.tolist()} has norm {norm}, not a finite nonzero length")
-    return arr / norm if scale == 1.0 else arr / scale / norm
+        raise ValueError(f"checkpoint {coords} is not a vector of length {dim}")
+    # The largest magnitude, NaN if a coordinate is (max can skip a NaN): for
+    # a zero, inf or NaN vector it is also the norm.
+    big = math.nan if any(map(math.isnan, coords)) else max(map(abs, coords), default=0.0)
+    if not 0.0 < big < math.inf:
+        raise ValueError(f"checkpoint {coords} has norm {big}, not a finite nonzero length")
+    scaled = np.ldexp(arr, -math.frexp(big)[1])
+    return scaled / math.sqrt(scaled.dot(scaled))
 
 
 @dataclass(frozen=True)
@@ -300,8 +298,7 @@ def _orthonormal_completion(x: np.ndarray) -> np.ndarray:
     k = int(np.argmin(np.abs(x)))
     e = np.zeros_like(x)
     e[k] = 1.0
-    w = e - float(np.dot(e, x)) * x
-    return w / float(np.linalg.norm(w))
+    return _unit(e - float(np.dot(e, x)) * x, x.size)
 
 
 def rpn_navigate(x, y) -> PathPlan:
@@ -329,14 +326,13 @@ def rpn_navigate(x, y) -> PathPlan:
     if dot < 0:
         yv = -yv
         dot = -dot
-    c = min(dot, 1.0)
-    w = yv - c * xv
+    w = yv - dot * xv
     wn = float(np.linalg.norm(w))
     if px.vec == py.vec or wn == 0.0:
         constant = ArcPath((px.vec,), (tuple(_orthonormal_completion(xv).tolist()),), (0.0,))
         return PathPlan(FiniteMeasure([(constant, 1.0)]), (px, py))
     e2 = (tuple((w / wn).tolist()),)
-    alpha = math.acos(c)
+    alpha = math.atan2(wn, dot)  # acos(dot) loses half the digits of a small angle
     short = ArcPath((px.vec,), e2, (alpha,))
     long_ = ArcPath((px.vec,), e2, (alpha - math.pi,))
     w_long = alpha / math.pi
@@ -472,7 +468,9 @@ def _check_rotation(g, dim: int) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (dim - 1, dim - 1):
         raise ValueError(f"rotation must be {dim - 1}x{dim - 1}")
-    if float(np.max(np.abs(g.T @ g - np.eye(dim - 1)))) > 1e-9:
+    # No entry of an orthogonal matrix is above 1: this refuses NaN, which
+    # passes no comparison, and inf and huge entries, on which g.T @ g warns.
+    if not ((np.abs(g) <= 2.0).all() and float(np.max(np.abs(g.T @ g - np.eye(dim - 1)))) <= 1e-9):
         raise ValueError("matrix is not orthogonal")
     if float(np.linalg.det(g)) < 0:
         raise ValueError("reflections are not part of the acting group")

@@ -534,6 +534,28 @@ def test_cup_length_rejects_non_kernel_element():
         cup_length_kernel(fp.ring, diagonal_fn(fp), [gen("w_1_2")])
 
 
+@pytest.mark.parametrize(
+    "elements, budget, error, message",
+    [
+        (lambda ds: [zero()], 12, CertificateError, "^kernel element 0 is zero$"),
+        (lambda ds: [ds[0], zero()], 12, CertificateError, "^kernel element 1 is zero$"),
+        (lambda ds: ds, 0, ValueError, "^budget must be between 1 and 12$"),
+        (lambda ds: ds, 13, ValueError, "^budget must be between 1 and 12$"),
+    ],
+    ids=["zero", "zero-second", "budget-0", "budget-13"],
+)
+def test_cup_length_rejects_zero_elements_and_budgets_out_of_range(elements, budget, error, message):
+    fp = fn_fiber_product(2, 2, 1, 2)
+    with pytest.raises(error, match=message):
+        cup_length_kernel(fp.ring, diagonal_fn(fp), elements(copy_differences(fp)), budget=budget)
+
+
+def test_cup_length_of_no_elements_is_zero():
+    fp = fn_fiber_product(2, 2, 1, 2)
+    length = cup_length_kernel(fp.ring, diagonal_fn(fp), [])
+    assert (length, length.optimality) == (0, "ceiling")
+
+
 def test_cup_length_rejects_inhomogeneous_element():
     fp = fn_fiber_product(2, 2, 1, 2)
     d = subtract(gen("w1_1_3"), gen("w2_1_3"))

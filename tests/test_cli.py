@@ -155,6 +155,11 @@ def test_env_directory_resolution(tmp_path, monkeypatch):
     code, out = run("ring", "poincare", "--ring", "tiny", "--max-degree", "2")
     assert code == 0
     assert out["series"] == [1, 0, 1]
+    # A name with no file in the directory is still an unknown presentation.
+    assert run("ring", "poincare", "--ring", "absent") == (
+        2,
+        {"schema_version": 5, "error": "unknown presentation 'absent'"},
+    )
 
 
 def test_non_koszul_parity_file_exits_3(tmp_path):
@@ -208,8 +213,10 @@ def test_series_degree_over_cap_exits_2(argv):
         ("nosuch", "unknown presentation 'nosuch'"),
         ("fn:d=x,m=2,n=1,r=2", "unknown presentation 'fn:d=x,m=2,n=1,r=2'"),
         ("fn:d=2", "unknown presentation 'fn:d=2'"),
+        ("s0", "sphere dimension must be >= 1"),
+        ("conf:d=1,k=2", "need d >= 2 and k >= 1, got d=1, k=2"),
     ],
-    ids=["rejected-parameters", "series-cap", "unknown", "non-integer", "missing-parameter"],
+    ids=["rejected-parameters", "series-cap", "unknown", "non-integer", "missing-parameter", "sphere-range", "conf-range"],
 )
 def test_resolve_ring_keeps_catalog_messages(name, message):
     # Only a name the catalog does not know reads "unknown presentation";
@@ -321,8 +328,12 @@ def test_value_so3_with_huge_r_answers_at_once():
 
 
 def test_missing_presentation_file_exits_2(tmp_path):
-    code, out = run("ring", "poincare", "--ring", str(tmp_path / "gone.json"))
-    assert code == 2
+    # The CLI's own existence check said "presentation file ... not found";
+    # the one reader of presentation and measure files now says why.
+    path = str(tmp_path / "gone.json")
+    code, out, err = run_all("ring", "poincare", "--ring", path)
+    assert (code, err) == (2, "")
+    assert out["error"].startswith(f"cannot read presentation file {path!r}: [Errno 2] ")
 
 
 ONE_GENERATOR = [{"id": "x", "degree": 2}]
@@ -366,6 +377,34 @@ def test_malformed_presentation_file_exits_2(case, tmp_path):
     code, out = run("ring", "poincare", "--ring", str(path))
     assert code == 2
     assert message in out["error"]
+
+
+NUMERIC_COEFFICIENT_FILE = (
+    '{"generators": [{"id": "a", "degree": 2, "rank": 1}, {"id": "b", "degree": 2}],'
+    ' "rules": [{"lhs": ["a", "a"], "rhs": [{"coeff": %s, "monomial": ["b", "b"]}]}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "coeff, answer",
+    [
+        ("1", "1"),
+        ("0.5", "1/2"),
+        ("-2", "-2"),
+        ("1e400", "coefficient inf is not a finite rational"),
+        ("true", "coefficient True is not a finite rational"),
+    ],
+)
+def test_presentation_file_numeric_coefficients(coeff, answer, tmp_path):
+    # A JSON number is a coefficient as it is; one that overflows to inf, or
+    # a bool, exits 2.
+    path = tmp_path / "numeric.json"
+    path.write_text(NUMERIC_COEFFICIENT_FILE % coeff)
+    code, out, err = run_all("ring", "normal-form", "--ring", str(path), "--word", "a,a")
+    if answer.startswith("coefficient"):
+        assert (code, err, out["error"]) == (2, "", answer)
+    else:
+        assert (code, err, out["normal_form"]) == (0, "", [{"coefficient": answer, "monomial": ["b", "b"]}])
 
 
 # === bound group ===
@@ -588,22 +627,25 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("nav", "rpn", "--x", "1,0,0", "--y", "0,nan,0"),
-        ("nav", "rpn", "--x", "inf,0,0", "--y", "0,1,0"),
-        ("nav", "circle", "--points", "1,0;nan,1"),
-    ],
-)
+# Each vector reaches the norm check every planner shares; the CLI's own
+# check said "bad vector '...': components must be finite".
+NON_FINITE_VECTORS = {
+    ("nav", "rpn", "--x", "1,0,0", "--y", "0,nan,0"): "[0.0, nan, 0.0] has norm nan",
+    ("nav", "rpn", "--x", "inf,0,0", "--y", "0,1,0"): "[inf, 0.0, 0.0] has norm inf",
+    ("nav", "circle", "--points", "1,0;nan,1"): "[nan, 1.0] has norm nan",
+    ("nav", "circle", "--points", "1e400,0;0,1"): "[inf, 0.0] has norm inf",
+}
+
+
+@pytest.mark.parametrize("argv", list(NON_FINITE_VECTORS))
 def test_non_finite_vector_exits_2_with_valid_json(argv):
     # A NaN component would otherwise flow into the plan and print as bare NaN.
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    assert code == 2
+    assert (code, err.getvalue()) == (2, "")
     payload = strict_json(out.getvalue())
-    assert "finite" in payload["error"]
+    assert payload["error"] == f"checkpoint {NON_FINITE_VECTORS[argv]}, not a finite nonzero length"
 
 
 def test_emit_refuses_non_finite_output(monkeypatch):
@@ -808,6 +850,7 @@ def test_verifier_over_probe_cap_exits_2(command, flag, monkeypatch):
         (("equivariance", "--tol", "inf"), "--tol"),
         # Overflowed in numpy and exited 2 as "representative ... has norm 0.0".
         (("continuity", "--scale", "1e308"), "--scale"),
+        (("continuity", "--pairs", "abc"), "--pairs"),
     ],
 )
 def test_nav_verifier_bad_flags_exit_2(argv, flag):
@@ -995,6 +1038,8 @@ MALFORMED_MEASURES = {
     "point-string": ({"point": "ab", "weight": 1}, "a point is a number or a list of numbers"),
     "point-object": ({"point": {"x": 1.0}, "weight": 1}, "a point is a number or a list of numbers"),
     "coordinate-bool": ({"point": [True, 0.0], "weight": 1}, "a point is a number or a list of numbers"),
+    # Past the largest float: float() raises OverflowError.
+    "coordinate-400-digits": ({"point": [10**399, 0.0], "weight": 1}, "a point is a number or a list of numbers"),
     "weight-zero-denominator": ({"point": [0.0], "weight": "1/0"}, 'not a number or a "p/q" string'),
     "weight-bool": ({"point": [0.0], "weight": True}, 'not a number or a "p/q" string'),
     "weight-list": ({"point": [0.0], "weight": [1]}, 'not a number or a "p/q" string'),

@@ -2,10 +2,13 @@
 the tail-freezing deformation, and the two empirical verifiers."""
 
 import dataclasses
+import decimal
 import json
 import math
 import random
+import re
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -95,13 +98,28 @@ def test_projective_rejects_non_finite_representative():
             _canonical_line(_unit(spoiled(rng, x, bad), 3))
 
 
+def scaled_norm(arr):
+    """(s, n) with |arr / s| = n, as _unit computed it before it took one
+    power-of-two scaling path (oracle): s = 1, with np.linalg.norm's bits,
+    while the largest magnitude b in arr lies in (1e-150, 1e150), and s = b
+    for other finite nonzero arr."""
+    flat = arr.ravel()
+    big = max(map(abs, flat.tolist()), default=0.0)
+    if 1e-150 < big < 1e150:
+        return 1.0, math.sqrt(flat.dot(flat))
+    if 0.0 < big < math.inf:
+        return big, float(np.linalg.norm(flat / big))
+    with np.errstate(over="ignore"):  # NaN or inf: the norm says which
+        return 1.0, float(np.linalg.norm(flat))
+
+
 def as_projective(p):
     """The deleted reader of rpn_navigate's lines, which took ProjectivePoints
     as they are and other vectors only within 1e-9 of unit length (oracle)."""
     if isinstance(p, ProjectivePoint):
         return p
     arr = np.asarray(p, dtype=float)
-    scale, norm = navplan._scaled_norm(arr)
+    scale, norm = scaled_norm(arr)
     if not abs(scale * norm - 1.0) <= 1e-9:  # also false for NaN and inf
         raise ValueError(f"representative {arr.tolist()} has norm {scale * norm}, expected a unit vector")
     if arr.ndim != 1:
@@ -114,7 +132,7 @@ def as_projective_two_step(p):
     norm, then normalize again, as the deleted from_vector did, and find the
     sign by a loop over numpy scalars (oracle)."""
     arr = np.asarray(p, dtype=float)
-    scale, norm = navplan._scaled_norm(arr)
+    scale, norm = scaled_norm(arr)
     if not abs(scale * norm - 1.0) <= 1e-9:
         raise ValueError(f"representative {arr.tolist()} has norm {scale * norm}, expected a unit vector")
     unit = navplan._unit(arr, np.size(arr))
@@ -240,6 +258,19 @@ def test_rpn_interpolates_and_sums_to_one():
             assert plan_checkpoint_deviation(plan, PROJ) <= 1e-9
 
 
+def test_rpn_meets_its_checkpoints_on_nearly_coincident_lines():
+    # alpha = acos(dot) lost half the digits of a small angle, so the long
+    # arc ended away from y: 1e-8 off for (1, 0, 0) and (1, 1e-8, 0), and up
+    # to 2.4e-8 here at eps = 1e-8, over the 1e-9 plans are checked to.
+    assert plan_checkpoint_deviation(rpn_navigate([1.0, 0.0, 0.0], [1.0, 1e-8, 0.0]), PROJ) <= 1e-15
+    rng = np.random.default_rng(46)
+    for eps in (1e-5, 1e-7, 1e-8):
+        for _ in range(100):
+            x = _unit(rng.normal(size=4), 4)
+            y = _unit(x + eps * rng.normal(size=4), 4) * rng.choice([-1.0, 1.0])
+            assert plan_checkpoint_deviation(rpn_navigate(x, y), PROJ) <= 2e-15, (eps, x, y)
+
+
 def test_rpn_flips_negative_dot():
     # representatives on opposite hemispheres still give the acute angle
     x = np.array([1.0, 0.0, 0.0])
@@ -319,13 +350,47 @@ def test_checkpoints_scale_to_unit_length_at_every_finite_magnitude():
     for _ in range(300):
         v = np.array([rng.uniform(-1, 1) for _ in range(rng.randint(2, 4))]) * 10.0 ** rng.randint(-140, 140)
         assert navplan._unit(v, len(v)).tolist() == (v / np.linalg.norm(v)).tolist()  # same bits
+    # _unit scaled only vectors whose largest magnitude left (1e-150, 1e150),
+    # dividing them by that magnitude (scaled_norm); it now divides every
+    # vector by a power of two, which is exact here: the same bits on mixed
+    # magnitudes and zeros too.
+    gen = np.random.default_rng(45)
+    for k in range(3000):
+        n = int(gen.integers(2, 66))
+        v = gen.normal(size=n) * 10.0 ** gen.uniform(-20, 20, size=n) * 10.0 ** gen.uniform(-120, 120)
+        v[1:][gen.random(n - 1) < k % 3 / 4] = 0.0  # none, a quarter or half, first kept
+        scale, norm = scaled_norm(v)
+        assert scale == 1.0
+        assert navplan._unit(v, n).tobytes() == (v / norm).tobytes()
     for v in ([1e200, -1e200], [1.7e308, 1.7e308], [1e-170, 1e-170], [5e-324, 0.0], [0.0, -1e-320]):
         u = navplan._unit(v, 2)
         assert abs(math.hypot(*u) - 1.0) <= 1e-15, v
         assert np.sign(u).tolist() == np.sign(v).tolist(), v
+    # Outside the window, within 2^-52 of the exact quotient; the windowed
+    # route divided twice and gave 0.7071067811865475 here.
+    assert navplan._unit([1.7e308, 1.7e308], 2).tolist() == [math.sqrt(0.5)] * 2
+    context = decimal.Context(prec=40)
+    for k in range(1000):
+        v = gen.normal(size=int(gen.integers(2, 8))) * 10.0 ** (gen.uniform(150, 308) * (-1) ** k)
+        length = context.sqrt(sum(context.multiply(Decimal(x), Decimal(x)) for x in v))
+        for got, x in zip(navplan._unit(v, v.size).tolist(), v.tolist()):
+            assert abs(Decimal(got) - context.divide(Decimal(x), length)) <= Decimal(2.0**-52), v
     for v in ([0.0, 0.0], [math.inf, 1.0], [math.nan, 1e308]):
         with pytest.raises(ValueError, match="not a finite nonzero length"):
             navplan._unit(v, 2)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [[0.0, 0.0], [-0.0, 0.0, -0.0], [math.inf, 0.0], [-math.inf, 1e308], [math.inf, -math.inf], [math.nan, 1.0],
+     [1.0, math.nan], [1e200, math.nan], [math.inf, math.nan], [math.nan, math.inf], [0.0, math.nan]],
+)
+def test_unit_refuses_as_the_windowed_oracle_did(v):
+    # max skips a NaN after the first coordinate; the norm it prints is the
+    # oracle's all the same.
+    _, norm = scaled_norm(np.array(v))
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {v} has norm {norm}, not a finite nonzero length")):
+        _unit(v, len(v))
 
 
 def test_circle_support_bound_random():
@@ -521,6 +586,11 @@ def test_equivariance_rejects_bad_group_elements():
         check_equivariance(rpn_navigate, [np.eye(3)], pairs)
     with pytest.raises(ValueError):  # wrong shape
         check_equivariance(rpn_navigate, [np.eye(5)], pairs)
+    # NaN passed the orthogonality test and warned in det; inf warned in the
+    # product (errors under this suite's warning filter).
+    for bad in ([[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]], [[1e200, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="^matrix is not orthogonal$"):
+            check_equivariance(rpn_navigate, [bad], pairs)
 
 
 def test_equivariance_flags_broken_planner():

@@ -195,6 +195,14 @@ def test_tower_gate_rejects_a_missing_truncation_rule(monkeypatch):
         sphere_bundle_tower(base, gen("a1"), 3, 2)
 
 
+def test_tower_rejects_q_below_2_and_an_euler_class_of_the_wrong_degree():
+    with pytest.raises(ValueError, match=r"^need q >= 2 and r >= 1, got q=1, r=2$"):
+        sphere_bundle_tower(point(), zero(), 1, 2)
+    # q = 4 needs an Euler class of degree 3; a1 has degree 2.
+    with pytest.raises(PresentationError, match=r"^Euler class term \('a1',\) has degree 2, expected 3$"):
+        sphere_bundle_tower(complex_projective(2), gen("a1"), 4, 2)
+
+
 class GeneratorBuilt(Exception):
     pass
 
