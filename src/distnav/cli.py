@@ -38,6 +38,7 @@ from .gcring import (
     PresentationError,
     check_confluence,
     element,
+    element_to_json,
     load_presentation_json,
     normal_form,
     parse_rational,
@@ -135,17 +136,17 @@ def _emit(text: str) -> bool:
 
 def _resolve_ring(name: str):
     """A literal ``.json`` path, loaded as it is, else a catalog name, else
-    ``<name>.json`` in ``$DISTNAV_PRESENTATIONS`` if that file exists."""
+    ``<name>.json`` in ``$DISTNAV_PRESENTATIONS`` if that file exists.
+
+    The catalog's errors pass through: a known family that rejects its
+    parameters raises ValueError (exit 2), a failed dimension gate
+    PresentationError (exit 3), as under ``bound fn``."""
     if name.endswith(".json"):
         return load_presentation_json(name)
     try:
         return catalog(name)
     except KeyError:
         pass  # not a catalog name: try the presentation directory
-    except ValueError as exc:
-        # A known family with parameters it rejects keeps its own message; a
-        # plain ValueError exits 2 even where the family raised PresentationError.
-        raise ValueError(str(exc)) from None
     env = os.environ.get(ENV_PRESENTATIONS)
     if env:
         path = Path(env) / f"{name}.json"
@@ -196,11 +197,6 @@ def _parse_word(text: str) -> tuple[str, ...]:
     return tuple(part for part in text.split(",") if part)
 
 
-def _element_terms(a) -> list[dict]:
-    terms = sorted(a.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return [{"coefficient": str(c), "monomial": list(word)} for word, c in terms]
-
-
 def _plan_payload(plan: PathPlan, grid: int = 9) -> dict:
     times = _grid_times(grid)
     atoms = [
@@ -215,9 +211,9 @@ def _plan_payload(plan: PathPlan, grid: int = 9) -> dict:
     atoms.sort(key=lambda a: -a["weight"])
     return {
         "r": plan.r,
-        "checkpoints": to_jsonable(plan.checkpoints),
+        "checkpoints": plan.checkpoints,
         "support": len(plan.measure),
-        "weight_sum": float(sum(w for _, w in plan.measure.atoms)),
+        "weight_sum": float(plan.measure.total_mass()),
         "atoms": atoms,
     }
 
@@ -226,7 +222,7 @@ def _load_measure(path: str) -> FiniteMeasure:
     data = read_json_file(path, "measure")
     try:
         return measure_from_jsonable(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad measure in {path!r}: {exc}") from None
 
 
@@ -251,15 +247,13 @@ def _cmd_ring_normal_form(args) -> tuple[dict, list[str], int]:
     for name in word:
         if name not in known:
             raise ValueError(f"unknown generator {name!r} in {args.ring}")
-    try:
-        coeff = parse_rational(args.coeff)
-    except ZeroDivisionError:
-        raise ValueError(f"coefficient {args.coeff!r} has a zero denominator") from None
+    invalid = f"coefficient {args.coeff!r} is not a rational literal such as 3/2 or -2.5e-3"
+    coeff = parse_rational(args.coeff, invalid)
     nf = normal_form(ring, element([(coeff, word)]))
     payload = {
         "ring": args.ring,
-        "input": {"coefficient": str(coeff), "monomial": list(word)},
-        "normal_form": _element_terms(nf),
+        "input": {"coeff": coeff, "monomial": list(word)},
+        "normal_form": element_to_json(nf),
         "zero": not nf.terms,
     }
     return payload, [], 0
@@ -328,7 +322,7 @@ def _cmd_bound_cup_length(args) -> tuple[dict, list[str], int]:
         "kernel_elements": list(differences),
         "cup_length": int(length),
         "optimality": length.optimality,
-        "error_bound": None if length.error_bound is None else str(length.error_bound),
+        "error_bound": length.error_bound,
     }
     return payload, ["diagonal-kernel-cup-length-lower"], 0
 
@@ -363,7 +357,7 @@ def _cmd_value_threshold(args):
     t = value_son_threshold(args.r)
     payload = {
         "r": args.r,
-        "threshold": str(t),
+        "threshold": t,
         "threshold_float": float(t),
         "numerator": t.numerator,
         "denominator": t.denominator,

@@ -291,11 +291,12 @@ class RingPresentation:
         lhs_key = self._termination_key(lhs)
         entry = []
         for word, coeff in rhs.terms.items():
-            if self.word_degree(word) != lhs_degree:
-                raise PresentationError(
-                    f"rule {lhs}: rhs term {word} has degree "
-                    f"{self.word_degree(word)}, lhs has {lhs_degree}"
-                )
+            try:
+                degree = self.word_degree(word)
+            except KeyError as exc:
+                raise PresentationError(f"rule {lhs} uses unknown generator {exc.args[0]!r}") from None
+            if degree != lhs_degree:
+                raise PresentationError(f"rule {lhs}: rhs term {word} has degree {degree}, lhs has {lhs_degree}")
             iword = tuple(self._index[g] for g in word)
             if list(iword) != sorted(iword):
                 raise PresentationError(f"rule {lhs}: rhs term {word} not canonical")
@@ -994,13 +995,13 @@ def _json_list(value: Any, item: type, what: str) -> list:
     return value
 
 
-def parse_rational(text: str, invalid: str | None = None) -> Fraction:
+def parse_rational(text: str, invalid: str) -> Fraction:
     """The rational literal ``text`` ("3/2", "-2.5e-3") as a Fraction, for
     every boundary that takes one.  Raises ValueError naming the cap, before
     Fraction reads the text, when its decimal exponent is over
     MAX_LITERAL_EXPONENT in size or the text over MAX_LITERAL_LENGTH long; a
-    text Fraction cannot read raises ValueError(invalid), the boundary's own
-    message, or without one Fraction's own ValueError or ZeroDivisionError."""
+    text Fraction cannot read, a zero denominator included, raises
+    ValueError(invalid), the boundary's own message."""
     _, e, exponent = text.lower().rpartition("e")
     try:
         power = int(exponent) if e else 0
@@ -1019,8 +1020,6 @@ def parse_rational(text: str, invalid: str | None = None) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        if invalid is None:
-            raise
         raise ValueError(invalid) from None
 
 
@@ -1093,8 +1092,17 @@ def read_json_file(path: str, kind: str) -> Any:
 
 
 def load_presentation_json(path: str) -> RingPresentation:
-    """Load a presentation from JSON and gate it on the confluence check."""
-    P = presentation_from_dict(read_json_file(path, "presentation"))
+    """Load a presentation from JSON and gate it on the confluence check.
+
+    A file that cannot be read, or a document presentation_from_dict
+    refuses, raises ValueError, which for a missing key names the file and
+    the key.  A presentation that fails the confluence check or a check of
+    RingPresentation raises PresentationError.
+    """
+    try:
+        P = presentation_from_dict(read_json_file(path, "presentation"))
+    except KeyError as exc:
+        raise ValueError(f"presentation file {path!r} is missing the key {exc.args[0]!r}") from None
     report = check_confluence(P)
     if not report.passed:
         raise PresentationError(

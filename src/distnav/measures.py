@@ -42,7 +42,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -410,16 +410,23 @@ def _json_weight(value: Any) -> int | float | Fraction:
     raise ValueError(invalid)
 
 
-def measure_from_jsonable(data: Sequence[dict]) -> FiniteMeasure:
-    """Parse [{point, weight}] records.
+def measure_from_jsonable(data: Any) -> FiniteMeasure:
+    """Parse a list of {point, weight} records.
 
     A point is a number or a list of numbers; a weight is a number or a
-    "p/q" string, which gives an exact weight.  Anything else raises
-    ValueError.
+    "p/q" string, which gives an exact weight.  Anything else, a document
+    that is not a list of objects and a record without one of the two keys
+    included, raises ValueError.
     """
+    shape = "a measure is a list of {point, weight} objects"
+    if not (isinstance(data, list) and all(isinstance(entry, dict) for entry in data)):
+        raise ValueError(shape)
     atoms: list[tuple[Any, Any]] = []
     for entry in data:
-        point = entry["point"]
+        try:
+            point, weight = entry["point"], entry["weight"]
+        except KeyError as exc:
+            raise ValueError(f"{shape}; a record has no {exc.args[0]!r}") from None
         point = tuple(map(_json_number, point)) if isinstance(point, list) else _json_number(point)
-        atoms.append((point, _json_weight(entry["weight"])))
+        atoms.append((point, _json_weight(weight)))
     return FiniteMeasure(atoms)

@@ -364,9 +364,9 @@ def _int_param(kv: dict[str, str], key: str) -> int:
 def catalog(name: str) -> RingPresentation:
     """Resolve a catalog name to a presentation.
 
-    Raises KeyError for unknown names, malformed ones included, and
-    ValueError (PresentationError among them) when a known family rejects
-    its parameters; the CLI maps both to exit code 2.
+    Raises KeyError for unknown names, malformed ones included, ValueError
+    when a known family rejects its parameters, and PresentationError, a
+    ValueError too, when a built ring fails its dimension gate.
     """
     if name == "point":
         return point()

@@ -19,6 +19,7 @@ import distnav.gcring as gcring
 import distnav.knowledge as knowledge
 import distnav.measures as measures
 import distnav.navplan as navplan
+import distnav.presentations as presentations
 from distnav.cli import main
 from distnav.gcring import MAX_LITERAL_EXPONENT, MAX_SERIES_DEGREE, presentation_to_dict
 from distnav.bounds import euler_height
@@ -64,7 +65,7 @@ def test_normal_form_straightening():
     )
     assert code == 0
     assert out["zero"] is False
-    coeffs = sorted(t["coefficient"] for t in out["normal_form"])
+    coeffs = sorted(t["coeff"] for t in out["normal_form"])
     assert coeffs == ["-3/2", "3/2"]
 
 
@@ -78,7 +79,31 @@ def test_normal_form_zero_denominator_exits_2():
     # Fraction("1/0") raises ZeroDivisionError, which escaped as a traceback.
     code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "a1", "--coeff", "1/0")
     assert code == 2
-    assert out["error"] == "coefficient '1/0' has a zero denominator"
+    assert out["error"] == "coefficient '1/0' is not a rational literal such as 3/2 or -2.5e-3"
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0"])
+def test_normal_form_bad_coefficient_exits_2_with_one_message(text):
+    # Any text Fraction cannot read, a zero denominator included, gets the
+    # one coefficient message; "abc" printed Fraction's own error.
+    code, out, err = run_all("ring", "normal-form", "--ring", "cp2", "--word", "a1", "--coeff", text)
+    assert (code, err) == (2, "")
+    assert out["error"] == f"coefficient {text!r} is not a rational literal such as 3/2 or -2.5e-3"
+
+
+def test_normal_form_terms_are_the_library_encoding():
+    # The terms of ring normal-form are element_to_json's, with the keys of a
+    # bound fn certificate factor.
+    word = ("w_1_4", "w_2_4")
+    code, out = run("ring", "normal-form", "--ring", "conf:d=2,k=4", "--word", ",".join(word), "--coeff", "3/2")
+    assert code == 0
+    nf = gcring.normal_form(config_space(2, 4), gcring.element([(Fraction(3, 2), word)]))
+    assert out["normal_form"] == gcring.element_to_json(nf)
+    assert out["input"] == {"coeff": "3/2", "monomial": list(word)}
+    code, cert = run("bound", "fn", "--d", "2", "--m", "2", "--n", "1", "--r", "2")
+    assert code == 0
+    factor_keys = {frozenset(term) for factor in cert["certificate"]["factors"] for term in factor}
+    assert factor_keys == {frozenset(term) for term in out["normal_form"]} == {frozenset({"coeff", "monomial"})}
 
 
 class LiteralParsed(Exception):
@@ -95,7 +120,7 @@ def test_coeff_at_the_exponent_cap_is_parsed():
     cap = MAX_LITERAL_EXPONENT
     code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "a1", "--coeff", f"1e-{cap}")
     assert code == 0
-    assert Fraction(out["input"]["coefficient"]) == Fraction(1, 10**cap)
+    assert Fraction(out["input"]["coeff"]) == Fraction(1, 10**cap)
 
 
 OVER_CAP = MAX_LITERAL_EXPONENT + 1
@@ -224,6 +249,28 @@ def test_resolve_ring_keeps_catalog_messages(name, message):
     code, out = run("ring", "normal-form", "--ring", name, "--word", "w_1_2")
     assert code == 2
     assert out["error"] == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ring", "poincare", "--ring", "fn:d=2,m=2,n=1,r=2"),
+        ("bound", "fn", "--d", "2", "--m", "2", "--n", "1", "--r", "2"),
+    ],
+    ids=["ring-poincare", "bound-fn"],
+)
+def test_failed_catalog_gate_exits_3(argv, monkeypatch):
+    # A failed dimension gate is a program fault, not a bad request: ring
+    # poincare turned it into exit 2 where bound fn exited 3.
+    closed_form = presentations.fn_poincare_formula
+    monkeypatch.setattr(presentations, "fn_poincare_formula", lambda *args: [c + 1 for c in closed_form(*args)])
+    presentations.fn_fiber_product.cache_clear()
+    try:
+        code, out, err = run_all(*argv)
+    finally:
+        presentations.fn_fiber_product.cache_clear()
+    assert (code, err) == (3, "")
+    assert "disagree with the product formula" in out["error"]
 
 
 def test_bound_fn_over_witness_work_exits_2(monkeypatch):
@@ -366,6 +413,14 @@ MALFORMED_PRESENTATIONS = {
         {"generators": ONE_GENERATOR, "rules": [{"lhs": ["x", "x"], "rhs": [{"coeff": "1e1001", "monomial": []}]}]},
         "(MAX_LITERAL_EXPONENT)",
     ),
+    # A missing key printed only the key, as Python's KeyError does.
+    "no-generators": ({"name": "x"}, "no-generators.json' is missing the key 'generators'"),
+    "no-degree": ({"generators": [{"id": "x"}]}, "no-degree.json' is missing the key 'degree'"),
+    "no-rhs": ({"generators": ONE_GENERATOR, "rules": [{"lhs": ["x", "x"]}]}, "no-rhs.json' is missing the key 'rhs'"),
+    "no-monomial": (
+        {"generators": ONE_GENERATOR, "rules": [{"lhs": ["x", "x"], "rhs": [{"coeff": "1"}]}]},
+        "no-monomial.json' is missing the key 'monomial'",
+    ),
 }
 
 
@@ -383,6 +438,15 @@ NUMERIC_COEFFICIENT_FILE = (
     '{"generators": [{"id": "a", "degree": 2, "rank": 1}, {"id": "b", "degree": 2}],'
     ' "rules": [{"lhs": ["a", "a"], "rhs": [{"coeff": %s, "monomial": ["b", "b"]}]}]}'
 )
+
+
+def test_rule_rhs_with_an_unknown_generator_exits_3(tmp_path):
+    # As an unknown generator on the left side does; the right side printed
+    # the bare KeyError 'c' and exited 2.
+    path = tmp_path / "rhs.json"
+    path.write_text(NUMERIC_COEFFICIENT_FILE.replace('["b", "b"]', '["c"]') % "1")
+    code, out, err = run_all("ring", "poincare", "--ring", str(path))
+    assert (code, err, out["error"]) == (3, "", "rule ('a', 'a') uses unknown generator 'c'")
 
 
 @pytest.mark.parametrize(
@@ -404,7 +468,7 @@ def test_presentation_file_numeric_coefficients(coeff, answer, tmp_path):
     if answer.startswith("coefficient"):
         assert (code, err, out["error"]) == (2, "", answer)
     else:
-        assert (code, err, out["normal_form"]) == (0, "", [{"coefficient": answer, "monomial": ["b", "b"]}])
+        assert (code, err, out["normal_form"]) == (0, "", [{"coeff": answer, "monomial": ["b", "b"]}])
 
 
 # === bound group ===
@@ -1043,6 +1107,11 @@ MALFORMED_MEASURES = {
     "weight-zero-denominator": ({"point": [0.0], "weight": "1/0"}, 'not a number or a "p/q" string'),
     "weight-bool": ({"point": [0.0], "weight": True}, 'not a number or a "p/q" string'),
     "weight-list": ({"point": [0.0], "weight": [1]}, 'not a number or a "p/q" string'),
+    # These printed Python's "list indices must be integers or slices, not
+    # str" and the bare KeyError 'weight'.
+    "record-list": ([1, 2], "a measure is a list of {point, weight} objects"),
+    "no-weight": ({"point": [0.0]}, "a measure is a list of {point, weight} objects; a record has no 'weight'"),
+    "no-point": ({"weight": 1}, "a measure is a list of {point, weight} objects; a record has no 'point'"),
 }
 
 
@@ -1055,6 +1124,16 @@ def test_malformed_measure_file_exits_2(case, tmp_path):
     code, out = run("measure", "lp", "--mu", str(bad), "--nu", good)
     assert code == 2
     assert message in out["error"]
+
+
+def test_measure_file_that_is_an_object_exits_2(tmp_path):
+    # It printed Python's "string indices must be integers, not 'str'".
+    bad = tmp_path / "object.json"
+    bad.write_text(json.dumps({"a": 1}))
+    good = write_measure(tmp_path / "good.json", [([0.0], 1)])
+    code, out, err = run_all("measure", "lp", "--mu", str(bad), "--nu", good)
+    assert (code, err) == (2, "")
+    assert out["error"] == f"bad measure in {str(bad)!r}: a measure is a list of {{point, weight}} objects"
 
 
 def test_measure_file_numbers_as_points(tmp_path):

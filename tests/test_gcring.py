@@ -958,10 +958,10 @@ def test_no_module_outside_gcring_knows_the_kernel_coding():
 
 def test_literal_exponent_cap(monkeypatch):
     cap = gcring.MAX_LITERAL_EXPONENT
-    assert gcring.parse_rational(f"1e{cap}") == 10**cap
-    assert gcring.parse_rational(f"-2.5E-{cap}") == Fraction(-25, 10 ** (cap + 1))
-    assert gcring.parse_rational(f"3e+{cap} ") == 3 * 10**cap
-    assert gcring.parse_rational("3/2") == Fraction(3, 2)
+    assert gcring.parse_rational(f"1e{cap}", "bad literal") == 10**cap
+    assert gcring.parse_rational(f"-2.5E-{cap}", "bad literal") == Fraction(-25, 10 ** (cap + 1))
+    assert gcring.parse_rational(f"3e+{cap} ", "bad literal") == 3 * 10**cap
+    assert gcring.parse_rational("3/2", "bad literal") == Fraction(3, 2)
     for text in ("1e", "x", "1/0"):  # the rest is Fraction's to judge
         with pytest.raises(ValueError, match="^bad literal$"):
             gcring.parse_rational(text, "bad literal")
@@ -987,7 +987,7 @@ def test_literal_length_cap(monkeypatch):
     ]
     for text in widest:
         assert len(text) <= cap
-        value = gcring.parse_rational(text)
+        value = gcring.parse_rational(text, "bad literal")
         assert str(value)  # no int-to-str limit error
 
     def parsed(*args):
@@ -996,4 +996,4 @@ def test_literal_length_cap(monkeypatch):
     monkeypatch.setattr(gcring, "Fraction", parsed)
     for text in ("9" * 4000 + "e1000", "1" * (cap + 1), "1/" + "3" * cap):
         with pytest.raises(ValueError, match=rf"of {len(text)} characters .*\(MAX_LITERAL_LENGTH\)$"):
-            gcring.parse_rational(text)
+            gcring.parse_rational(text, "bad literal")
