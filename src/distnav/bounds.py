@@ -324,11 +324,13 @@ def sphere_bundle_lower_bound(
     The i-th factor is u_i minus the pullback section Euler class, raised to
     the power b_i + 1, where the b_i are nonnegative and sum to the height h
     of the section Euler class; the certified bound is h + r - 1.  The
-    default partition puts all of h on the first factor.
+    default partition puts all of h on the first factor.  A tower of r < 2,
+    or a partition that is not such a composition, is a bad request and
+    raises ValueError.
     """
     r = tower.r
     if r < 2:
-        raise CertificateError("tower witness needs at least two factors (r >= 2)")
+        raise ValueError(f"tower witness needs at least two factors (r >= 2), got r={r}")
     step = tower.q - 1
     top = sum(g.degree for g in tower.ring.generators)
     h = euler_height(tower.ring, tower.section_euler, max_power=top // step + 1)
@@ -336,7 +338,7 @@ def sphere_bundle_lower_bound(
         partition = (h,) + (0,) * (r - 2)
     partition = tuple(int(b) for b in partition)
     if len(partition) != r - 1 or any(b < 0 for b in partition) or sum(partition) != h:
-        raise CertificateError(
+        raise ValueError(
             f"partition {partition} is not a nonnegative composition of the height {h} "
             f"into {r - 1} parts"
         )

@@ -56,7 +56,6 @@ from .knowledge import (
     value_son_threshold,
 )
 from .measures import (
-    FiniteMeasure,
     euclidean_metric,
     lp_distance,
     measure_from_jsonable,
@@ -188,6 +187,14 @@ def _flag(name: str, cast, low, high=math.inf):
     return parse
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type of the comma-separated integer flags."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
+
+
 # --grid keeps both endpoints, so it takes at least 2 samples.
 _grid_count = _flag("grid", int, 2, MAX_GRID)
 _dimension = _flag("n", int, 1, MAX_VERIFIER_DIM)
@@ -216,14 +223,6 @@ def _plan_payload(plan: PathPlan, grid: int = 9) -> dict:
         "weight_sum": float(plan.measure.total_mass()),
         "atoms": atoms,
     }
-
-
-def _load_measure(path: str) -> FiniteMeasure:
-    data = read_json_file(path, "measure")
-    try:
-        return measure_from_jsonable(data)
-    except ValueError as exc:
-        raise ValueError(f"bad measure in {path!r}: {exc}") from None
 
 
 def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -297,11 +296,8 @@ def _cmd_bound_fn(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_bound_sphere_bundle(args) -> tuple[dict, list[str], int]:
-    if args.r < 2:
-        raise ValueError(f"need r >= 2 factors in the tower, got r={args.r}")
     tower = cpn_sphere_bundle(args.n, args.r)
-    partition = [int(v) for v in args.partition.split(",")] if args.partition else None
-    cert = sphere_bundle_lower_bound(tower, partition)
+    cert = sphere_bundle_lower_bound(tower, args.partition)
     payload = {
         "parameters": {"n": args.n, "r": args.r, "q": tower.q},
         # the certified bound is h + r - 1 for the height h of the section class
@@ -343,9 +339,7 @@ def _cmd_value_so3(args):
 
 
 def _cmd_value_spheres(args):
-    dims = [int(v) for v in args.dims.split(",")]
-    p_list = [int(v) for v in args.flips.split(",")] if args.flips else None
-    return _record_payload(value_product_spheres(dims, args.r, p_list))
+    return _record_payload(value_product_spheres(args.dims, args.r, args.flips))
 
 
 def _cmd_value_associate(args):
@@ -438,14 +432,12 @@ def _cmd_nav_equivariance(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_measure_lp(args) -> tuple[dict, list[str], int]:
-    mu = _load_measure(args.mu)
-    nu = _load_measure(args.nu)
+    mu, nu = (read_json_file(path, "measure", measure_from_jsonable) for path in (args.mu, args.nu))
     return {"distance": lp_distance(mu, nu, euclidean_metric())}, [], 0
 
 
 def _cmd_measure_product(args) -> tuple[dict, list[str], int]:
-    mu = _load_measure(args.mu)
-    nu = _load_measure(args.nu)
+    mu, nu = (read_json_file(path, "measure", measure_from_jsonable) for path in (args.mu, args.nu))
     prod = product_measure(mu, nu)
     limit = 10**MAX_WEIGHT_DIGITS
     for _, weight in prod.atoms:
@@ -514,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = bound.add_parser("sphere-bundle", parents=[common])
     p.add_argument("--n", type=int, required=True, help="complex projective base dimension")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--partition", default="", help="height split, e.g. 2,1")
+    p.add_argument("--partition", type=_int_list, help="height split, e.g. 2,1")
     p.set_defaults(handler=_cmd_bound_sphere_bundle)
     p = bound.add_parser("cup-length", parents=[fn_cell])
     p.add_argument("--budget", type=int, default=12)
@@ -527,11 +519,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_value_fn)
     value.add_parser("so3", parents=[stages]).set_defaults(handler=_cmd_value_so3)
     p = value.add_parser("spheres", parents=[common])
-    p.add_argument("--dims", required=True, help="sphere dimensions, e.g. 2,4")
+    p.add_argument("--dims", type=_int_list, required=True, help="sphere dimensions, e.g. 2,4")
     p.add_argument("--r", type=int, required=True)
     p.add_argument(
         "--flips",
-        default="",
+        type=_int_list,
         help="flipped-coordinate counts for the general action; omit for antipodal",
     )
     p.set_defaults(handler=_cmd_value_spheres)

@@ -65,11 +65,12 @@ a*a -> a2, a*a2 -> 0, a2*a2 -> 0:
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, lcm
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Generator",
@@ -99,7 +100,10 @@ __all__ = [
     "MAX_SERIES_PRODUCTS",
     "MAX_LITERAL_EXPONENT",
     "MAX_LITERAL_LENGTH",
+    "MAX_REWRITE_STEPS",
     "parse_rational",
+    "json_rational",
+    "json_list",
     "check_series_degree",
     "MAX_RING_RULES",
     "check_rule_count",
@@ -151,6 +155,15 @@ MAX_RING_RULES = 2**15
 # MAX_RING_RULES: conf:d=2,k=59 (32509 rules) is 4.8 MB as compact JSON and
 # 11.4 MB indented by two spaces.
 MAX_JSON_BYTES = 2**25
+
+# Rewrite steps one word may take to its normal form, in normal_form,
+# multiply, product and every chain on them.  The word w_1_k ... w_(k-1)_k
+# of conf:d=3,k takes 2^(k-2) - 1 steps: 16383 at k=16 (0.42 s), and at
+# k=20 10.3 s and 106 MB of printed terms.  The most any other supported
+# request takes is 2047, the fn witness at d=2, m=2, n=11, r=2 (an even-d
+# witness word takes 2^(m+n-2) - 1, an odd-d one 2^m - 1, both bounded by
+# MAX_WITNESS_WORK); the Tier-1 tests take at most 63, the benchmark 23.
+MAX_REWRITE_STEPS = 2**12
 
 # Failed triples the confluence report lists before the probe stops.
 MAX_CONFLUENCE_FAILURES = 20
@@ -504,15 +517,23 @@ def _reduce_into(
     rule coefficients, ints whenever the rules are integral.  ``dirty`` is
     the bit set of :func:`_find_redex`: a rewritten word keeps its parent's
     dirty set plus the generators the rule brought in, since every pair of
-    its other factors was a pair of the parent.
+    its other factors was a pair of the parent.  Over MAX_REWRITE_STEPS
+    rewrite steps raise ValueError.
     """
     work = [(word, 1, dirty, odd)]
+    steps = MAX_REWRITE_STEPS
     while work:
         word, c, dirty, odd = work.pop()
         redex = _find_redex(P, word, dirty)
         if redex is None:
             out[word] = out.get(word, 0) + coeff * c
             continue
+        if not steps:
+            raise ValueError(
+                f"rewriting a word in {P.name!r} takes over the cap of "
+                f"{MAX_REWRITE_STEPS} steps (MAX_REWRITE_STEPS)"
+            )
+        steps -= 1
         p, q, entry = redex
         for stepped, rc, mask, stepped_odd in _rewrite_step(P, word, odd, p, q, entry):
             work.append((stepped, c * rc, dirty | mask, stepped_odd))
@@ -986,7 +1007,8 @@ def _require(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _json_list(value: Any, item: type, what: str) -> list:
+def json_list(value: Any, item: type, what: str) -> list:
+    """value if it is a list of ``item`` (dict or str), else ValueError."""
     kind = "objects" if item is dict else "generator names"
     _require(
         isinstance(value, list) and all(isinstance(v, item) for v in value),
@@ -1023,13 +1045,16 @@ def parse_rational(text: str, invalid: str) -> Fraction:
         raise ValueError(invalid) from None
 
 
-def _json_coefficient(value: Any) -> Fraction:
-    """A JSON number or "p/q" string as a Fraction; bools and the rest raise."""
-    invalid = f"coefficient {value!r} is not a finite rational"
+def json_rational(value: Any, invalid: str) -> int | float | Fraction:
+    """A rational in a JSON document: an int or a finite float as it is, a
+    string through parse_rational as a Fraction.  Anything else, bools and
+    non-finite floats included, raises ValueError(invalid), the caller's
+    own message, which parse_rational gives too for a string it cannot read.
+    """
     if type(value) is str:
         return parse_rational(value, invalid)
     if type(value) is int or (type(value) is float and isfinite(value)):
-        return Fraction(value)
+        return value
     raise ValueError(invalid)
 
 
@@ -1037,9 +1062,9 @@ def presentation_from_dict(data: Mapping) -> RingPresentation:
     """Inverse of presentation_to_dict.
 
     A document not in the shape it writes raises ValueError, and a missing
-    key KeyError.  Only the Koszul sign rule exists, so any other ``parity``
-    raises PresentationError.  Over MAX_RING_RULES rules raise ValueError
-    before anything is built.
+    key KeyError; read_json_file names the file in both.  Only the Koszul
+    sign rule exists, so any other ``parity`` raises PresentationError.
+    Over MAX_RING_RULES rules raise ValueError before anything is built.
     """
     _require(isinstance(data, Mapping), "a presentation must be a JSON object")
     parity = data.get("parity", "koszul")
@@ -1047,10 +1072,10 @@ def presentation_from_dict(data: Mapping) -> RingPresentation:
         raise PresentationError(f"unsupported parity {parity!r}: only 'koszul' is implemented")
     name = data.get("name", "")
     _require(isinstance(name, str), f"presentation name must be a string, got {name!r}")
-    rule_data = _json_list(data.get("rules", []), dict, '"rules"')
+    rule_data = json_list(data.get("rules", []), dict, '"rules"')
     check_rule_count(f"presentation {name!r}", len(rule_data))
     gens = []
-    for g in _json_list(data["generators"], dict, '"generators"'):
+    for g in json_list(data["generators"], dict, '"generators"'):
         gid, degree, rank = g["id"], g["degree"], g.get("rank", 0)
         _require(
             isinstance(gid, str) and type(degree) is int and type(rank) is int,
@@ -1059,50 +1084,61 @@ def presentation_from_dict(data: Mapping) -> RingPresentation:
         gens.append(Generator(gid, degree, rank))
     rules = []
     for r in rule_data:
-        lhs = tuple(_json_list(r["lhs"], str, "a rule lhs"))
+        lhs = tuple(json_list(r["lhs"], str, "a rule lhs"))
         _require(len(lhs) == 2, f"a rule lhs must name two generators, got {r['lhs']!r}")
-        terms = [
-            (_json_coefficient(t["coeff"]), tuple(_json_list(t["monomial"], str, "a monomial")))
-            for t in _json_list(r["rhs"], dict, f"the rhs of rule {r['lhs']!r}")
-        ]
+        terms = []
+        for t in json_list(r["rhs"], dict, f"the rhs of rule {r['lhs']!r}"):
+            coeff = json_rational(t["coeff"], f"coefficient {t['coeff']!r} is not a finite rational")
+            terms.append((coeff, tuple(json_list(t["monomial"], str, "a monomial"))))
         rules.append((lhs, element(terms)))
     return RingPresentation(gens, rules, name=name)
 
 
-def read_json_file(path: str, kind: str) -> Any:
-    """The JSON document in the ``kind`` file at ``path``.
+def read_json_file(path: str, kind: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of the JSON document in the ``kind`` file at ``path``, the
+    one way a presentation or measure file enters the program.
 
-    A file that cannot be opened (missing, a directory), is over
-    MAX_JSON_BYTES long, is not UTF-8, is not JSON, or nests too deeply for
-    the parser raises ValueError naming it.  At most MAX_JSON_BYTES + 1
-    bytes are read.
+    At most MAX_JSON_BYTES + 1 bytes are read.  Every error is a ValueError
+    naming the file: one that cannot be opened, is over MAX_JSON_BYTES, is
+    not UTF-8, is not JSON or nests too deeply; a KeyError of ``parse`` as
+    ``{kind} file '...' is missing the key 'k'``; and any other ValueError,
+    an integer over Python's digit limit included, as ``bad {kind} in
+    '...': ...``, where a PresentationError keeps its type.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read(MAX_JSON_BYTES + 1)
-        if len(raw) > MAX_JSON_BYTES:
-            raise ValueError(f"{kind} file {path!r} is over the cap of {MAX_JSON_BYTES} bytes (MAX_JSON_BYTES)")
-        return json.loads(raw.decode("utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise ValueError(f"cannot read {kind} file {path!r}: {exc}") from None
+    if len(raw) > MAX_JSON_BYTES:
+        raise ValueError(f"{kind} file {path!r} is over the cap of {MAX_JSON_BYTES} bytes (MAX_JSON_BYTES)")
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read {kind} file {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{kind} file {path!r} is not JSON: {exc}") from None
     except RecursionError:
         raise ValueError(f"{kind} file {path!r} nests too deeply to parse") from None
+    except ValueError:  # the only other: an integer over Python's digit limit
+        raise ValueError(f"bad {kind} in {path!r}: an integer has over {sys.get_int_max_str_digits()} digits") from None
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise ValueError(f"{kind} file {path!r} is missing the key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        error = PresentationError if isinstance(exc, PresentationError) else ValueError
+        raise error(f"bad {kind} in {path!r}: {exc}") from None
 
 
 def load_presentation_json(path: str) -> RingPresentation:
     """Load a presentation from JSON and gate it on the confluence check.
 
-    A file that cannot be read, or a document presentation_from_dict
-    refuses, raises ValueError, which for a missing key names the file and
-    the key.  A presentation that fails the confluence check or a check of
-    RingPresentation raises PresentationError.
+    read_json_file reads the file through presentation_from_dict, so every
+    error of either names the file.  A presentation that fails the
+    confluence check raises PresentationError.
     """
-    try:
-        P = presentation_from_dict(read_json_file(path, "presentation"))
-    except KeyError as exc:
-        raise ValueError(f"presentation file {path!r} is missing the key {exc.args[0]!r}") from None
+    P = read_json_file(path, "presentation", presentation_from_dict)
     report = check_confluence(P)
     if not report.passed:
         raise PresentationError(

@@ -46,7 +46,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .gcring import parse_rational
+from .gcring import json_list, json_rational
 
 __all__ = [
     "MetricSpace",
@@ -400,33 +400,19 @@ def _json_number(value: Any) -> float:
     raise ValueError(f"a point is a number or a list of numbers, got {value!r}")
 
 
-def _json_weight(value: Any) -> int | float | Fraction:
-    """A JSON number as it is, or a "p/q" string as an exact Fraction."""
-    invalid = f'weight {value!r} is not a number or a "p/q" string with q != 0'
-    if type(value) in (int, float):
-        return value
-    if type(value) is str:
-        return parse_rational(value, invalid)
-    raise ValueError(invalid)
-
-
 def measure_from_jsonable(data: Any) -> FiniteMeasure:
     """Parse a list of {point, weight} records.
 
     A point is a number or a list of numbers; a weight is a number or a
     "p/q" string, which gives an exact weight.  Anything else, a document
-    that is not a list of objects and a record without one of the two keys
-    included, raises ValueError.
+    that is not a list of objects included, raises ValueError, and a record
+    without one of the two keys KeyError; read_json_file names the file in
+    both.
     """
-    shape = "a measure is a list of {point, weight} objects"
-    if not (isinstance(data, list) and all(isinstance(entry, dict) for entry in data)):
-        raise ValueError(shape)
     atoms: list[tuple[Any, Any]] = []
-    for entry in data:
-        try:
-            point, weight = entry["point"], entry["weight"]
-        except KeyError as exc:
-            raise ValueError(f"{shape}; a record has no {exc.args[0]!r}") from None
+    for entry in json_list(data, dict, "a measure"):
+        point, weight = entry["point"], entry["weight"]
         point = tuple(map(_json_number, point)) if isinstance(point, list) else _json_number(point)
-        atoms.append((point, _json_weight(weight)))
+        invalid = f'weight {weight!r} is not a number or a "p/q" string with q != 0'
+        atoms.append((point, json_rational(weight, invalid)))
     return FiniteMeasure(atoms)

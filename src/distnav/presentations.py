@@ -329,11 +329,13 @@ def sphere_bundle_tower(
 def cpn_sphere_bundle(n: int, r: int) -> SphereBundleTower:
     """Tower over complex projective n-space for the line-bundle-plus-trivial
     construction: e_eta is the hyperplane class, fiber is a 2-sphere (q = 3).
-    For n, r >= 1 the tower's top degree n(n+1) + 2r is checked against
-    MAX_SERIES_DEGREE before the base is built; other n or r keep the
-    messages of the builders.
+    Before the base is built, r < 1 raises ValueError, and for n >= 1 the
+    tower's top degree n(n+1) + 2r is checked against MAX_SERIES_DEGREE;
+    n < 1 keeps the message of complex_projective.
     """
-    if n >= 1 and r >= 1:
+    if r < 1:
+        raise ValueError(f"need q >= 2 and r >= 1, got q=3, r={r}")
+    if n >= 1:
         check_series_degree(n * (n + 1) + 2 * r)
     base = complex_projective(n)
     return sphere_bundle_tower(base, gen("a1"), q=3, r=r)
@@ -384,11 +386,10 @@ def catalog(name: str) -> RingPresentation:
         return fn_fiber_product(d, m, n, r).ring
     if kind == "sb":
         kv = _parse_kv(spec)
-        base = catalog(kv["base"])
         q, r = _int_param(kv, "q"), _int_param(kv, "r")
-        if q == 3 and kv["base"].startswith("cp"):
+        if q == 3 and kv["base"].startswith("cp") and kv["base"][2:].isdigit():
             return cpn_sphere_bundle(int(kv["base"][2:]), r).ring
-        return sphere_bundle_tower(base, zero(), q, r).ring
+        return sphere_bundle_tower(catalog(kv["base"]), zero(), q, r).ring
     raise KeyError(f"unknown presentation name {name!r}")
 
 

@@ -485,16 +485,17 @@ def test_tower_balanced_partition():
 
 
 def test_tower_bad_partition_rejected():
+    # A bad request (ValueError, exit 2), not a failed certificate.
     tower = cpn_sphere_bundle(2, 2)  # height of the section class is 3
-    with pytest.raises(CertificateError):
+    with pytest.raises(ValueError, match=r"^partition \(2,\) is not a nonnegative composition"):
         sphere_bundle_lower_bound(tower, partition=(2,))  # wrong sum
-    with pytest.raises(CertificateError):
+    with pytest.raises(ValueError, match="into 1 parts$"):
         sphere_bundle_lower_bound(tower, partition=(2, 1))  # needs r-1 = 1 parts
 
 
 def test_tower_needs_two_copies():
     tower = sphere_bundle_tower(complex_projective(1), gen("a1"), 3, 1)
-    with pytest.raises(CertificateError):
+    with pytest.raises(ValueError, match=r"^tower witness needs at least two factors \(r >= 2\), got r=1$"):
         sphere_bundle_lower_bound(tower)
 
 

@@ -75,6 +75,16 @@ def test_normal_form_unknown_generator_exits_2():
     assert "error" in out and out["schema_version"] == 5
 
 
+def test_normal_form_over_the_rewrite_step_cap_exits_2(monkeypatch):
+    # conf:d=3,k=20 took 10.3 s and printed 106 MB; here k=8, whose word
+    # takes 63 steps, under a cap of 62.
+    monkeypatch.setattr(gcring, "MAX_REWRITE_STEPS", 62)
+    word = ",".join(f"w_{i}_8" for i in range(1, 8))
+    code, out, err = run_all("ring", "normal-form", "--ring", "conf:d=3,k=8", "--word", word)
+    assert (code, err) == (2, "")
+    assert out["error"] == "rewriting a word in 'conf:d=3,k=8' takes over the cap of 62 steps (MAX_REWRITE_STEPS)"
+
+
 def test_normal_form_zero_denominator_exits_2():
     # Fraction("1/0") raises ZeroDivisionError, which escaped as a traceback.
     code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "a1", "--coeff", "1/0")
@@ -390,6 +400,7 @@ ONE_GENERATOR = [{"id": "x", "degree": 2}]
 # printed a traceback.
 MALFORMED_PRESENTATIONS = {
     "list": ([{"generators": ONE_GENERATOR}], "must be a JSON object"),
+    "generators-string": ({"generators": "x"}, '"generators" must be a list of objects'),
     "generators-object": ({"generators": {"x": 2}}, '"generators" must be a list of objects'),
     "generators-ints": ({"generators": [1, 2]}, '"generators" must be a list of objects'),
     "rules-string": ({"generators": ONE_GENERATOR, "rules": "xx"}, '"rules" must be a list of objects'),
@@ -426,12 +437,14 @@ MALFORMED_PRESENTATIONS = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_PRESENTATIONS))
 def test_malformed_presentation_file_exits_2(case, tmp_path):
+    # Shape errors printed only the message, without the file.
     data, message = MALFORMED_PRESENTATIONS[case]
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(data))
-    code, out = run("ring", "poincare", "--ring", str(path))
-    assert code == 2
+    code, out, err = run_all("ring", "poincare", "--ring", str(path))
+    assert (code, err) == (2, "")
     assert message in out["error"]
+    assert out["error"].startswith((f"bad presentation in {str(path)!r}: ", f"presentation file {str(path)!r} "))
 
 
 NUMERIC_COEFFICIENT_FILE = (
@@ -446,7 +459,8 @@ def test_rule_rhs_with_an_unknown_generator_exits_3(tmp_path):
     path = tmp_path / "rhs.json"
     path.write_text(NUMERIC_COEFFICIENT_FILE.replace('["b", "b"]', '["c"]') % "1")
     code, out, err = run_all("ring", "poincare", "--ring", str(path))
-    assert (code, err, out["error"]) == (3, "", "rule ('a', 'a') uses unknown generator 'c'")
+    assert (code, err) == (3, "")
+    assert out["error"] == f"bad presentation in {str(path)!r}: rule ('a', 'a') uses unknown generator 'c'"
 
 
 @pytest.mark.parametrize(
@@ -466,7 +480,7 @@ def test_presentation_file_numeric_coefficients(coeff, answer, tmp_path):
     path.write_text(NUMERIC_COEFFICIENT_FILE % coeff)
     code, out, err = run_all("ring", "normal-form", "--ring", str(path), "--word", "a,a")
     if answer.startswith("coefficient"):
-        assert (code, err, out["error"]) == (2, "", answer)
+        assert (code, err, out["error"]) == (2, "", f"bad presentation in {str(path)!r}: {answer}")
     else:
         assert (code, err, out["normal_form"]) == (0, "", [{"coeff": answer, "monomial": ["b", "b"]}])
 
@@ -508,6 +522,23 @@ def test_bound_bad_cells_exit_2(argv, message):
     assert message in out["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (("value", "spheres", "--r", "2"), "--dims", "2,a"),
+        (("value", "spheres", "--dims", "2,4", "--r", "2"), "--flips", "2,x"),
+        (("bound", "sphere-bundle", "--n", "2", "--r", "2"), "--partition", "3;"),
+    ],
+    ids=["dims", "flips", "partition"],
+)
+def test_integer_list_flag_errors_name_the_flag(argv, flag, text):
+    # They printed only "invalid literal for int() with base 10: 'a'".
+    code, out, err = run_all(*argv, flag, text)
+    assert (code, err) == (2, "")
+    command = " ".join(argv[:2])
+    assert out["error"] == f"distnav {command}: argument {flag}: {text!r} is not a comma-separated list of integers"
+
+
 def test_bound_sphere_bundle():
     code, out = run("bound", "sphere-bundle", "--n", "2", "--r", "2")
     assert code == 0
@@ -534,10 +565,13 @@ def test_bound_sphere_bundle_height_is_the_euler_height(n, r):
         assert out["bound"] == height + r - 1
 
 
-def test_bound_sphere_bundle_bad_partition_exits_3():
-    code, out = run("bound", "sphere-bundle", "--n", "2", "--r", "2", "--partition", "1,1")
-    assert code == 3
-    assert "partition" in out["error"]
+def test_bound_sphere_bundle_bad_partition_exits_2():
+    # A partition that is not a composition of the height is a bad request;
+    # both exited 3 as failed certificates.
+    for r, partition in (("2", "1,1"), ("3", "1,-1")):
+        code, out, err = run_all("bound", "sphere-bundle", "--n", "2", "--r", r, "--partition", partition)
+        assert (code, err) == (2, "")
+        assert "is not a nonnegative composition of the height 3" in out["error"]
 
 
 def test_bound_cup_length():
@@ -1109,9 +1143,9 @@ MALFORMED_MEASURES = {
     "weight-list": ({"point": [0.0], "weight": [1]}, 'not a number or a "p/q" string'),
     # These printed Python's "list indices must be integers or slices, not
     # str" and the bare KeyError 'weight'.
-    "record-list": ([1, 2], "a measure is a list of {point, weight} objects"),
-    "no-weight": ({"point": [0.0]}, "a measure is a list of {point, weight} objects; a record has no 'weight'"),
-    "no-point": ({"weight": 1}, "a measure is a list of {point, weight} objects; a record has no 'point'"),
+    "record-list": ([1, 2], "a measure must be a list of objects"),
+    "no-weight": ({"point": [0.0]}, "bad.json' is missing the key 'weight'"),
+    "no-point": ({"weight": 1}, "bad.json' is missing the key 'point'"),
 }
 
 
@@ -1121,9 +1155,9 @@ def test_malformed_measure_file_exits_2(case, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([record]))
     good = write_measure(tmp_path / "good.json", [([0.0], 1)])
-    code, out = run("measure", "lp", "--mu", str(bad), "--nu", good)
-    assert code == 2
-    assert message in out["error"]
+    code, out, err = run_all("measure", "lp", "--mu", str(bad), "--nu", good)
+    assert (code, err) == (2, "")
+    assert message in out["error"] and str(bad) in out["error"]
 
 
 def test_measure_file_that_is_an_object_exits_2(tmp_path):
@@ -1133,7 +1167,17 @@ def test_measure_file_that_is_an_object_exits_2(tmp_path):
     good = write_measure(tmp_path / "good.json", [([0.0], 1)])
     code, out, err = run_all("measure", "lp", "--mu", str(bad), "--nu", good)
     assert (code, err) == (2, "")
-    assert out["error"] == f"bad measure in {str(bad)!r}: a measure is a list of {{point, weight}} objects"
+    assert out["error"] == f"bad measure in {str(bad)!r}: a measure must be a list of objects"
+
+
+def test_measure_file_with_a_5000_digit_weight_names_the_file(tmp_path):
+    # Python's own int-digit error escaped, without the file's name.
+    bad = tmp_path / "digits.json"
+    bad.write_text('[{"point": [0.0], "weight": ' + "1" * 5000 + "}]")
+    good = write_measure(tmp_path / "good.json", [([0.0], 1)])
+    code, out, err = run_all("measure", "lp", "--mu", str(bad), "--nu", good)
+    assert (code, err) == (2, "")
+    assert out["error"] == f"bad measure in {str(bad)!r}: an integer has over 4300 digits"
 
 
 def test_measure_file_numbers_as_points(tmp_path):
@@ -1188,7 +1232,9 @@ def test_loaded_presentation_over_the_rule_cap_exits_2(tmp_path, monkeypatch):
     monkeypatch.setattr(gcring, "MAX_RING_RULES", 9)
     code, out, err = run_all("ring", "confluence", "--ring", str(path))
     assert (code, err) == (2, "")
-    assert out["error"] == "presentation 'conf:d=2,k=5' has 10 rules, over the cap of 9 (MAX_RING_RULES)"
+    assert out["error"] == (
+        f"bad presentation in {str(path)!r}: presentation 'conf:d=2,k=5' has 10 rules, over the cap of 9 (MAX_RING_RULES)"
+    )
 
 
 def test_large_finite_coordinates_give_no_numpy_warning(tmp_path):
@@ -1318,14 +1364,14 @@ def test_measure_product_over_atom_cap_exits_2(tmp_path, monkeypatch):
     code, out = run("measure", "product", "--mu", mu, "--nu", nu)
     assert code == 0 and out["support"] == 6
     monkeypatch.setattr(measures, "MAX_PRODUCT_ATOMS", 5)
-    load = cli._load_measure
+    parse = cli.measure_from_jsonable
 
-    def load_unread(path):
-        measure = load(path)
+    def parse_unread(data):
+        measure = parse(data)
         measure.atoms = UnreadAtoms(measure.atoms)
         return measure
 
-    monkeypatch.setattr(cli, "_load_measure", load_unread)
+    monkeypatch.setattr(cli, "measure_from_jsonable", parse_unread)
     code, out = run("measure", "product", "--mu", mu, "--nu", nu)
     assert code == 2
     assert "2 and 3 atoms has 6" in out["error"] and "MAX_PRODUCT_ATOMS" in out["error"]

@@ -677,10 +677,10 @@ def test_json_file_one_byte_over_the_cap_is_refused(tmp_path, monkeypatch):
     monkeypatch.setattr(gcring, "MAX_JSON_BYTES", 16)
     path = tmp_path / "doc.json"
     path.write_text("[" + " " * 14 + "]")
-    assert gcring.read_json_file(str(path), "measure") == []
+    assert gcring.read_json_file(str(path), "measure", list) == []
     path.write_text("[" + " " * 15 + "]")
     with pytest.raises(ValueError, match=r"^measure file '.*doc\.json' is over the cap of 16 bytes \(MAX_JSON_BYTES\)$"):
-        gcring.read_json_file(str(path), "measure")
+        gcring.read_json_file(str(path), "measure", list)
 
 
 # === factorized Poincare series against the full enumeration ===
@@ -956,6 +956,21 @@ def test_no_module_outside_gcring_knows_the_kernel_coding():
     assert offences == []
 
 
+def test_rewrite_step_cap(monkeypatch):
+    # The word w_1_k ... w_(k-1)_k of conf:d=3,k takes 2^(k-2) - 1 rewrite
+    # steps to its 2^(k-2) terms; at k=20 normal_form ran 10.3 s unbounded.
+    P = config_space(3, 8)
+    word = tuple(f"w_{i}_8" for i in range(1, 8))
+    monkeypatch.setattr(gcring, "MAX_REWRITE_STEPS", 63)
+    assert len(normal_form(P, element([(1, word)])).terms) == 64
+    monkeypatch.setattr(gcring, "MAX_REWRITE_STEPS", 62)
+    cap = r"^rewriting a word in 'conf:d=3,k=8' takes over the cap of 62 steps \(MAX_REWRITE_STEPS\)$"
+    with pytest.raises(ValueError, match=cap):
+        normal_form(P, element([(1, word)]))
+    with pytest.raises(ValueError, match=cap):
+        multiply(P, element([(1, word[:-1])]), element([(1, word[-1:])]))
+
+
 def test_literal_exponent_cap(monkeypatch):
     cap = gcring.MAX_LITERAL_EXPONENT
     assert gcring.parse_rational(f"1e{cap}", "bad literal") == 10**cap
@@ -965,7 +980,7 @@ def test_literal_exponent_cap(monkeypatch):
     for text in ("1e", "x", "1/0"):  # the rest is Fraction's to judge
         with pytest.raises(ValueError, match="^bad literal$"):
             gcring.parse_rational(text, "bad literal")
-    assert gcring._json_coefficient(f"1e-{cap}") == Fraction(1, 10**cap)
+    assert gcring.json_rational(f"1e-{cap}", "bad literal") == Fraction(1, 10**cap)
 
     def parsed(*args):
         raise AssertionError(f"Fraction{args} was called: the exponent cap let a literal through")
@@ -973,7 +988,7 @@ def test_literal_exponent_cap(monkeypatch):
     monkeypatch.setattr(gcring, "Fraction", parsed)
     for text in (f"1e{cap + 1}", f"-2.5E-{cap + 1}", f"3e+{cap + 1} ", "1e1_001", "1e" + "9" * 4000):
         with pytest.raises(ValueError, match=r"\(MAX_LITERAL_EXPONENT\)$"):
-            gcring._json_coefficient(text)
+            gcring.json_rational(text, "bad literal")
 
 
 def test_literal_length_cap(monkeypatch):

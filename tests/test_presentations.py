@@ -195,6 +195,19 @@ def test_tower_gate_rejects_a_missing_truncation_rule(monkeypatch):
         sphere_bundle_tower(base, gen("a1"), 3, 2)
 
 
+def test_cpn_tower_refused_before_any_base_is_built(monkeypatch):
+    # sb:base=cp255,q=3,r=0 built cp255 twice before the tower refused r=0
+    # (0.79 s); r=2 built it once before the degree check (0.41 s).
+    def built(n):
+        raise AssertionError(f"cp{n} was built")
+
+    monkeypatch.setattr(presentations, "complex_projective", built)
+    with pytest.raises(ValueError, match=r"^need q >= 2 and r >= 1, got q=3, r=0$"):
+        catalog("sb:base=cp255,q=3,r=0")
+    with pytest.raises(ValueError, match=r"\(MAX_SERIES_DEGREE\)$"):
+        catalog("sb:base=cp255,q=3,r=2")
+
+
 def test_tower_rejects_q_below_2_and_an_euler_class_of_the_wrong_degree():
     with pytest.raises(ValueError, match=r"^need q >= 2 and r >= 1, got q=1, r=2$"):
         sphere_bundle_tower(point(), zero(), 1, 2)
