@@ -107,12 +107,10 @@ def diagonal_fn(fp: FiberProduct) -> RingMap:
 
     Base and copy-1 classes obey exactly the rules of the configuration
     space on m+n points, so they span a copy of that ring inside fp.ring,
-    and the kernel is the kernel of the collapse onto it.
+    and the kernel is the kernel of the collapse onto it.  The images are
+    named by ``fp.w`` over ``fp.classes()``, in registration order.
     """
-    images: dict[str, GradedElement] = {}
-    for name in fp.ring.generator_names():
-        _, i, j = name.split("_")
-        images[name] = gen(fp.w(1, int(i), int(j)))
+    images = {fp.w(l, i, j): gen(fp.w(1, i, j)) for l, i, j in fp.classes()}
     f = RingMap(fp.ring, images)
     validate_ring_map(f)
     return f
@@ -343,8 +341,8 @@ def sphere_bundle_lower_bound(
             f"into {r - 1} parts"
         )
     factors: list[GradedElement] = []
-    for i, b in enumerate(partition, start=1):
-        f = subtract(gen(f"u{i}"), tower.pullback_section_euler(i))
+    for i, (u, b) in enumerate(zip(tower.u_names, partition), start=1):
+        f = subtract(gen(u), tower.pullback_section_euler(i))
         factors.extend([f] * (b + 1))
     return _kernel_product_certificate(
         tower_diagonal(tower), factors, provenance="sphere-bundle-tower-witness"

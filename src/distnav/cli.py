@@ -44,6 +44,7 @@ from .gcring import (
     parse_rational,
     poincare_series,
     read_json_file,
+    scale,
 )
 from .knowledge import (
     REGISTRY,
@@ -64,8 +65,8 @@ from .measures import (
     to_jsonable,
 )
 from .navplan import (
-    MAX_CHECKPOINTS,
     PathPlan,
+    _check_checkpoint_count,
     _grid_times,
     _unit,
     check_equivariance,
@@ -163,11 +164,10 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _parse_points(text: str) -> list[np.ndarray]:
-    """The ";"-separated vectors of --points, counted against the plan cap
-    before any of them is parsed."""
+    """The ";"-separated vectors of --points, counted by the planners' own
+    checkpoint check before any of them is parsed."""
     chunks = [chunk for chunk in text.split(";") if chunk]
-    if len(chunks) > MAX_CHECKPOINTS:
-        raise ValueError(f"{len(chunks)} checkpoints are over the cap of {MAX_CHECKPOINTS} (MAX_CHECKPOINTS)")
+    _check_checkpoint_count(len(chunks), chunks)
     return [_parse_vector(chunk) for chunk in chunks]
 
 
@@ -242,13 +242,11 @@ def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
 def _cmd_ring_normal_form(args) -> tuple[dict, list[str], int]:
     ring = _resolve_ring(args.ring)
     word = _parse_word(args.word)
-    known = set(ring.generator_names())
-    for name in word:
-        if name not in known:
-            raise ValueError(f"unknown generator {name!r} in {args.ring}")
+    # Rewritten at coefficient 1, so that at --coeff 0 the kernel still sees the word.
+    monomial = normal_form(ring, element([(1, word)]))
     invalid = f"coefficient {args.coeff!r} is not a rational literal such as 3/2 or -2.5e-3"
     coeff = parse_rational(args.coeff, invalid)
-    nf = normal_form(ring, element([(coeff, word)]))
+    nf = scale(coeff, monomial)
     payload = {
         "ring": args.ring,
         "input": {"coeff": coeff, "monomial": list(word)},

@@ -25,7 +25,8 @@ integer codes, and the coding stays in this module.
   denominator, so integral rules keep the arithmetic in ints.  An element
   caches its code for the ring it was made for (identity, not equality), a
   kernel result the code it was decoded from when that is exactly the
-  encoding; elements are never mutated.
+  encoding; elements are never mutated.  An element naming a generator the
+  ring lacks raises ValueError, such as ``unknown generator 'zz' in cp3``.
 * Redex order.  :func:`normal_form` and :func:`multiply` rewrite the
   leftmost redex.  A :class:`Chain` keeps a running product coded, a normal
   form, so multiplying it by the next factor searches only pairs touching a
@@ -374,6 +375,7 @@ def is_zero(a: GradedElement) -> bool:
 
 def element_degree(P: RingPresentation, a: GradedElement) -> int | None:
     """Common degree of the terms, None for 0, error if inhomogeneous."""
+    _index_terms(P, a)  # names a generator P does not have
     degrees = {P.word_degree(w) for w in a.terms}
     if not degrees:
         return None
@@ -545,9 +547,10 @@ def _index_terms(
     """a's terms as canonical index words with integer coefficients, and
     their common denominator: a = sum(c * word) / den.
 
-    Raw words (unsorted, or with a repeated odd factor) are canonicalized.
-    The code is cached on ``a`` for this very ring (identity, not equality)
-    and shared: callers must not mutate it.
+    Raw words (unsorted, or with a repeated odd factor) are canonicalized;
+    a word naming no generator of P raises ValueError.  The code is cached
+    on ``a`` for this very ring (identity, not equality) and shared: callers
+    must not mutate it.
     """
     cached = a._code
     if cached is not None and cached[0] is P:
@@ -559,7 +562,10 @@ def _index_terms(
     index, oddf = P._index, P._oddf
     terms = []
     for word, coeff in a.terms.items():
-        iword, sign = _sort_word(oddf, [index[g] for g in word])
+        try:
+            iword, sign = _sort_word(oddf, [index[g] for g in word])
+        except KeyError as exc:
+            raise ValueError(f"unknown generator {exc.args[0]!r} in {P.name or 'an unnamed ring'}") from None
         if sign:
             c = coeff.numerator * (den // coeff.denominator)
             terms.append((iword, c if sign > 0 else -c))

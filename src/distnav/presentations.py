@@ -3,7 +3,8 @@
 Three families:
 
 * ``config_space(d, k)`` - rational cohomology of the space of k distinct
-  labeled points in R^d.  One generator w_i_j of degree d-1 per index pair
+  labeled points in R^d: the fiber power below at m = k, n = 0, r = 1,
+  without its gate.  One generator w_i_j of degree d-1 per index pair
   i < j, with the quadratic straightening rules
 
       w_i_k * w_j_k  ->  w_i_j * w_j_k - w_i_j * w_i_k      (i < j < k)
@@ -33,15 +34,17 @@ are provided; the truncated polynomial ring of complex projective space is
 made quadratic by one generator per power class (a1, .., an with
 ai * aj -> a{i+j} or 0).
 
-``catalog(name)`` resolves the string names used by the CLI and the tests,
-e.g. "conf:d=2,k=4", "fn:d=2,m=2,n=1,r=2", "sb:base=cp2,q=3,r=2", "cp3",
-"s2", "point".  Parameters out of range, or a ring of more than
-MAX_RING_RULES rules (counted in closed form before anything is built),
-raise a plain ValueError; a failed gate raises PresentationError.
+``catalog(name)`` resolves the string names this module writes, e.g.
+"conf:d=2,k=4", "fn:d=2,m=2,n=1,r=2", "sb:base=cp2,q=3,r=2", "cp3", "s2",
+"point"; it reads them by one pattern per family.  Parameters out of range,
+or a ring of more than MAX_RING_RULES rules (counted in closed form before
+anything is built), raise a plain ValueError; a failed gate raises
+PresentationError.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -150,17 +153,36 @@ def _binomial_product(step: int, coeffs: Iterable[int], max_degree: int) -> list
     return out
 
 
+def _fiber_classes(m: int, n: int, r: int) -> list[tuple[int, int, int]]:
+    """(copy, i, j) of each fiber power class, copy 0 for a base class, in
+    registration order: second index (the rank), then copy, then first index."""
+    copies = range(1, r + 1)
+    return [(l, i, j) for j in range(2, m + n + 1) for l in ((0,) if j <= m else copies) for i in range(1, j)]
+
+
+def _fiber_power(name: str, d: int, m: int, n: int, r: int) -> RingPresentation:
+    """The presentation of the fiber power, its rules counted against
+    MAX_RING_RULES before any generator is built; no dimension gate."""
+    deg = d - 1
+    k = m + n
+    squares = comb(m, 2) + r * (comb(k, 2) - comb(m, 2)) if deg % 2 == 0 else 0
+    straightening = comb(m, 3) + r * (comb(k, 3) - comb(m, 3))
+    check_rule_count(name, straightening + squares)
+    gens = [Generator(_w(i, j, l), deg, rank=j) for l, i, j in _fiber_classes(m, n, r)]
+    # Shared straightening below the base cut, one copy per superscript above.
+    rules = _square_zero_rules(gens) + _straightening_rules(_w, range(3, m + 1))
+    for l in range(1, r + 1):
+        rules += _straightening_rules(lambda i, j: _w(i, j, 0 if j <= m else l), range(max(3, m + 1), k + 1))
+    return RingPresentation(gens, rules, name=name)
+
+
 @lru_cache(maxsize=None)
 def config_space(d: int, k: int) -> RingPresentation:
-    """Presentation of the k-point configuration space of R^d."""
+    """Presentation of the k-point configuration space of R^d: the fiber
+    power at m = k, n = 0, r = 1, without its gate; needs d >= 2, k >= 1."""
     if d < 2 or k < 1:
         raise ValueError(f"need d >= 2 and k >= 1, got d={d}, k={k}")
-    deg = d - 1
-    check_rule_count(f"conf:d={d},k={k}", comb(k, 3) + (comb(k, 2) if deg % 2 == 0 else 0))
-    pairs = [(i, j) for j in range(2, k + 1) for i in range(1, j)]
-    gens = tuple(Generator(_w(i, j), deg, rank=j) for i, j in pairs)
-    rules = _square_zero_rules(gens) + _straightening_rules(_w, range(3, k + 1))
-    return RingPresentation(gens, rules, name=f"conf:d={d},k={k}")
+    return _fiber_power(f"conf:d={d},k={k}", d, k, 0, 1)
 
 
 # -- fiber products ---------------------------------------------------------------
@@ -179,6 +201,10 @@ class FiberProduct:
     def w(self, l: int, i: int, j: int) -> str:
         """Class name for index pair (i, j) in copy l; base classes for j <= m."""
         return _w(i, j, 0 if j <= self.m else l)
+
+    def classes(self) -> list[tuple[int, int, int]]:
+        """(copy, i, j) of every generator, in registration order."""
+        return _fiber_classes(self.m, self.n, self.r)
 
 
 def fn_witness_length(d: int, m: int, n: int, r: int) -> int:
@@ -209,29 +235,9 @@ def fn_fiber_product(d: int, m: int, n: int, r: int) -> FiberProduct:
     ValueError, before building anything, for parameters out of range or a
     witness degree over MAX_SERIES_DEGREE.
     """
-    deg = d - 1
-    limit = fn_witness_length(d, m, n, r) * deg
+    limit = fn_witness_length(d, m, n, r) * (d - 1)
     check_series_degree(limit)
-    k = m + n
-    squares = comb(m, 2) + r * (comb(k, 2) - comb(m, 2)) if deg % 2 == 0 else 0
-    straightening = comb(m, 3) + r * (comb(k, 3) - comb(m, 3))
-    check_rule_count(f"fn:d={d},m={m},n={n},r={r}", straightening + squares)
-
-    # Registration order: second index, then copy (0 = base), then first
-    # index.  The rank (= second index) drives rewrite termination.
-    gens = [
-        Generator(_w(i, j, l), deg, rank=j)
-        for j in range(2, k + 1)
-        for l in ((0,) if j <= m else range(1, r + 1))
-        for i in range(1, j)
-    ]
-
-    # Shared straightening below the base cut, one copy per superscript above.
-    rules = _square_zero_rules(gens) + _straightening_rules(_w, range(3, m + 1))
-    for l in range(1, r + 1):
-        rules += _straightening_rules(lambda i, j: _w(i, j, 0 if j <= m else l), range(max(3, m + 1), k + 1))
-
-    ring = RingPresentation(gens, rules, name=f"fn:d={d},m={m},n={n},r={r}")
+    ring = _fiber_power(f"fn:d={d},m={m},n={n},r={r}", d, m, n, r)
     got = poincare_series(ring, limit)
     expected = fn_poincare_formula(d, m, n, r, limit)
     if got != expected:
@@ -343,53 +349,39 @@ def cpn_sphere_bundle(n: int, r: int) -> SphereBundleTower:
 
 # -- named catalog ------------------------------------------------------------------
 
-
-def _parse_kv(spec: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for part in spec.split(","):
-        key, _, value = part.partition("=")
-        if not value:
-            raise KeyError(f"malformed catalog parameter {part!r}")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _int_param(kv: dict[str, str], key: str) -> int:
-    """An integer catalog parameter; a missing or non-integer one makes the
-    name unknown (KeyError)."""
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise KeyError(f"catalog parameter {key}={kv[key]!r} is not an integer") from None
+# The catalog grammar: one pattern per family, each number ASCII digits and
+# the base of a tower a name without commas.  A name matches whole or not at
+# all, and the first family that matches builds the ring from its fields, a
+# cached builder called positionally to share the entries of direct calls.
+_N = "[0-9]+"
+_FAMILIES: dict[str, Callable[..., RingPresentation]] = {
+    "point": point,
+    f"s(?P<k>{_N})": sphere,
+    f"cp(?P<n>{_N})": complex_projective,
+    f"conf:d=(?P<d>{_N}),k=(?P<k>{_N})": lambda d, k: config_space(d, k),
+    f"fn:d=(?P<d>{_N}),m=(?P<m>{_N}),n=(?P<n>{_N}),r=(?P<r>{_N})": (
+        lambda d, m, n, r: fn_fiber_product(d, m, n, r).ring
+    ),
+    f"sb:base=cp(?P<n>{_N}),q=0*3,r=(?P<r>{_N})": lambda n, r: cpn_sphere_bundle(n, r).ring,
+    f"sb:base=(?P<base>[^,]*),q=(?P<q>{_N}),r=(?P<r>{_N})": (
+        lambda base, q, r: sphere_bundle_tower(catalog(base), zero(), q, r).ring
+    ),
+}
 
 
 def catalog(name: str) -> RingPresentation:
-    """Resolve a catalog name to a presentation.
-
-    Raises KeyError for unknown names, malformed ones included, ValueError
-    when a known family rejects its parameters, and PresentationError, a
-    ValueError too, when a built ring fails its dimension gate.
-    """
-    if name == "point":
-        return point()
-    if name.startswith("s") and name[1:].isdigit():
-        return sphere(int(name[1:]))
-    if name.startswith("cp") and name[2:].isdigit():
-        return complex_projective(int(name[2:]))
-    kind, _, spec = name.partition(":")
-    if kind == "conf":
-        kv = _parse_kv(spec)
-        return config_space(_int_param(kv, "d"), _int_param(kv, "k"))
-    if kind == "fn":
-        kv = _parse_kv(spec)
-        d, m, n, r = (_int_param(kv, key) for key in "dmnr")
-        return fn_fiber_product(d, m, n, r).ring
-    if kind == "sb":
-        kv = _parse_kv(spec)
-        q, r = _int_param(kv, "q"), _int_param(kv, "r")
-        if q == 3 and kv["base"].startswith("cp") and kv["base"][2:].isdigit():
-            return cpn_sphere_bundle(int(kv["base"][2:]), r).ring
-        return sphere_bundle_tower(catalog(kv["base"]), zero(), q, r).ring
+    """Resolve a catalog name to a presentation.  KeyError for a name
+    outside the grammar of ``_FAMILIES`` (or with a number over Python's
+    digit limit), ValueError when its family rejects its parameters, and
+    PresentationError, a ValueError too, when its ring fails a gate."""
+    for pattern, build in _FAMILIES.items():
+        match = re.fullmatch(pattern, name)
+        if match:
+            try:
+                fields = {key: text if key == "base" else int(text) for key, text in match.groupdict().items()}
+            except ValueError:  # int() refuses a number over Python's digit limit
+                break
+            return build(**fields)
     raise KeyError(f"unknown presentation name {name!r}")
 
 

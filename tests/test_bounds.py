@@ -5,6 +5,7 @@ Witness monomials and coefficients below were frozen from exact runs of the
 product expansion; the acceptance suite re-verifies the full parameter grid.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -71,6 +72,38 @@ def test_diagonal_collapses_copies():
     d = subtract(gen("w1_1_3"), gen("w2_1_3"))
     assert is_zero(apply_ring_map(f, d))
     assert apply_ring_map(f, gen("w_1_2")) == gen("w_1_2")
+
+
+def name_parsing_diagonal_images(fp):
+    """The collapse images as diagonal_fn built them by reading each
+    generator name back: w{l}_i_j split at "_" into i and j."""
+    images = {}
+    for name in fp.ring.generator_names():
+        _, i, j = name.split("_")
+        images[name] = gen(fp.w(1, int(i), int(j)))
+    return images
+
+
+# The fn cells of the shipped catalog names and of the certify and rewrite
+# benchmarks (grid, witness and cup-length cells).
+SHIPPED_AND_BENCH_FN_CELLS = sorted(
+    {(2, 2, 1, 2), (3, 2, 1, 2), (2, 3, 2, 3), (3, 3, 2, 2)}
+    | set(itertools.product((2, 3), (2, 3), (1, 2), (2, 3)))
+    | {(3, 2, 2, 4), (2, 2, 2, 4), (3, 3, 3, 2)}
+    | {(2, 2, 1, 2), (3, 2, 1, 2), (2, 2, 1, 3), (3, 2, 1, 3), (2, 2, 2, 2), (3, 2, 2, 2), (2, 3, 1, 3)}
+)
+
+
+def test_diagonal_fn_matches_the_name_parsing_map():
+    # diagonal_fn keys its images by fp.w over fp.classes(), which list the
+    # generators in registration order, instead of parsing names back.
+    for cell in SHIPPED_AND_BENCH_FN_CELLS:
+        fp = fn_fiber_product(*cell)
+        assert [fp.w(l, i, j) for l, i, j in fp.classes()] == list(fp.ring.generator_names()), cell
+        images = diagonal_fn(fp).images
+        oracle = name_parsing_diagonal_images(fp)
+        assert list(images) == list(oracle), cell
+        assert images == oracle, cell
 
 
 def test_ring_map_is_multiplicative():

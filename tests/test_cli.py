@@ -75,6 +75,29 @@ def test_normal_form_unknown_generator_exits_2():
     assert "error" in out and out["schema_version"] == 5
 
 
+@pytest.mark.parametrize("coeff", ["1", "0"])
+def test_unknown_generator_is_named_by_the_kernel(tmp_path, coeff):
+    # The CLI checked generator names itself; now the kernel's ValueError
+    # names the generator and the ring, with the catalog ring's old bytes.
+    # A file ring is named by its presentation name, where the CLI printed
+    # the path.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(presentation_to_dict(complex_projective(2)) | {"name": "loaded"}))
+    for ring, name in (("cp3", "cp3"), (str(path), "loaded")):
+        code, out, err = run_all("ring", "normal-form", "--ring", ring, "--word", "a1,zz", "--coeff", coeff)
+        assert (code, err) == (2, "")
+        assert out["error"] == f"unknown generator 'zz' in {name}"
+
+
+@pytest.mark.parametrize("name", ["cp²", "s٣", "conf:k=4,d=2"], ids=["superscript", "arabic-indic", "reordered"])
+def test_names_outside_the_catalog_grammar_are_unknown(name):
+    # cp² printed Python's "invalid literal for int()", s٣ built s3 and
+    # conf:k=4,d=2 built conf:d=2,k=4.
+    code, out, err = run_all("ring", "poincare", "--ring", name)
+    assert (code, err) == (2, "")
+    assert out["error"] == f"unknown presentation {name!r}"
+
+
 def test_normal_form_over_the_rewrite_step_cap_exits_2(monkeypatch):
     # conf:d=3,k=20 took 10.3 s and printed 106 MB; here k=8, whose word
     # takes 63 steps, under a cap of 62.
@@ -893,6 +916,16 @@ def test_points_over_cap_exit_2_before_any_vector_is_parsed(command, monkeypatch
     assert parsed == []
 
 
+@pytest.mark.parametrize("command", ["circle", "hopf"])
+def test_one_point_is_refused_before_its_vector_is_parsed(command, monkeypatch):
+    # --points is counted by navplan's own checkpoint check, the one that
+    # refuses 30000 points unparsed; "1,a" printed "bad vector '1,a'".
+    parsed = []
+    monkeypatch.setattr(cli, "_parse_vector", lambda text: parsed.append(text))
+    code, out = run("nav", command, "--points", "1,a")
+    assert (code, out["error"], parsed) == (2, "need at least two checkpoints", [])
+
+
 def test_plan_at_checkpoint_cap_answers_at_finest_grid():
     e1 = np.array([0.5, 0.5, 0.5, 0.5])
     angles = np.linspace(0.0, 2 * math.pi, navplan.MAX_CHECKPOINTS, endpoint=False)
@@ -1178,6 +1211,23 @@ def test_measure_file_with_a_5000_digit_weight_names_the_file(tmp_path):
     code, out, err = run_all("measure", "lp", "--mu", str(bad), "--nu", good)
     assert (code, err) == (2, "")
     assert out["error"] == f"bad measure in {str(bad)!r}: an integer has over 4300 digits"
+
+
+@pytest.mark.parametrize(
+    "weight, digits", [(9 * 10**4299, 4301), (10**4299, 4300)], ids=["4301-digit-sum", "4300-digit-sum"]
+)
+def test_huge_weight_sum_is_not_printed(tmp_path, weight, digits):
+    # Two 4300-digit weights: a 4301-digit sum printed Python's int-digit
+    # error, a 4300-digit one the whole sum.
+    bad = tmp_path / "hugew.json"
+    bad.write_text(json.dumps([{"point": [0.0], "weight": weight}, {"point": [1.0], "weight": weight}]))
+    good = write_measure(tmp_path / "good.json", [([0.0], 1)])
+    code, out, err = run_all("measure", "lp", "--mu", str(bad), "--nu", good)
+    assert (code, err) == (2, "")
+    assert out["error"] == (
+        f"bad measure in {str(bad)!r}: weights sum to a rational of {digits} digits over 1, expected exactly 1"
+    )
+    assert "set_int_max_str_digits" not in out["error"]
 
 
 def test_measure_file_numbers_as_points(tmp_path):

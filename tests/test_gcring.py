@@ -22,8 +22,10 @@ from distnav.gcring import (
     Generator,
     GradedElement,
     PresentationError,
+    RingMap,
     RingPresentation,
     add,
+    apply_ring_map,
     check_confluence,
     element,
     element_degree,
@@ -177,6 +179,29 @@ def test_element_degree_homogeneous_only():
     mixed = add(gen("t1"), gen("t2"))
     with pytest.raises(PresentationError):
         element_degree(P, mixed)
+
+
+def test_entry_points_name_an_unknown_generator():
+    # Each raised a bare KeyError('zz'); now a ValueError (a bad request, not
+    # a PresentationError) names the generator and the ring.
+    P = catalog("cp3")
+    bad, a1 = element([(1, ("a1", "zz"))]), gen("a1")
+    collapse = RingMap(P, {name: gen(name) for name in P.generator_names()})
+    calls = {
+        "normal_form": lambda: normal_form(P, bad),
+        "multiply-left": lambda: multiply(P, bad, a1),
+        "multiply-right": lambda: multiply(P, a1, bad),
+        "product": lambda: product(P, [a1, bad]),
+        "apply_ring_map": lambda: apply_ring_map(collapse, bad),
+        "element_degree": lambda: element_degree(P, bad),
+    }
+    for entry, call in calls.items():
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert type(caught.value) is ValueError, entry
+        assert str(caught.value) == "unknown generator 'zz' in cp3", entry
+    with pytest.raises(ValueError, match="^unknown generator 'zz' in an unnamed ring$"):
+        normal_form(RingPresentation([Generator("x", 1)], []), gen("zz"))
 
 
 def test_arithmetic_helpers():

@@ -7,19 +7,23 @@ shares no code with the engine's normal-form enumeration.
 """
 
 import itertools
+import json
 
 import pytest
 
 import distnav.presentations as presentations
 from distnav.gcring import (
     MAX_SERIES_DEGREE,
+    Generator,
     PresentationError,
     RingPresentation,
+    element,
     gen,
     is_zero,
     multiply,
     poincare_series,
     poly_mul,
+    presentation_to_dict,
     product,
     scale,
     subtract,
@@ -343,3 +347,73 @@ def test_catalog_unknown_name():
 def test_catalog_fn_spec():
     P = catalog("fn:d=2,m=2,n=1,r=2")
     assert P.generator_names() == fn_fiber_product(2, 2, 1, 2).ring.generator_names()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "cp²",
+        "s٣",
+        "conf:k=4,d=2",
+        "conf:d=2,k=4,k=4",
+        "conf:d=2,k=4,x=1",
+        "conf:d= 2,k=4",
+        "conf:d=2,k=4 ",
+        "conf:d=-2,k=4",
+        "conf:d=+2,k=4",
+        "fn:d=2,m=2,n=1",
+        "fn:r=2,d=2,m=2,n=1",
+        "sb:base=cp²,q=3,r=2",
+        "sb:base=cp2,r=2,q=3",
+        "sb:base=,q=2,r=2",
+        "cp2\n",
+        pytest.param("s" + "9" * 5000, id="s-5000-digits"),
+    ],
+)
+def test_catalog_refuses_names_outside_the_grammar(name):
+    # One ASCII pattern per family, matched whole: cp² raised int()'s
+    # ValueError, while s٣ and the reordered conf:k=4,d=2 resolved.
+    with pytest.raises(KeyError, match="unknown presentation name"):
+        catalog(name)
+
+
+def test_catalog_reads_canonical_names_and_leading_zeros_as_before():
+    assert catalog("conf:d=02,k=3") is config_space(2, 3)
+    assert catalog("fn:d=2,m=2,n=01,r=2") is fn_fiber_product(2, 2, 1, 2).ring
+    assert catalog("sb:base=cp2,q=03,r=2") is cpn_sphere_bundle(2, 2).ring
+    assert catalog("s02").name == "s2"
+    tower = catalog("sb:base=cp2,q=4,r=2")  # q != 3: zero Euler class
+    assert tower.name == "sb:base=cp2,q=4,r=2" and tower.rules == complex_projective(2).rules
+    for name in shipped_names():
+        assert catalog(name).name == name
+
+
+def config_space_oracle(d, k):
+    """config_space as its own builder made it, with its own generator loop
+    and rule list, before it became the fiber power's base case."""
+    def w(i, j):
+        return f"w_{i}_{j}"
+
+    gens = tuple(Generator(w(i, j), d - 1, rank=j) for j in range(2, k + 1) for i in range(1, j))
+    squares = [((g.name, g.name), zero()) for g in gens if g.degree % 2 == 0]
+    straightening = [
+        ((w(i, c), w(j, c)), element([(1, (w(i, j), w(j, c))), (-1, (w(i, j), w(i, c)))]))
+        for c in range(3, k + 1)
+        for j in range(2, c)
+        for i in range(1, j)
+    ]
+    return RingPresentation(gens, squares + straightening, name=f"conf:d={d},k={k}")
+
+
+def test_config_space_is_the_fiber_power_base_case(monkeypatch):
+    for d in range(2, 6):
+        for k in range(1, 13):
+            got = json.dumps(presentation_to_dict(config_space.__wrapped__(d, k)), indent=2)
+            assert got == json.dumps(presentation_to_dict(config_space_oracle(d, k)), indent=2), (d, k)
+    # conf and fn rings come from one builder; only fn is gated after it.
+    calls = []
+    build = presentations._fiber_power
+    monkeypatch.setattr(presentations, "_fiber_power", lambda *cell: calls.append(cell) or build(*cell))
+    config_space.__wrapped__(3, 4)
+    fn_fiber_product.__wrapped__(3, 2, 1, 2)
+    assert calls == [("conf:d=3,k=4", 3, 4, 0, 1), ("fn:d=3,m=2,n=1,r=2", 3, 2, 1, 2)]
