@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -149,9 +148,11 @@ def _resolve_ring(name: str):
         pass  # not a catalog name: try the presentation directory
     env = os.environ.get(ENV_PRESENTATIONS)
     if env:
-        path = Path(env) / f"{name}.json"
-        if path.exists():
-            return load_presentation_json(str(path))
+        path = os.path.join(env, f"{name}.json")
+        # os.path.exists, unlike Path.exists, is False for a name the file
+        # system refuses, such as one over its length limit (ENAMETOOLONG).
+        if os.path.exists(path):
+            return load_presentation_json(path)
     raise ValueError(f"unknown presentation {name!r}")
 
 

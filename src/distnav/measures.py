@@ -26,19 +26,23 @@ subsets of supp(mu) alone (enlarging A by points of zero mu-mass only
 weakens the constraint), and by Strassen's theorem (1965), or
 max-flow/min-cut, it equals mu's total minus the maximum flow from mu to nu
 along pairs at most eps apart, so the nu-side defect is the mu-side one
-plus nu's total minus mu's, exactly, at every eps.  One max flow from the
+plus nu's total minus mu's, exactly, at every eps.  One flow from the
 smaller support, or from mu's on a size tie, computed in Python ints,
 serves every pair at every size up to MAX_SUPPORT, adding the other side's
 surplus mass when it is positive (float totals may miss 1 in the last
 bits).  The defect is a non-increasing step function of eps that changes
-only at pairwise distances, and the distance never exceeds 1, so a binary
-search over those breakpoints in [0, 1] finds the least feasible eps with
-no bisection tolerance.
+only at pairwise distances, and the distance never exceeds 1, so the
+least feasible eps is a breakpoint in [0, 1], found with no bisection
+tolerance.  Pairs only ever join the flow as eps grows, so one flow is
+grown over the pairs in order of distance (a parametric max flow, as in
+Gallo, Grigoriadis and Tarjan 1989), its residual search carried on from
+one pair to the next, and the first breakpoint whose defect passes ends it.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,48 +236,59 @@ def product_measure(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
 
 # -- Levy-Prokhorov ------------------------------------------------------------
 
-def _max_flow(
-    eps: float,
-    w_a: list[int],
-    w_b: list[int],
-    dist_ab: np.ndarray,
-    order: list[list[int]],
-) -> tuple[int, list[int], list[dict[int, int]]]:
-    """max_A [a(A) - b(A^eps)] over subsets A of supp(a), as a's total minus
-    a maximum flow from a to b along pairs at most eps apart.
+def _grown_flow(
+    a: list[int],
+    b: list[int],
+    dist: np.ndarray,
+    den: int,
+    surplus: int,
+) -> tuple[float, int | None, list[dict[int, int]], list[int]]:
+    """The first breakpoint eps whose defect passes, by one maximum flow
+    from a to b grown over the pairs in order of distance.
 
-    ``order`` lists each row's columns by increasing distance, so a row's
-    neighbours within eps are a prefix of it.  A greedy start fills each
-    row's nearest columns; then shortest augmenting paths, found by a
-    breadth-first search from every row with mass left.  Masses are Python
-    ints, so the flow is exact.  Returns the defect, the rows A reachable in
-    the final residual graph and the flow, ``flow[j][i]`` from row i into
-    column j: the flow leaves the defect unsent and a(A) - b(A^eps) equals
-    it, so each certifies the other.
+    Each pair joins as an arc from its row to its column, so the flow at
+    one breakpoint stays feasible at every larger one and is only ever
+    augmented.  The breadth-first residual search from the rows with
+    unsent mass keeps its reached rows and columns between arcs: a new arc
+    from a reached row to an unreached column either ends at a column with
+    room, an augmenting path, or carries the search on from that column's
+    flow rows.  A direct push that leaves its row with mass keeps the
+    search as it is.  Any other augmenting path leaves the search stale
+    until the next breakpoint, and meanwhile new arcs only take direct
+    pushes, so the pairs at one distance cost one search between them.  At
+    the breakpoint, searches from scratch, each carrying every path of its
+    tree that still has room (tree paths are shortest paths), make the
+    flow maximal again.  The defect at eps is then the unsent mass plus
+    ``surplus``, exact in Python ints, and eps = p/q passes when defect * q
+    <= p * den.
+
+    Returns eps, or 1.0 when no breakpoint below 1 passes; the defect at
+    the breakpoint before it (None when eps is 0); and the maximal flow at
+    eps (at the last breakpoint below 1 when eps is 1.0), ``flow[j][i]``
+    from row i into column j, with the rows A its residual search reaches:
+    a(A) - b(A^eps) equals the unsent mass, so the flow and its cut certify
+    each other.
     """
-    counts = (dist_ab <= eps).sum(1).tolist()
-    near = [row[:k] for row, k in zip(order, counts)]
-    left, room = list(w_a), list(w_b)
+    pairs = np.argsort(dist, axis=None, kind="stable")
+    sorted_dist = dist.ravel()[pairs]
+    inner = int(np.count_nonzero(sorted_dist < 1.0))
+    rows, cols = np.divmod(pairs[:inner], len(b))
+    left, room = list(a), list(b)
+    unsent = sum(left)
     flow: list[dict[int, int]] = [{} for _ in room]
-    for i, cols in enumerate(near):
-        x = left[i]
-        for j in cols:
-            if not x:
-                break
-            y = room[j]
-            if y:
-                sent = x if x < y else y
-                flow[j][i] = sent
-                room[j] = y - sent
-                x -= sent
-        left[i] = x
-    while True:
-        # came[j]: the row a column was reached from; back[i]: the column a
-        # row was reached from along a flow edge, None at the sources.
-        back: dict[int, int | None] = {i: None for i, x in enumerate(left) if x}
-        came: dict[int, int] = {}
-        frontier, end = list(back), None
-        while frontier and end is None:
+    near: list[list[int]] = [[] for _ in left]
+    # back[i]: the column a reached row was reached from along a flow arc,
+    # None at the rows with unsent mass; came[j]: the row a column was
+    # reached from.  Unless `stale`, they hold the whole residual search.
+    back: dict[int, int | None] = {i: None for i, x in enumerate(left) if x}
+    came: dict[int, int] = {}
+    stale = False
+
+    def search(frontier: list[int]) -> list[int]:
+        """Carry the breadth-first search on from the frontier rows to its
+        end; the reached columns with room, where paths of its tree end."""
+        ends = []
+        while frontier:
             reached = []
             for i in frontier:
                 for j in near[i]:
@@ -281,37 +296,97 @@ def _max_flow(
                         continue
                     came[j] = i
                     if room[j]:
-                        end = j
-                        break
+                        ends.append(j)
                     for k in flow[j]:
                         if k not in back:
                             back[k] = j
                             reached.append(k)
-                if end is not None:
-                    break
             frontier = reached
-        if end is None:
-            return sum(left), list(back), flow
-        # Walk the path back from `end` to its source row twice: once for
-        # the mass it can carry, once to carry it.
-        sent, i = room[end], came[end]
-        while (j := back[i]) is not None:
-            sent = min(sent, flow[j][i])
-            i = came[j]
-        sent = min(sent, left[i])
-        left[i] -= sent
-        room[end] -= sent
-        j, i = end, came[end]
+        return ends
+
+    def augment(ends: list[int]) -> None:
+        """Carry what each path of the search tree to ``ends`` still can."""
+        nonlocal unsent
+        for end in ends:
+            # Walk the path back from `end` to its source row twice: once
+            # for the mass it can still carry, once to carry it.
+            sent, i = room[end], came[end]
+            while sent and (j := back[i]) is not None:
+                sent = min(sent, flow[j].get(i, 0))
+                i = came[j]
+            sent = min(sent, left[i])
+            if not sent:
+                continue
+            left[i] -= sent
+            unsent -= sent
+            room[end] -= sent
+            j, i = end, came[end]
+            while True:
+                flow[j][i] = flow[j].get(i, 0) + sent
+                j = back[i]
+                if j is None:
+                    break
+                if flow[j][i] == sent:
+                    del flow[j][i]
+                else:
+                    flow[j][i] -= sent
+                i = came[j]
+
+    def settle() -> None:
+        """Search from scratch and augment until no column with room is reached."""
+        nonlocal back, came
         while True:
-            flow[j][i] = flow[j].get(i, 0) + sent
-            j = back[i]
-            if j is None:
-                break
-            if flow[j][i] == sent:
-                del flow[j][i]
-            else:
-                flow[j][i] -= sent
-            i = came[j]
+            back = {i: None for i, x in enumerate(left) if x}
+            came = {}
+            ends = search(list(back))
+            if not ends:
+                return
+            augment(ends)
+
+    # eps = p/q passes when defect * q <= p * den.  The last breakpoint, 1,
+    # ends the pairs: the distance is at most 1.
+    eps, (p, q), below = 0.0, (0, 1), None
+    arcs = zip(sorted_dist[:inner].tolist(), rows.tolist(), cols.tolist())
+    for d, i, j in itertools.chain(arcs, [(1.0, 0, 0)]):
+        if d > eps:
+            # Every pair within eps has joined: make the flow maximal, decide eps.
+            if stale:
+                settle()
+                stale = False
+            if (unsent + surplus) * q <= p * den:
+                return eps, below, flow, list(back)
+            if d == 1.0:
+                return d, unsent + surplus, flow, list(back)
+            eps, below = d, unsent + surplus
+            p, q = d.as_integer_ratio()
+        near[i].append(j)
+        x, y = left[i], room[j]
+        if stale:
+            if x and y:
+                sent = x if x < y else y
+                flow[j][i] = sent
+                left[i], room[j] = x - sent, y - sent
+                unsent -= sent
+            continue
+        if i not in back or j in came:
+            continue
+        came[j] = i
+        if y and back[i] is None and x > y:
+            # A direct push that leaves its row with mass keeps the search.
+            flow[j][i] = y
+            left[i], room[j] = x - y, 0
+            unsent -= y
+            y = 0
+        if y:
+            ends = [j]
+        else:
+            frontier = [k for k in flow[j] if k not in back]
+            for k in frontier:
+                back[k] = j
+            ends = search(frontier)
+        if ends:
+            augment(ends)
+            stale = True
 
 
 def lp_distance(
@@ -325,9 +400,10 @@ def lp_distance(
     The weights enter as exact integer masses over a common denominator,
     so only the distances are floats: ``lp_distance(mu, nu) ==
     lp_distance(nu, mu)`` bit for bit, and equal measures lie exactly 0.0
-    apart whatever the order of their atoms.  Every pair takes one search
-    on the smaller support, for both inequality families, with each defect
-    from a max flow.  ``precision`` must be positive and finite; the result
+    apart whatever the order of their atoms.  Every pair grows one flow
+    from the smaller support over the breakpoints in increasing order, for
+    both inequality families, and stops at the first breakpoint that
+    passes.  ``precision`` must be positive and finite; the result
     does not depend on it.  Raises ValueError when either support exceeds
     MAX_SUPPORT points, or when two points have coordinates of different
     shapes.
@@ -361,24 +437,10 @@ def lp_distance(
     if len(nu) < len(mu):
         a, b, dist, total_m, total_n = b, a, dist.T, total_n, total_m
     surplus = max(0, total_n - total_m)
-    order = np.argsort(dist, axis=1).tolist()
-    inner = np.sort(dist, axis=None)
-    breaks = np.concatenate(([0.0], inner[(inner > 0.0) & (inner < 1.0)], [1.0]))
-    # First breakpoint D_k with defect(D_k) <= D_k, that is defect * q <=
-    # p * den for D_k = p/q; the last one, 1, always qualifies.  On
-    # [D_(k-1), D_k) the defect stays at defect(D_(k-1)), and int / int is
-    # correctly rounded.
-    lo, hi, below = 0, len(breaks) - 1, 1.0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        eps = float(breaks[mid])
-        p, q = eps.as_integer_ratio()
-        defect = _max_flow(eps, a, b, dist, order)[0] + surplus
-        if defect * q <= p * den:
-            hi = mid
-        else:
-            lo, below = mid + 1, defect / den
-    return 0.0 if lo == 0 else min(float(breaks[lo]), below)
+    eps, below = _grown_flow(a, b, dist, den, surplus)[:2]
+    # On [D_(k-1), D_k) the defect stays at defect(D_(k-1)), and int / int
+    # is correctly rounded.
+    return 0.0 if below is None else min(eps, below / den)
 
 
 # -- JSON interchange -----------------------------------------------------------

@@ -349,10 +349,12 @@ def cpn_sphere_bundle(n: int, r: int) -> SphereBundleTower:
 
 # -- named catalog ------------------------------------------------------------------
 
-# The catalog grammar: one pattern per family, each number ASCII digits and
-# the base of a tower a name without commas.  A name matches whole or not at
-# all, and the first family that matches builds the ring from its fields, a
-# cached builder called positionally to share the entries of direct calls.
+# The catalog grammar: one pattern per family, each number ASCII digits.  A
+# tower's base is anchored on the trailing ",q=..,r=..", so it may hold commas
+# (conf, fn), but it is no tower: a tower over a tower adjoins u twice, which
+# sphere_bundle_tower refuses.  A name matches whole or not at all, and the
+# first family that matches builds the ring from its fields, a cached builder
+# called positionally to share the entries of direct calls.
 _N = "[0-9]+"
 _FAMILIES: dict[str, Callable[..., RingPresentation]] = {
     "point": point,
@@ -363,7 +365,7 @@ _FAMILIES: dict[str, Callable[..., RingPresentation]] = {
         lambda d, m, n, r: fn_fiber_product(d, m, n, r).ring
     ),
     f"sb:base=cp(?P<n>{_N}),q=0*3,r=(?P<r>{_N})": lambda n, r: cpn_sphere_bundle(n, r).ring,
-    f"sb:base=(?P<base>[^,]*),q=(?P<q>{_N}),r=(?P<r>{_N})": (
+    f"sb:base=(?P<base>(?!sb:).*),q=(?P<q>{_N}),r=(?P<r>{_N})": (
         lambda base, q, r: sphere_bundle_tower(catalog(base), zero(), q, r).ring
     ),
 }

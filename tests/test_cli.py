@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import random
+import string
 import time
 from fractions import Fraction
 
@@ -218,6 +220,21 @@ def test_env_directory_resolution(tmp_path, monkeypatch):
         2,
         {"schema_version": 5, "error": "unknown presentation 'absent'"},
     )
+
+
+def test_over_long_name_in_the_presentation_directory_is_unknown(tmp_path, monkeypatch):
+    # A name past the file system's name limit (255 bytes on most) made the
+    # lookup of <name>.json raise OSError (ENAMETOOLONG), a traceback and
+    # exit 1; it is an unknown presentation like any name without a file.
+    rng = random.Random(36)
+    monkeypatch.setenv("DISTNAV_PRESENTATIONS", str(tmp_path))
+    for length in (300, 5000):
+        name = "".join(rng.choice(string.ascii_lowercase) for _ in range(length))
+        assert run_all("ring", "poincare", "--ring", name) == (
+            2,
+            {"schema_version": 5, "error": f"unknown presentation {name!r}"},
+            "",
+        )
 
 
 def test_non_koszul_parity_file_exits_3(tmp_path):

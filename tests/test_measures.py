@@ -1,6 +1,6 @@
 """Finite measures and the exact Levy-Prokhorov breakpoint search.
 
-Four oracles check the shipped search. ``lp_oracle`` re-derives feasibility
+Five oracles check the shipped search. ``lp_oracle`` re-derives feasibility
 from the textbook definition, with both inequality families quantified over
 subsets of the union of supports, in pure Python. ``lp_bisection`` is the
 bisection that ``lp_distance`` ran before: it tests both one-sided defects,
@@ -11,14 +11,18 @@ shipped search, on exact integer masses, must stay within 1e-12 of it.
 ``lp_fraction_oracle`` is the two-sided definition on ``Fraction`` masses in
 pure Python, each side over subsets of its own support, and the shipped
 search must equal it bit for bit, at common denominators below 2^53, up to
-2^63 and beyond. The shipped search runs one max flow from the smaller
+2^63 and beyond. The shipped search grows one flow from the smaller
 support only and adds the other side's surplus mass; agreement here
 confirms both reductions. ``oracle_matrix_space`` builds the distance matrix
 one pair at a time, and the one-call matrix of ``lp_distance`` must give
-the same distance bit for bit. ``subset_table_defect``, the subset table
-the search once used below 11 atoms, checks the max flow's defect on both
-sides at every breakpoint up to ORACLE_ATOMS; past those the flow and its
-residual cut certify each other.
+the same distance bit for bit. ``lp_binary_search`` is the search that
+``lp_distance`` ran before it grew one flow across the breakpoints: a
+binary search with ``max_flow`` built from scratch at each step. The shipped
+search must equal it bit for bit at every support size up to MAX_SUPPORT,
+and at the breakpoint it returns, its flow and cut certify the result.
+``subset_table_defect``, the subset table the search once used below 11
+atoms, checks ``max_flow``'s defect on both sides at every breakpoint up to
+ORACLE_ATOMS; past those the flow and its residual cut certify each other.
 """
 
 import math
@@ -34,7 +38,7 @@ from distnav.measures import (
     MAX_SUPPORT,
     FiniteMeasure,
     MetricSpace,
-    _max_flow,
+    _grown_flow,
     euclidean_metric,
     lp_distance,
     measure_from_jsonable,
@@ -240,6 +244,113 @@ def lp_fraction_oracle(mu, nu, space):
     return min(1.0, float(below))
 
 
+def max_flow(eps, w_a, w_b, dist_ab, order):
+    """max_A [a(A) - b(A^eps)] over subsets A of supp(a), as a's total minus
+    a maximum flow from a to b along pairs at most eps apart, built from
+    scratch at this one eps: the flow lp_distance ran at each step of its
+    binary search before it grew one flow across the breakpoints.
+
+    ``order`` lists each row's columns by increasing distance, so a row's
+    neighbours within eps are a prefix of it.  A greedy start fills each
+    row's nearest columns; then shortest augmenting paths, found by a
+    breadth-first search from every row with mass left.  Masses are Python
+    ints, so the flow is exact.  Returns the defect, the rows A reachable in
+    the final residual graph and the flow, ``flow[j][i]`` from row i into
+    column j: the flow leaves the defect unsent and a(A) - b(A^eps) equals
+    it, so each certifies the other.
+    """
+    counts = (dist_ab <= eps).sum(1).tolist()
+    near = [row[:k] for row, k in zip(order, counts)]
+    left, room = list(w_a), list(w_b)
+    flow = [{} for _ in room]
+    for i, cols in enumerate(near):
+        x = left[i]
+        for j in cols:
+            if not x:
+                break
+            y = room[j]
+            if y:
+                sent = x if x < y else y
+                flow[j][i] = sent
+                room[j] = y - sent
+                x -= sent
+        left[i] = x
+    while True:
+        # came[j]: the row a column was reached from; back[i]: the column a
+        # row was reached from along a flow edge, None at the sources.
+        back = {i: None for i, x in enumerate(left) if x}
+        came = {}
+        frontier, end = list(back), None
+        while frontier and end is None:
+            reached = []
+            for i in frontier:
+                for j in near[i]:
+                    if j in came:
+                        continue
+                    came[j] = i
+                    if room[j]:
+                        end = j
+                        break
+                    for k in flow[j]:
+                        if k not in back:
+                            back[k] = j
+                            reached.append(k)
+                if end is not None:
+                    break
+            frontier = reached
+        if end is None:
+            return sum(left), list(back), flow
+        # Walk the path back from `end` to its source row twice: once for
+        # the mass it can carry, once to carry it.
+        sent, i = room[end], came[end]
+        while (j := back[i]) is not None:
+            sent = min(sent, flow[j][i])
+            i = came[j]
+        sent = min(sent, left[i])
+        left[i] -= sent
+        room[end] -= sent
+        j, i = end, came[end]
+        while True:
+            flow[j][i] = flow[j].get(i, 0) + sent
+            j = back[i]
+            if j is None:
+                break
+            if flow[j][i] == sent:
+                del flow[j][i]
+            else:
+                flow[j][i] -= sent
+            i = came[j]
+
+
+def lp_binary_search(mu, nu, space):
+    """The search lp_distance ran before it grew one flow: a binary search
+    over the breakpoints, with one max_flow from scratch at each step, on
+    the smaller support (mu's on a tie) plus the other side's surplus."""
+    a, b, den, dist, surplus = smaller_side(mu, nu, space)
+    order = np.argsort(dist, axis=1).tolist()
+    inner = np.sort(dist, axis=None)
+    breaks = np.concatenate(([0.0], inner[(inner > 0.0) & (inner < 1.0)], [1.0]))
+    lo, hi, below = 0, len(breaks) - 1, 1.0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        eps = float(breaks[mid])
+        p, q = eps.as_integer_ratio()
+        defect = max_flow(eps, a, b, dist, order)[0] + surplus
+        if defect * q <= p * den:
+            hi = mid
+        else:
+            lo, below = mid + 1, defect / den
+    return 0.0 if lo == 0 else min(float(breaks[lo]), below)
+
+
+def integer_masses(mu, nu):
+    """Both measures' weights as integer masses over one common denominator."""
+    weights = [Fraction(w) for w in mu.weights() + nu.weights()]
+    den = math.lcm(*(w.denominator for w in weights))
+    masses = [w.numerator * (den // w.denominator) for w in weights]
+    return masses[: len(mu)], masses[len(mu) :], den
+
+
 def random_atoms(rng, count, dim=2):
     raw = [rng.randint(1, 9) for _ in range(count)]
     total = sum(raw)
@@ -272,20 +383,57 @@ def mixed_pairs(rng, sizes):
     return pairs
 
 
+def shape_pairs(rng, size=MAX_SUPPORT):
+    """The slowest shapes of the old binary search at ``size`` atoms: two
+    float-weight measures within 0.05 of one center in each coordinate,
+    whose pairs all lie below 1, and 2^-100 weights against uniform ones;
+    with uniform and reordered self pairs, whose masses all tie."""
+    center = np.array([rng.uniform(-1, 1) for _ in range(3)])
+
+    def clustered():
+        raw = [rng.uniform(0.1, 1.0) for _ in range(size)]
+        return FiniteMeasure([(center + 0.05 * np.array([rng.uniform(-1, 1) for _ in range(3)]), w / sum(raw)) for w in raw])
+
+    def uniform():
+        return FiniteMeasure([(np.array([rng.uniform(-1, 1) for _ in range(3)]), Fraction(1, size)) for _ in range(size)])
+
+    atoms = random_atoms(rng, size, dim=3)
+    shuffled = atoms[:]
+    rng.shuffle(shuffled)
+    return [
+        (clustered(), clustered(), SPACE),
+        (random_float_measure(rng, size, tiny=True), uniform(), SPACE),
+        (uniform(), uniform(), SPACE),
+        (FiniteMeasure(atoms), FiniteMeasure(shuffled), SPACE),
+    ]
+
+
+def smaller_side(mu, nu, space):
+    """The masses, denominator, matrix and surplus of the side lp_distance
+    grows its flow from: the smaller support, mu's on a tie."""
+    pm = np.array([space.coordinates(p) for p in mu.points()])
+    pn = np.array([space.coordinates(q) for q in nu.points()])
+    dist = np.asarray(space.distance(pm[:, None], pn[None, :]), dtype=float)
+    a, b, den = integer_masses(mu, nu)
+    if len(nu) < len(mu):
+        a, b, dist = b, a, dist.T
+    return a, b, den, dist, max(0, sum(b) - sum(a))
+
+
 def random_sizes(rng, count, largest):
     return [(rng.randint(1, largest), rng.randint(1, largest)) for _ in range(count)]
 
 
-def defect_calls(monkeypatch):
-    """Record the eps of each max flow that lp_distance runs."""
+def flow_calls(monkeypatch):
+    """Record the row and column counts of each grown flow lp_distance runs."""
     calls = []
-    shipped = measures._max_flow
+    shipped = measures._grown_flow
 
-    def recorded(eps, w_a, w_b, dist_ab, order):
-        calls.append(eps)
-        return shipped(eps, w_a, w_b, dist_ab, order)
+    def recorded(a, b, dist, den, surplus):
+        calls.append((len(a), len(b)))
+        return shipped(a, b, dist, den, surplus)
 
-    monkeypatch.setattr(measures, "_max_flow", recorded)
+    monkeypatch.setattr(measures, "_grown_flow", recorded)
     return calls
 
 
@@ -439,14 +587,6 @@ def test_exact_distance_within_bisection_bracket():
             assert hi - precision <= exact <= hi, (exact, hi, precision)
 
 
-def integer_masses(mu, nu):
-    """Both measures' weights as integer masses over one common denominator."""
-    weights = [Fraction(w) for w in mu.weights() + nu.weights()]
-    den = math.lcm(*(w.denominator for w in weights))
-    masses = [w.numerator * (den // w.denominator) for w in weights]
-    return masses[: len(mu)], masses[len(mu) :], den
-
-
 def subset_table_defect(w_a, w_b, dist_ab):
     """The subset table that lp_distance once used below 11 atoms, as a
     function of eps: max_A [a(A) - b(A^eps)] over all 2^n subsets A of
@@ -494,8 +634,8 @@ def test_one_sided_defects_agree_at_every_breakpoint():
         for eps in np.concatenate(([0.0], np.sort(dist, axis=None), [1.0])):
             from_mu, from_nu = table_m(eps), table_n(eps)
             assert from_nu == from_mu + surplus, (eps, from_mu, from_nu)
-            assert _max_flow(eps, masses_m, masses_n, dist, order_m)[0] == from_mu, (len(mu), len(nu), eps)
-            assert _max_flow(eps, masses_n, masses_m, dist.T, order_n)[0] == from_nu, (len(mu), len(nu), eps)
+            assert max_flow(eps, masses_m, masses_n, dist, order_m)[0] == from_mu, (len(mu), len(nu), eps)
+            assert max_flow(eps, masses_n, masses_m, dist.T, order_n)[0] == from_nu, (len(mu), len(nu), eps)
             if den < 1 << 53:
                 wm, wn = np.array(masses_m, dtype=float), np.array(masses_n, dtype=float)
                 assert from_mu == subset_defect(eps, wm, wn, dist)
@@ -516,7 +656,7 @@ def test_max_flow_and_residual_cut_certify_the_defect_past_the_table():
         for eps in np.concatenate(([0.0], np.quantile(dist, np.linspace(0.0, 1.0, 9), method="lower"), [1.0])):
             defects = []
             for w_a, w_b, dist_ab in sides:
-                defect, reachable, flow = _max_flow(eps, w_a, w_b, dist_ab, np.argsort(dist_ab, axis=1).tolist())
+                defect, reachable, flow = max_flow(eps, w_a, w_b, dist_ab, np.argsort(dist_ab, axis=1).tolist())
                 near = dist_ab <= eps
                 sent = [0] * len(w_a)
                 for j, into in enumerate(flow):
@@ -582,19 +722,76 @@ def test_distance_is_symmetric_bit_for_bit():
 
 
 def test_equal_totals_search_one_side(monkeypatch):
-    # One defect evaluation per step of the breakpoint search for every
-    # pair: equal and unequal sizes, with equal exact totals and with float
-    # totals apart (tied sizes of those searched both sides, two per step).
-    calls = defect_calls(monkeypatch)
+    # One grown flow per pair, from the smaller support or from mu's on a
+    # size tie: equal and unequal sizes, with equal exact totals and with
+    # float totals apart (the float search took both sides of those on a
+    # tie).
+    calls = flow_calls(monkeypatch)
     rng = random.Random(12)
     pairs = mixed_pairs(rng, random_sizes(rng, 8, MAX_SUPPORT) + [(1, 1), (5, 5), (MAX_SUPPORT, MAX_SUPPORT)])
     pairs += plan_pairs(rng)
     for mu, nu, space in pairs:
         calls.clear()
         lp_distance(mu, nu, space)
-        assert len(calls) == len(set(calls)) >= 1, (len(mu), len(nu), mu.mode, nu.mode)
+        assert calls == [(min(len(mu), len(nu)), max(len(mu), len(nu)))], (len(mu), len(nu), mu.mode, nu.mode)
     totals = [(len(mu) == len(nu), *(sum(map(Fraction, m.weights())) for m in (mu, nu))) for mu, nu, _ in pairs]
     assert {tied for tied, total_mu, total_nu in totals if total_mu != total_nu} == {True, False}
+
+
+def test_grown_flow_equals_the_binary_search_bit_for_bit():
+    # Every support size from 1 to MAX_SUPPORT against a random one, with
+    # exact, float and 2^-100 weights, the old search's slowest 64-atom
+    # shapes, a staggered line, whose augmenting paths are long chains, and
+    # plan pairs, in both orders.
+    rng = random.Random(1989)
+    sizes = [(size, rng.randint(1, MAX_SUPPORT)) for size in range(1, MAX_SUPPORT + 1)]
+    pairs = mixed_pairs(rng, sizes) + shape_pairs(rng) + shape_pairs(rng, 12) + plan_pairs(rng)
+    line = [np.array([k / MAX_SUPPORT]) for k in range(MAX_SUPPORT)]
+    total = MAX_SUPPORT * (MAX_SUPPORT + 1) // 2
+    pairs.append((
+        FiniteMeasure([(p, Fraction(1, MAX_SUPPORT)) for p in line]),
+        FiniteMeasure([(p + 0.003, Fraction(k + 1, total)) for k, p in enumerate(line)]),
+        SPACE,
+    ))
+    for mu, nu, space in pairs:
+        for first, second in ((mu, nu), (nu, mu)):
+            got, old = lp_distance(first, second, space), lp_binary_search(first, second, space)
+            assert got == old, (len(first), len(second), first.mode, second.mode, got, old)
+
+
+def test_grown_flow_certifies_its_breakpoint():
+    # At the breakpoint eps it returns, the grown flow is feasible along
+    # pairs within eps and maximal: the rows A its residual search reaches
+    # give a(A) - b(A^eps) equal to its unsent mass, so that is the defect,
+    # and it passes at eps.  The defect it reports at the breakpoint before
+    # is the max flow's there, built from scratch, and fails there.
+    rng = random.Random(2401)
+    pairs = mixed_pairs(rng, random_sizes(rng, 10, MAX_SUPPORT) + [(1, 1), (MAX_SUPPORT, MAX_SUPPORT)])
+    pairs += shape_pairs(rng) + plan_pairs(rng)
+    for mu, nu, space in pairs:
+        a, b, den, dist, surplus = smaller_side(mu, nu, space)
+        eps, below, flow, reached = _grown_flow(a, b, dist, den, surplus)
+        arcs = dist <= eps if eps < 1.0 else dist < 1.0
+        sent = [0] * len(a)
+        for j, into in enumerate(flow):
+            assert sum(into.values()) <= b[j]
+            for i, amount in into.items():
+                assert amount > 0 and arcs[i, j], (i, j, amount)
+                sent[i] += amount
+        assert all(s <= w for s, w in zip(sent, a))
+        unsent = sum(a) - sum(sent)
+        fat = arcs[reached].any(axis=0)
+        assert sum(a[i] for i in reached) - sum(w for w, f in zip(b, fat) if f) == unsent
+        if eps < 1.0:
+            p, q = eps.as_integer_ratio()
+            assert (unsent + surplus) * q <= p * den, (len(a), len(b), eps)
+        if below is None:
+            assert eps == 0.0
+            continue
+        prev = max([0.0] + [d for d in dist.ravel().tolist() if 0.0 < d < eps])
+        defect = max_flow(prev, a, b, dist, np.argsort(dist, axis=1).tolist())[0] + surplus
+        p, q = prev.as_integer_ratio()
+        assert below == defect and defect * q > p * den, (len(a), len(b), prev, below, defect)
 
 
 def test_one_distance_call_per_comparison_and_one_coordinates_call_per_atom():

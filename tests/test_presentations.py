@@ -388,6 +388,28 @@ def test_catalog_reads_canonical_names_and_leading_zeros_as_before():
         assert catalog(name).name == name
 
 
+def test_tower_names_read_back_through_the_catalog():
+    # sphere_bundle_tower names a tower sb:base=<base>,q=..,r=..; the
+    # catalog anchors the base on the trailing ",q=..,r=..", so a base whose
+    # name holds commas, such as conf:d=2,k=3, reads back (KeyError before).
+    # Over every shipped base that is not a tower the name gives the same
+    # ring (q = 3 over cpN names cpn_sphere_bundle, whose Euler class is not
+    # zero, so only even q here).  A tower over a tower cannot be built,
+    # since both levels adjoin a generator u, and its name is unknown.
+    for base in shipped_names():
+        if base.startswith("sb:"):
+            with pytest.raises(PresentationError, match="duplicate generator names"):
+                sphere_bundle_tower(catalog(base), zero(), 2, 1)
+            with pytest.raises(KeyError, match="unknown presentation name"):
+                catalog(f"sb:base={base},q=2,r=1")
+            continue
+        for q, r in ((2, 1), (4, 2)):
+            tower = sphere_bundle_tower(catalog(base), zero(), q, r).ring
+            assert tower.name == f"sb:base={base},q={q},r={r}"
+            read = catalog(tower.name)
+            assert (read.name, read.generators, read.rules) == (tower.name, tower.generators, tower.rules)
+
+
 def config_space_oracle(d, k):
     """config_space as its own builder made it, with its own generator loop
     and rule list, before it became the fiber power's base case."""
