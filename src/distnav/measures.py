@@ -8,9 +8,10 @@ which Python counts as ints, as weights.  In JSON a measure is a list of
 {point, weight} records: a point is a number or a list of numbers, and a
 weight a number or a "p/q" string, which stays exact.
 
-A metric space maps each point to a coordinate array and compares stacks
-of such arrays in one broadcasting ``distance`` call, so ``lp_distance``
-reads each atom's coordinates once and gets its n x m matrix from one call.
+A metric space maps a whole support, a sequence of n points, to one
+coordinate array of shape (n, *s) and compares such stacks in one
+broadcasting ``distance`` call, so ``lp_distance`` makes one ``coordinates``
+call per measure and gets its n x m matrix from one ``distance`` call.
 
 The Levy-Prokhorov distance
 
@@ -46,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -78,12 +79,13 @@ SHOWN_DIGITS = 100
 
 @dataclass(frozen=True)
 class MetricSpace:
-    """``coordinates(point)`` is an array of some shape s; ``distance(P, Q)``
-    takes arrays of shapes (..., *s) and broadcasts over the leading axes.
+    """``coordinates(points)`` maps a support, a sequence of n points, to one
+    float array of shape (n, *s); ``distance(P, Q)`` takes arrays of shapes
+    (..., *s) and broadcasts over the leading axes.
     """
 
     distance: Callable[[Any, Any], Any]
-    coordinates: Callable[[Any], np.ndarray]
+    coordinates: Callable[[Sequence[Any]], np.ndarray]
 
 
 def _chord(p, q):
@@ -96,9 +98,13 @@ def _chord(p, q):
         return np.sqrt(np.add.reduce(d * d, -1))
 
 
-def _vector(point) -> np.ndarray:
-    """A point as a float vector; a number is a point of the line."""
-    return np.atleast_1d(np.asarray(point, dtype=float))
+def _vectors(points) -> np.ndarray:
+    """A support as one float array of vectors, by one numpy conversion; a
+    number is a point of the line.  numpy refuses a ragged support with a
+    ValueError, a number next to a one-element list included.
+    """
+    stacked = np.array(points, dtype=float)
+    return stacked[:, None] if stacked.ndim == 1 else stacked
 
 
 def euclidean_metric() -> MetricSpace:
@@ -106,8 +112,10 @@ def euclidean_metric() -> MetricSpace:
 
     >>> euclidean_metric().distance([[0.0, 0.0], [1.0, 1.0]], [3.0, 4.0]).tolist()
     [5.0, 3.605551275463989]
+    >>> euclidean_metric().coordinates([0.5, 0.25]).tolist()
+    [[0.5], [0.25]]
     """
-    return MetricSpace(distance=_chord, coordinates=_vector)
+    return MetricSpace(distance=_chord, coordinates=_vectors)
 
 
 def _point_key(point: Any):
@@ -389,6 +397,32 @@ def _grown_flow(
             stale = True
 
 
+def _shape_error(first: tuple, other: tuple) -> ValueError:
+    return ValueError(f"points of coordinate shapes {first} and {other} cannot be compared")
+
+
+def _coordinate_stacks(space: MetricSpace, mu_points: list, nu_points: list) -> tuple[np.ndarray, np.ndarray]:
+    """Both supports' coordinates, by one ``coordinates`` call each.
+
+    Where a call raises ValueError, as numpy does on a ragged support, the
+    points are read one by one: a number and a one-element list are then
+    the same point of the line, and two different shapes raise, the first
+    point's against the first that differs, over mu's points and then nu's.
+    """
+    try:
+        pm, pn = space.coordinates(mu_points), space.coordinates(nu_points)
+    except ValueError:
+        coords = [space.coordinates([p])[0] for p in mu_points + nu_points]
+        shape = coords[0].shape
+        for c in coords:
+            if c.shape != shape:
+                raise _shape_error(shape, c.shape) from None
+        return np.array(coords[: len(mu_points)]), np.array(coords[len(mu_points) :])
+    if pm.shape[1:] != pn.shape[1:]:
+        raise _shape_error(pm.shape[1:], pn.shape[1:])
+    return pm, pn
+
+
 def lp_distance(
     mu: FiniteMeasure,
     nu: FiniteMeasure,
@@ -403,10 +437,11 @@ def lp_distance(
     apart whatever the order of their atoms.  Every pair grows one flow
     from the smaller support over the breakpoints in increasing order, for
     both inequality families, and stops at the first breakpoint that
-    passes.  ``precision`` must be positive and finite; the result
-    does not depend on it.  Raises ValueError when either support exceeds
-    MAX_SUPPORT points, or when two points have coordinates of different
-    shapes.
+    passes.  Each measure's coordinates come from one ``coordinates`` call
+    and the n x m distances from one ``distance`` call.  ``precision`` must
+    be positive and finite; the result does not depend on it.  Raises
+    ValueError when either support exceeds MAX_SUPPORT points, or when two
+    points have coordinates of different shapes.
 
     Two Dirac measures lie min(|p - q|, 1) apart:
 
@@ -420,12 +455,7 @@ def lp_distance(
         )
     if not (precision > 0 and math.isfinite(precision)):
         raise ValueError(f"precision must be positive and finite, got {precision}")
-    coords = [space.coordinates(p) for p in mu.points() + nu.points()]
-    shape = coords[0].shape
-    for c in coords:
-        if c.shape != shape:
-            raise ValueError(f"points of coordinate shapes {shape} and {c.shape} cannot be compared")
-    pm, pn = np.array(coords[: len(mu)]), np.array(coords[len(mu) :])
+    pm, pn = _coordinate_stacks(space, mu.points(), nu.points())
     dist = np.asarray(space.distance(pm[:, None], pn[None, :]), dtype=float)
     (num_m, den_m, total_m), (num_n, den_n, total_n) = mu._integer_masses(), nu._integer_masses()
     den = math.lcm(den_m, den_n)

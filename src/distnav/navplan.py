@@ -22,10 +22,12 @@ circle and of every circle-fibered Hopf projection.
 Plans are compared in three metrics: the chord metric on sphere points
 (``sphere_metric``, which is ``euclidean_metric``), its minimum over the
 two signs on lines (``projective_metric``), and the sup over a uniform time
-grid of either on paths (``path_metric``).  A path's coordinates are its
-samples on the grid (``ArcPath.sample``, one numpy call), and the path
-distance is the maximum of the point distance over the time axis, so
-``lp_distance`` samples each path once and compares all pairs in one call.
+grid of either on paths (``path_metric``).  Each maps a whole support to
+one coordinate array: the sphere and line metrics by one numpy conversion
+of the points, the path metric by stacking each path's samples on the grid
+(``ArcPath.sample``, one numpy call per path).  The path distance is the
+maximum of the point distance over the time axis, so ``lp_distance``
+samples each path once and compares all pairs in one call.
 A single time is evaluated in scalar arithmetic (``path(t)``, the same
 bits as ``path.sample([t])[0]`` without its index arrays).  A path builds
 the numpy arrays of its angles and frames once, read-only, on first use,
@@ -238,7 +240,8 @@ def _line_chord(p, q):
 def projective_metric() -> MetricSpace:
     """min(|a-b|, |a+b|) over unit representatives: metric on lines.
 
-    Like the chord metric it broadcasts over leading axes.
+    Like the chord metric it broadcasts over leading axes, and it takes a
+    support's coordinates, by one numpy conversion, from the chord metric.
     """
     return MetricSpace(distance=_line_chord, coordinates=_CHORD.coordinates)
 
@@ -248,20 +251,25 @@ def _grid_times(count: int) -> np.ndarray:
     return np.arange(count) / max(count - 1, 1)
 
 
+def _samples(paths, times) -> np.ndarray:
+    """Each path's samples at the times, stacked: shape (paths, times, dim)."""
+    return np.array([path.sample(times) for path in paths])
+
+
 def path_metric(point_space: MetricSpace, grid: int = 64) -> MetricSpace:
     """Sup distance between paths sampled on a uniform grid of times.
 
-    A path's coordinates are ``path.sample(times)``, shape (grid, dim), and
-    the distance of two stacks of samples is the maximum of the point
-    distance over the time axis.  The grid holds both endpoints, so it
-    needs at least two times.
+    The coordinates of n paths are their samples ``path.sample(times)``
+    stacked, shape (n, grid, dim), and the distance of two stacks of
+    samples is the maximum of the point distance over the time axis.  The
+    grid holds both endpoints, so it needs at least two times.
     """
     if grid < 2:
         raise ValueError(f"grid must have at least 2 times, got {grid}")
     times = _grid_times(grid)
     return MetricSpace(
         distance=lambda p, q: np.max(point_space.distance(p, q), axis=-1),
-        coordinates=lambda path: path.sample(times),
+        coordinates=lambda paths: _samples(paths, times),
     )
 
 
@@ -286,7 +294,7 @@ def plan_checkpoint_deviation(plan: PathPlan, point_space: MetricSpace) -> float
     One ``distance`` call compares every path's samples with the checkpoints.
     """
     times = _grid_times(plan.r)
-    samples = np.array([path.sample(times) for path in plan.measure.points()])
+    samples = _samples(plan.measure.points(), times)
     return float(np.max(point_space.distance(samples, np.asarray(plan.checkpoints, dtype=float))))
 
 

@@ -28,6 +28,9 @@ Three families:
   e is the section Euler class (2u - e_eta for odd q, the pullback of e_eta,
   rationally zero, for even q).  Each adjunction doubles the graded
   dimensions; the builder checks that too.
+  A tower is named "sb:base=<base>,q=..,r=..", with a suffix ",e=<e_eta>"
+  when e_eta is not the class the catalog builds for that base and q, so
+  that the catalog reads a tower's name as that very ring or refuses it.
 
 Base presentations ``point()``, ``sphere(k)`` and ``complex_projective(n)``
 are provided; the truncated polynomial ring of complex projective space is
@@ -317,7 +320,11 @@ def sphere_bundle_tower(
         # implicitly, and the section Euler class is rationally zero.
         section = zero()
 
-    ring = RingPresentation(gens, rules, name=f"sb:base={base.name},q={q},r={r}")
+    name = f"sb:base={base.name},q={q},r={r}"
+    if euler_class != _catalog_euler_class(base.name, q):
+        # A class the catalog would not build: a suffix its grammar refuses.
+        name += f",e={_class_text(euler_class)}"
+    ring = RingPresentation(gens, rules, name=name)
     tower = SphereBundleTower(ring=ring, section_euler=section, q=q, r=r)
 
     # Leray-Hirsch gate: adjoining each sphere class doubles the dimensions.
@@ -329,6 +336,18 @@ def sphere_bundle_tower(
             f"doubling {expected}; refusing to continue"
         )
     return tower
+
+
+def _catalog_euler_class(base_name: str, q: int) -> GradedElement:
+    """The Euler class the catalog builds a tower over this base with: the
+    hyperplane class a1 over cpN at q = 3 (``cpn_sphere_bundle``), else zero."""
+    return gen("a1") if q == 3 and re.fullmatch(f"cp{_N}", base_name) else zero()
+
+
+def _class_text(e: GradedElement) -> str:
+    """An element as text, its terms sorted: 0, a1, 2*a1+-1/2*a1*a2."""
+    terms = ("*".join(w) if c == 1 else f"{c}*{'*'.join(w)}" for w, c in sorted(e.terms.items()))
+    return "+".join(terms) or "0"
 
 
 @lru_cache(maxsize=None)

@@ -1143,7 +1143,7 @@ def test_measure_lp_three_dimensional_against_scalar_points_exits_2(tmp_path):
     line = write_measure(tmp_path / "line.json", [(0.5, "1/4"), (0.1, "3/4")])
     code, out = run("measure", "lp", "--mu", space, "--nu", line)
     assert code == 2
-    assert "(3,)" in out["error"] and "(1,)" in out["error"]
+    assert out["error"] == "points of coordinate shapes (3,) and (1,) cannot be compared"
 
 
 def test_measure_lp_mixed_dimensions_in_one_file_exits_2(tmp_path):
@@ -1151,7 +1151,50 @@ def test_measure_lp_mixed_dimensions_in_one_file_exits_2(tmp_path):
     mixed = write_measure(tmp_path / "mixed.json", [([0.0, 0.0], "1/2"), ([0.1], "1/2")])
     code, out = run("measure", "lp", "--mu", mixed, "--nu", mixed)
     assert code == 2
-    assert "(2,)" in out["error"] and "(1,)" in out["error"]
+    assert out["error"] == "points of coordinate shapes (2,) and (1,) cannot be compared"
+
+
+def run_bytes(*argv):
+    """Exit code and raw stdout of one invocation."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "mu, nu, shapes",
+    [
+        ("three", "two", "(3,) and (2,)"),  # across, mu's shape first
+        ("two", "three", "(2,) and (3,)"),  # across, nu's shape second
+        ("mixed", "three", "(2,) and (3,)"),  # within mu
+        ("two", "mixed", "(2,) and (3,)"),  # within nu, which starts at mu's shape
+        ("three", "mixed", "(3,) and (2,)"),  # nu mixed, starting at another shape
+    ],
+)
+def test_measure_lp_coordinate_shape_message_in_every_order(tmp_path, mu, nu, shapes):
+    # The first point's shape against the first that differs, over mu's
+    # points and then nu's.
+    files = {
+        "three": write_measure(tmp_path / "three.json", [([0.0, 0.0, 1.0], 1)]),
+        "two": write_measure(tmp_path / "two.json", [([0.0, 1.0], 1)]),
+        "mixed": write_measure(tmp_path / "mixed.json", [([0, 0], "1/2"), ([1, 0, 0], "1/2")]),
+    }
+    code, out = run("measure", "lp", "--mu", files[mu], "--nu", files[nu])
+    assert code == 2
+    assert out == {"schema_version": 5, "error": f"points of coordinate shapes {shapes} cannot be compared"}
+
+
+def test_measure_lp_numbers_and_one_element_lists_compare(tmp_path):
+    # A number is a point of the line, the same as a one-element list, also
+    # next to one in the same file.
+    mixed = write_measure(tmp_path / "mixed.json", [(0.5, "1/2"), ([0.25], "1/2")])
+    one = write_measure(tmp_path / "one.json", [([0.75], 1)])
+    code, text = run_bytes("measure", "lp", "--mu", mixed, "--nu", one)
+    assert code == 0
+    assert json.loads(text) == {"schema_version": 5, "command": "measure lp", "distance": 0.5}
+    assert run_bytes("measure", "lp", "--mu", one, "--nu", mixed) == (code, text)
+    assert run("measure", "lp", "--mu", mixed, "--nu", mixed) == (0, {"schema_version": 5, "command": "measure lp", "distance": 0.0})
 
 
 def test_measure_lp_up_to_64_atoms(tmp_path):

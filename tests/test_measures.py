@@ -23,6 +23,10 @@ and at the breakpoint it returns, its flow and cut certify the result.
 ``subset_table_defect``, the subset table the search once used below 11
 atoms, checks ``max_flow``'s defect on both sides at every breakpoint up to
 ORACLE_ATOMS; past those the flow and its residual cut certify each other.
+``per_point_stack`` is the coordinate stack ``lp_distance`` built before
+metrics mapped whole supports, one call of a one-point map per point; a
+support's coordinates, and the distances built from them, must equal it
+bit for bit.
 """
 
 import math
@@ -96,7 +100,7 @@ def lp_oracle(mu, nu, space, precision=1e-7):
 
 def pair_distance(space, p, q):
     """One distance, by one ``distance`` call on one pair (oracle)."""
-    return float(space.distance(space.coordinates(p), space.coordinates(q)))
+    return float(space.distance(space.coordinates([p])[0], space.coordinates([q])[0]))
 
 
 def weights_and_distances(mu, nu, space):
@@ -112,7 +116,26 @@ def oracle_matrix_space(mu, nu, space):
     points = mu.points() + nu.points()
     matrix = np.array([[pair_distance(space, p, q) for q in points] for p in points])
     index = {id(p): i for i, p in enumerate(points)}
-    return MetricSpace(distance=lambda i, j: matrix[i, j], coordinates=lambda p: np.array(index[id(p)]))
+    return MetricSpace(
+        distance=lambda i, j: matrix[i, j], coordinates=lambda support: np.array([index[id(p)] for p in support])
+    )
+
+
+def vector_oracle(point):
+    """A point as a float vector, as the chord metric mapped one point at a
+    time before it mapped whole supports (oracle)."""
+    return np.atleast_1d(np.asarray(point, dtype=float))
+
+
+def per_point_stack(coordinates, points):
+    """The stack ``lp_distance`` built before: one call of the one-point map
+    per point, stacked (oracle)."""
+    return np.array([coordinates(p) for p in points])
+
+
+def per_point_space(space, coordinates=vector_oracle):
+    """``space`` with its coordinates stacked point by point (oracle)."""
+    return MetricSpace(distance=space.distance, coordinates=lambda points: per_point_stack(coordinates, points))
 
 
 def counting(space):
@@ -123,9 +146,9 @@ def counting(space):
         calls["distance"] += 1
         return space.distance(p, q)
 
-    def coordinates(p):
+    def coordinates(points):
         calls["coordinates"] += 1
-        return space.coordinates(p)
+        return space.coordinates(points)
 
     return MetricSpace(distance=distance, coordinates=coordinates), calls
 
@@ -230,8 +253,7 @@ def lp_fraction_oracle(mu, nu, space):
     """
     wm = [Fraction(w) for w in mu.weights()]
     wn = [Fraction(w) for w in nu.weights()]
-    pm = np.array([space.coordinates(p) for p in mu.points()])
-    pn = np.array([space.coordinates(q) for q in nu.points()])
+    pm, pn = space.coordinates(mu.points()), space.coordinates(nu.points())
     dist = np.asarray(space.distance(pm[:, None], pn[None, :]), dtype=float).tolist()
     sides = [(wm, wn, dist), (wn, wm, [list(col) for col in zip(*dist)])]
     breaks = sorted({0.0, 1.0, *(d for row in dist for d in row if 0.0 < d < 1.0)})
@@ -411,8 +433,7 @@ def shape_pairs(rng, size=MAX_SUPPORT):
 def smaller_side(mu, nu, space):
     """The masses, denominator, matrix and surplus of the side lp_distance
     grows its flow from: the smaller support, mu's on a tie."""
-    pm = np.array([space.coordinates(p) for p in mu.points()])
-    pn = np.array([space.coordinates(q) for q in nu.points()])
+    pm, pn = space.coordinates(mu.points()), space.coordinates(nu.points())
     dist = np.asarray(space.distance(pm[:, None], pn[None, :]), dtype=float)
     a, b, den = integer_masses(mu, nu)
     if len(nu) < len(mu):
@@ -794,14 +815,14 @@ def test_grown_flow_certifies_its_breakpoint():
         assert below == defect and defect * q > p * den, (len(a), len(b), prev, below, defect)
 
 
-def test_one_distance_call_per_comparison_and_one_coordinates_call_per_atom():
+def test_one_distance_call_per_comparison_and_one_coordinates_call_per_support():
     rng = random.Random(8)
     cases = [(random_measure(rng, 12, dim=3), random_measure(rng, 12, dim=3), SPACE)]
     cases += plan_pairs(rng)
     for mu, nu, space in cases:
         counted, calls = counting(space)
         assert lp_distance(mu, nu, counted) == lp_distance(mu, nu, space)
-        assert calls == {"distance": 1, "coordinates": len(mu) + len(nu)}
+        assert calls == {"distance": 1, "coordinates": 2}
 
 
 def test_matrix_distance_equals_the_per_pair_oracle_matrix():
@@ -817,13 +838,126 @@ def test_matrix_distance_equals_the_per_pair_oracle_matrix():
         assert lp_distance(mu, nu, space) == lp_distance(mu, nu, oracle_matrix_space(mu, nu, space))
 
 
+def assert_same_array(a, b):
+    assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def random_support(rng, kind, size, matrices=True):
+    """``size`` points of one kind: numbers, tuples, ndarrays, 0-length
+    points, projective points or pairs of a product measure.  Unless
+    ``matrices``, no point is a matrix: ndarrays are vectors, and pairs
+    pair numbers."""
+    dim = rng.randint(1, 4)
+
+    def vector():
+        return tuple(rng.uniform(-2, 2) for _ in range(dim))
+
+    if kind == "number":
+        return [rng.choice([rng.uniform(-2, 2), rng.randint(-3, 3), Fraction(rng.randint(-9, 9), 7),
+                            np.float64(rng.uniform(-1, 1)), np.array(rng.uniform(-1, 1))]) for _ in range(size)]
+    if kind == "tuple":
+        return [vector() for _ in range(size)]
+    if kind == "ndarray":
+        shape = rng.choice([(dim,), (2, dim)] if matrices else [(dim,)])
+        return [np.array([rng.uniform(-2, 2) for _ in range(math.prod(shape))]).reshape(shape) for _ in range(size)]
+    if kind == "empty":
+        return [rng.choice([(), np.empty(0)]) for _ in range(size)]
+    if kind == "line":
+        return [_canonical_line(_unit(random_unit(rng, dim + 1), dim + 1)) for _ in range(size)]
+    # pairs of a product measure of one point and ``size`` points of one kind
+    first, *rest = random_support(rng, rng.choice(["number", "tuple"] if matrices else ["number"]), size + 1)
+    right = FiniteMeasure([(p, Fraction(1, size)) for p in rest])
+    return product_measure(FiniteMeasure([(first, 1)]), right).points()
+
+
+def test_stacked_coordinates_equal_the_per_point_oracle():
+    # One numpy conversion per support gives the per-point stack bit for bit:
+    # shape, dtype and every byte, also on supports of signed zeros.
+    rng = random.Random(1307)
+    for kind in ("number", "tuple", "ndarray", "empty", "line", "pair"):
+        for _ in range(40):
+            points = random_support(rng, kind, rng.randint(1, MAX_SUPPORT))
+            if rng.random() < 0.1:
+                points = [-0.0 * np.asarray(p, dtype=float) if kind != "line" else p for p in points]
+            for space in (SPACE, projective_metric()):
+                assert_same_array(space.coordinates(points), per_point_stack(vector_oracle, points))
+    for grid in (2, 9, 64):
+        plans = [mu for pair in plan_pairs(rng) for mu in pair[:2]]
+        for point_space in (sphere_metric(), projective_metric()):
+            space, times = path_metric(point_space, grid), np.arange(grid) / (grid - 1)
+            for plan in plans:
+                paths = plan.points()
+                assert_same_array(space.coordinates(paths), per_point_stack(lambda path: path.sample(times), paths))
+
+
+def test_lp_distance_equals_the_per_point_stack_on_seeded_pairs():
+    # 1000 seeded pairs, exact and float weights, 1 to 64 atoms, points of
+    # every kind but matrices, whose chord distance is no number: the
+    # distance from stacked coordinates equals, bit for bit and in both
+    # orders, the one from the per-point stack.
+    rng = random.Random(1308)
+    count = 0
+    while count < 1000:
+        kind = rng.choice(["number", "tuple", "ndarray", "line", "pair"])
+        size_a, size_b = (rng.choice([rng.randint(1, 12), rng.randint(1, MAX_SUPPORT)]) for _ in range(2))
+        points = random_support(rng, kind, size_a + size_b, matrices=False)
+        space = projective_metric() if kind == "line" else SPACE
+        exact = rng.random() < 0.5
+
+        def measure(support):
+            raw = [rng.randint(1, 9) for _ in support]
+            weights = [Fraction(w, sum(raw)) if exact else w / sum(raw) for w in raw]
+            return FiniteMeasure(list(zip(support, weights)))
+
+        # A product's pairs of equal numbers merge, so it may have fewer.
+        cut = min(size_a, len(points) - 1)
+        if cut < 1:
+            continue
+        mu, nu = measure(points[:cut]), measure(points[cut:])
+        oracle = per_point_space(space)
+        for a, b in ((mu, nu), (nu, mu)):
+            assert lp_distance(a, b, space) == lp_distance(a, b, oracle), (kind, len(a), len(b))
+        count += 1
+    times = np.arange(16) / 15  # the grid of plan_pairs
+    for mu, nu, space in plan_pairs(rng):
+        oracle = per_point_space(space, lambda path: path.sample(times))
+        assert lp_distance(mu, nu, space) == lp_distance(mu, nu, oracle) == lp_distance(nu, mu, oracle)
+
+
 def test_points_of_different_coordinate_shapes_are_rejected():
-    # numpy broadcasting used to compare them and return a number.
-    with pytest.raises(ValueError, match=r"\(3,\) and \(2,\)"):
-        lp_distance(dirac([0.0, 0.0, 1.0]), dirac([0.0, 1.0]), SPACE)
-    mixed = FiniteMeasure([((0.0, 0.0), Fraction(1, 2)), (0.5, Fraction(1, 2))])
-    with pytest.raises(ValueError, match=r"\(2,\) and \(1,\)"):
-        lp_distance(mixed, mixed, SPACE)
+    # numpy broadcasting used to compare them and return a number.  The
+    # message names the first point's shape and the first that differs, over
+    # mu's points and then nu's, in every order.
+    three, two = dirac([0.0, 0.0, 1.0]), dirac([0.0, 1.0])
+    mixed = FiniteMeasure([((0.0, 0.0), Fraction(1, 2)), ((1.0, 0.0, 0.0), Fraction(1, 2))])
+    line = FiniteMeasure([((0.0, 0.0), Fraction(1, 2)), (0.5, Fraction(1, 2))])
+    rng = random.Random(820)
+    circle = circle_navigate(3, [random_unit(rng, 2) for _ in range(3)]).measure
+    sphere = rpn_navigate(random_unit(rng, 3), random_unit(rng, 3)).measure
+    cases = [
+        (three, two, SPACE, "(3,) and (2,)"),
+        (two, three, SPACE, "(2,) and (3,)"),
+        (mixed, three, SPACE, "(2,) and (3,)"),
+        (two, mixed, SPACE, "(2,) and (3,)"),
+        (three, mixed, SPACE, "(3,) and (2,)"),
+        (line, line, SPACE, "(2,) and (1,)"),
+        (circle, sphere, path_metric(sphere_metric(), 9), "(9, 2) and (9, 3)"),
+        (sphere, circle, path_metric(sphere_metric(), 9), "(9, 3) and (9, 2)"),
+    ]
+    for mu, nu, space, shapes in cases:
+        with pytest.raises(ValueError) as error:
+            lp_distance(mu, nu, space)
+        assert str(error.value) == f"points of coordinate shapes {shapes} cannot be compared"
+
+
+def test_numbers_and_one_element_points_compare():
+    # A number is a point of the line, the same as a one-element tuple, also
+    # next to one in the same measure.
+    mixed = FiniteMeasure([(0.5, Fraction(1, 2)), ((0.25,), Fraction(1, 2))])
+    one = dirac([0.75])
+    assert lp_distance(mixed, one, SPACE) == lp_distance(one, mixed, SPACE) == 0.5
+    assert lp_distance(mixed, mixed, SPACE) == 0.0
+    assert lp_distance(mixed, FiniteMeasure([((0.5,), Fraction(1, 2)), (0.25, Fraction(1, 2))]), SPACE) == 0.0
 
 
 def test_metric_axioms():

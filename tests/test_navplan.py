@@ -944,7 +944,7 @@ def test_path_metric_matches_per_time_oracle(grid):
                   if len(p.u[0]) == len(paths[0].u[0])]
         for p in paths:
             for q in paths + others[:6]:
-                fast = space.distance(space.coordinates(p), space.coordinates(q))
+                fast = space.distance(space.coordinates([p])[0], space.coordinates([q])[0])
                 assert abs(fast - slow(p, q)) <= 1e-12
 
 

@@ -392,10 +392,13 @@ def test_tower_names_read_back_through_the_catalog():
     # sphere_bundle_tower names a tower sb:base=<base>,q=..,r=..; the
     # catalog anchors the base on the trailing ",q=..,r=..", so a base whose
     # name holds commas, such as conf:d=2,k=3, reads back (KeyError before).
-    # Over every shipped base that is not a tower the name gives the same
-    # ring (q = 3 over cpN names cpn_sphere_bundle, whose Euler class is not
-    # zero, so only even q here).  A tower over a tower cannot be built,
-    # since both levels adjoin a generator u, and its name is unknown.
+    # Over every shipped base that is not a tower, at even and odd q, the
+    # tower with the Euler class the catalog builds (a1 over cpN at q = 3,
+    # else zero) reads back as the same ring.  Any other class, zero over
+    # cpN at q = 3 included, which was named as cpn_sphere_bundle's ring,
+    # gets an ",e=<class>" suffix that the catalog refuses.  A tower over a
+    # tower cannot be built, since both levels adjoin a generator u, and its
+    # name is unknown.
     for base in shipped_names():
         if base.startswith("sb:"):
             with pytest.raises(PresentationError, match="duplicate generator names"):
@@ -403,11 +406,21 @@ def test_tower_names_read_back_through_the_catalog():
             with pytest.raises(KeyError, match="unknown presentation name"):
                 catalog(f"sb:base={base},q=2,r=1")
             continue
-        for q, r in ((2, 1), (4, 2)):
-            tower = sphere_bundle_tower(catalog(base), zero(), q, r).ring
+        ring = catalog(base)
+        for q, r in ((2, 1), (3, 1), (3, 2), (4, 2), (5, 1), (5, 2)):
+            if base.startswith("cp") and q == 3:
+                built, others = gen("a1"), [(zero(), "0"), (scale(2, gen("a1")), "2*a1")]
+            else:
+                built, others = zero(), [(gen(g.name), g.name) for g in ring.generators if g.degree == q - 1][:1]
+            tower = sphere_bundle_tower(ring, built, q, r).ring
             assert tower.name == f"sb:base={base},q={q},r={r}"
             read = catalog(tower.name)
             assert (read.name, read.generators, read.rules) == (tower.name, tower.generators, tower.rules)
+            for e, text in others:
+                tower = sphere_bundle_tower(ring, e, q, r).ring
+                assert tower.name == f"sb:base={base},q={q},r={r},e={text}"
+                with pytest.raises(KeyError, match="unknown presentation name"):
+                    catalog(tower.name)
 
 
 def config_space_oracle(d, k):
