@@ -10,8 +10,11 @@ weight a number or a "p/q" string, which stays exact.
 
 A metric space maps a whole support, a sequence of n points, to one
 coordinate array of shape (n, *s) and compares such stacks in one
-broadcasting ``distance`` call, so ``lp_distance`` makes one ``coordinates``
-call per measure and gets its n x m matrix from one ``distance`` call.
+broadcasting ``distance`` call, so ``lp_distance`` gets its n x m matrix
+from one ``distance`` call.  ``coordinates`` must be a deterministic
+function of the points: each measure keeps the array of the last
+``coordinates`` function it was read under, read-only, so ``lp_distance``
+makes at most one ``coordinates`` call per measure and metric.
 
 The Levy-Prokhorov distance
 
@@ -82,6 +85,10 @@ class MetricSpace:
     """``coordinates(points)`` maps a support, a sequence of n points, to one
     float array of shape (n, *s); ``distance(P, Q)`` takes arrays of shapes
     (..., *s) and broadcasts over the leading axes.
+
+    ``coordinates`` must be a deterministic function of the points: a
+    measure keeps a read-only copy of its array and reuses it while it is
+    compared under the same function object.
     """
 
     distance: Callable[[Any, Any], Any]
@@ -162,6 +169,9 @@ class FiniteMeasure:
 
     Float weights and numeric point coordinates must be finite.  The mode
     is "exact" when every weight is an int or a Fraction, else "float".
+    The measure keeps one coordinate stack, read-only, with the
+    ``coordinates`` function it came from, and is not mapped again under
+    that function.
     """
 
     def __init__(self, atoms: Iterable[tuple[Any, Fraction | float | int]]) -> None:
@@ -199,6 +209,7 @@ class FiniteMeasure:
         self.atoms: tuple[tuple[Any, Any], ...] = tuple(kept)
         self.mode = "exact" if exact else "float"
         self._masses: tuple[list[int], int, int] | None = None
+        self._coordinates: tuple[Callable, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -401,17 +412,34 @@ def _shape_error(first: tuple, other: tuple) -> ValueError:
     return ValueError(f"points of coordinate shapes {first} and {other} cannot be compared")
 
 
-def _coordinate_stacks(space: MetricSpace, mu_points: list, nu_points: list) -> tuple[np.ndarray, np.ndarray]:
-    """Both supports' coordinates, by one ``coordinates`` call each.
+def _support_stack(space: MetricSpace, mu: FiniteMeasure) -> np.ndarray:
+    """mu's coordinates under ``space``: the kept stack when it came from
+    the same ``coordinates`` function object, else one ``coordinates``
+    call, whose result the measure keeps as a read-only copy in place of
+    the one before.  The key is the function itself, held, so a function
+    that is gone cannot pass for a new one at its address."""
+    kept = mu._coordinates
+    if kept is not None and kept[0] is space.coordinates:
+        return kept[1]
+    stack = np.array(space.coordinates(mu.points()))
+    stack.setflags(write=False)
+    mu._coordinates = space.coordinates, stack
+    return stack
+
+
+def _coordinate_stacks(space: MetricSpace, mu: FiniteMeasure, nu: FiniteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Both supports' coordinates, by at most one ``coordinates`` call each.
 
     Where a call raises ValueError, as numpy does on a ragged support, the
-    points are read one by one: a number and a one-element list are then
-    the same point of the line, and two different shapes raise, the first
-    point's against the first that differs, over mu's points and then nu's.
+    points are read one by one, and what they give is not kept: a number
+    and a one-element list are then the same point of the line, and two
+    different shapes raise, the first point's against the first that
+    differs, over mu's points and then nu's.
     """
     try:
-        pm, pn = space.coordinates(mu_points), space.coordinates(nu_points)
+        pm, pn = _support_stack(space, mu), _support_stack(space, nu)
     except ValueError:
+        mu_points, nu_points = mu.points(), nu.points()
         coords = [space.coordinates([p])[0] for p in mu_points + nu_points]
         shape = coords[0].shape
         for c in coords:
@@ -437,11 +465,14 @@ def lp_distance(
     apart whatever the order of their atoms.  Every pair grows one flow
     from the smaller support over the breakpoints in increasing order, for
     both inequality families, and stops at the first breakpoint that
-    passes.  Each measure's coordinates come from one ``coordinates`` call
-    and the n x m distances from one ``distance`` call.  ``precision`` must
-    be positive and finite; the result does not depend on it.  Raises
-    ValueError when either support exceeds MAX_SUPPORT points, or when two
-    points have coordinates of different shapes.
+    passes.  Each measure's coordinates come from at most one
+    ``coordinates`` call per measure and metric, kept on the measure
+    read-only, and the n x m distances from one ``distance`` call.
+    ``precision`` must be positive and finite; the result does not depend
+    on it.  Raises ValueError when either support exceeds MAX_SUPPORT
+    points, when two points have coordinates of different shapes, or when
+    the distances are not one number per pair, as the chord distance of
+    matrix points is not.
 
     Two Dirac measures lie min(|p - q|, 1) apart:
 
@@ -455,8 +486,13 @@ def lp_distance(
         )
     if not (precision > 0 and math.isfinite(precision)):
         raise ValueError(f"precision must be positive and finite, got {precision}")
-    pm, pn = _coordinate_stacks(space, mu.points(), nu.points())
+    pm, pn = _coordinate_stacks(space, mu, nu)
     dist = np.asarray(space.distance(pm[:, None], pn[None, :]), dtype=float)
+    if dist.shape != (len(mu), len(nu)):
+        raise ValueError(
+            f"the distance array has shape {dist.shape}, expected {len(mu)} x {len(nu)}: "
+            "one distance per pair of points"
+        )
     (num_m, den_m, total_m), (num_n, den_n, total_n) = mu._integer_masses(), nu._integer_masses()
     den = math.lcm(den_m, den_n)
     scale_m, scale_n = den // den_m, den // den_n

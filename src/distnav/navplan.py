@@ -27,7 +27,9 @@ one coordinate array: the sphere and line metrics by one numpy conversion
 of the points, the path metric by stacking each path's samples on the grid
 (``ArcPath.sample``, one numpy call per path).  The path distance is the
 maximum of the point distance over the time axis, so ``lp_distance``
-samples each path once and compares all pairs in one call.
+samples each path once and compares all pairs in one call.  A measure
+keeps its samples while it is compared under the same path metric object:
+``check_lp_continuity`` samples each base plan once per base input.
 A single time is evaluated in scalar arithmetic (``path(t)``, the same
 bits as ``path.sample([t])[0]`` without its index arrays).  A path builds
 the numpy arrays of its angles and frames once, read-only, on first use,

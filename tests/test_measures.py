@@ -26,7 +26,8 @@ ORACLE_ATOMS; past those the flow and its residual cut certify each other.
 ``per_point_stack`` is the coordinate stack ``lp_distance`` built before
 metrics mapped whole supports, one call of a one-point map per point; a
 support's coordinates, and the distances built from them, must equal it
-bit for bit.
+bit for bit; so must the distances of measures that keep their stacks
+from earlier comparisons, against cold copies that keep none.
 """
 
 import math
@@ -67,6 +68,10 @@ ORACLE_ATOMS = 12
 
 def dirac(point):
     return FiniteMeasure([(np.asarray(point, float), 1)])
+
+
+def uniform(points):
+    return FiniteMeasure([(p, Fraction(1, len(points))) for p in points])
 
 
 def lp_oracle(mu, nu, space, precision=1e-7):
@@ -816,13 +821,74 @@ def test_grown_flow_certifies_its_breakpoint():
 
 
 def test_one_distance_call_per_comparison_and_one_coordinates_call_per_support():
+    # The first comparison maps each support once; a repeat, and the swapped
+    # comparison, under the same space read the kept stacks.
     rng = random.Random(8)
     cases = [(random_measure(rng, 12, dim=3), random_measure(rng, 12, dim=3), SPACE)]
     cases += plan_pairs(rng)
     for mu, nu, space in cases:
         counted, calls = counting(space)
-        assert lp_distance(mu, nu, counted) == lp_distance(mu, nu, space)
+        d = lp_distance(mu, nu, counted)
         assert calls == {"distance": 1, "coordinates": 2}
+        for a, b in ((mu, nu), (nu, mu)):
+            calls.update(distance=0, coordinates=0)
+            assert lp_distance(a, b, counted) == d
+            assert calls == {"distance": 1, "coordinates": 0}
+        assert lp_distance(mu, nu, space) == d
+
+
+def cold(mu):
+    """A copy of mu that has kept no coordinates."""
+    return FiniteMeasure(mu.atoms)
+
+
+def test_kept_stacks_give_the_cold_distance_under_interleaved_metrics():
+    # Measures compared under metrics in a seeded random order, each metric
+    # replacing the stack the one before kept, give bit for bit the distance
+    # of cold copies and of the per-point stack, in both orders; the kept
+    # stack is read-only.  The chord and line metrics share one coordinates
+    # function, so they share the kept stack.
+    rng = random.Random(1309)
+    vectors = [random_measure(rng, 12, dim=3) for _ in range(6)]
+    counted, _ = counting(SPACE)
+    vector_spaces = [
+        (SPACE, per_point_space(SPACE)),
+        (projective_metric(), per_point_space(projective_metric())),
+        (counted, per_point_space(SPACE)),
+    ]
+    lines = [rpn_navigate(random_unit(rng, 3), random_unit(rng, 3)).measure for _ in range(6)]
+    path_spaces = []
+    for grid in (9, 16):
+        times = np.arange(grid) / (grid - 1)
+        for point_space in (sphere_metric(), projective_metric()):
+            space = path_metric(point_space, grid)
+            path_spaces.append((space, per_point_space(space, lambda path, times=times: path.sample(times))))
+    counted_paths, _ = counting(path_spaces[0][0])
+    path_spaces.append((counted_paths, path_spaces[0][1]))
+    warm = 0
+    for _ in range(300):
+        measures, spaces = rng.choice([(vectors, vector_spaces), (lines, path_spaces)])
+        space, oracle = rng.choice(spaces)
+        mu, nu = rng.choice(measures), rng.choice(measures)
+        warm += all(m._coordinates is not None and m._coordinates[0] is space.coordinates for m in (mu, nu))
+        d = lp_distance(mu, nu, space)
+        assert d == lp_distance(cold(mu), cold(nu), space) == lp_distance(mu, nu, oracle)
+        assert lp_distance(nu, mu, space) == d
+        for measure in (mu, nu):
+            coordinates, stack = measure._coordinates
+            assert coordinates is space.coordinates and not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0] = 0
+    assert warm >= 50
+    mu = vectors[0]
+    lp_distance(mu, mu, SPACE)
+    kept = mu._coordinates[1]
+    lp_distance(mu, mu, projective_metric())
+    assert mu._coordinates[1] is kept
+    # The measure keeps a copy: an array the metric holds stays writable.
+    held = SPACE.coordinates(mu.points())
+    assert lp_distance(mu, mu, MetricSpace(distance=SPACE.distance, coordinates=lambda points: held)) == 0.0
+    assert held.flags.writeable and mu._coordinates[1] is not held
 
 
 def test_matrix_distance_equals_the_per_pair_oracle_matrix():
@@ -922,6 +988,37 @@ def test_lp_distance_equals_the_per_point_stack_on_seeded_pairs():
     for mu, nu, space in plan_pairs(rng):
         oracle = per_point_space(space, lambda path: path.sample(times))
         assert lp_distance(mu, nu, space) == lp_distance(mu, nu, oracle) == lp_distance(nu, mu, oracle)
+
+
+def test_matrix_points_are_rejected_before_the_flow():
+    # The chord distance of matrix points, such as 2 x d ndarrays or the
+    # pairs of a product of measures on R^d, is one number per row, not per
+    # pair: lp_distance names the array's shape, in both orders, where the
+    # flow read it as more pairs than there were and raised IndexError, or
+    # found no pair below 1 and returned 1.0.
+    a = FiniteMeasure([((0.0, 0.0), Fraction(1, 2)), ((0.1, 0.0), Fraction(1, 2))])
+    b = FiniteMeasure([((0.0, 0.1), 1)])
+    origin = dirac(np.zeros((2, 2)))
+    cases = [(product_measure(a, b), product_measure(b, a))]
+    cases += [(origin, dirac(np.full((2, 2), apart))) for apart in (0.1, 5.0)]
+    rng = random.Random(1310)
+    while len(cases) < 60:
+        kind = rng.choice(["ndarray", "pair"])
+        size_a, size_b = rng.randint(1, 12), rng.randint(1, 12)
+        points = random_support(rng, kind, size_a + size_b)
+        cut = min(size_a, len(points) - 1)
+        if cut < 1 or SPACE.coordinates(points).ndim < 3:
+            continue
+        cases.append((uniform(points[:cut]), uniform(points[cut:])))
+    for mu, nu in cases:
+        for a, b in ((mu, nu), (nu, mu)):
+            rows = SPACE.coordinates(a.points()).shape[1]
+            with pytest.raises(ValueError) as error:
+                lp_distance(a, b, SPACE)
+            assert str(error.value) == (
+                f"the distance array has shape {(len(a), len(b), rows)}, expected {len(a)} x {len(b)}: "
+                "one distance per pair of points"
+            )
 
 
 def test_points_of_different_coordinate_shapes_are_rejected():

@@ -815,6 +815,42 @@ def test_verifiers_share_one_report_loop_with_the_same_bytes():
     assert check_lp_continuity(rpn_navigate, []) == continuity_loop(rpn_navigate, [])
 
 
+def test_continuity_samples_each_base_plan_once_per_base_input(monkeypatch):
+    # The base plan's measure keeps its samples across the perturbations of
+    # its input: every path of every plan, base or perturbed, is sampled
+    # once, not the base plan's once per perturbation.
+    sampled = []
+    sample = ArcPath.sample
+
+    def counted(path, ts):
+        sampled.append(id(path))
+        return sample(path, ts)
+
+    monkeypatch.setattr(ArcPath, "sample", counted)
+
+    def recorded(planner):
+        def plan_fn(*points):
+            plans.append(planner(*points))
+            return plans[-1]
+
+        return plan_fn
+
+    def circle(*points):
+        return circle_navigate(len(points), points)
+
+    rng = random.Random(17)
+    cases = [
+        (rpn_navigate, sample_pairs(rng, 3, 3)),
+        (circle, [[random_unit(rng, 2) for _ in range(3)] for _ in range(2)]),
+    ]
+    for planner, base_inputs in cases:
+        plans, sampled[:] = [], []
+        report = check_lp_continuity(recorded(planner), base_inputs, samples_per_pair=5, seed=3, grid=16)
+        assert report["samples"] == 5 * len(base_inputs) and len(plans) == 6 * len(base_inputs)
+        paths = [id(path) for plan in plans for path in plan.measure.points()]
+        assert sorted(sampled) == sorted(paths)
+
+
 # === the quantile coupling of circle and Hopf plans ===
 
 
