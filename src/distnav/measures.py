@@ -14,7 +14,9 @@ broadcasting ``distance`` call, so ``lp_distance`` gets its n x m matrix
 from one ``distance`` call.  ``coordinates`` must be a deterministic
 function of the points: each measure keeps the array of the last
 ``coordinates`` function it was read under, read-only, so ``lp_distance``
-makes at most one ``coordinates`` call per measure and metric.
+makes at most one ``coordinates`` call per measure and metric.  A measure
+keeps its ndarray points as read-only copies, so that kept stack cannot
+go stale; other mutable points must not be changed once it is built.
 
 The Levy-Prokhorov distance
 
@@ -171,13 +173,18 @@ class FiniteMeasure:
     is "exact" when every weight is an int or a Fraction, else "float".
     The measure keeps one coordinate stack, read-only, with the
     ``coordinates`` function it came from, and is not mapped again under
-    that function.
+    that function.  So an ndarray point is kept as a read-only copy, and
+    any other mutable point, such as a list, must not be changed once the
+    measure is built.
     """
 
     def __init__(self, atoms: Iterable[tuple[Any, Fraction | float | int]]) -> None:
         merged: dict[Any, tuple[Any, Any]] = {}
         exact = True
         for point, weight in atoms:
+            if isinstance(point, np.ndarray):
+                point = point.copy()
+                point.setflags(write=False)
             if isinstance(weight, float):
                 exact = False
                 if not math.isfinite(weight):

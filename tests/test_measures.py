@@ -891,6 +891,21 @@ def test_kept_stacks_give_the_cold_distance_under_interleaved_metrics():
     assert held.flags.writeable and mu._coordinates[1] is not held
 
 
+def test_ndarray_points_are_kept_as_read_only_copies():
+    # Changing the caller's array, before or after a comparison, changes no
+    # distance: the measure holds its own read-only copy, so the stack it
+    # keeps cannot go stale.
+    p, q = np.zeros(2), np.array([0.25, 0.0])
+    mu, nu, fresh = FiniteMeasure([(p, 1)]), FiniteMeasure([(q, 1)]), FiniteMeasure([(p, 1)])
+    assert lp_distance(mu, nu, SPACE) == 0.25
+    p[0] = q[0] = 0.5
+    assert lp_distance(mu, nu, SPACE) == lp_distance(fresh, nu, SPACE) == 0.25
+    for point in mu.points() + nu.points():
+        assert not point.flags.writeable
+        with pytest.raises(ValueError):
+            point[0] = 1.0
+
+
 def test_matrix_distance_equals_the_per_pair_oracle_matrix():
     # One broadcast distance call gives, bit for bit, the LP distance of the
     # matrix built one pair at a time.
