@@ -64,6 +64,7 @@ from .measures import (
     to_jsonable,
 )
 from .navplan import (
+    MAX_GRID,
     PathPlan,
     _check_checkpoint_count,
     _grid_times,
@@ -82,11 +83,6 @@ SCHEMA_VERSION = 5
 # the signal ended.
 EXIT_CLOSED_STDOUT = 141
 ENV_PRESENTATIONS = "DISTNAV_PRESENTATIONS"
-# Trace samples per path of nav rpn, circle and hopf.  A plan has at most
-# navplan.MAX_CHECKPOINTS paths, so at most 64 x 1024 trace points: a
-# 64-path Hopf plan prints 10.8 MB in 0.7 to 1.0 s (in process, three runs
-# on a shared 2-core host).
-MAX_GRID = 1024
 # --n of nav continuity and nav equivariance.  A random n x n rotation takes
 # 0.2 ms at n = 64, so MAX_VERIFIER_PROBES of them take 2 s, but 2 ms at 128
 # and 120 ms at 1024; --n 100000 would draw a 10^5 x 10^5 normal matrix
@@ -555,14 +551,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=_flag("pairs", int, 0), default=5)
     p.add_argument("--samples", type=_flag("samples", int, 0), default=4, help="perturbations per pair")
     p.add_argument("--scale", type=_flag("scale", float, 0.0, 1.0), default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_flag("seed", int, 0), default=0)
     p.set_defaults(handler=_cmd_nav_continuity)
     p = nav.add_parser("equivariance", parents=[common])
     p.add_argument("--n", type=_dimension, default=3)
     p.add_argument("--pairs", type=_flag("pairs", int, 0), default=10)
     p.add_argument("--elements", type=_flag("elements", int, 0), default=3)
     p.add_argument("--tol", type=_flag("tol", float, 0.0), default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_flag("seed", int, 0), default=0)
     p.set_defaults(handler=_cmd_nav_equivariance)
 
     measure = top.add_parser("measure", help="finitely supported measures").add_subparsers(

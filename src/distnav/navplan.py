@@ -71,12 +71,20 @@ __all__ = [
     "quat_conj",
     "hopf_map",
     "MAX_CHECKPOINTS",
+    "MAX_GRID",
 ]
 
 COORDINATE_ZERO = 1e-12
 # Checkpoints of a circle or Hopf plan, which has at most one path per
 # checkpoint, each of r - 1 pieces: a plan must fit lp_distance.
 MAX_CHECKPOINTS = MAX_SUPPORT
+# Times on the grid of path_metric, and trace samples per path of the CLI's
+# nav rpn, circle and hopf.  A plan has at most MAX_CHECKPOINTS paths, so at
+# most 64 x 1024 trace points: a 64-path Hopf plan prints 10.8 MB in 0.7 to
+# 1.0 s (in process, three runs on a shared 2-core host), and two 64-path
+# circle plans compare at grid 1024 in 140-190 ms, peak RSS 31 to 194 MB
+# (three fresh processes on the same host; 14 ms and 41 MB at grid 64).
+MAX_GRID = 1024
 
 
 # -- points ---------------------------------------------------------------------
@@ -264,10 +272,13 @@ def path_metric(point_space: MetricSpace, grid: int = 64) -> MetricSpace:
     The coordinates of n paths are their samples ``path.sample(times)``
     stacked, shape (n, grid, dim), and the distance of two stacks of
     samples is the maximum of the point distance over the time axis.  The
-    grid holds both endpoints, so it needs at least two times.
+    grid holds both endpoints, so it needs at least two times, and at most
+    MAX_GRID.
     """
     if grid < 2:
         raise ValueError(f"grid must have at least 2 times, got {grid}")
+    if grid > MAX_GRID:
+        raise ValueError(f"a grid of {grid} times is over the cap of {MAX_GRID} (MAX_GRID)")
     times = _grid_times(grid)
     return MetricSpace(
         distance=lambda p, q: np.max(point_space.distance(p, q), axis=-1),
@@ -515,15 +526,19 @@ def check_equivariance(
     on the first n - 1 axes (``_check_rotation``).  Each base plan
     plan(x, y) is built once.  Returns {samples, max_discrepancy, failures}
     with one failure record, g embedded in n x n, per element and pair
-    exceeding tol, elements in the outer order.
+    exceeding tol, elements in the outer order.  A tol that is negative,
+    NaN or infinite is refused before any plan is built: no discrepancy
+    exceeds NaN or inf.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be at least 0 and finite, got {tol}")
     pairs = [(np.asarray(x, float), np.asarray(y, float)) for x, y in sample_pairs]
     if not pairs:
         return _lp_report(())
     dim = len(pairs[0][0])
     mats = [_check_rotation(g, dim) for g in group_elements]
-    bases = [plan_fn(x, y).measure.atoms for x, y in pairs]
     space = path_metric(projective_metric(), grid=grid)
+    bases = [plan_fn(x, y).measure.atoms for x, y in pairs]
 
     def trials():
         for g in mats:

@@ -999,6 +999,9 @@ def test_verifier_over_probe_cap_exits_2(command, flag, monkeypatch):
         # Overflowed in numpy and exited 2 as "representative ... has norm 0.0".
         (("continuity", "--scale", "1e308"), "--scale"),
         (("continuity", "--pairs", "abc"), "--pairs"),
+        # numpy's "expected non-negative integer", naming no flag.
+        (("continuity", "--seed", "-1"), "--seed"),
+        (("equivariance", "--seed", "-1"), "--seed"),
     ],
 )
 def test_nav_verifier_bad_flags_exit_2(argv, flag):
@@ -1108,8 +1111,8 @@ def test_nav_continuity_probe_does_not_replay_the_pair_stream():
     # The probe was seeded with --seed, the seed the pairs were drawn with,
     # so its first sample moved both points along themselves, by rounding
     # only, and flagged LP 1.9e-15 as a failure.
-    code, out = run("nav", "continuity", "--n", "1", "--pairs", "1", "--samples", "1", "--seed", "3")
-    assert code == 0 and out["failures"] == []
+    code, out, err = run_all("nav", "continuity", "--n", "1", "--pairs", "1", "--samples", "1", "--seed", "3")
+    assert (code, err, out["failures"]) == (0, "", [])
     assert out["max_discrepancy"] > 1e-6  # moved by about --scale, not by rounding
 
 
@@ -1206,9 +1209,11 @@ def test_measure_lp_up_to_64_atoms(tmp_path):
         return [(rng.uniform(-1, 1, 3).tolist(), f"1/{count}") for _ in range(count)]
 
     wide, narrow, over = (write_measure(tmp_path / f"{n}.json", atoms(n)) for n in (64, 40, 65))
+    start = time.perf_counter()
     code, out = run("measure", "lp", "--mu", wide, "--nu", narrow)
     assert code == 0 and 0.0 < out["distance"] < 1.0
     assert run("measure", "lp", "--mu", narrow, "--nu", wide) == (code, out)
+    assert time.perf_counter() - start < 10
     code, out = run("measure", "lp", "--mu", narrow, "--nu", over)
     assert code == 2
     assert out["error"].endswith("a support of 65 atoms is over the cap of 64 (MAX_SUPPORT)")

@@ -698,7 +698,7 @@ def test_max_flow_and_residual_cut_certify_the_defect_past_the_table():
             assert defects[1] - defects[0] == sum(masses_n) - sum(masses_m), (len(mu), len(nu), eps)
 
 
-@pytest.mark.parametrize("size", [8, ORACLE_ATOMS, MAX_SUPPORT])
+@pytest.mark.parametrize("size", [5, 8, ORACLE_ATOMS, MAX_SUPPORT])
 def test_reordered_self_pairs_are_near_zero(size):
     # Equal measures whose atoms come in another order: their integer
     # masses give equal subset sums in any order, so the distance is
@@ -741,8 +741,8 @@ def test_equals_the_fraction_oracle_bit_for_bit_at_every_denominator():
 def test_distance_is_symmetric_bit_for_bit():
     rng = random.Random(1214)
     pairs = mixed_pairs(rng, random_sizes(rng, 20, MAX_SUPPORT))
-    pairs += mixed_pairs(rng, [(size, size) for size in (1, 6, ORACLE_ATOMS, MAX_SUPPORT)])
-    pairs += plan_pairs(rng)
+    pairs += mixed_pairs(rng, [(size, size) for size in (1, 5, 6, ORACLE_ATOMS, MAX_SUPPORT)])
+    pairs += plan_pairs(rng) + shape_pairs(rng)
     for mu, nu, space in pairs:
         assert lp_distance(mu, nu, space) == lp_distance(nu, mu, space)
 

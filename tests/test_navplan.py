@@ -604,6 +604,21 @@ def test_equivariance_flags_broken_planner():
     assert report["max_discrepancy"] > 1e-3
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_equivariance_refuses_a_tol_no_discrepancy_exceeds(tol):
+    # No LP distance exceeds NaN or inf: a planner that ignores y, 0.615 away
+    # at seed 0, reported no failure at either.
+    def ignores_y(x, y):
+        return rpn_navigate(x, [1.0, 0.0, 0.0])
+
+    rng = random.Random(0)
+    mats, pairs = [random_rotation(rng, 2)], sample_pairs(rng, 3, 1)
+    report = check_equivariance(ignores_y, mats, pairs)
+    assert len(report["failures"]) == 1 and report["max_discrepancy"] > 0.6
+    with pytest.raises(ValueError, match=f"^tol must be at least 0 and finite, got {tol}$"):
+        check_equivariance(lambda x, y: pytest.fail("a plan was built"), mats, pairs, tol=tol)
+
+
 def test_continuity_probe_near_crossover():
     base = [
         (np.array([1.0, 0.0, 0.0]), np.array([math.cos(1.57), math.sin(1.57), 0.0])),
@@ -660,6 +675,31 @@ def test_path_metric_needs_two_grid_times(grid):
     # grid 1 divided by zero; grid 0 left no sample time to take the sup over.
     with pytest.raises(ValueError, match="grid"):
         path_metric(PROJ, grid=grid)
+
+
+class TimesDrawn(Exception):
+    """Raised by a stand-in for _grid_times: the grid cap let a grid through."""
+
+
+def times_drawn(count):
+    raise TimesDrawn(count)
+
+
+def test_path_metric_grid_cap(monkeypatch):
+    # grid 10^9 allocated 8 GB of times in np.arange; the check alone admits
+    # MAX_GRID and refuses one more, before any time is drawn.
+    assert navplan.MAX_GRID == 1024
+    monkeypatch.setattr(navplan, "_grid_times", times_drawn)
+    with pytest.raises(TimesDrawn):
+        path_metric(PROJ, grid=navplan.MAX_GRID)
+    cap = rf"^a grid of {navplan.MAX_GRID + 1} times is over the cap of {navplan.MAX_GRID} \(MAX_GRID\)$"
+    with pytest.raises(ValueError, match=cap):
+        path_metric(PROJ, grid=navplan.MAX_GRID + 1)
+    pair = [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))]
+    with pytest.raises(ValueError, match=cap):
+        check_equivariance(rpn_navigate, [np.eye(2)], pair, grid=navplan.MAX_GRID + 1)
+    with pytest.raises(ValueError, match=cap):
+        check_lp_continuity(rpn_navigate, pair, grid=navplan.MAX_GRID + 1)
 
 
 def test_equivariance_builds_each_base_plan_once():
