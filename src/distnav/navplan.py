@@ -82,8 +82,9 @@ MAX_CHECKPOINTS = MAX_SUPPORT
 # nav rpn, circle and hopf.  A plan has at most MAX_CHECKPOINTS paths, so at
 # most 64 x 1024 trace points: a 64-path Hopf plan prints 10.8 MB in 0.7 to
 # 1.0 s (in process, three runs on a shared 2-core host), and two 64-path
-# circle plans compare at grid 1024 in 140-190 ms, peak RSS 31 to 194 MB
-# (three fresh processes on the same host; 14 ms and 41 MB at grid 64).
+# circle plans compare at grid 1024 in 134 to 164 ms, the peak RSS rising
+# from 31 MB after import to 194 MB in each run (five fresh processes on the
+# same host; 19 ms and 41 MB at grid 64).
 MAX_GRID = 1024
 
 

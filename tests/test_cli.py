@@ -101,8 +101,17 @@ def test_names_outside_the_catalog_grammar_are_unknown(name):
 
 
 def test_normal_form_over_the_rewrite_step_cap_exits_2(monkeypatch):
-    # conf:d=3,k=20 took 10.3 s and printed 106 MB; here k=8, whose word
-    # takes 63 steps, under a cap of 62.
+    # conf:d=3,k=20 took 10.3 s and printed 106 MB; k=22, a normal form of
+    # 2^20 terms, is refused at the shipped cap within seconds.
+    start = time.perf_counter()
+    word = ",".join(f"w_{i}_22" for i in range(1, 22))
+    code, out, err = run_all("ring", "normal-form", "--ring", "conf:d=3,k=22", "--word", word)
+    assert (code, err) == (2, "")
+    assert out["error"] == (
+        f"rewriting a word in 'conf:d=3,k=22' takes over the cap of {gcring.MAX_REWRITE_STEPS} steps (MAX_REWRITE_STEPS)"
+    )
+    assert time.perf_counter() - start < 20
+    # k=8, whose word takes 63 steps, under a cap of 62.
     monkeypatch.setattr(gcring, "MAX_REWRITE_STEPS", 62)
     word = ",".join(f"w_{i}_8" for i in range(1, 8))
     code, out, err = run_all("ring", "normal-form", "--ring", "conf:d=3,k=8", "--word", word)
@@ -249,7 +258,24 @@ def test_non_koszul_parity_file_exits_3(tmp_path):
 
 def test_loaded_chain_over_the_word_cap_exits_2(tmp_path, monkeypatch):
     # 24 degree-2 generators with g_i * g_(i+1) -> 0 counted 43508106 words
-    # to degree 24 in 40.8 s; here 12 of them, under a cap of 1000 words.
+    # to degree 24 in 40.8 s, and 4000 rule-free ones, under the word cap,
+    # took 20.8 s in poly_mul to degree 512: each is refused at its shipped
+    # cap within seconds.
+    shipped = (
+        (24, 23, "24", f"counts over {gcring.MAX_SERIES_WORDS} admissible words (MAX_SERIES_WORDS)"),
+        (4000, 0, "512", f"forms over {gcring.MAX_SERIES_PRODUCTS} coefficient products (MAX_SERIES_PRODUCTS)"),
+    )
+    for size, chained, degree, cap in shipped:
+        gens = [{"id": f"g{i}", "degree": 2} for i in range(size)]
+        rules = [{"lhs": [f"g{i}", f"g{i + 1}"], "rhs": []} for i in range(chained)]
+        ring_file = tmp_path / f"shipped{size}.json"
+        ring_file.write_text(json.dumps({"name": "shipped", "generators": gens, "rules": rules}))
+        start = time.perf_counter()
+        code, out, err = run_all("ring", "poincare", "--ring", str(ring_file), "--max-degree", degree)
+        assert (code, err) == (2, "")
+        assert out["error"] == f"Poincare series to degree {degree} {cap}"
+        assert time.perf_counter() - start < 20
+    # 12 chained generators, under a cap of 1000 words.
     gens = [{"id": f"g{i}", "degree": 2} for i in range(12)]
     rules = [{"lhs": [f"g{i}", f"g{i + 1}"], "rhs": []} for i in range(11)]
     ring_file = tmp_path / "chain.json"

@@ -670,36 +670,26 @@ def test_plan_measures_compare_in_path_metric():
     assert lp_distance(a, b, space) > 0.05
 
 
-@pytest.mark.parametrize("grid", [1, 0])
-def test_path_metric_needs_two_grid_times(grid):
-    # grid 1 divided by zero; grid 0 left no sample time to take the sup over.
-    with pytest.raises(ValueError, match="grid"):
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        pytest.param(1, "^grid must have at least 2 times, got 1$", id="1"),
+        pytest.param(0, "^grid must have at least 2 times, got 0$", id="0"),
+        pytest.param(
+            navplan.MAX_GRID + 1,
+            rf"^a grid of {navplan.MAX_GRID + 1} times is over the cap of {navplan.MAX_GRID} \(MAX_GRID\)$",
+            id="over-cap",
+        ),
+    ],
+)
+def test_path_metric_needs_two_grid_times(grid, message):
+    # grid 1 divided by zero; grid 0 left no sample time to take the sup
+    # over; grid 10^9 allocated 8 GB of times in np.arange.  The ends of the
+    # range, 2 and MAX_GRID, are admitted.
+    with pytest.raises(ValueError, match=message):
         path_metric(PROJ, grid=grid)
-
-
-class TimesDrawn(Exception):
-    """Raised by a stand-in for _grid_times: the grid cap let a grid through."""
-
-
-def times_drawn(count):
-    raise TimesDrawn(count)
-
-
-def test_path_metric_grid_cap(monkeypatch):
-    # grid 10^9 allocated 8 GB of times in np.arange; the check alone admits
-    # MAX_GRID and refuses one more, before any time is drawn.
-    assert navplan.MAX_GRID == 1024
-    monkeypatch.setattr(navplan, "_grid_times", times_drawn)
-    with pytest.raises(TimesDrawn):
-        path_metric(PROJ, grid=navplan.MAX_GRID)
-    cap = rf"^a grid of {navplan.MAX_GRID + 1} times is over the cap of {navplan.MAX_GRID} \(MAX_GRID\)$"
-    with pytest.raises(ValueError, match=cap):
-        path_metric(PROJ, grid=navplan.MAX_GRID + 1)
-    pair = [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))]
-    with pytest.raises(ValueError, match=cap):
-        check_equivariance(rpn_navigate, [np.eye(2)], pair, grid=navplan.MAX_GRID + 1)
-    with pytest.raises(ValueError, match=cap):
-        check_lp_continuity(rpn_navigate, pair, grid=navplan.MAX_GRID + 1)
+    path_metric(PROJ, grid=2)
+    path_metric(PROJ, grid=navplan.MAX_GRID)
 
 
 def test_equivariance_builds_each_base_plan_once():
