@@ -677,10 +677,13 @@ def test_bound_cup_length_over_the_pairs_cap_exits_2(monkeypatch):
 
 
 def test_value_fn_payload():
-    code, out = run("value", "fn", "--d", "2", "--m", "3", "--n", "2", "--r", "3")
-    assert code == 0
-    assert out["exact"] == 7
-    assert out["provenance"][0]["kind"] == "certificate"
+    # (4,2,1,2), under LIVE_WITNESS_WORK, is certified live as (2,3,2,3) is.
+    for cell, exact in (((2, 3, 2, 3), 7), ((4, 2, 1, 2), 2)):
+        d, m, n, r = map(str, cell)
+        code, out = run("value", "fn", "--d", d, "--m", m, "--n", n, "--r", r)
+        assert code == 0
+        assert out["exact"] == exact
+        assert out["provenance"][0]["kind"] == "certificate"
 
 
 def test_value_fn_certificate_contradiction_exits_3(monkeypatch):

@@ -32,6 +32,7 @@ from earlier comparisons, against cold copies that keep none.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -744,7 +745,9 @@ def test_distance_is_symmetric_bit_for_bit():
     pairs += mixed_pairs(rng, [(size, size) for size in (1, 5, 6, ORACLE_ATOMS, MAX_SUPPORT)])
     pairs += plan_pairs(rng) + shape_pairs(rng)
     for mu, nu, space in pairs:
+        start = time.perf_counter()
         assert lp_distance(mu, nu, space) == lp_distance(nu, mu, space)
+        assert time.perf_counter() - start < 20, (len(mu), len(nu))  # 10 s each way
 
 
 def test_equal_totals_search_one_side(monkeypatch):
