@@ -66,6 +66,7 @@ __all__ = [
     "ring_top_degree",
     "CupLength",
     "MAX_CHAIN_PAIRS",
+    "MAX_CUP_LENGTH",
     "CUP_LENGTH_SEED",
     "MAX_WITNESS_WORK",
     "witness_work",
@@ -82,6 +83,13 @@ __all__ = [
 # m >= 5, so cells over the cap give up after 2.5 s at (2,3,2,4), 5.3 s at
 # (2,2,2,5) and 23 s at (2,7,1,3) (single runs on a shared 2-core host).
 MAX_CHAIN_PAIRS = 2**20
+
+# Factors a cup-length chain may reach; a chain of this length is refused
+# before its next product is formed.  Without a cap the greedy chain is
+# unbounded: at (2,2,1,150) it reached 150 factors, and the generic chain
+# then stopped at MAX_CHAIN_PAIRS, after 137 s; at the cap it stops in about
+# 1 s (single runs on a shared 2-core host).
+MAX_CUP_LENGTH = 12
 
 # Seed of the generic combinations of cup_length_kernel: every call draws
 # the same coefficients, so they need not be printed to be reproduced.
@@ -308,9 +316,18 @@ def euler_height(P: RingPresentation, e: GradedElement, max_power: int) -> int:
     return chain.length
 
 
-def ring_top_degree(P: RingPresentation, ceiling: int) -> int:
-    """Largest degree <= ceiling with a nonzero graded piece."""
-    return max(deg for deg, dim in enumerate(poincare_series(P, ceiling)) if dim)
+def ring_top_degree(P: RingPresentation) -> int:
+    """Largest degree with a nonzero graded piece, read off the Poincare
+    series to MAX_SERIES_DEGREE.  Raises ValueError when the piece at
+    MAX_SERIES_DEGREE is nonzero, since the top degree may then lie past it.
+    """
+    series = poincare_series(P, MAX_SERIES_DEGREE)
+    if series[MAX_SERIES_DEGREE]:
+        raise ValueError(
+            f"{P.name} has a nonzero piece in degree {MAX_SERIES_DEGREE} "
+            f"(MAX_SERIES_DEGREE), so its top degree is not known"
+        )
+    return max(deg for deg, dim in enumerate(series) if dim)
 
 
 def sphere_bundle_lower_bound(
@@ -355,12 +372,10 @@ def sphere_bundle_lower_bound(
 class CupLength(int):
     """A cup length that is its int value, and says how it was shown maximal.
 
-    ``error_bound`` is None when a nonzero product reached the ceiling
-    min(budget, top degree // least element degree), past which the search
-    does not look, and otherwise the exact chance, at most, that a longer
-    nonzero product exists.  ``optimality`` says which: ``"ceiling"`` or
-    ``"probabilistic"``.  No product passes the degree term, but where the
-    budget is the smaller term a longer product may exist.
+    ``error_bound`` is None when a nonzero product reached the degree ceiling
+    top degree // least element degree, which no nonzero product passes, and
+    otherwise the exact chance, at most, that a longer nonzero product
+    exists.  ``optimality`` says which: ``"ceiling"`` or ``"probabilistic"``.
 
     >>> k = CupLength(3, Fraction(1, 2**59))
     >>> k == 3, k + 1, k.optimality
@@ -381,7 +396,13 @@ class CupLength(int):
 
 def _chain_product(chain: Chain, x: GradedElement, best: int) -> bool:
     """chain.times(x), refused with ValueError, before the product is formed,
-    when it would multiply more than MAX_CHAIN_PAIRS pairs of terms."""
+    when the chain already has MAX_CUP_LENGTH factors or the product would
+    multiply more than MAX_CHAIN_PAIRS pairs of terms."""
+    if chain.length >= MAX_CUP_LENGTH:
+        raise ValueError(
+            f"cup-length chain on {chain.ring.name} would pass the length cap of "
+            f"{MAX_CUP_LENGTH} (MAX_CUP_LENGTH); best so far {best}"
+        )
     pairs = chain.size * len(x.terms)
     if pairs > MAX_CHAIN_PAIRS:
         raise ValueError(
@@ -395,17 +416,15 @@ def cup_length_kernel(
     P: RingPresentation,
     collapse: RingMap,
     elements: Sequence[GradedElement],
-    budget: int = 12,
 ) -> CupLength:
-    """Greatest k <= budget with a nonzero k-fold product of the elements.
+    """Greatest k with a nonzero k-fold product of the elements.
 
-    The search stops at the ceiling min(budget, top degree // least element
-    degree); no nonzero product is longer than the second term.  A greedy
-    chain comes first: it takes the elements in the given order, skips any
-    that would pass the top nonzero degree of the ring or give a zero
-    product, and never multiplies an odd-degree element by itself
-    (x x = -x x over Q).  If it reaches the ceiling, that is the answer,
-    with optimality ``"ceiling"``.
+    No nonzero product passes the degree ceiling top degree // least element
+    degree, with the top degree of :func:`ring_top_degree`.  A greedy chain
+    comes first: it takes the elements in the given order, skips any that
+    would pass the top degree or give a zero product, and never multiplies
+    an odd-degree element by itself (x x = -x x over Q).  If it reaches the
+    ceiling, that is the answer, with optimality ``"ceiling"``.
 
     Otherwise one chain of generic combinations x_j = sum_i a_ij e_i, with
     the a_ij drawn from 1..2^61 by ``random.Random(CUP_LENGTH_SEED)``, is
@@ -421,13 +440,12 @@ def cup_length_kernel(
 
     Every element must be homogeneous and lie in the kernel of the collapse
     map, whose ring must be P itself.  Raises ValueError, naming the ring and
-    the best length so far, before a product of either chain would multiply
-    more than MAX_CHAIN_PAIRS pairs of terms.
+    the best length so far, before a product of either chain would pass
+    MAX_CUP_LENGTH factors or multiply more than MAX_CHAIN_PAIRS pairs of
+    terms, and, before any product, when ring_top_degree refuses the ring.
     """
     if P is not collapse.ring:
         raise ValueError(f"cup length asked in {P.name} with a collapse map of {collapse.ring.name}")
-    if budget < 1 or budget > 12:
-        raise ValueError("budget must be between 1 and 12")
     degrees: list[int] = []
     for idx, e in enumerate(elements):
         d = element_degree(P, e)
@@ -437,8 +455,8 @@ def cup_length_kernel(
     _check_in_kernel(collapse, elements)
     if not elements:
         return CupLength(0)
-    top = ring_top_degree(P, ceiling=budget * max(degrees))
-    ceiling = min(budget, top // min(degrees))
+    top = ring_top_degree(P)
+    ceiling = top // min(degrees)
 
     greedy, degree, start = Chain(P), 0, 0
     while greedy.length < ceiling:

@@ -77,7 +77,7 @@ from .navplan import (
 )
 from .presentations import catalog, cpn_sphere_bundle, fn_fiber_product
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 # Exit code when the reader closes stdout before the JSON is written (as in
 # ``| head``): 128 + SIGPIPE, the status a shell reports for a writer that
 # the signal ended.
@@ -306,10 +306,9 @@ def _cmd_bound_sphere_bundle(args) -> tuple[dict, list[str], int]:
 def _cmd_bound_cup_length(args) -> tuple[dict, list[str], int]:
     fp = fn_fiber_product(args.d, args.m, args.n, args.r)
     differences = copy_differences(fp)
-    length = cup_length_kernel(fp.ring, diagonal_fn(fp), list(differences.values()), budget=args.budget)
+    length = cup_length_kernel(fp.ring, diagonal_fn(fp), list(differences.values()))
     payload = {
         "parameters": {"d": args.d, "m": args.m, "n": args.n, "r": args.r},
-        "budget": args.budget,
         "kernel_elements": list(differences),
         "cup_length": int(length),
         "optimality": length.optimality,
@@ -503,9 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--partition", type=_int_list, help="height split, e.g. 2,1")
     p.set_defaults(handler=_cmd_bound_sphere_bundle)
-    p = bound.add_parser("cup-length", parents=[fn_cell])
-    p.add_argument("--budget", type=int, default=12)
-    p.set_defaults(handler=_cmd_bound_cup_length)
+    bound.add_parser("cup-length", parents=[fn_cell]).set_defaults(handler=_cmd_bound_cup_length)
 
     value = top.add_parser("value", help="closed-form values with provenance").add_subparsers(
         dest="sub", required=True

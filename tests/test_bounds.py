@@ -22,6 +22,7 @@ from distnav.bounds import (
     apply_ring_map,
     certificate_to_dict,
     check_witness_work,
+    copy_differences,
     cup_length_kernel,
     diagonal_fn,
     euler_height,
@@ -542,24 +543,19 @@ def test_tower_diagonal_kills_witness_factors():
 # === cup-length search ===
 
 
-def copy_differences(fp):
-    out = []
-    for j in range(fp.m + 1, fp.m + fp.n + 1):
-        for i in range(1, j):
-            for l1 in range(1, fp.r + 1):
-                for l2 in range(l1 + 1, fp.r + 1):
-                    out.append(subtract(gen(fp.w(l1, i, j)), gen(fp.w(l2, i, j))))
-    return out
+def kernel_elements(fp):
+    """The kernel classes that bound cup-length searches, in its order."""
+    return list(copy_differences(fp).values())
 
 
 def test_cup_length_fn_even_d():
     fp = fn_fiber_product(2, 2, 1, 2)
-    assert cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp)) == 2
+    assert cup_length_kernel(fp.ring, diagonal_fn(fp), kernel_elements(fp)) == 2
 
 
 def test_cup_length_fn_odd_d():
     fp = fn_fiber_product(3, 2, 1, 2)
-    assert cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp)) == 3
+    assert cup_length_kernel(fp.ring, diagonal_fn(fp), kernel_elements(fp)) == 3
 
 
 def test_cup_length_rejects_non_kernel_element():
@@ -569,19 +565,17 @@ def test_cup_length_rejects_non_kernel_element():
 
 
 @pytest.mark.parametrize(
-    "elements, budget, error, message",
+    "elements, message",
     [
-        (lambda ds: [zero()], 12, CertificateError, "^kernel element 0 is zero$"),
-        (lambda ds: [ds[0], zero()], 12, CertificateError, "^kernel element 1 is zero$"),
-        (lambda ds: ds, 0, ValueError, "^budget must be between 1 and 12$"),
-        (lambda ds: ds, 13, ValueError, "^budget must be between 1 and 12$"),
+        (lambda ds: [zero()], "^kernel element 0 is zero$"),
+        (lambda ds: [ds[0], zero()], "^kernel element 1 is zero$"),
     ],
-    ids=["zero", "zero-second", "budget-0", "budget-13"],
+    ids=["zero", "zero-second"],
 )
-def test_cup_length_rejects_zero_elements_and_budgets_out_of_range(elements, budget, error, message):
+def test_cup_length_rejects_zero_elements_and_budgets_out_of_range(elements, message):
     fp = fn_fiber_product(2, 2, 1, 2)
-    with pytest.raises(error, match=message):
-        cup_length_kernel(fp.ring, diagonal_fn(fp), elements(copy_differences(fp)), budget=budget)
+    with pytest.raises(CertificateError, match=message):
+        cup_length_kernel(fp.ring, diagonal_fn(fp), elements(kernel_elements(fp)))
 
 
 def test_cup_length_of_no_elements_is_zero():
@@ -597,21 +591,33 @@ def test_cup_length_rejects_inhomogeneous_element():
         cup_length_kernel(fp.ring, diagonal_fn(fp), [add(d, one())])
 
 
-def test_ring_top_degree():
-    P = complex_projective(3)
-    assert ring_top_degree(P, ceiling=10) == 6
-    assert ring_top_degree(point(), ceiling=4) == 0
+def test_ring_top_degree(monkeypatch):
+    assert ring_top_degree(complex_projective(3)) == 6
+    assert ring_top_degree(point()) == 0
+    # A rule-free even generator spans every even degree, up to
+    # MAX_SERIES_DEGREE and past it: the top degree is unknown, and the cup
+    # length refuses the ring before any chain product.
+    P = RingPresentation((Generator("x", 2),), (), name="poly")
+    message = r"^poly has a nonzero piece in degree 512 \(MAX_SERIES_DEGREE\), so its top degree is not known$"
+    with pytest.raises(ValueError, match=message):
+        ring_top_degree(P)
+    calls = []
+    monkeypatch.setattr(gcring.Chain, "times", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        cup_length_kernel(P, RingMap(P, {"x": zero()}), [gen("x")])
+    assert calls == []
 
 
-def multiset_cup_length_search(P, elements, budget=12, pruned=False):
+def multiset_cup_length_search(P, elements, pruned=False):
     """The depth-first search over multisets of the elements that
-    cup_length_kernel replaced.  Unpruned, every multiset is explored;
-    pruned, as the library searched, an odd element is never squared and
-    the search stops once a chain reaches min(budget, top degree // least
-    element degree)."""
+    cup_length_kernel replaced, up to MAX_CUP_LENGTH factors.  Unpruned,
+    every multiset is explored; pruned, as the library searched, an odd
+    element is never squared and the search stops once a chain reaches top
+    degree // least element degree."""
+    cap = bounds.MAX_CUP_LENGTH
     degrees = [element_degree(P, e) for e in elements]
-    top = ring_top_degree(P, ceiling=budget * max(degrees))
-    ceiling = min(budget, top // min(degrees)) if pruned else budget + 1
+    top = ring_top_degree(P)
+    ceiling = top // min(degrees) if pruned else cap + 1
     best = 0
 
     def dfs(start, acc, acc_degree, length):
@@ -627,7 +633,7 @@ def multiset_cup_length_search(P, elements, budget=12, pruned=False):
             if best >= ceiling:
                 return True
             odd_step = degrees[idx] % 2 if pruned else 0
-            if length + 1 < budget and dfs(idx + odd_step, nxt, ndeg, length + 1):
+            if length + 1 < cap and dfs(idx + odd_step, nxt, ndeg, length + 1):
                 return True
         return False
 
@@ -648,8 +654,8 @@ BENCH_CUP_CELLS = [
 @pytest.mark.parametrize("cell", BENCH_CUP_CELLS)
 def test_cup_length_early_exit_matches_unpruned_search(cell):
     fp = fn_fiber_product(*cell)
-    elements = copy_differences(fp)
-    got = cup_length_kernel(fp.ring, diagonal_fn(fp), elements, budget=12)
+    elements = kernel_elements(fp)
+    got = cup_length_kernel(fp.ring, diagonal_fn(fp), elements)
     assert got == multiset_cup_length_search(fp.ring, elements)
     assert got == fn_closed_form(*cell)
 
@@ -659,7 +665,7 @@ def test_cup_length_matches_pruned_search(cell):
     # The three extra cells are even-d cells the multiset search answered
     # within its old limit of 3000 products.
     fp = fn_fiber_product(*cell)
-    elements = copy_differences(fp)
+    elements = kernel_elements(fp)
     got = cup_length_kernel(fp.ring, diagonal_fn(fp), elements)
     assert got == multiset_cup_length_search(fp.ring, elements, pruned=True) == fn_closed_form(*cell)
     if cell[0] % 2:  # odd d reaches the degree ceiling
@@ -670,7 +676,7 @@ def test_cup_length_matches_pruned_search(cell):
 
 def test_cup_length_is_the_same_on_every_call():
     fp = fn_fiber_product(2, 2, 2, 2)
-    collapse, elements = diagonal_fn(fp), copy_differences(fp)
+    collapse, elements = diagonal_fn(fp), kernel_elements(fp)
     first, second = (cup_length_kernel(fp.ring, collapse, elements) for _ in range(2))
     assert first == second == 4 and type(first) is bounds.CupLength and repr(first) == "4"
     assert (first.optimality, first.error_bound) == (second.optimality, second.error_bound)
@@ -681,7 +687,7 @@ def test_generic_product_is_nonzero_at_the_returned_length(cell):
     # The coefficients are drawn in order, element by element, one chain
     # step at a time, as getrandbits(61) + 1 from random.Random(CUP_LENGTH_SEED).
     fp = fn_fiber_product(*cell)
-    elements = copy_differences(fp)
+    elements = kernel_elements(fp)
     k = cup_length_kernel(fp.ring, diagonal_fn(fp), elements)
     rng = random.Random(bounds.CUP_LENGTH_SEED)
     combinations = []
@@ -701,7 +707,7 @@ def test_cup_length_never_squares_an_odd_element(monkeypatch):
     # elements themselves, the generic chain their combinations.
     fp = fn_fiber_product(2, 2, 1, 3)
     collapse = diagonal_fn(fp)
-    elements = copy_differences(fp)
+    elements = kernel_elements(fp)
     assert all(element_degree(fp.ring, e) % 2 for e in elements)
     kept = {}  # id of a chain -> indices of the elements it multiplied in
     steps = []  # keeps every chain alive, so no id is reused
@@ -727,7 +733,7 @@ def test_cup_length_never_squares_an_odd_element(monkeypatch):
 def test_cup_length_reaches_degree_ceiling_on_odd_cell():
     # The unpruned search runs for minutes here; the ceiling exit stops it.
     fp = fn_fiber_product(3, 3, 2, 3)
-    got = cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp))
+    got = cup_length_kernel(fp.ring, diagonal_fn(fp), kernel_elements(fp))
     assert got == 8 and got.optimality == "ceiling"
 
 
@@ -739,7 +745,7 @@ def test_cup_length_pairs_cap_names_the_ring(monkeypatch):
     fp = fn_fiber_product(2, 2, 1, 3)
     message = r"fn:d=2,m=2,n=1,r=3 would multiply 108 pairs .*best so far 3$"
     with pytest.raises(ValueError, match=message):
-        cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp))
+        cup_length_kernel(fp.ring, diagonal_fn(fp), kernel_elements(fp))
 
 
 def test_cup_length_pairs_cap_stops_before_the_product(monkeypatch):
@@ -748,7 +754,7 @@ def test_cup_length_pairs_cap_stops_before_the_product(monkeypatch):
     monkeypatch.setattr(gcring.Chain, "times", lambda *args: calls.append(args))
     fp = fn_fiber_product(2, 2, 1, 3)
     with pytest.raises(ValueError, match=r"MAX_CHAIN_PAIRS\); best so far 0$"):
-        cup_length_kernel(fp.ring, diagonal_fn(fp), copy_differences(fp))
+        cup_length_kernel(fp.ring, diagonal_fn(fp), kernel_elements(fp))
     assert calls == []
 
 
@@ -760,7 +766,7 @@ def test_cup_length_refuses_a_collapse_of_another_ring(monkeypatch):
     fp, other = fn_fiber_product(3, 2, 1, 2), fn_fiber_product(2, 2, 1, 2)
     message = r"^cup length asked in fn:d=3,m=2,n=1,r=2 with a collapse map of fn:d=2,m=2,n=1,r=2$"
     with pytest.raises(ValueError, match=message):
-        cup_length_kernel(fp.ring, diagonal_fn(other), copy_differences(fp))
+        cup_length_kernel(fp.ring, diagonal_fn(other), kernel_elements(fp))
     assert calls == []
 
 
@@ -779,15 +785,21 @@ def decoded_euler_height(P, e, max_power):
     return height
 
 
-def decoded_cup_length(P, elements, budget=12):
+def decoded_cup_length(P, elements):
     """The greedy and generic chains of cup_length_kernel as they ran before
     they stayed coded, every partial product decoded by multiply: (length,
-    error_bound), or the same ValueError at MAX_CHAIN_PAIRS."""
+    error_bound), or the same ValueError at MAX_CUP_LENGTH or
+    MAX_CHAIN_PAIRS."""
     degrees = [element_degree(P, e) for e in elements]
-    top = ring_top_degree(P, ceiling=budget * max(degrees))
-    ceiling = min(budget, top // min(degrees))
+    top = ring_top_degree(P)
+    ceiling = top // min(degrees)
 
-    def step(acc, x, best):
+    def step(acc, length, x, best):
+        if length >= bounds.MAX_CUP_LENGTH:
+            raise ValueError(
+                f"cup-length chain on {P.name} would pass the length cap of "
+                f"{bounds.MAX_CUP_LENGTH} (MAX_CUP_LENGTH); best so far {best}"
+            )
         pairs = len(acc.terms) * len(x.terms)
         if pairs > bounds.MAX_CHAIN_PAIRS:
             raise ValueError(
@@ -801,7 +813,7 @@ def decoded_cup_length(P, elements, budget=12):
         for idx in range(start, len(elements)):
             if acc_degree + degrees[idx] > top:
                 continue
-            nxt = step(acc, elements[idx], greedy)
+            nxt = step(acc, greedy, elements[idx], greedy)
             if not is_zero(nxt):
                 greedy, acc, start = greedy + 1, nxt, idx + degrees[idx] % 2
                 acc_degree += degrees[idx]
@@ -815,7 +827,7 @@ def decoded_cup_length(P, elements, budget=12):
     while generic < ceiling:
         coeffs = [rng.getrandbits(61) + 1 for _ in elements]
         x = element((a * c, w) for a, e in zip(coeffs, elements) for w, c in e.terms.items())
-        acc = step(acc, x, max(greedy, generic))
+        acc = step(acc, generic, x, max(greedy, generic))
         if is_zero(acc):
             return max(greedy, generic), Fraction(generic + 1, 2**61)
         generic += 1
@@ -838,14 +850,35 @@ def test_euler_height_matches_the_decoded_powers_on_towers(n, r):
         assert euler_height(tower.ring, e, max_power) == decoded_euler_height(tower.ring, e, max_power)
 
 
+def cup_length_outcomes(fp):
+    """cup_length_kernel and decoded_cup_length on the fiber power, each as
+    (length, error_bound) or the message of its ValueError."""
+    collapse, elements = diagonal_fn(fp), kernel_elements(fp)
+    outcomes = []
+    for run in (lambda: cup_length_kernel(fp.ring, collapse, elements), lambda: decoded_cup_length(fp.ring, elements)):
+        try:
+            got = run()
+        except ValueError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append(tuple(got) if isinstance(got, tuple) else (int(got), got.error_bound))
+    return outcomes
+
+
 @pytest.mark.parametrize("cell", BENCH_CUP_CELLS + [(2, 4, 1, 3), (2, 2, 3, 2)])
-def test_cup_length_matches_the_decoded_chains(cell):
+def test_cup_length_matches_the_decoded_chains(monkeypatch, cell):
     fp = fn_fiber_product(*cell)
-    elements = copy_differences(fp)
+    elements = kernel_elements(fp)
     got = cup_length_kernel(fp.ring, diagonal_fn(fp), elements)
     length, error_bound = decoded_cup_length(fp.ring, elements)
     assert (got, got.error_bound) == (length, error_bound)
     assert got.optimality == ("ceiling" if error_bound is None else "probabilistic")
+    # Every length cap below the answer: both refuse before the same
+    # product, with the same message.
+    for cap in range(got):
+        monkeypatch.setattr(bounds, "MAX_CUP_LENGTH", cap)
+        refused, decoded = cup_length_outcomes(fp)
+        assert refused == decoded and "(MAX_CUP_LENGTH); best so far" in refused, cap
 
 
 @pytest.mark.parametrize("cell, largest", [((2, 2, 1, 3), 108), ((3, 2, 1, 3), 4), ((2, 2, 2, 2), 720)])
@@ -853,18 +886,10 @@ def test_cup_length_pairs_cap_messages_match_the_decoded_chains(monkeypatch, cel
     # Every cap up to the largest product of both chains: each stops at the
     # same product, with the same message, or answers the same.
     fp = fn_fiber_product(*cell)
-    collapse, elements = diagonal_fn(fp), copy_differences(fp)
     seen = set()
     for cap in range(1, largest + 1):
         monkeypatch.setattr(bounds, "MAX_CHAIN_PAIRS", cap)
-        outcomes = []
-        for run in (lambda: cup_length_kernel(fp.ring, collapse, elements), lambda: decoded_cup_length(fp.ring, elements)):
-            try:
-                got = run()
-            except ValueError as exc:
-                outcomes.append(str(exc))
-            else:
-                outcomes.append(tuple(got) if isinstance(got, tuple) else (int(got), got.error_bound))
+        outcomes = cup_length_outcomes(fp)
         assert outcomes[0] == outcomes[1], cap
         seen.add(type(outcomes[0]))
     assert seen == {str, tuple}

@@ -55,7 +55,7 @@ def write_measure(path, atoms):
 def test_normal_form_square_vanishes():
     code, out = run("ring", "normal-form", "--ring", "conf:d=2,k=4", "--word", "w_1_2,w_1_2")
     assert code == 0
-    assert out["schema_version"] == 5
+    assert out["schema_version"] == 6
     assert out["zero"] is True
     assert out["normal_form"] == []
 
@@ -71,12 +71,6 @@ def test_normal_form_straightening():
     assert coeffs == ["-3/2", "3/2"]
 
 
-def test_normal_form_unknown_generator_exits_2():
-    code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "nope")
-    assert code == 2
-    assert "error" in out and out["schema_version"] == 5
-
-
 @pytest.mark.parametrize("coeff", ["1", "0"])
 def test_unknown_generator_is_named_by_the_kernel(tmp_path, coeff):
     # The CLI checked generator names itself; now the kernel's ValueError
@@ -85,10 +79,14 @@ def test_unknown_generator_is_named_by_the_kernel(tmp_path, coeff):
     # the path.
     path = tmp_path / "g.json"
     path.write_text(json.dumps(presentation_to_dict(complex_projective(2)) | {"name": "loaded"}))
-    for ring, name in (("cp3", "cp3"), (str(path), "loaded")):
-        code, out, err = run_all("ring", "normal-form", "--ring", ring, "--word", "a1,zz", "--coeff", coeff)
+    for ring, word, error in (
+        ("cp2", "nope", "unknown generator 'nope' in cp2"),
+        ("cp3", "a1,zz", "unknown generator 'zz' in cp3"),
+        (str(path), "a1,zz", "unknown generator 'zz' in loaded"),
+    ):
+        code, out, err = run_all("ring", "normal-form", "--ring", ring, "--word", word, "--coeff", coeff)
         assert (code, err) == (2, "")
-        assert out["error"] == f"unknown generator 'zz' in {name}"
+        assert out == {"schema_version": 6, "error": error}
 
 
 @pytest.mark.parametrize("name", ["cp²", "s٣", "conf:k=4,d=2"], ids=["superscript", "arabic-indic", "reordered"])
@@ -119,17 +117,11 @@ def test_normal_form_over_the_rewrite_step_cap_exits_2(monkeypatch):
     assert out["error"] == "rewriting a word in 'conf:d=3,k=8' takes over the cap of 62 steps (MAX_REWRITE_STEPS)"
 
 
-def test_normal_form_zero_denominator_exits_2():
-    # Fraction("1/0") raises ZeroDivisionError, which escaped as a traceback.
-    code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "a1", "--coeff", "1/0")
-    assert code == 2
-    assert out["error"] == "coefficient '1/0' is not a rational literal such as 3/2 or -2.5e-3"
-
-
 @pytest.mark.parametrize("text", ["abc", "1/0"])
 def test_normal_form_bad_coefficient_exits_2_with_one_message(text):
     # Any text Fraction cannot read, a zero denominator included, gets the
-    # one coefficient message; "abc" printed Fraction's own error.
+    # one coefficient message; "abc" printed Fraction's own error, and
+    # "1/0" escaped as a ZeroDivisionError traceback.
     code, out, err = run_all("ring", "normal-form", "--ring", "cp2", "--word", "a1", "--coeff", text)
     assert (code, err) == (2, "")
     assert out["error"] == f"coefficient {text!r} is not a rational literal such as 3/2 or -2.5e-3"
@@ -227,7 +219,7 @@ def test_env_directory_resolution(tmp_path, monkeypatch):
     # A name with no file in the directory is still an unknown presentation.
     assert run("ring", "poincare", "--ring", "absent") == (
         2,
-        {"schema_version": 5, "error": "unknown presentation 'absent'"},
+        {"schema_version": 6, "error": "unknown presentation 'absent'"},
     )
 
 
@@ -241,7 +233,7 @@ def test_over_long_name_in_the_presentation_directory_is_unknown(tmp_path, monke
         name = "".join(rng.choice(string.ascii_lowercase) for _ in range(length))
         assert run_all("ring", "poincare", "--ring", name) == (
             2,
-            {"schema_version": 5, "error": f"unknown presentation {name!r}"},
+            {"schema_version": 6, "error": f"unknown presentation {name!r}"},
             "",
         )
 
@@ -564,23 +556,18 @@ def test_bound_fn_with_citation():
     assert out["citations"][0]["statement"]
 
 
-def test_bound_fn_bad_parameters_exit_2():
-    # A cell out of range is an argument error, as in value fn; it exited 3.
-    code, out = run("bound", "fn", "--d", "1", "--m", "2", "--n", "1", "--r", "2")
-    assert code == 2
-    assert "need d >= 2" in out["error"]
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
+        # A cell out of range is an argument error, as in value fn; it exited 3.
+        (("fn", "--d", "1", "--m", "2", "--n", "1", "--r", "2"), "need d >= 2"),
         (("cup-length", "--d", "1", "--m", "2", "--n", "1", "--r", "2"), "need"),
         (("sphere-bundle", "--n", "1", "--r", "0"), "need"),
         # One factor built the whole tower and then failed as a certificate (3).
         (("sphere-bundle", "--n", "2", "--r", "1"), "need"),
         (("sphere-bundle", "--n", "0", "--r", "2"), "projective space dimension must be >= 1"),
     ],
-    ids=["cup-length", "sphere-bundle", "sphere-bundle-one-factor", "sphere-bundle-no-base"],
+    ids=["fn", "cup-length", "sphere-bundle", "sphere-bundle-one-factor", "sphere-bundle-no-base"],
 )
 def test_bound_bad_cells_exit_2(argv, message):
     code, out = run("bound", *argv)
@@ -650,9 +637,11 @@ def test_bound_cup_length():
 
 
 def test_bound_cup_length_odd_d_reaches_the_ceiling():
-    code, out = run("bound", "cup-length", "--d", "3", "--m", "2", "--n", "1", "--r", "2")
-    assert code == 0
-    assert (out["cup_length"], out["optimality"], out["error_bound"]) == (3, "ceiling", None)
+    # r = 11 reaches its degree ceiling of 12 at MAX_CUP_LENGTH.
+    for r, length in (("2", 3), ("11", 12)):
+        code, out = run("bound", "cup-length", "--d", "3", "--m", "2", "--n", "1", "--r", r)
+        assert code == 0
+        assert (out["cup_length"], out["optimality"], out["error_bound"]) == (length, "ceiling", None)
 
 
 def test_bound_cup_length_even_d_answers():
@@ -666,6 +655,17 @@ def test_bound_cup_length_even_d_answers():
 
 
 def test_bound_cup_length_over_the_pairs_cap_exits_2(monkeypatch):
+    # Cells whose degree ceiling passes MAX_CUP_LENGTH stop at the length cap.
+    for cell in ((3, 2, 1, 12), (2, 2, 2, 7), (2, 2, 1, 150)):
+        start = time.perf_counter()
+        d, m, n, r = map(str, cell)
+        code, out, err = run_all("bound", "cup-length", "--d", d, "--m", m, "--n", n, "--r", r)
+        assert (code, err) == (2, "")
+        assert out["error"] == (
+            f"cup-length chain on fn:d={d},m={m},n={n},r={r} would pass the length cap "
+            "of 12 (MAX_CUP_LENGTH); best so far 12"
+        )
+        assert time.perf_counter() - start < 20
     monkeypatch.setattr(bounds, "MAX_CHAIN_PAIRS", 40)
     code, out = run("bound", "cup-length", "--d", "2", "--m", "2", "--n", "1", "--r", "3")
     assert code == 2
@@ -1169,23 +1169,6 @@ def test_measure_lp_and_product(tmp_path):
     assert sorted(a["weight"] for a in out["atoms"]) == ["1/2", "1/2"]
 
 
-def test_measure_lp_three_dimensional_against_scalar_points_exits_2(tmp_path):
-    # Broadcasting compared (3,) with () and printed a distance, exit 0.
-    space = write_measure(tmp_path / "space.json", [([0.1, 0.2, 0.3], "1/2"), ([0.0, 0.5, -0.3], "1/2")])
-    line = write_measure(tmp_path / "line.json", [(0.5, "1/4"), (0.1, "3/4")])
-    code, out = run("measure", "lp", "--mu", space, "--nu", line)
-    assert code == 2
-    assert out["error"] == "points of coordinate shapes (3,) and (1,) cannot be compared"
-
-
-def test_measure_lp_mixed_dimensions_in_one_file_exits_2(tmp_path):
-    # A file mixing 2-d and 1-d points printed 0.1 with exit 0.
-    mixed = write_measure(tmp_path / "mixed.json", [([0.0, 0.0], "1/2"), ([0.1], "1/2")])
-    code, out = run("measure", "lp", "--mu", mixed, "--nu", mixed)
-    assert code == 2
-    assert out["error"] == "points of coordinate shapes (2,) and (1,) cannot be compared"
-
-
 def run_bytes(*argv):
     """Exit code and raw stdout of one invocation."""
     out = io.StringIO()
@@ -1202,6 +1185,10 @@ def run_bytes(*argv):
         ("mixed", "three", "(2,) and (3,)"),  # within mu
         ("two", "mixed", "(2,) and (3,)"),  # within nu, which starts at mu's shape
         ("three", "mixed", "(3,) and (2,)"),  # nu mixed, starting at another shape
+        # Broadcasting compared (3,) with () and printed a distance, exit 0.
+        ("space", "line", "(3,) and (1,)"),
+        # A file mixing 2-d and 1-d points printed 0.1 with exit 0.
+        ("plane-line", "plane-line", "(2,) and (1,)"),
     ],
 )
 def test_measure_lp_coordinate_shape_message_in_every_order(tmp_path, mu, nu, shapes):
@@ -1211,10 +1198,13 @@ def test_measure_lp_coordinate_shape_message_in_every_order(tmp_path, mu, nu, sh
         "three": write_measure(tmp_path / "three.json", [([0.0, 0.0, 1.0], 1)]),
         "two": write_measure(tmp_path / "two.json", [([0.0, 1.0], 1)]),
         "mixed": write_measure(tmp_path / "mixed.json", [([0, 0], "1/2"), ([1, 0, 0], "1/2")]),
+        "space": write_measure(tmp_path / "space.json", [([0.1, 0.2, 0.3], "1/2"), ([0.0, 0.5, -0.3], "1/2")]),
+        "line": write_measure(tmp_path / "line.json", [(0.5, "1/4"), (0.1, "3/4")]),
+        "plane-line": write_measure(tmp_path / "plane-line.json", [([0.0, 0.0], "1/2"), ([0.1], "1/2")]),
     }
     code, out = run("measure", "lp", "--mu", files[mu], "--nu", files[nu])
     assert code == 2
-    assert out == {"schema_version": 5, "error": f"points of coordinate shapes {shapes} cannot be compared"}
+    assert out == {"schema_version": 6, "error": f"points of coordinate shapes {shapes} cannot be compared"}
 
 
 def test_measure_lp_numbers_and_one_element_lists_compare(tmp_path):
@@ -1224,9 +1214,9 @@ def test_measure_lp_numbers_and_one_element_lists_compare(tmp_path):
     one = write_measure(tmp_path / "one.json", [([0.75], 1)])
     code, text = run_bytes("measure", "lp", "--mu", mixed, "--nu", one)
     assert code == 0
-    assert json.loads(text) == {"schema_version": 5, "command": "measure lp", "distance": 0.5}
+    assert json.loads(text) == {"schema_version": 6, "command": "measure lp", "distance": 0.5}
     assert run_bytes("measure", "lp", "--mu", one, "--nu", mixed) == (code, text)
-    assert run("measure", "lp", "--mu", mixed, "--nu", mixed) == (0, {"schema_version": 5, "command": "measure lp", "distance": 0.0})
+    assert run("measure", "lp", "--mu", mixed, "--nu", mixed) == (0, {"schema_version": 6, "command": "measure lp", "distance": 0.0})
 
 
 def test_measure_lp_up_to_64_atoms(tmp_path):
@@ -1449,10 +1439,12 @@ def test_payload_names_its_command(argv, tmp_path):
 
 # Flags that had no effect, removed in schema version 3: --json on every
 # subcommand, and --r of nav circle and nav hopf, which had to equal the
-# number of --points (measure lp --precision is tested above).
+# number of --points (measure lp --precision is tested above).  Schema
+# version 6 removed --budget of bound cup-length, whose cap is MAX_CUP_LENGTH.
 REMOVED_FLAGS = [(argv, ("--json",)) for argv in SUBCOMMANDS] + [
     (("nav", "circle", "--points", "1,0;0,1"), ("--r", "2")),
     (("nav", "hopf", "--points", "1,0,0,0;0,1,0,0"), ("--r", "2")),
+    (("bound", "cup-length", "--d", "3", "--m", "2", "--n", "1", "--r", "2"), ("--budget", "12")),
 ]
 
 
@@ -1463,7 +1455,7 @@ def test_removed_flags_exit_2(argv, flag, tmp_path):
     measure = write_measure(tmp_path / "mu.json", [([0.0, 0.0], "1/2"), ([1.0, 0.0], "1/2")])
     code, out, err = run_all(*(measure if a == "MEASURE" else a for a in argv), *flag)
     assert (code, err) == (2, "")
-    assert out == {"schema_version": 5, "error": f"distnav: unrecognized arguments: {' '.join(flag)}"}
+    assert out == {"schema_version": 6, "error": f"distnav: unrecognized arguments: {' '.join(flag)}"}
 
 
 def test_cite_absent_without_flag():

@@ -47,7 +47,7 @@ def test_readme_cli_line_runs(line, tmp_path):
         code = main(argv)
     assert code == 0, out.getvalue()
     payload = json.loads(out.getvalue())
-    assert payload["schema_version"] == 5
+    assert payload["schema_version"] == 6
     assert payload["command"] == " ".join(argv[:2])
 
 
