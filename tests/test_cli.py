@@ -71,6 +71,12 @@ def test_normal_form_straightening():
     assert coeffs == ["-3/2", "3/2"]
 
 
+def test_normal_form_unknown_generator_exits_2():
+    code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "nope")
+    assert code == 2
+    assert out == {"schema_version": 6, "error": "unknown generator 'nope' in cp2"}
+
+
 @pytest.mark.parametrize("coeff", ["1", "0"])
 def test_unknown_generator_is_named_by_the_kernel(tmp_path, coeff):
     # The CLI checked generator names itself; now the kernel's ValueError
@@ -117,11 +123,17 @@ def test_normal_form_over_the_rewrite_step_cap_exits_2(monkeypatch):
     assert out["error"] == "rewriting a word in 'conf:d=3,k=8' takes over the cap of 62 steps (MAX_REWRITE_STEPS)"
 
 
+def test_normal_form_zero_denominator_exits_2():
+    # Fraction("1/0") raises ZeroDivisionError, which escaped as a traceback.
+    code, out = run("ring", "normal-form", "--ring", "cp2", "--word", "a1", "--coeff", "1/0")
+    assert code == 2
+    assert out["error"] == "coefficient '1/0' is not a rational literal such as 3/2 or -2.5e-3"
+
+
 @pytest.mark.parametrize("text", ["abc", "1/0"])
 def test_normal_form_bad_coefficient_exits_2_with_one_message(text):
     # Any text Fraction cannot read, a zero denominator included, gets the
-    # one coefficient message; "abc" printed Fraction's own error, and
-    # "1/0" escaped as a ZeroDivisionError traceback.
+    # one coefficient message; "abc" printed Fraction's own error.
     code, out, err = run_all("ring", "normal-form", "--ring", "cp2", "--word", "a1", "--coeff", text)
     assert (code, err) == (2, "")
     assert out["error"] == f"coefficient {text!r} is not a rational literal such as 3/2 or -2.5e-3"
