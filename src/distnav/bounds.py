@@ -45,8 +45,8 @@ from .gcring import (
     element_to_json,
     gen,
     is_zero,
-    poincare_series,
     product,
+    ring_top_degree,
     subtract,
     validate_ring_map,
 )
@@ -314,20 +314,6 @@ def euler_height(P: RingPresentation, e: GradedElement, max_power: int) -> int:
         if not chain.times(e):
             break
     return chain.length
-
-
-def ring_top_degree(P: RingPresentation) -> int:
-    """Largest degree with a nonzero graded piece, read off the Poincare
-    series to MAX_SERIES_DEGREE.  Raises ValueError when the piece at
-    MAX_SERIES_DEGREE is nonzero, since the top degree may then lie past it.
-    """
-    series = poincare_series(P, MAX_SERIES_DEGREE)
-    if series[MAX_SERIES_DEGREE]:
-        raise ValueError(
-            f"{P.name} has a nonzero piece in degree {MAX_SERIES_DEGREE} "
-            f"(MAX_SERIES_DEGREE), so its top degree is not known"
-        )
-    return max(deg for deg, dim in enumerate(series) if dim)
 
 
 def sphere_bundle_lower_bound(

@@ -96,6 +96,7 @@ __all__ = [
     "is_zero",
     "element_degree",
     "poincare_series",
+    "ring_top_degree",
     "MAX_SERIES_DEGREE",
     "MAX_SERIES_WORDS",
     "MAX_SERIES_PRODUCTS",
@@ -838,17 +839,18 @@ def _rule_components(exclusions: Sequence[int]) -> list[list[int]]:
     return components
 
 
-def _count_admissible(slots: Sequence[tuple[int, int, int]], max_degree: int, budget: int) -> list[int]:
+def _count_admissible(slots: Sequence[tuple[int, int, int]], max_degree: int, budget: int) -> tuple[list[int], bool]:
     """Admissible words over ``slots``, (degree, exclusions, own bit) per
-    generator, counted by degree up to max_degree.  Words grow with
-    nondecreasing slot, carried as the bit set of their generators: g may
-    join unless it excludes one of them, itself included.  Raises ValueError
-    on enumerating word ``budget + 1``."""
+    generator, counted by degree up to max_degree, and whether any passes
+    max_degree: a word less a factor is admissible, so such a word extends
+    a counted one.  Words grow with nondecreasing slot, carried as the bit
+    set of their generators: g may join unless it excludes one of them,
+    itself included.  Raises ValueError on enumerating word ``budget + 1``."""
     dims = [0] * (max_degree + 1)
-    words = 0
+    words, past = 0, False
 
     def extend(start: int, degree: int, used: int) -> None:
-        nonlocal words
+        nonlocal words, past
         words += 1
         if words > budget:
             cap = f"{MAX_SERIES_WORDS} admissible words (MAX_SERIES_WORDS)"
@@ -856,11 +858,14 @@ def _count_admissible(slots: Sequence[tuple[int, int, int]], max_degree: int, bu
         dims[degree] += 1
         for pos in range(start, len(slots)):
             step, excluded, bit = slots[pos]
-            if degree + step <= max_degree and not excluded & used:
-                extend(pos, degree + step, used | bit)
+            if degree + step <= max_degree:
+                if not excluded & used:
+                    extend(pos, degree + step, used | bit)
+            elif not excluded & used:
+                past = True
 
     extend(0, 0, 0)
-    return dims
+    return dims, past
 
 
 def poly_mul(a: list[int], b: list[int], max_degree: int) -> list[int]:
@@ -894,6 +899,18 @@ def check_rule_count(name: str, count: int) -> None:
         raise ValueError(f"{name} has {count} rules, over the cap of {MAX_RING_RULES} (MAX_RING_RULES)")
 
 
+def _component_series(P: RingPresentation, max_degree: int) -> Iterator[tuple[list[int], bool]]:
+    """Per component of the exclusion graph (:func:`_rule_components`), its
+    series up to max_degree and whether one of its words passes it, counted
+    under one budget of MAX_SERIES_WORDS words over all components."""
+    exclusions, budget = _exclusions(P), MAX_SERIES_WORDS
+    for members in _rule_components(exclusions):
+        slots = [(P.generators[g].degree, exclusions[g], 1 << g) for g in members]
+        series, past = _count_admissible(slots, max_degree, budget)
+        budget -= sum(series)
+        yield series, past
+
+
 def poincare_series(P: RingPresentation, max_degree: int) -> list[int]:
     """Dimension of each graded piece up to max_degree.
 
@@ -911,18 +928,32 @@ def poincare_series(P: RingPresentation, max_degree: int) -> list[int]:
     [1, 2, 1, 0]
     """
     check_series_degree(max_degree)
-    exclusions = _exclusions(P)
-    dims, budget, products = [1] + [0] * max_degree, MAX_SERIES_WORDS, 0
-    for members in _rule_components(exclusions):
-        slots = [(P.generators[g].degree, exclusions[g], 1 << g) for g in members]
-        series = _count_admissible(slots, max_degree, budget)
-        budget -= sum(series)
+    dims, products = [1] + [0] * max_degree, 0
+    for series, _ in _component_series(P, max_degree):
         products += (len(dims) - dims.count(0)) * (len(series) - series.count(0))
         if products > MAX_SERIES_PRODUCTS:
             cap = f"{MAX_SERIES_PRODUCTS} coefficient products (MAX_SERIES_PRODUCTS)"
             raise ValueError(f"Poincare series to degree {max_degree} forms over {cap}")
         dims = poly_mul(dims, series, max_degree)
     return dims
+
+
+def ring_top_degree(P: RingPresentation) -> int:
+    """Largest degree with a nonzero graded piece: the sum of the top degrees
+    of the component series of :func:`poincare_series`, which have
+    nonnegative coefficients and multiply.  Raises ValueError when a
+    component has a word past MAX_SERIES_DEGREE, since the top degree is
+    then not known, or past MAX_SERIES_WORDS words over all components.
+    """
+    top = 0
+    for series, past in _component_series(P, MAX_SERIES_DEGREE):
+        if past:
+            raise ValueError(
+                f"{P.name} has a nonzero piece past degree {MAX_SERIES_DEGREE} "
+                f"(MAX_SERIES_DEGREE), so its top degree is not known"
+            )
+        top += max(deg for deg, dim in enumerate(series) if dim)
+    return top
 
 
 # -- confluence ---------------------------------------------------------------

@@ -22,15 +22,15 @@ Three families:
   formula up to the witness degree and raises on any mismatch, so a missing
   or wrong relation cannot slip through silently.
 
-* ``sphere_bundle_tower(base, euler_class, q, r)`` - iterated unit sphere
-  bundle tower over a base ring: one class u of degree q-1 with
-  u^2 = e_eta * u, then r-1 further classes u_i with u_i^2 = e * u_i where
-  e is the section Euler class (2u - e_eta for odd q, the pullback of e_eta,
-  rationally zero, for even q).  Each adjunction doubles the graded
-  dimensions; the builder checks that too.
-  A tower is named "sb:base=<base>,q=..,r=..", with a suffix ",e=<e_eta>"
-  when e_eta is not the class the catalog builds for that base and q, so
-  that the catalog reads a tower's name as that very ring or refuses it.
+* ``sphere_bundle_tower(base, q, r)`` - iterated unit sphere bundle tower
+  over a base ring: one class u of degree q-1 with u^2 = e_eta * u, then
+  r-1 further classes u_i with u_i^2 = e * u_i where e is the section Euler
+  class (2u - e_eta for odd q, the pullback of e_eta, rationally zero, for
+  even q).  The Euler class e_eta is the hyperplane class a1 over cpN at
+  q = 3, the bundle S(L + 1), and zero otherwise, the trivial bundle.  Each
+  adjunction doubles the graded dimensions; the builder checks that too.
+  A tower is named "sb:base=<base>,q=..,r=..", which the catalog reads
+  back as that very ring.
 
 Base presentations ``point()``, ``sphere(k)`` and ``complex_projective(n)``
 are provided; the truncated polynomial ring of complex projective space is
@@ -275,21 +275,16 @@ class SphereBundleTower:
         return self.section_euler
 
 
-def sphere_bundle_tower(
-    base: RingPresentation,
-    euler_class: GradedElement,
-    q: int,
-    r: int,
-) -> SphereBundleTower:
+def sphere_bundle_tower(base: RingPresentation, q: int, r: int) -> SphereBundleTower:
     """Adjoin u with u^2 = e_eta*u, then u1..u{r-1} with u_i^2 = e*u_i.
 
-    ``euler_class`` must be a degree q-1 element of the base (zero allowed).
-    The section Euler class e is 2u - e_eta when q is odd; for even q the
-    class has odd degree and vanishes rationally, so e = e_eta as given
-    (typically zero), which degenerates the u_i rules toward exterior ones.
-    Validates the Leray-Hirsch doubling of graded dimensions at every level;
-    raises ValueError, before adjoining anything, for q < 2, r < 1, or a
-    check that would go past MAX_SERIES_DEGREE.
+    The Euler class e_eta is ``_catalog_euler_class(base.name, q)``.  The
+    section Euler class e is 2u - e_eta when q is odd; for even q the class
+    has odd degree and vanishes rationally, so e = e_eta = 0, which makes
+    the u_i rules exterior ones.  Validates the Leray-Hirsch doubling of
+    graded dimensions at every level; raises ValueError, before adjoining
+    anything, for q < 2, r < 1, or a check that would go past
+    MAX_SERIES_DEGREE.
     """
     if q < 2 or r < 1:
         # r = 1 is the degenerate single-level tower (just u).
@@ -297,11 +292,7 @@ def sphere_bundle_tower(
     step = q - 1
     top = sum(g.degree for g in base.generators) + step * r
     check_series_degree(top)
-    for word in euler_class.terms:
-        if base.word_degree(word) != step:
-            raise PresentationError(
-                f"Euler class term {word} has degree {base.word_degree(word)}, expected {step}"
-            )
+    euler_class = _catalog_euler_class(base.name, q)
     base_rank = max((g.rank for g in base.generators), default=0)
     gens = list(base.generators)
     gens.append(Generator("u", step, rank=base_rank + 1))
@@ -320,11 +311,7 @@ def sphere_bundle_tower(
         # implicitly, and the section Euler class is rationally zero.
         section = zero()
 
-    name = f"sb:base={base.name},q={q},r={r}"
-    if euler_class != _catalog_euler_class(base.name, q):
-        # A class the catalog would not build: a suffix its grammar refuses.
-        name += f",e={_class_text(euler_class)}"
-    ring = RingPresentation(gens, rules, name=name)
+    ring = RingPresentation(gens, rules, name=f"sb:base={base.name},q={q},r={r}")
     tower = SphereBundleTower(ring=ring, section_euler=section, q=q, r=r)
 
     # Leray-Hirsch gate: adjoining each sphere class doubles the dimensions.
@@ -339,15 +326,9 @@ def sphere_bundle_tower(
 
 
 def _catalog_euler_class(base_name: str, q: int) -> GradedElement:
-    """The Euler class the catalog builds a tower over this base with: the
-    hyperplane class a1 over cpN at q = 3 (``cpn_sphere_bundle``), else zero."""
+    """The Euler class of the tower over this base and q: the hyperplane
+    class a1 over cpN at q = 3 (``cpn_sphere_bundle``), else zero."""
     return gen("a1") if q == 3 and re.fullmatch(f"cp{_N}", base_name) else zero()
-
-
-def _class_text(e: GradedElement) -> str:
-    """An element as text, its terms sorted: 0, a1, 2*a1+-1/2*a1*a2."""
-    terms = ("*".join(w) if c == 1 else f"{c}*{'*'.join(w)}" for w, c in sorted(e.terms.items()))
-    return "+".join(terms) or "0"
 
 
 @lru_cache(maxsize=None)
@@ -363,7 +344,7 @@ def cpn_sphere_bundle(n: int, r: int) -> SphereBundleTower:
     if n >= 1:
         check_series_degree(n * (n + 1) + 2 * r)
     base = complex_projective(n)
-    return sphere_bundle_tower(base, gen("a1"), q=3, r=r)
+    return sphere_bundle_tower(base, q=3, r=r)
 
 
 # -- named catalog ------------------------------------------------------------------
@@ -385,7 +366,7 @@ _FAMILIES: dict[str, Callable[..., RingPresentation]] = {
     ),
     f"sb:base=cp(?P<n>{_N}),q=0*3,r=(?P<r>{_N})": lambda n, r: cpn_sphere_bundle(n, r).ring,
     f"sb:base=(?P<base>(?!sb:).*),q=(?P<q>{_N}),r=(?P<r>{_N})": (
-        lambda base, q, r: sphere_bundle_tower(catalog(base), zero(), q, r).ring
+        lambda base, q, r: sphere_bundle_tower(catalog(base), q, r).ring
     ),
 }
 

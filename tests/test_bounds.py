@@ -35,6 +35,7 @@ from distnav.bounds import (
     witness_work,
 )
 from distnav.gcring import (
+    MAX_SERIES_DEGREE,
     Generator,
     GradedElement,
     PresentationError,
@@ -47,6 +48,7 @@ from distnav.gcring import (
     multiply,
     normal_form,
     one,
+    poincare_series,
     product,
     scale,
     subtract,
@@ -142,7 +144,7 @@ def shipped_diagonals():
             maps.append(tower_diagonal(cpn_sphere_bundle(int(kv["base"][2:]), int(kv["r"]))))
         elif kind == "sb":
             base = catalog(kv["base"])
-            maps.append(tower_diagonal(sphere_bundle_tower(base, zero(), int(kv["q"]), int(kv["r"]))))
+            maps.append(tower_diagonal(sphere_bundle_tower(base, int(kv["q"]), int(kv["r"]))))
     return maps
 
 
@@ -528,7 +530,7 @@ def test_tower_bad_partition_rejected():
 
 
 def test_tower_needs_two_copies():
-    tower = sphere_bundle_tower(complex_projective(1), gen("a1"), 3, 1)
+    tower = sphere_bundle_tower(complex_projective(1), 3, 1)
     with pytest.raises(ValueError, match=r"^tower witness needs at least two factors \(r >= 2\), got r=1$"):
         sphere_bundle_lower_bound(tower)
 
@@ -591,16 +593,45 @@ def test_cup_length_rejects_inhomogeneous_element():
         cup_length_kernel(fp.ring, diagonal_fn(fp), [add(d, one())])
 
 
+def truncated_series_top_degree(P):
+    """ring_top_degree as it read the Poincare series to MAX_SERIES_DEGREE
+    (oracle): the largest degree with a nonzero piece, None when the piece
+    in degree MAX_SERIES_DEGREE is nonzero."""
+    series = poincare_series(P, MAX_SERIES_DEGREE)
+    if series[MAX_SERIES_DEGREE]:
+        return None
+    return max(deg for deg, dim in enumerate(series) if dim)
+
+
+def test_ring_top_degree_matches_the_truncated_series():
+    # Every shipped ring and every fn cell of the certify and rewrite benchmarks.
+    rings = [catalog(name) for name in shipped_names()]
+    rings += [fn_fiber_product(*cell).ring for cell in SHIPPED_AND_BENCH_FN_CELLS]
+    for P in rings:
+        assert ring_top_degree(P) == truncated_series_top_degree(P), P.name
+
+
 def test_ring_top_degree(monkeypatch):
     assert ring_top_degree(complex_projective(3)) == 6
     assert ring_top_degree(point()) == 0
+    # The top degree is the sum of the component tops, past
+    # MAX_SERIES_DEGREE too.  Every degree of fn(172,2,1,2) is a multiple of
+    # 171, and its top is 3 * 171 = 513; the truncated series read 342, its
+    # last nonzero piece below 512.  fn(44,2,1,11) tops at 12 * 43 = 516,
+    # not 473, and a component may top at MAX_SERIES_DEGREE itself.
+    assert ring_top_degree(fn_fiber_product(172, 2, 1, 2).ring) == 513
+    assert ring_top_degree(fn_fiber_product(44, 2, 1, 11).ring) == 516
+    P = RingPresentation((Generator("x", 512), Generator("y", 1)), [(("x", "x"), zero())])
+    assert ring_top_degree(P) == 513
     # A rule-free even generator spans every even degree, up to
     # MAX_SERIES_DEGREE and past it: the top degree is unknown, and the cup
-    # length refuses the ring before any chain product.
+    # length refuses the ring before any chain product.  In degree 170 its
+    # piece in degree 512 is zero, and the truncated series read 510.
+    message = r"^poly has a nonzero piece past degree 512 \(MAX_SERIES_DEGREE\), so its top degree is not known$"
+    for degree in (2, 170):
+        with pytest.raises(ValueError, match=message):
+            ring_top_degree(RingPresentation((Generator("x", degree),), (), name="poly"))
     P = RingPresentation((Generator("x", 2),), (), name="poly")
-    message = r"^poly has a nonzero piece in degree 512 \(MAX_SERIES_DEGREE\), so its top degree is not known$"
-    with pytest.raises(ValueError, match=message):
-        ring_top_degree(P)
     calls = []
     monkeypatch.setattr(gcring.Chain, "times", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=message):

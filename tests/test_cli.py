@@ -648,6 +648,17 @@ def test_bound_cup_length():
     assert out["error_bound"] == "3/2305843009213693952"  # (2 + 1) / 2^61
 
 
+def test_bound_cup_length_top_degree_past_the_series_degree():
+    # Every degree of fn:d=172,m=2,n=1,r=2 is a multiple of 171 and its top
+    # degree is 513, past MAX_SERIES_DEGREE: the ceiling is 3, not 2, so
+    # length 2 is probabilistic.  The Poincare series to 512 read 342, and
+    # printed a false "ceiling".
+    code, out, err = run_all("bound", "cup-length", "--d", "172", "--m", "2", "--n", "1", "--r", "2")
+    assert (code, err) == (0, "")
+    assert (out["cup_length"], out["optimality"]) == (2, "probabilistic")
+    assert out["error_bound"] == "3/2305843009213693952"  # (2 + 1) / 2^61
+
+
 def test_bound_cup_length_odd_d_reaches_the_ceiling():
     # r = 11 reaches its degree ceiling of 12 at MAX_CUP_LENGTH.
     for r, length in (("2", 3), ("11", 12)):

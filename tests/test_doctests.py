@@ -2,10 +2,17 @@
 
 import doctest
 import importlib
+import pkgutil
 
 import pytest
 
-MODULES = ["bounds", "cli", "gcring", "knowledge", "measures", "navplan", "presentations"]
+import distnav
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(distnav.__path__))
+
+
+def test_every_module_is_found():
+    assert {"bounds", "cli", "gcring", "knowledge", "measures", "navplan", "presentations"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -196,7 +196,7 @@ def test_tower_gate_rejects_a_missing_truncation_rule(monkeypatch):
     base = complex_projective(2)
     drop_rule(monkeypatch, ("u1", "u1"))
     with pytest.raises(PresentationError, match="Leray-Hirsch"):
-        sphere_bundle_tower(base, gen("a1"), 3, 2)
+        sphere_bundle_tower(base, 3, 2)
 
 
 def test_cpn_tower_refused_before_any_base_is_built(monkeypatch):
@@ -212,12 +212,9 @@ def test_cpn_tower_refused_before_any_base_is_built(monkeypatch):
         catalog("sb:base=cp255,q=3,r=2")
 
 
-def test_tower_rejects_q_below_2_and_an_euler_class_of_the_wrong_degree():
+def test_tower_rejects_q_below_2():
     with pytest.raises(ValueError, match=r"^need q >= 2 and r >= 1, got q=1, r=2$"):
-        sphere_bundle_tower(point(), zero(), 1, 2)
-    # q = 4 needs an Euler class of degree 3; a1 has degree 2.
-    with pytest.raises(PresentationError, match=r"^Euler class term \('a1',\) has degree 2, expected 3$"):
-        sphere_bundle_tower(complex_projective(2), gen("a1"), 4, 2)
+        sphere_bundle_tower(point(), 1, 2)
 
 
 class GeneratorBuilt(Exception):
@@ -232,7 +229,7 @@ def test_builders_check_series_degree_before_any_generator(monkeypatch):
     # (2, 2, 1, r) gates at degree r; a tower over a point with q = 2 at r.
     builders = [
         lambda r: fn_fiber_product.__wrapped__(2, 2, 1, r),
-        lambda r: sphere_bundle_tower(point(), zero(), 2, r),
+        lambda r: sphere_bundle_tower(point(), 2, r),
     ]
     for build in builders:
         with pytest.raises(GeneratorBuilt):
@@ -319,7 +316,7 @@ def test_cpn_tower_section_euler():
 
 
 def test_even_step_tower_over_point():
-    tower = sphere_bundle_tower(point(), zero(), 2, 2)
+    tower = sphere_bundle_tower(point(), 2, 2)
     assert poincare_series(tower.ring, 2) == [1, 2, 1]
     # q = 2 even: the section class is the base Euler class, here zero
     assert is_zero(tower.section_euler)
@@ -392,35 +389,46 @@ def test_tower_names_read_back_through_the_catalog():
     # sphere_bundle_tower names a tower sb:base=<base>,q=..,r=..; the
     # catalog anchors the base on the trailing ",q=..,r=..", so a base whose
     # name holds commas, such as conf:d=2,k=3, reads back (KeyError before).
-    # Over every shipped base that is not a tower, at even and odd q, the
-    # tower with the Euler class the catalog builds (a1 over cpN at q = 3,
-    # else zero) reads back as the same ring.  Any other class, zero over
-    # cpN at q = 3 included, which was named as cpn_sphere_bundle's ring,
-    # gets an ",e=<class>" suffix that the catalog refuses.  A tower over a
-    # tower cannot be built, since both levels adjoin a generator u, and its
-    # name is unknown.
+    # Over every shipped base that is not a tower, at q = 2..5, the tower
+    # reads back as the same ring.  A tower over a tower cannot be built,
+    # since both levels adjoin a generator u, and its name is unknown.
     for base in shipped_names():
         if base.startswith("sb:"):
             with pytest.raises(PresentationError, match="duplicate generator names"):
-                sphere_bundle_tower(catalog(base), zero(), 2, 1)
+                sphere_bundle_tower(catalog(base), 2, 1)
             with pytest.raises(KeyError, match="unknown presentation name"):
                 catalog(f"sb:base={base},q=2,r=1")
             continue
         ring = catalog(base)
         for q, r in ((2, 1), (3, 1), (3, 2), (4, 2), (5, 1), (5, 2)):
-            if base.startswith("cp") and q == 3:
-                built, others = gen("a1"), [(zero(), "0"), (scale(2, gen("a1")), "2*a1")]
-            else:
-                built, others = zero(), [(gen(g.name), g.name) for g in ring.generators if g.degree == q - 1][:1]
-            tower = sphere_bundle_tower(ring, built, q, r).ring
+            tower = sphere_bundle_tower(ring, q, r).ring
             assert tower.name == f"sb:base={base},q={q},r={r}"
             read = catalog(tower.name)
             assert (read.name, read.generators, read.rules) == (tower.name, tower.generators, tower.rules)
-            for e, text in others:
-                tower = sphere_bundle_tower(ring, e, q, r).ring
-                assert tower.name == f"sb:base={base},q={q},r={r},e={text}"
-                with pytest.raises(KeyError, match="unknown presentation name"):
-                    catalog(tower.name)
+
+
+def test_tower_takes_its_euler_class_from_its_base_and_q():
+    # Over cpN at q = 3 the Euler class is a1, the tower of cpn_sphere_bundle.
+    for n in range(1, 4):
+        for r in range(1, 4):
+            tower, cpn = sphere_bundle_tower(complex_projective(n), 3, r), cpn_sphere_bundle(n, r)
+            assert (tower.ring.name, tower.ring.generators, tower.ring.rules) == (
+                cpn.ring.name, cpn.ring.generators, cpn.ring.rules
+            )
+            assert tower.section_euler == subtract(scale(2, gen("u")), gen("a1"))
+    # Over any other base or q it is zero.  For odd q, u^2 = 0, the section
+    # class is 2u and u1^2 = 2u u1; for even q, u and u1 are odd and the
+    # section class is zero.
+    for base in shipped_names():
+        if base.startswith("sb:"):
+            continue
+        for q in range(2, 6):
+            if base.startswith("cp") and q == 3:
+                continue
+            tower = sphere_bundle_tower(catalog(base), q, 2)
+            added = {("u", "u"): zero(), ("u1", "u1"): element([(2, ("u", "u1"))])} if q % 2 else {}
+            assert dict(tower.ring.rules) == {**catalog(base).rules, **added}
+            assert tower.section_euler == (scale(2, gen("u")) if q % 2 else zero())
 
 
 def config_space_oracle(d, k):
