@@ -5,7 +5,8 @@ set of directed quadratic rewrite rules: an ordered pair of generators on the
 left, a linear combination of monomials of the same degree on the right.
 Multiplication follows the Koszul sign convention: swapping two odd-degree
 factors flips the sign, and the square of an odd-degree generator vanishes
-(implicitly: coefficients are rational, so 2x^2 = 0 forces x^2 = 0).
+(implicitly: coefficients are rational, so 2x^2 = 0 forces x^2 = 0), so a
+rule on the square of an odd generator must have an empty right side.
 Termination is guaranteed by construction: every generator carries an integer
 ``rank`` and every rule must strictly decrease the multiset of ranks
 (Dershowitz-Manna order, checked through its descending-lexicographic
@@ -43,7 +44,12 @@ integer codes, and the coding stays in this module.
 * Ring maps.  A :class:`RingMap` runs on the same coding.  Generators with
   equal images share a class, and :func:`apply_ring_map` and
   :func:`validate_ring_map` share one memo of word images per tuple of
-  classes, each a product of normal forms.
+  classes, each a product of normal forms.  :func:`validate_ring_map`
+  first tries to settle a rule by renaming: where the map sends each of
+  its letters to one generator, the renamed rule must be, term for term
+  and up to the Koszul sign, a rule of the ring whose right side is
+  normal.  That settles every rule of a fiber-power diagonal; every other
+  rule is compared on normal forms from the memo.
 
 Example: one even generator ``a`` truncated above a^2, i.e. rules
 a*a -> a2, a*a2 -> 0, a2*a2 -> 0:
@@ -230,7 +236,7 @@ class GradedElement:
         object.__setattr__(
             self,
             "terms",
-            {w: Fraction(c) for w, c in self.terms.items() if c != 0},
+            {w: c if type(c) is Fraction else Fraction(c) for w, c in self.terms.items() if c != 0},
         )
 
     def __bool__(self) -> bool:
@@ -239,20 +245,24 @@ class GradedElement:
 
 Rule = tuple[tuple[str, str], GradedElement]  # (lhs, rhs), checked by RingPresentation
 
+# The coefficient of gen and one; a Fraction is immutable, so one is shared.
+_ONE = Fraction(1)
+
 
 def zero() -> GradedElement:
     return GradedElement({})
 
 
 def one() -> GradedElement:
-    return GradedElement({(): Fraction(1)})
+    return GradedElement({(): _ONE})
 
 
 def element(terms: Iterable[tuple[int | Fraction, Word]]) -> GradedElement:
     """Build an element from (coefficient, factor tuple) pairs, merging keys."""
     acc: dict[Word, Fraction] = {}
     for coeff, word in terms:
-        acc[word] = acc.get(word, Fraction(0)) + Fraction(coeff)
+        coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
+        acc[word] = acc[word] + coeff if word in acc else coeff
     return GradedElement(acc)
 
 
@@ -302,6 +312,11 @@ class RingPresentation:
             raise PresentationError(f"rule lhs {lhs} not in canonical order")
         if lhs in self.rules:
             raise PresentationError(f"duplicate rule for pair {lhs}")
+        if i == j and self._oddf[i] and rhs.terms:
+            # x^2 = -x^2 over Q, so x^2 = 0: a nonzero right side would
+            # force a relation the engine never applies, since it drops odd
+            # squares before any rule can see them.
+            raise PresentationError(f"rule {lhs} gives the square of odd generator {a!r} a nonzero right side")
         lhs_degree = self._degree[a] + self._degree[b]
         lhs_key = self._termination_key(lhs)
         entry = []
@@ -352,7 +367,7 @@ class RingPresentation:
 def add(a: GradedElement, b: GradedElement) -> GradedElement:
     acc = dict(a.terms)
     for word, coeff in b.terms.items():
-        acc[word] = acc.get(word, Fraction(0)) + coeff
+        acc[word] = acc[word] + coeff if word in acc else coeff
     return GradedElement(acc)
 
 
@@ -367,7 +382,7 @@ def subtract(a: GradedElement, b: GradedElement) -> GradedElement:
 
 def gen(name: str) -> GradedElement:
     """The element consisting of the single generator ``name``."""
-    return GradedElement({(name,): Fraction(1)})
+    return GradedElement({(name,): _ONE})
 
 
 def is_zero(a: GradedElement) -> bool:
@@ -781,17 +796,68 @@ def apply_ring_map(f: RingMap, a: GradedElement) -> GradedElement:
     return _to_element(f.ring, _image_sum(f, terms), den)
 
 
+def _renaming(P: RingPresentation, images: Sequence[GradedElement]) -> list[int | None]:
+    """Per generator index, the index of the generator its image is, read
+    off the image's code: one generator with coefficient 1 over
+    denominator 1; None for any other image."""
+    rename: list[int | None] = []
+    for image in images:
+        terms, den = _index_terms(P, image)
+        renamed = den == 1 and len(terms) == 1 and len(terms[0][0]) == 1 and terms[0][1] == 1
+        rename.append(terms[0][0][0] if renamed else None)
+    return rename
+
+
+def _settled_by_renaming(P: RingPresentation, rename: Sequence[int | None], i: int, j: int) -> bool:
+    """Whether the rule (i, j) -> R holds under a map that renames i, j and
+    every letter of R, with no product formed.
+
+    The renamed left side, sorted with its Koszul sign s, must be the left
+    side of a rule whose right side R', times s, is the renamed R term for
+    term; then f(i)f(j) = s R' = f(R) in the ring.  Every renamed word of R
+    must be a word of R', and every word of R' a normal word, so the memo
+    comparison of :func:`validate_ring_map` forms no product past the one
+    rewrite step of the renamed left side and reaches the same verdict.
+    """
+    x, y = rename[i], rename[j]
+    if x is None or y is None:
+        return False
+    oddf = P._oddf
+    (x, y), sign = _sort_word(oddf, (x, y))
+    target = P._partners[x].get(y) if sign else None
+    if target is None:
+        return False
+    image = {w: sign * c for w, c, _, _ in target}
+    renamed: dict[IWord, int | Fraction] = {}
+    for word, coeff, _, _ in P._partners[i][j]:
+        letters = [rename[g] for g in word]
+        if None in letters:
+            return False
+        w, s = _sort_word(oddf, letters)
+        if s:
+            if w not in image:
+                return False
+            renamed[w] = renamed.get(w, 0) + s * coeff
+    if {w: c for w, c in renamed.items() if c} != image:
+        return False
+    return all(_find_redex(P, w, _ALL_DIRTY) is None for w in image)
+
+
 def validate_ring_map(f: RingMap) -> None:
     """Check that f kills every defining relation of the ring.
 
     For each rule lhs -> rhs the images of both sides must agree; otherwise
     f is not a ring map and certificates built from it would be meaningless.
-    The left side is the image of its two-letter word, the right the image
-    of the rule's coded right-hand terms, scaled by the left's denominator.
+    A rule that f renames onto a rule of the ring is settled with no product
+    formed (:func:`_settled_by_renaming`), so it cannot reach
+    MAX_REWRITE_STEPS.  Every other rule is compared on normal forms: the
+    left side is the image of its two-letter word, the right the image of
+    the rule's coded right-hand terms, scaled by the left's denominator.
     Both come from the map's memo, so a collapse map, which sends many
-    generators to one image, multiplies each pair of classes once; every
-    rule is still compared, in ``P.rules`` order, and the first rule whose
-    sides differ is the one reported.
+    generators to one image, multiplies each pair of classes once.  The
+    shortcut passes only rules the comparison passes, so the rules are
+    still judged in ``P.rules`` order, and the first rule whose sides
+    differ is the one reported.
     """
     P = f.ring
     for name in P.generator_names():
@@ -802,8 +868,11 @@ def validate_ring_map(f: RingMap) -> None:
             raise PresentationError(
                 f"ring map image of {name!r} has degree {img_deg}, expected {P.degree(name)}"
             )
+    rename = _renaming(P, [f.images[name] for name in P.generator_names()])
     for a, b in P.rules:
         i, j = P._index[a], P._index[b]
+        if _settled_by_renaming(P, rename, i, j):
+            continue
         lhs, den = _word_image(f, (i, j))
         rhs = _image_sum(f, ((w, c) for w, c, _, _ in P._partners[i][j]))
         if lhs != {w: c * den for w, c in rhs.items() if c}:

@@ -404,6 +404,141 @@ def test_validate_ring_map_requires_all_generators():
         validate_ring_map(RingMap(ring, images))
 
 
+def count_fallbacks(monkeypatch):
+    """Patch gcring so that validate_ring_map records each rule it compares
+    on normal forms rather than settles by renaming: the comparison reads
+    the rule's right side through one _image_sum call.  Returns the list
+    of calls, which the caller clears."""
+    calls = []
+    image_sum = gcring._image_sum
+    monkeypatch.setattr(gcring, "_image_sum", lambda f, terms: calls.append(f) or image_sum(f, terms))
+    return calls
+
+
+def test_collapse_rules_fall_back_only_off_the_renaming(monkeypatch):
+    # Every rule of a diagonal is settled by renaming its letters onto copy
+    # 1; on a cp tower only the r - 1 rules u_i^2 -> (2u - a1) u_i are not,
+    # since u_i goes to 2u - a1, no single generator.
+    fn_maps = [diagonal_fn(fn_fiber_product(*cell)) for cell in FN_CELLS]
+    towers = [(r, tower_diagonal(cpn_sphere_bundle(n, r))) for n in range(1, 7) for r in range(2, 5)]
+    calls = count_fallbacks(monkeypatch)
+
+    def fallbacks(f):
+        calls.clear()
+        validate_ring_map(RingMap(f.ring, f.images))
+        return len(calls)
+
+    assert sum(len(f.ring.rules) for f in fn_maps) == 3492
+    assert [fallbacks(f) for f in fn_maps] == [0] * len(FN_CELLS)
+    assert [fallbacks(f) for _, f in towers] == [r - 1 for r, _ in towers]
+
+
+def renaming_images(ring, rng, transpose):
+    """Images of a seeded renaming that permutes the generators within each
+    degree: one transposition per degree, or a shuffle of each degree."""
+    by_degree = {}
+    for name in ring.generator_names():
+        by_degree.setdefault(ring.degree(name), []).append(name)
+    images = {}
+    for names in by_degree.values():
+        targets = list(names)
+        if transpose and len(names) > 1:
+            i, j = rng.sample(range(len(names)), 2)
+            targets[i], targets[j] = targets[j], targets[i]
+        elif not transpose:
+            rng.shuffle(targets)
+        images.update(zip(names, map(gen, targets)))
+    return images
+
+
+def copy_shuffle_images(fp, rng):
+    """Images of a seeded shuffle of the copies of a fiber power: w{l}_i_j
+    goes to w{s(l)}_i_j, a ring automorphism."""
+    copies = list(range(1, fp.r + 1))
+    rng.shuffle(copies)
+    return {fp.w(l, i, j): gen(fp.w(copies[l - 1] if l else 0, i, j)) for l, i, j in fp.classes()}
+
+
+def test_validators_agree_on_seeded_renamings():
+    rng = random.Random(59)
+    fps = [fn_fiber_product(*cell) for cell in FN_CELLS]
+    rings = [catalog(name) for name in shipped_names()] + [fp.ring for fp in fps]
+    cases = [(ring, renaming_images(ring, rng, transpose)) for ring in rings for transpose in (True, True, False, False)]
+    cases += [(fp.ring, copy_shuffle_images(fp, rng)) for fp in fps]
+    outcomes = []
+    for ring, images in cases:
+        message = validation_outcome(validate_ring_map_by_names, ring, images)
+        assert validation_outcome(validate_ring_map, ring, images) == message, ring.name
+        identity = all(image == gen(name) for name, image in images.items())
+        outcomes.append((identity, message is None))
+    assert outcomes.count((False, True)) >= 60  # renamings that are ring maps
+    assert outcomes.count((False, False)) >= 300  # and ones that are not
+
+
+@pytest.mark.parametrize(
+    "d, message, fallbacks",
+    [(2, None, 0), (3, "ring map does not respect the rule on (w_1_3, w_2_3)", 1)],
+)
+def test_swapping_two_classes_of_conf_three(d, message, fallbacks, monkeypatch):
+    # w_1_3 w_2_3 -> w_1_2 w_2_3 - w_1_2 w_1_3 swaps into minus its right
+    # side.  For odd classes (d = 2) the swapped left side sorts back with a
+    # Koszul sign -1, so the rule maps onto itself; for even ones (d = 3) it
+    # does not, and the normal forms differ.
+    ring = config_space(d, 3)
+    images = {name: gen(name) for name in ring.generator_names()}
+    images["w_1_3"], images["w_2_3"] = gen("w_2_3"), gen("w_1_3")
+    assert validation_outcome(validate_ring_map_by_names, ring, images) == message
+    calls = count_fallbacks(monkeypatch)
+    assert validation_outcome(validate_ring_map, ring, images) == message
+    assert len(calls) == fallbacks
+
+
+def test_renaming_needs_normal_right_sides(monkeypatch):
+    # A rule whose right side is not normal is compared, even under the
+    # identity: in this ring, which is not confluent, x b y has two redexes
+    # with different normal forms, and the normal forms of a b and x b y
+    # that the comparison takes differ.  Renamed, the rule would pass.
+    gens = [Generator("x", 1, 1), Generator("a", 2, 3), Generator("b", 2, 1), Generator("y", 1), Generator("c", 2)]
+    rules = [
+        (("x", "b"), element([(-2, ("x", "c"))])),
+        (("x", "y"), gen("c")),
+        (("x", "c"), zero()),
+        (("a", "b"), element([(-2, ("x", "b", "y"))])),
+    ]
+    ring = RingPresentation(gens, rules)
+    assert not gcring.check_confluence(ring).passed
+    images = {name: gen(name) for name in ring.generator_names()}
+    message = "ring map does not respect the rule on (a, b)"
+    assert validation_outcome(validate_ring_map_by_names, ring, images) == message
+    calls = count_fallbacks(monkeypatch)
+    assert validation_outcome(validate_ring_map, ring, images) == message
+    assert len(calls) == 2  # x b -> -2 x c, whose x c is a redex too, and a b
+
+
+def test_renaming_needs_every_renamed_word_in_the_target_rule(monkeypatch):
+    # a b -> p q s - s2 q2 p2 renames onto a2 b -> 0: the two words cancel.
+    # But the comparison folds p q s as (p q) s = e s and s2 q2 p2 as
+    # (s q) p = 0, since p q s, which is not normal, has two redexes with
+    # different normal forms; the sides differ, so the rule is compared.
+    gens = [Generator(name, 2, 1) for name in ("p", "q", "s")] + [Generator("e", 4)]
+    gens += [Generator(name, 2, 1) for name in ("s2", "q2", "p2")]
+    gens += [Generator("a", 2, 2), Generator("a2", 2, 2), Generator("b", 4, 2)]
+    rules = [
+        (("p", "q"), gen("e")),
+        (("q", "s"), zero()),
+        (("a", "b"), element([(1, ("p", "q", "s")), (-1, ("s2", "q2", "p2"))])),
+        (("a2", "b"), zero()),
+    ]
+    ring = RingPresentation(gens, rules)
+    images = {name: gen(name) for name in ring.generator_names()}
+    images.update(p2=gen("p"), q2=gen("q"), s2=gen("s"), a=gen("a2"))
+    message = "ring map does not respect the rule on (a, b)"
+    assert validation_outcome(validate_ring_map_by_names, ring, images) == message
+    calls = count_fallbacks(monkeypatch)
+    assert validation_outcome(validate_ring_map, ring, images) == message
+    assert len(calls) == 1
+
+
 def test_collapse_maps_stay_in_their_ring():
     fp = fn_fiber_product(2, 3, 2, 3)
     f = diagonal_fn(fp)

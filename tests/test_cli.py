@@ -533,6 +533,35 @@ def test_rule_rhs_with_an_unknown_generator_exits_3(tmp_path):
     assert out["error"] == f"bad presentation in {str(path)!r}: rule ('a', 'a') uses unknown generator 'c'"
 
 
+def odd_square_file(path, rhs):
+    """x of degree 1, y of degree 2, and the one rule x x -> rhs."""
+    data = {
+        "generators": [{"id": "x", "degree": 1}, {"id": "y", "degree": 2}],
+        "rules": [{"lhs": ["x", "x"], "rhs": rhs}],
+    }
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_odd_square_with_a_nonzero_right_side_exits_3(tmp_path):
+    # x^2 = -x^2 over Q, so x x -> y forces y = 0 (series [1, 1, 0, 0]); the
+    # engine drops odd squares before any rule applies, so this file printed
+    # [1, 1, 1, 1] and passed the confluence check after 0 triples.
+    path = odd_square_file(tmp_path / "oddsq.json", [{"coeff": "1", "monomial": ["y"]}])
+    message = (
+        f"bad presentation in {path!r}: rule ('x', 'x') gives the square of odd "
+        "generator 'x' a nonzero right side"
+    )
+    for argv in (("poincare", "--ring", path, "--max-degree", "3"), ("confluence", "--ring", path)):
+        assert run_all("ring", *argv) == (3, {"schema_version": 6, "error": message}, "")
+    # An empty right side states what the sign rule already gives.
+    path = odd_square_file(tmp_path / "oddsq-zero.json", [])
+    code, out, err = run_all("ring", "poincare", "--ring", path, "--max-degree", "3")
+    assert (code, out["series"], err) == (0, [1, 1, 1, 1], "")
+    code, out, err = run_all("ring", "confluence", "--ring", path)
+    assert (code, out["passed"], err) == (0, True, "")
+
+
 @pytest.mark.parametrize(
     "coeff, answer",
     [

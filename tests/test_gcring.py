@@ -146,6 +146,20 @@ def test_unknown_generator_in_rule_rejected():
         RingPresentation([Generator("a", 2)], [(("a", "zz"), zero())])
 
 
+def test_odd_square_takes_only_an_empty_right_side():
+    # x^2 = -x^2 over Q, so x x -> y would force y = 0, a relation the
+    # engine never applies: it drops odd squares before any rule sees them.
+    gens = [Generator("x", 1), Generator("y", 2)]
+    message = r"^rule \('x', 'x'\) gives the square of odd generator 'x' a nonzero right side$"
+    for rhs in (gen("y"), element([(2, ("y",))]), element([(1, ("x", "x", "x"))])):
+        with pytest.raises(PresentationError, match=message):
+            RingPresentation(gens, [(("x", "x"), rhs)])
+    assert RingPresentation(gens, [(("x", "x"), zero())]).rules == {("x", "x"): zero()}
+    # Even squares keep their right sides.
+    P = RingPresentation([Generator("a", 2, rank=1), Generator("b", 4)], [(("a", "a"), gen("b"))])
+    assert normal_form(P, element([(1, ("a", "a"))])) == gen("b")
+
+
 # === normal forms ===
 
 
@@ -211,6 +225,59 @@ def test_arithmetic_helpers():
     assert add(a, scale(-1, a)) == zero()
     assert scale(2, b) == element([(1, ("x",))])
     assert scale(0, a) == zero()
+
+
+def accumulated(pairs):
+    """The terms element built before it skipped the zero start: every word
+    started at Fraction(0), and GradedElement converted every value (oracle)."""
+    acc = {}
+    for coeff, word in pairs:
+        acc[word] = acc.get(word, Fraction(0)) + Fraction(coeff)
+    return {w: Fraction(c) for w, c in acc.items() if c != 0}
+
+
+def added(a_terms, b_terms):
+    """add on term dicts as it was built before (oracle)."""
+    acc = dict(a_terms)
+    for word, coeff in b_terms.items():
+        acc[word] = acc.get(word, Fraction(0)) + coeff
+    return {w: Fraction(c) for w, c in acc.items() if c != 0}
+
+
+def test_arithmetic_matches_the_zero_started_construction():
+    # Seeded int, Fraction and float coefficients over a few words, so words
+    # repeat and some cancel; results must match the oracle in value, type
+    # and key order.
+    rng = random.Random(53)
+    words = [(), ("x",), ("y",), ("x", "y"), ("y", "x"), ("x", "x", "y")]
+    values = [0, 1, -1, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 4), 0.5, -0.5, 0.75, -1.0, 0.1]
+
+    def pairs():
+        return [(rng.choice(values), rng.choice(words)) for _ in range(rng.randint(0, 8))]
+
+    def same(result, terms):
+        assert list(result.terms.items()) == list(terms.items())
+        assert all(type(c) is Fraction for c in result.terms.values())
+
+    cancelled = 0
+    for _ in range(400):
+        p, q = pairs(), pairs()
+        a, b = element(p), element(q)
+        same(a, accumulated(p))
+        cancelled += len({w for _, w in p}) > len(a.terms)
+        same(add(a, b), added(accumulated(p), accumulated(q)))
+        c = rng.choice(values)
+        same(scale(c, a), {w: Fraction(c) * v for w, v in accumulated(p).items() if Fraction(c) * v != 0})
+        minus_b = {w: -v for w, v in accumulated(q).items()}
+        same(subtract(a, b), added(accumulated(p), minus_b))
+        raw = {w: v for v, w in p}
+        same(GradedElement(raw), {w: Fraction(v) for w, v in raw.items() if v != 0})
+    assert cancelled > 50
+    for name in ("x", "y"):
+        same(gen(name), {(name,): Fraction(1)})
+    assert gen("x").terms[("x",)] is gen("y").terms[("y",)]  # one shared Fraction(1)
+    half = Fraction(1, 2)
+    assert GradedElement({("x",): half}).terms[("x",)] is half  # kept, not rebuilt
 
 
 # === the integer-coded kernel against the leftmost-redex engine ===
@@ -605,7 +672,11 @@ def random_rewrite_ring(rng):
             and free._termination_key(w) < free._termination_key(lhs)
         ]
         chosen = rng.sample(below, min(len(below), rng.randint(0, 2)))
-        rules.append((lhs, element([(rng.choice([-2, -1, 1, 3]), w) for w in chosen])))
+        rhs = element([(rng.choice([-2, -1, 1, 3]), w) for w in chosen])
+        # The square of an odd generator is 0, so its rule takes an empty
+        # right side; the draws above are made all the same.
+        odd_square = lhs[0] == lhs[1] and free.degree(lhs[0]) % 2
+        rules.append((lhs, zero() if odd_square else rhs))
     return RingPresentation(gens, rules)
 
 
