@@ -67,7 +67,7 @@ from .navplan import (
     MAX_GRID,
     PathPlan,
     _check_checkpoint_count,
-    _grid_times,
+    _grid_samples,
     _unit,
     check_equivariance,
     check_lp_continuity,
@@ -202,13 +202,12 @@ def _parse_word(text: str) -> tuple[str, ...]:
 
 
 def _plan_payload(plan: PathPlan, grid: int = 9) -> dict:
-    times = _grid_times(grid)
     atoms = [
         {
             "weight": float(weight),
             "kind": type(path).__name__,
             "data": dataclasses.asdict(path),
-            "trace": path.sample(times).tolist(),
+            "trace": _grid_samples(path, grid).tolist(),
         }
         for path, weight in plan.measure.atoms
     ]

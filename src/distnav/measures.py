@@ -101,10 +101,21 @@ def _chord(p, q):
     """|p - q| over the last axis; arrays of points give arrays of distances.
     A distance past the largest float is inf, correctly rounded, with no warning."""
     with np.errstate(over="ignore"):
-        d = np.subtract(p, q, dtype=float)
-        if d.ndim == 0:
-            return abs(d)
-        return np.sqrt(np.add.reduce(d * d, -1))
+        return _length(np.subtract(p, q, dtype=float))
+
+
+def _line_chord(p, q):
+    """min(|p - q|, |p + q|), the chord of each sign of q as ``_chord`` gives
+    it (p + q is p - (-q) bit for bit), under one errstate."""
+    with np.errstate(over="ignore"):
+        return np.minimum(_length(np.subtract(p, q, dtype=float)), _length(np.add(p, q, dtype=float)))
+
+
+def _length(d: np.ndarray):
+    """The length of d over its last axis; a 0-d d is a number."""
+    if d.ndim == 0:
+        return abs(d)
+    return np.sqrt(np.add.reduce(d * d, -1))
 
 
 def _vectors(points) -> np.ndarray:

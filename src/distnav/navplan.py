@@ -24,17 +24,24 @@ Plans are compared in three metrics: the chord metric on sphere points
 two signs on lines (``projective_metric``), and the sup over a uniform time
 grid of either on paths (``path_metric``).  Each maps a whole support to
 one coordinate array: the sphere and line metrics by one numpy conversion
-of the points, the path metric by stacking each path's samples on the grid
-(``ArcPath.sample``, one numpy call per path).  The path distance is the
-maximum of the point distance over the time axis, so ``lp_distance``
-samples each path once and compares all pairs in one call.  A measure
-keeps its samples while it is compared under the same path metric object:
-``check_lp_continuity`` samples each base plan once per base input.
-A single time is evaluated in scalar arithmetic (``path(t)``, the same
-bits as ``path.sample([t])[0]`` without its index arrays).  A path builds
-the numpy arrays of its angles and frames once, read-only, on first use,
-and sampling, scalar evaluation and mapping read them; nothing converts
-per call.
+of the points, the path metric by stacking each path's samples on the grid.
+Sampling has two parts.  The time lookup (clamp, NaN check, piece index k
+and local time s) depends only on the times and the piece count; the
+arithmetic ``cos(angles[k] s) u[k] + sin(angles[k] s) v[k]`` is the
+path's own (``ArcPath._at``).  ``path.sample(ts)`` looks its times up on
+every call, while the path metric and ``plan_checkpoint_deviation`` read a
+read-only (k, s) table from one bounded cache keyed by grid count and piece
+count, so a grid is looked up once for all the paths sampled on it.  The
+path distance is the maximum of the point distance over the time axis, so
+``lp_distance`` samples each path once and compares all pairs in one call.
+A measure keeps its samples while it is compared under the same path
+metric object: ``check_lp_continuity`` samples each base plan once per base
+input.  A single time is evaluated in scalar arithmetic (``path(t)``, the
+same bits as ``path.sample([t])[0]`` without its index arrays): a second
+evaluation route next to ``_at``.  A path builds the numpy arrays of its
+angles and frames once, read-only, on first use, and a mapped path keeps
+the products it was built from as its arrays; sampling, scalar evaluation
+and mapping read them, and nothing converts per call.
 
 One function, ``_unit``, scales a vector to unit length or refuses it
 unless finite and nonzero: every planner's points, the continuity probe's
@@ -47,12 +54,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .measures import MAX_SUPPORT, FiniteMeasure, MetricSpace, euclidean_metric, lp_distance, to_jsonable
+from .measures import (
+    MAX_SUPPORT,
+    FiniteMeasure,
+    MetricSpace,
+    _line_chord,
+    euclidean_metric,
+    lp_distance,
+    to_jsonable,
+)
 
 __all__ = [
     "ProjectivePoint",
@@ -153,8 +168,8 @@ class ArcPath:
 
     The fields are tuples, so equal paths compare and hash equal.  On
     first use the path builds read-only float arrays of angles, u and v
-    once, outside the fields, and ``sample``, ``path(t)`` and ``mapped``
-    compute from them.
+    once, outside the fields (a path made by ``mapped`` starts with them),
+    and ``_at``, ``path(t)`` and ``mapped`` compute from them.
     """
 
     u: tuple[tuple[float, ...], ...]
@@ -167,7 +182,7 @@ class ArcPath:
 
         Not a field: the cache stays out of repr, equality, hashing and
         ``dataclasses.asdict``.  Paths that are never evaluated, sampled or
-        mapped never pay for it.
+        mapped never pay for it, and ``mapped`` sets it on the image.
         """
         arrays = (
             np.array(self.angles, dtype=float),
@@ -179,7 +194,9 @@ class ArcPath:
         return arrays
 
     def sample(self, ts) -> np.ndarray:
-        """The points at the times ts, shape (len(ts), dim), in a new array.
+        """The points at the times ts, shape (len(ts), dim), in a new array:
+        the times' pieces and local times (``_piece_times``), then this
+        path's arithmetic on them (``_at``).
 
         A quarter arc starts at u and ends at v:
 
@@ -190,23 +207,19 @@ class ArcPath:
         >>> points.round(12).tolist()
         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         """
+        return self._at(*_piece_times(ts, len(self.angles)))
+
+    def _at(self, k: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The points at local times s of pieces k, shape (len(k), dim), in a
+        new array: every sample of a path, on a grid or not, is made here."""
         angles, u, v = self._arrays
-        n = len(angles)
-        # In this argument order a time of -0.0 stays -0.0, as under np.clip,
-        # so samples match it bit for bit.  NaN passes both bounds, so one
-        # check on the clamped times finds it.
-        clamped = np.minimum(np.maximum(0.0, np.asarray(ts, dtype=float)), 1.0)
-        nan = np.isnan(clamped)
-        if nan.any():
-            raise ValueError(f"sample time {int(np.argmax(nan))} is nan, not a time in [0, 1]")
-        scaled = clamped * n
-        k = np.minimum(scaled.astype(int), n - 1)
-        a = (angles.take(k) * (scaled - k))[:, None]
+        a = (angles.take(k) * s)[:, None]
         return np.cos(a) * u.take(k, axis=0) + np.sin(a) * v.take(k, axis=0)
 
     def __call__(self, t: float) -> np.ndarray:
         """The point at the time t, in a new array: ``sample([t])[0]`` bit
-        for bit, computed in scalar arithmetic without the batched lookup.
+        for bit, computed in scalar arithmetic without the batched lookup,
+        a second evaluation route next to ``_at``.
 
         >>> quarter = ArcPath(((1.0, 0.0),), ((0.0, 1.0),), (math.pi / 2,))
         >>> quarter(0.5).round(12).tolist()
@@ -224,16 +237,79 @@ class ArcPath:
             raise ValueError("path time is nan, not a time in [0, 1]")
         scaled = s * n
         k = min(int(scaled), n - 1)
-        # np.cos and np.sin on an np.float64, as in sample, so the bits do
-        # not depend on the C library's cos and sin.
+        # np.cos and np.sin on an np.float64, as in _at, so the bits do not
+        # depend on the C library's cos and sin; then the same products and
+        # sums as _at's, on Python floats rather than two numpy products.
         a = angles[k] * (scaled - k)
-        return np.cos(a) * u[k] + np.sin(a) * v[k]
+        c, d = float(np.cos(a)), float(np.sin(a))
+        return np.array([c * x + d * y for x, y in zip(u[k].tolist(), v[k].tolist())])
 
     def mapped(self, matrix) -> "ArcPath":
-        """The image under a linear map M: M(cos u + sin v) = cos Mu + sin Mv."""
+        """The image under a linear map M: M(cos u + sin v) = cos Mu + sin Mv.
+
+        The image keeps the products u M^T and v M^T it is built from as its
+        arrays, so it never converts its own tuples back.
+        """
         m = np.asarray(matrix, dtype=float).T
-        _, u, v = self._arrays
-        return ArcPath(_rows(u @ m), _rows(v @ m), self.angles)
+        angles, u, v = self._arrays
+        mu, mv = u @ m, v @ m
+        image = ArcPath(_rows(mu), _rows(mv), self.angles)
+        mu.setflags(write=False)
+        mv.setflags(write=False)
+        image.__dict__["_arrays"] = (angles, mu, mv)  # where cached_property keeps it
+        return image
+
+
+def _piece_times(ts, pieces: int) -> tuple[np.ndarray, np.ndarray]:
+    """The piece k and local time s of each time ts of a path on that many
+    pieces, times clamped to [0, 1]; ValueError on a NaN time."""
+    # In this argument order a time of -0.0 stays -0.0, as under np.clip,
+    # so samples match it bit for bit.  NaN passes both bounds, so one
+    # check on the clamped times finds it.
+    clamped = np.minimum(np.maximum(0.0, np.asarray(ts, dtype=float)), 1.0)
+    nan = np.isnan(clamped)
+    if nan.any():
+        raise ValueError(f"sample time {int(np.argmax(nan))} is nan, not a time in [0, 1]")
+    scaled = clamped * pieces
+    k = np.minimum(scaled.astype(int), pieces - 1)
+    return k, scaled - k
+
+
+def _grid_times(count: int) -> np.ndarray:
+    """count times k / (count - 1) spaced evenly over [0, 1]."""
+    return np.arange(count) / max(count - 1, 1)
+
+
+# Grid tables kept at once.  An entry holds count piece indices and count
+# local times, 16 bytes a time: at most 16 KB at MAX_GRID times, so at most
+# 512 KB in all.  Longer grids (only a hand-built plan of more than MAX_GRID
+# checkpoints has one) are looked up afresh.
+_GRID_TABLES = 32
+
+
+@lru_cache(maxsize=_GRID_TABLES)
+def _grid_table(count: int, pieces: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_piece_times`` of the grid of count times on that many pieces,
+    read-only, shared by every path sampled on that grid."""
+    table = _piece_times(_grid_times(count), pieces)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _grid_samples(path: ArcPath, count: int) -> np.ndarray:
+    """The path's samples on the grid of count times, ``path.sample(_grid_times(count))``
+    bit for bit, in a new array."""
+    pieces = len(path.angles)
+    if count > MAX_GRID:
+        return path._at(*_piece_times(_grid_times(count), pieces))
+    return path._at(*_grid_table(count, pieces))
+
+
+def _samples(paths, count: int) -> np.ndarray:
+    """Each path's samples on the grid of count times, stacked: shape
+    (paths, count, dim)."""
+    return np.array([_grid_samples(path, count) for path in paths])
 
 
 # -- metrics ---------------------------------------------------------------------
@@ -242,10 +318,6 @@ class ArcPath:
 # The chord metric of the ambient space, on sphere points.
 sphere_metric = euclidean_metric
 _CHORD = euclidean_metric()
-
-
-def _line_chord(p, q):
-    return np.minimum(_CHORD.distance(p, q), _CHORD.distance(p, np.negative(q)))
 
 
 def projective_metric() -> MetricSpace:
@@ -257,21 +329,12 @@ def projective_metric() -> MetricSpace:
     return MetricSpace(distance=_line_chord, coordinates=_CHORD.coordinates)
 
 
-def _grid_times(count: int) -> np.ndarray:
-    """count times k / (count - 1) spaced evenly over [0, 1]."""
-    return np.arange(count) / max(count - 1, 1)
-
-
-def _samples(paths, times) -> np.ndarray:
-    """Each path's samples at the times, stacked: shape (paths, times, dim)."""
-    return np.array([path.sample(times) for path in paths])
-
-
 def path_metric(point_space: MetricSpace, grid: int = 64) -> MetricSpace:
     """Sup distance between paths sampled on a uniform grid of times.
 
-    The coordinates of n paths are their samples ``path.sample(times)``
-    stacked, shape (n, grid, dim), and the distance of two stacks of
+    The coordinates of n paths are their samples on the grid stacked, shape
+    (n, grid, dim), each ``path.sample(times)`` bit for bit from the grid's
+    cached table (``_grid_samples``), and the distance of two stacks of
     samples is the maximum of the point distance over the time axis.  The
     grid holds both endpoints, so it needs at least two times, and at most
     MAX_GRID.
@@ -280,10 +343,9 @@ def path_metric(point_space: MetricSpace, grid: int = 64) -> MetricSpace:
         raise ValueError(f"grid must have at least 2 times, got {grid}")
     if grid > MAX_GRID:
         raise ValueError(f"a grid of {grid} times is over the cap of {MAX_GRID} (MAX_GRID)")
-    times = _grid_times(grid)
     return MetricSpace(
         distance=lambda p, q: np.max(point_space.distance(p, q), axis=-1),
-        coordinates=lambda paths: _samples(paths, times),
+        coordinates=lambda paths: _samples(paths, grid),
     )
 
 
@@ -307,8 +369,7 @@ def plan_checkpoint_deviation(plan: PathPlan, point_space: MetricSpace) -> float
 
     One ``distance`` call compares every path's samples with the checkpoints.
     """
-    times = _grid_times(plan.r)
-    samples = _samples(plan.measure.points(), times)
+    samples = _samples(plan.measure.points(), plan.r)
     return float(np.max(point_space.distance(samples, np.asarray(plan.checkpoints, dtype=float))))
 
 

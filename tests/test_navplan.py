@@ -18,6 +18,7 @@ from distnav.measures import MAX_SUPPORT, FiniteMeasure, euclidean_metric, lp_di
 from distnav.navplan import (
     FIBER_TOLERANCE,
     MAX_CHECKPOINTS,
+    MAX_GRID,
     RATIO_CEILING,
     ArcPath,
     PathPlan,
@@ -657,6 +658,33 @@ def test_line_chord_at_float_extremes_without_warnings():
         assert np.all(PROJ.distance(big, big[0]) >= 0.0)
 
 
+def line_chord_two_calls(p, q):
+    """The line chord as it was: two chord distances, one per sign of q (oracle)."""
+    chord = euclidean_metric().distance
+    return np.minimum(chord(p, q), chord(p, np.negative(q)))
+
+
+def test_line_chord_matches_two_chord_calls_byte_for_byte():
+    rng = np.random.default_rng(45)
+    extremes = np.array([0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 1.0, -1.0])
+    cases = [
+        (rng.normal(size=(2, 1, 64, 3)), rng.normal(size=(1, 2, 64, 3))),
+        (rng.normal(size=(5, 4)), rng.normal(size=4)),
+        (rng.choice(extremes, size=(40, 3)), rng.choice(extremes, size=(40, 3))),
+        (rng.uniform(-1.7, 1.7, size=(6, 3)) * 1e308, rng.uniform(-1.7, 1.7, size=3) * 1e308),
+        ([1.0, -0.0], [-1.0, 0.0]),
+        (1e308, -1e308),
+        (0.25, -0.5),
+        (-0.0, 0.0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, q in cases:
+            got, expected = PROJ.distance(p, q), line_chord_two_calls(p, q)
+            assert type(got) is type(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
 def test_plan_measures_compare_in_path_metric():
     # two plans between the same pair are LP-close to themselves and far
     # from a plan between a genuinely different pair
@@ -849,14 +877,16 @@ def test_continuity_samples_each_base_plan_once_per_base_input(monkeypatch):
     # The base plan's measure keeps its samples across the perturbations of
     # its input: every path of every plan, base or perturbed, is sampled
     # once, not the base plan's once per perturbation.
+    # Every sample of a path is made in ArcPath._at, so that is where they
+    # are counted.
     sampled = []
-    sample = ArcPath.sample
+    at = ArcPath._at
 
-    def counted(path, ts):
+    def counted(path, k, s):
         sampled.append(id(path))
-        return sample(path, ts)
+        return at(path, k, s)
 
-    monkeypatch.setattr(ArcPath, "sample", counted)
+    monkeypatch.setattr(ArcPath, "_at", counted)
 
     def recorded(planner):
         def plan_fn(*points):
@@ -1101,6 +1131,112 @@ def test_cached_arrays_are_read_only_and_samples_fresh():
     assert_bit_identical(path.sample([0.0, 0.5, 1.0]), sample_per_call(path, [0.0, 0.5, 1.0]))
     assert "_arrays" not in repr(path)
     assert list(dataclasses.asdict(path)) == ["u", "v", "angles"]
+
+
+def sample_per_path(path, ts):
+    """ArcPath.sample as it was: every path clamps its times and finds their
+    pieces itself, on arrays built from its tuples (oracle)."""
+    angles = np.array(path.angles, dtype=float)
+    u, v = np.array(path.u, dtype=float), np.array(path.v, dtype=float)
+    n = len(angles)
+    clamped = np.minimum(np.maximum(0.0, np.asarray(ts, dtype=float)), 1.0)
+    nan = np.isnan(clamped)
+    if nan.any():
+        raise ValueError(f"sample time {int(np.argmax(nan))} is nan, not a time in [0, 1]")
+    scaled = clamped * n
+    k = np.minimum(scaled.astype(int), n - 1)
+    a = (angles.take(k) * (scaled - k))[:, None]
+    return np.cos(a) * u.take(k, axis=0) + np.sin(a) * v.take(k, axis=0)
+
+
+def grid_oracle(count):
+    """count times k / (count - 1), the grid of the path metric."""
+    return np.arange(count) / max(count - 1, 1)
+
+
+def table_route_plans(rng):
+    """rpn plans, circle plans through 2 to 64 checkpoints (1 to 63 pieces),
+    Hopf plans, and plans of mapped paths."""
+    plans = [rpn_navigate(random_unit(rng, n + 1), random_unit(rng, n + 1)) for n in (1, 2, 3, 4)]
+    for r in range(2, MAX_CHECKPOINTS + 1):
+        plans.append(circle_navigate(r, [random_unit(rng, 2) for _ in range(r)]))
+    for r in (2, 3, 7, MAX_CHECKPOINTS):
+        e1 = random_unit(rng, 4)
+        pts = [e1] + [fiber_partner(e1, rng.uniform(0, 2 * math.pi)) for _ in range(r - 1)]
+        plans.append(hopf_parametrized_navigate(r, pts))
+    for plan in plans[:4] + plans[-2:]:
+        g = random_rotation(rng, len(plan.measure.points()[0].u[0]))
+        atoms = [(path.mapped(g), w) for path, w in plan.measure.atoms]
+        moved = [g @ np.array(c) for c in plan.checkpoints]
+        if isinstance(plan.checkpoints[0], ProjectivePoint):
+            moved = [_canonical_line(c) for c in moved]
+        plans.append(PathPlan(FiniteMeasure(atoms), tuple(moved)))
+    return plans
+
+
+def test_table_route_matches_per_path_sampler_byte_for_byte():
+    rng = random.Random(27)
+    plans = table_route_plans(rng)
+    pieces = {len(path.angles) for plan in plans for path in plan.measure.points()}
+    assert pieces == set(range(1, MAX_CHECKPOINTS))
+    ts = [-0.0, 0.0, -0.25, -math.inf, 1.0, 1.5, math.inf, 5e-324] + [rng.uniform(-0.5, 1.5) for _ in range(24)]
+    for plan in plans:
+        paths = plan.measure.points()
+        point_space = PROJ if isinstance(plan.checkpoints[0], ProjectivePoint) else sphere_metric()
+        for grid in (2, 9, 64, 1024):
+            expected = np.array([sample_per_path(path, grid_oracle(grid)) for path in paths])
+            assert_bit_identical(path_metric(point_space, grid).coordinates(paths), expected)
+        samples = np.array([sample_per_path(path, grid_oracle(plan.r)) for path in paths])
+        checkpoints = np.asarray(plan.checkpoints, dtype=float)
+        deviation = np.max(point_space.distance(samples, checkpoints))
+        assert_bit_identical(np.float64(plan_checkpoint_deviation(plan, point_space)), deviation)
+        for path in paths:
+            assert_bit_identical(path.sample(ts), sample_per_path(path, ts))
+            for t in ts[:8]:
+                assert_bit_identical(path(t), sample_per_path(path, [t])[0])
+
+
+def test_grid_tables_are_bounded_read_only_and_never_shared_across_keys():
+    # Each table is 16 bytes a time: at most _GRID_TABLES x 16 KB at MAX_GRID.
+    navplan._grid_table.cache_clear()
+    keys = [(count, pieces) for count in (2, 9, 64, MAX_GRID, 3) for pieces in (1, 2, 3, 5, 8, 13, 63)]
+    assert len(keys) > navplan._GRID_TABLES
+    owners = {}  # id of a table's arrays -> its key; the tables stay alive, so no id is reused
+    kept = []
+    for key in keys + keys[::-1] + keys[::3]:
+        count, pieces = key
+        table = navplan._grid_table(count, pieces)
+        assert navplan._grid_table.cache_info().currsize <= navplan._GRID_TABLES
+        kept.append(table)
+        for a in table:
+            assert owners.setdefault(id(a), key) == key
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        scaled = grid_oracle(count) * pieces
+        k = np.minimum(scaled.astype(int), pieces - 1)
+        assert_bit_identical(table[0], k)
+        assert_bit_identical(table[1], scaled - k)
+    assert navplan._grid_table.cache_info().currsize == navplan._GRID_TABLES
+    # A grid past MAX_GRID, which only a hand-built plan has, stays out of the cache.
+    path = circle_navigate(3, [[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]]).measure.atoms[0][0]
+    before = navplan._grid_table.cache_info()
+    assert_bit_identical(navplan._grid_samples(path, MAX_GRID + 1), sample_per_path(path, grid_oracle(MAX_GRID + 1)))
+    assert navplan._grid_table.cache_info() == before
+
+
+def test_mapped_path_keeps_its_products_as_its_arrays():
+    rng = random.Random(28)
+    path = circle_navigate(4, [random_unit(rng, 2) for _ in range(4)]).measure.atoms[0][0]
+    g = np.column_stack([random_unit(rng, 4), random_unit(rng, 4)])
+    image = path.mapped(g)
+    assert "_arrays" in vars(image)  # kept, not rebuilt from the tuples on first use
+    for kept, rebuilt in zip(image._arrays, (image.angles, image.u, image.v)):
+        assert not kept.flags.writeable
+        assert_bit_identical(kept, np.array(rebuilt, dtype=float))
+    assert image == mapped_per_call(path, g)
+    assert "_arrays" not in repr(image)
+    assert list(dataclasses.asdict(image)) == ["u", "v", "angles"]
 
 
 def test_nan_time_raises_value_error():
